@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check vet doclint build test race chaos lowmem bigtable bench benchgate micro serve servegate experiments fuzz
+.PHONY: check vet doclint build test race chaos lowmem bigtable benchsmoke bench benchgate micro serve servegate experiments fuzz
 
 ## check: the full tier-1 gate — vet, the doc-comment lint, build, the test
 ## suite under -race, the chaos (kill/join) suite, the low-memory suite, the
-## big-table streaming-scan scenario, the benchmark regression gate, and the
-## sustained-load serving gate (SKIP_BENCH_GATE=1 skips both bench gates on
-## noisy runners).
-check: vet doclint build race chaos lowmem bigtable benchgate servegate
+## big-table streaming-scan scenario, the end-to-end benchmark's own vet and
+## smoke tests, the benchmark regression gate, and the sustained-load serving
+## gate (SKIP_BENCH_GATE=1 skips both bench gates on noisy runners).
+check: vet doclint build race chaos lowmem bigtable benchsmoke benchgate servegate
 
 vet:
 	$(GO) vet ./...
@@ -47,6 +47,12 @@ lowmem:
 ## tables (default 3000 rows; set six or seven figures for a multi-GB run).
 bigtable:
 	$(GO) test ./internal/services/ -run 'TestBigTableStoredScan' -count=1
+
+## benchsmoke: bench/ is a module of its own, which `go build ./...` and
+## `go test ./...` at the root do not reach: vet it and run every workload of
+## the end-to-end benchmark at smoke scale (structure and correctness only).
+benchsmoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 ## bench: the engine micro-benchmarks (codec, producer, volcano vs batch).
 bench:

@@ -106,7 +106,13 @@ func TestMEDThresholdFiltersSmallChanges(t *testing.T) {
 	if got := col.wait(t, 2); len(got) < 2 {
 		t.Fatal("big change not notified")
 	}
+	// The second notification lands before the MED has seen every event
+	// of the burst: wait for all 45 before reading the counters.
 	raw, notif := med.Stats()
+	for deadline := time.Now().Add(5 * time.Second); raw != 45 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		raw, notif = med.Stats()
+	}
 	if raw != 45 {
 		t.Fatalf("raw = %d, want 45", raw)
 	}
@@ -210,12 +216,12 @@ func TestTrimmedMean(t *testing.T) {
 		{[]float64{0, 10, 10, 10, 1000}, 10}, // outliers discarded
 		// Duplicate extremes: only ONE occurrence of min and of max is
 		// discarded; the remaining copies stay in the average.
-		{[]float64{1, 1, 10, 100, 100}, 37},  // (1+10+100)/3
-		{[]float64{5, 5, 5, 9}, 5},           // (5+5)/2 after dropping one 5 and the 9
-		{[]float64{0, 0, 0, 12}, 0},          // (0+0)/2
-		{[]float64{7, 7, 7}, 7},              // all equal: the value itself
-		{[]float64{0, 0, 0, 0}, 0},           // all equal at zero
-		{[]float64{-4, -4, -1, -10}, -4},     // negatives: (-4-4)/2
+		{[]float64{1, 1, 10, 100, 100}, 37}, // (1+10+100)/3
+		{[]float64{5, 5, 5, 9}, 5},          // (5+5)/2 after dropping one 5 and the 9
+		{[]float64{0, 0, 0, 12}, 0},         // (0+0)/2
+		{[]float64{7, 7, 7}, 7},             // all equal: the value itself
+		{[]float64{0, 0, 0, 0}, 0},          // all equal at zero
+		{[]float64{-4, -4, -1, -10}, -4},    // negatives: (-4-4)/2
 		// Huge duplicate extremes must not cancel to garbage: one 9e15 stays.
 		{[]float64{9e15, 3, 3, 3, 9e15}, 3e15 + 2},
 	}

@@ -101,8 +101,8 @@ type AdaptationEvent struct {
 // the full pause/recall/evict/replay/resend cycle for R1 (paper §3.1,
 // Response).
 type Responder struct {
-	bus   *bus.Bus
-	tr    transport.Transport
+	bus  *bus.Bus
+	tr   transport.Transport
 	node simnet.NodeID
 	cfg  ResponderConfig
 	rpc  *rpcClient
@@ -681,7 +681,10 @@ func (r *Responder) adaptStateful(st *respState, p Proposal) error {
 	return nil
 }
 
-// pauseAll pauses or resumes every producer feeding the fragment.
+// pauseAll pauses or resumes every producer feeding the fragment. A pause
+// that fails anywhere resumes them all before reporting the error: callers
+// register their resume only once the pause has succeeded, and a producer
+// left paused blocks its driver until the query times out.
 func (r *Responder) pauseAll(st *respState, pause bool) error {
 	op := transport.CtrlResume
 	if pause {
@@ -697,6 +700,9 @@ func (r *Responder) pauseAll(st *respState, pause bool) error {
 				firstErr = err
 			}
 		}
+	}
+	if pause && firstErr != nil {
+		_ = r.pauseAll(st, false)
 	}
 	return firstErr
 }

@@ -25,6 +25,8 @@ type fakeInstance struct {
 	est      int64
 	consumed int64
 	discard  map[string][]int64
+	// failPause makes the instance refuse CtrlPause.
+	failPause bool
 }
 
 func newFakeInstance(tr *transport.InProc, node simnet.NodeID, service string) *fakeInstance {
@@ -52,6 +54,10 @@ func (f *fakeInstance) handle(from simnet.NodeID, msg *transport.Message) {
 		}
 	case transport.CtrlDiscard:
 		reply.DiscardedSeqs = f.discard
+	case transport.CtrlPause:
+		if f.failPause {
+			reply.OK, reply.Err = false, "pause refused"
+		}
 	}
 	f.mu.Unlock()
 	out := &transport.Message{Kind: transport.KindReply, Ctrl: reply}
@@ -201,6 +207,60 @@ func TestResponderRetrospectiveProtocolOrder(t *testing.T) {
 	// The Diagnoser hears about the deployed policy.
 	// (PolicyUpdate is observed indirectly through the adaptation count;
 	// the publish path is covered by the diagnoser tests.)
+}
+
+func TestResponderFailedPauseResumesProducers(t *testing.T) {
+	// Two producers feed the fragment and the second refuses to pause: the
+	// adaptation fails, and the first — already paused — must be resumed
+	// rather than left blocking its driver until the query times out.
+	r, b, prod, _ := responderHarness(t, ResponderConfig{Response: R1, MaxProgress: 0.9})
+	bad := newFakeInstance(prod.tr, "data1", "frag/F1#1")
+	bad.est, bad.failPause = 1000, true
+	if err := r.Register(FragmentTopology{
+		Fragment: "F3",
+		Weights:  []float64{0.5, 0.5},
+		Instances: []InstanceRef{
+			{Index: 0, Node: "ws0", Service: "frag/F2#0"},
+			{Index: 1, Node: "ws1", Service: "frag/F2#1"},
+		},
+		Inputs: []ExchangeTopology{{
+			Exchange: "E1",
+			Producers: []InstanceRef{
+				{Index: 0, Node: "data1", Service: "frag/F1#0"},
+				{Index: 1, Node: "data1", Service: "frag/F1#1"},
+			},
+		}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	b.Publish("diagnoser", "coord", TopicDiagnosis, Proposal{
+		Fragment: "F3", Weights: []float64{0.9, 0.1},
+	})
+	deadline := time.Now().Add(5 * time.Second)
+	for failed := false; !failed; {
+		for _, ev := range r.Timeline() {
+			failed = failed || ev.Outcome == "failed"
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("adaptation with a refused pause never reported failure")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	prod.mu.Lock()
+	ops := append([]transport.CtrlOp(nil), prod.ops...)
+	prod.mu.Unlock()
+	paused := false
+	for _, op := range ops {
+		switch op {
+		case transport.CtrlPause:
+			paused = true
+		case transport.CtrlResume:
+			paused = false
+		}
+	}
+	if paused {
+		t.Fatalf("first producer left paused after the second refused: %v", ops)
+	}
 }
 
 func TestResponderIgnoresUnknownFragment(t *testing.T) {

@@ -491,17 +491,24 @@ func (s *aggState) findOrCreateMergedLocked(b int32, h uint64, key relation.Tupl
 
 // freezeLocked freezes the state into output rows.
 func (s *aggState) freezeLocked(a *HashAggregate) {
-	var groups []*groupState
+	// The output order is the order of the rendered keys; each is rendered
+	// once, not twice per comparison.
+	type keyedGroup struct {
+		key string
+		g   *groupState
+	}
+	var groups []keyedGroup
 	for _, m := range s.state {
 		for _, chain := range m {
-			groups = append(groups, chain...)
+			for _, g := range chain {
+				groups = append(groups, keyedGroup{g.key.Key(), g})
+			}
 		}
 	}
-	sort.Slice(groups, func(i, j int) bool {
-		return groups[i].key.Key() < groups[j].key.Key()
-	})
+	sort.Slice(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
 	s.out = s.out[:0]
-	for _, g := range groups {
+	for _, kg := range groups {
+		g := kg.g
 		row := make(relation.Tuple, 0, len(g.key)+len(g.accs))
 		row = append(row, g.key...)
 		for i, kind := range a.Kinds {
@@ -703,7 +710,10 @@ func (s *Sort) Next() (relation.Tuple, bool, error) {
 				sz := sortTupleBytes(t)
 				s.bufBytes += sz
 				s.acct.Reserve(sz)
-				if s.acct.Over() {
+				// Over is query-global: shed only when this buffer is a
+				// real share of the budget, or an over-budget neighbour
+				// (a frozen aggregate upstream) makes every tuple a run.
+				if s.acct.Over() && s.bufBytes >= s.ctx.Mem.Limit()/sortShedShare {
 					if err := s.flushRun(); err != nil {
 						return nil, false, err
 					}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/relation"
@@ -31,8 +30,9 @@ type queueEntry struct {
 // until the consumer acknowledges the checkpoint, meaning the interval's
 // tuples "have finished processing and are not needed any more".
 type streamState struct {
-	// outstanding holds received-but-unprocessed sequence numbers.
-	outstanding map[int64]bool
+	// outstanding tracks received-but-unprocessed sequence numbers; its
+	// front is the stream's low-water mark.
+	outstanding seqWindow
 	// discarded holds sequence numbers removed by a retrospective recall;
 	// checkpoints covering them are never acknowledged, so the producer
 	// keeps (or explicitly migrates) those log entries.
@@ -75,7 +75,7 @@ type Consumer struct {
 	node simnet.NodeID
 
 	// Guarded by gate.mu.
-	queue    []queueEntry
+	queue    seqQueue[queueEntry]
 	eos      int
 	streams  []*streamState
 	lastPop  []queueEntry // entries popped but not yet marked processed
@@ -111,10 +111,7 @@ func newConsumer(exchange string, consumerIdx int, producers []Addr, stateful bo
 		obsConsumed: obs.Default().Counter(obs.Label(obs.MExchangeTuplesConsumed, "exchange", exchange)),
 	}
 	for i := range c.streams {
-		c.streams[i] = &streamState{
-			outstanding: make(map[int64]bool),
-			discarded:   make(map[int64]bool),
-		}
+		c.streams[i] = &streamState{discarded: make(map[int64]bool)}
 	}
 	return c
 }
@@ -151,9 +148,8 @@ func (c *Consumer) Next() (relation.Tuple, bool, error) {
 	c.finishInflightLocked()
 	flushed := false
 	for {
-		if len(c.queue) > 0 && !c.gate.paused {
-			e := c.queue[0]
-			c.queue = c.queue[1:]
+		if c.queue.len() > 0 && !c.gate.paused {
+			e := c.queue.popFront()
 			c.lastPop = append(c.lastPop, e)
 			c.gate.inflight++
 			c.consumed++
@@ -161,7 +157,7 @@ func (c *Consumer) Next() (relation.Tuple, bool, error) {
 			c.obsConsumed.Inc()
 			return e.tuple, true, nil
 		}
-		if c.closed || (c.eos == len(c.Producers) && len(c.queue) == 0 && !c.gate.paused) {
+		if c.closed || (c.eos == len(c.Producers) && c.queue.len() == 0 && !c.gate.paused) {
 			c.gate.mu.Unlock()
 			return nil, false, nil
 		}
@@ -193,13 +189,13 @@ func (c *Consumer) NextBatch(dst *relation.Batch) (int, error) {
 	c.finishInflightLocked()
 	flushed := false
 	for {
-		if len(c.queue) > 0 && !c.gate.paused {
+		if c.queue.len() > 0 && !c.gate.paused {
 			n := c.popLocked(&c.lastPop, dst)
 			c.gate.mu.Unlock()
 			c.obsConsumed.Add(int64(n))
 			return n, nil
 		}
-		if c.closed || (c.eos == len(c.Producers) && len(c.queue) == 0 && !c.gate.paused) {
+		if c.closed || (c.eos == len(c.Producers) && c.queue.len() == 0 && !c.gate.paused) {
 			c.gate.mu.Unlock()
 			return 0, nil
 		}
@@ -222,15 +218,15 @@ func (c *Consumer) NextBatch(dst *relation.Batch) (int, error) {
 // *pending and marking them in flight. Caller holds gate.mu and has checked
 // that the queue is non-empty and the gate unpaused.
 func (c *Consumer) popLocked(pending *[]queueEntry, dst *relation.Batch) int {
-	n := len(c.queue)
+	n := c.queue.len()
 	if cp := dst.Cap(); n > cp {
 		n = cp
 	}
-	for _, e := range c.queue[:n] {
+	for i := 0; i < n; i++ {
+		e := c.queue.popFront()
 		*pending = append(*pending, e)
 		dst.Append(e.tuple)
 	}
-	c.queue = c.queue[n:]
 	c.gate.inflight += n
 	c.consumed += int64(n)
 	return n
@@ -251,7 +247,7 @@ type ackItem struct {
 func (c *Consumer) finishEntriesLocked(entries []queueEntry) []ackItem {
 	for _, e := range entries {
 		st := c.streams[e.producer]
-		delete(st.outstanding, e.seq)
+		st.outstanding.finish(e.seq)
 		if e.seq > st.maxProcessed {
 			st.maxProcessed = e.seq
 		}
@@ -353,13 +349,13 @@ func (c *Consumer) NextBatchFor(w *ConsumerWorker, dst *relation.Batch, m *vtime
 	c.gate.mu.Lock()
 	flushed := false
 	for {
-		if len(c.queue) > 0 && !c.gate.paused {
+		if c.queue.len() > 0 && !c.gate.paused {
 			n := c.popLocked(&w.pending, dst)
 			c.gate.mu.Unlock()
 			c.obsConsumed.Add(int64(n))
 			return n, nil
 		}
-		if c.closed || (c.eos == len(c.Producers) && len(c.queue) == 0 && !c.gate.paused) {
+		if c.closed || (c.eos == len(c.Producers) && c.queue.len() == 0 && !c.gate.paused) {
 			c.gate.mu.Unlock()
 			return 0, nil
 		}
@@ -393,7 +389,7 @@ func (c *Consumer) ackableLocked() []ackItem {
 	for p, st := range c.streams {
 		for len(st.pending) > 0 {
 			ck := st.pending[0]
-			if hasAtOrBelow(st.outstanding, ck) {
+			if st.outstanding.anyAtOrBelow(ck) {
 				break
 			}
 			var except []int64
@@ -407,15 +403,6 @@ func (c *Consumer) ackableLocked() []ackItem {
 		}
 	}
 	return acks
-}
-
-func hasAtOrBelow(set map[int64]bool, ck int64) bool {
-	for s := range set {
-		if s <= ck {
-			return true
-		}
-	}
-	return false
 }
 
 func (c *Consumer) sendAck(a ackItem) {
@@ -484,17 +471,23 @@ func (c *Consumer) Deliver(msg *transport.Message) error {
 				if msg.Buckets != nil {
 					bucket = msg.Buckets[i]
 				}
-				c.queue = append(c.queue, queueEntry{
+				c.queue.push(queueEntry{
 					producer: msg.ProducerIdx,
 					seq:      seq,
 					bucket:   bucket,
 					tuple:    t,
 				})
-				st.outstanding[seq] = true
+				st.outstanding.add(seq)
 			}
 			if msg.Checkpoint > 0 {
+				// Checkpoints arrive ascending, so the ordered insert is
+				// an append unless a stream was reordered.
+				i := len(st.pending)
 				st.pending = append(st.pending, msg.Checkpoint)
-				sort.Slice(st.pending, func(i, j int) bool { return st.pending[i] < st.pending[j] })
+				for ; i > 0 && st.pending[i-1] > msg.Checkpoint; i-- {
+					st.pending[i] = st.pending[i-1]
+				}
+				st.pending[i] = msg.Checkpoint
 				// A checkpoint-only message may close an interval whose
 				// tuples were all processed already.
 				acks = c.ackableLocked()
@@ -527,20 +520,21 @@ func (c *Consumer) discardLocked(buckets []int32) map[int][]int64 {
 		}
 	}
 	report := make(map[int][]int64)
-	kept := c.queue[:0]
-	for _, e := range c.queue {
+	// One rotation of the queue: every entry is popped, and the kept ones
+	// rejoin at the back in their original order.
+	for n := c.queue.len(); n > 0; n-- {
+		e := c.queue.popFront()
 		// Tuples from a detached (dead) producer are never discarded: its
 		// recovery log is gone, so no resend could ever restore them.
 		if (filter == nil || filter[e.bucket]) && !c.streams[e.producer].detached {
 			st := c.streams[e.producer]
-			delete(st.outstanding, e.seq)
+			st.outstanding.finish(e.seq)
 			st.discarded[e.seq] = true
 			report[e.producer] = append(report[e.producer], e.seq)
 		} else {
-			kept = append(kept, e)
+			c.queue.push(e)
 		}
 	}
-	c.queue = kept
 	return report
 }
 
@@ -574,10 +568,7 @@ func (c *Consumer) DetachProducer(producer int) error {
 func (c *Consumer) AddProducer(addr Addr) {
 	c.gate.locked(func() {
 		c.Producers = append(c.Producers, addr)
-		c.streams = append(c.streams, &streamState{
-			outstanding: make(map[int64]bool),
-			discarded:   make(map[int64]bool),
-		})
+		c.streams = append(c.streams, &streamState{discarded: make(map[int64]bool)})
 	})
 }
 
@@ -585,5 +576,5 @@ func (c *Consumer) AddProducer(addr Addr) {
 func (c *Consumer) Stats() (consumed int64, waitMs float64, queued int) {
 	c.gate.mu.Lock()
 	defer c.gate.mu.Unlock()
-	return c.consumed, c.waitMs, len(c.queue)
+	return c.consumed, c.waitMs, c.queue.len()
 }

@@ -141,7 +141,7 @@ func TestConsumerDiscardByBucket(t *testing.T) {
 	h.deliver(t, 1, 0, []int32{3, 5, 3}, intTuple(1), intTuple(2), intTuple(3))
 	h.cons.gate.mu.Lock()
 	report := h.cons.discardLocked([]int32{3})
-	queued := len(h.cons.queue)
+	queued := h.cons.queue.len()
 	h.cons.gate.mu.Unlock()
 	if len(report[0]) != 2 {
 		t.Fatalf("bucket discard report = %v", report)

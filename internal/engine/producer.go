@@ -25,13 +25,6 @@ const DefaultBufferTuples = 50
 // data tuples they send").
 const DefaultCheckpointEvery = 50
 
-// logEntry is one recovery-log record: a tuple that has been sent but has
-// not finished processing at its consumer (or constitutes operator state).
-type logEntry struct {
-	tuple  relation.Tuple
-	bucket int32
-}
-
 type bufEntry struct {
 	seq    int64
 	bucket int32
@@ -39,16 +32,15 @@ type bufEntry struct {
 }
 
 // producerShard is the per-consumer slice of the producer's mutable state:
-// the pending buffer, the recovery log, the stream sequence counter and the
-// checkpoint interval position. Concurrent senders routing to different
-// consumers touch disjoint shards and never contend; everything that must
-// observe a consistent cross-shard picture (Pause, Replay, Resend, Close)
-// goes through the flow barrier instead.
+// the pending buffer, the recovery log (which owns the stream's sequence
+// counter) and the checkpoint interval position. Concurrent senders routing
+// to different consumers touch disjoint shards and never contend; everything
+// that must observe a consistent cross-shard picture (Pause, Replay, Resend,
+// Close) goes through the flow barrier instead.
 type producerShard struct {
 	mu        sync.Mutex
 	buf       []bufEntry
-	log       map[int64]logEntry
-	nextSeq   int64
+	log       recoveryLog
 	sinceCkpt int
 	// dead marks the consumer instance as crash-stopped or detached:
 	// flushes drop the buffer (the log keeps the entries for failover
@@ -291,7 +283,7 @@ func NewProducer(cfg ProducerConfig) *Producer {
 		p.checkpointEvery = DefaultCheckpointEvery
 	}
 	for i := range p.shards {
-		p.shards[i] = &producerShard{log: make(map[int64]logEntry), nextSeq: 1}
+		p.shards[i] = &producerShard{log: newRecoveryLog()}
 	}
 	p.barrier.init()
 	return p
@@ -426,10 +418,8 @@ outer:
 // appendShardLocked assigns the next stream sequence and records the tuple
 // in the shard's buffer and recovery log. Caller holds s.mu.
 func (p *Producer) appendShardLocked(s *producerShard, bucket int32, t relation.Tuple) {
-	seq := s.nextSeq
-	s.nextSeq++
+	seq := s.log.append(t, bucket)
 	s.buf = append(s.buf, bufEntry{seq: seq, bucket: bucket, tuple: t})
-	s.log[seq] = logEntry{tuple: t, bucket: bucket}
 }
 
 // flushShardLocked transmits the shard's pending buffer through a pooled
@@ -577,11 +567,11 @@ func (p *Producer) finalizeCheckpointsLocked() error {
 	}
 	for c, s := range p.shards {
 		s.mu.Lock()
-		skip := s.sinceCkpt == 0 || s.nextSeq == 1 || s.dead
+		skip := s.sinceCkpt == 0 || s.log.next() == 1 || s.dead
 		var ck int64
 		if !skip {
 			s.sinceCkpt = 0
-			ck = s.nextSeq - 1
+			ck = s.log.next() - 1
 		}
 		s.mu.Unlock()
 		if skip {
@@ -638,7 +628,7 @@ func (p *Producer) maybeFinishLocked() error {
 	if !p.Stateful {
 		for _, s := range p.shards {
 			s.mu.Lock()
-			n := len(s.log)
+			n := s.log.live
 			s.mu.Unlock()
 			if n > 0 {
 				return nil
@@ -714,11 +704,7 @@ func (p *Producer) HandleAck(msg *transport.Message) {
 		s.mu.Unlock()
 		return
 	}
-	for seq := range s.log {
-		if seq <= msg.Checkpoint && !keep[seq] {
-			delete(s.log, seq)
-		}
-	}
+	s.log.release(msg.Checkpoint, keep)
 	s.mu.Unlock()
 	p.finMu.Lock()
 	_ = p.maybeFinishLocked()
@@ -795,24 +781,18 @@ func (p *Producer) Replay(buckets []int32) (int, error) {
 	var pending []movedEntry
 	for consumer, s := range p.shards {
 		s.mu.Lock()
-		for seq, e := range s.log {
+		s.log.each(func(seq int64, e logEntry) {
 			if set[e.bucket] {
 				pending = append(pending, movedEntry{consumer: consumer, seq: seq, e: e})
 			}
-		}
+		})
 		s.mu.Unlock()
 	}
-	sort.Slice(pending, func(i, j int) bool {
-		if pending[i].consumer != pending[j].consumer {
-			return pending[i].consumer < pending[j].consumer
-		}
-		return pending[i].seq < pending[j].seq
-	})
 	moved := 0
 	for _, mv := range pending {
 		src := p.shards[mv.consumer]
 		src.mu.Lock()
-		delete(src.log, mv.seq)
+		src.log.take(mv.seq)
 		src.mu.Unlock()
 		target := p.policy.RouteBucket(mv.e.bucket)
 		dst := p.shards[target]
@@ -845,10 +825,7 @@ func (p *Producer) Resend(fromConsumer int, seqs []int64) (int, error) {
 	n := 0
 	for _, seq := range sorted {
 		src.mu.Lock()
-		e, ok := src.log[seq]
-		if ok {
-			delete(src.log, seq)
-		}
+		e, ok := src.log.take(seq)
 		src.mu.Unlock()
 		if !ok {
 			return n, fmt.Errorf("engine: resend of unknown seq %d on %s/consumer %d", seq, p.Exchange, fromConsumer)
@@ -919,36 +896,29 @@ func (p *Producer) ReplayLost(dead int) (int, error) {
 	}
 	src := p.shards[dead]
 	src.mu.Lock()
-	type lost struct {
-		seq int64
-		e   logEntry
-	}
-	pending := make([]lost, 0, len(src.log))
-	for seq, e := range src.log {
-		pending = append(pending, lost{seq: seq, e: e})
-	}
-	src.log = make(map[int64]logEntry)
+	pending := make([]logEntry, 0, src.log.live)
+	src.log.each(func(_ int64, e logEntry) { pending = append(pending, e) })
+	src.log.reset()
 	for i := range src.buf {
 		src.buf[i] = bufEntry{}
 	}
 	src.buf = src.buf[:0]
 	src.dead = true
 	src.mu.Unlock()
-	sort.Slice(pending, func(i, j int) bool { return pending[i].seq < pending[j].seq })
 	n := 0
-	for _, mv := range pending {
+	for _, e := range pending {
 		var target int
-		if mv.e.bucket >= 0 {
-			target = p.policy.RouteBucket(mv.e.bucket)
+		if e.bucket >= 0 {
+			target = p.policy.RouteBucket(e.bucket)
 		} else {
-			target, _ = p.policy.Route(mv.e.tuple)
+			target, _ = p.policy.Route(e.tuple)
 		}
 		if target == dead {
 			return n, fmt.Errorf("engine: replay-lost on %s still routes to dead consumer %d", p.Exchange, dead)
 		}
 		dst := p.shards[target]
 		dst.mu.Lock()
-		p.appendShardLocked(dst, mv.e.bucket, mv.e.tuple)
+		p.appendShardLocked(dst, e.bucket, e.tuple)
 		n++
 		var err error
 		if len(dst.buf) >= p.bufferTuples {
@@ -991,7 +961,7 @@ func (p *Producer) DetachConsumer(dead int) error {
 	if p.Stateful {
 		// Stateful logs exist to rebuild remote state; the dead instance's
 		// buckets were already replayed to their new owners.
-		s.log = make(map[int64]logEntry)
+		s.log.reset()
 	}
 	s.mu.Unlock()
 	p.finMu.Lock()
@@ -1022,7 +992,7 @@ func (p *Producer) AddConsumer(addr Addr, w []float64) error {
 		return err
 	}
 	p.Consumers = append(p.Consumers, addr)
-	p.shards = append(p.shards, &producerShard{log: make(map[int64]logEntry), nextSeq: 1})
+	p.shards = append(p.shards, &producerShard{log: newRecoveryLog()})
 	return nil
 }
 
@@ -1030,7 +1000,7 @@ func (p *Producer) AddConsumer(addr Addr, w []float64) error {
 func (p *Producer) Release() {
 	for _, s := range p.shards {
 		s.mu.Lock()
-		s.log = make(map[int64]logEntry)
+		s.log.reset()
 		s.mu.Unlock()
 	}
 }
@@ -1040,7 +1010,7 @@ func (p *Producer) Stats() (routed int64, buffers int64, logSize int) {
 	size := 0
 	for _, s := range p.shards {
 		s.mu.Lock()
-		size += len(s.log)
+		size += s.log.live
 		s.mu.Unlock()
 	}
 	return p.routed.Load(), p.buffersSent.Load(), size
@@ -1053,7 +1023,7 @@ func (p *Producer) ConsumerTupleCounts() []int64 {
 	counts := make([]int64, len(p.shards))
 	for i, s := range p.shards {
 		s.mu.Lock()
-		counts[i] = s.nextSeq - 1
+		counts[i] = s.log.next() - 1
 		s.mu.Unlock()
 	}
 	return counts

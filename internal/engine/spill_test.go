@@ -176,6 +176,44 @@ func TestSortSpillParity(t *testing.T) {
 	assertClean(t, ctx)
 }
 
+func TestSortShedsOwnShareOnly(t *testing.T) {
+	// Another operator holds the budget over its limit for the whole sort
+	// (a frozen aggregate upstream does): the sort must still buffer a real
+	// share of the budget per run, not flush one run per input tuple.
+	const limit = 16 << 10
+	input := probeTuples(2000, 25)
+	var inputBytes int64
+	for _, tp := range input {
+		inputBytes += sortTupleBytes(tp)
+	}
+	sorter := func() *Sort {
+		return &Sort{Child: NewSliceSource(input, 0), Ords: []int{0}, Desc: []bool{false}}
+	}
+	want := drain(t, sorter(), testCtx())
+
+	ctx := budgetedCtx(limit)
+	ctx.Mem.Reserve(2 * limit)
+	_, p0, _ := spillCounters()
+	got := drain(t, sorter(), ctx)
+	_, p1, _ := spillCounters()
+	ctx.Mem.Release(2 * limit)
+
+	runs := p1 - p0
+	if maxRuns := inputBytes/(limit/sortShedShare) + 1; runs == 0 || runs > maxRuns {
+		t.Fatalf("sort flushed %d runs for %d tuples (%d bytes) under a %d-byte budget, want 1..%d",
+			runs, len(input), inputBytes, limit, maxRuns)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("sorted %d tuples, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if string(relation.EncodeTuple(got[i])) != string(relation.EncodeTuple(want[i])) {
+			t.Fatalf("external sort order diverged at %d", i)
+		}
+	}
+	assertClean(t, ctx)
+}
+
 func TestHashJoinSpillEvictReplay(t *testing.T) {
 	// R1 under active spill: evict buckets while partitions are spilled,
 	// replay the evicted build tuples from the "recovery log", and verify

@@ -195,6 +195,11 @@ func (s *aggState) reloadLocked(a *HashAggregate) error {
 // earlier source (runs in flush order, the tail last), which reproduces
 // sort.SliceStable over the full input byte for byte.
 
+// sortShedShare bounds how far the sort can push the query past its budget:
+// it flushes a run once the budget is breached and its own buffer holds at
+// least 1/sortShedShare of the limit.
+const sortShedShare = 8
+
 // sortTupleBytes is the accounted footprint of one buffered sort tuple.
 func sortTupleBytes(t relation.Tuple) int64 {
 	return int64(t.ByteSize()) + 24
