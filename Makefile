@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet doclint build test race chaos lowmem bigtable benchsmoke bench benchgate micro serve servegate experiments fuzz
+.PHONY: check vet doclint build test race chaos lowmem bigtable benchsmoke e2e bench benchgate micro serve servegate experiments fuzz
 
 ## check: the full tier-1 gate — vet, the doc-comment lint, build, the test
 ## suite under -race, the chaos (kill/join) suite, the low-memory suite, the
@@ -54,6 +54,13 @@ bigtable:
 benchsmoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+## e2e: the repo's end-to-end benchmark exactly as BENCHMARK.json runs it —
+## every workload at full scale in real wall-clock, oracle-checked (minutes;
+## not part of check, whose smoke-scale counterpart is benchsmoke). For one
+## workload or other flags call bench/run.sh directly (bench/README.md).
+e2e:
+	bash bench/run.sh
+
 ## bench: the engine micro-benchmarks (codec, producer, volcano vs batch).
 bench:
 	$(GO) test ./internal/microbench/ -bench . -benchmem -run xxx
@@ -81,7 +88,9 @@ servegate:
 experiments:
 	$(GO) run ./cmd/dqp-experiments
 
-## fuzz: a short fuzzing pass over the normalizer and the tuple codec.
+## fuzz: a short fuzzing pass over the normalizer, the tuple codec and the
+## wire-message decoder.
 fuzz:
 	$(GO) test ./internal/sqlparse/ -fuzz FuzzNormalizeSQL -fuzztime 30s
 	$(GO) test ./internal/relation/ -fuzz FuzzTupleCodecRoundTrip -fuzztime 30s
+	$(GO) test ./internal/transport/ -fuzz FuzzUnmarshalMessage -fuzztime 30s

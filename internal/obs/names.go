@@ -41,6 +41,9 @@ const (
 
 	// Transport (label: kind = local|remote for tcp; none for inproc).
 	MTransportMessages = "transport_messages_total"
+	// Frames whose routing header parsed but whose message did not: dropped,
+	// connection kept.
+	MTransportCorruptFrames = "transport_corrupt_frames_total"
 
 	// Query lifecycle (label: outcome = ok|error).
 	MQueries      = "queries_total"

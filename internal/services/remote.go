@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"path/filepath"
@@ -31,8 +32,9 @@ import (
 // participant: which machines exist, what they host, and the shared cost
 // model. Because the demo database is generated deterministically from its
 // seed and the scheduler is deterministic, every process derives the same
-// physical plan from the same SQL — the deploy message carries only the
-// query text.
+// catalog and registry (once, on its first plan — see planner) and from
+// them the same physical plan for the same SQL — the deploy message carries
+// only the query text.
 type Manifest struct {
 	// Scale is the real duration of a paper millisecond.
 	Scale time.Duration
@@ -132,12 +134,42 @@ func (s DataNodeSpec) storeFor() *dataset.Store {
 	return dataset.DemoSized(seqs, ints)
 }
 
-// metadata derives the catalog and registry every process agrees on.
-func (m Manifest) metadata() (*catalog.Catalog, *registry.Registry, error) {
+// planner is one participant's planning state: the metadata catalog and
+// resource registry derived from the manifest — service state in the
+// paper's GDQS — built on the participant's first plan, exactly once, and
+// held until the participant is dropped. Nothing is derived at construction;
+// the zero value is ready to use.
+type planner struct {
+	once sync.Once
+	cat  *catalog.Catalog
+	reg  *registry.Registry
+	err  error
+	// generated counts the data-node stores the one derivation had to
+	// generate because this participant does not host them.
+	generated int
+}
+
+// metadata returns the catalog and registry every process agrees on,
+// deriving them on the first call. node and store are the participant's own
+// data node and the table store it already serves scans from (nil on every
+// other participant). A failed derivation is kept too: every later plan
+// reports the same error.
+func (p *planner) metadata(m Manifest, node simnet.NodeID, store *dataset.Store) (*catalog.Catalog, *registry.Registry, error) {
+	p.once.Do(func() { p.cat, p.reg, p.err = p.derive(m, node, store) })
+	return p.cat, p.reg, p.err
+}
+
+func (p *planner) derive(m Manifest, node simnet.NodeID, own *dataset.Store) (*catalog.Catalog, *registry.Registry, error) {
 	cat := catalog.New()
 	reg := registry.New()
 	for _, d := range m.DataNodes {
-		store := d.storeFor()
+		// Only the table statistics are kept: a store generated here for a
+		// remote data node is garbage once this iteration ends.
+		store := own
+		if d.Node != node || store == nil {
+			store = d.storeFor()
+			p.generated++
+		}
 		var tables []string
 		for _, name := range store.Names() {
 			tbl, err := store.Table(name)
@@ -181,8 +213,8 @@ func computeServices(c ComputeNodeSpec) *ws.Registry {
 }
 
 // plan derives the (deterministic) physical plan of a query.
-func (m Manifest) plan(sql string) (*physical.Plan, error) {
-	cat, reg, err := m.metadata()
+func (p *planner) plan(m Manifest, node simnet.NodeID, store *dataset.Store, sql string) (*physical.Plan, error) {
+	cat, reg, err := p.metadata(m, node, store)
 	if err != nil {
 		return nil, err
 	}
@@ -243,6 +275,7 @@ type Evaluator struct {
 	store    *dataset.Store
 	services *ws.Registry
 	spill    storage.Backend
+	planner  planner
 
 	mu       sync.Mutex
 	runtimes []*engine.FragmentRuntime
@@ -310,7 +343,7 @@ func (e *Evaluator) reply(msg *transport.Message, err error) {
 
 // deploy instantiates and starts this machine's fragment instances.
 func (e *Evaluator) deploy(sql string) error {
-	plan, err := e.manifest.plan(sql)
+	plan, err := e.planner.plan(e.manifest, e.node, e.store, sql)
 	if err != nil {
 		return err
 	}
@@ -408,6 +441,10 @@ type RemoteCoordinator struct {
 	machine  *simnet.Node
 	bus      *bus.Bus
 	spill    storage.Backend
+	planner  planner
+	// rpcSeq numbers this coordinator's RPCs: each gets a reply endpoint and
+	// a request id of its own.
+	rpcSeq atomic.Uint64
 
 	mu sync.Mutex // serialises Execute
 }
@@ -446,9 +483,10 @@ func (c *RemoteCoordinator) rpcWait(ctx context.Context, to simnet.NodeID, servi
 		ctx = context.Background()
 	}
 	replyCh := make(chan *transport.Ctrl, 1)
-	replyService := fmt.Sprintf("deploy-reply/%d", time.Now().UnixNano())
+	id := c.rpcSeq.Add(1)
+	replyService := fmt.Sprintf("deploy-reply/%d", id)
 	c.tr.Register(c.manifest.Coordinator, replyService, func(_ simnet.NodeID, m *transport.Message) {
-		if m.Kind == transport.KindReply && m.Ctrl != nil {
+		if m.Kind == transport.KindReply && m.Ctrl != nil && m.Ctrl.RequestID == id {
 			select {
 			case replyCh <- m.Ctrl:
 			default:
@@ -456,7 +494,7 @@ func (c *RemoteCoordinator) rpcWait(ctx context.Context, to simnet.NodeID, servi
 		}
 	})
 	defer c.tr.Unregister(c.manifest.Coordinator, replyService)
-	msg.Ctrl = &transport.Ctrl{RequestID: 1, ReplyTo: c.manifest.Coordinator, ReplyService: replyService}
+	msg.Ctrl = &transport.Ctrl{RequestID: id, ReplyTo: c.manifest.Coordinator, ReplyService: replyService}
 	if _, err := c.tr.Send(c.manifest.Coordinator, to, service, msg); err != nil {
 		return qerr.Transport(fmt.Sprintf("%s to %s", msg.Kind, to), err)
 	}
@@ -480,25 +518,24 @@ func (c *RemoteCoordinator) rpcWait(ctx context.Context, to simnet.NodeID, servi
 // endpoint would lose buffers. Plan fragments are bottom-up (producers
 // first), so ordering nodes by the highest fragment index they host,
 // descending, deploys the consuming side of every exchange first.
-func (c *RemoteCoordinator) evaluatorNodes(plan *physical.Plan) []simnet.NodeID {
-	maxIdx := make(map[simnet.NodeID]int)
+func evaluatorNodes(plan *physical.Plan) []simnet.NodeID {
+	// Fragments are visited in ascending order, so the last assignment a
+	// node receives is the highest index it hosts.
+	highest := make(map[simnet.NodeID]int)
 	for idx, f := range plan.Fragments {
 		for _, n := range f.Instances {
-			if n == c.manifest.Coordinator {
-				continue
-			}
-			if idx > maxIdx[n] || maxIdx[n] == 0 {
-				maxIdx[n] = idx + 1
+			if n != plan.Coordinator {
+				highest[n] = idx
 			}
 		}
 	}
-	out := make([]simnet.NodeID, 0, len(maxIdx))
-	for n := range maxIdx {
+	out := make([]simnet.NodeID, 0, len(highest))
+	for n := range highest {
 		out = append(out, n)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if maxIdx[out[i]] != maxIdx[out[j]] {
-			return maxIdx[out[i]] > maxIdx[out[j]]
+		if highest[out[i]] != highest[out[j]] {
+			return highest[out[i]] > highest[out[j]]
 		}
 		return out[i] < out[j]
 	})
@@ -519,7 +556,7 @@ func (c *RemoteCoordinator) Execute(ctx context.Context, sql string, timeout tim
 	if timeout <= 0 {
 		timeout = 5 * time.Minute
 	}
-	plan, err := c.manifest.plan(sql)
+	plan, err := c.planner.plan(c.manifest, c.manifest.Coordinator, nil, sql)
 	if err != nil {
 		return nil, qerr.Plan("plan", err)
 	}
@@ -644,7 +681,7 @@ func (c *RemoteCoordinator) Execute(ctx context.Context, sql string, timeout tim
 		}
 	}
 
-	evaluators := c.evaluatorNodes(plan)
+	evaluators := evaluatorNodes(plan)
 	deployed := evaluators[:0:0]
 	defer func() {
 		for _, node := range deployed {

@@ -3,9 +3,11 @@ package transport
 import (
 	"encoding/binary"
 	"errors"
+	"net"
 	"testing"
 
 	"repro/internal/relation"
+	"repro/internal/simnet"
 )
 
 // dataHeader builds the fixed prefix of a KindData message up to (and
@@ -75,5 +77,55 @@ func TestWireRelationCountCap(t *testing.T) {
 	}
 	if _, err := relation.DecodeTuples(b); !errors.Is(err, relation.ErrCorrupt) {
 		t.Fatalf("huge tuple count: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestTCPCorruptFrameCountedAndDropped writes raw frames to a live transport:
+// a frame whose routing header parses but whose message is corrupt (a data
+// message claiming more tuples than it carries, then one with an unknown
+// value tag) is dropped and counted, and the connection stays up for the
+// well-formed frame behind it.
+func TestTCPCorruptFrameCountedAndDropped(t *testing.T) {
+	_, b := tcpPair(t)
+	delivered := make(chan *Message, 1)
+	b.Register("nodeB", "svc", func(_ simnet.NodeID, m *Message) { delivered <- m })
+	before := b.obsCorrupt.Value()
+
+	frame := func(msg []byte) []byte {
+		body := appendString(nil, "svc")
+		body = appendString(body, "raw")
+		body = append(body, msg...)
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+	}
+	short := binary.AppendUvarint(dataHeader(), 3) // three tuples announced, none sent
+	badTag := binary.AppendUvarint(dataHeader(), 1)
+	badTag = append(badTag, 1, 9) // one value, tag 9
+	good := MarshalMessage(&Message{Kind: KindData, Exchange: "E",
+		Tuples: []relation.Tuple{{relation.String("kept")}}})
+
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, f := range [][]byte{frame(short), frame(badTag), frame(good)} {
+		if _, err := conn.Write(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var m *Message
+	waitFor(t, func() bool {
+		select {
+		case m = <-delivered:
+			return true
+		default:
+			return false
+		}
+	})
+	if len(m.Tuples) != 1 || m.Tuples[0][0].AsString() != "kept" {
+		t.Fatalf("delivered %+v, want the one well-formed message", m)
+	}
+	if n := b.obsCorrupt.Value() - before; n != 2 {
+		t.Fatalf("transport_corrupt_frames_total rose by %d, want 2", n)
 	}
 }

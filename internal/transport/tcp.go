@@ -33,8 +33,9 @@ type TCP struct {
 	closed    bool
 	wg        sync.WaitGroup
 
-	obsLocal  *obs.Counter
-	obsRemote *obs.Counter
+	obsLocal   *obs.Counter
+	obsRemote  *obs.Counter
+	obsCorrupt *obs.Counter
 }
 
 type tcpConn struct {
@@ -52,12 +53,13 @@ const maxFrame = 64 << 20
 // clients).
 func NewTCP(local simnet.NodeID, listenAddr string) (*TCP, error) {
 	t := &TCP{
-		local:     local,
-		peers:     make(map[simnet.NodeID]string),
-		conns:     make(map[simnet.NodeID]*tcpConn),
-		endpoints: make(map[string]Handler),
-		obsLocal:  obs.Default().Counter(obs.Label(obs.MTransportMessages, "kind", "local")),
-		obsRemote: obs.Default().Counter(obs.Label(obs.MTransportMessages, "kind", "remote")),
+		local:      local,
+		peers:      make(map[simnet.NodeID]string),
+		conns:      make(map[simnet.NodeID]*tcpConn),
+		endpoints:  make(map[string]Handler),
+		obsLocal:   obs.Default().Counter(obs.Label(obs.MTransportMessages, "kind", "local")),
+		obsRemote:  obs.Default().Counter(obs.Label(obs.MTransportMessages, "kind", "remote")),
+		obsCorrupt: obs.Default().Counter(obs.MTransportCorruptFrames),
 	}
 	if listenAddr != "" {
 		ln, err := net.Listen("tcp", listenAddr)
@@ -166,15 +168,24 @@ func (t *TCP) connTo(node simnet.NodeID) (*tcpConn, error) {
 	}
 	c := &tcpConn{c: raw, w: bufio.NewWriter(raw)}
 	t.mu.Lock()
+	if t.closed {
+		// A sender that outlived Close (a late ack) must not start a read
+		// loop Close no longer waits for, nor cache a connection nobody
+		// will close.
+		t.mu.Unlock()
+		_ = raw.Close()
+		return nil, fmt.Errorf("transport: %q is closed", t.local)
+	}
 	if existing, ok := t.conns[node]; ok {
 		t.mu.Unlock()
 		_ = raw.Close()
 		return existing, nil
 	}
 	t.conns[node] = c
-	t.mu.Unlock()
-	// Replies may come back on the same connection.
+	// Replies may come back on the same connection. Counted under mu, so
+	// before Close — which marks closed under mu — can start waiting.
 	t.wg.Add(1)
+	t.mu.Unlock()
 	go t.readLoop(raw)
 	return c, nil
 }
@@ -232,9 +243,10 @@ func (t *TCP) readLoop(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	var lenBuf [4]byte
 	// One growable frame buffer per connection: unmarshalling copies every
-	// string and tuple payload out of the frame, so the buffer can be reused
-	// for the next message. The arena batches the copies' allocations; the
-	// decoded tuples own their values and safely outlive it.
+	// string out of the frame — a data message's tuple strings as one copy
+	// they share — so the buffer can be reused for the next message. The arena
+	// batches the tuples' Value allocations; decoded tuples safely outlive
+	// both.
 	var frame []byte
 	var arena relation.Arena
 	for {
@@ -262,6 +274,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		}
 		msg, err := UnmarshalMessageArena(&arena, rest)
 		if err != nil {
+			t.obsCorrupt.Inc()
 			continue // drop corrupt message, keep the connection
 		}
 		t.mu.Lock()

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -159,6 +161,52 @@ func TestTCPManyMessagesOrdered(t *testing.T) {
 	}
 }
 
+// TestTCPTuplesSurviveFrameReuse: the read loop decodes every message of a
+// connection out of one reused frame buffer. Tuples kept from the first
+// message must still read as sent after later frames of the same size — same
+// string lengths, different bytes — have overwritten that buffer.
+func TestTCPTuplesSurviveFrameReuse(t *testing.T) {
+	a, b := tcpPair(t)
+	const messages, perMessage = 4, 50
+	payload := func(msg, i int) string {
+		return strings.Repeat(string(rune('a'+msg)), 24) + fmt.Sprintf("%04d", i)
+	}
+	var mu sync.Mutex
+	var got [][]relation.Tuple
+	b.Register("nodeB", "svc", func(_ simnet.NodeID, m *Message) {
+		mu.Lock()
+		got = append(got, m.Tuples) // retained past the handler, like a hash-join build side
+		mu.Unlock()
+	})
+	for msg := 0; msg < messages; msg++ {
+		m := &Message{Kind: KindData, Exchange: "E1"}
+		for i := 0; i < perMessage; i++ {
+			m.Tuples = append(m.Tuples, relation.Tuple{relation.String(payload(msg, i)), relation.Int(int64(i))})
+		}
+		if _, err := a.Send("nodeA", "nodeB", "svc", m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) == messages
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	for msg, tuples := range got {
+		if len(tuples) != perMessage {
+			t.Fatalf("message %d: %d tuples, want %d", msg, len(tuples), perMessage)
+		}
+		for i, tp := range tuples {
+			if s := tp[0].AsString(); s != payload(msg, i) || tp[1].AsInt() != int64(i) {
+				t.Fatalf("message %d tuple %d reads %q/%d after later frames, want %q/%d",
+					msg, i, s, tp[1].AsInt(), payload(msg, i), i)
+			}
+		}
+	}
+}
+
 // TestTCPPeerRestart reproduces the multi-process deployment sequence: the
 // evaluator keeps a cached dial connection to the coordinator, the
 // coordinator process exits, a new one binds the same address, and the
@@ -214,6 +262,25 @@ func TestTCPPeerRestart(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("restarted peer never reached: stale connection still cached")
 		}
+	}
+}
+
+// TestTCPSendAfterClose: a sender that outlives Close — an exchange ack still
+// in flight at teardown — gets an error instead of dialling a connection and
+// starting a read loop that Close has already stopped waiting for.
+func TestTCPSendAfterClose(t *testing.T) {
+	a, _ := tcpPair(t)
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Send("nodeA", "nodeB", "svc", &Message{Kind: KindEOS}); err == nil {
+		t.Fatal("send on a closed transport accepted")
+	}
+	a.mu.Lock()
+	cached := len(a.conns)
+	a.mu.Unlock()
+	if cached != 0 {
+		t.Fatalf("closed transport cached %d connections", cached)
 	}
 }
 

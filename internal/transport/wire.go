@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/relation"
 	"repro/internal/simnet"
@@ -24,6 +25,11 @@ import (
 //
 // Tuples use the relation codec. The format is self-contained; the TCP
 // transport frames each message with a 4-byte big-endian length prefix.
+//
+// The string values of a decoded message's tuples are substrings of one
+// string copy the decoder makes of that message's tuple bytes, never of the
+// input buffer, which the caller may reuse at once. Retaining one tuple
+// keeps its message's copy alive — the trade stored-scan blocks make.
 
 // ErrWire is wrapped by unmarshalling errors.
 var ErrWire = errors.New("transport: corrupt wire message")
@@ -141,10 +147,10 @@ func UnmarshalMessage(b []byte) (*Message, error) {
 }
 
 // UnmarshalMessageArena decodes like UnmarshalMessage but carves tuple
-// storage from the caller's arena (nil falls back to per-tuple allocation).
+// storage from the caller's arena (nil uses one private to the call).
 // Long-lived receive loops pass a per-connection arena so decoding a data
-// frame costs one Value-block allocation per ~1k values instead of one
-// allocation per tuple.
+// frame costs one Value-block allocation per ~1k values, whatever the frame
+// boundaries.
 func UnmarshalMessageArena(a *relation.Arena, b []byte) (*Message, error) {
 	d := &decoder{b: b}
 	m := &Message{}
@@ -157,24 +163,7 @@ func UnmarshalMessageArena(a *relation.Arena, b []byte) (*Message, error) {
 	m.Checkpoint = d.varint()
 	m.Replay = d.bool()
 	if n := d.count(); n > 0 {
-		m.Tuples = make([]relation.Tuple, 0, preallocN(n))
-		for i := 0; i < n && d.err == nil; i++ {
-			var (
-				t    relation.Tuple
-				rest []byte
-				err  error
-			)
-			if a != nil {
-				t, rest, err = relation.DecodeTupleInto(a, d.b)
-			} else {
-				t, rest, err = relation.DecodeTuple(d.b)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("%w: tuple %d: %v", ErrWire, i, err)
-			}
-			d.b = rest
-			m.Tuples = append(m.Tuples, t)
-		}
+		m.Tuples = d.tuples(a, n)
 	}
 	if n := d.count(); n > 0 {
 		m.Buckets = make([]int32, 0, preallocN(n))
@@ -343,6 +332,36 @@ func (d *decoder) count() int {
 		return 0
 	}
 	return int(v)
+}
+
+// tuples decodes the n > 0 tuples at the front of the input with the relation
+// codec's fused block decoder. Their string values are carved from one string
+// copy of the remaining input — the tuple region, whose length is unknown
+// until decoded, plus the message's short tail — so none aliases the caller's
+// buffer. The copy is made before any tuple is validated and whether or not
+// a string column follows (DecodeTuplesShared needs its base up front): a
+// message without strings, or a bogus frame, pays one frame-sized copy it
+// never reads — an accepted cost next to a per-string allocation.
+func (d *decoder) tuples(a *relation.Arena, n int) []relation.Tuple {
+	if a == nil {
+		a = new(relation.Arena)
+	}
+	base := string(d.b)
+	// The batch starts at the capped capacity and grows only after it has
+	// been filled, so allocation follows the bytes decoded, not the count
+	// announced.
+	batch := relation.Batch{Tuples: make([]relation.Tuple, 0, preallocN(n))}
+	rest, left := d.b, uint64(n)
+	for left > 0 {
+		var err error
+		if rest, left, _, err = relation.DecodeTuplesShared(a, base, rest, left, &batch, nil); err != nil {
+			d.err = fmt.Errorf("%w: tuple %d: %v", ErrWire, uint64(n)-left, err)
+			return nil
+		}
+		batch.Tuples = slices.Grow(batch.Tuples, preallocN(int(left)))
+	}
+	d.b = rest
+	return batch.Tuples
 }
 
 func (d *decoder) float64() float64 {
