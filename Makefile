@@ -1,13 +1,12 @@
 GO ?= go
 
-.PHONY: check vet doclint build test race chaos lowmem bigtable benchsmoke e2e bench benchgate micro serve servegate experiments fuzz
+.PHONY: check vet doclint build test race chaos lowmem bigtable benchsmoke e2e experiments fuzz
 
 ## check: the full tier-1 gate — vet, the doc-comment lint, build, the test
 ## suite under -race, the chaos (kill/join) suite, the low-memory suite, the
-## big-table streaming-scan scenario, the end-to-end benchmark's own vet and
-## smoke tests, the benchmark regression gate, and the sustained-load serving
-## gate (SKIP_BENCH_GATE=1 skips both bench gates on noisy runners).
-check: vet doclint build race chaos lowmem bigtable benchsmoke benchgate servegate
+## big-table streaming-scan scenario, and the end-to-end benchmark's own vet
+## and smoke tests.
+check: vet doclint build race chaos lowmem bigtable benchsmoke
 
 vet:
 	$(GO) vet ./...
@@ -60,29 +59,6 @@ benchsmoke:
 ## workload or other flags call bench/run.sh directly (bench/README.md).
 e2e:
 	bash bench/run.sh
-
-## bench: the engine micro-benchmarks (codec, producer, volcano vs batch).
-bench:
-	$(GO) test ./internal/microbench/ -bench . -benchmem -run xxx
-
-## benchgate: fail if any micro-benchmark ns_per_op regresses >25% against
-## the committed BENCH_micro.json baseline.
-benchgate:
-	$(GO) run ./cmd/dqp-experiments -benchgate BENCH_micro.json
-
-## micro: write the micro-benchmark results to BENCH_micro.json.
-micro:
-	$(GO) run ./cmd/dqp-experiments -micro BENCH_micro.json
-
-## serve: write the sustained-load serving benchmark (plan cache on vs off)
-## to BENCH_serving.json.
-serve:
-	$(GO) run ./cmd/dqp-experiments -serve BENCH_serving.json -clients 16 -duration 3s
-
-## servegate: a short sustained-load smoke run; fail if QPS or cache hit rate
-## regresses against the committed BENCH_serving.json baseline.
-servegate:
-	$(GO) run ./cmd/dqp-experiments -servegate BENCH_serving.json
 
 ## experiments: regenerate EXPERIMENTS.md (several minutes).
 experiments:

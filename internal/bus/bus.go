@@ -65,10 +65,6 @@ const (
 	// OverflowBlock makes the publisher wait for queue space, trading
 	// publisher progress for lossless delivery.
 	OverflowBlock
-	// OverflowGrow restores the pre-bounded behavior: the queue grows
-	// without limit. Kept for comparison benchmarks and as an escape
-	// hatch; not recommended for long-lived services.
-	OverflowGrow
 )
 
 // DefaultQueueCap is the per-subscription queue bound used when Options
@@ -81,7 +77,7 @@ const DefaultQueueCap = 1024
 // Options configures a Bus.
 type Options struct {
 	// QueueCap bounds each subscription's queue; <= 0 selects
-	// DefaultQueueCap. Ignored under OverflowGrow.
+	// DefaultQueueCap.
 	QueueCap int
 	// Overflow is the full-queue policy for every subscription.
 	Overflow Overflow
@@ -303,8 +299,6 @@ func (s *Subscription) enqueue(n Notification) {
 		return
 	}
 	switch {
-	case s.bus.opts.Overflow == OverflowGrow:
-		// Legacy unbounded behavior: always make room.
 	case s.count < s.bus.opts.QueueCap:
 		// Below the bound: room exists (the ring may still need to grow).
 	case s.bus.opts.Overflow == OverflowBlock:
@@ -331,16 +325,16 @@ func (s *Subscription) enqueue(n Notification) {
 	s.bus.obsDepth.Observe(float64(depth))
 }
 
-// pushLocked appends to the ring, growing it geometrically — up to the
-// bound for bounded policies, indefinitely under OverflowGrow. Callers hold
-// s.mu and have already ensured capacity exists under the policy.
+// pushLocked appends to the ring, growing it geometrically up to the bound.
+// Callers hold s.mu and have already ensured capacity exists under the
+// policy.
 func (s *Subscription) pushLocked(n Notification) {
 	if s.count == len(s.ring) {
 		newCap := len(s.ring) * 2
 		if newCap == 0 {
 			newCap = 16
 		}
-		if s.bus.opts.Overflow != OverflowGrow && newCap > s.bus.opts.QueueCap {
+		if newCap > s.bus.opts.QueueCap {
 			newCap = s.bus.opts.QueueCap
 		}
 		newRing := make([]Notification, newCap)

@@ -292,26 +292,6 @@ func TestBlockedPublisherReleasedOnClose(t *testing.T) {
 	}
 }
 
-func TestGrowPolicyNeverDrops(t *testing.T) {
-	b := NewWithOptions(vtime.NewClock(time.Microsecond), nil, Options{QueueCap: 2, Overflow: OverflowGrow})
-	defer b.Close()
-	gate := make(chan struct{})
-	var count atomic.Int64
-	b.Subscribe("slow", "n1", "t", func(Notification) {
-		<-gate
-		count.Add(1)
-	})
-	const total = 64 // far past QueueCap: the queue must grow instead
-	for i := 0; i < total; i++ {
-		b.Publish("p", "n0", "t", i)
-	}
-	close(gate)
-	waitFor(t, func() bool { return count.Load() == total }, "all delivered")
-	if d := b.StatsSnapshot().Dropped["t"]; d != 0 {
-		t.Fatalf("grow policy dropped %d notifications", d)
-	}
-}
-
 func TestSubscribeContextCancelStopsDelivery(t *testing.T) {
 	b := testBus()
 	defer b.Close()

@@ -37,8 +37,8 @@ const (
 const aminoAcids = "ACDEFGHIKLMNPQRSTVWY"
 
 // Table is an immutable named relation: either an in-memory tuple slice or
-// a reference to a sealed storage run (see source.go). Streaming consumers
-// use Rows(); only the in-memory fast paths touch Tuples directly.
+// a reference to a sealed storage run (see source.go), which scans read
+// through OpenBlocks; only the in-memory path touches Tuples directly.
 type Table struct {
 	Name   string
 	Schema *relation.Schema

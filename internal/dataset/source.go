@@ -1,7 +1,7 @@
 // Streaming table sources: tables no longer have to materialise their
 // tuples in memory. A Table either holds an in-memory tuple slice (the
 // classic path, preserved untouched for the paper-scale demo database) or
-// points at a sealed storage run, in which case scans stream it tuple at a
+// points at a sealed storage run, in which case scans stream it block at a
 // time and generators can write tables far larger than memory directly to a
 // posix backend.
 package dataset
@@ -13,67 +13,14 @@ import (
 	"repro/internal/storage"
 )
 
-// Cursor streams a table's tuples in storage order. Cursors are
-// single-goroutine objects; Close releases the underlying reader.
-type Cursor interface {
-	Next() (t relation.Tuple, ok bool, err error)
-	Close() error
-}
-
-// sliceCursor walks an in-memory tuple slice.
-type sliceCursor struct {
-	tuples []relation.Tuple
-	pos    int
-}
-
-func (c *sliceCursor) Next() (relation.Tuple, bool, error) {
-	if c.pos >= len(c.tuples) {
-		return nil, false, nil
-	}
-	t := c.tuples[c.pos]
-	c.pos++
-	return t, true, nil
-}
-
-func (c *sliceCursor) Close() error { return nil }
-
-// runCursor streams a stored table's run.
-type runCursor struct {
-	r storage.RunReader
-}
-
-func (c *runCursor) Next() (relation.Tuple, bool, error) { return c.r.Next() }
-func (c *runCursor) Close() error                        { return c.r.Close() }
-
-// Stored reports whether the table's tuples live in a storage run rather
-// than in memory.
-func (t *Table) Stored() bool { return t.backend != nil }
-
-// Rows returns a cursor over the table in storage order.
-func (t *Table) Rows() (Cursor, error) {
-	if t.backend == nil {
-		return &sliceCursor{tuples: t.Tuples}, nil
-	}
-	r, err := t.backend.Open(t.run)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: open stored table %q: %w", t.Name, err)
-	}
-	return &runCursor{r: r}, nil
-}
-
-// OpenBlocks returns a block-granular reader over a stored table's run when
-// its backend supports random block access. ok is false for in-memory
-// tables and for backends without block support — callers fall back to
-// Rows().
+// OpenBlocks returns a block-granular reader over a stored table's run —
+// the one way stored tuples are read. ok is false for in-memory tables,
+// whose Tuples slice is scanned directly.
 func (t *Table) OpenBlocks() (r storage.BlockReader, ok bool, err error) {
 	if t.backend == nil {
 		return nil, false, nil
 	}
-	bb, isBlock := t.backend.(storage.BlockBackend)
-	if !isBlock {
-		return nil, false, nil
-	}
-	r, err = bb.OpenBlocks(t.run)
+	r, err = t.backend.OpenBlocks(t.run)
 	if err != nil {
 		return nil, false, fmt.Errorf("dataset: open stored table %q: %w", t.Name, err)
 	}

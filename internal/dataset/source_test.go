@@ -7,25 +7,38 @@ import (
 	"repro/internal/storage"
 )
 
-// drainTable reads a table through its cursor.
+// drainTable reads a stored table block by block, decoding every tuple
+// with the plain single-tuple reference decoder.
 func drainTable(t *testing.T, tbl *Table) []relation.Tuple {
 	t.Helper()
-	cur, err := tbl.Rows()
-	if err != nil {
-		t.Fatal(err)
+	br, ok, err := tbl.OpenBlocks()
+	if err != nil || !ok {
+		t.Fatalf("OpenBlocks: ok=%v err=%v", ok, err)
 	}
-	defer cur.Close()
+	defer br.Close()
+	var arena relation.Arena
 	var out []relation.Tuple
-	for {
-		tp, ok, err := cur.Next()
+	for i := 0; i < br.Blocks(); i++ {
+		data, err := br.ReadBlock(i, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			return out
+		n, rest, err := relation.TupleCount(data)
+		if err != nil {
+			t.Fatal(err)
 		}
-		out = append(out, tp)
+		for ; n > 0; n-- {
+			var tp relation.Tuple
+			if tp, rest, err = relation.DecodeTuple(&arena, rest); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, tp)
+		}
+		if len(rest) != 0 {
+			t.Fatalf("block %d: %d trailing bytes", i, len(rest))
+		}
 	}
+	return out
 }
 
 func TestStoredTablesMatchInMemoryGenerators(t *testing.T) {
@@ -37,8 +50,8 @@ func TestStoredTablesMatchInMemoryGenerators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stored.Stored() || memSeqs.Stored() {
-		t.Fatal("Stored() misreports representation")
+	if _, ok, _ := memSeqs.OpenBlocks(); ok {
+		t.Fatal("in-memory table claims a stored run")
 	}
 	if stored.Cardinality() != memSeqs.Cardinality() {
 		t.Fatalf("cardinality %d != %d", stored.Cardinality(), memSeqs.Cardinality())
@@ -86,17 +99,28 @@ func TestStoredTableOnPosixBackend(t *testing.T) {
 			t.Fatalf("tuple %d diverged on posix", i)
 		}
 	}
-	// A second independent cursor re-reads from the start.
+	// A second independent reader re-reads from the start.
 	again := drainTable(t, stored)
 	if len(again) != 50 {
-		t.Fatalf("second cursor read %d tuples", len(again))
+		t.Fatalf("second reader read %d tuples", len(again))
 	}
 }
 
+// TestSliceCursorMatchesTuples pins the in-memory representation: no block
+// reader (ok=false is how a scan tells the two representations apart) and
+// Tuples holding exactly the generator's rows.
 func TestSliceCursorMatchesTuples(t *testing.T) {
 	tbl := ProteinSequences(10, 1)
-	got := drainTable(t, tbl)
-	if len(got) != len(tbl.Tuples) {
-		t.Fatalf("cursor read %d of %d", len(got), len(tbl.Tuples))
+	if r, ok, err := tbl.OpenBlocks(); r != nil || ok || err != nil {
+		t.Fatalf("in-memory OpenBlocks = (%v, %v, %v), want (nil, false, nil)", r, ok, err)
+	}
+	if len(tbl.Tuples) != 10 {
+		t.Fatalf("table holds %d of 10 tuples", len(tbl.Tuples))
+	}
+	gen := sequencesGen(1)
+	for i, tp := range tbl.Tuples {
+		if want := gen(i); !want.Equal(tp) {
+			t.Fatalf("tuple %d: %v, generator produced %v", i, tp.Format(), want.Format())
+		}
 	}
 }

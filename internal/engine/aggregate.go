@@ -280,7 +280,7 @@ func (a *HashAggregate) drainChild() error {
 	a.in.SetLimit(batchLimit(a.ctx, relation.DefaultBatchSize))
 	prev := a.ctx.Meter.ChargedMs()
 	for {
-		n, err := FillBatch(a.Child, a.in)
+		n, err := a.Child.NextBatch(a.in)
 		if err != nil {
 			return err
 		}
@@ -312,30 +312,10 @@ func (a *HashAggregate) drainChild() error {
 	}
 }
 
-// Next implements Iterator: it drains the child (absorbing every tuple into
-// group state), then emits one row per group from the shared cursor.
-func (a *HashAggregate) Next() (relation.Tuple, bool, error) {
-	if !a.emitting {
-		if err := a.drain(); err != nil {
-			return nil, false, err
-		}
-	}
-	s := a.shared
-	s.mu.Lock()
-	if s.pos >= len(s.out) {
-		s.mu.Unlock()
-		return nil, false, nil
-	}
-	t := s.out[s.pos]
-	s.pos++
-	s.mu.Unlock()
-	a.ctx.chargeFlat(a.ctx.Costs.ProjectMs)
-	return t, true, nil
-}
-
-// NextBatch implements BatchIterator: the absorb phase consumes whole input
-// batches with one charge bundle per batch; the emit phase hands out result
-// rows by reference, workers pulling disjoint runs from the shared cursor.
+// NextBatch implements Iterator: the first call drains the child, absorbing
+// whole input batches into group state with one charge bundle per batch; the
+// emit phase hands out one row per group by reference, workers pulling
+// disjoint runs from the shared cursor.
 func (a *HashAggregate) NextBatch(dst *relation.Batch) (int, error) {
 	if !a.emitting {
 		if err := a.drain(); err != nil {
@@ -672,6 +652,7 @@ type Sort struct {
 
 	ctx    *ExecContext
 	acct   *storage.BudgetAcct
+	in     *relation.Batch // input batch, owned by the operator
 	sorted []relation.Tuple
 	pos    int
 	done   bool
@@ -689,55 +670,83 @@ func (s *Sort) Open(ctx *ExecContext) error {
 	s.ctx = ctx
 	s.acct = ctx.memAcct()
 	recordUngoverned(ctx, "sort")
+	s.in = relation.GetBatch()
 	return s.Child.Open(ctx)
 }
 
-// Next implements Iterator.
-func (s *Sort) Next() (relation.Tuple, bool, error) {
-	if !s.done {
-		spill := s.ctx.spillEnabled()
-		for {
-			t, ok, err := s.Child.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				break
-			}
-			s.ctx.chargeFlat(s.ctx.Costs.SortMs)
+// drain buffers the whole input, shedding sorted runs under budget pressure,
+// and leaves the operator ready to emit: a sorted buffer, or a primed merge.
+func (s *Sort) drain() error {
+	spill := s.ctx.spillEnabled()
+	for {
+		n, err := s.Child.NextBatch(s.in)
+		if err != nil {
+			return err
+		}
+		if n == 0 {
+			break
+		}
+		s.ctx.chargeFlat(s.ctx.Costs.SortMs * float64(n))
+		if !spill {
+			s.sorted = append(s.sorted, s.in.Tuples...)
+			continue
+		}
+		for _, t := range s.in.Tuples {
 			s.sorted = append(s.sorted, t)
-			if spill {
-				sz := sortTupleBytes(t)
-				s.bufBytes += sz
-				s.acct.Reserve(sz)
-				// Over is query-global: shed only when this buffer is a
-				// real share of the budget, or an over-budget neighbour
-				// (a frozen aggregate upstream) makes every tuple a run.
-				if s.acct.Over() && s.bufBytes >= s.ctx.Mem.Limit()/sortShedShare {
-					if err := s.flushRun(); err != nil {
-						return nil, false, err
-					}
+			sz := sortTupleBytes(t)
+			s.bufBytes += sz
+			s.acct.Reserve(sz)
+			// Over is query-global: shed only when this buffer is a
+			// real share of the budget, or an over-budget neighbour
+			// (a frozen aggregate upstream) makes every tuple a run.
+			if s.acct.Over() && s.bufBytes >= s.ctx.Mem.Limit()/sortShedShare {
+				if err := s.flushRun(); err != nil {
+					return err
 				}
 			}
 		}
-		if len(s.runs) > 0 {
-			if err := s.startMerge(); err != nil {
-				return nil, false, err
-			}
-		} else {
-			sortBuffer(s)
+	}
+	if len(s.runs) > 0 {
+		return s.startMerge()
+	}
+	sortBuffer(s)
+	return nil
+}
+
+// NextBatch implements Iterator: the first call consumes the whole input.
+func (s *Sort) NextBatch(dst *relation.Batch) (int, error) {
+	if !s.done {
+		if err := s.drain(); err != nil {
+			return 0, err
 		}
 		s.done = true
 	}
-	if s.merge != nil {
-		return s.mergeNext()
+	if s.merge == nil {
+		return emitSorted(dst, s.sorted, &s.pos), nil
 	}
-	if s.pos >= len(s.sorted) {
-		return nil, false, nil
+	dst.Rewind()
+	for !dst.Full() {
+		t, ok, err := s.mergeNext()
+		if err != nil {
+			return dst.Len(), err
+		}
+		if !ok {
+			break
+		}
+		dst.Append(t)
 	}
-	t := s.sorted[s.pos]
-	s.pos++
-	return t, true, nil
+	return dst.Len(), nil
+}
+
+// emitSorted refills dst with the next dst.Cap() tuples of a fully ordered
+// result and advances *pos past them — the emit phase of the blocking
+// ordering operators (Sort, TopN).
+func emitSorted(dst *relation.Batch, sorted []relation.Tuple, pos *int) int {
+	dst.Rewind()
+	n := min(len(sorted)-*pos, dst.Cap())
+	dst.AppendAll(sorted[*pos : *pos+n])
+	*pos += n
+	return n
 }
 
 func (s *Sort) less(a, b relation.Tuple) bool {
@@ -759,6 +768,10 @@ func (s *Sort) Close() error {
 		s.closeSpill()
 	}
 	s.sorted = nil
+	if s.in != nil {
+		s.in.Release()
+		s.in = nil
+	}
 	return s.Child.Close()
 }
 
@@ -774,17 +787,23 @@ type Limit struct {
 // Open implements Iterator.
 func (l *Limit) Open(ctx *ExecContext) error { return l.Child.Open(ctx) }
 
-// Next implements Iterator.
-func (l *Limit) Next() (relation.Tuple, bool, error) {
-	if l.seen >= l.N {
-		return nil, false, nil
+// NextBatch implements Iterator: dst is clamped to the rows still wanted for
+// the duration of the child's fill, so the child is never asked for a tuple
+// past N.
+func (l *Limit) NextBatch(dst *relation.Batch) (int, error) {
+	left := l.N - l.seen
+	if left <= 0 {
+		dst.Rewind()
+		return 0, nil
 	}
-	t, ok, err := l.Child.Next()
-	if err != nil || !ok {
-		return nil, false, err
+	width := dst.Cap()
+	if left < int64(width) {
+		dst.SetLimit(int(left))
+		defer dst.SetLimit(width)
 	}
-	l.seen++
-	return t, true, nil
+	n, err := l.Child.NextBatch(dst)
+	l.seen += int64(n)
+	return n, err
 }
 
 // Close implements Iterator.

@@ -33,7 +33,7 @@ func TestHashAggregateCountPerGroup(t *testing.T) {
 	ctx := testCtx()
 	agg := newAgg(aggInput(100, 4), []int{0},
 		[]logical.AggKind{logical.AggCount}, []int{-1})
-	out := drain(t, agg, ctx)
+	out := drain(t, agg, ctx, 0)
 	if len(out) != 4 {
 		t.Fatalf("groups = %d, want 4", len(out))
 	}
@@ -50,7 +50,7 @@ func TestHashAggregateAllKinds(t *testing.T) {
 	agg := newAgg(aggInput(30, 3), []int{0},
 		[]logical.AggKind{logical.AggCount, logical.AggSum, logical.AggAvg, logical.AggMin, logical.AggMax},
 		[]int{-1, 1, 1, 1, 1})
-	out := drain(t, agg, ctx)
+	out := drain(t, agg, ctx, 0)
 	if len(out) != 3 {
 		t.Fatalf("groups = %d", len(out))
 	}
@@ -77,7 +77,7 @@ func TestHashAggregateGlobal(t *testing.T) {
 	ctx := testCtx()
 	agg := newAgg(aggInput(50, 5), nil,
 		[]logical.AggKind{logical.AggCount, logical.AggSum}, []int{-1, 1})
-	out := drain(t, agg, ctx)
+	out := drain(t, agg, ctx, 0)
 	if len(out) != 1 {
 		t.Fatalf("global aggregate rows = %d", len(out))
 	}
@@ -90,7 +90,7 @@ func TestHashAggregateGlobalEmptyInput(t *testing.T) {
 	ctx := testCtx()
 	agg := newAgg(nil, nil,
 		[]logical.AggKind{logical.AggCount, logical.AggSum, logical.AggMin}, []int{-1, 1, 1})
-	out := drain(t, agg, ctx)
+	out := drain(t, agg, ctx, 0)
 	if len(out) != 1 {
 		t.Fatalf("rows = %d, want 1 (COUNT over empty input is 0)", len(out))
 	}
@@ -102,7 +102,7 @@ func TestHashAggregateGlobalEmptyInput(t *testing.T) {
 func TestHashAggregateGroupedEmptyInput(t *testing.T) {
 	ctx := testCtx()
 	agg := newAgg(nil, []int{0}, []logical.AggKind{logical.AggCount}, []int{-1})
-	out := drain(t, agg, ctx)
+	out := drain(t, agg, ctx, 0)
 	if len(out) != 0 {
 		t.Fatalf("grouped aggregate over empty input must emit nothing, got %d", len(out))
 	}
@@ -118,7 +118,7 @@ func TestHashAggregateNullsSkipped(t *testing.T) {
 	agg := newAgg(input, []int{0},
 		[]logical.AggKind{logical.AggCount, logical.AggCount, logical.AggAvg},
 		[]int{-1, 1, 1})
-	out := drain(t, agg, ctx)
+	out := drain(t, agg, ctx, 0)
 	row := out[0]
 	if row[1].AsInt() != 3 { // COUNT(*) counts NULL rows
 		t.Errorf("count(*) = %v", row[1])
@@ -191,7 +191,7 @@ func TestSortOperator(t *testing.T) {
 		{relation.String("a"), relation.Int(1)},
 	}
 	s := &Sort{Child: NewSliceSource(input, 0), Ords: []int{0, 1}, Desc: []bool{false, true}}
-	out := drain(t, s, ctx)
+	out := drain(t, s, ctx, 0)
 	want := []string{"(a, 3)", "(a, 1)", "(b, 2)", "(b, 1)"}
 	for i, row := range out {
 		if row.Format() != want[i] {
@@ -202,13 +202,29 @@ func TestSortOperator(t *testing.T) {
 
 func TestLimitOperator(t *testing.T) {
 	ctx := testCtx()
+	// At every pull width — including ones that do not divide N — LIMIT
+	// returns exactly N rows and its child is never asked for row N+1.
+	for _, width := range []int{0, 1, 3} {
+		src := NewSliceSource(aggInput(100, 10), 0).(*sliceIterator)
+		out := drain(t, &Limit{Child: src, N: 7}, ctx, width)
+		if len(out) != 7 {
+			t.Fatalf("width %d: rows = %d, want 7", width, len(out))
+		}
+		if src.pos != 7 {
+			t.Fatalf("width %d: LIMIT 7 drained %d tuples from its child", width, src.pos)
+		}
+	}
+	// The clamp lasts one call: the caller's batch keeps its own width.
 	l := &Limit{Child: NewSliceSource(aggInput(100, 10), 0), N: 7}
-	out := drain(t, l, ctx)
-	if len(out) != 7 {
-		t.Fatalf("rows = %d, want 7", len(out))
+	if err := l.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	batch := relation.NewBatch(16)
+	if n, err := l.NextBatch(batch); err != nil || n != 7 || batch.Cap() != 16 {
+		t.Fatalf("n=%d err=%v cap=%d, want 7 rows and an unclamped batch of 16", n, err, batch.Cap())
 	}
 	zero := &Limit{Child: NewSliceSource(aggInput(10, 2), 0), N: 0}
-	if out := drain(t, zero, ctx); len(out) != 0 {
+	if out := drain(t, zero, ctx, 0); len(out) != 0 {
 		t.Fatalf("LIMIT 0 returned %d rows", len(out))
 	}
 }

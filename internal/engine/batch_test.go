@@ -2,86 +2,86 @@ package engine
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/logical"
 	"repro/internal/relation"
 	"repro/internal/scalar"
+	"repro/internal/ws"
 )
 
-// drainBatch runs an iterator to completion through the vectorized path.
-func drainBatch(t *testing.T, it Iterator, ctx *ExecContext, limit int) []relation.Tuple {
-	t.Helper()
-	if err := it.Open(ctx); err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	batch := relation.GetBatch()
-	defer batch.Release()
-	if limit > 0 {
-		batch.SetLimit(limit)
-	}
-	var out []relation.Tuple
-	for {
-		n, err := FillBatch(it, batch)
-		if err != nil {
-			t.Fatalf("FillBatch: %v", err)
-		}
-		if n == 0 {
-			break
-		}
-		out = append(out, batch.Tuples...)
-	}
-	if err := it.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	return out
-}
+// The tests below pin "batch width never changes rows or charged work". Each
+// plan is drained at several widths; the width-1 drain (one tuple per
+// NextBatch) is the reference the wider drains must reproduce tuple for
+// tuple, and a closed-form expectation computed in plain Go from the demo
+// tables says what all of them must contain — so the check does not rest on
+// the operators agreeing with themselves.
 
 // sameTuples compares two result sets element by element.
 func sameTuples(t *testing.T, got, want []relation.Tuple) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("batch path produced %d tuples, volcano produced %d", len(got), len(want))
+		t.Fatalf("produced %d tuples, reference has %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i].Key() != want[i].Key() {
-			t.Fatalf("tuple %d: batch %v != volcano %v", i, got[i], want[i])
+			t.Fatalf("tuple %d: %v != reference %v", i, got[i], want[i])
 		}
 	}
 }
 
-// scanSelectProject builds the same scan→filter→project plan twice.
-func scanSelectProject(t *testing.T) (Iterator, Iterator) {
+// demoTable returns the in-memory tuples of one testCtx demo table.
+func demoTable(t *testing.T, name string) []relation.Tuple {
 	t.Helper()
-	mk := func() Iterator {
-		pred, err := scalar.Compare(
-			scalar.Col(0, relation.TString, "ORF"), scalar.Ne,
-			scalar.Const(relation.String("YAL00007C")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &Project{
-			Child: &Select{Child: &TableScan{Table: "protein_sequences"}, Pred: pred},
-			Ords:  []int{0},
+	tbl, err := testCtx().Store.Table(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl.Tuples
+}
+
+// excludedORF is the key the scan→filter→project plan filters out.
+const excludedORF = "YAL00007C"
+
+// scanSelectProject builds scan(protein_sequences) → ORF != excludedORF →
+// project(ORF).
+func scanSelectProject(t *testing.T) Iterator {
+	t.Helper()
+	pred, err := scalar.Compare(
+		scalar.Col(0, relation.TString, "ORF"), scalar.Ne,
+		scalar.Const(relation.String(excludedORF)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Project{
+		Child: &Select{Child: &TableScan{Table: "protein_sequences"}, Pred: pred},
+		Ords:  []int{0},
+	}
+}
+
+// scanSelectProjectRows is the plan's closed-form result.
+func scanSelectProjectRows(t *testing.T) []relation.Tuple {
+	var want []relation.Tuple
+	for _, tp := range demoTable(t, "protein_sequences") {
+		if tp[0].AsString() != excludedORF {
+			want = append(want, relation.Tuple{tp[0]})
 		}
 	}
-	return mk(), mk()
+	return want
 }
 
 func TestBatchEquivalenceScanSelectProject(t *testing.T) {
-	volcano, batched := scanSelectProject(t)
-	want := drain(t, volcano, testCtx())
-	got := drainBatch(t, batched, testCtx(), 0)
-	sameTuples(t, got, want)
+	ref := drain(t, scanSelectProject(t), testCtx(), 1)
+	sameTuples(t, ref, scanSelectProjectRows(t))
+	sameTuples(t, drain(t, scanSelectProject(t), testCtx(), 0), ref)
 }
 
 func TestBatchEquivalenceSmallBatches(t *testing.T) {
 	// A tiny batch limit exercises the operators' partial-batch and
 	// carry-over paths (Select draining across input batches, overflow).
-	volcano, batched := scanSelectProject(t)
-	want := drain(t, volcano, testCtx())
-	got := drainBatch(t, batched, testCtx(), 3)
-	sameTuples(t, got, want)
+	ref := drain(t, scanSelectProject(t), testCtx(), 1)
+	sameTuples(t, drain(t, scanSelectProject(t), testCtx(), 3), ref)
 }
 
 func TestBatchEquivalenceJoin(t *testing.T) {
@@ -93,16 +93,24 @@ func TestBatchEquivalenceJoin(t *testing.T) {
 			ProbeKeys: []int{0},
 		}
 	}
-	want := drain(t, mk(), testCtx())
-	got := drainBatch(t, mk(), testCtx(), 0)
-	sameTuples(t, got, want)
-	if len(got) == 0 {
-		t.Fatal("join produced nothing")
-	}
 	// Batch size 1 forces the join's pending-overflow path on every multi-
 	// match probe tuple.
-	tiny := drainBatch(t, mk(), testCtx(), 1)
-	sameTuples(t, tiny, want)
+	ref := drain(t, mk(), testCtx(), 1)
+	if len(ref) == 0 {
+		t.Fatal("join produced nothing")
+	}
+	var want []relation.Tuple
+	for _, p := range demoTable(t, "protein_interactions") {
+		for _, b := range demoTable(t, "protein_sequences") {
+			if b[0].Equal(p[0]) {
+				want = append(want, b.Concat(p))
+			}
+		}
+	}
+	// Hash operators emit in table-internal order, which the closed form
+	// does not model: compare as multisets (spill_test.go's helper).
+	sameMultiset(t, ref, want)
+	sameTuples(t, drain(t, mk(), testCtx(), 0), ref)
 }
 
 func TestBatchEquivalenceAggregate(t *testing.T) {
@@ -114,9 +122,17 @@ func TestBatchEquivalenceAggregate(t *testing.T) {
 			ArgOrds:   []int{-1},
 		}
 	}
-	want := drain(t, mk(), testCtx())
-	got := drainBatch(t, mk(), testCtx(), 0)
-	sameTuples(t, got, want)
+	ref := drain(t, mk(), testCtx(), 1)
+	counts := map[string]int64{}
+	for _, tp := range demoTable(t, "protein_interactions") {
+		counts[tp[0].AsString()]++
+	}
+	var want []relation.Tuple
+	for k, n := range counts {
+		want = append(want, relation.Tuple{relation.String(k), relation.Int(n)})
+	}
+	sameMultiset(t, ref, want)
+	sameTuples(t, drain(t, mk(), testCtx(), 0), ref)
 }
 
 func TestBatchEquivalenceOperationCall(t *testing.T) {
@@ -127,13 +143,23 @@ func TestBatchEquivalenceOperationCall(t *testing.T) {
 			Child:   &TableScan{Table: "protein_sequences"},
 		}
 	}
-	want := drain(t, mk(), testCtx())
-	got := drainBatch(t, mk(), testCtx(), 0)
-	sameTuples(t, got, want)
+	ref := drain(t, mk(), testCtx(), 1)
+	var want []relation.Tuple
+	for _, tp := range demoTable(t, "protein_sequences") {
+		h, err := ws.Entropy{}.Invoke([]relation.Value{tp[1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, append(append(relation.Tuple{}, tp...), h))
+	}
+	sameTuples(t, ref, want)
+	sameTuples(t, drain(t, mk(), testCtx(), 0), ref)
 }
 
-// TestFillBatchAdapter covers the tuple-at-a-time fallback: Sort has no
-// NextBatch, so FillBatch must loop its Next under the hood.
+// TestFillBatchAdapter drives a blocking operator through FillBatch, the
+// entry point kept for callers outside the package, at a width that divides
+// neither the input nor the default batch: Sort must buffer whole child
+// batches and still emit seven rows at a time in order.
 func TestFillBatchAdapter(t *testing.T) {
 	mk := func() Iterator {
 		return &Sort{
@@ -142,27 +168,55 @@ func TestFillBatchAdapter(t *testing.T) {
 			Desc:  []bool{true},
 		}
 	}
-	want := drain(t, mk(), testCtx())
-	got := drainBatch(t, mk(), testCtx(), 7)
-	sameTuples(t, got, want)
+	ref := drain(t, mk(), testCtx(), 1)
+	want := append([]relation.Tuple(nil), demoTable(t, "protein_sequences")...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i][0].AsString() > want[j][0].AsString() })
+	sameTuples(t, ref, want)
+
+	it := mk()
+	if err := it.Open(testCtx()); err != nil {
+		t.Fatal(err)
+	}
+	batch := relation.NewBatch(7)
+	var got []relation.Tuple
+	for {
+		n, err := FillBatch(it, batch)
+		if err != nil {
+			t.Fatalf("FillBatch: %v", err)
+		}
+		if n == 0 {
+			break
+		}
+		if n > 7 {
+			t.Fatalf("FillBatch returned %d tuples into a batch of 7", n)
+		}
+		got = append(got, batch.Tuples...)
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sameTuples(t, got, ref)
 }
 
-// TestBatchCostParity verifies batching does not change charged work: the
-// vectorized path must bill exactly the same modelled milliseconds as the
-// volcano path for an identical plan on unperturbed nodes.
+// TestBatchCostParity verifies batch width does not change charged work: on
+// an unperturbed node every width must bill the closed-form sum of the
+// plan's per-tuple base costs.
 func TestBatchCostParity(t *testing.T) {
-	volcano, batched := scanSelectProject(t)
-	vctx := testCtx()
-	drain(t, volcano, vctx)
-	vctx.Meter.Flush()
-	bctx := testCtx()
-	drainBatch(t, batched, bctx, 0)
-	bctx.Meter.Flush()
-	v, b := vctx.Meter.ChargedMs(), bctx.Meter.ChargedMs()
-	// Identical per-tuple charges, summed in a different order: only
-	// float-rounding noise may differ.
-	if diff := math.Abs(v - b); diff > 1e-9 {
-		t.Fatalf("charged cost diverged: volcano %v ms, batch %v ms", v, b)
+	costs := DefaultCosts()
+	var want float64
+	for _, tp := range demoTable(t, "protein_sequences") {
+		want += costs.ScanMs + costs.ScanByteMs*float64(tp.ByteSize()) + costs.FilterMs
+	}
+	want += costs.ProjectMs * float64(len(scanSelectProjectRows(t)))
+	for _, width := range []int{1, 3, 0} {
+		ctx := testCtx()
+		drain(t, scanSelectProject(t), ctx, width)
+		ctx.Meter.Flush()
+		// Identical per-tuple charges, summed in a different order: only
+		// float-rounding noise may differ.
+		if got := ctx.Meter.ChargedMs(); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("width %d charged %v ms, closed form %v ms", width, got, want)
+		}
 	}
 }
 

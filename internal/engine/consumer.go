@@ -139,50 +139,12 @@ func (c *Consumer) Open(ctx *ExecContext) error {
 	return nil
 }
 
-// Next implements Iterator: it blocks until a tuple arrives, every producer
-// has closed the exchange, or the consumer is closed. Marking the previous
-// tuple processed happens on entry, so that between two pops there is
-// exactly one in-flight tuple the flow gate can wait on.
-func (c *Consumer) Next() (relation.Tuple, bool, error) {
-	c.gate.mu.Lock()
-	c.finishInflightLocked()
-	flushed := false
-	for {
-		if c.queue.len() > 0 && !c.gate.paused {
-			e := c.queue.popFront()
-			c.lastPop = append(c.lastPop, e)
-			c.gate.inflight++
-			c.consumed++
-			c.gate.mu.Unlock()
-			c.obsConsumed.Inc()
-			return e.tuple, true, nil
-		}
-		if c.closed || (c.eos == len(c.Producers) && c.queue.len() == 0 && !c.gate.paused) {
-			c.gate.mu.Unlock()
-			return nil, false, nil
-		}
-		if !flushed {
-			// About to block: pay the outstanding modelled work first so
-			// the measured wait reflects genuine starvation, then recheck.
-			flushed = true
-			c.gate.mu.Unlock()
-			c.ctx.Meter.Flush()
-			c.gate.mu.Lock()
-			continue
-		}
-		start := c.ctx.Clock.NowMs()
-		c.gate.cond.Wait()
-		c.waitMs += c.ctx.Clock.NowMs() - start
-	}
-}
-
-// NextBatch implements BatchIterator: it pops up to dst.Cap() queued tuples
-// under a single gate-lock acquisition, amortizing the per-tuple lock and
-// condition-variable traffic of the tuple-at-a-time path. All popped tuples
-// are in flight until the next NextBatch (or Next/Close) call marks them
-// processed, exactly mirroring the single-tuple protocol — the flow gate's
-// quiesce simply waits for a batch instead of one tuple, and checkpoint
-// acknowledgements still fire only after the batch has been processed.
+// NextBatch implements Iterator: it blocks until tuples arrive, every
+// producer has closed the exchange, or the consumer is closed, then pops up
+// to dst.Cap() queued tuples under a single gate-lock acquisition. Marking
+// the previous batch processed happens on entry, so between two pops exactly
+// one batch is in flight: the flow gate's quiesce waits for it, and
+// checkpoint acknowledgements fire only after it has been processed.
 func (c *Consumer) NextBatch(dst *relation.Batch) (int, error) {
 	dst.Rewind()
 	c.gate.mu.Lock()
@@ -423,7 +385,7 @@ func (c *Consumer) sendAck(a ackItem) {
 	_, _ = c.tr.Send(c.node, addr.Node, addr.Service, msg)
 }
 
-// Close implements Iterator: it releases any blocked Next.
+// Close implements Iterator: it releases any blocked NextBatch.
 func (c *Consumer) Close() error {
 	c.gate.locked(func() {
 		c.finishInflightLocked()

@@ -66,13 +66,26 @@ func (h *consumerHarness) deliver(t *testing.T, startSeq int64, ckpt int64, buck
 	}
 }
 
+// pop pulls one tuple: a batch clamped to width 1 keeps exactly one tuple in
+// flight between pulls, the granularity the flow-gate and checkpoint tests
+// script their interleavings at.
 func (h *consumerHarness) pop(t *testing.T) (relation.Tuple, bool) {
 	t.Helper()
-	tp, ok, err := h.cons.Next()
+	tp, ok, err := popOne(h.cons)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tp, ok
+}
+
+// popOne is pop without a testing.T, for pulls on helper goroutines.
+func popOne(c *Consumer) (relation.Tuple, bool, error) {
+	one := relation.NewBatch(1)
+	n, err := c.NextBatch(one)
+	if err != nil || n == 0 {
+		return nil, false, err
+	}
+	return one.Tuples[0], true, nil
 }
 
 func TestConsumerFIFOAndEOS(t *testing.T) {
@@ -209,7 +222,7 @@ func TestConsumerBlocksUntilDelivery(t *testing.T) {
 	h := newConsumerHarness(t, 1, false)
 	got := make(chan relation.Tuple, 1)
 	go func() {
-		tp, _, _ := h.cons.Next()
+		tp, _, _ := popOne(h.cons)
 		got <- tp
 	}()
 	select {
@@ -232,7 +245,7 @@ func TestConsumerCloseUnblocks(t *testing.T) {
 	h := newConsumerHarness(t, 1, false)
 	done := make(chan bool, 1)
 	go func() {
-		_, ok, _ := h.cons.Next()
+		_, ok, _ := popOne(h.cons)
 		done <- ok
 	}()
 	time.Sleep(10 * time.Millisecond)

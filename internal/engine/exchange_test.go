@@ -59,7 +59,7 @@ func (m *countingMonitor) counts() (int, int) {
 // testCluster wires fragment runtimes over an in-proc transport, playing
 // the role the services layer plays in production.
 type testCluster struct {
-	t       *testing.T
+	t       testing.TB
 	clock   *vtime.Clock
 	net     *simnet.Network
 	tr      *transport.InProc
@@ -77,7 +77,7 @@ type testCluster struct {
 	errs     []error
 }
 
-func newTestCluster(t *testing.T, nodes ...simnet.NodeID) *testCluster {
+func newTestCluster(t testing.TB, nodes ...simnet.NodeID) *testCluster {
 	clock := vtime.NewClock(time.Microsecond)
 	net := simnet.NewNetwork(clock)
 	for _, n := range nodes {

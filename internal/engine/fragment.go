@@ -367,17 +367,15 @@ func (r *FragmentRuntime) Err() error {
 }
 
 // Run executes the fragment batch-at-a-time: it opens the tree, pulls
-// batches from the root through FillBatch (vectorized operators run their
-// native NextBatch, everything else goes through the adapter), pushes them
-// into the output exchange with one SendBatch per batch (or into the result
-// sink), and emits M1 self-monitoring events every MonitorEvery produced
-// tuples. When monitoring is active, each batch is clamped to the remaining
-// M1 window, so events fire at exactly the same produced-tuple counts — and
-// attribute exactly the same cost windows — as the tuple-at-a-time driver
-// did. It returns when the input is exhausted, on the first error, or when
-// ctx is canceled — cancellation interrupts the driver even while it is
-// blocked in a consumer wait or a paused exchange. A nil ctx means run
-// unconstrained.
+// batches from the root, pushes them into the output exchange with one
+// SendBatch per batch (or into the result sink), and emits M1 self-monitoring
+// events every MonitorEvery produced tuples. When monitoring is active, each
+// batch is clamped to the remaining M1 window, so events fire at exactly
+// every MonitorEvery-th produced tuple and attribute exactly that window's
+// cost — the paper's monitoring cadence, whatever the batch width. It
+// returns when the input is exhausted, on the first error, or when ctx is
+// canceled — cancellation interrupts the driver even while it is blocked in
+// a consumer wait or a paused exchange. A nil ctx means run unconstrained.
 func (r *FragmentRuntime) Run(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -441,7 +439,7 @@ func (r *FragmentRuntime) Run(ctx context.Context) error {
 		if monitoring {
 			batch.SetLimit(ectx.MonitorEvery - int(sinceM1))
 		}
-		n, err := FillBatch(r.root, batch)
+		n, err := r.root.NextBatch(batch)
 		if err != nil {
 			return r.fail(err)
 		}

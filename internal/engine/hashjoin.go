@@ -422,7 +422,7 @@ func (j *HashJoin) openBuild(ctx *ExecContext, s *joinState) error {
 	j.in.SetLimit(batchLimit(ctx, relation.DefaultBatchSize))
 	prev := ctx.Meter.ChargedMs()
 	for {
-		n, err := FillBatch(j.Build, j.in)
+		n, err := j.Build.NextBatch(j.in)
 		if err != nil {
 			return err
 		}
@@ -441,55 +441,7 @@ func (j *HashJoin) openBuild(ctx *ExecContext, s *joinState) error {
 	}
 }
 
-// Next implements Iterator.
-func (j *HashJoin) Next() (relation.Tuple, bool, error) {
-	for {
-		if j.pendHead < len(j.pending) {
-			out := j.pending[j.pendHead]
-			j.pendHead++
-			return out, true, nil
-		}
-		j.pending, j.pendHead = j.pending[:0], 0
-		t, ok, err := j.Probe.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			if j.shared.spillOn {
-				more, derr := j.drainPending()
-				if derr != nil {
-					return nil, false, derr
-				}
-				if more {
-					continue
-				}
-			}
-			return nil, false, nil
-		}
-		// The probe is "the processing of each tuple by the join" that the
-		// paper's sleep() perturbation inflates.
-		j.ctx.charge(j.ctx.Costs.JoinProbeMs)
-		h := t.Hash(j.ProbeKeys)
-		b := int32(h % uint64(j.buckets))
-		p := j.shared.part(b)
-		p.mu.Lock()
-		if p.spilled {
-			j.shared.routeProbeLocked(p, t)
-			p.mu.Unlock()
-			continue
-		}
-		if c, ok := p.chains[h]; ok {
-			for e := c.head; e >= 0; e = p.entries[e].next {
-				if cand := p.entries[e].t; j.keysEqual(cand, t) {
-					j.pending = append(j.pending, cand.Concat(t))
-				}
-			}
-		}
-		p.mu.Unlock()
-	}
-}
-
-// NextBatch implements BatchIterator: it probes whole input batches,
+// NextBatch implements Iterator: it probes whole input batches,
 // emitting concatenated matches carved from an arena. Matches overflowing
 // dst spill to pending and lead the next batch.
 func (j *HashJoin) NextBatch(dst *relation.Batch) (int, error) {
@@ -503,7 +455,7 @@ func (j *HashJoin) NextBatch(dst *relation.Batch) (int, error) {
 	}
 	j.in.SetLimit(dst.Cap())
 	for dst.Len() == 0 {
-		n, err := FillBatch(j.Probe, j.in)
+		n, err := j.Probe.NextBatch(j.in)
 		if err != nil {
 			return dst.Len(), err
 		}

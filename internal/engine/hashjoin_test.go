@@ -41,7 +41,7 @@ func newJoin(build, probe []relation.Tuple) *HashJoin {
 func TestHashJoinMatches(t *testing.T) {
 	ctx := testCtx()
 	j := newJoin(buildTuples(20), probeTuples(60, 20))
-	out := drain(t, j, ctx)
+	out := drain(t, j, ctx, 0)
 	if len(out) != 60 {
 		t.Fatalf("join produced %d tuples, want 60 (every probe matches once)", len(out))
 	}
@@ -58,7 +58,7 @@ func TestHashJoinMatches(t *testing.T) {
 func TestHashJoinNoMatches(t *testing.T) {
 	ctx := testCtx()
 	probe := []relation.Tuple{{relation.String("NOPE"), relation.Int(1)}}
-	out := drain(t, newJoin(buildTuples(5), probe), ctx)
+	out := drain(t, newJoin(buildTuples(5), probe), ctx, 0)
 	if len(out) != 0 {
 		t.Fatalf("unexpected matches: %d", len(out))
 	}
@@ -67,7 +67,7 @@ func TestHashJoinNoMatches(t *testing.T) {
 func TestHashJoinDuplicateBuildKeys(t *testing.T) {
 	ctx := testCtx()
 	build := append(buildTuples(3), buildTuples(3)...) // each key twice
-	out := drain(t, newJoin(build, probeTuples(3, 3)), ctx)
+	out := drain(t, newJoin(build, probeTuples(3, 3)), ctx, 0)
 	if len(out) != 6 {
 		t.Fatalf("join produced %d tuples, want 6", len(out))
 	}
@@ -127,17 +127,7 @@ func TestHashJoinEvictAndReplay(t *testing.T) {
 	if j.StateSize() != 40 {
 		t.Fatalf("state after replay = %d, want 40", j.StateSize())
 	}
-	var out []relation.Tuple
-	for {
-		tp, ok, err := j.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		out = append(out, tp)
-	}
+	out := pullAll(t, j, 0)
 	if len(out) != 40 {
 		t.Fatalf("join after evict+replay produced %d, want 40", len(out))
 	}
@@ -172,7 +162,7 @@ func TestHashJoinHashCollisionSafety(t *testing.T) {
 	ctx.Buckets = 1
 	build := []relation.Tuple{{relation.String("A"), relation.String("x")}}
 	probe := []relation.Tuple{{relation.String("B"), relation.Int(1)}}
-	out := drain(t, newJoin(build, probe), ctx)
+	out := drain(t, newJoin(build, probe), ctx, 0)
 	if len(out) != 0 {
 		t.Fatal("cross-key match leaked through shared bucket")
 	}
@@ -192,14 +182,6 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		j.Probe = NewSliceSource(probe, 0)
 		_ = j.Probe.Open(ctx)
-		for {
-			_, ok, err := j.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-		}
+		pullAll(b, j, 0)
 	}
 }

@@ -3,24 +3,21 @@ package engine
 import (
 	"fmt"
 
-	"repro/internal/dataset"
 	"repro/internal/relation"
 	"repro/internal/scalar"
 	"repro/internal/ws"
 )
 
 // TableScan reads a base table from the node's Grid Data Service store.
-// In-memory tables keep the zero-copy slice fast path. Stored tables on a
-// block-capable backend decode whole blocks at a time into the scan's
-// arena, with budget-governed readahead in front of the decoder (see
-// scan.go); other stored tables fall back to the tuple-at-a-time cursor.
+// In-memory tables are handed out by reference from their tuple slice;
+// stored tables decode whole blocks at a time into the scan's arena, with
+// budget-governed readahead in front of the decoder (see scan.go).
 type TableScan struct {
 	Table string
 
 	ctx    *ExecContext
 	tuples []relation.Tuple
-	blocks *blockScan     // batched stored path (block-capable backend)
-	cursor dataset.Cursor // stored fallback path
+	blocks *blockScan // stored tables
 	pos    int
 	costs  []float64 // per-tuple base costs, reused across batches
 }
@@ -36,59 +33,22 @@ func (s *TableScan) Open(ctx *ExecContext) error {
 	}
 	s.ctx = ctx
 	s.pos = 0
-	if tbl.Stored() {
-		br, ok, err := tbl.OpenBlocks()
-		if err != nil {
-			return err
-		}
-		if ok {
-			s.blocks = newBlockScan(ctx, br)
-			return nil
-		}
-		cur, err := tbl.Rows()
-		if err != nil {
-			return err
-		}
-		s.cursor = cur
+	br, stored, err := tbl.OpenBlocks()
+	if err != nil {
+		return err
+	}
+	if stored {
+		s.blocks = newBlockScan(ctx, br)
 		return nil
 	}
 	s.tuples = tbl.Tuples
 	return nil
 }
 
-// Next implements Iterator.
-func (s *TableScan) Next() (relation.Tuple, bool, error) {
-	var t relation.Tuple
-	switch {
-	case s.blocks != nil:
-		var ok bool
-		var err error
-		t, ok, err = s.blocks.nextTuple()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-	case s.cursor != nil:
-		var ok bool
-		var err error
-		t, ok, err = s.cursor.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-	default:
-		if s.pos >= len(s.tuples) {
-			return nil, false, nil
-		}
-		t = s.tuples[s.pos]
-		s.pos++
-	}
-	s.ctx.charge(s.ctx.Costs.ScanMs + s.ctx.Costs.ScanByteMs*float64(t.ByteSize()))
-	return t, true, nil
-}
-
-// NextBatch implements BatchIterator: in-memory tables hand out tuples by
+// NextBatch implements Iterator: in-memory tables hand out tuples by
 // reference (zero copies, zero allocations); stored tables fill the batch a
-// block at a time (or from the fallback cursor). Either way the batch's
-// scan cost is charged in one node/meter round trip.
+// block at a time. Either way the batch's scan cost is charged in one
+// node/meter round trip.
 func (s *TableScan) NextBatch(dst *relation.Batch) (int, error) {
 	if s.blocks != nil {
 		n, err := s.blocks.fill(dst)
@@ -96,20 +56,6 @@ func (s *TableScan) NextBatch(dst *relation.Batch) (int, error) {
 		return n, err
 	}
 	dst.Rewind()
-	if s.cursor != nil {
-		for !dst.Full() {
-			t, ok, err := s.cursor.Next()
-			if err != nil {
-				return dst.Len(), err
-			}
-			if !ok {
-				break
-			}
-			dst.Append(t)
-		}
-		chargeScanBatch(s.ctx, dst.Tuples, nil, &s.costs)
-		return dst.Len(), nil
-	}
 	n := len(s.tuples) - s.pos
 	if n <= 0 {
 		return 0, nil
@@ -131,10 +77,6 @@ func (s *TableScan) Close() error {
 		err = s.blocks.close()
 		s.blocks = nil
 	}
-	if s.cursor != nil {
-		err = s.cursor.Close()
-		s.cursor = nil
-	}
 	s.tuples = nil
 	s.costs = nil
 	return err
@@ -154,21 +96,7 @@ func (s *Select) Open(ctx *ExecContext) error {
 	return s.Child.Open(ctx)
 }
 
-// Next implements Iterator.
-func (s *Select) Next() (relation.Tuple, bool, error) {
-	for {
-		t, ok, err := s.Child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		s.ctx.charge(s.ctx.Costs.FilterMs)
-		if s.Pred.Matches(t) {
-			return t, true, nil
-		}
-	}
-}
-
-// NextBatch implements BatchIterator: it fills dst from the child and
+// NextBatch implements Iterator: it fills dst from the child and
 // filters it in place by compaction, so surviving tuples are forwarded
 // without re-staging (a tuple that passes before the first miss is never
 // rewritten at all) and the filter cost is charged once per batch.
@@ -176,7 +104,7 @@ func (s *Select) Next() (relation.Tuple, bool, error) {
 // tuple survives, so n == 0 still means end of stream.
 func (s *Select) NextBatch(dst *relation.Batch) (int, error) {
 	for {
-		n, err := FillBatch(s.Child, dst)
+		n, err := s.Child.NextBatch(dst)
 		if err != nil || n == 0 {
 			return n, err
 		}
@@ -223,28 +151,12 @@ func (p *Project) Open(ctx *ExecContext) error {
 	return p.Child.Open(ctx)
 }
 
-// Next implements Iterator.
-func (p *Project) Next() (relation.Tuple, bool, error) {
-	t, ok, err := p.Child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	p.ctx.charge(p.ctx.Costs.ProjectMs)
-	// Carve the output from the arena like NextBatch does, so the scalar
-	// probe path amortises its projections the same way the batch path does.
-	out := p.arena.Alloc(len(p.Ords))
-	for k, o := range p.Ords {
-		out[k] = t[o]
-	}
-	return out, true, nil
-}
-
-// NextBatch implements BatchIterator: it fills dst from the child and
+// NextBatch implements Iterator: it fills dst from the child and
 // replaces each tuple with its projection in place. The whole batch's output
 // values are carved from the arena in one allocation, and the per-tuple
 // charge is bundled.
 func (p *Project) NextBatch(dst *relation.Batch) (int, error) {
-	n, err := FillBatch(p.Child, dst)
+	n, err := p.Child.NextBatch(dst)
 	if err != nil || n == 0 {
 		return 0, err
 	}
@@ -297,32 +209,12 @@ func (o *OperationCall) Open(ctx *ExecContext) error {
 	return o.Child.Open(ctx)
 }
 
-// Next implements Iterator.
-func (o *OperationCall) Next() (relation.Tuple, bool, error) {
-	t, ok, err := o.Child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	for i, ord := range o.ArgOrds {
-		o.args[i] = t[ord]
-	}
-	o.ctx.charge(o.svc.BaseCostMs())
-	v, err := o.svc.Invoke(o.args)
-	if err != nil {
-		return nil, false, fmt.Errorf("engine: %s: %w", o.Fn, err)
-	}
-	out := o.arena.Alloc(len(t) + 1)
-	copy(out, t)
-	out[len(t)] = v
-	return out, true, nil
-}
-
-// NextBatch implements BatchIterator. Invocations stay one per tuple — each
+// NextBatch implements Iterator. Invocations stay one per tuple — each
 // WS call is one unit of perturbable work, which the paper's Q1 experiments
 // inflate per call — but the cost accounting and output construction are
 // batched.
 func (o *OperationCall) NextBatch(dst *relation.Batch) (int, error) {
-	n, err := FillBatch(o.Child, dst)
+	n, err := o.Child.NextBatch(dst)
 	if err != nil || n == 0 {
 		return 0, err
 	}
@@ -370,19 +262,7 @@ func (s *sliceIterator) Open(ctx *ExecContext) error {
 	return nil
 }
 
-func (s *sliceIterator) Next() (relation.Tuple, bool, error) {
-	if s.pos >= len(s.tuples) {
-		return nil, false, nil
-	}
-	t := s.tuples[s.pos]
-	s.pos++
-	if s.costMs > 0 {
-		s.ctx.charge(s.costMs)
-	}
-	return t, true, nil
-}
-
-// NextBatch implements BatchIterator.
+// NextBatch implements Iterator.
 func (s *sliceIterator) NextBatch(dst *relation.Batch) (int, error) {
 	dst.Rewind()
 	n := len(s.tuples) - s.pos

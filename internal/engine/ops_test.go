@@ -27,32 +27,44 @@ func testCtx() *ExecContext {
 	}
 }
 
-// drain runs an iterator to completion.
-func drain(t *testing.T, it Iterator, ctx *ExecContext) []relation.Tuple {
+// drain opens an iterator, pulls it to completion and closes it. limit > 0
+// clamps the pull width with Batch.SetLimit (1 = one tuple per NextBatch, the
+// finest grain a caller can ask for); 0 pulls at the default batch width.
+func drain(t *testing.T, it Iterator, ctx *ExecContext, limit int) []relation.Tuple {
 	t.Helper()
 	if err := it.Open(ctx); err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	var out []relation.Tuple
-	for {
-		tp, ok, err := it.Next()
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		if !ok {
-			break
-		}
-		out = append(out, tp)
-	}
+	out := pullAll(t, it, limit)
 	if err := it.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	return out
 }
 
+// pullAll is drain's middle: it pulls an already open iterator to end of
+// stream, for tests that script state changes between Open and the pull.
+func pullAll(t testing.TB, it Iterator, limit int) []relation.Tuple {
+	t.Helper()
+	batch := relation.GetBatch()
+	defer batch.Release()
+	batch.SetLimit(limit)
+	var out []relation.Tuple
+	for {
+		n, err := it.NextBatch(batch)
+		if err != nil {
+			t.Fatalf("NextBatch: %v", err)
+		}
+		if n == 0 {
+			return out
+		}
+		out = append(out, batch.Tuples...)
+	}
+}
+
 func TestTableScan(t *testing.T) {
 	ctx := testCtx()
-	out := drain(t, &TableScan{Table: "protein_sequences"}, ctx)
+	out := drain(t, &TableScan{Table: "protein_sequences"}, ctx, 0)
 	if len(out) != 50 {
 		t.Fatalf("scanned %d tuples, want 50", len(out))
 	}
@@ -81,7 +93,7 @@ func TestSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := drain(t, &Select{Child: &TableScan{Table: "protein_sequences"}, Pred: pred}, ctx)
+	out := drain(t, &Select{Child: &TableScan{Table: "protein_sequences"}, Pred: pred}, ctx, 0)
 	if len(out) != 1 || out[0][0].AsString() != "YAL00007C" {
 		t.Fatalf("filter result: %d tuples", len(out))
 	}
@@ -89,7 +101,7 @@ func TestSelect(t *testing.T) {
 
 func TestProject(t *testing.T) {
 	ctx := testCtx()
-	out := drain(t, &Project{Child: &TableScan{Table: "protein_interactions"}, Ords: []int{1}}, ctx)
+	out := drain(t, &Project{Child: &TableScan{Table: "protein_interactions"}, Ords: []int{1}}, ctx, 0)
 	if len(out) != 80 || len(out[0]) != 1 {
 		t.Fatalf("project: %d tuples, width %d", len(out), len(out[0]))
 	}
@@ -102,7 +114,7 @@ func TestOperationCall(t *testing.T) {
 		ArgOrds: []int{1},
 		Child:   &TableScan{Table: "protein_sequences"},
 	}
-	out := drain(t, op, ctx)
+	out := drain(t, op, ctx, 0)
 	if len(out) != 50 {
 		t.Fatalf("%d tuples", len(out))
 	}
@@ -121,13 +133,13 @@ func TestOperationCallPerturbed(t *testing.T) {
 	// A 10x perturbation must make the charged cost ~10x higher.
 	base := testCtx()
 	baseOut := drain(t, &OperationCall{Fn: "EntropyAnalyser", ArgOrds: []int{1},
-		Child: &TableScan{Table: "protein_sequences"}}, base)
+		Child: &TableScan{Table: "protein_sequences"}}, base, 0)
 	baseCost := base.Meter.ChargedMs()
 
 	pert := testCtx()
 	pert.Node.SetPerturbation(vtime.Multiplier(10))
 	drain(t, &OperationCall{Fn: "EntropyAnalyser", ArgOrds: []int{1},
-		Child: &TableScan{Table: "protein_sequences"}}, pert)
+		Child: &TableScan{Table: "protein_sequences"}}, pert, 0)
 	pertCost := pert.Meter.ChargedMs()
 
 	if len(baseOut) != 50 {
@@ -156,7 +168,7 @@ func TestOperationCallErrors(t *testing.T) {
 	if err := bad.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := bad.Next(); err == nil {
+	if _, err := bad.NextBatch(relation.NewBatch(1)); err == nil {
 		t.Error("invocation error swallowed")
 	}
 }
@@ -164,7 +176,7 @@ func TestOperationCallErrors(t *testing.T) {
 func TestSliceSource(t *testing.T) {
 	ctx := testCtx()
 	src := NewSliceSource([]relation.Tuple{{relation.Int(1)}, {relation.Int(2)}}, 1)
-	out := drain(t, src, ctx)
+	out := drain(t, src, ctx, 0)
 	if len(out) != 2 {
 		t.Fatalf("%d tuples", len(out))
 	}

@@ -27,22 +27,22 @@ import (
 
 // sharedSource hands morsels from one underlying input to all workerLeaf
 // clones. Exactly one of src/cons is set: a scan-backed source serializes
-// FillBatch calls under its mutex, a consumer-backed source just fans out
+// NextBatch calls under its mutex, a consumer-backed source just fans out
 // per-worker handles (the Consumer is internally synchronized and keeps
-// per-worker in-flight accounting). A scan over a block-capable stored
-// table upgrades further: open() lifts the scan's BlockReader into blocks,
-// and workers then claim whole blocks off the nextBlock counter and decode
-// them privately, without ever taking mu (see workerLeaf.nextBlockBatch).
+// per-worker in-flight accounting). A scan over a stored table upgrades
+// further: open() lifts the scan's BlockReader into blocks, and workers then
+// claim whole blocks off the nextBlock counter and decode them privately,
+// without ever taking mu (see workerLeaf.nextBlockBatch).
 type sharedSource struct {
 	ctx  *ExecContext // dedicated context; its meter takes scan charges
 	src  Iterator
 	cons *Consumer
 
-	// blocks is set when src is a TableScan over a block-capable stored
-	// table: workers bypass src entirely and share the reader, whose
-	// ReadBlock is safe for concurrent use. nextBlock is the morsel
-	// dispenser — each worker's block-range morsel is whatever indices it
-	// wins from the counter, so disjoint ranges are scanned concurrently.
+	// blocks is set when src is a TableScan over a stored table: workers
+	// bypass src entirely and share the reader, whose ReadBlock is safe
+	// for concurrent use. nextBlock is the morsel dispenser — each
+	// worker's block-range morsel is whatever indices it wins from the
+	// counter, so disjoint ranges are scanned concurrently.
 	blocks    storage.BlockReader
 	nextBlock atomic.Int64
 
@@ -81,9 +81,9 @@ func (ss *sharedSource) open() error {
 			ss.openErr = ss.src.Open(ss.ctx)
 			if ss.openErr == nil {
 				if ts, ok := ss.src.(*TableScan); ok && ts.blocks != nil {
-					// Block-capable stored scan: workers claim blocks
-					// directly. The scan's own readahead never starts (it
-					// is lazy), so the reader is the only shared state.
+					// Stored scan: workers claim blocks directly. The
+					// scan's own readahead never starts (it is lazy),
+					// so the reader is the only shared state.
 					ss.blocks = ts.blocks.reader()
 				}
 			}
@@ -133,11 +133,6 @@ type workerLeaf struct {
 	barena relation.Arena
 	bcosts []float64
 	bmet   scanMetrics
-
-	// nb/npos adapt NextBatch to the tuple-at-a-time Iterator contract for
-	// operators that drive their input through Next.
-	nb   *relation.Batch
-	npos int
 }
 
 // newWorkerLeaf hands out one worker's reference on a shared source.
@@ -162,7 +157,7 @@ func (l *workerLeaf) Open(ctx *ExecContext) error {
 	return nil
 }
 
-// NextBatch implements BatchIterator: it fetches this worker's next morsel.
+// NextBatch implements Iterator: it fetches this worker's next morsel.
 // In consumer mode the worker's previous morsel is finished first, with no
 // locks held — finishing releases the flow gate and may transmit checkpoint
 // acks, which can park on a paused producer's barrier, so it must never run
@@ -182,7 +177,7 @@ func (l *workerLeaf) NextBatch(dst *relation.Batch) (int, error) {
 		dst.Rewind()
 		return 0, nil
 	}
-	n, err := FillBatch(ss.src, dst)
+	n, err := ss.src.NextBatch(dst)
 	if err == nil && n == 0 {
 		ss.eos = true
 	}
@@ -251,26 +246,6 @@ func (l *workerLeaf) nextBlockBatch(dst *relation.Batch) (int, error) {
 	return dst.Len(), nil
 }
 
-// Next implements Iterator through an internal batch.
-func (l *workerLeaf) Next() (relation.Tuple, bool, error) {
-	if l.nb == nil {
-		l.nb = relation.GetBatch()
-	}
-	for l.npos >= l.nb.Len() {
-		n, err := l.NextBatch(l.nb)
-		if err != nil {
-			return nil, false, err
-		}
-		if n == 0 {
-			return nil, false, nil
-		}
-		l.npos = 0
-	}
-	t := l.nb.Tuples[l.npos]
-	l.npos++
-	return t, true, nil
-}
-
 // Close implements Iterator: it finishes the worker's outstanding morsel and
 // drops this worker's reference; the last sibling to close closes the
 // underlying input.
@@ -285,10 +260,6 @@ func (l *workerLeaf) Close() error {
 	if l.bsize > 0 {
 		l.wctx.memAcct().Release(l.bsize)
 		l.bsize = 0
-	}
-	if l.nb != nil {
-		l.nb.Release()
-		l.nb = nil
 	}
 	return l.ss.release()
 }
@@ -604,7 +575,7 @@ func (r *FragmentRuntime) workerLoop(ctx context.Context, chain Iterator, wctx *
 			return nil // the driver reports the cancellation once
 		}
 		start := wctx.Clock.NowMs()
-		n, err := FillBatch(chain, batch)
+		n, err := chain.NextBatch(batch)
 		if err != nil {
 			return err
 		}

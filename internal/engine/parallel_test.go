@@ -58,6 +58,29 @@ func TestParallelQ1MatchesSerial(t *testing.T) {
 	}
 }
 
+// BenchmarkFragmentParallel prices the morsel pool's width through the
+// production driver: TestParallelQ1MatchesSerial's three-fragment Q1 cluster,
+// every parallel-eligible fragment running FragmentRuntime.Run → runParallel
+// at the given width (w1 is the serial driver, as in production). Reported,
+// never gated: it asserts the row count only.
+func BenchmarkFragmentParallel(b *testing.B) {
+	for _, width := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c := newTestCluster(b, "data1", "ws0", "ws1", "coord")
+				c.parallelism = width
+				c.deploy(q1Plan(120))
+				n := len(c.collect())
+				c.stopAll()
+				if n != 120 {
+					b.Fatalf("width %d produced %d rows, want 120", width, n)
+				}
+			}
+		})
+	}
+}
+
 // TestParallelQ2JoinCorrectness checks the partitioned hash join: four
 // workers build into the shared partitioned table behind the build barrier,
 // then probe concurrently; the join result must match the single-threaded

@@ -310,41 +310,15 @@ func (p *Producer) driverMeter() *vtime.Meter {
 	return p.ctx.Meter
 }
 
-// Send routes one tuple. It blocks while the producer is paused by the
-// control plane and returns the cancellation cause if the exchange is
-// canceled (before or while blocked).
-func (p *Producer) Send(t relation.Tuple) error {
-	m := p.driverMeter()
-	if err := p.barrier.enter(m); err != nil {
-		return err
-	}
-	defer p.barrier.exit()
-	if p.ctx != nil && p.ctx.Costs.LogAppendMs > 0 && m != nil {
-		m.Charge(p.ctx.Costs.LogAppendMs)
-	}
-	consumer, bucket := p.policy.Route(t)
-	s := p.shards[consumer]
-	s.mu.Lock()
-	p.appendShardLocked(s, bucket, t)
-	var err error
-	if len(s.buf) >= p.bufferTuples && !p.holdback {
-		err = p.flushShardLocked(consumer, s, false)
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	p.routed.Add(1)
-	return nil
-}
-
-// SendBatch routes a whole batch of tuples under one policy-lock and one
+// SendBatch routes a batch of tuples under one policy-lock and one
 // shard-lock acquisition per consumer. Per consumer, everything — tuple
 // order, sequence numbers, recovery-log entries, buffer boundaries,
-// checkpoint insertion, and the per-buffer M2 monitoring events — is
-// identical to len(ts) sequential Send calls, so the R1/R2 redistribution
-// protocols and the monitoring cadence are unaffected by batching. It
-// blocks while the producer is paused.
+// checkpoint insertion, and the per-buffer M2 monitoring events — depends
+// only on the tuple sequence, never on how it was cut into batches, so the
+// R1/R2 redistribution protocols and the monitoring cadence are unaffected
+// by batch width. It blocks while the producer is paused by the control
+// plane and returns the cancellation cause if the exchange is canceled
+// (before or while blocked).
 func (p *Producer) SendBatch(ts []relation.Tuple) error {
 	return p.sendBatch(ts, p.driverMeter())
 }

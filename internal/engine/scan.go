@@ -10,11 +10,9 @@ import (
 	"repro/internal/storage"
 )
 
-// Streaming stored-table scans (DESIGN.md §5k). A stored table whose backend
-// supports block-granular access is scanned batch-at-a-time: whole
-// length-prefixed blocks are fetched, decoded into the scan's arena, and
-// appended to the caller's pooled batch — the scan-side mirror of the
-// operator vectorization, replacing the tuple-at-a-time runCursor path.
+// Streaming stored-table scans (DESIGN.md §5k). A stored table is scanned
+// batch-at-a-time: whole length-prefixed blocks are fetched, decoded into the
+// scan's arena, and appended to the caller's pooled batch.
 //
 // Serial scans additionally read ahead: an async producer goroutine fetches
 // up to Readahead blocks (default 2 — double buffering) in front of the
@@ -71,7 +69,7 @@ type blockFetch struct {
 	data []byte
 	// base is data's string aliasing (blockString) — the decoder carves
 	// every string value of the block from it (see
-	// relation.DecodeTupleShared).
+	// relation.DecodeTuplesShared).
 	base string
 	size int64
 	err  error
@@ -139,7 +137,7 @@ func newBlockScan(ctx *ExecContext, br storage.BlockReader) *blockScan {
 
 // reader exposes the underlying BlockReader for the morsel-parallel path,
 // which claims blocks itself instead of driving this scan (see
-// sharedSource). Only valid before the first next/fill call.
+// sharedSource). Only valid before the first fill call.
 func (b *blockScan) reader() storage.BlockReader { return b.br }
 
 // start launches the readahead producer. Lazy — called on the first fetch —
@@ -275,29 +273,12 @@ func (b *blockScan) advance() (ok bool, err error) {
 	return true, nil
 }
 
-// next decodes the next tuple; ok is false at end of table. Decoded tuples
-// carve their value slots from the scan's arena and their strings from the
-// block's immutable buffer — blocks are never overwritten, so tuples stay
-// valid indefinitely.
-func (b *blockScan) nextTuple() (relation.Tuple, bool, error) {
-	for b.left == 0 {
-		ok, err := b.advance()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-	}
-	t, rest, err := relation.DecodeTupleShared(&b.arena, b.base, b.rest)
-	if err != nil {
-		return nil, false, qerr.Storage("scan tuple", err)
-	}
-	b.rest = rest
-	b.left--
-	return t, true, nil
-}
-
 // fill appends decoded tuples to dst until it is full or the table ends,
 // crossing block boundaries as needed, decoding each block's run of tuples
-// with one fused relation.DecodeTuplesShared call. When the cost model has a
+// with one fused relation.DecodeTuplesShared call. Decoded tuples carve their
+// value slots from the scan's arena and their strings from the block's
+// immutable buffer — blocks are never overwritten, so tuples stay valid
+// indefinitely. When the cost model has a
 // byte-dependent component, sizes[:n] afterwards holds the encoded byte size
 // of each appended tuple — measured by the decode's pointer advance, the
 // input chargeScanBatch would otherwise recompute by walking every value;

@@ -58,7 +58,7 @@ func TestStoredScanParity(t *testing.T) {
 			ctx, mem := storedEventsCtx(t, backend, 20000)
 			for _, depth := range []int{0, -1, 1, 4} {
 				ctx.Readahead = depth
-				got := drain(t, &TableScan{Table: "events"}, ctx)
+				got := drain(t, &TableScan{Table: "events"}, ctx, 0)
 				sameTuplesLabeled(t, name, mem.Tuples, got)
 			}
 		})
@@ -107,7 +107,7 @@ func TestStoredScanBudgetLifecycle(t *testing.T) {
 	ctx.Mem = storage.NewBudget(1 << 20)
 
 	// Full drain under budget: every in-flight reservation is returned.
-	got := drain(t, &TableScan{Table: "events"}, ctx)
+	got := drain(t, &TableScan{Table: "events"}, ctx, 0)
 	sameTuplesLabeled(t, "drain", mem.Tuples, got)
 	if in := ctx.Mem.Inflight(); in != 0 {
 		t.Fatalf("after drain: %d bytes still inflight", in)
@@ -119,10 +119,8 @@ func TestStoredScanBudgetLifecycle(t *testing.T) {
 	if err := scan.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		if _, ok, err := scan.Next(); err != nil || !ok {
-			t.Fatalf("tuple %d: ok=%v err=%v", i, ok, err)
-		}
+	if n, err := scan.NextBatch(relation.NewBatch(10)); err != nil || n != 10 {
+		t.Fatalf("first batch: n=%d err=%v", n, err)
 	}
 	if err := scan.Close(); err != nil {
 		t.Fatal(err)
@@ -155,7 +153,7 @@ func TestStoredScanUnderBreachedBudget(t *testing.T) {
 	// A budget smaller than one block: the producer runs permanently shrunk
 	// to a single in-flight block and must neither deadlock nor misread.
 	ctx.Mem = storage.NewBudget(1024)
-	got := drain(t, &TableScan{Table: "events"}, ctx)
+	got := drain(t, &TableScan{Table: "events"}, ctx, 0)
 	sameTuplesLabeled(t, "shrunk", mem.Tuples, got)
 	if in := ctx.Mem.Inflight(); in != 0 {
 		t.Fatalf("%d bytes still inflight", in)
@@ -183,11 +181,11 @@ func TestTopNMatchesSortLimit(t *testing.T) {
 			want := drain(t, &Limit{
 				Child: &Sort{Child: &TableScan{Table: "events"}, Ords: c.ords, Desc: c.desc},
 				N:     c.n,
-			}, ctx)
+			}, ctx, 0)
 			got := drain(t, &TopN{
 				Child: &TableScan{Table: "events"},
 				Ords:  c.ords, Desc: c.desc, N: c.n,
-			}, ctx)
+			}, ctx, 0)
 			sameTuplesLabeled(t, c.name, want, got)
 		})
 	}
@@ -202,8 +200,8 @@ func TestTopNBudgetRelease(t *testing.T) {
 	if err := top.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := top.Next(); err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
+	if n, err := top.NextBatch(relation.NewBatch(1)); err != nil || n != 1 {
+		t.Fatalf("first row: n=%d err=%v", n, err)
 	}
 	if ctx.Mem.Inflight() == 0 {
 		t.Fatal("TopN retained state is not accounted")
@@ -226,10 +224,13 @@ func FuzzStoredScanRoundTrip(f *testing.F) {
 	f.Add(relation.EncodeTuple(relation.Tuple{relation.String("ORF YAL00007C"), relation.Null}), -1)
 	f.Add(bytes.Repeat(relation.EncodeTuple(relation.Tuple{relation.Float(1.5)}), 64), 4)
 	f.Fuzz(func(t *testing.T, raw []byte, depth int) {
+		// The plain single-tuple decoder is the reference the scan's fused
+		// block decode is held against.
+		var arena relation.Arena
 		var tuples []relation.Tuple
 		rest := raw
 		for len(rest) > 0 && len(tuples) < 512 {
-			tp, tail, err := relation.DecodeTuple(rest)
+			tp, tail, err := relation.DecodeTuple(&arena, rest)
 			if err != nil {
 				break
 			}

@@ -68,11 +68,11 @@ func spillCounters() (bytes, parts, restarts int64) {
 func TestHashJoinSpillParity(t *testing.T) {
 	build := buildTuples(200)
 	probe := probeTuples(600, 200)
-	want := drain(t, newJoin(build, probe), testCtx())
+	want := drain(t, newJoin(build, probe), testCtx(), 0)
 
 	b0, p0, _ := spillCounters()
 	ctx := budgetedCtx(2048) // far below the ~200-entry build side
-	got := drain(t, newJoin(build, probe), ctx)
+	got := drain(t, newJoin(build, probe), ctx, 0)
 	b1, p1, _ := spillCounters()
 
 	sameMultiset(t, got, want)
@@ -85,13 +85,13 @@ func TestHashJoinSpillParity(t *testing.T) {
 func TestHashJoinSpillRecursiveRepartition(t *testing.T) {
 	build := buildTuples(120)
 	probe := probeTuples(360, 120)
-	want := drain(t, newJoin(build, probe), testCtx())
+	want := drain(t, newJoin(build, probe), testCtx(), 0)
 
 	_, _, r0 := spillCounters()
 	// A 1-byte budget breaches on every reserve: the drain's reloads breach
 	// too and re-partition recursively down to maxSpillDepth.
 	ctx := budgetedCtx(1)
-	got := drain(t, newJoin(build, probe), ctx)
+	got := drain(t, newJoin(build, probe), ctx, 0)
 	_, _, r1 := spillCounters()
 
 	sameMultiset(t, got, want)
@@ -109,10 +109,10 @@ func TestHashJoinSpillDuplicateKeys(t *testing.T) {
 		build = append(build, buildTuples(8)...)
 	}
 	probe := probeTuples(40, 8)
-	want := drain(t, newJoin(build, probe), testCtx())
+	want := drain(t, newJoin(build, probe), testCtx(), 0)
 
 	ctx := budgetedCtx(1)
-	got := drain(t, newJoin(build, probe), ctx)
+	got := drain(t, newJoin(build, probe), ctx, 0)
 	sameMultiset(t, got, want)
 	if len(got) != 5*40 {
 		t.Fatalf("join produced %d tuples, want %d", len(got), 5*40)
@@ -125,11 +125,11 @@ func TestHashAggregateSpillParity(t *testing.T) {
 	groupOrds := []int{0}
 	kinds := []logical.AggKind{logical.AggCount, logical.AggSum, logical.AggMin, logical.AggMax}
 	args := []int{-1, 1, 1, 1}
-	want := drain(t, newAgg(input, groupOrds, kinds, args), testCtx())
+	want := drain(t, newAgg(input, groupOrds, kinds, args), testCtx(), 0)
 
 	_, p0, _ := spillCounters()
 	ctx := budgetedCtx(512) // a handful of groups per dump
-	got := drain(t, newAgg(input, groupOrds, kinds, args), ctx)
+	got := drain(t, newAgg(input, groupOrds, kinds, args), ctx, 0)
 	_, p1, _ := spillCounters()
 
 	// Aggregate output is sorted by group key, so parity is positional.
@@ -154,11 +154,11 @@ func TestSortSpillParity(t *testing.T) {
 	sorter := func() *Sort {
 		return &Sort{Child: NewSliceSource(input, 0), Ords: []int{0}, Desc: []bool{false}}
 	}
-	want := drain(t, sorter(), testCtx())
+	want := drain(t, sorter(), testCtx(), 0)
 
 	_, p0, _ := spillCounters()
 	ctx := budgetedCtx(1024) // forces several flushed runs plus a tail
-	got := drain(t, sorter(), ctx)
+	got := drain(t, sorter(), ctx, 0)
 	_, p1, _ := spillCounters()
 
 	if len(got) != len(want) {
@@ -189,12 +189,12 @@ func TestSortShedsOwnShareOnly(t *testing.T) {
 	sorter := func() *Sort {
 		return &Sort{Child: NewSliceSource(input, 0), Ords: []int{0}, Desc: []bool{false}}
 	}
-	want := drain(t, sorter(), testCtx())
+	want := drain(t, sorter(), testCtx(), 0)
 
 	ctx := budgetedCtx(limit)
 	ctx.Mem.Reserve(2 * limit)
 	_, p0, _ := spillCounters()
-	got := drain(t, sorter(), ctx)
+	got := drain(t, sorter(), ctx, 0)
 	_, p1, _ := spillCounters()
 	ctx.Mem.Release(2 * limit)
 
@@ -263,17 +263,7 @@ func TestHashJoinSpillEvictReplay(t *testing.T) {
 		}
 	}
 	j.InsertState(replay)
-	var out []relation.Tuple
-	for {
-		tp, ok, err := j.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		out = append(out, tp)
-	}
+	out := pullAll(t, j, 0)
 	if len(out) != 40 {
 		t.Fatalf("join after evict+replay under spill produced %d tuples, want 40", len(out))
 	}
@@ -312,17 +302,19 @@ func runCloneWorkers(t *testing.T, ctx *ExecContext, n int, clone func(w int) It
 				return
 			}
 			var out []relation.Tuple
+			batch := relation.GetBatch()
+			defer batch.Release()
 			for {
-				tp, ok, err := it.Next()
+				n, err := it.NextBatch(batch)
 				if err != nil {
 					_ = it.Close()
 					ch <- res{err: err}
 					return
 				}
-				if !ok {
+				if n == 0 {
 					break
 				}
-				out = append(out, tp)
+				out = append(out, batch.Tuples...)
 			}
 			ch <- res{out: out, err: it.Close()}
 		}()
@@ -346,7 +338,7 @@ func TestHashJoinParallelSpillParity(t *testing.T) {
 	// workers' outputs must equal the serial unbudgeted join's multiset.
 	build := buildTuples(200)
 	probe := probeTuples(600, 200)
-	want := drain(t, newJoin(build, probe), testCtx())
+	want := drain(t, newJoin(build, probe), testCtx(), 0)
 
 	const workers = 4
 	b0, p0, _ := spillCounters()
@@ -376,7 +368,7 @@ func TestHashAggregateParallelSpillParity(t *testing.T) {
 	groupOrds := []int{0}
 	kinds := []logical.AggKind{logical.AggCount, logical.AggSum, logical.AggMin, logical.AggMax}
 	args := []int{-1, 1, 1, 1}
-	want := drain(t, newAgg(input, groupOrds, kinds, args), testCtx())
+	want := drain(t, newAgg(input, groupOrds, kinds, args), testCtx(), 0)
 
 	const workers = 4
 	_, p0, _ := spillCounters()

@@ -26,7 +26,8 @@ type TopN struct {
 
 	ctx    *ExecContext
 	acct   *storage.BudgetAcct
-	heap   []topEntry // max-heap: root is the worst retained tuple
+	in     *relation.Batch // input batch, owned by the operator
+	heap   []topEntry      // max-heap: root is the worst retained tuple
 	seq    int64
 	held   int64 // bytes reserved for retained tuples
 	sorted []relation.Tuple
@@ -45,6 +46,7 @@ type topEntry struct {
 func (o *TopN) Open(ctx *ExecContext) error {
 	o.ctx = ctx
 	o.acct = ctx.memAcct()
+	o.in = relation.GetBatch()
 	return o.Child.Open(ctx)
 }
 
@@ -100,32 +102,16 @@ func (o *TopN) siftDown(i int) {
 // consume drains the child, retaining the top N.
 func (o *TopN) consume() error {
 	for {
-		t, ok, err := o.Child.Next()
+		n, err := o.Child.NextBatch(o.in)
 		if err != nil {
 			return err
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
-		o.ctx.chargeFlat(o.ctx.Costs.SortMs)
-		e := topEntry{t: t, seq: o.seq}
-		o.seq++
-		if int64(len(o.heap)) < o.N {
-			o.push(e)
-			sz := sortTupleBytes(t)
-			o.held += sz
-			o.acct.Reserve(sz)
-			continue
-		}
-		if !o.after(e, o.heap[0]) {
-			// e beats the current worst: swap reservations and replace the
-			// root.
-			oldSz, newSz := sortTupleBytes(o.heap[0].t), sortTupleBytes(t)
-			o.acct.Reserve(newSz)
-			o.acct.Release(oldSz)
-			o.held += newSz - oldSz
-			o.heap[0] = e
-			o.siftDown(0)
+		o.ctx.chargeFlat(o.ctx.Costs.SortMs * float64(n))
+		for _, t := range o.in.Tuples {
+			o.offer(t)
 		}
 	}
 	// Pop worst-first into the tail of the output slice: what remains is
@@ -144,20 +130,38 @@ func (o *TopN) consume() error {
 	return nil
 }
 
-// Next implements Iterator: the first call consumes the whole input.
-func (o *TopN) Next() (relation.Tuple, bool, error) {
+// offer retains t if it belongs to the top N seen so far.
+func (o *TopN) offer(t relation.Tuple) {
+	e := topEntry{t: t, seq: o.seq}
+	o.seq++
+	if int64(len(o.heap)) < o.N {
+		o.push(e)
+		sz := sortTupleBytes(t)
+		o.held += sz
+		o.acct.Reserve(sz)
+		return
+	}
+	if !o.after(e, o.heap[0]) {
+		// e beats the current worst: swap reservations and replace the
+		// root.
+		oldSz, newSz := sortTupleBytes(o.heap[0].t), sortTupleBytes(t)
+		o.acct.Reserve(newSz)
+		o.acct.Release(oldSz)
+		o.held += newSz - oldSz
+		o.heap[0] = e
+		o.siftDown(0)
+	}
+}
+
+// NextBatch implements Iterator: the first call consumes the whole input.
+func (o *TopN) NextBatch(dst *relation.Batch) (int, error) {
 	if !o.done {
 		if err := o.consume(); err != nil {
-			return nil, false, err
+			return 0, err
 		}
 		o.done = true
 	}
-	if o.pos >= len(o.sorted) {
-		return nil, false, nil
-	}
-	t := o.sorted[o.pos]
-	o.pos++
-	return t, true, nil
+	return emitSorted(dst, o.sorted, &o.pos), nil
 }
 
 // Close implements Iterator: retained-state reservations are released here,
@@ -169,5 +173,9 @@ func (o *TopN) Close() error {
 	}
 	o.heap = nil
 	o.sorted = nil
+	if o.in != nil {
+		o.in.Release()
+		o.in = nil
+	}
 	return o.Child.Close()
 }

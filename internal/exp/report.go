@@ -41,15 +41,12 @@ Regenerate with: ` + "`go run ./cmd/dqp-experiments`" + ` or
 
 Every fragment driver can run as a pool of N workers pulling batch-sized
 morsels from a shared source (` + "`dqp-experiments -parallel N`" + `, default
-serial; DESIGN.md §5f). The scaling curve lives in BENCH_micro.json:
-ParallelChain{1,2,4,8} sweep the pool width over the scan→select→project
-drain, PartitionedJoin{1,2,4,8} over the shared-state partitioned hash
-join. The committed numbers come from a **single-core** container, so
-widths 2–8 cannot speed up — what they show is that the pool's
-coordination cost stays within noise of the serial drain even at 8×
-oversubscription, and that a 1-worker pool stays within 5% of the plain
-batch path (TestParallelChainSerialParity), so the default costs nothing.
-On a multicore host, rerun ` + "`make micro`" + ` to record the real curve.
+serial; DESIGN.md §5f). Real wall-clock performance is measured by the
+repository's one benchmark, bench/ (` + "`make e2e`" + `, metrics and bounds in
+BENCHMARK.json), which drives six oracle-checked workloads through the
+production entry points. The pool's width is priced through the production
+driver by ` + "`go test ./internal/engine -run '^$' -bench FragmentParallel`" + `
+(widths 1, 2 and 4; reported, never gated).
 Every adaptivity result below is invariant to the worker count: exchange
 routing shards its position counters atomically, so routed-tuple counts
 and the R1/R2 replay logs stay exact under any parallelism.

@@ -108,7 +108,8 @@ func StoredStreaming() (*Experiment, error) {
 		"Divergence is compared tuple for tuple against the in-memory, unbudgeted run — storage backend, "+
 			"memory budget and readahead change where bytes live and when they move, never the result.",
 		"`make bigtable` runs the same scenario as a test (GRIDDQP_BIGTABLE_ROWS scales it); "+
-			"BENCH_micro.json holds the batched-vs-cursor throughput floors (ScanStoredTuple/ScanStoredBatch).",
+			"the stored scan's wall-clock cost is the `storage.block_read_mb_per_s`, `relation.decode_ns_per_tuple` "+
+			"and `engine.scan_ns_per_tuple` layers of the end-to-end benchmark (`make e2e`, BENCHMARK.json).",
 	)
 	return e, nil
 }

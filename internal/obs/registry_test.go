@@ -150,3 +150,21 @@ func TestRegistryConcurrent(t *testing.T) {
 		t.Fatalf("histogram count = %d, want 8000", got)
 	}
 }
+
+// TestObsOverheadWithinBudget pins the structural half of the observability
+// bar: the per-batch registry traffic of an instrumented fragment driver —
+// one counter add and one histogram observation on handles resolved at
+// construction — allocates nothing, live or disabled (nil handles). The
+// wall-clock half is the end-to-end benchmark's business.
+func TestObsOverheadWithinBudget(t *testing.T) {
+	for name, o := range map[string]*Obs{"live": New(), "disabled": nil} {
+		produced := o.Counter(Label(MEngineTuplesProduced, "fragment", "bench"))
+		batchSize := o.Histogram(MEngineBatchSize, DefBucketsSize)
+		if a := testing.AllocsPerRun(100, func() {
+			produced.Add(256)
+			batchSize.Observe(256)
+		}); a != 0 {
+			t.Errorf("%s handles: %v allocs per batch, monitoring must not allocate", name, a)
+		}
+	}
+}

@@ -16,11 +16,10 @@ const DefaultBatchSize = 256
 //     slice headers) is owned by whoever allocated or Get()-ed it, is reused
 //     across NextBatch calls, and must never be retained by a callee past
 //     the call that received it.
-//   - The TUPLES inside a batch remain immutable-once-published, exactly as
-//     in the tuple-at-a-time engine: operators build new tuples instead of
-//     mutating received ones, so a tuple handed to a recovery log, an
-//     operator's hash-table state, or an in-flight wire buffer may be
-//     retained indefinitely without copying.
+//   - The TUPLES inside a batch are immutable once published: operators
+//     build new tuples instead of mutating received ones, so a tuple handed
+//     to a recovery log, an operator's hash-table state, or an in-flight
+//     wire buffer may be retained indefinitely without copying.
 //
 // This split is what lets the exchange producer log and resend tuples from
 // batched sends with zero copies while batch containers recycle through the

@@ -96,58 +96,74 @@ func EncodeTuple(t Tuple) []byte {
 }
 
 // DecodeTuple decodes one tuple from the front of b, returning the tuple and
-// the remaining bytes.
-func DecodeTuple(b []byte) (Tuple, []byte, error) {
-	n, b, err := tupleHeader(b)
-	if err != nil {
-		return nil, b, err
+// the remaining bytes. The tuple's value slots are carved from the caller's
+// arena (spill-run readers decode thousands per block); it is an ordinary
+// immutable tuple and may outlive the arena. String values are copied out of
+// b, so b may be reused afterwards.
+//
+// This is deliberately the plain decoder — binary.Uvarint, one value at a
+// time, no hand-inlined fast paths: it is the independent reference the fuzz
+// and corruption tests hold the fused DecodeTuplesShared against.
+func DecodeTuple(a *Arena, b []byte) (Tuple, []byte, error) {
+	n, sz := binary.Uvarint(b)
+	if sz <= 0 {
+		return nil, b, fmt.Errorf("%w: bad value count", ErrCorrupt)
 	}
-	return decodeValues(make(Tuple, 0, preallocCount(n)), n, b, "")
+	if n > uint64(len(b)) { // cheap sanity bound: ≥1 byte per value
+		return nil, b, fmt.Errorf("%w: value count %d exceeds input", ErrCorrupt, n)
+	}
+	b = b[sz:]
+	t := a.Alloc(preallocCount(n))[:0]
+	for i := uint64(0); i < n; i++ {
+		if len(b) == 0 {
+			return nil, b, fmt.Errorf("%w: truncated value", ErrCorrupt)
+		}
+		tag := b[0]
+		b = b[1:]
+		switch tag {
+		case 0:
+			t = append(t, Null)
+		case 1:
+			v, sz := binary.Varint(b)
+			if sz <= 0 {
+				return nil, b, fmt.Errorf("%w: bad int", ErrCorrupt)
+			}
+			b = b[sz:]
+			t = append(t, Int(v))
+		case 2:
+			if len(b) < 8 {
+				return nil, b, fmt.Errorf("%w: truncated float", ErrCorrupt)
+			}
+			t = append(t, Float(math.Float64frombits(binary.LittleEndian.Uint64(b))))
+			b = b[8:]
+		case 3:
+			l, sz := binary.Uvarint(b)
+			if sz <= 0 || l > uint64(len(b)-sz) {
+				return nil, b, fmt.Errorf("%w: bad string length", ErrCorrupt)
+			}
+			b = b[sz:]
+			t = append(t, String(string(b[:l])))
+			b = b[l:]
+		default:
+			return nil, b, fmt.Errorf("%w: unknown value tag %d", ErrCorrupt, tag)
+		}
+	}
+	return t, b, nil
 }
 
-// DecodeTupleInto decodes one tuple from the front of b like DecodeTuple,
-// carving the tuple's backing storage from the caller's arena instead of
-// allocating it. The decoded tuple is an ordinary immutable tuple and may
-// outlive the arena. Receive paths that decode many tuples per frame use
-// this to batch the per-tuple allocations.
-func DecodeTupleInto(a *Arena, b []byte) (Tuple, []byte, error) {
-	n, b, err := tupleHeader(b)
-	if err != nil {
-		return nil, b, err
-	}
-	return decodeValues(a.Alloc(preallocCount(n))[:0], n, b, "")
-}
-
-// DecodeTupleShared decodes one tuple from the front of b like
-// DecodeTupleInto, with one more allocation removed: string values are
-// carved as substrings of base — the enclosing block's one-time string
-// conversion — instead of being copied into fresh allocations. base must be
-// the string conversion of the byte sequence b is an unconsumed suffix of
-// (value offsets are derived as len(base)-len(b)). Carved tuples share
-// base's backing, so retaining a tuple keeps its whole block's string
-// alive; batch scans that decode hundreds of tuples per block and hand them
-// to consuming operators take that trade for a per-block rather than
-// per-value allocation count.
-func DecodeTupleShared(a *Arena, base string, b []byte) (Tuple, []byte, error) {
-	n, b, err := tupleHeader(b)
-	if err != nil {
-		return nil, b, err
-	}
-	return decodeValues(a.Alloc(preallocCount(n))[:0], n, b, base)
-}
-
-// DecodeTuplesShared is the vectorized form of DecodeTupleShared: it decodes
-// tuples from the front of b straight into dst until dst is full or left
-// tuples have been decoded, carving value slots from the arena and strings
-// from base. Unlike DecodeTupleShared, base is mandatory here: it must be
-// the string conversion of the byte sequence b is an unconsumed suffix of.
-// sizes, when non-nil, is extended with the encoded byte size of each
-// appended tuple (the scan cost model's per-tuple input) and returned; pass
-// nil when sizes are not needed. The whole header/value loop is fused and
-// index-based — one call and one bounds context per run of tuples instead
-// of a three-deep call chain per tuple, which a tuple-at-a-time reader
-// cannot amortize — so block scans use this as their hot path. Returns the
-// undecoded remainder and how many of left remain.
+// DecodeTuplesShared is the vectorized decoder of the hot paths (stored
+// scans, morsel leaves, the wire receive path): it decodes tuples from the
+// front of b straight into dst until dst is full or left tuples have been
+// decoded, carving value slots from the arena and string values as
+// substrings of base instead of copying them. base must be the string
+// conversion of the byte sequence b is an unconsumed suffix of (value
+// offsets are derived as len(base)-len(b)); carved tuples share its backing,
+// so retaining one keeps its whole block's string alive. sizes, when
+// non-nil, is extended with the encoded byte size of each appended tuple
+// (the scan cost model's per-tuple input) and returned; pass nil when sizes
+// are not needed. The whole header/value loop is fused and index-based — one
+// call and one bounds context per run of tuples. Returns the undecoded
+// remainder and how many of left remain.
 func DecodeTuplesShared(a *Arena, base string, b []byte, left uint64, dst *Batch, sizes []int) ([]byte, uint64, []int, error) {
 	// pos indexes b; baseOff+pos is the same byte's offset in base.
 	baseOff := len(base) - len(b)
@@ -245,65 +261,6 @@ func uvarintAtSlow(b []byte, pos int) (uint64, int) {
 	return v, pos + sz
 }
 
-// tupleHeader reads and sanity-bounds a tuple's value count.
-func tupleHeader(b []byte) (uint64, []byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
-		return 0, b, fmt.Errorf("%w: bad value count", ErrCorrupt)
-	}
-	if n > uint64(len(b)) { // cheap sanity bound: ≥1 byte per value
-		return 0, b, fmt.Errorf("%w: value count %d exceeds input", ErrCorrupt, n)
-	}
-	return n, b[sz:], nil
-}
-
-// decodeValues appends n decoded values to t (pre-sized by the caller).
-// When base is non-empty it must be the string conversion of the sequence b
-// is a suffix of; string values are then carved from base instead of
-// allocated (see DecodeTupleShared).
-func decodeValues(t Tuple, n uint64, b []byte, base string) (Tuple, []byte, error) {
-	for i := uint64(0); i < n; i++ {
-		if len(b) == 0 {
-			return nil, b, fmt.Errorf("%w: truncated value", ErrCorrupt)
-		}
-		tag := b[0]
-		b = b[1:]
-		switch tag {
-		case 0:
-			t = append(t, Null)
-		case 1:
-			v, sz := binary.Varint(b)
-			if sz <= 0 {
-				return nil, b, fmt.Errorf("%w: bad int", ErrCorrupt)
-			}
-			b = b[sz:]
-			t = append(t, Int(v))
-		case 2:
-			if len(b) < 8 {
-				return nil, b, fmt.Errorf("%w: truncated float", ErrCorrupt)
-			}
-			t = append(t, Float(math.Float64frombits(binary.LittleEndian.Uint64(b))))
-			b = b[8:]
-		case 3:
-			l, sz := binary.Uvarint(b)
-			if sz <= 0 || l > uint64(len(b)-sz) {
-				return nil, b, fmt.Errorf("%w: bad string length", ErrCorrupt)
-			}
-			b = b[sz:]
-			if base != "" {
-				off := len(base) - len(b)
-				t = append(t, String(base[off:off+int(l)]))
-			} else {
-				t = append(t, String(string(b[:l])))
-			}
-			b = b[l:]
-		default:
-			return nil, b, fmt.Errorf("%w: unknown value tag %d", ErrCorrupt, tag)
-		}
-	}
-	return t, b, nil
-}
-
 // AppendTuples appends the count-prefixed encoding of a tuple batch to dst
 // and returns the extended slice — the batch encode entry point; combine
 // with GetEncodeBuffer/PutEncodeBuffer to encode without allocating.
@@ -326,9 +283,9 @@ func EncodeTuples(ts []Tuple) []byte {
 
 // TupleCount reads the count prefix of an AppendTuples/EncodeTuples
 // encoding, returning the announced tuple count and the remaining bytes
-// (the tuples themselves, decodable one at a time with DecodeTuple). It is
-// the streaming entry point storage run readers use to walk a block without
-// materializing every tuple first.
+// (the tuples themselves, decodable one at a time with DecodeTuple or in
+// runs with DecodeTuplesShared). It is the streaming entry point block
+// readers use to walk a block without materializing every tuple first.
 func TupleCount(b []byte) (uint64, []byte, error) {
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 {
@@ -338,55 +295,4 @@ func TupleCount(b []byte) (uint64, []byte, error) {
 		return 0, b, fmt.Errorf("%w: tuple count %d exceeds input", ErrCorrupt, n)
 	}
 	return n, b[sz:], nil
-}
-
-// DecodeTuples decodes a count-prefixed tuple sequence produced by
-// EncodeTuples or AppendTuples.
-func DecodeTuples(b []byte) ([]Tuple, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
-		return nil, fmt.Errorf("%w: bad tuple count", ErrCorrupt)
-	}
-	if n > uint64(len(b)) {
-		return nil, fmt.Errorf("%w: tuple count %d exceeds input", ErrCorrupt, n)
-	}
-	b = b[sz:]
-	out := make([]Tuple, 0, preallocCount(n))
-	for i := uint64(0); i < n; i++ {
-		t, rest, err := DecodeTuple(b)
-		if err != nil {
-			return nil, fmt.Errorf("tuple %d: %w", i, err)
-		}
-		out = append(out, t)
-		b = rest
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b))
-	}
-	return out, nil
-}
-
-// DecodeTuplesInto decodes a count-prefixed tuple sequence from the front of
-// b into the batch, returning the remaining bytes — the batch decode entry
-// point. Unlike DecodeTuples it tolerates trailing bytes, so it composes
-// inside larger wire messages.
-func DecodeTuplesInto(dst *Batch, b []byte) ([]byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
-		return b, fmt.Errorf("%w: bad tuple count", ErrCorrupt)
-	}
-	if n > uint64(len(b)) {
-		return b, fmt.Errorf("%w: tuple count %d exceeds input", ErrCorrupt, n)
-	}
-	b = b[sz:]
-	dst.Reset()
-	for i := uint64(0); i < n; i++ {
-		t, rest, err := DecodeTuple(b)
-		if err != nil {
-			return b, fmt.Errorf("tuple %d: %w", i, err)
-		}
-		dst.Append(t)
-		b = rest
-	}
-	return b, nil
 }

@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -19,7 +21,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	for i, tp := range tuples {
 		enc := EncodeTuple(tp)
-		dec, rest, err := DecodeTuple(enc)
+		dec, rest, err := DecodeTuple(new(Arena), enc)
 		if err != nil {
 			t.Fatalf("tuple %d: decode: %v", i, err)
 		}
@@ -35,12 +37,65 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestCodecRoundTripProperty(t *testing.T) {
 	prop := func(g tupleGen) bool {
 		enc := EncodeTuple(g.T)
-		dec, rest, err := DecodeTuple(enc)
+		dec, rest, err := DecodeTuple(new(Arena), enc)
 		return err == nil && len(rest) == 0 && dec.Equal(g.T)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// decodeTuples decodes a count-prefixed tuple sequence (the EncodeTuples
+// framing) twice and holds the two decoders against each other: tuple by
+// tuple with the plain DecodeTuple reference, and in fused
+// DecodeTuplesShared runs of width tuples. Both must accept or both must
+// reject (with ErrCorrupt, trailing bytes included), and accepted inputs
+// must decode to tuples with identical encodings.
+func decodeTuples(b []byte, width int) ([]Tuple, error) {
+	n, rest, err := TupleCount(b)
+	if err != nil {
+		return nil, err
+	}
+	var a Arena
+	trailing := func(r []byte, err error) error {
+		if err == nil && len(r) != 0 {
+			return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r))
+		}
+		return err
+	}
+
+	var want []Tuple
+	var refErr error
+	r := rest
+	for i := uint64(0); i < n && refErr == nil; i++ {
+		var tp Tuple
+		tp, r, refErr = DecodeTuple(&a, r)
+		want = append(want, tp)
+	}
+	refErr = trailing(r, refErr)
+
+	var got []Tuple
+	var fusedErr error
+	batch := NewBatch(width)
+	base, r, left := string(rest), rest, n
+	for left > 0 && fusedErr == nil {
+		r, left, _, fusedErr = DecodeTuplesShared(&a, base, r, left, batch, nil)
+		got = append(got, batch.Tuples...)
+		batch.Rewind()
+	}
+	fusedErr = trailing(r, fusedErr)
+
+	switch {
+	case (refErr == nil) != (fusedErr == nil):
+		return nil, fmt.Errorf("decoders disagree: reference err %v, fused err %v", refErr, fusedErr)
+	case refErr != nil && !errors.Is(fusedErr, ErrCorrupt):
+		return nil, fmt.Errorf("fused decode error does not wrap ErrCorrupt: %v", fusedErr)
+	case refErr != nil:
+		return nil, refErr
+	case !bytes.Equal(EncodeTuples(got), EncodeTuples(want)):
+		return nil, fmt.Errorf("decoders disagree: fused %x, reference %x", EncodeTuples(got), EncodeTuples(want))
+	}
+	return want, nil
 }
 
 func TestCodecBatchRoundTrip(t *testing.T) {
@@ -50,7 +105,7 @@ func TestCodecBatchRoundTrip(t *testing.T) {
 		batch[i] = randTuple(r)
 	}
 	enc := EncodeTuples(batch)
-	dec, err := DecodeTuples(enc)
+	dec, err := decodeTuples(enc, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +130,7 @@ func TestCodecCorruptInputs(t *testing.T) {
 		"huge count":       {0xff, 0xff, 0xff, 0xff, 0x0f},
 	}
 	for name, b := range cases {
-		if _, _, err := DecodeTuple(b); err == nil {
+		if _, _, err := DecodeTuple(new(Arena), b); err == nil {
 			t.Errorf("%s: expected error", name)
 		} else if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: error %v does not wrap ErrCorrupt", name, err)
@@ -85,14 +140,14 @@ func TestCodecCorruptInputs(t *testing.T) {
 
 func TestCodecBatchCorrupt(t *testing.T) {
 	enc := EncodeTuples([]Tuple{{Int(1)}, {Int(2)}})
-	if _, err := DecodeTuples(enc[:len(enc)-1]); err == nil {
-		t.Error("truncated batch should fail")
+	if _, err := decodeTuples(enc[:len(enc)-1], 1); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("truncated batch: err = %v, want ErrCorrupt", err)
 	}
-	if _, err := DecodeTuples(append(enc, 0)); err == nil {
-		t.Error("trailing bytes should fail")
+	if _, err := decodeTuples(append(enc, 0), 1); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("trailing bytes: err = %v, want ErrCorrupt", err)
 	}
-	if _, err := DecodeTuples(nil); err == nil {
-		t.Error("nil batch should fail")
+	if _, err := decodeTuples(nil, 1); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("nil batch: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -103,8 +158,10 @@ func TestCodecNeverPanicsOnGarbage(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		b := make([]byte, r.Intn(40))
 		r.Read(b)
-		_, _, _ = DecodeTuple(b)
-		_, _ = DecodeTuples(b)
+		_, _, _ = DecodeTuple(new(Arena), b)
+		if _, err := decodeTuples(b, 3); err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("input %x: %v", b, err)
+		}
 	}
 }
 
@@ -118,14 +175,18 @@ func BenchmarkEncodeTuple(b *testing.B) {
 
 func BenchmarkDecodeTuple(b *testing.B) {
 	enc := EncodeTuple(Tuple{String("ORF000123"), String("MALSTQWKDEFGHIRNPVYCMALSTQWKDEFGHIRNPVYC"), Int(40)})
+	var a Arena
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeTuple(enc); err != nil {
+		if _, _, err := DecodeTuple(&a, enc); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// TestDecodeTupleIntoMatchesDecodeTuple pins the arena contract of the
+// single-tuple decoder: tuples carved from one shared arena stay intact
+// while later decodes carve more from it.
 func TestDecodeTupleIntoMatchesDecodeTuple(t *testing.T) {
 	var a Arena
 	r := rand.New(rand.NewSource(17))
@@ -139,7 +200,7 @@ func TestDecodeTupleIntoMatchesDecodeTuple(t *testing.T) {
 	b := enc
 	got := make([]Tuple, 0, len(want))
 	for i := range want {
-		dec, rest, err := DecodeTupleInto(&a, b)
+		dec, rest, err := DecodeTuple(&a, b)
 		if err != nil {
 			t.Fatalf("tuple %d: %v", i, err)
 		}
@@ -161,19 +222,8 @@ func TestDecodeTupleIntoMatchesDecodeTuple(t *testing.T) {
 func TestDecodeTupleIntoCorrupt(t *testing.T) {
 	var a Arena
 	for _, b := range [][]byte{nil, {255}, {2, 1}, {1, 3, 200}, {1, 9}} {
-		if _, _, err := DecodeTupleInto(&a, b); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecodeTuple(&a, b); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("input %v: err = %v, want ErrCorrupt", b, err)
-		}
-	}
-}
-
-func BenchmarkDecodeTupleInto(b *testing.B) {
-	enc := EncodeTuple(Tuple{Int(42), String("YAL00001C"), Float(3.25), Null})
-	var a Arena
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeTupleInto(&a, enc); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

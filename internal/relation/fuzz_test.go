@@ -24,7 +24,7 @@ func FuzzTupleCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 99})      // unknown value tag
 	f.Add([]byte{1, 3, 0x80}) // string with non-terminating length varint
 	f.Fuzz(func(t *testing.T, b []byte) {
-		tp, rest, err := DecodeTuple(b)
+		tp, rest, err := DecodeTuple(new(Arena), b)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("decode error does not wrap ErrCorrupt: %v", err)
@@ -32,7 +32,7 @@ func FuzzTupleCodecRoundTrip(f *testing.F) {
 			return
 		}
 		enc := EncodeTuple(tp)
-		tp2, tail, err := DecodeTuple(enc)
+		tp2, tail, err := DecodeTuple(new(Arena), enc)
 		if err != nil {
 			t.Fatalf("re-decode of valid encoding failed: %v", err)
 		}
@@ -51,13 +51,15 @@ func FuzzTupleCodecRoundTrip(f *testing.F) {
 }
 
 // FuzzTuplesCodecRoundTrip covers the count-prefixed batch framing the
-// exchange and wire layers use.
+// exchange, storage and wire layers use, through decodeTuples: every input is
+// decoded by the plain reference decoder and by the fused DecodeTuplesShared,
+// which must agree on validity and on the decoded tuples.
 func FuzzTuplesCodecRoundTrip(f *testing.F) {
 	f.Add(EncodeTuples(nil))
 	f.Add(EncodeTuples([]Tuple{{Int(1)}, {String("a"), Null}}))
 	f.Add([]byte{0xfe, 0xff, 0xff, 0xff, 0x0f}) // huge count, no payload
 	f.Fuzz(func(t *testing.T, b []byte) {
-		ts, err := DecodeTuples(b)
+		ts, err := decodeTuples(b, 2)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("decode error does not wrap ErrCorrupt: %v", err)
@@ -65,7 +67,7 @@ func FuzzTuplesCodecRoundTrip(f *testing.F) {
 			return
 		}
 		enc := EncodeTuples(ts)
-		ts2, err := DecodeTuples(enc)
+		ts2, err := decodeTuples(enc, 2)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}

@@ -8,7 +8,6 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -63,13 +62,6 @@ type GDQSConfig struct {
 	// QueueTimeout bounds how long one query may wait for admission (real
 	// time); 0 means the wait is bounded only by the query's context.
 	QueueTimeout time.Duration
-	// PlanMs models the compile-and-schedule cost in paper milliseconds —
-	// the registry and factory consultations OGSA-DQP performs to prepare a
-	// query, which its measurements put at seconds per statement. It is
-	// charged (slept at the cluster's time scale) on every cold planning and
-	// skipped when the plan cache serves the template, so it is what the
-	// serving layer's template reuse saves. 0 disables the charge.
-	PlanMs float64
 	// Elastic enables crash recovery and live membership: the engine runs
 	// its exactly-once commit protocol, sessions watch for evaluator death
 	// (peer-loss, heartbeats, membership events) and fail work over to
@@ -160,10 +152,6 @@ type GDQS struct {
 	// service — running queries keep the budget they started with).
 	spill     storage.Backend
 	memBudget atomic.Int64
-	// planMu serializes the modeled compile cost: the GDQS is one
-	// coordinator service compiling one statement at a time, so concurrent
-	// cold plans queue on it (cache hits never touch it).
-	planMu sync.Mutex
 }
 
 // NewGDQS creates the coordinator on the given node.
@@ -399,7 +387,6 @@ func (g *GDQS) templateFor(key string, template *sqlparse.SelectStmt, slots []sq
 // The resulting plan is a reusable template: it is never executed directly,
 // only cloned, bound and tagged per execution.
 func (g *GDQS) planTemplate(template *sqlparse.SelectStmt, slots []sqlparse.Slot) (*cachedPlan, error) {
-	g.chargePlanning()
 	lplan, hints, err := logical.PlanParams(template, g.cluster.catalog)
 	if err != nil {
 		return nil, qerr.Plan("plan", err)
@@ -445,21 +432,9 @@ func (g *GDQS) bindPlan(cp *cachedPlan, slots []sqlparse.Slot, userArgs []sqlpar
 	return pplan, nil
 }
 
-// chargePlanning sleeps the modeled compile-and-schedule cost at the
-// cluster's time scale (see GDQSConfig.PlanMs), holding the coordinator's
-// single compile thread for its duration.
-func (g *GDQS) chargePlanning() {
-	if g.cfg.PlanMs > 0 {
-		g.planMu.Lock()
-		g.cluster.clock.Sleep(g.cfg.PlanMs)
-		g.planMu.Unlock()
-	}
-}
-
 // planDirect is the uncached compilation path for statements the template
 // pipeline cannot parameterise.
 func (g *GDQS) planDirect(stmt *sqlparse.SelectStmt) (*physical.Plan, error) {
-	g.chargePlanning()
 	lplan, err := logical.Plan(stmt, g.cluster.catalog)
 	if err != nil {
 		return nil, qerr.Plan("plan", err)

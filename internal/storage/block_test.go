@@ -11,15 +11,14 @@ import (
 	"repro/internal/relation"
 )
 
-// blockBackends returns one fresh instance of every BlockBackend
-// implementation.
-func blockBackends(t *testing.T) map[string]BlockBackend {
+// blockBackends returns one fresh instance of every Backend implementation.
+func blockBackends(t *testing.T) map[string]Backend {
 	t.Helper()
 	posix, err := NewPosix(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]BlockBackend{"memory": NewMemory(), "posix": posix}
+	return map[string]Backend{"memory": NewMemory(), "posix": posix}
 }
 
 // writeRun writes and seals tuples as the named run.
@@ -37,9 +36,11 @@ func writeRun(t *testing.T, b Backend, name string, tuples []relation.Tuple) {
 	}
 }
 
-// decodeBlocks reads every block of r in order and decodes the tuples.
+// decodeBlocks reads every block of r in order and decodes the tuples with
+// the plain single-tuple reference decoder.
 func decodeBlocks(t *testing.T, r BlockReader) []relation.Tuple {
 	t.Helper()
+	var arena relation.Arena
 	var out []relation.Tuple
 	var buf []byte
 	for i := 0; i < r.Blocks(); i++ {
@@ -55,7 +56,7 @@ func decodeBlocks(t *testing.T, r BlockReader) []relation.Tuple {
 			t.Fatalf("block %d count: %v", i, err)
 		}
 		for ; n > 0; n-- {
-			tp, tail, err := relation.DecodeTuple(rest)
+			tp, tail, err := relation.DecodeTuple(&arena, rest)
 			if err != nil {
 				t.Fatalf("block %d tuple: %v", i, err)
 			}
@@ -67,6 +68,8 @@ func decodeBlocks(t *testing.T, r BlockReader) []relation.Tuple {
 	return out
 }
 
+// TestBlockReaderMatchesCursor holds the block-granular reader against both
+// the written tuples and the sequential RunReader over the same run.
 func TestBlockReaderMatchesCursor(t *testing.T) {
 	for name, b := range blockBackends(t) {
 		t.Run(name, func(t *testing.T) {
@@ -85,10 +88,22 @@ func TestBlockReaderMatchesCursor(t *testing.T) {
 			if len(got) != len(want) {
 				t.Fatalf("decoded %d of %d tuples", len(got), len(want))
 			}
+			seq, err := b.Open("tbl")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer seq.Close()
 			for i := range want {
 				if !tuplesIdentical(want[i], got[i]) {
 					t.Fatalf("tuple %d diverged", i)
 				}
+				tp, ok, err := seq.Next()
+				if err != nil || !ok || !tuplesIdentical(tp, got[i]) {
+					t.Fatalf("tuple %d: sequential reader gave (%v, %v, %v)", i, tp, ok, err)
+				}
+			}
+			if _, ok, err := seq.Next(); ok || err != nil {
+				t.Fatalf("sequential reader past the end: ok=%v err=%v", ok, err)
 			}
 		})
 	}

@@ -28,7 +28,7 @@ func FuzzSpillRunRoundTrip(f *testing.F) {
 		var tuples []relation.Tuple
 		rest := raw
 		for len(rest) > 0 {
-			tp, tail, err := relation.DecodeTuple(rest)
+			tp, tail, err := relation.DecodeTuple(new(relation.Arena), rest)
 			if err != nil {
 				break
 			}

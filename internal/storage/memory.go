@@ -86,7 +86,7 @@ func (m *Memory) Open(name string) (RunReader, error) {
 	}, nil), nil
 }
 
-// OpenBlocks implements BlockBackend. The sealed slice is immutable, so the
+// OpenBlocks implements Backend. The sealed slice is immutable, so the
 // reader indexes every frame once up front and serves ReadBlock as zero-copy
 // interior slices; concurrent reads need no locking.
 func (m *Memory) OpenBlocks(name string) (BlockReader, error) {

@@ -153,7 +153,7 @@ func (p *Posix) Open(name string) (RunReader, error) {
 	return newBlockReader(fill, f.Close), nil
 }
 
-// OpenBlocks implements BlockBackend. One sequential header scan validates
+// OpenBlocks implements Backend. One sequential header scan validates
 // the frame chain and builds the offset index; ReadBlock then serves any
 // block via ReadAt, which is safe for concurrent calls on the shared file
 // handle — morsel workers share one reader.

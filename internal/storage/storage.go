@@ -57,6 +57,11 @@ type Backend interface {
 	Create(name string) (RunWriter, error)
 	// Open returns a reader over a sealed run.
 	Open(name string) (RunReader, error)
+	// OpenBlocks returns a block-granular reader over a sealed run — the
+	// stored-scan path. The whole frame chain is validated up front, so a
+	// truncated or corrupt run fails here with a typed storage error rather
+	// than mid-scan.
+	OpenBlocks(name string) (BlockReader, error)
 	// Remove deletes a run (idempotent: removing an absent run is not an
 	// error).
 	Remove(name string) error
@@ -88,18 +93,6 @@ type BlockReader interface {
 	// while ReadBlock calls are still completing on other goroutines'
 	// already-opened handles.
 	Close() error
-}
-
-// BlockBackend is implemented by backends whose sealed runs additionally
-// support random block-granular access. The engine type-asserts a stored
-// table's backend against it to choose the batched scan path, falling back
-// to the sequential RunReader cursor otherwise.
-type BlockBackend interface {
-	Backend
-	// OpenBlocks returns a block-granular reader over a sealed run. The
-	// whole frame chain is validated up front, so a truncated or corrupt
-	// run fails here with a typed storage error rather than mid-scan.
-	OpenBlocks(name string) (BlockReader, error)
 }
 
 // corruptRun classifies a damaged block frame as a typed storage error so
@@ -226,7 +219,7 @@ func (r *blockReader) Next() (relation.Tuple, bool, error) {
 		}
 		r.left, r.rest = n, rest
 	}
-	t, rest, err := relation.DecodeTupleInto(&r.arena, r.rest)
+	t, rest, err := relation.DecodeTuple(&r.arena, r.rest)
 	if err != nil {
 		return nil, false, qerr.Storage("run tuple", err)
 	}

@@ -69,13 +69,17 @@ func TestWirePreallocBounded(t *testing.T) {
 }
 
 // TestWireRelationCountCap covers the same property at the tuple codec
-// level: DecodeTuple must reject value counts beyond the input.
+// level: every decode entry point must reject counts beyond the input.
 func TestWireRelationCountCap(t *testing.T) {
 	b := binary.AppendUvarint(nil, 1<<50)
-	if _, _, err := relation.DecodeTuple(b); !errors.Is(err, relation.ErrCorrupt) {
+	var a relation.Arena
+	if _, _, err := relation.DecodeTuple(&a, b); !errors.Is(err, relation.ErrCorrupt) {
 		t.Fatalf("huge value count: err = %v, want ErrCorrupt", err)
 	}
-	if _, err := relation.DecodeTuples(b); !errors.Is(err, relation.ErrCorrupt) {
+	if _, _, _, err := relation.DecodeTuplesShared(&a, string(b), b, 1, relation.NewBatch(1), nil); !errors.Is(err, relation.ErrCorrupt) {
+		t.Fatalf("huge value count, fused decoder: err = %v, want ErrCorrupt", err)
+	}
+	if _, _, err := relation.TupleCount(b); !errors.Is(err, relation.ErrCorrupt) {
 		t.Fatalf("huge tuple count: err = %v, want ErrCorrupt", err)
 	}
 }

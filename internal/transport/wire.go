@@ -21,6 +21,7 @@ import (
 //	           nweights float64*  nbucketMap int32*  nbuckets int32*
 //	           nseqs int64*  epoch ok:byte err:str routed est
 //	           ndiscarded (key:int nseqs seq*)*
+//	           peer peerNode:str peerService:str
 //	str     := len bytes
 //
 // Tuples use the relation codec. The format is self-contained; the TCP
@@ -138,7 +139,9 @@ func AppendMessage(dst []byte, m *Message) []byte {
 			b = binary.AppendVarint(b, s)
 		}
 	}
-	return b
+	b = binary.AppendVarint(b, int64(c.Peer))
+	b = appendString(b, string(c.PeerNode))
+	return appendString(b, c.PeerService)
 }
 
 // UnmarshalMessage decodes a message produced by MarshalMessage.
@@ -242,6 +245,9 @@ func UnmarshalMessageArena(a *relation.Arena, b []byte) (*Message, error) {
 				c.DiscardedSeqs[k] = seqs
 			}
 		}
+		c.Peer = int(d.varint())
+		c.PeerNode = simnet.NodeID(d.str())
+		c.PeerService = d.str()
 		m.Ctrl = c
 	}
 	if d.err != nil {

@@ -51,6 +51,18 @@ func sampleMessages() []*Message {
 			},
 		},
 		{
+			Kind: KindControl, Exchange: "E1",
+			Ctrl: &Ctrl{
+				Op: CtrlAttach, RequestID: 7, ReplyTo: "coord", ReplyService: "aqp/responder@coord",
+				Peer: 2, PeerNode: "ws2", PeerService: "q4.f1/2",
+				Weights: []float64{0.4, 0.3, 0.3},
+			},
+		},
+		{
+			Kind: KindControl, Exchange: "E1",
+			Ctrl: &Ctrl{Op: CtrlReplayLost, RequestID: 8, ReplyTo: "coord", Peer: 1},
+		},
+		{
 			Kind: KindDeploy, Query: "select p.ORF from protein_sequences p",
 			Ctrl: &Ctrl{RequestID: 3, ReplyTo: "coord", ReplyService: "deploy-reply/3"},
 		},
