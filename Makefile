@@ -29,12 +29,15 @@ race:
 chaos:
 	$(GO) test ./internal/chaos/ -race -count=2
 
-## lowmem: the services and chaos suites with a 64KiB per-query memory
-## budget forced on every coordinator (GRIDDQP_FORCE_MEM_BUDGET), so every
-## stateful query in the suites exercises the grace-hash spill path — first
-## with the classic serial drivers, then again with width-4 morsel worker
-## pools (GRIDDQP_FORCE_PARALLEL), so every budgeted query also exercises the
-## striped-budget parallel spill path.
+## lowmem: the services and chaos suites — in-process coordinators and the
+## TCP coordinator/evaluator deployment alike — with a 64KiB per-query memory
+## budget forced on every test configuration that sets none of its own, so
+## the stateful queries that outgrow it exercise the grace-hash spill path:
+## first with the classic serial drivers, then again with width-4 morsel
+## worker pools and the striped-budget parallel spill path. The two variables
+## are read by internal/testenv, which only _test.go files import; production
+## code never reads them. TestStoredTableQueryMatchesInMemory fails either
+## pass if the forced budget spilled nothing.
 lowmem:
 	GRIDDQP_FORCE_MEM_BUDGET=65536 $(GO) test ./internal/services/ ./internal/chaos/ -count=1
 	GRIDDQP_FORCE_MEM_BUDGET=65536 GRIDDQP_FORCE_PARALLEL=4 $(GO) test ./internal/services/ ./internal/chaos/ -count=1

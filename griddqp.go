@@ -313,8 +313,7 @@ func QueueTimeout(d time.Duration) CoordinatorOption {
 // storage backend when the budget is breached, and sorts switch to external
 // merge runs. Results are unchanged (joins and aggregates are order-free
 // multisets); only memory use and speed differ. 0 disables budgeting; see
-// also Coordinator.SetMemoryBudget and the GRIDDQP_FORCE_MEM_BUDGET
-// environment override.
+// also Coordinator.SetMemoryBudget.
 func MemoryBudget(bytes int64) CoordinatorOption {
 	return func(c *services.GDQSConfig) { c.MemoryBudgetBytes = bytes }
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/relation"
 	"repro/internal/services"
 	"repro/internal/simnet"
+	"repro/internal/testenv"
 	"repro/internal/ws"
 )
 
@@ -49,6 +50,7 @@ func elasticGrid(t *testing.T, nodes []simnet.NodeID, seqs, ints int) (*services
 	cfg.Elastic = true
 	cfg.QueryTimeout = 60 * time.Second
 	cfg.HeartbeatEvery = 10 * time.Millisecond
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g, err := services.NewGDQS(cluster, "coord", cfg)
 	if err != nil {
 		t.Fatal(err)

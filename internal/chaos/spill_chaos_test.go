@@ -12,6 +12,7 @@ import (
 	"repro/internal/qerr"
 	"repro/internal/services"
 	"repro/internal/simnet"
+	"repro/internal/testenv"
 	"repro/internal/ws"
 )
 
@@ -41,6 +42,7 @@ func budgetedElasticGrid(t *testing.T, nodes []simnet.NodeID, seqs, ints int, bu
 	cfg.QueryTimeout = 60 * time.Second
 	cfg.HeartbeatEvery = 10 * time.Millisecond
 	cfg.MemoryBudgetBytes = budget
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g, err := services.NewGDQS(cluster, "coord", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +80,7 @@ func parallelBudgetedGrid(t *testing.T, nodes []simnet.NodeID, seqs, ints int, b
 	cfg.QueryTimeout = 60 * time.Second
 	cfg.MemoryBudgetBytes = budget
 	cfg.Parallelism = 4
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g, err := services.NewGDQS(cluster, "coord", cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,8 @@
 // Package cliutil holds the flag plumbing shared by the multi-process
 // commands (dqp-coordinator, dqp-evaluator): every process of a deployment
 // parses the same manifest flags and must end up with an identical
-// services.Manifest, because evaluators re-derive the coordinator's plan
-// deterministically from the query text.
+// services.Manifest, because a deploy request carries only the query text
+// and every process derives the same plan from it (see package services).
 package cliutil
 
 import (

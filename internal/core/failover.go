@@ -123,7 +123,7 @@ func (r *Responder) failOverFragment(st *respState, w []float64) error {
 			}
 			for _, di := range deadIdx {
 				msg := ctrlMsg(st.topo.Output, &transport.Ctrl{Op: transport.CtrlDetach, Peer: di})
-				if _, err := r.rpc.call(r.ctx, cons, msg); err != nil {
+				if _, err := r.rpc.Call(r.ctx, cons.Node, cons.Service, msg); err != nil {
 					return err
 				}
 			}
@@ -150,7 +150,7 @@ func (r *Responder) failOverStateless(st *respState, w []float64, deadIdx []int)
 			if r.nodeDead(prod.Node) {
 				continue
 			}
-			if _, err := r.rpc.call(r.ctx, prod, ctrlMsg(ex.Exchange,
+			if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange,
 				&transport.Ctrl{Op: transport.CtrlSetWeights, Weights: w})); err != nil {
 				return err
 			}
@@ -162,7 +162,7 @@ func (r *Responder) failOverStateless(st *respState, w []float64, deadIdx []int)
 				continue
 			}
 			for _, di := range deadIdx {
-				reply, err := r.rpc.call(r.ctx, prod, ctrlMsg(ex.Exchange,
+				reply, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange,
 					&transport.Ctrl{Op: transport.CtrlReplayLost, Peer: di}))
 				if err != nil {
 					return err
@@ -213,7 +213,7 @@ func (r *Responder) failOverStateful(st *respState, w []float64, deadIdx []int) 
 		if r.deadInstance(st, cons) {
 			continue
 		}
-		reply, err := r.rpc.call(r.ctx, cons, ctrlMsg("",
+		reply, err := r.rpc.Call(r.ctx, cons.Node, cons.Service, ctrlMsg("",
 			&transport.Ctrl{Op: transport.CtrlDiscard, Buckets: moved}))
 		if err != nil {
 			rollback()
@@ -230,7 +230,7 @@ func (r *Responder) failOverStateful(st *respState, w []float64, deadIdx []int) 
 			}
 			resends = append(resends, resend{exchange: ex, prodIdx: prodIdx, consIdx: cons.Index, seqs: seqs})
 		}
-		if _, err := r.rpc.call(r.ctx, cons, ctrlMsg("",
+		if _, err := r.rpc.Call(r.ctx, cons.Node, cons.Service, ctrlMsg("",
 			&transport.Ctrl{Op: transport.CtrlEvict, Buckets: moved})); err != nil {
 			rollback()
 			return err
@@ -242,7 +242,7 @@ func (r *Responder) failOverStateful(st *respState, w []float64, deadIdx []int) 
 			if r.nodeDead(prod.Node) {
 				continue
 			}
-			if _, err := r.rpc.call(r.ctx, prod, ctrlMsg(ex.Exchange,
+			if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange,
 				&transport.Ctrl{Op: transport.CtrlSetBucketMap, BucketMap: newMap})); err != nil {
 				rollback()
 				return err
@@ -257,7 +257,7 @@ func (r *Responder) failOverStateful(st *respState, w []float64, deadIdx []int) 
 			}
 			if ex.Stateful {
 				if len(moved) > 0 {
-					if _, err := r.rpc.call(r.ctx, prod, ctrlMsg(ex.Exchange,
+					if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange,
 						&transport.Ctrl{Op: transport.CtrlReplay, Buckets: moved})); err != nil {
 						rollback()
 						return err
@@ -268,7 +268,7 @@ func (r *Responder) failOverStateful(st *respState, w []float64, deadIdx []int) 
 				// The dead consumer shards hold no recoverable work once the
 				// moved buckets replayed; release them so EOS can flow.
 				for _, di := range deadIdx {
-					if _, err := r.rpc.call(r.ctx, prod, ctrlMsg(ex.Exchange,
+					if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange,
 						&transport.Ctrl{Op: transport.CtrlDetachConsumer, Peer: di})); err != nil {
 						rollback()
 						return err
@@ -276,7 +276,7 @@ func (r *Responder) failOverStateful(st *respState, w []float64, deadIdx []int) 
 				}
 			} else {
 				for _, di := range deadIdx {
-					reply, err := r.rpc.call(r.ctx, prod, ctrlMsg(ex.Exchange,
+					reply, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange,
 						&transport.Ctrl{Op: transport.CtrlReplayLost, Peer: di}))
 					if err != nil {
 						rollback()
@@ -306,7 +306,7 @@ func (r *Responder) failOverStateful(st *respState, w []float64, deadIdx []int) 
 		}
 		msg := ctrlMsg(rs.exchange, &transport.Ctrl{Op: transport.CtrlResend, Seqs: rs.seqs})
 		msg.ConsumerIdx = rs.consIdx
-		if _, err := r.rpc.call(r.ctx, prod, msg); err != nil {
+		if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, msg); err != nil {
 			rollback()
 			return err
 		}
@@ -363,7 +363,7 @@ func (r *Responder) AdmitInstance(fragment string, inst InstanceRef, weights []f
 			msg := ctrlMsg(st.topo.Output, &transport.Ctrl{
 				Op: transport.CtrlExpectProducer, PeerNode: inst.Node, PeerService: inst.Service,
 			})
-			if _, err := r.rpc.call(r.ctx, cons, msg); err != nil {
+			if _, err := r.rpc.Call(r.ctx, cons.Node, cons.Service, msg); err != nil {
 				return err
 			}
 		}
@@ -377,7 +377,7 @@ func (r *Responder) AdmitInstance(fragment string, inst InstanceRef, weights []f
 				Op: transport.CtrlAttach, PeerNode: inst.Node, PeerService: inst.Service,
 				Weights: weights,
 			})
-			if _, err := r.rpc.call(r.ctx, prod, msg); err != nil {
+			if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, msg); err != nil {
 				return err
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/bus"
 	"repro/internal/engine"
@@ -105,7 +106,7 @@ type Responder struct {
 	tr   transport.Transport
 	node simnet.NodeID
 	cfg  ResponderConfig
-	rpc  *rpcClient
+	rpc  *transport.Caller
 	// ctx scopes every control RPC to the owning query: a cancellation
 	// releases an adaptation parked mid-protocol instead of letting it wait
 	// out the RPC timeout against a torn-down fragment.
@@ -186,7 +187,7 @@ func NewResponder(ctx context.Context, b *bus.Bus, tr transport.Transport, node 
 		clock:     vtime.NewClock(vtime.DefaultScale),
 		fragments: make(map[string]*respState),
 		deadNodes: make(map[simnet.NodeID]bool),
-		rpc:       newRPCClient(tr, node, "aqp/responder@"+string(node)),
+		rpc:       transport.NewCaller(tr, node, "aqp/responder@"+string(node), 60*time.Second),
 		outcomeCounters: map[string]*obs.Counter{
 			"adapted":      o.Counter(obs.Label(obs.MAdaptations, "outcome", "adapted")),
 			"skipped-late": o.Counter(obs.Label(obs.MAdaptations, "outcome", "skipped-late")),
@@ -214,7 +215,7 @@ func NewResponder(ctx context.Context, b *bus.Bus, tr transport.Transport, node 
 func (r *Responder) Stop() {
 	r.stopOnce.Do(func() {
 		r.sub.Cancel()
-		r.rpc.close()
+		r.rpc.Close()
 	})
 }
 
@@ -376,7 +377,7 @@ func (r *Responder) adapt(st *respState, p Proposal) error {
 			if r.nodeDead(prod.Node) {
 				continue
 			}
-			reply, err := r.rpc.call(r.ctx, prod, ctrlMsg(ex.Exchange, &transport.Ctrl{Op: transport.CtrlProgress}))
+			reply, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange, &transport.Ctrl{Op: transport.CtrlProgress}))
 			if err != nil {
 				return err
 			}
@@ -390,7 +391,7 @@ func (r *Responder) adapt(st *respState, p Proposal) error {
 			if r.deadInstance(st, cons) {
 				continue
 			}
-			reply, err := r.rpc.call(r.ctx, cons, ctrlMsg(ex.Exchange, &transport.Ctrl{Op: transport.CtrlProgress}))
+			reply, err := r.rpc.Call(r.ctx, cons.Node, cons.Service, ctrlMsg(ex.Exchange, &transport.Ctrl{Op: transport.CtrlProgress}))
 			if err != nil {
 				return err
 			}
@@ -465,7 +466,7 @@ func (r *Responder) adaptStatelessR2(st *respState, p Proposal) error {
 			if r.nodeDead(prod.Node) {
 				continue
 			}
-			if _, err := r.rpc.call(r.ctx, prod, ctrlMsg(ex.Exchange,
+			if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange,
 				&transport.Ctrl{Op: transport.CtrlSetWeights, Weights: p.Weights})); err != nil {
 				return err
 			}
@@ -496,7 +497,7 @@ func (r *Responder) adaptStatelessR1(st *respState, p Proposal) error {
 		if r.deadInstance(st, cons) {
 			continue
 		}
-		reply, err := r.rpc.call(r.ctx, cons, ctrlMsg("", &transport.Ctrl{Op: transport.CtrlDiscard}))
+		reply, err := r.rpc.Call(r.ctx, cons.Node, cons.Service, ctrlMsg("", &transport.Ctrl{Op: transport.CtrlDiscard}))
 		if err != nil {
 			return err
 		}
@@ -514,7 +515,7 @@ func (r *Responder) adaptStatelessR1(st *respState, p Proposal) error {
 			if r.nodeDead(prod.Node) {
 				continue
 			}
-			if _, err := r.rpc.call(r.ctx, prod, ctrlMsg(ex.Exchange,
+			if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange,
 				&transport.Ctrl{Op: transport.CtrlSetWeights, Weights: p.Weights})); err != nil {
 				return err
 			}
@@ -530,7 +531,7 @@ func (r *Responder) adaptStatelessR1(st *respState, p Proposal) error {
 		}
 		msg := ctrlMsg(rc.exchange, &transport.Ctrl{Op: transport.CtrlResend, Seqs: rc.seqs})
 		msg.ConsumerIdx = rc.consIdx
-		if _, err := r.rpc.call(r.ctx, prod, msg); err != nil {
+		if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, msg); err != nil {
 			return err
 		}
 		r.countMoved(st.topo.Fragment, int64(len(rc.seqs)))
@@ -607,7 +608,7 @@ func (r *Responder) adaptStateful(st *respState, p Proposal) error {
 		if r.deadInstance(st, cons) {
 			continue
 		}
-		reply, err := r.rpc.call(r.ctx, cons, ctrlMsg("",
+		reply, err := r.rpc.Call(r.ctx, cons.Node, cons.Service, ctrlMsg("",
 			&transport.Ctrl{Op: transport.CtrlDiscard, Buckets: moved}))
 		if err != nil {
 			return err
@@ -622,7 +623,7 @@ func (r *Responder) adaptStateful(st *respState, p Proposal) error {
 			}
 			resends = append(resends, resend{exchange: ex, prodIdx: prodIdx, consIdx: cons.Index, seqs: seqs})
 		}
-		if _, err := r.rpc.call(r.ctx, cons, ctrlMsg("", &transport.Ctrl{Op: transport.CtrlEvict, Buckets: moved})); err != nil {
+		if _, err := r.rpc.Call(r.ctx, cons.Node, cons.Service, ctrlMsg("", &transport.Ctrl{Op: transport.CtrlEvict, Buckets: moved})); err != nil {
 			return err
 		}
 	}
@@ -633,7 +634,7 @@ func (r *Responder) adaptStateful(st *respState, p Proposal) error {
 			if r.nodeDead(prod.Node) {
 				continue
 			}
-			if _, err := r.rpc.call(r.ctx, prod, ctrlMsg(ex.Exchange,
+			if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange,
 				&transport.Ctrl{Op: transport.CtrlSetBucketMap, BucketMap: newMap})); err != nil {
 				return err
 			}
@@ -647,7 +648,7 @@ func (r *Responder) adaptStateful(st *respState, p Proposal) error {
 			if r.nodeDead(prod.Node) {
 				continue
 			}
-			if _, err := r.rpc.call(r.ctx, prod, ctrlMsg(ex.Exchange,
+			if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange,
 				&transport.Ctrl{Op: transport.CtrlReplay, Buckets: moved})); err != nil {
 				return err
 			}
@@ -673,7 +674,7 @@ func (r *Responder) adaptStateful(st *respState, p Proposal) error {
 		}
 		msg := ctrlMsg(rs.exchange, &transport.Ctrl{Op: transport.CtrlResend, Seqs: rs.seqs})
 		msg.ConsumerIdx = rs.consIdx
-		if _, err := r.rpc.call(r.ctx, prod, msg); err != nil {
+		if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, msg); err != nil {
 			return err
 		}
 		r.countMoved(st.topo.Fragment, int64(len(rs.seqs)))
@@ -696,7 +697,7 @@ func (r *Responder) pauseAll(st *respState, pause bool) error {
 			if r.nodeDead(prod.Node) {
 				continue
 			}
-			if _, err := r.rpc.call(r.ctx, prod, ctrlMsg(ex.Exchange, &transport.Ctrl{Op: op})); err != nil && firstErr == nil {
+			if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange, &transport.Ctrl{Op: op})); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -711,7 +712,7 @@ func (r *Responder) pauseAll(st *respState, pause bool) error {
 // transport error when the hosting machine is unreachable; sessions use it
 // as the heartbeat primitive behind failure detection.
 func (r *Responder) Ping(ref InstanceRef) error {
-	_, err := r.rpc.call(r.ctx, ref, ctrlMsg("", &transport.Ctrl{Op: transport.CtrlPing}))
+	_, err := r.rpc.Call(r.ctx, ref.Node, ref.Service, ctrlMsg("", &transport.Ctrl{Op: transport.CtrlPing}))
 	return err
 }
 

@@ -3,8 +3,14 @@
 // compiles and schedules them, and dynamically creates evaluation services
 // on the selected machines; and the AGQESs (Adaptive Grid Query Evaluation
 // Services), each hosting the query engine plus the adaptivity components.
-// The Cluster type assembles a complete simulated Grid — machines, network,
-// notification bus, registries — inside one process.
+//
+// There is one query execution, QuerySession, and three hosts of it that
+// differ only in which machines their process owns: GDQS on a Cluster (a
+// complete simulated Grid — machines, network, notification bus, registries
+// — inside one process), RemoteCoordinator (the coordinator's machine of a
+// multi-process Manifest deployment) and Evaluator (one other machine of
+// it). A session builds the fragment instances of owned machines by
+// function call and reaches every other machine by message.
 package services
 
 import (
@@ -53,17 +59,17 @@ type Cluster struct {
 	registry *registry.Registry
 	catalog  *catalog.Catalog
 
-	mu       sync.Mutex
-	stores   map[simnet.NodeID]*dataset.Store
-	services map[simnet.NodeID]*ws.Registry
+	// sites are the machines of the Grid — all hosted in this process.
+	mu    sync.Mutex
+	sites map[simnet.NodeID]*site
 
 	// version counts topology changes; cached plans are keyed to it, so a
 	// Grid gaining or losing resources invalidates every cached placement.
 	version atomic.Uint64
 }
 
-// NewCluster builds an empty simulated Grid.
-func NewCluster(cfg ClusterConfig) *Cluster {
+// withDefaults fills the unset physical characteristics.
+func (cfg ClusterConfig) withDefaults() ClusterConfig {
 	if cfg.Scale <= 0 {
 		cfg.Scale = vtime.DefaultScale
 	}
@@ -73,6 +79,12 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Buckets <= 0 {
 		cfg.Buckets = engine.DefaultBuckets
 	}
+	return cfg
+}
+
+// NewCluster builds an empty simulated Grid.
+func NewCluster(cfg ClusterConfig) *Cluster {
+	cfg = cfg.withDefaults()
 	clock := vtime.NewClock(cfg.Scale)
 	net := simnet.NewNetwork(clock)
 	c := &Cluster{
@@ -83,8 +95,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		bus:      bus.New(clock, net),
 		registry: registry.New(),
 		catalog:  catalog.New(),
-		stores:   make(map[simnet.NodeID]*dataset.Store),
-		services: make(map[simnet.NodeID]*ws.Registry),
+		sites:    make(map[simnet.NodeID]*site),
 	}
 	return c
 }
@@ -112,21 +123,49 @@ func (c *Cluster) Catalog() *catalog.Catalog { return c.catalog }
 // Node returns a machine by ID, or nil.
 func (c *Cluster) Node(id simnet.NodeID) *simnet.Node { return c.net.Node(id) }
 
+// addSite registers a new machine hosting the given tables and Web Services
+// (either may be nil).
+func (c *Cluster) addSite(id simnet.NodeID, store *dataset.Store, services *ws.Registry) {
+	st := &site{
+		node:     c.net.AddNode(id),
+		store:    store,
+		services: services,
+		monitor:  &core.MonitorAdapter{Bus: c.bus, Node: id},
+	}
+	c.mu.Lock()
+	c.sites[id] = st
+	c.mu.Unlock()
+}
+
+// site returns a machine of the Grid, or nil.
+func (c *Cluster) site(id simnet.NodeID) *site {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sites[id]
+}
+
 // AddDataNode registers a machine exposing the store's tables as Grid Data
 // Services, and advertises the table metadata in the catalog — the role the
 // resource registries and OGSA-DAI wrappers play in the paper.
 func (c *Cluster) AddDataNode(id simnet.NodeID, store *dataset.Store) error {
-	c.net.AddNode(id)
-	c.mu.Lock()
-	c.stores[id] = store
-	c.mu.Unlock()
+	c.addSite(id, store, nil)
+	if err := advertiseData(c.catalog, c.registry, id, store); err != nil {
+		return err
+	}
+	c.version.Add(1)
+	return nil
+}
+
+// advertiseData publishes a data machine: its tables' metadata in the
+// catalog, the machine in the resource registry.
+func advertiseData(cat *catalog.Catalog, reg *registry.Registry, id simnet.NodeID, store *dataset.Store) error {
 	var tables []string
 	for _, name := range store.Names() {
 		tbl, err := store.Table(name)
 		if err != nil {
 			return err
 		}
-		if err := c.catalog.PutTable(catalog.TableMeta{
+		if err := cat.PutTable(catalog.TableMeta{
 			Name:          tbl.Name,
 			Schema:        tbl.Schema,
 			Cardinality:   tbl.Cardinality(),
@@ -138,8 +177,26 @@ func (c *Cluster) AddDataNode(id simnet.NodeID, store *dataset.Store) error {
 		}
 		tables = append(tables, tbl.Name)
 	}
-	c.registry.RegisterData(id, tables...)
-	c.version.Add(1)
+	reg.RegisterData(id, tables...)
+	return nil
+}
+
+// advertiseCompute publishes an evaluation machine: its speed claim in the
+// resource registry, its Web Service operations in the catalog.
+func advertiseCompute(cat *catalog.Catalog, reg *registry.Registry, id simnet.NodeID, speed float64, services *ws.Registry) error {
+	if err := reg.RegisterCompute(id, speed); err != nil {
+		return err
+	}
+	for _, svc := range services.Services() {
+		if err := cat.PutFunction(catalog.FunctionMeta{
+			Name:       svc.Name(),
+			ArgTypes:   svc.ArgTypes(),
+			ResultType: svc.ResultType(),
+			CostMs:     svc.BaseCostMs(),
+		}); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -150,25 +207,12 @@ func (c *Cluster) Version() uint64 { return c.version.Load() }
 // AddComputeNode registers a machine able to host evaluation services, with
 // the given static speed claim and callable Web Service operations.
 func (c *Cluster) AddComputeNode(id simnet.NodeID, relativeSpeed float64, services *ws.Registry) error {
-	c.net.AddNode(id)
 	if services == nil {
 		services = ws.NewRegistry()
 	}
-	c.mu.Lock()
-	c.services[id] = services
-	c.mu.Unlock()
-	if err := c.registry.RegisterCompute(id, relativeSpeed); err != nil {
+	c.addSite(id, nil, services)
+	if err := advertiseCompute(c.catalog, c.registry, id, relativeSpeed, services); err != nil {
 		return err
-	}
-	for _, svc := range services.Services() {
-		if err := c.catalog.PutFunction(catalog.FunctionMeta{
-			Name:       svc.Name(),
-			ArgTypes:   svc.ArgTypes(),
-			ResultType: svc.ResultType(),
-			CostMs:     svc.BaseCostMs(),
-		}); err != nil {
-			return err
-		}
 	}
 	c.version.Add(1)
 	obs.Default().Gauge(obs.MEvaluatorsLive).Add(1)
@@ -194,10 +238,7 @@ func (c *Cluster) KillNode(id simnet.NodeID) error {
 	}
 	node.Fail()
 	c.version.Add(1)
-	c.mu.Lock()
-	_, isCompute := c.services[id]
-	c.mu.Unlock()
-	if isCompute {
+	if c.site(id).services != nil {
 		obs.Default().Gauge(obs.MEvaluatorsLive).Add(-1)
 	}
 	obs.Default().Timeline().Append(obs.Event{
@@ -216,50 +257,19 @@ func (c *Cluster) Alive(id simnet.NodeID) bool {
 	return node != nil && node.Alive()
 }
 
-// storeOf returns the data store hosted on a node (nil if none).
-func (c *Cluster) storeOf(id simnet.NodeID) *dataset.Store {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stores[id]
-}
-
-// servicesOf returns the Web Services hosted on a node (nil if none).
-func (c *Cluster) servicesOf(id simnet.NodeID) *ws.Registry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.services[id]
-}
-
 // Close shuts the cluster's bus down.
 func (c *Cluster) Close() {
 	c.bus.Close()
 }
 
-// rowSink streams result tuples to the collector. Close is idempotent: the
-// GDQS also closes it on error paths where the top driver never did.
-type rowSink struct {
-	ch   chan relation.Tuple
-	once sync.Once
-}
+// rowSink collects the result rows. The top fragment has one instance and a
+// serial driver, so Send has a single caller; the session reads rows only
+// after that driver has returned.
+type rowSink struct{ rows []relation.Tuple }
 
 func (s *rowSink) Send(t relation.Tuple) error {
-	s.ch <- t
+	s.rows = append(s.rows, t)
 	return nil
 }
 
-func (s *rowSink) Close() error {
-	s.once.Do(func() { close(s.ch) })
-	return nil
-}
-
-// ensureNode registers a node on first use (the coordinator may not be a
-// compute or data resource).
-func (c *Cluster) ensureNode(id simnet.NodeID) error {
-	if c.net.Node(id) == nil {
-		c.net.AddNode(id)
-	}
-	if c.net.Node(id) == nil {
-		return fmt.Errorf("services: cannot create node %q", id)
-	}
-	return nil
-}
+func (s *rowSink) Close() error { return nil }

@@ -15,7 +15,6 @@ import (
 	"repro/internal/qerr"
 	"repro/internal/simnet"
 	"repro/internal/transport"
-	"repro/internal/vtime"
 	"repro/internal/ws"
 )
 
@@ -48,6 +47,11 @@ func (s *QuerySession) drive(id string, rt *engine.FragmentRuntime) {
 	if err != nil && !s.swallowDriverErr(rt, err) {
 		s.fail("fragment "+id, err)
 	}
+	s.driverDone()
+}
+
+// driverDone gives back one slot of the active-driver count.
+func (s *QuerySession) driverDone() {
 	s.rtMu.Lock()
 	s.active--
 	if s.active == 0 {
@@ -158,7 +162,7 @@ func (s *QuerySession) recoveryLoop() {
 func (s *QuerySession) handleNodeLoss(node simnet.NodeID) {
 	obs.Default().Timeline().Append(obs.Event{
 		Kind:    obs.KindFailure,
-		AtMs:    s.cluster.clock.NowMs(),
+		AtMs:    s.host.clock.NowMs(),
 		Node:    string(node),
 		Outcome: "detected",
 	})
@@ -268,11 +272,11 @@ func (s *QuerySession) unrecoverable(node simnet.NodeID) error {
 // so a machine that can acknowledge a probe can also acknowledge a
 // reweighting.
 func (s *QuerySession) heartbeatLoop() {
-	every := s.gdqs.cfg.HeartbeatEvery
+	every := s.host.cfg.HeartbeatEvery
 	if every <= 0 {
 		every = DefaultHeartbeatEvery
 	}
-	misses := s.gdqs.cfg.HeartbeatMisses
+	misses := s.host.cfg.HeartbeatMisses
 	if misses <= 0 {
 		misses = DefaultHeartbeatMisses
 	}
@@ -317,7 +321,7 @@ func (s *QuerySession) probeTargets() map[simnet.NodeID]core.InstanceRef {
 	out := map[simnet.NodeID]core.InstanceRef{}
 	for _, rt := range s.runtimes {
 		node := rt.Node()
-		if node == s.gdqs.node || s.dead[node] {
+		if node == s.host.node || s.dead[node] {
 			continue
 		}
 		if _, ok := out[node]; !ok {
@@ -334,23 +338,22 @@ func (s *QuerySession) probeTargets() map[simnet.NodeID]core.InstanceRef {
 // against the bumped topology epoch (see DESIGN.md §5h).
 func (s *QuerySession) admitNode(ev core.NodeEvent) {
 	node := ev.Node
-	if node == s.gdqs.node || s.nodeDead(node) || !s.cluster.Alive(node) {
+	st := s.host.site(node)
+	if node == s.host.node || s.nodeDead(node) || st == nil || !st.node.Alive() {
 		return
 	}
-	svcs := s.cluster.servicesOf(node)
-	store := s.cluster.storeOf(node)
 	for _, frag := range s.plan.Fragments {
-		if !s.joinEligible(frag) || !fragmentServable(frag.Root, svcs, store) {
+		if !s.joinEligible(frag) || !fragmentServable(frag.Root, st.services, st.store) {
 			continue
 		}
-		if err := s.admitInto(frag, node); err != nil {
+		if err := s.admitInto(frag, node, st); err != nil {
 			// Joining is opportunistic: on any error the query simply
 			// continues on its existing membership.
 			continue
 		}
 		obs.Default().Timeline().Append(obs.Event{
 			Kind:     obs.KindMembership,
-			AtMs:     s.cluster.clock.NowMs(),
+			AtMs:     s.host.clock.NowMs(),
 			Node:     string(node),
 			Fragment: frag.ID,
 			Detail:   "join",
@@ -417,7 +420,7 @@ func fragmentServable(op *physical.OpSpec, svcs *ws.Registry, store *dataset.Sto
 // live instances' work; the Diagnoser extends its cost bookkeeping; a MED
 // is added for the machine if it never hosted one; and finally a driver is
 // started under the session's active counter.
-func (s *QuerySession) admitInto(frag *physical.FragmentSpec, node simnet.NodeID) error {
+func (s *QuerySession) admitInto(frag *physical.FragmentSpec, node simnet.NodeID, st *site) error {
 	w, ok := s.responder.CurrentWeights(frag.ID)
 	if !ok {
 		return fmt.Errorf("services: fragment %s is not registered for adaptation", frag.ID)
@@ -454,52 +457,11 @@ func (s *QuerySession) admitInto(frag *physical.FragmentSpec, node simnet.NodeID
 	committed := false
 	defer func() {
 		if !committed {
-			s.rtMu.Lock()
-			s.active--
-			if s.active == 0 {
-				s.rtCond.Broadcast()
-			}
-			s.rtMu.Unlock()
+			s.driverDone()
 		}
 	}()
 
-	nd := s.cluster.net.Node(node)
-	if nd == nil {
-		return fmt.Errorf("services: joining node %q is not registered", node)
-	}
-	g := s.gdqs
-	ectx := &engine.ExecContext{
-		Clock:        s.cluster.clock,
-		Node:         nd,
-		Meter:        vtime.NewMeter(s.cluster.clock),
-		Store:        s.cluster.storeOf(node),
-		Services:     s.cluster.servicesOf(node),
-		Costs:        s.cluster.cfg.Costs,
-		MonitorEvery: g.cfg.MonitorEvery,
-		Buckets:      s.cluster.cfg.Buckets,
-		Fragment:     frag.ID,
-		Instance:     idx,
-		Parallelism:  resolveParallelism(g.cfg.Parallelism),
-		Readahead:    g.cfg.ScanReadahead,
-		Mem:          s.mem,
-		Spill:        s.spill,
-	}
-	if g.cfg.MonitorEvery > 0 {
-		ectx.Monitor = &core.MonitorAdapter{Bus: s.cluster.bus, Node: node}
-	}
-	cfg := engine.RuntimeConfig{
-		Plan:            s.plan,
-		Fragment:        frag,
-		Instance:        idx,
-		Ctx:             ectx,
-		Tr:              s.cluster.tr,
-		Node:            node,
-		BufferTuples:    s.cluster.cfg.BufferTuples,
-		CheckpointEvery: s.cluster.cfg.CheckpointEvery,
-		FT:              true,
-		OnPeerDown:      s.reportDead,
-	}
-	rt, err := engine.NewFragmentRuntime(cfg)
+	rt, err := s.newInstanceRuntime(frag, idx, node, st)
 	if err != nil {
 		return err
 	}
@@ -538,9 +500,8 @@ func (s *QuerySession) admitInto(frag *physical.FragmentSpec, node simnet.NodeID
 	}
 
 	s.rtMu.Lock()
-	if !s.medNodes[node] {
-		s.medNodes[node] = true
-		s.meds = append(s.meds, core.NewMED(s.ctx, s.cluster.bus, node, g.cfg.MED))
+	if s.meds[node] == nil {
+		s.meds[node] = core.NewMED(s.ctx, s.host.bus, node, s.host.cfg.MED)
 	}
 	if s.ctx.Err() != nil {
 		// Close() has started tearing the session down; it will not see

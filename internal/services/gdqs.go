@@ -5,9 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"os"
-	"runtime"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -41,10 +38,7 @@ type GDQSConfig struct {
 	// Parallelism is the morsel worker-pool width of each fragment driver:
 	// 0 (or 1) keeps the classic serial drivers, negative resolves to the
 	// machine's GOMAXPROCS, and larger values run parallel-eligible
-	// fragments on that many workers. 0 defers to the GRIDDQP_FORCE_PARALLEL
-	// environment variable when set — the CI knob that runs the whole
-	// services + chaos suite morsel-parallel (and, combined with
-	// GRIDDQP_FORCE_MEM_BUDGET, parallel under a spill budget).
+	// fragments on that many workers.
 	Parallelism int
 	// QueryTimeout bounds one query's real execution time; it becomes the
 	// deadline of the session context every query runs under.
@@ -79,9 +73,7 @@ type GDQSConfig struct {
 	// MemoryBudgetBytes caps each query's stateful-operator memory: on
 	// breach, hash joins and aggregates grace-hash-spill partitions to the
 	// storage backend and sorts switch to external merge runs. 0 means
-	// unbudgeted, unless the GRIDDQP_FORCE_MEM_BUDGET environment variable
-	// (bytes) overrides it — the low-memory CI lane's knob. The budget can
-	// be changed at runtime with SetMemoryBudget.
+	// unbudgeted. The budget can be changed at runtime with SetMemoryBudget.
 	MemoryBudgetBytes int64
 	// SpillDir roots spill runs in a posix-backed directory; empty keeps
 	// spills in the in-memory storage backend (fine for tests and paper-scale
@@ -115,19 +107,6 @@ func DefaultGDQSConfig() GDQSConfig {
 	}
 }
 
-// resolveParallelism maps the configured worker-pool width to a concrete
-// count: non-positive means serial except that a negative value asks for the
-// machine's GOMAXPROCS.
-func resolveParallelism(p int) int {
-	if p < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if p == 0 {
-		return 1
-	}
-	return p
-}
-
 // queryCounter hands out process-wide query tags, so plans of concurrently
 // executing queries (even through different coordinators sharing one
 // cluster) never collide on the transport namespace.
@@ -140,57 +119,40 @@ var queryCounter atomic.Int64
 // MonitoringEventDetector.
 type GDQS struct {
 	cluster *Cluster
-	node    simnet.NodeID
-	cfg     GDQSConfig
+	// host is what the sessions run on: the coordinator node, the config and
+	// the spill backend, over every machine of the cluster.
+	*host
 
 	// cache maps normalized SQL to plan templates (nil when disabled); adm
 	// bounds concurrent sessions. Execute is safe for concurrent use.
 	cache *plancache.Cache[*cachedPlan]
 	adm   *admission
-	// spill is the storage backend every session spills to; memBudget is the
-	// per-query byte limit (atomic so SetMemoryBudget can retune a live
-	// service — running queries keep the budget they started with).
-	spill     storage.Backend
-	memBudget atomic.Int64
 }
 
 // NewGDQS creates the coordinator on the given node.
 func NewGDQS(cluster *Cluster, node simnet.NodeID, cfg GDQSConfig) (*GDQS, error) {
-	if err := cluster.ensureNode(node); err != nil {
-		return nil, err
+	if cluster.site(node) == nil {
+		// The coordinator need not be a compute or data resource.
+		cluster.addSite(node, nil, nil)
 	}
 	if cfg.QueryTimeout <= 0 {
 		cfg.QueryTimeout = 5 * time.Minute
 	}
-	if cfg.MemoryBudgetBytes == 0 {
-		if v := os.Getenv("GRIDDQP_FORCE_MEM_BUDGET"); v != "" {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("services: GRIDDQP_FORCE_MEM_BUDGET=%q: %w", v, err)
-			}
-			cfg.MemoryBudgetBytes = n
-		}
+	spill, err := openSpill(cfg.SpillDir)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Parallelism == 0 {
-		if v := os.Getenv("GRIDDQP_FORCE_PARALLEL"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return nil, fmt.Errorf("services: GRIDDQP_FORCE_PARALLEL=%q: %w", v, err)
-			}
-			cfg.Parallelism = n
-		}
-	}
-	g := &GDQS{cluster: cluster, node: node, cfg: cfg}
+	g := &GDQS{cluster: cluster, host: &host{
+		tr:    cluster.tr,
+		clock: cluster.clock,
+		bus:   cluster.bus,
+		node:  node,
+		grid:  cluster.cfg,
+		cfg:   cfg,
+		spill: spill,
+		site:  cluster.site,
+	}}
 	g.memBudget.Store(cfg.MemoryBudgetBytes)
-	if cfg.SpillDir != "" {
-		backend, err := storage.NewPosix(cfg.SpillDir)
-		if err != nil {
-			return nil, err
-		}
-		g.spill = backend
-	} else {
-		g.spill = storage.NewMemory()
-	}
 	if cfg.PlanCacheSize >= 0 {
 		g.cache = plancache.New[*cachedPlan](cfg.PlanCacheSize, obs.Default().Registry())
 	}
@@ -292,15 +254,11 @@ type QueryResult struct {
 // KindExec or KindTransport — use errors.As with *qerr.Error (or errors.Is
 // with the sentinels) to classify.
 func (g *GDQS) Execute(ctx context.Context, query string) (*QueryResult, error) {
-	return g.execute(ctx, query, nil)
-}
-
-func (g *GDQS) execute(ctx context.Context, query string, userArgs []sqlparse.Expr) (*QueryResult, error) {
 	key, template, slots, err := sqlparse.NormalizeSQL(query)
 	if err != nil {
 		return nil, qerr.Plan("parse", err)
 	}
-	return g.executeTemplate(ctx, key, template, slots, userArgs)
+	return g.executeTemplate(ctx, key, template, slots, nil)
 }
 
 // executeTemplate is the serving pipeline every query goes through after
@@ -320,7 +278,9 @@ func (g *GDQS) executeTemplate(ctx context.Context, key string, template *sqlpar
 		return nil, err
 	}
 	defer release()
-	return g.run(ctx, pplan)
+	// The cluster hosts every machine, so the session deploys by function
+	// call and needs no query text to send.
+	return g.run(ctx, pplan, "", g.cfg.QueryTimeout)
 }
 
 // planFor resolves a normalized statement into an execution-ready (bound and
@@ -387,19 +347,9 @@ func (g *GDQS) templateFor(key string, template *sqlparse.SelectStmt, slots []sq
 // The resulting plan is a reusable template: it is never executed directly,
 // only cloned, bound and tagged per execution.
 func (g *GDQS) planTemplate(template *sqlparse.SelectStmt, slots []sqlparse.Slot) (*cachedPlan, error) {
-	lplan, hints, err := logical.PlanParams(template, g.cluster.catalog)
+	_, hints, pplan, err := compile(template, g.cluster.catalog, g.cluster.registry, g.planOptions())
 	if err != nil {
-		return nil, qerr.Plan("plan", err)
-	}
-	pplan, err := physical.Schedule(lplan, g.cluster.registry, physical.Options{
-		Coordinator:    g.node,
-		MaxParallelism: g.cfg.MaxParallelism,
-	})
-	if err != nil {
-		return nil, qerr.Schedule("schedule", err)
-	}
-	if err := pplan.Validate(); err != nil {
-		return nil, qerr.Schedule("validate", err)
+		return nil, err
 	}
 	// Upgrade untyped (explicit `?`) slots with the planner's type
 	// inference, so a wrong-typed argument fails at bind time instead of
@@ -435,49 +385,17 @@ func (g *GDQS) bindPlan(cp *cachedPlan, slots []sqlparse.Slot, userArgs []sqlpar
 // planDirect is the uncached compilation path for statements the template
 // pipeline cannot parameterise.
 func (g *GDQS) planDirect(stmt *sqlparse.SelectStmt) (*physical.Plan, error) {
-	lplan, err := logical.Plan(stmt, g.cluster.catalog)
+	_, _, pplan, err := compile(stmt, g.cluster.catalog, g.cluster.registry, g.planOptions())
 	if err != nil {
-		return nil, qerr.Plan("plan", err)
-	}
-	pplan, err := physical.Schedule(lplan, g.cluster.registry, physical.Options{
-		Coordinator:    g.node,
-		MaxParallelism: g.cfg.MaxParallelism,
-	})
-	if err != nil {
-		return nil, qerr.Schedule("schedule", err)
+		return nil, err
 	}
 	pplan.Tag(fmt.Sprintf("q%d", queryCounter.Add(1)))
-	if err := pplan.Validate(); err != nil {
-		return nil, qerr.Schedule("validate", err)
-	}
 	return pplan, nil
 }
 
-// run deploys and executes a scheduled plan inside a QuerySession.
-func (g *GDQS) run(ctx context.Context, plan *physical.Plan) (*QueryResult, error) {
-	o := obs.Default()
-	open := o.Gauge(obs.MSessionsOpen)
-	open.Add(1)
-	defer open.Add(-1)
-	start := time.Now()
-	s, err := newQuerySession(ctx, g, plan)
-	if err != nil {
-		o.Counter(obs.Label(obs.MQueries, "outcome", "error")).Inc()
-		return nil, err
-	}
-	defer s.Close()
-
-	rows, err := s.run()
-	if err != nil {
-		o.Counter(obs.Label(obs.MQueries, "outcome", "error")).Inc()
-		return nil, err
-	}
-	o.Counter(obs.Label(obs.MQueries, "outcome", "ok")).Inc()
-	return &QueryResult{
-		Columns: plan.Top().Root.OutSchema().Columns(),
-		Rows:    rows,
-		Stats:   s.stats(g.cluster.clock.MsOf(time.Since(start)), len(rows)),
-	}, nil
+// planOptions is what the scheduler is told about this coordinator.
+func (g *GDQS) planOptions() physical.Options {
+	return physical.Options{Coordinator: g.node, MaxParallelism: g.cfg.MaxParallelism}
 }
 
 // Explain compiles and schedules a query without executing it.
@@ -486,14 +404,7 @@ func (g *GDQS) Explain(query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	lplan, err := logical.Plan(stmt, g.cluster.catalog)
-	if err != nil {
-		return "", err
-	}
-	pplan, err := physical.Schedule(lplan, g.cluster.registry, physical.Options{
-		Coordinator:    g.node,
-		MaxParallelism: g.cfg.MaxParallelism,
-	})
+	lplan, _, pplan, err := compile(stmt, g.cluster.catalog, g.cluster.registry, g.planOptions())
 	if err != nil {
 		return "", err
 	}

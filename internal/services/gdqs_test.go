@@ -13,6 +13,7 @@ import (
 	"repro/internal/physical"
 	"repro/internal/relation"
 	"repro/internal/simnet"
+	"repro/internal/testenv"
 	"repro/internal/vtime"
 	"repro/internal/ws"
 )
@@ -48,6 +49,7 @@ func testGrid(t *testing.T, adaptive bool, seqs, ints int) (*Cluster, *GDQS) {
 	cfg := DefaultGDQSConfig()
 	cfg.Adaptive = adaptive
 	cfg.QueryTimeout = 60 * time.Second
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g, err := NewGDQS(cluster, "coord", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +104,7 @@ func TestExecuteQ2Correctness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := cluster.storeOf("data1")
+	store := cluster.site("data1").store
 	seqs, _ := store.Table("protein_sequences")
 	ints, _ := store.Table("protein_interactions")
 	valid := make(map[string]bool)
@@ -139,6 +141,7 @@ func TestAdaptiveRebalancesUnderPerturbation(t *testing.T) {
 	cfg := DefaultGDQSConfig()
 	cfg.Responder.Response = core.R1
 	cfg.QueryTimeout = 60 * time.Second
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	adG, err := NewGDQS(adCluster, "coordR1", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +182,7 @@ func TestAdaptiveQ2Retrospective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := cluster.storeOf("data1")
+	store := cluster.site("data1").store
 	seqs, _ := store.Table("protein_sequences")
 	valid := make(map[string]bool)
 	for _, tp := range seqs.Tuples {
@@ -228,6 +231,7 @@ func TestMonitorFrequencyZeroDisablesMonitoring(t *testing.T) {
 	cfg := DefaultGDQSConfig()
 	cfg.MonitorEvery = 0
 	cfg.QueryTimeout = 60 * time.Second
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g, err := NewGDQS(cluster, "coord2", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +250,7 @@ func TestClusterValidation(t *testing.T) {
 	if err := cluster.AddComputeNode("c1", 0, nil); err == nil {
 		t.Error("zero speed accepted")
 	}
-	if cluster.storeOf("nope") != nil || cluster.servicesOf("nope") != nil {
+	if cluster.site("nope") != nil {
 		t.Error("lookup of unknown node")
 	}
 }
@@ -261,7 +265,7 @@ func TestExecuteGroupByAggregation(t *testing.T) {
 		t.Fatalf("rows = %d, want 10", len(res.Rows))
 	}
 	// Verify against a reference aggregation.
-	store := cluster.storeOf("data1")
+	store := cluster.site("data1").store
 	ints, _ := store.Table("protein_interactions")
 	counts := map[string]int64{}
 	for _, tp := range ints.Tuples {
@@ -308,6 +312,7 @@ func TestAdaptiveAggregationCorrectUnderRebalance(t *testing.T) {
 	cfg := DefaultGDQSConfig()
 	cfg.Responder.Response = core.R1
 	cfg.QueryTimeout = 60 * time.Second
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g, err := NewGDQS(cluster, "coordAgg", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +321,7 @@ func TestAdaptiveAggregationCorrectUnderRebalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := cluster.storeOf("data1")
+	store := cluster.site("data1").store
 	ints, _ := store.Table("protein_interactions")
 	counts := map[string]int64{}
 	for _, tp := range ints.Tuples {
@@ -394,6 +399,7 @@ func TestRandomPerturbationsNeverCorruptResults(t *testing.T) {
 		// simulated testbed runs on real time, so heavy machine load
 		// stretches wall-clock response times.
 		cfg.QueryTimeout = 5 * time.Minute
+		testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 		g, err := NewGDQS(cluster, "coordRnd", cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -431,6 +437,7 @@ func TestStepPerturbationMidQuery(t *testing.T) {
 	cfg := DefaultGDQSConfig()
 	cfg.Responder.Response = core.R1
 	cfg.QueryTimeout = 5 * time.Minute
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g, err := NewGDQS(cluster, "coordStep", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -453,7 +460,7 @@ func TestExecuteHaving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := cluster.storeOf("data1")
+	store := cluster.site("data1").store
 	ints, _ := store.Table("protein_interactions")
 	counts := map[string]int64{}
 	for _, tp := range ints.Tuples {
@@ -489,6 +496,7 @@ func TestConcurrentQueriesShareOneGrid(t *testing.T) {
 	cluster, g1 := testGrid(t, true, 200, 300)
 	cfg := DefaultGDQSConfig()
 	cfg.QueryTimeout = 5 * time.Minute
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g2, err := NewGDQS(cluster, "coord2", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -571,6 +579,7 @@ func TestSkewedAggregationUnderRebalance(t *testing.T) {
 	cfg := DefaultGDQSConfig()
 	cfg.Responder.Response = core.R1
 	cfg.QueryTimeout = 5 * time.Minute
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g, err := NewGDQS(cluster, "coord", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -607,7 +616,7 @@ func TestJoinFeedingAggregation(t *testing.T) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	// Reference: count interactions per ORF.
-	store := cluster.storeOf("data1")
+	store := cluster.site("data1").store
 	ints, _ := store.Table("protein_interactions")
 	counts := map[string]int64{}
 	for _, tp := range ints.Tuples {
@@ -656,6 +665,7 @@ func TestTablesOnSeparateDataNodes(t *testing.T) {
 	cfg := DefaultGDQSConfig()
 	cfg.Adaptive = false
 	cfg.QueryTimeout = time.Minute
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g, err := NewGDQS(cluster, "coord", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -689,6 +699,7 @@ func parallelGDQS(t *testing.T, cluster *Cluster, node simnet.NodeID, workers in
 	if mutate != nil {
 		mutate(&cfg)
 	}
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g, err := NewGDQS(cluster, node, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -705,7 +716,7 @@ func TestParallelismQ2Correctness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := cluster.storeOf("data1")
+	store := cluster.site("data1").store
 	seqs, _ := store.Table("protein_sequences")
 	valid := make(map[string]bool)
 	for _, tp := range seqs.Tuples {
@@ -736,7 +747,7 @@ func TestParallelismAdaptiveQ2Retrospective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := cluster.storeOf("data1")
+	store := cluster.site("data1").store
 	seqs, _ := store.Table("protein_sequences")
 	valid := make(map[string]bool)
 	for _, tp := range seqs.Tuples {
@@ -766,7 +777,7 @@ func TestParallelismAggregationUnderRebalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := cluster.storeOf("data1")
+	store := cluster.site("data1").store
 	ints, _ := store.Table("protein_interactions")
 	counts := map[string]int64{}
 	for _, tp := range ints.Tuples {

@@ -14,12 +14,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/logical"
 	"repro/internal/physical"
 	"repro/internal/qerr"
 	"repro/internal/relation"
 	"repro/internal/simnet"
 	"repro/internal/sqlparse"
+	"repro/internal/storage"
+	"repro/internal/testenv"
 	"repro/internal/vtime"
 	"repro/internal/ws"
 )
@@ -134,6 +135,7 @@ func lifecycleGrid(t *testing.T, adaptive bool, seqs, ints int, extra ...ws.Serv
 	cfg := DefaultGDQSConfig()
 	cfg.Adaptive = adaptive
 	cfg.QueryTimeout = 60 * time.Second
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g, err := NewGDQS(cluster, "coord", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -142,94 +144,221 @@ func lifecycleGrid(t *testing.T, adaptive bool, seqs, ints int, extra ...ws.Serv
 	return cluster, g
 }
 
-func TestLifecycleSuccessReleasesGoroutines(t *testing.T) {
-	_, g := lifecycleGrid(t, true, 120, 60)
-	baseline := len(queryGoroutines())
-	res, err := g.Execute(context.Background(), q1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 120 {
-		t.Fatalf("rows = %d, want 120", len(res.Rows))
-	}
+// lifecycleDeployment is one hosting of the same Grid and the coordinator
+// the lifecycle cases take as an input: they hold for the shared
+// QuerySession whoever hosts it.
+type lifecycleDeployment struct {
+	// host is the coordinator's.
+	host    *host
+	execute func(ctx context.Context, sql string) (*QueryResult, error)
+	// plan compiles an execution-ready plan as execute would.
+	plan func(sql string) (*physical.Plan, error)
+	// spills are the spill backends of every participant.
+	spills []storage.Backend
+}
+
+// lifecycleHosts builds the Grid of lifecycleGrid under each coordinator:
+// the GDQS on a Cluster, and a RemoteCoordinator with three Evaluators over
+// one in-process transport. timeout is the per-query deadline.
+var lifecycleHosts = []struct {
+	name  string
+	build func(t *testing.T, seqs, ints int, timeout time.Duration, extra ...ws.Service) *lifecycleDeployment
+}{
+	{"gdqs", func(t *testing.T, seqs, ints int, timeout time.Duration, extra ...ws.Service) *lifecycleDeployment {
+		cluster, _ := lifecycleGrid(t, true, seqs, ints, extra...)
+		cfg := DefaultGDQSConfig()
+		cfg.QueryTimeout = timeout
+		testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
+		g, err := NewGDQS(cluster, "coordL", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &lifecycleDeployment{
+			host:    g.host,
+			execute: g.Execute,
+			plan: func(sql string) (*physical.Plan, error) {
+				stmt, err := sqlparse.Parse(sql)
+				if err != nil {
+					return nil, err
+				}
+				return g.planDirect(stmt)
+			},
+			spills: []storage.Backend{g.spill},
+		}
+	}},
+	{"remote", func(t *testing.T, seqs, ints int, timeout time.Duration, extra ...ws.Service) *lifecycleDeployment {
+		manifest := Manifest{
+			Scale: 10 * time.Microsecond,
+			Costs: engine.Costs{ScanMs: 0.5, FilterMs: 0.01, ProjectMs: 0.01,
+				JoinBuildMs: 0.05, JoinProbeMs: 0.3, StartupMs: 50},
+			Buckets: 64, BufferTuples: 25, CheckpointEvery: 25,
+			Coordinator: "coord",
+			DataNodes:   []DataNodeSpec{{Node: "data1", Sequences: seqs, Interactions: ints}},
+			Compute: []ComputeNodeSpec{
+				{Node: "ws0", Speed: 1, EntropyCostMs: 5},
+				{Node: "ws1", Speed: 1, EntropyCostMs: 5},
+			},
+			Adaptive: true,
+		}
+		testenv.Force(t, &manifest.MemoryBudgetBytes, &manifest.Parallelism)
+		coord, evaluators := remoteInProc(t, manifest)
+		addRemoteServices(t, coord, evaluators, extra...)
+		d := &lifecycleDeployment{
+			host: coord.host,
+			execute: func(ctx context.Context, sql string) (*QueryResult, error) {
+				return coord.Execute(ctx, sql, timeout)
+			},
+			plan:   coord.plan,
+			spills: []storage.Backend{coord.spill},
+		}
+		for _, ev := range evaluators {
+			d.spills = append(d.spills, ev.spill)
+		}
+		return d
+	}},
+}
+
+// released is the post-condition of every lifecycle case: no goroutine past
+// the baseline and not one spill run left on any participant.
+func (d *lifecycleDeployment) released(t *testing.T, baseline int) {
+	t.Helper()
 	waitNoExtraGoroutines(t, baseline)
+	for _, b := range d.spills {
+		if runs, err := b.List(); err != nil || len(runs) != 0 {
+			t.Errorf("spill backend %s left runs %v (err %v)", b.Name(), runs, err)
+		}
+	}
+}
+
+func TestLifecycleSuccessReleasesGoroutines(t *testing.T) {
+	for _, h := range lifecycleHosts {
+		t.Run(h.name, func(t *testing.T) {
+			d := h.build(t, 120, 60, time.Minute)
+			baseline := len(queryGoroutines())
+			res, err := d.execute(context.Background(), q1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 120 {
+				t.Fatalf("rows = %d, want 120", len(res.Rows))
+			}
+			d.released(t, baseline)
+		})
+	}
 }
 
 func TestLifecycleCancelReleasesGoroutines(t *testing.T) {
-	gate := newGateService()
-	_, g := lifecycleGrid(t, true, 120, 60, gate)
-	baseline := len(queryGoroutines())
+	for _, h := range lifecycleHosts {
+		t.Run(h.name, func(t *testing.T) {
+			gate := newGateService()
+			d := h.build(t, 120, 60, time.Minute, gate)
+			baseline := len(queryGoroutines())
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := g.Execute(ctx, "select GateAnalyser(p.sequence) from protein_sequences p")
-		errCh <- err
-	}()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			errCh := make(chan error, 1)
+			go func() {
+				_, err := d.execute(ctx, "select GateAnalyser(p.sequence) from protein_sequences p")
+				errCh <- err
+			}()
 
-	// Cancel while a fragment driver is provably inside a service call.
-	<-gate.started
-	cancel()
-	close(gate.release)
+			// Cancel while a fragment driver is provably inside a service call.
+			<-gate.started
+			cancel()
+			close(gate.release)
 
-	err := <-errCh
-	if !errors.Is(err, qerr.ErrCanceled) {
-		t.Fatalf("err = %v, want qerr.ErrCanceled", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v does not unwrap to context.Canceled", err)
-	}
-	waitNoExtraGoroutines(t, baseline)
+			err := <-errCh
+			if !errors.Is(err, qerr.ErrCanceled) {
+				t.Fatalf("err = %v, want qerr.ErrCanceled", err)
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v does not unwrap to context.Canceled", err)
+			}
+			d.released(t, baseline)
 
-	// Released state: the same coordinator runs the next query cleanly.
-	res, err := g.Execute(context.Background(), q1)
-	if err != nil {
-		t.Fatal(err)
+			// Released state: the same deployment runs the next query cleanly.
+			res, err := d.execute(context.Background(), q1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 120 {
+				t.Fatalf("follow-up rows = %d, want 120", len(res.Rows))
+			}
+			d.released(t, baseline)
+		})
 	}
-	if len(res.Rows) != 120 {
-		t.Fatalf("follow-up rows = %d, want 120", len(res.Rows))
-	}
-	waitNoExtraGoroutines(t, baseline)
 }
 
 func TestLifecycleTimeoutReleasesGoroutines(t *testing.T) {
-	cluster, _ := lifecycleGrid(t, true, 120, 60, slowService{d: time.Millisecond})
-	cfg := DefaultGDQSConfig()
-	cfg.QueryTimeout = 30 * time.Millisecond
-	g, err := NewGDQS(cluster, "coordT", cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, h := range lifecycleHosts {
+		t.Run(h.name, func(t *testing.T) {
+			// 1200 calls of a millisecond each outlast the deadline forty times
+			// over serially, and still five times at the width `make lowmem`
+			// forces (120 rows finished inside it about one run in four there).
+			d := h.build(t, 1200, 60, 30*time.Millisecond, slowService{d: time.Millisecond})
+			baseline := len(queryGoroutines())
+			_, err := d.execute(context.Background(), "select SlowAnalyser(p.sequence) from protein_sequences p")
+			if !errors.Is(err, qerr.ErrTimeout) {
+				t.Fatalf("err = %v, want qerr.ErrTimeout", err)
+			}
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v does not unwrap to context.DeadlineExceeded", err)
+			}
+			d.released(t, baseline)
+		})
 	}
-	baseline := len(queryGoroutines())
-	_, err = g.Execute(context.Background(), "select SlowAnalyser(p.sequence) from protein_sequences p")
-	if !errors.Is(err, qerr.ErrTimeout) {
-		t.Fatalf("err = %v, want qerr.ErrTimeout", err)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v does not unwrap to context.DeadlineExceeded", err)
-	}
-	waitNoExtraGoroutines(t, baseline)
+}
+
+// failingCreates is a spill backend on which no run can be created.
+type failingCreates struct{ storage.Backend }
+
+func (failingCreates) Create(name string) (storage.RunWriter, error) {
+	return nil, fmt.Errorf("storage: cannot create run %s: disk full", name)
 }
 
 func TestLifecycleFragmentErrorReleasesGoroutines(t *testing.T) {
-	_, g := lifecycleGrid(t, true, 120, 60, failService{})
-	baseline := len(queryGoroutines())
-	_, err := g.Execute(context.Background(), "select FailAnalyser(p.sequence) from protein_sequences p")
-	if err == nil {
-		t.Fatal("expected fragment error")
+	t.Run("gdqs-service", func(t *testing.T) {
+		_, g := lifecycleGrid(t, true, 120, 60, failService{})
+		baseline := len(queryGoroutines())
+		_, err := g.Execute(context.Background(), "select FailAnalyser(p.sequence) from protein_sequences p")
+		var qe *qerr.Error
+		if !errors.As(err, &qe) || qe.Kind != qerr.KindExec {
+			t.Fatalf("err = %v, want *qerr.Error with KindExec", err)
+		}
+		if errors.Is(err, qerr.ErrCanceled) || errors.Is(err, qerr.ErrTimeout) {
+			t.Fatalf("fragment failure misclassified as cancellation: %v", err)
+		}
+		if !strings.Contains(err.Error(), "FailAnalyser") {
+			t.Fatalf("err = %v does not name the failing service", err)
+		}
+		waitNoExtraGoroutines(t, baseline)
+	})
+	// Over both hosts the failure must happen in a fragment the coordinator's process hosts
+	// (an evaluator has no message to report its own with, DESIGN.md §8): the
+	// top fragment's sort, over budget, cannot create its first run.
+	for _, h := range lifecycleHosts {
+		t.Run(h.name, func(t *testing.T) {
+			d := h.build(t, 120, 600, time.Minute)
+			d.host.memBudget.Store(2048)
+			d.host.spill = failingCreates{d.host.spill}
+			baseline := len(queryGoroutines())
+			_, err := d.execute(context.Background(), qJoinAgg)
+			if err == nil {
+				t.Fatal("expected fragment error")
+			}
+			var qe *qerr.Error
+			if !errors.As(err, &qe) || qe.Kind != qerr.KindExec {
+				t.Fatalf("err = %v, want *qerr.Error with KindExec", err)
+			}
+			if errors.Is(err, qerr.ErrCanceled) || errors.Is(err, qerr.ErrTimeout) {
+				t.Fatalf("fragment failure misclassified as cancellation: %v", err)
+			}
+			if !strings.Contains(err.Error(), "disk full") {
+				t.Fatalf("err = %v does not name the failing backend", err)
+			}
+			d.released(t, baseline)
+		})
 	}
-	var qe *qerr.Error
-	if !errors.As(err, &qe) || qe.Kind != qerr.KindExec {
-		t.Fatalf("err = %v, want *qerr.Error with KindExec", err)
-	}
-	if errors.Is(err, qerr.ErrCanceled) || errors.Is(err, qerr.ErrTimeout) {
-		t.Fatalf("fragment failure misclassified as cancellation: %v", err)
-	}
-	if !strings.Contains(err.Error(), "FailAnalyser") {
-		t.Fatalf("err = %v does not name the failing service", err)
-	}
-	waitNoExtraGoroutines(t, baseline)
 }
 
 // cancelOnTopic cancels ctx the first time anything is published on the
@@ -259,6 +388,7 @@ func TestLifecycleCancelMidAdaptation(t *testing.T) {
 	cfg := DefaultGDQSConfig()
 	cfg.Responder.Response = core.R1
 	cfg.QueryTimeout = 60 * time.Second
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g, err := NewGDQS(cluster, "coordA", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -315,39 +445,41 @@ func TestLifecycleCancelMidReplay(t *testing.T) {
 }
 
 func TestLifecycleSessionCloseIdempotent(t *testing.T) {
-	_, g := lifecycleGrid(t, true, 50, 30)
-	stmt, err := sqlparse.Parse(q1)
-	if err != nil {
-		t.Fatal(err)
+	for _, h := range lifecycleHosts {
+		t.Run(h.name, func(t *testing.T) {
+			d := h.build(t, 50, 30, time.Minute)
+			pplan, err := d.plan(q1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := newQuerySession(context.Background(), d.host, pplan, q1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Close must be safe to call repeatedly and concurrently with the
+			// per-resource Stops it performs itself.
+			s.Close()
+			s.Close()
+			for _, rt := range s.runtimes {
+				rt.Stop()
+				rt.Stop()
+			}
+			for _, m := range s.meds {
+				m.Stop()
+			}
+			s.diagnoser.Stop()
+			s.responder.Stop()
+			d.released(t, 0)
+
+			// Close reclaimed every participant: the deployment is idle again.
+			res, err := d.execute(context.Background(), q1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 50 {
+				t.Fatalf("rows after the closed session = %d, want 50", len(res.Rows))
+			}
+			d.released(t, 0)
+		})
 	}
-	lplan, err := logical.Plan(stmt, g.cluster.catalog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pplan, err := physical.Schedule(lplan, g.cluster.registry, physical.Options{Coordinator: g.node})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pplan.Tag("qlifecycle")
-	if err := pplan.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	s, err := newQuerySession(context.Background(), g, pplan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Close must be safe to call repeatedly and concurrently with the
-	// per-resource Stops it performs itself.
-	s.Close()
-	s.Close()
-	for _, rt := range s.runtimes {
-		rt.Stop()
-		rt.Stop()
-	}
-	for _, m := range s.meds {
-		m.Stop()
-	}
-	s.diagnoser.Stop()
-	s.responder.Stop()
-	waitNoExtraGoroutines(t, 0)
 }

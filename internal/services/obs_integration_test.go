@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/testenv"
 	"repro/internal/vtime"
 )
 
@@ -31,6 +32,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	cfg := DefaultGDQSConfig()
 	cfg.Responder.Response = core.R1
 	cfg.QueryTimeout = 60 * time.Second
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g, err := NewGDQS(cluster, "coordObs", cfg)
 	if err != nil {
 		t.Fatal(err)

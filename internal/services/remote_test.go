@@ -11,10 +11,13 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/physical"
 	"repro/internal/simnet"
+	"repro/internal/testenv"
 	"repro/internal/transport"
 	"repro/internal/vtime"
+	"repro/internal/ws"
 )
 
 // remoteCluster spins a coordinator and three evaluators, each with its own
@@ -22,11 +25,14 @@ import (
 // processes would have.
 func remoteCluster(t *testing.T, adaptive bool) (*RemoteCoordinator, map[simnet.NodeID]*Evaluator) {
 	t.Helper()
-	return remoteClusterFor(t, remoteManifest(adaptive))
+	return remoteClusterFor(t, remoteManifest(t, adaptive))
 }
 
-func remoteManifest(adaptive bool) Manifest {
-	return Manifest{
+// remoteManifest describes the test deployment; under `make lowmem` it picks
+// up the forced budget and worker-pool width like every in-process
+// coordinator of the suite.
+func remoteManifest(t *testing.T, adaptive bool) Manifest {
+	m := Manifest{
 		Scale: 2 * time.Microsecond,
 		Costs: engine.Costs{ScanMs: 0.5, FilterMs: 0.01, ProjectMs: 0.01,
 			JoinBuildMs: 0.05, JoinProbeMs: 0.3, StartupMs: 20},
@@ -39,13 +45,16 @@ func remoteManifest(adaptive bool) Manifest {
 		Adaptive: adaptive,
 		Response: core.R1,
 	}
+	testenv.Force(t, &m.MemoryBudgetBytes, &m.Parallelism)
+	return m
 }
+
+var remoteNodeNames = []simnet.NodeID{"coord", "data1", "ws0", "ws1"}
 
 func remoteClusterFor(t *testing.T, manifest Manifest) (*RemoteCoordinator, map[simnet.NodeID]*Evaluator) {
 	t.Helper()
-	nodes := []simnet.NodeID{"coord", "data1", "ws0", "ws1"}
-	transports := make(map[simnet.NodeID]*transport.TCP, len(nodes))
-	for _, n := range nodes {
+	transports := make(map[simnet.NodeID]*transport.TCP, len(remoteNodeNames))
+	for _, n := range remoteNodeNames {
 		tr, err := transport.NewTCP(n, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -53,24 +62,41 @@ func remoteClusterFor(t *testing.T, manifest Manifest) (*RemoteCoordinator, map[
 		transports[n] = tr
 		t.Cleanup(func() { _ = tr.Close() })
 	}
-	for _, a := range nodes {
-		for _, b := range nodes {
+	for _, a := range remoteNodeNames {
+		for _, b := range remoteNodeNames {
 			if a != b {
 				transports[a].AddPeer(b, transports[b].Addr())
 			}
 		}
 	}
+	return startParticipants(t, manifest, func(n simnet.NodeID) transport.Transport { return transports[n] })
+}
 
+// remoteInProc runs the same coordinator and evaluators over one shared
+// in-process transport: the manifest path's "single process" is literally
+// transport = inproc — no sockets, no goroutines at rest.
+func remoteInProc(t *testing.T, manifest Manifest) (*RemoteCoordinator, map[simnet.NodeID]*Evaluator) {
+	t.Helper()
+	net := simnet.NewNetwork(vtime.NewClock(manifest.Scale))
+	for _, n := range remoteNodeNames {
+		net.AddNode(n)
+	}
+	tr := transport.NewInProc(net)
+	return startParticipants(t, manifest, func(simnet.NodeID) transport.Transport { return tr })
+}
+
+func startParticipants(t *testing.T, manifest Manifest, transportOf func(simnet.NodeID) transport.Transport) (*RemoteCoordinator, map[simnet.NodeID]*Evaluator) {
+	t.Helper()
 	evaluators := make(map[simnet.NodeID]*Evaluator)
-	for _, n := range []simnet.NodeID{"data1", "ws0", "ws1"} {
-		ev, err := NewEvaluator(manifest, n, transports[n])
+	for _, n := range remoteNodeNames[1:] {
+		ev, err := NewEvaluator(manifest, n, transportOf(n))
 		if err != nil {
 			t.Fatal(err)
 		}
 		evaluators[n] = ev
 		t.Cleanup(ev.Close)
 	}
-	coord, err := NewRemoteCoordinator(manifest, transports["coord"])
+	coord, err := NewRemoteCoordinator(manifest, transportOf("coord"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +104,39 @@ func remoteClusterFor(t *testing.T, manifest Manifest) (*RemoteCoordinator, map[
 	return coord, evaluators
 }
 
+// addRemoteServices makes extra Web Services callable on the compute
+// evaluators and known to every participant's catalog — what a
+// ComputeNodeSpec cannot describe. Call before the first query.
+func addRemoteServices(t *testing.T, coord *RemoteCoordinator, evaluators map[simnet.NodeID]*Evaluator, extra ...ws.Service) {
+	t.Helper()
+	advertise := func(p *participant) {
+		cat, _, err := p.metadata()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, svc := range extra {
+			if err := cat.PutFunction(catalog.FunctionMeta{Name: svc.Name(), ArgTypes: svc.ArgTypes(),
+				ResultType: svc.ResultType(), CostMs: svc.BaseCostMs()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	advertise(coord.participant)
+	for _, ev := range evaluators {
+		advertise(ev.participant)
+		if ev.local.services != nil {
+			for _, svc := range extra {
+				ev.local.services.Register(svc)
+			}
+		}
+	}
+}
+
 func TestRemoteQ1OverTCP(t *testing.T) {
+	// Handles are resolved at construction, so the fresh registry must
+	// precede the deployment.
+	prev := obs.SetDefault(obs.New())
+	t.Cleanup(func() { obs.SetDefault(prev) })
 	coord, _ := remoteCluster(t, false)
 	res, err := coord.Execute(context.Background(), q1, time.Minute)
 	if err != nil {
@@ -91,6 +149,15 @@ func TestRemoteQ1OverTCP(t *testing.T) {
 		if h := r[0].AsFloat(); h <= 0 || h > 8 {
 			t.Fatalf("bad entropy %v", h)
 		}
+	}
+	// The remote coordinator runs the session through the same wrapper as
+	// the in-process GDQS, so it is counted like any other query.
+	o := obs.Default()
+	if ok := o.Counter(obs.Label(obs.MQueries, "outcome", "ok")).Value(); ok != 1 {
+		t.Errorf(`queries_total{outcome="ok"} = %d after one query, want 1`, ok)
+	}
+	if open := o.Gauge(obs.MSessionsOpen).Value(); open != 0 {
+		t.Errorf("sessions_open = %v after the query, want 0", open)
 	}
 }
 
@@ -106,17 +173,32 @@ func TestRemoteQ2OverTCP(t *testing.T) {
 }
 
 func TestRemoteAdaptiveOverTCP(t *testing.T) {
-	coord, evaluators := remoteCluster(t, true)
+	// 2000 sequences, half of them routed to a machine 50x slower until the
+	// Responder steps in: the query outlasts the first diagnosis by a wide
+	// margin instead of racing it (at 200 rows it could finish routing
+	// first, and "never adapted" about one fresh process in ten).
+	manifest := remoteManifest(t, true)
+	manifest.DataNodes[0].Sequences = 2000
+	coord, evaluators := remoteClusterFor(t, manifest)
 	evaluators["ws1"].SetPerturbation(vtime.Multiplier(50))
 	res, err := coord.Execute(context.Background(), q1, 2*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 200 {
-		t.Fatalf("rows = %d, want 200 (no loss under remote adaptation)", len(res.Rows))
+	if len(res.Rows) != 2000 {
+		t.Fatalf("rows = %d, want 2000 (no loss under remote adaptation)", len(res.Rows))
 	}
-	if res.Stats.Adaptations == 0 {
+	st := res.Stats
+	if st.Adaptations == 0 {
 		t.Error("remote adaptive run never adapted")
+	}
+	// The whole monitoring-to-response chain is summarised, as in process.
+	if st.RawEvents == 0 || st.MEDNotifications == 0 || st.Proposals == 0 {
+		t.Errorf("stats miss the AQP traffic: raw %d, notifications %d, proposals %d",
+			st.RawEvents, st.MEDNotifications, st.Proposals)
+	}
+	if len(st.ConsumedByInstance) == 0 {
+		t.Error("stats carry no ConsumedByInstance for the coordinator-hosted instances")
 	}
 }
 
@@ -206,7 +288,7 @@ func TestRemoteCatalogDerivedOnce(t *testing.T) {
 // (a compute node advertising no speed) still constructs — nothing is eager —
 // and fails every Execute with the same error from the one attempt.
 func TestRemoteMetadataErrorKept(t *testing.T) {
-	manifest := remoteManifest(false)
+	manifest := remoteManifest(t, false)
 	manifest.Compute[1].Speed = 0
 	coord, _ := remoteClusterFor(t, manifest)
 	for i := 0; i < 3; i++ {
@@ -286,9 +368,16 @@ func TestEvaluatorNodesDeployConsumersFirst(t *testing.T) {
 		{"single remote fragment at index zero", []*physical.FragmentSpec{
 			frag("F1", "F2", "only"), frag("F2", "", "coord")}},
 	}
+	// A host owning only the coordinator's machine, as a RemoteCoordinator's.
+	coordOnly := &host{node: "coord", site: func(id simnet.NodeID) *site {
+		if id == "coord" {
+			return &site{}
+		}
+		return nil
+	}}
 	for _, tc := range cases {
 		plan := &physical.Plan{Fragments: tc.frags, Coordinator: "coord"}
-		order := evaluatorNodes(plan)
+		order := remoteNodes(plan, coordOnly)
 		pos := map[simnet.NodeID]int{}
 		for i, n := range order {
 			if _, dup := pos[n]; dup || n == "coord" {
@@ -335,9 +424,9 @@ func TestEvaluatorNodesDeployConsumersFirst(t *testing.T) {
 	}
 }
 
-// TestRPCReplyEndpoints: every RPC of a coordinator gets its own reply
-// endpoint and request id, and a reply carrying another id is dropped
-// instead of completing the call.
+// TestRPCReplyEndpoints: every RPC of a coordinator gets a request id of
+// its own on the coordinator's one reply endpoint, and a reply carrying
+// another id is dropped instead of completing the call.
 func TestRPCReplyEndpoints(t *testing.T) {
 	tr, err := transport.NewTCP("coord", "")
 	if err != nil {
@@ -361,13 +450,63 @@ func TestRPCReplyEndpoints(t *testing.T) {
 		reply(m.Ctrl.RequestID, false, "the real answer")
 	})
 	for i := 0; i < 2; i++ {
-		err := coord.rpcWait(context.Background(), "coord", "peer",
-			&transport.Message{Kind: transport.KindDeploy}, 5*time.Second)
+		_, err := coord.rpc.Call(context.Background(), "coord", "peer", &transport.Message{Kind: transport.KindDeploy})
 		if err == nil || !strings.Contains(err.Error(), "the real answer") {
 			t.Fatalf("rpc %d: err = %v, want the matching reply's error", i, err)
 		}
 	}
-	if seen[0].RequestID == seen[1].RequestID || seen[0].ReplyService == seen[1].ReplyService {
-		t.Fatalf("two RPCs shared a request id or reply endpoint: %+v %+v", seen[0], seen[1])
+	if seen[0].RequestID == seen[1].RequestID {
+		t.Fatalf("two RPCs shared a request id: %+v %+v", seen[0], seen[1])
+	}
+	if seen[0].ReplyTo != "coord" || seen[0].ReplyService == "" || seen[0].ReplyService != seen[1].ReplyService {
+		t.Fatalf("RPCs not addressed to the coordinator's one reply endpoint: %+v %+v", seen[0], seen[1])
+	}
+}
+
+// TestRemoteParityWithCluster: the manifest deployment over one in-process
+// transport and a GDQS on a Cluster holding the same tables return
+// byte-identical rows — one session, whoever hosts it.
+func TestRemoteParityWithCluster(t *testing.T) {
+	manifest := remoteManifest(t, false)
+	coord, _ := remoteInProc(t, manifest)
+
+	cluster := NewCluster(ClusterConfig{Scale: manifest.Scale, Costs: manifest.Costs})
+	t.Cleanup(cluster.Close)
+	if err := cluster.AddDataNode("data1", manifest.DataNodes[0].storeFor()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range manifest.Compute {
+		if err := cluster.AddComputeNode(c.Node, c.Speed, computeServices(c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := DefaultGDQSConfig()
+	cfg.Adaptive = false
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
+	g, err := NewGDQS(cluster, "coord", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, q := range []string{q1, q2, qJoinAgg} {
+		want, err := g.Execute(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s on the cluster: %v", q, err)
+		}
+		got, err := coord.Execute(context.Background(), q, time.Minute)
+		if err != nil {
+			t.Fatalf("%s over the manifest: %v", q, err)
+		}
+		if len(want.Rows) == 0 || !reflect.DeepEqual(sortedRows(got), sortedRows(want)) {
+			t.Fatalf("%s: %d rows over the manifest, %d on the cluster, or different bytes",
+				q, len(got.Rows), len(want.Rows))
+		}
+		if q == qJoinAgg {
+			for i := range want.Rows {
+				if got.Rows[i].Format() != want.Rows[i].Format() {
+					t.Fatalf("%s: ordered result differs at row %d", q, i)
+				}
+			}
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/plancache"
 	"repro/internal/qerr"
 	"repro/internal/sqlparse"
+	"repro/internal/testenv"
 	"repro/internal/ws"
 )
 
@@ -87,6 +88,7 @@ func TestCachedResultsIdenticalToColdPlanned(t *testing.T) {
 	cfg.Adaptive = false
 	cfg.QueryTimeout = 60 * time.Second
 	cfg.PlanCacheSize = -1 // caching disabled: every execution plans cold
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	cold, err := NewGDQS(cluster, "coord", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +124,7 @@ func TestPreparedStatement(t *testing.T) {
 	}
 
 	// Reference results straight off the stored table.
-	ints, _ := cluster.storeOf("data1").Table("protein_interactions")
+	ints, _ := cluster.site("data1").store.Table("protein_interactions")
 	want := make(map[string][]string)
 	for _, tp := range ints.Tuples {
 		k := tp[0].AsString()
@@ -223,7 +225,7 @@ func TestExecuteRepeatedAndConcurrent(t *testing.T) {
 	base := runtime.NumGoroutine()
 
 	// Reference result for q2.
-	store := cluster.storeOf("data1")
+	store := cluster.site("data1").store
 	seqs, _ := store.Table("protein_sequences")
 	ints, _ := store.Table("protein_interactions")
 	valid := make(map[string]bool)
@@ -294,6 +296,7 @@ func TestExecuteQueueTimeout(t *testing.T) {
 	cfg.QueryTimeout = 60 * time.Second
 	cfg.MaxConcurrent = 1
 	cfg.QueueTimeout = 10 * time.Millisecond
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g, err := NewGDQS(cluster, "coord", cfg)
 	if err != nil {
 		t.Fatal(err)

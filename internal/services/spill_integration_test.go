@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/simnet"
+	"repro/internal/testenv"
 	"repro/internal/vtime"
 	"repro/internal/ws"
 )
@@ -45,6 +46,7 @@ func spillGrid(t *testing.T, seqs, ints int, budget int64, spillDir string) (*Cl
 	cfg.QueryTimeout = 60 * time.Second
 	cfg.MemoryBudgetBytes = budget
 	cfg.SpillDir = spillDir
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g, err := NewGDQS(cluster, "coord", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +58,7 @@ func spillGrid(t *testing.T, seqs, ints int, budget int64, spillDir string) (*Cl
 // tableBytes sums the wire size of every tuple in the named demo table.
 func tableBytes(t *testing.T, c *Cluster, name string) int64 {
 	t.Helper()
-	tbl, err := c.storeOf("data1").Table(name)
+	tbl, err := c.site("data1").store.Table(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,6 +153,7 @@ func TestBudgetedAdaptiveRetrospective(t *testing.T) {
 	cfg.QueryTimeout = 60 * time.Second
 	cfg.MemoryBudgetBytes = 2048
 	cfg.Responder.Response = core.R1
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g2, err := NewGDQS(cluster, "coord", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -200,6 +203,7 @@ func TestParallelBudgetedQueryMatchesSerial(t *testing.T) {
 	cfg.QueryTimeout = 60 * time.Second
 	cfg.MemoryBudgetBytes = total / 8
 	cfg.Parallelism = 4
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g, err := NewGDQS(cluster, "coord", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -253,6 +257,7 @@ func TestParallelBudgetedAdaptiveRetrospective(t *testing.T) {
 	cfg.MemoryBudgetBytes = 2048
 	cfg.Parallelism = 4
 	cfg.Responder.Response = core.R1
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g2, err := NewGDQS(cluster, "coord", cfg)
 	if err != nil {
 		t.Fatal(err)

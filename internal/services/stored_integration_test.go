@@ -13,6 +13,7 @@ import (
 	"repro/internal/relation"
 	"repro/internal/simnet"
 	"repro/internal/storage"
+	"repro/internal/testenv"
 	"repro/internal/ws"
 )
 
@@ -48,6 +49,7 @@ func storedGrid(t *testing.T, tables storage.Backend, seqs, ints int, mut func(*
 	if mut != nil {
 		mut(&cfg)
 	}
+	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g, err := NewGDQS(cluster, "coord", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -93,6 +95,7 @@ func TestStoredTableQueryMatchesInMemory(t *testing.T) {
 			defer backend.Close()
 			o := obs.Default()
 			blocks0 := o.Counter(obs.MScanBlocksRead).Value()
+			spilled0 := o.Counter(obs.MSpillPartitions).Value()
 			_, g := storedGrid(t, backend, seqs, ints, nil)
 			got, err := g.Execute(context.Background(), qJoinAgg)
 			if err != nil {
@@ -101,6 +104,13 @@ func TestStoredTableQueryMatchesInMemory(t *testing.T) {
 			sameRows(t, name, want.Rows, got.Rows)
 			if o.Counter(obs.MScanBlocksRead).Value() == blocks0 {
 				t.Fatal("query never took the block-scan path")
+			}
+			// This test sets no budget of its own: when one is in force it is
+			// the one `make lowmem` forces on the whole suite (serial, then
+			// width 4), and the lane means something only if the join and the
+			// aggregate then really spill.
+			if g.MemoryBudget() > 0 && o.Counter(obs.MSpillPartitions).Value() == spilled0 {
+				t.Fatalf("forced %d-byte budget (width %d) never spilled a partition", g.MemoryBudget(), g.cfg.Parallelism)
 			}
 		})
 	}
