@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet doclint build test race chaos lowmem bigtable benchsmoke e2e experiments fuzz
+.PHONY: check vet doclint build test race chaos lowmem bigtable benchsmoke opbench e2e experiments fuzz
 
 ## check: the full tier-1 gate — vet, the doc-comment lint, build, the test
 ## suite under -race, the chaos (kill/join) suite, the low-memory suite, the
@@ -55,6 +55,12 @@ bigtable:
 ## the end-to-end benchmark at smoke scale (structure and correctness only).
 benchsmoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+## opbench: the inner loop for operator work — the stateful operators' and
+## the morsel pool's package-local benchmarks with allocation counts, in
+## seconds. Reported, never gated; a performance claim goes through bench/.
+opbench:
+	$(GO) test -run '^$$' -bench 'HashAggregate|HashJoinProbe|FragmentParallel' -benchmem ./internal/engine/
 
 ## e2e: the repo's end-to-end benchmark exactly as BENCHMARK.json runs it —
 ## every workload at full scale in real wall-clock, oracle-checked (minutes;

@@ -1,29 +1,34 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/logical"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/storage"
 )
 
 // HashAggregate groups its input by key columns and computes aggregates per
-// group. Like the hash join, its state is organised in routing buckets and
-// implements StateTarget, so the retrospective (R1) protocol can move whole
-// buckets of groups to another clone: the moved groups' raw input tuples
-// are replayed from the exchange recovery logs and re-absorbed at the new
-// owner. The aggregate is the second stateful operator of the engine and
-// demonstrates that the paper's architecture extends beyond hash joins.
+// group. It is the engine's second stateful operator and lays its state out
+// the way the hash join does (hashjoin.go): per routing-bucket partition,
+// groups sit inline in append-grown slabs chained from one hash-keyed map, so
+// absorbing a tuple is one map probe and a new group is no heap object of
+// its own. It implements StateTarget: R1 evicts a bucket by scanning its
+// partition's chains, and the moved groups' raw input tuples are replayed
+// from the exchange recovery logs and re-absorbed at the new owner.
 //
-// Under morsel parallelism each worker clone absorbs into a private partial
-// table — aggregation is commutative, so no locks on the hot path — and the
-// partials are merged into the shared table once all workers reach the
-// absorb barrier. Replayed tuples (R1) always land in the shared table, and
-// evictions sweep the partials too, so a bucket moved mid-absorb loses its
+// Every worker clone absorbs into a private table — aggregation is
+// commutative, so no lock contends on the hot path — while replays land in
+// the final table. At the absorb barrier a worker's partition moves into the
+// final table whole where the final table holds nothing, and is folded group
+// by group where it does (a replay landed there, or a sibling got there
+// first), so a group is found, allocated and reserved against the budget
+// once. Evictions sweep every table: a bucket moved mid-absorb loses its
 // partial contributions exactly as the replayed history recreates them.
 type HashAggregate struct {
 	Child     Iterator
@@ -33,9 +38,8 @@ type HashAggregate struct {
 	Kinds   []logical.AggKind
 	ArgOrds []int
 
-	ctx     *ExecContext
-	buckets int
-	shared  *aggState
+	ctx    *ExecContext
+	shared *aggState
 	// acct is this clone's budget stripe handle (stripe 0 for serial runs).
 	acct *storage.BudgetAcct
 	// part is this clone's private absorb table.
@@ -49,22 +53,86 @@ type HashAggregate struct {
 	in *relation.Batch
 }
 
-// aggPartial is one worker's lock-private slice of group state. Its mutex is
-// uncontended on the absorb path; only R1 evictions and the final merge
-// touch it from outside.
-type aggPartial struct {
-	mu    sync.Mutex
-	state map[int32]map[uint64][]*groupState
+// aggPart is one partition (routing bucket % joinPartitions) of a group
+// table. Group g's key is keys[g*nKeys:][:nKeys], its accumulators
+// accs[g*nAccs:][:nAccs], and next[g] the following group on its hash chain.
+// The slabs grow by append, so a three-group aggregate pays for three groups.
+// An evicted chain leaves its slab entries behind, unreachable, until the
+// table goes — evictions are rare, as in the join.
+type aggPart struct {
+	chains map[uint64]chainRef // hash → chain (bucket derivable from hash)
+	next   []int32
+	keys   []relation.Value
+	accs   []accumulator
+	live   int // groups reachable from chains
 }
 
-// aggState is shared by every worker clone of one HashAggregate. Its state
-// map holds replayed tuples during the absorb phase and the fully merged
-// groups afterwards; out/pos are the frozen emit output and shared cursor.
+// aggTable is the joinPartitions partitions of one group table; nil once it
+// has been merged away, frozen or released.
+type aggTable []aggPart
+
+func (t aggTable) part(b int32) *aggPart { return &t[int(b)%joinPartitions] }
+
+func (t aggTable) live() int {
+	n := 0
+	for i := range t {
+		n += t[i].live
+	}
+	return n
+}
+
+func (p *aggPart) key(g int32, nKeys int) relation.Tuple {
+	return relation.Tuple(p.keys[int(g)*nKeys : (int(g)+1)*nKeys])
+}
+
+// group returns the group whose key is t's values at ords, appending it to
+// the slabs when the partition does not hold it yet.
+func (p *aggPart) group(h uint64, t relation.Tuple, ords []int, nAccs int) (g int32, created bool) {
+	c, ok := p.chains[h]
+	if ok {
+	chain:
+		for g = c.head; g >= 0; g = p.next[g] {
+			for i, key := range p.key(g, len(ords)) {
+				if !key.Equal(t[ords[i]]) {
+					continue chain // 64-bit hash collision
+				}
+			}
+			return g, false
+		}
+	} else {
+		c.head = -1
+	}
+	g = int32(len(p.next))
+	p.next = append(p.next, c.head) // chain order is immaterial: push front
+	for _, ord := range ords {
+		p.keys = append(p.keys, t[ord])
+	}
+	p.accs = append(p.accs, make([]accumulator, nAccs)...)
+	if p.chains == nil {
+		p.chains = make(map[uint64]chainRef)
+	}
+	p.chains[h] = chainRef{head: g, n: c.n + 1}
+	p.live++
+	return g, true
+}
+
+// aggPartial is one worker's lock-private table. Its mutex is uncontended on
+// the absorb path; only R1 evictions, dumps and the final merge touch it
+// from outside.
+type aggPartial struct {
+	mu    sync.Mutex
+	table aggTable
+}
+
+// aggState is shared by every worker clone of one HashAggregate. final holds
+// replayed groups during the absorb phase and every group after the merge;
+// out/pos are the frozen emit output and shared cursor.
 type aggState struct {
 	initOnce sync.Once
 	ready    atomic.Bool
 	ctx      *ExecContext // first opener's context; shared fields only
 	buckets  int
+	keyOrds  []int // 0..nKeys-1: a stored key's ordinals, for group()
 
 	insertMeter *opInsertMeter
 	mon         *opMonitor
@@ -73,25 +141,20 @@ type aggState struct {
 	refs        atomic.Int32
 
 	mu       sync.Mutex
-	state    map[int32]map[uint64][]*groupState
+	final    aggTable
 	partials []*aggPartial
 	out      []relation.Tuple
 	pos      int
 
 	// Spill wiring (aggregates under a memory budget, serial or
-	// morsel-parallel; see spillagg.go). On breach every group — shared and
+	// morsel-parallel; see spillagg.go). On breach every group — final and
 	// partial — is dumped as a partial-aggregate record to one append-only
 	// run and the tables restart empty; the final merge reloads and
 	// re-merges the run. Workers account group creation through per-stripe
 	// budget handles; the dump itself serializes under mu.
-	spillOn bool
-	mem     *storage.Budget
-	acct0   *storage.BudgetAcct // stripe-0 handle for replay/merge paths
-	backend storage.Backend
-	base    string
-	met     spillMetrics
+	spillEnv
 	// bytes is the accounted in-memory group footprint. Atomic because
-	// groups are created under either s.mu (replays, merge) or a partial's
+	// groups are created under either s.mu (replays, reload) or a partial's
 	// mu (absorb), never both.
 	bytes atomic.Int64
 
@@ -111,26 +174,21 @@ func newAggState() *aggState {
 	return s
 }
 
-func (s *aggState) init(ctx *ExecContext) {
+func (s *aggState) init(ctx *ExecContext, nKeys int) {
 	s.initOnce.Do(func() {
 		s.ctx = ctx
 		s.buckets = ctx.Buckets
 		if s.buckets <= 0 {
 			s.buckets = DefaultBuckets
 		}
-		s.state = make(map[int32]map[uint64][]*groupState)
+		s.keyOrds = make([]int, nKeys)
+		for i := range s.keyOrds {
+			s.keyOrds[i] = i
+		}
+		s.final = make(aggTable, joinPartitions)
 		s.insertMeter = newOpInsertMeter(ctx)
 		s.mon = newOpMonitor(ctx)
-		if ctx.spillEnabled() {
-			s.spillOn = true
-			s.mem = ctx.Mem
-			s.acct0 = ctx.Mem.Acct(0)
-			s.backend = ctx.Spill
-			s.base = ctx.spillRunName("agg")
-			s.met = newSpillMetrics()
-		} else {
-			recordUngoverned(ctx, "agg")
-		}
+		s.spillEnv = newSpillEnv(ctx, "agg")
 		s.ready.Store(true)
 	})
 }
@@ -149,15 +207,9 @@ func (s *aggState) release() {
 		s.runName = ""
 	}
 	s.mem.Release(s.bytes.Swap(0))
-	s.state = nil
+	s.final = nil
 	s.out = nil
 	s.mu.Unlock()
-}
-
-// groupState is one group's accumulators.
-type groupState struct {
-	key  relation.Tuple // group-key values, in GroupOrds order
-	accs []accumulator
 }
 
 // accumulator folds one aggregate column.
@@ -228,10 +280,9 @@ func (a *HashAggregate) Abort() {
 func (a *HashAggregate) Open(ctx *ExecContext) error {
 	a.ctx = ctx
 	s := a.ensureShared()
-	s.init(ctx)
-	a.buckets = s.buckets
+	s.init(ctx, len(a.GroupOrds))
 	a.acct = ctx.memAcct()
-	a.part = &aggPartial{state: make(map[int32]map[uint64][]*groupState)}
+	a.part = &aggPartial{table: make(aggTable, joinPartitions)}
 	s.mu.Lock()
 	s.partials = append(s.partials, a.part)
 	s.mu.Unlock()
@@ -261,19 +312,20 @@ func (a *HashAggregate) drain() error {
 	return nil
 }
 
-// absorb folds one input tuple into this clone's partial — the same path
-// the drain loop takes per batch. Tests use it to script mid-absorb
-// evict/replay interleavings.
-func (a *HashAggregate) absorb(t relation.Tuple) {
+// absorb folds input tuples into this clone's private table. Tests call it
+// directly to script mid-absorb evict/replay interleavings.
+func (a *HashAggregate) absorb(ts []relation.Tuple) {
 	a.part.mu.Lock()
-	if a.part.state != nil {
-		absorbTuple(a.part.state, t, a.buckets, a)
+	if a.part.table != nil {
+		for _, t := range ts {
+			a.shared.absorbTuple(a.part.table, t, a, a.acct)
+		}
 	}
 	a.part.mu.Unlock()
 }
 
 // drainChild absorbs the child batch-at-a-time (clamped to the M1 window so
-// absorb-phase monitoring cadence is unchanged) into this clone's partial.
+// absorb-phase monitoring cadence is unchanged) into this clone's table.
 func (a *HashAggregate) drainChild() error {
 	s := a.shared
 	defer s.barrier.arrive()
@@ -288,13 +340,7 @@ func (a *HashAggregate) drainChild() error {
 			return nil
 		}
 		a.ctx.chargeN(a.ctx.Costs.AggMs, n)
-		a.part.mu.Lock()
-		if a.part.state != nil {
-			for _, t := range a.in.Tuples {
-				absorbTuple(a.part.state, t, a.buckets, a)
-			}
-		}
-		a.part.mu.Unlock()
+		a.absorb(a.in.Tuples)
 		// Breach check outside the partial lock: dump takes s.mu then the
 		// partial locks, the same order the final merge uses. Concurrent
 		// breaching workers serialize on s.mu inside dump; the second
@@ -333,109 +379,57 @@ func (a *HashAggregate) NextBatch(dst *relation.Batch) (int, error) {
 	if c := dst.Cap(); n > c {
 		n = c
 	}
-	for _, t := range s.out[s.pos : s.pos+n] {
-		dst.Append(t)
-	}
+	dst.AppendAll(s.out[s.pos : s.pos+n])
 	s.pos += n
 	s.mu.Unlock()
 	a.ctx.chargeFlat(a.ctx.Costs.ProjectMs * float64(n))
 	return n, nil
 }
 
-// absorbTuple folds one input tuple into its group within state. The caller
-// holds whatever lock guards state; a carries the column metadata (identical
-// across clones).
-func absorbTuple(state map[int32]map[uint64][]*groupState, t relation.Tuple, buckets int, a *HashAggregate) {
+// absorbTuple folds one input tuple into its group in tab, reserving a group
+// it creates through acct. The caller holds whatever lock guards tab; a
+// carries the column metadata (identical across clones).
+func (s *aggState) absorbTuple(tab aggTable, t relation.Tuple, a *HashAggregate, acct *storage.BudgetAcct) {
 	h := t.Hash(a.GroupOrds)
-	b := int32(h % uint64(buckets))
-	g := findOrCreateGroup(state, b, h, t, a)
+	p := tab.part(int32(h % uint64(s.buckets)))
+	g, created := p.group(h, t, a.GroupOrds, len(a.Kinds))
+	if created {
+		s.reserveGroup(p.key(g, len(a.GroupOrds)), len(a.Kinds), acct)
+	}
+	accs := p.accs[int(g)*len(a.Kinds):]
 	for i, kind := range a.Kinds {
-		acc := &g.accs[i]
-		ord := a.ArgOrds[i]
-		var v relation.Value
-		if ord >= 0 {
-			v = t[ord]
+		one := accumulator{count: 1} // the tuple as a one-row partial aggregate
+		if ord := a.ArgOrds[i]; ord >= 0 {
+			v := t[ord]
 			if v.IsNull() {
 				continue // SQL aggregates skip NULLs
 			}
-		}
-		switch kind {
-		case logical.AggCount:
-			acc.count++
-		case logical.AggSum, logical.AggAvg:
-			acc.count++
-			acc.sum += v.AsFloat()
-		case logical.AggMin:
-			if !acc.seen || v.Compare(acc.minmax) < 0 {
-				acc.minmax = v
-				acc.seen = true
+			if kind == logical.AggSum || kind == logical.AggAvg {
+				one.sum = v.AsFloat()
 			}
-		case logical.AggMax:
-			if !acc.seen || v.Compare(acc.minmax) > 0 {
-				acc.minmax = v
-				acc.seen = true
-			}
+			one.minmax, one.seen = v, true
 		}
+		accs[i].merge(one, kind)
 	}
 }
 
-// findOrCreateGroup locates t's group in the (bucket, hash) chain of state,
-// creating it if absent.
-func findOrCreateGroup(state map[int32]map[uint64][]*groupState, b int32, h uint64, t relation.Tuple, a *HashAggregate) *groupState {
-	m := state[b]
-	if m == nil {
-		m = make(map[uint64][]*groupState)
-		state[b] = m
-	}
-	for _, cand := range m[h] {
-		if a.sameKey(cand.key, t) {
-			return cand
-		}
-	}
-	g := &groupState{key: t.Project(a.GroupOrds), accs: make([]accumulator, len(a.Kinds))}
-	m[h] = append(m[h], g)
-	a.shared.accountGroup(g, a.acct)
-	return g
-}
-
-func (a *HashAggregate) sameKey(key relation.Tuple, t relation.Tuple) bool {
-	for i, ord := range a.GroupOrds {
-		if !key[i].Equal(t[ord]) {
-			return false
-		}
-	}
-	return true
-}
-
-// keyTuplesEqual compares two group-key tuples (both in GroupOrds order).
-func keyTuplesEqual(x, y relation.Tuple) bool {
-	for i := range x {
-		if !x[i].Equal(y[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// mergeAndFreeze folds every partial into the shared table (which already
-// holds any replayed groups) and freezes the emit output, sorted by group
-// key for deterministic per-instance output.
+// mergeAndFreeze brings every partial into the final table (which already
+// holds any replayed groups) and freezes the emit output. A partition the
+// final table holds nothing of is adopted whole — slabs, chains and the
+// reservations behind them; only a partition both sides hold is folded.
 func (s *aggState) mergeAndFreeze(a *HashAggregate) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, p := range s.partials {
 		p.mu.Lock()
-		for b, m := range p.state {
-			for h, chain := range m {
-				for _, g := range chain {
-					dst := s.findOrCreateMergedLocked(b, h, g.key, len(a.Kinds))
-					for i, kind := range a.Kinds {
-						dst.accs[i].merge(g.accs[i], kind)
-					}
-				}
+		for i := range p.table {
+			if dst, src := &s.final[i], &p.table[i]; dst.live == 0 {
+				*dst = *src
+			} else {
+				s.fold(dst, src, a.Kinds)
 			}
 		}
-		p.state = nil // absorbed into the shared table
+		p.table = nil
 		p.mu.Unlock()
 	}
 	if s.runName != "" {
@@ -450,61 +444,89 @@ func (s *aggState) mergeAndFreeze(a *HashAggregate) {
 	s.freezeLocked(a)
 }
 
-// findOrCreateMergedLocked is findOrCreateGroup for the merge path, where
-// the probe is a ready-made key tuple rather than an input tuple.
-func (s *aggState) findOrCreateMergedLocked(b int32, h uint64, key relation.Tuple, nAccs int) *groupState {
-	m := s.state[b]
-	if m == nil {
-		m = make(map[uint64][]*groupState)
-		s.state[b] = m
-	}
-	for _, cand := range m[h] {
-		if keyTuplesEqual(cand.key, key) {
-			return cand
-		}
-	}
-	g := &groupState{key: key, accs: make([]accumulator, nAccs)}
-	m[h] = append(m[h], g)
-	s.accountGroup(g, s.acct0)
-	return g
-}
-
-// freezeLocked freezes the state into output rows.
-func (s *aggState) freezeLocked(a *HashAggregate) {
-	// The output order is the order of the rendered keys; each is rendered
-	// once, not twice per comparison.
-	type keyedGroup struct {
-		key string
-		g   *groupState
-	}
-	var groups []keyedGroup
-	for _, m := range s.state {
-		for _, chain := range m {
-			for _, g := range chain {
-				groups = append(groups, keyedGroup{g.key.Key(), g})
+// fold merges every group of src into dst. A group both sides hold keeps
+// dst's reservation and returns its own; one only src holds carries its
+// reservation along.
+func (s *aggState) fold(dst, src *aggPart, kinds []logical.AggKind) {
+	var freed int64
+	for h, c := range src.chains {
+		for g := c.head; g >= 0; g = src.next[g] {
+			key := src.key(g, len(s.keyOrds))
+			d, created := dst.group(h, key, s.keyOrds, len(kinds))
+			if !created {
+				freed += groupBytes(key, len(kinds))
+			}
+			for i, kind := range kinds {
+				dst.accs[int(d)*len(kinds)+i].merge(src.accs[int(g)*len(kinds)+i], kind)
 			}
 		}
 	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
-	s.out = s.out[:0]
-	for _, kg := range groups {
-		g := kg.g
-		row := make(relation.Tuple, 0, len(g.key)+len(g.accs))
-		row = append(row, g.key...)
-		for i, kind := range a.Kinds {
-			row = append(row, g.accs[i].result(kind))
-		}
-		s.out = append(s.out, row)
+	if s.spillOn {
+		s.bytes.Add(-freed)
+		s.mem.Release(freed)
 	}
-	// A global aggregate emits exactly one row even over empty input.
-	if len(a.GroupOrds) == 0 && len(groups) == 0 {
-		row := make(relation.Tuple, 0, len(a.Kinds))
-		var empty accumulator
-		for _, kind := range a.Kinds {
-			row = append(row, empty.result(kind))
-		}
-		s.out = append(s.out, row)
+}
+
+// keyClass maps both numeric types to one class, so that classes order NULL <
+// numbers < strings and values are only ever compared within a class.
+func keyClass(v relation.Value) relation.Type {
+	if v.Type() == relation.TFloat {
+		return relation.TInt
 	}
+	return v.Type()
+}
+
+// compareKeys is the emit order: ascending by value, column by column, total
+// over any mix of NULLs, numbers and strings (Value.Compare panics on a
+// string beside a number and calls every NaN equal).
+func compareKeys(x, y relation.Tuple) int {
+	for i := range x {
+		cx, cy := keyClass(x[i]), keyClass(y[i])
+		c := cmp.Compare(cx, cy)
+		switch {
+		case c != 0 || cx == 0:
+		case cx == relation.TString:
+			c = cmp.Compare(x[i].AsString(), y[i].AsString())
+		case x[i].Type() == relation.TInt && y[i].Type() == relation.TInt:
+			c = cmp.Compare(x[i].AsInt(), y[i].AsInt())
+		default:
+			c = cmp.Compare(x[i].AsFloat(), y[i].AsFloat())
+		}
+		if c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// freezeLocked turns the final table into output rows, ascending by group
+// key for deterministic per-instance output. Rows are carved from one slab
+// and hold the values themselves, so the table goes.
+func (s *aggState) freezeLocked(a *HashAggregate) {
+	nk, width := len(a.GroupOrds), len(a.GroupOrds)+len(a.Kinds)
+	if nk == 0 && s.final.live() == 0 {
+		// A global aggregate emits exactly one row even over empty input.
+		s.final[0].group(0, nil, nil, len(a.Kinds))
+	}
+	n := s.final.live()
+	slab := make([]relation.Value, n*width)
+	s.out = make([]relation.Tuple, 0, n)
+	for pi := range s.final {
+		p := &s.final[pi]
+		for _, c := range p.chains {
+			for g := c.head; g >= 0; g = p.next[g] {
+				row := slab[:width:width]
+				slab = slab[width:]
+				copy(row, p.key(g, nk))
+				for i, kind := range a.Kinds {
+					row[nk+i] = p.accs[int(g)*len(a.Kinds)+i].result(kind)
+				}
+				s.out = append(s.out, row)
+			}
+		}
+	}
+	slices.SortFunc(s.out, func(x, y relation.Tuple) int { return compareKeys(x[:nk], y[:nk]) })
+	s.final = nil
 }
 
 // result finalises one accumulator.
@@ -538,7 +560,7 @@ func (a *HashAggregate) Close() error {
 	err := a.Child.Close()
 	if a.part != nil {
 		a.part.mu.Lock()
-		a.part.state = nil
+		a.part.table = nil
 		a.part.mu.Unlock()
 	}
 	if a.shared != nil {
@@ -552,37 +574,40 @@ func (a *HashAggregate) Close() error {
 }
 
 // InsertState implements StateTarget: replayed raw input tuples are
-// re-absorbed into the shared table on this clone. It may run concurrently
-// with absorbing workers and with other replay deliveries.
+// re-absorbed into the final table on this clone. It may run concurrently
+// with absorbing workers and with other replay deliveries. A replay that
+// finds no table — the aggregate is not open yet, or has frozen its output or
+// closed — cannot be absorbed and StateTarget cannot refuse it (ROADMAP item
+// 1); every tuple lost that way is counted.
 func (a *HashAggregate) InsertState(tuples []relation.Tuple) {
-	s := a.shared
-	if s == nil || !s.ready.Load() {
-		return
-	}
-	for _, t := range tuples {
-		s.insertMeter.charge(s.ctx.Node.PerturbedCost(s.ctx.Costs.AggMs))
-		s.mu.Lock()
-		if s.state != nil {
-			absorbTuple(s.state, t, s.buckets, a)
+	absorbed := 0
+	if s := a.shared; s != nil && s.ready.Load() {
+		for _, t := range tuples {
+			s.insertMeter.charge(s.ctx.Node.PerturbedCost(s.ctx.Costs.AggMs))
+			s.mu.Lock()
+			if s.final != nil {
+				s.absorbTuple(s.final, t, a, s.acct0)
+				absorbed++
+			}
+			s.mu.Unlock()
 		}
-		s.mu.Unlock()
 	}
+	obs.Default().Counter(obs.MAggReplayDropped).Add(int64(len(tuples) - absorbed))
 }
 
-// EvictBuckets implements StateTarget: the bucket vanishes from the shared
-// table and from every worker partial, so partial contributions cannot
+// EvictBuckets implements StateTarget: the bucket vanishes from the final
+// table and from every worker table, so partial contributions cannot
 // double-count against the replayed history at the new owner.
 func (a *HashAggregate) EvictBuckets(buckets []int32) {
 	s := a.shared
 	if s == nil || !s.ready.Load() {
 		return
 	}
+	// s.mu is held throughout, so no dump can slip between the watermark and
+	// a worker table's eviction and carry the bucket's groups past it.
 	s.mu.Lock()
-	if s.state != nil {
-		for _, b := range buckets {
-			delete(s.state, b)
-		}
-	}
+	defer s.mu.Unlock()
+	s.final.evict(buckets, s.buckets)
 	if s.spillOn && s.runName != "" {
 		// Dumped records of the bucket die at the current watermark; groups
 		// replayed afterwards are dumped beyond it and survive the reload.
@@ -594,47 +619,42 @@ func (a *HashAggregate) EvictBuckets(buckets []int32) {
 			delete(s.spillLive, b)
 		}
 	}
-	partials := append([]*aggPartial(nil), s.partials...)
-	s.mu.Unlock()
-	for _, p := range partials {
+	for _, p := range s.partials {
 		p.mu.Lock()
-		if p.state != nil {
-			for _, b := range buckets {
-				delete(p.state, b)
-			}
-		}
+		p.table.evict(buckets, s.buckets)
 		p.mu.Unlock()
 	}
 }
 
-// StateSize implements StateTarget: the number of groups held across the
-// shared table and all partials.
+// evict unlinks the buckets' chains; a nil table holds nothing to evict.
+func (t aggTable) evict(buckets []int32, nBuckets int) {
+	if t == nil {
+		return
+	}
+	for _, b := range buckets {
+		p := t.part(b)
+		p.live -= unlinkBucket(p.chains, b, nBuckets)
+	}
+}
+
+// StateSize implements StateTarget: the groups held in the final table and
+// every worker table, or, once frozen, as output rows.
 func (a *HashAggregate) StateSize() int {
 	s := a.shared
 	if s == nil || !s.ready.Load() {
 		return 0
 	}
-	n := 0
 	s.mu.Lock()
-	for _, m := range s.state {
-		for _, chain := range m {
-			n += len(chain)
-		}
-	}
+	defer s.mu.Unlock()
+	n := s.final.live() + len(s.out)
 	// Dumped records count as held state (an upper bound: a group dumped
 	// twice counts twice until the reload re-merges it).
 	for _, c := range s.spillLive {
 		n += int(c)
 	}
-	partials := append([]*aggPartial(nil), s.partials...)
-	s.mu.Unlock()
-	for _, p := range partials {
+	for _, p := range s.partials {
 		p.mu.Lock()
-		for _, m := range p.state {
-			for _, chain := range m {
-				n += len(chain)
-			}
-		}
+		n += p.table.live()
 		p.mu.Unlock()
 	}
 	return n

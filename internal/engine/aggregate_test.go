@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/logical"
+	"repro/internal/obs"
 	"repro/internal/relation"
 )
 
@@ -138,33 +139,49 @@ func TestHashAggregateEvictReplay(t *testing.T) {
 	if err := agg.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
+	bucketOf := func(tp relation.Tuple) int32 { return int32(tp.Hash([]int{0}) % uint64(ctx.Buckets)) }
+	// StateSize must equal the number of live groups after every step: the
+	// worker table's plus the final table's (a group replayed into the final
+	// table and met again by the worker is held twice until the merge).
+	groups := func(ts []relation.Tuple) int {
+		distinct := map[string]bool{}
+		for _, tp := range ts {
+			distinct[tp[0].AsString()] = true
+		}
+		return len(distinct)
+	}
+	step := func(what string, want int) {
+		t.Helper()
+		if got := agg.StateSize(); got != want {
+			t.Fatalf("after %s: StateSize = %d, want %d live groups", what, got, want)
+		}
+	}
 	// Absorb half the input manually, evict some buckets, replay exactly the
 	// evicted tuples (as the recovery log would), then absorb the rest.
-	for _, tp := range input[:100] {
-		agg.absorb(tp)
-	}
+	agg.absorb(input[:100])
+	step("absorbing half", 8)
+	evicted := map[int32]bool{}
 	var evict []int32
-	seen := map[int32]bool{}
-	for _, tp := range input[:40] {
-		b := int32(tp.Hash([]int{0}) % uint64(ctx.Buckets))
-		if !seen[b] {
-			seen[b] = true
+	for _, tp := range input[:3] {
+		if b := bucketOf(tp); !evicted[b] {
+			evicted[b] = true
 			evict = append(evict, b)
 		}
 	}
-	agg.EvictBuckets(evict)
 	var replay []relation.Tuple
 	for _, tp := range input[:100] {
-		b := int32(tp.Hash([]int{0}) % uint64(ctx.Buckets))
-		if seen[b] {
+		if evicted[bucketOf(tp)] {
 			replay = append(replay, tp)
 		}
 	}
+	agg.EvictBuckets(evict)
+	step("evicting", 8-groups(replay))
 	agg.InsertState(replay)
-	for _, tp := range input[100:] {
-		agg.absorb(tp)
-	}
+	step("replaying", 8)
+	agg.absorb(input[100:])
+	step("absorbing the rest", 8+groups(replay))
 	agg.shared.mergeAndFreeze(agg)
+	step("freezing", 8)
 	totalCount := int64(0)
 	totalSum := 0.0
 	for _, row := range agg.shared.out {
@@ -177,8 +194,74 @@ func TestHashAggregateEvictReplay(t *testing.T) {
 	if totalSum != 19900 { // 0+1+...+199
 		t.Fatalf("total sum = %v, want 19900", totalSum)
 	}
-	if agg.StateSize() != 8 {
-		t.Fatalf("groups = %d, want 8", agg.StateSize())
+	// A replay that finds the output frozen cannot be absorbed: it is counted.
+	dropped := obs.Default().Counter(obs.MAggReplayDropped)
+	before := dropped.Value()
+	agg.InsertState(replay)
+	if got := dropped.Value() - before; got != int64(len(replay)) {
+		t.Fatalf("replay into a frozen aggregate counted %d dropped tuples, want %d", got, len(replay))
+	}
+	step("a dropped replay", 8)
+	if err := agg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := agg.StateSize(); got != 0 {
+		t.Fatalf("StateSize = %d after Close", got)
+	}
+}
+
+// TestHashAggregateAllocationCeiling pins what the slab layout buys: a group
+// is not a heap object. The small case guards the other end — a three-group
+// aggregate must not pay for slabs it never fills (it took 65 allocations
+// when every group was a heap object; it takes 33 now).
+func TestHashAggregateAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not the production build's under -race")
+	}
+	ctx := testCtx()
+	ctx.Costs = Costs{}
+	run := func(input []relation.Tuple) float64 {
+		return testing.AllocsPerRun(5, func() {
+			drain(t, newAgg(input, []int{0}, []logical.AggKind{logical.AggCount}, []int{-1}), ctx, 0)
+		})
+	}
+	big := make([]relation.Tuple, 20000)
+	for i := range big {
+		big[i] = relation.Tuple{relation.String(fmt.Sprintf("YAL%05dC", i%10000)), relation.Int(int64(i))}
+	}
+	if perGroup := run(big) / 10000; perGroup >= 0.5 {
+		t.Errorf("%.2f heap objects per group, want < 0.5", perGroup)
+	}
+	if small := run(aggInput(30, 3)); small > 65 {
+		t.Errorf("a 3-group aggregate allocates %.0f objects, want <= 65", small)
+	}
+}
+
+// BenchmarkHashAggregate is the operator's inner loop at the analytic
+// workload's cardinality: 47 000 join rows into ~23 000 string-keyed groups,
+// COUNT(*), serially and through two worker clones.
+func BenchmarkHashAggregate(b *testing.B) {
+	input := make([]relation.Tuple, 47000)
+	for i := range input {
+		input[i] = relation.Tuple{relation.String(fmt.Sprintf("YAL%05dC", i*7919%23000)), relation.Int(int64(i))}
+	}
+	ctx := testCtx()
+	ctx.Costs = Costs{} // measure the data structure, not the cost model
+	for _, width := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				base := newAgg(nil, []int{0}, []logical.AggKind{logical.AggCount}, []int{-1})
+				base.SetWorkers(width)
+				share := len(input) / width
+				out := runCloneWorkers(b, ctx, width, func(w int) Iterator {
+					return base.WorkerClone(NewSliceSource(input[w*share:(w+1)*share], 0))
+				})
+				if len(out) != 23000 {
+					b.Fatalf("groups = %d, want 23000", len(out))
+				}
+			}
+		})
 	}
 }
 

@@ -253,10 +253,18 @@ func (r *FragmentRuntime) compile(spec *physical.OpSpec) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The plan's estimate is the total across instances; this clone
+		// pre-sizes for the share its initial weight routes to it. The table
+		// grows on demand for what R1 hands it later, and for an instance
+		// admitted mid-query, which has no initial weight.
+		est := 0
+		if w := r.cfg.Fragment.InitialWeights; r.cfg.Instance < len(w) {
+			est = int(float64(spec.BuildEst) * w[r.cfg.Instance])
+		}
 		join := &HashJoin{
 			Build: build, Probe: probe,
 			BuildKeys: spec.BuildKeys, ProbeKeys: spec.ProbeKeys,
-			BuildEst: spec.BuildEst,
+			BuildEst: est,
 		}
 		r.join = join
 		r.joinBySpec[spec] = join

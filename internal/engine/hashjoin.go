@@ -46,6 +46,19 @@ type chainRef struct {
 	n          int32
 }
 
+// unlinkBucket deletes the chains of routing bucket b from one partition's
+// map and reports how many entries they held. Evictions are rare (one per R1
+// adaptation), so the scan is off every hot path.
+func unlinkBucket(chains map[uint64]chainRef, b int32, buckets int) (n int) {
+	for h, c := range chains {
+		if int32(h%uint64(buckets)) == b {
+			n += int(c.n)
+			delete(chains, h)
+		}
+	}
+	return n
+}
+
 type joinPart struct {
 	mu sync.Mutex
 	// entries is the partition's build-tuple arena, pre-sized from the
@@ -88,16 +101,9 @@ type joinState struct {
 	refs  atomic.Int32
 	parts [joinPartitions]joinPart
 
-	// Spill wiring (see spill.go). spillOn is decided once at init: a
-	// budget and backend are configured. Both serial and morsel-parallel
-	// joins spill; workers account through per-stripe budget handles and
-	// coordinate partition eviction under spillMu.
-	spillOn bool
-	mem     *storage.Budget
-	acct0   *storage.BudgetAcct // stripe-0 handle for replay/release paths
-	backend storage.Backend
-	base    string // run-name namespace for this join's partitions
-	met     spillMetrics
+	// Spill wiring (see spill.go): workers coordinate partition eviction
+	// under spillMu.
+	spillEnv
 	// spillMu serializes victim selection and partition eviction across
 	// workers, so two breaching workers never race to spill partitions.
 	spillMu sync.Mutex
@@ -147,16 +153,7 @@ func (s *joinState) init(ctx *ExecContext, est int) {
 				p.entries = make([]joinEntry, 0, perPart)
 			}
 		}
-		if ctx.spillEnabled() {
-			s.spillOn = true
-			s.mem = ctx.Mem
-			s.acct0 = ctx.Mem.Acct(0)
-			s.backend = ctx.Spill
-			s.base = ctx.spillRunName("join")
-			s.met = newSpillMetrics()
-		} else {
-			recordUngoverned(ctx, "join")
-		}
+		s.spillEnv = newSpillEnv(ctx, "join")
 		s.ready.Store(true)
 	})
 }
@@ -585,17 +582,7 @@ func (j *HashJoin) EvictBuckets(buckets []int32) {
 			p.mu.Unlock()
 			continue
 		}
-		if p.chains != nil {
-			// Chains are keyed by hash; recover the bucket's chains by
-			// scanning the partition. Evictions are rare (one per R1
-			// adaptation), so the scan is off every hot path.
-			for h, c := range p.chains {
-				if int32(h%uint64(s.buckets)) == b {
-					p.held -= int(c.n)
-					delete(p.chains, h)
-				}
-			}
-		}
+		p.held -= unlinkBucket(p.chains, b, s.buckets)
 		p.mu.Unlock()
 	}
 }

@@ -30,7 +30,7 @@ func testCtx() *ExecContext {
 // drain opens an iterator, pulls it to completion and closes it. limit > 0
 // clamps the pull width with Batch.SetLimit (1 = one tuple per NextBatch, the
 // finest grain a caller can ask for); 0 pulls at the default batch width.
-func drain(t *testing.T, it Iterator, ctx *ExecContext, limit int) []relation.Tuple {
+func drain(t testing.TB, it Iterator, ctx *ExecContext, limit int) []relation.Tuple {
 	t.Helper()
 	if err := it.Open(ctx); err != nil {
 		t.Fatalf("Open: %v", err)

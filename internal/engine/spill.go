@@ -84,6 +84,33 @@ func newSpillMetrics() spillMetrics {
 	}
 }
 
+// spillEnv is a stateful operator's spill wiring, decided once when its
+// shared state initialises: spillOn means a budget and a backend are both
+// configured. Serial and morsel-parallel operators spill alike; workers
+// account through their own stripe handles and acct0 serves the paths that
+// have none (replays, reloads, release).
+type spillEnv struct {
+	spillOn bool
+	mem     *storage.Budget
+	acct0   *storage.BudgetAcct
+	backend storage.Backend
+	base    string // run-name namespace for this operator's runs
+	met     spillMetrics
+}
+
+// newSpillEnv wires op ("join", "agg") for spilling under ctx, or records
+// that its state grows ungoverned.
+func newSpillEnv(ctx *ExecContext, op string) spillEnv {
+	if !ctx.spillEnabled() {
+		recordUngoverned(ctx, op)
+		return spillEnv{}
+	}
+	return spillEnv{
+		spillOn: true, mem: ctx.Mem, acct0: ctx.Mem.Acct(0),
+		backend: ctx.Spill, base: ctx.spillRunName(op), met: newSpillMetrics(),
+	}
+}
+
 // recordSpillEvent puts one spill action on the adaptation timeline.
 func recordSpillEvent(ctx *ExecContext, detail string, tuples int64) {
 	obs.Default().Record(obs.Event{

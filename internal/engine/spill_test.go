@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/logical"
@@ -285,7 +287,7 @@ func TestHashJoinSpillEvictReplay(t *testing.T) {
 // runCloneWorkers drives n WorkerClone chains concurrently — one goroutine
 // per clone with its own worker context and budget stripe, mirroring
 // runParallel — and returns the union of their outputs.
-func runCloneWorkers(t *testing.T, ctx *ExecContext, n int, clone func(w int) Iterator) []relation.Tuple {
+func runCloneWorkers(t testing.TB, ctx *ExecContext, n int, clone func(w int) Iterator) []relation.Tuple {
 	t.Helper()
 	type res struct {
 		out []relation.Tuple
@@ -359,35 +361,238 @@ func TestHashJoinParallelSpillParity(t *testing.T) {
 	assertClean(t, ctx)
 }
 
-func TestHashAggregateParallelSpillParity(t *testing.T) {
-	// Parallel aggregate under budget: clones absorb disjoint input shares,
-	// account group creation through their stripe handles, and dump through
-	// the shared run. Workers pull disjoint slices of the merged output, so
-	// parity is over the union.
-	input := aggInput(500, 30)
-	groupOrds := []int{0}
-	kinds := []logical.AggKind{logical.AggCount, logical.AggSum, logical.AggMin, logical.AggMax}
-	args := []int{-1, 1, 1, 1}
-	want := drain(t, newAgg(input, groupOrds, kinds, args), testCtx(), 0)
+// hookSource feeds a worker clone its input share and runs hook once, between
+// two batches, when the share's first `at` tuples have been absorbed.
+type hookSource struct {
+	tuples []relation.Tuple
+	pos    int
+	at     int
+	hook   func()
+}
 
-	const workers = 4
-	_, p0, _ := spillCounters()
-	ctx := budgetedCtx(512) // a handful of groups per dump
-	base := &HashAggregate{GroupOrds: groupOrds, Kinds: kinds, ArgOrds: args}
-	base.SetWorkers(workers)
-	share := len(input) / workers
-	got := runCloneWorkers(t, ctx, workers, func(w int) Iterator {
-		lo, hi := w*share, (w+1)*share
-		if w == workers-1 {
-			hi = len(input)
-		}
-		return base.WorkerClone(NewSliceSource(input[lo:hi], 0))
-	})
-	_, p1, _ := spillCounters()
-
-	sameMultiset(t, got, want)
-	if p1 == p0 {
-		t.Fatal("parallel aggregate never dumped under a 512-byte budget")
+func (h *hookSource) Open(*ExecContext) error { return nil }
+func (h *hookSource) Close() error            { return nil }
+func (h *hookSource) NextBatch(dst *relation.Batch) (int, error) {
+	dst.Rewind()
+	if h.pos == h.at && h.hook != nil {
+		h.hook()
+		h.hook = nil
 	}
-	assertClean(t, ctx)
+	end := len(h.tuples)
+	if h.pos < h.at {
+		end = h.at
+	}
+	for h.pos < end && !dst.Full() {
+		dst.Append(h.tuples[h.pos])
+		h.pos++
+	}
+	return dst.Len(), nil
+}
+
+// aggDataset is one input of the parity matrix.
+type aggDataset struct {
+	name  string
+	input []relation.Tuple
+	kinds []logical.AggKind
+	args  []int
+}
+
+func aggDatasets() []aggDataset {
+	all := []logical.AggKind{logical.AggCount, logical.AggCount, logical.AggSum, logical.AggAvg, logical.AggMin, logical.AggMax}
+	allArgs := []int{-1, 1, 1, 1, 1, 1}
+	var nullArgs, mixedKeys, nullKey []relation.Tuple
+	for i := 0; i < 600; i++ {
+		// Every third argument is NULL, and group K07 sees only NULLs.
+		v := relation.Int(int64(i))
+		if i%3 == 0 || i%30 == 7 {
+			v = relation.Null
+		}
+		nullArgs = append(nullArgs, relation.Tuple{relation.String(fmt.Sprintf("K%02d", i%30)), v})
+		// Keys 0..14 arrive as Int and as Float: Value.Equal makes k and
+		// float64(k) one group, and ten sorts after nine.
+		k := relation.Int(int64(i % 15))
+		if i%2 == 1 {
+			k = relation.Float(float64(i % 15))
+		}
+		mixedKeys = append(mixedKeys, relation.Tuple{k, relation.Int(int64(i))})
+		// One group in eleven has the NULL key.
+		nk := relation.String(fmt.Sprintf("K%02d", i%11))
+		if i%11 == 4 {
+			nk = relation.Null
+		}
+		nullKey = append(nullKey, relation.Tuple{nk, relation.Int(int64(i))})
+	}
+	return []aggDataset{
+		{"null-args", nullArgs, all, allArgs},
+		{"int-float-keys", mixedKeys, all, allArgs},
+		{"null-key", nullKey, all, allArgs},
+	}
+}
+
+// The R1 interleavings of the parity matrix. Each runs with every worker
+// stopped between two batches, half-way through its share.
+const (
+	aggNoReplay    = "no-replay"
+	aggReplayAdopt = "replay-unheld-bucket" // workers never see the replayed buckets: no duplicate groups
+	aggReplayFold  = "replay-held-bucket"   // workers hold half of the replayed buckets' tuples: every group duplicated
+	aggEvictReplay = "evict-mid-absorb"
+)
+
+func TestHashAggregateParallelSpillParity(t *testing.T) {
+	// Every width, R1 interleaving, budget and input must emit exactly the
+	// rows — in exactly the order — of the serial, unbudgeted, undisturbed
+	// aggregate: clones absorb disjoint input shares through their own budget
+	// stripes, replays land in the final table, the merge adopts or folds
+	// partition by partition, and dumps go through the shared run. Workers
+	// pull disjoint runs of the frozen output, so the union is re-sorted.
+	groupOrds := []int{0}
+	for _, ds := range aggDatasets() {
+		want := drain(t, newAgg(ds.input, groupOrds, ds.kinds, ds.args), testCtx(), 0)
+		if ds.name == "int-float-keys" {
+			// The emit order is ascending by value, not by rendered key.
+			for i, row := range want {
+				if row[0].AsFloat() != float64(i) {
+					t.Fatalf("row %d has key %s, want %d", i, row[0].Format(), i)
+				}
+			}
+		}
+		bucketOf := func(tp relation.Tuple) int32 { return int32(tp.Hash(groupOrds) % 64) }
+		moved := map[int32]bool{bucketOf(ds.input[0]): true, bucketOf(ds.input[1]): true, bucketOf(ds.input[2]): true}
+		var movedBuckets []int32
+		for b := range moved {
+			movedBuckets = append(movedBuckets, b)
+		}
+		for _, width := range []int{1, 2, 4} {
+			for _, script := range []string{aggNoReplay, aggReplayAdopt, aggReplayFold, aggEvictReplay} {
+				for _, limit := range []int64{0, 512} {
+					name := fmt.Sprintf("%s/w%d/%s/budget%d", ds.name, width, script, limit)
+					t.Run(name, func(t *testing.T) {
+						// Split the input: what the workers absorb, and what
+						// the script replays into the final table instead.
+						var absorbed, replayed []relation.Tuple
+						for i, tp := range ds.input {
+							switch {
+							case script == aggReplayAdopt && moved[bucketOf(tp)],
+								script == aggReplayFold && moved[bucketOf(tp)] && i%2 == 1:
+								replayed = append(replayed, tp)
+							default:
+								absorbed = append(absorbed, tp)
+							}
+						}
+						ctx := testCtx()
+						if limit > 0 {
+							ctx = budgetedCtx(limit) // a handful of groups per dump
+						}
+						base := &HashAggregate{GroupOrds: groupOrds, Kinds: ds.kinds, ArgOrds: ds.args}
+						base.SetWorkers(width)
+						shares := make([][]relation.Tuple, width)
+						for i, tp := range absorbed {
+							shares[i%width] = append(shares[i%width], tp)
+						}
+						var arrived sync.WaitGroup
+						arrived.Add(width)
+						release := make(chan struct{})
+						r1 := func() {
+							if script == aggEvictReplay {
+								// The buckets move here from a sibling instance
+								// and back: what the workers absorbed of them so
+								// far is evicted and replayed from the log.
+								base.EvictBuckets(movedBuckets)
+								for _, share := range shares {
+									for _, tp := range share[:len(share)/2] {
+										if moved[bucketOf(tp)] {
+											replayed = append(replayed, tp)
+										}
+									}
+								}
+							}
+							base.InsertState(replayed)
+						}
+						_, p0, _ := spillCounters()
+						got := runCloneWorkers(t, ctx, width, func(w int) Iterator {
+							return base.WorkerClone(&hookSource{tuples: shares[w], at: len(shares[w]) / 2, hook: func() {
+								arrived.Done()
+								if w == 0 {
+									arrived.Wait()
+									r1()
+									close(release)
+								}
+								<-release
+							}})
+						})
+						_, p1, _ := spillCounters()
+						sort.SliceStable(got, func(i, j int) bool { return compareKeys(got[i][:1], got[j][:1]) < 0 })
+						if len(got) != len(want) {
+							t.Fatalf("got %d groups, want %d", len(got), len(want))
+						}
+						for i := range want {
+							if !got[i].Equal(want[i]) {
+								t.Fatalf("group %d = %s, want %s", i, got[i].Format(), want[i].Format())
+							}
+						}
+						if limit > 0 {
+							if p1 == p0 {
+								t.Fatal("aggregate never dumped under a 512-byte budget")
+							}
+							assertClean(t, ctx)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestHashAggregateReservesGroupsOnce pins the single reservation: under a
+// budget that never breaches, a frozen aggregate holds exactly the bytes of
+// its distinct groups — however many worker tables each group was first
+// created in — and nothing after Close.
+func TestHashAggregateReservesGroupsOnce(t *testing.T) {
+	input := aggInput(500, 30)
+	kinds := []logical.AggKind{logical.AggCount, logical.AggSum}
+	var want int64
+	for _, row := range drain(t, newAgg(input, []int{0}, kinds, []int{-1, 1}), testCtx(), 0) {
+		want += groupBytes(row[:1], len(kinds))
+	}
+	for _, width := range []int{1, 4} {
+		ctx := budgetedCtx(1 << 20)
+		base := &HashAggregate{GroupOrds: []int{0}, Kinds: kinds, ArgOrds: []int{-1, 1}}
+		base.SetWorkers(width)
+		var emitted, done sync.WaitGroup
+		emitted.Add(width)
+		done.Add(width)
+		proceed := make(chan struct{})
+		for w := 0; w < width; w++ {
+			// Every clone sees every group, so each group is created width times.
+			clone := base.WorkerClone(NewSliceSource(input, 0))
+			wctx := ctx.workerContext()
+			wctx.MemAcct = ctx.Mem.Acct(w)
+			go func() {
+				defer done.Done()
+				batch := relation.NewBatch(4)
+				if err := clone.Open(wctx); err != nil {
+					t.Error(err)
+				}
+				_, err := clone.NextBatch(batch)
+				emitted.Done()
+				<-proceed
+				for n := 1; n > 0 && err == nil; {
+					n, err = clone.NextBatch(batch)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+				if err := clone.Close(); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		emitted.Wait()
+		if got := ctx.Mem.Inflight(); got != want {
+			t.Errorf("width %d: %d bytes reserved after the first emitted batch, want %d (the distinct groups, once)", width, got, want)
+		}
+		close(proceed)
+		done.Wait()
+		assertClean(t, ctx)
+	}
 }

@@ -4,17 +4,16 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/logical"
 	"repro/internal/relation"
 	"repro/internal/storage"
 )
 
 // Aggregate spilling (see DESIGN.md §5i). Unlike the join, the aggregate
-// never defers input: on a budget breach every group — shared table and
-// worker partials alike — is dumped to one append-only run as a
+// never defers input: on a budget breach every group — final table and
+// worker tables alike — is dumped to one append-only run as a
 // partial-aggregate record and the in-memory tables restart empty.
 // Aggregation is commutative and associative, so the final merge simply
-// reloads the run and re-merges each record into the merged table; what that
+// reloads the run and re-merges each record into the final table; what that
 // merge materialises is the distinct result groups, i.e. the same memory the
 // emit buffer needs regardless of spilling. The budget therefore governs the
 // absorb phase — where raw-input skew, not result size, drives the
@@ -30,32 +29,28 @@ import (
 // orders them against the final merge.
 
 // groupBytes is the accounted in-memory footprint of one group.
-func groupBytes(g *groupState) int64 {
-	return int64(g.key.ByteSize()) + 48*int64(len(g.accs)+1)
+func groupBytes(key relation.Tuple, nAccs int) int64 {
+	return int64(key.ByteSize()) + 48*int64(nAccs+1)
 }
 
-// accountGroup reserves a freshly created group against the budget through
-// the creating worker's stripe handle (stripe 0 when the caller has none —
-// a replay landing before the receiving clone opened).
-func (s *aggState) accountGroup(g *groupState, a *storage.BudgetAcct) {
+// reserveGroup reserves a freshly created group against the budget through
+// the creating worker's stripe handle.
+func (s *aggState) reserveGroup(key relation.Tuple, nAccs int, a *storage.BudgetAcct) {
 	if !s.spillOn {
 		return
 	}
-	if a == nil {
-		a = s.acct0
-	}
-	sz := groupBytes(g)
+	sz := groupBytes(key, nAccs)
 	s.bytes.Add(sz)
 	a.Reserve(sz)
 }
 
-// dump writes every group to the spill run and clears the in-memory tables.
-// Caller holds no locks; dump takes s.mu then the partial locks — the same
-// order mergeAndFreeze uses.
+// dump writes every group to the spill run and restarts the in-memory tables
+// empty, slabs and all. Caller holds no locks; dump takes s.mu then the
+// partial locks — the same order mergeAndFreeze uses.
 func (s *aggState) dump(a *HashAggregate) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.state == nil {
+	if s.final == nil {
 		return nil
 	}
 	if s.run == nil {
@@ -68,11 +63,17 @@ func (s *aggState) dump(a *HashAggregate) error {
 		s.spillLive = make(map[int32]int64)
 	}
 	var dumped int64
-	emit := func(state map[int32]map[uint64][]*groupState) error {
-		for b, m := range state {
-			for _, chain := range m {
-				for _, g := range chain {
-					if err := s.run.Append(encodeGroupRec(b, g, a.Kinds)); err != nil {
+	var recs relation.Arena // the run keeps a record until its block flushes
+	nk, na := len(a.GroupOrds), len(a.Kinds)
+	emit := func(tab aggTable) error {
+		for i := range tab {
+			p := &tab[i]
+			for h, c := range p.chains {
+				b := int32(h % uint64(s.buckets))
+				for g := c.head; g >= 0; g = p.next[g] {
+					rec := recs.Alloc(1 + nk + 4*na)
+					encodeGroupRec(rec, b, p.key(g, nk), p.accs[int(g)*na:])
+					if err := s.run.Append(rec); err != nil {
 						return fmt.Errorf("engine: agg spill append: %w", err)
 					}
 					s.recCount++
@@ -80,23 +81,20 @@ func (s *aggState) dump(a *HashAggregate) error {
 					dumped++
 				}
 			}
+			*p = aggPart{}
 		}
 		return nil
 	}
-	if err := emit(s.state); err != nil {
+	if err := emit(s.final); err != nil {
 		return err
 	}
-	s.state = make(map[int32]map[uint64][]*groupState)
 	for _, p := range s.partials {
 		p.mu.Lock()
-		if p.state != nil {
-			if err := emit(p.state); err != nil {
-				p.mu.Unlock()
-				return err
-			}
-			p.state = make(map[int32]map[uint64][]*groupState)
-		}
+		err := emit(p.table)
 		p.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
 	released := s.bytes.Swap(0)
 	s.mem.Release(released)
@@ -106,42 +104,37 @@ func (s *aggState) dump(a *HashAggregate) error {
 	return nil
 }
 
-// encodeGroupRec flattens one group into a run record:
+// encodeGroupRec flattens one group into the run record rec:
 // [Int(bucket), key..., per aggregate: Int(count), Float(sum), minmax, Int(seen)].
-func encodeGroupRec(b int32, g *groupState, kinds []logical.AggKind) relation.Tuple {
-	rec := make(relation.Tuple, 0, 1+len(g.key)+4*len(kinds))
-	rec = append(rec, relation.Int(int64(b)))
-	rec = append(rec, g.key...)
-	for i := range kinds {
-		acc := g.accs[i]
+func encodeGroupRec(rec relation.Tuple, b int32, key relation.Tuple, accs []accumulator) {
+	rec[0] = relation.Int(int64(b))
+	n := 1 + copy(rec[1:], key)
+	for i := 0; n < len(rec); i, n = i+1, n+4 {
+		acc := accs[i]
 		seen := int64(0)
 		if acc.seen {
 			seen = 1
 		}
-		rec = append(rec, relation.Int(acc.count), relation.Float(acc.sum), acc.minmax, relation.Int(seen))
+		rec[n], rec[n+1], rec[n+2], rec[n+3] = relation.Int(acc.count), relation.Float(acc.sum), acc.minmax, relation.Int(seen)
 	}
-	return rec
 }
 
-// decodeGroupRec inverts encodeGroupRec.
-func decodeGroupRec(rec relation.Tuple, nKeys, nAccs int) (b int32, key relation.Tuple, accs []accumulator, err error) {
-	if len(rec) != 1+nKeys+4*nAccs || rec[0].Type() != relation.TInt {
-		return 0, nil, nil, fmt.Errorf("engine: malformed agg spill record")
+// decodeGroupRec inverts encodeGroupRec into the caller's accs.
+func decodeGroupRec(rec relation.Tuple, nKeys int, accs []accumulator) (b int32, key relation.Tuple, err error) {
+	if len(rec) != 1+nKeys+4*len(accs) || rec[0].Type() != relation.TInt || rec[0].AsInt() < 0 {
+		return 0, nil, fmt.Errorf("engine: malformed agg spill record")
 	}
-	b = int32(rec[0].AsInt())
-	key = rec[1 : 1+nKeys]
-	accs = make([]accumulator, nAccs)
-	for i := 0; i < nAccs; i++ {
+	for i := range accs {
 		f := rec[1+nKeys+4*i:]
 		if f[0].Type() != relation.TInt || f[1].Type() != relation.TFloat || f[3].Type() != relation.TInt {
-			return 0, nil, nil, fmt.Errorf("engine: malformed agg spill record")
+			return 0, nil, fmt.Errorf("engine: malformed agg spill record")
 		}
 		accs[i] = accumulator{count: f[0].AsInt(), sum: f[1].AsFloat(), minmax: f[2], seen: f[3].AsInt() != 0}
 	}
-	return b, key, accs, nil
+	return int32(rec[0].AsInt()), rec[1 : 1+nKeys], nil
 }
 
-// reloadLocked re-merges the dumped records into the merged shared table.
+// reloadLocked re-merges the dumped records into the merged final table.
 // Caller holds s.mu (the final merge).
 func (s *aggState) reloadLocked(a *HashAggregate) error {
 	if err := s.run.Close(); err != nil {
@@ -153,12 +146,8 @@ func (s *aggState) reloadLocked(a *HashAggregate) error {
 		return fmt.Errorf("engine: agg spill reload: %w", err)
 	}
 	defer r.Close()
-	idOrds := make([]int, len(a.GroupOrds))
-	for i := range idOrds {
-		idOrds[i] = i
-	}
-	perBucket := make(map[int32]int64, len(s.spillLive))
-	for {
+	accs := make([]accumulator, len(a.Kinds))
+	for idx := int64(0); ; idx++ {
 		rec, ok, rerr := r.Next()
 		if rerr != nil {
 			return rerr
@@ -166,18 +155,20 @@ func (s *aggState) reloadLocked(a *HashAggregate) error {
 		if !ok {
 			break
 		}
-		b, key, accs, derr := decodeGroupRec(rec, len(a.GroupOrds), len(a.Kinds))
+		b, key, derr := decodeGroupRec(rec, len(s.keyOrds), accs)
 		if derr != nil {
 			return derr
 		}
-		idx := perBucket[b]
-		perBucket[b] = idx + 1
 		if idx < s.evictedAt[b] {
-			continue // evicted before this record's bucket watermark
+			continue // appended before its bucket's eviction watermark
 		}
-		g := s.findOrCreateMergedLocked(b, key.Hash(idOrds), key, len(a.Kinds))
+		p := s.final.part(b)
+		g, created := p.group(key.Hash(s.keyOrds), key, s.keyOrds, len(accs))
+		if created {
+			s.reserveGroup(key, len(accs), s.acct0)
+		}
 		for i, kind := range a.Kinds {
-			g.accs[i].merge(accs[i], kind)
+			p.accs[int(g)*len(accs)+i].merge(accs[i], kind)
 		}
 	}
 	_ = s.backend.Remove(s.runName)

@@ -11,6 +11,9 @@ const (
 	// per-morsel (fill+send) latency in paper milliseconds.
 	MEngineParallelWorkers = "engine_parallel_workers"
 	MEngineMorselMs        = "engine_morsel_ms"
+	// R1 replay tuples a HashAggregate could not absorb because it had
+	// already frozen its output or closed: lost rows (DESIGN.md §8).
+	MAggReplayDropped = "agg_replay_dropped_tuples_total"
 
 	// Exchanges (label: exchange).
 	MExchangeTuplesRouted   = "exchange_tuples_routed_total"

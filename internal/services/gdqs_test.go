@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/physical"
 	"repro/internal/relation"
 	"repro/internal/simnet"
@@ -366,6 +367,8 @@ func TestRandomPerturbationsNeverCorruptResults(t *testing.T) {
 		t.Skip("sweep takes a few seconds")
 	}
 	rng := rand.New(rand.NewSource(20260705))
+	dropped := obs.Default().Counter(obs.MAggReplayDropped)
+	dropped0 := dropped.Value()
 	perturbations := []func() vtime.Perturbation{
 		func() vtime.Perturbation { return vtime.Multiplier(float64(2 + rng.Intn(40))) },
 		func() vtime.Perturbation { return vtime.Sleep(float64(1 + rng.Intn(20))) },
@@ -419,7 +422,10 @@ func TestRandomPerturbationsNeverCorruptResults(t *testing.T) {
 				total += row[1].AsInt()
 			}
 			if total != 200 {
-				t.Fatalf("trial %d (%v): aggregate total = %d, want 200", trial, pert, total)
+				// A non-zero counter names the defect: R1 replayed into an
+				// aggregate that had already frozen (DESIGN.md §8).
+				t.Fatalf("trial %d (%v): aggregate total = %d, want 200 (%s = %d)",
+					trial, pert, total, obs.MAggReplayDropped, dropped.Value()-dropped0)
 			}
 		}
 	}
