@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet doclint build test race chaos lowmem bigtable benchsmoke opbench e2e experiments fuzz
+.PHONY: check vet doclint build test race chaos lowmem bigtable benchsmoke opbench cover e2e experiments fuzz
 
 ## check: the full tier-1 gate — vet, the doc-comment lint, build, the test
 ## suite under -race, the chaos (kill/join) suite, the low-memory suite, the
@@ -61,6 +61,16 @@ benchsmoke:
 ## seconds. Reported, never gated; a performance claim goes through bench/.
 opbench:
 	$(GO) test -run '^$$' -bench 'HashAggregate|HashJoinProbe|FragmentParallel' -benchmem ./internal/engine/
+
+## cover: statement coverage of the whole tree under the tier-1 tests, with
+## -coverpkg=./... so a function counts as run whichever package's tests
+## reach it. Prints every function left at 0.0% outside cmd/ and examples/,
+## their count, and the total. Reported, never gated; not part of check.
+cover:
+	$(GO) test -count=1 -coverpkg=./... -coverprofile=cover.out ./...
+	@$(GO) tool cover -func=cover.out | awk '/^total:/ { total = $$NF; next } \
+		$$NF == "0.0%" && $$1 !~ /^repro\/(cmd|examples)\// { print; n++ } \
+		END { printf "%d functions at 0.0%% outside cmd/ and examples/; total %s of statements\n", n, total }'
 
 ## e2e: the repo's end-to-end benchmark exactly as BENCHMARK.json runs it —
 ## every workload at full scale in real wall-clock, oracle-checked (minutes;

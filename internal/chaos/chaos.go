@@ -1,9 +1,7 @@
-// Package chaos injects faults into a simulated Grid: evaluator crashes,
-// slowdowns, and network partitions, at fixed delays or at deterministic
-// points in the query's own event stream. It exists for the elastic-cluster
-// tests — kill an evaluator mid-query, assert the answer is still exact —
-// but is exported-within-the-module so experiments (cmd/dqpctl) can script
-// the same faults.
+// Package chaos injects evaluator crashes into a simulated Grid at
+// deterministic points in the query's own event stream. It exists for the
+// elastic-cluster tests — kill an evaluator mid-query, assert the answer is
+// still exact.
 //
 // All injections go through the Cluster's public crash-stop machinery, so
 // they are exactly as authoritative as a real machine loss: messages fail
@@ -13,14 +11,11 @@ package chaos
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/services"
 	"repro/internal/simnet"
-	"repro/internal/transport"
-	"repro/internal/vtime"
 )
 
 // Injector scripts faults against one simulated Grid.
@@ -28,45 +23,12 @@ type Injector struct {
 	cluster *services.Cluster
 
 	mu      sync.Mutex
-	timers  []*time.Timer
 	cancels []func()
 }
 
 // New returns an Injector for the cluster.
 func New(cluster *services.Cluster) *Injector {
 	return &Injector{cluster: cluster}
-}
-
-// Kill crash-stops a machine immediately.
-func (in *Injector) Kill(node simnet.NodeID) error {
-	return in.cluster.KillNode(node)
-}
-
-// Slow multiplies a machine's operator costs by the given factor (1 restores
-// nominal speed), modelling external load rather than failure.
-func (in *Injector) Slow(node simnet.NodeID, factor float64) {
-	if n := in.cluster.Node(node); n != nil {
-		n.SetPerturbation(vtime.Multiplier(factor))
-	}
-}
-
-// Partition severs (or heals, with v=false) the link between two machines:
-// messages between them fail while both stay alive — the failure-detector
-// case that heartbeat misses, not peer-loss errors, must catch.
-func (in *Injector) Partition(a, b simnet.NodeID, v bool) {
-	if t, ok := in.cluster.Transport().(*transport.InProc); ok {
-		t.SetPartitioned(a, b, v)
-	}
-}
-
-// KillAfter crash-stops a machine after a real-time delay. The returned
-// timer can stop a pending kill; Close stops all of them.
-func (in *Injector) KillAfter(node simnet.NodeID, d time.Duration) *time.Timer {
-	t := time.AfterFunc(d, func() { _ = in.cluster.KillNode(node) })
-	in.mu.Lock()
-	in.timers = append(in.timers, t)
-	in.mu.Unlock()
-	return t
 }
 
 // KillAfterEvents crash-stops victim once the machine observed has emitted
@@ -93,13 +55,9 @@ func (in *Injector) KillAfterEvents(observed, victim simnet.NodeID, count int) {
 // undone — crash-stops are permanent).
 func (in *Injector) Close() {
 	in.mu.Lock()
-	timers := in.timers
 	cancels := in.cancels
-	in.timers, in.cancels = nil, nil
+	in.cancels = nil
 	in.mu.Unlock()
-	for _, t := range timers {
-		t.Stop()
-	}
 	for _, c := range cancels {
 		c()
 	}

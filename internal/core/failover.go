@@ -24,9 +24,11 @@ import (
 // The call is idempotent and re-runnable. A retry after a partial failure —
 // typically because a second evaluator died while the first failover was in
 // flight — redoes the remaining steps: already-detached peers and
-// already-drained logs are no-ops on the engine side, and the stateful
-// discard/evict/replay cycle recomputes the identical moved-bucket set, so
-// eviction clears any partially replayed state before it is rebuilt.
+// already-drained logs are no-ops on the engine side. A failed attempt
+// restores the bucket mirror, so the retry recomputes the identical
+// moved-bucket set and eviction clears any partially replayed state before
+// it is rebuilt; a fragment that already recovered moves no bucket and
+// recalls nothing.
 func (r *Responder) FailOverNode(node simnet.NodeID) error {
 	r.protoMu.Lock()
 	defer r.protoMu.Unlock()
@@ -52,14 +54,21 @@ func (r *Responder) FailOverNode(node simnet.NodeID) error {
 			}
 		}
 		w := zeroDead(st.weights, st.dead)
+		dead := make([]int, 0, len(st.dead))
+		for i := range st.dead {
+			dead = append(dead, i)
+		}
 		fragment := st.topo.Fragment
 		r.mu.Unlock()
 		if !touched {
 			continue
 		}
+		sort.Ints(dead)
 		err := fmt.Errorf("core: fragment %s has no surviving instances", fragment)
 		if w != nil {
-			err = r.failOverFragment(st, w)
+			// Survivors absorb the dead weight; a stateful fragment also
+			// recalls, evicts and replays the buckets that changed owner.
+			err = r.deploy(st, w, dead, st.topo.Stateful)
 		}
 		outcome := "recovered"
 		if err != nil {
@@ -83,236 +92,6 @@ func (r *Responder) FailOverNode(node simnet.NodeID) error {
 		r.obsRecoveryMs.Observe(r.nowMs() - start)
 	}
 	return firstErr
-}
-
-// failOverFragment runs the recovery protocol for one fragment whose dead
-// set just grew, deploying w (dead components zero) and draining the dead
-// instances' shards.
-func (r *Responder) failOverFragment(st *respState, w []float64) error {
-	if err := r.pauseAll(st, true); err != nil {
-		return err
-	}
-	defer func() { _ = r.pauseAll(st, false) }()
-
-	r.mu.Lock()
-	deadIdx := make([]int, 0, len(st.dead))
-	for i := range st.dead {
-		deadIdx = append(deadIdx, i)
-	}
-	sort.Ints(deadIdx)
-	r.mu.Unlock()
-
-	var err error
-	if st.topo.Stateful {
-		err = r.failOverStateful(st, w, deadIdx)
-	} else {
-		err = r.failOverStateless(st, w, deadIdx)
-	}
-	if err != nil {
-		return err
-	}
-
-	// Detach the dead instances' output streams so the downstream
-	// consumers stop waiting for their end-of-stream. Queued tuples from
-	// those streams are kept: they derive from inputs the dead instances
-	// had acknowledged, which survivors will never regenerate.
-	if st.topo.Output != "" {
-		for _, cons := range st.topo.Downstream {
-			if r.nodeDead(cons.Node) {
-				continue
-			}
-			for _, di := range deadIdx {
-				msg := ctrlMsg(st.topo.Output, &transport.Ctrl{Op: transport.CtrlDetach, Peer: di})
-				if _, err := r.rpc.Call(r.ctx, cons.Node, cons.Service, msg); err != nil {
-					return err
-				}
-			}
-		}
-	}
-
-	r.mu.Lock()
-	copy(st.weights, w)
-	r.mu.Unlock()
-	r.bus.Publish("responder", r.node, TopicPolicy, PolicyUpdate{
-		Fragment:      st.topo.Fragment,
-		Weights:       append([]float64(nil), w...),
-		Retrospective: true,
-	})
-	return nil
-}
-
-// failOverStateless recovers a weighted fragment: survivors get the
-// renormalised weights, then every producer drains its dead shards' logs by
-// re-routing the entries under the new policy.
-func (r *Responder) failOverStateless(st *respState, w []float64, deadIdx []int) error {
-	for _, ex := range st.topo.Inputs {
-		for _, prod := range ex.Producers {
-			if r.nodeDead(prod.Node) {
-				continue
-			}
-			if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange,
-				&transport.Ctrl{Op: transport.CtrlSetWeights, Weights: w})); err != nil {
-				return err
-			}
-		}
-	}
-	for _, ex := range st.topo.Inputs {
-		for _, prod := range ex.Producers {
-			if r.nodeDead(prod.Node) {
-				continue
-			}
-			for _, di := range deadIdx {
-				reply, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange,
-					&transport.Ctrl{Op: transport.CtrlReplayLost, Peer: di}))
-				if err != nil {
-					return err
-				}
-				if reply.Routed > 0 {
-					r.countMoved(st.topo.Fragment, reply.Routed)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// failOverStateful recovers a hash-partitioned fragment. The dead instances'
-// buckets move to survivors: live instances discard and evict any state of
-// buckets that changed owner, the producers install the new bucket map, the
-// stateful (build) logs replay the moved buckets onto their new owners, and
-// the stateless (probe) logs drain the dead shards under the new map. On any
-// error the mirror policy is rolled back so a retry recomputes the identical
-// moved set and re-runs the cycle from the eviction step.
-func (r *Responder) failOverStateful(st *respState, w []float64, deadIdx []int) error {
-	r.mu.Lock()
-	oldMap := st.mirror.OwnerMap()
-	moved, err := st.mirror.SetWeights(w)
-	newMap := st.mirror.OwnerMap()
-	r.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	rollback := func() {
-		r.mu.Lock()
-		_ = st.mirror.SetOwnerMap(oldMap)
-		r.mu.Unlock()
-	}
-
-	stateful := make(map[string]bool, len(st.topo.Inputs))
-	for _, ex := range st.topo.Inputs {
-		stateful[ex.Exchange] = ex.Stateful
-	}
-	type resend struct {
-		exchange string
-		prodIdx  int
-		consIdx  int
-		seqs     []int64
-	}
-	var resends []resend
-	for _, cons := range st.topo.Instances {
-		if r.deadInstance(st, cons) {
-			continue
-		}
-		reply, err := r.rpc.Call(r.ctx, cons.Node, cons.Service, ctrlMsg("",
-			&transport.Ctrl{Op: transport.CtrlDiscard, Buckets: moved}))
-		if err != nil {
-			rollback()
-			return err
-		}
-		for key, seqs := range reply.DiscardedSeqs {
-			ex, prodIdx, err := transport.ParseStreamKey(key)
-			if err != nil {
-				rollback()
-				return err
-			}
-			if stateful[ex] {
-				continue // covered by the replay below
-			}
-			resends = append(resends, resend{exchange: ex, prodIdx: prodIdx, consIdx: cons.Index, seqs: seqs})
-		}
-		if _, err := r.rpc.Call(r.ctx, cons.Node, cons.Service, ctrlMsg("",
-			&transport.Ctrl{Op: transport.CtrlEvict, Buckets: moved})); err != nil {
-			rollback()
-			return err
-		}
-	}
-
-	for _, ex := range st.topo.Inputs {
-		for _, prod := range ex.Producers {
-			if r.nodeDead(prod.Node) {
-				continue
-			}
-			if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange,
-				&transport.Ctrl{Op: transport.CtrlSetBucketMap, BucketMap: newMap})); err != nil {
-				rollback()
-				return err
-			}
-		}
-	}
-
-	for _, ex := range st.topo.Inputs {
-		for _, prod := range ex.Producers {
-			if r.nodeDead(prod.Node) {
-				continue
-			}
-			if ex.Stateful {
-				if len(moved) > 0 {
-					if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange,
-						&transport.Ctrl{Op: transport.CtrlReplay, Buckets: moved})); err != nil {
-						rollback()
-						return err
-					}
-					r.stateReplays.Inc()
-					r.obsReplays.Inc()
-				}
-				// The dead consumer shards hold no recoverable work once the
-				// moved buckets replayed; release them so EOS can flow.
-				for _, di := range deadIdx {
-					if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange,
-						&transport.Ctrl{Op: transport.CtrlDetachConsumer, Peer: di})); err != nil {
-						rollback()
-						return err
-					}
-				}
-			} else {
-				for _, di := range deadIdx {
-					reply, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange,
-						&transport.Ctrl{Op: transport.CtrlReplayLost, Peer: di}))
-					if err != nil {
-						rollback()
-						return err
-					}
-					if reply.Routed > 0 {
-						r.countMoved(st.topo.Fragment, reply.Routed)
-					}
-				}
-			}
-		}
-	}
-
-	for _, rs := range resends {
-		if len(rs.seqs) == 0 {
-			continue
-		}
-		prod, ok := r.producerRef(st, rs.exchange, rs.prodIdx)
-		if !ok {
-			rollback()
-			return fmt.Errorf("core: discard report names unknown stream %s/%d", rs.exchange, rs.prodIdx)
-		}
-		if r.nodeDead(prod.Node) {
-			rollback()
-			return fmt.Errorf("core: recalled tuples of stream %s/%d are stranded on dead node %s",
-				rs.exchange, rs.prodIdx, prod.Node)
-		}
-		msg := ctrlMsg(rs.exchange, &transport.Ctrl{Op: transport.CtrlResend, Seqs: rs.seqs})
-		msg.ConsumerIdx = rs.consIdx
-		if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, msg); err != nil {
-			rollback()
-			return err
-		}
-		r.countMoved(st.topo.Fragment, int64(len(rs.seqs)))
-	}
-	return nil
 }
 
 // AdmitInstance deploys a newly joined evaluator into a running stateless
@@ -355,32 +134,23 @@ func (r *Responder) AdmitInstance(fragment string, inst InstanceRef, weights []f
 
 	// Downstream first: the consumers must account for the new producer
 	// before any tuple it emits can reach them.
-	if st.topo.Output != "" {
-		for _, cons := range st.topo.Downstream {
-			if r.nodeDead(cons.Node) {
-				continue
-			}
-			msg := ctrlMsg(st.topo.Output, &transport.Ctrl{
-				Op: transport.CtrlExpectProducer, PeerNode: inst.Node, PeerService: inst.Service,
-			})
-			if _, err := r.rpc.Call(r.ctx, cons.Node, cons.Service, msg); err != nil {
-				return err
-			}
+	for _, cons := range st.topo.Downstream {
+		if r.nodeDead(cons.Node) {
+			continue
+		}
+		if _, err := r.call(cons, st.topo.Output, &transport.Ctrl{
+			Op: transport.CtrlExpectProducer, PeerNode: inst.Node, PeerService: inst.Service,
+		}); err != nil {
+			return err
 		}
 	}
-	for _, ex := range st.topo.Inputs {
-		for _, prod := range ex.Producers {
-			if r.nodeDead(prod.Node) {
-				continue
-			}
-			msg := ctrlMsg(ex.Exchange, &transport.Ctrl{
-				Op: transport.CtrlAttach, PeerNode: inst.Node, PeerService: inst.Service,
-				Weights: weights,
-			})
-			if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, msg); err != nil {
-				return err
-			}
-		}
+	if err := r.eachLiveProducer(st, func(ex ExchangeTopology, prod InstanceRef) error {
+		_, err := r.call(prod, ex.Exchange, &transport.Ctrl{
+			Op: transport.CtrlAttach, PeerNode: inst.Node, PeerService: inst.Service, Weights: weights,
+		})
+		return err
+	}); err != nil {
+		return err
 	}
 
 	r.mu.Lock()

@@ -377,7 +377,7 @@ func (r *Responder) adapt(st *respState, p Proposal) error {
 			if r.nodeDead(prod.Node) {
 				continue
 			}
-			reply, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange, &transport.Ctrl{Op: transport.CtrlProgress}))
+			reply, err := r.call(prod, ex.Exchange, &transport.Ctrl{Op: transport.CtrlProgress})
 			if err != nil {
 				return err
 			}
@@ -391,7 +391,7 @@ func (r *Responder) adapt(st *respState, p Proposal) error {
 			if r.deadInstance(st, cons) {
 				continue
 			}
-			reply, err := r.rpc.Call(r.ctx, cons.Node, cons.Service, ctrlMsg(ex.Exchange, &transport.Ctrl{Op: transport.CtrlProgress}))
+			reply, err := r.call(cons, ex.Exchange, &transport.Ctrl{Op: transport.CtrlProgress})
 			if err != nil {
 				return err
 			}
@@ -427,21 +427,9 @@ func (r *Responder) adapt(st *respState, p Proposal) error {
 	}
 
 	retrospective := r.cfg.Response == R1 || st.topo.Stateful
-	var err error
-	if st.topo.Stateful {
-		err = r.adaptStateful(st, p)
-	} else if retrospective {
-		err = r.adaptStatelessR1(st, p)
-	} else {
-		err = r.adaptStatelessR2(st, p)
-	}
-	if err != nil {
+	if err := r.deploy(st, p.Weights, nil, retrospective); err != nil {
 		return err
 	}
-
-	r.mu.Lock()
-	copy(st.weights, p.Weights)
-	r.mu.Unlock()
 	r.adaptations.Inc()
 	r.record(AdaptationEvent{
 		AtMs: startMs, Fragment: p.Fragment, Outcome: "adapted",
@@ -449,55 +437,98 @@ func (r *Responder) adapt(st *respState, p Proposal) error {
 		Weights:       append([]float64(nil), p.Weights...),
 		DurationMs:    r.nowMs() - startMs,
 	})
-	// Notify the Diagnosers that need to update the current distribution.
+	return nil
+}
+
+// deploy moves a fragment to the distribution w. It is the one
+// redistribution protocol (DESIGN.md §5): proposals, machine
+// loss and failover retries differ only in its inputs. dead lists the
+// instances whose shards are drained onto survivors and detached (nil for
+// an adaptation); recall asks live consumers to give back queued tuples
+// (R1). With neither, it is R2: only the route changes.
+//
+//  1. route: the mirror's minimally moved bucket map, or the weights;
+//  2. pause every live producer;
+//  3. each live consumer discards the moved (stateful) or all (stateless)
+//     queued tuples, and a stateful one evicts the moved buckets;
+//  4. install the route on every live producer;
+//  5. per input exchange and live producer: replay the moved buckets of a
+//     stateful exchange, then per dead instance detach it (stateful) or
+//     re-route its logged tuples (stateless);
+//  6. resend the recalled stateless tuples;
+//  7. detach each dead instance's output stream downstream;
+//  8. resume, commit the weights, and publish the PolicyUpdate.
+//
+// Any failure after step 1 restores the mirror to the map the producers
+// still route by, resumes them, and commits nothing.
+func (r *Responder) deploy(st *respState, w []float64, dead []int, recall bool) (err error) {
+	retrospective := recall || len(dead) > 0
+	route := transport.Ctrl{Op: transport.CtrlSetWeights, Weights: w}
+	var moved []int32
+	if st.mirror != nil {
+		r.mu.Lock()
+		deployed := st.mirror.OwnerMap()
+		moved, err = st.mirror.SetWeights(w)
+		route = transport.Ctrl{Op: transport.CtrlSetBucketMap, BucketMap: st.mirror.OwnerMap()}
+		r.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		defer func() {
+			if err != nil {
+				r.mu.Lock()
+				_ = st.mirror.SetOwnerMap(deployed)
+				r.mu.Unlock()
+			}
+		}()
+		// Only moved buckets are recalled: a discard without buckets means
+		// "all", and would drop queued build tuples no replay restores.
+		recall = recall && len(moved) > 0
+	}
+	if st.mirror == nil || len(moved) > 0 || len(dead) > 0 {
+		if err = r.redistribute(st, route, moved, dead, recall); err != nil {
+			return err
+		}
+	}
+	r.mu.Lock()
+	copy(st.weights, w)
+	r.mu.Unlock()
 	r.bus.Publish("responder", r.node, TopicPolicy, PolicyUpdate{
-		Fragment:      p.Fragment,
-		Weights:       append([]float64(nil), p.Weights...),
+		Fragment:      st.topo.Fragment,
+		Weights:       append([]float64(nil), w...),
 		Retrospective: retrospective,
 	})
 	return nil
 }
 
-// adaptStatelessR2 deploys W' prospectively: producers route future tuples
-// by the new weights; nothing already distributed moves.
-func (r *Responder) adaptStatelessR2(st *respState, p Proposal) error {
-	for _, ex := range st.topo.Inputs {
-		for _, prod := range ex.Producers {
-			if r.nodeDead(prod.Node) {
-				continue
-			}
-			if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange,
-				&transport.Ctrl{Op: transport.CtrlSetWeights, Weights: p.Weights})); err != nil {
-				return err
-			}
+// redistribute runs steps 2–7 of deploy. The producers are paused only
+// when something already distributed moves, and resumed however it ends.
+func (r *Responder) redistribute(st *respState, route transport.Ctrl, moved []int32, dead []int, recall bool) error {
+	if recall || len(dead) > 0 {
+		if err := r.pauseAll(st, true); err != nil {
+			return err
 		}
+		defer func() { _ = r.pauseAll(st, false) }()
 	}
-	return nil
-}
 
-// adaptStatelessR1 deploys W' retrospectively: pause, recall unprocessed
-// tuples from every consumer, install W', re-route the recalled tuples,
-// resume.
-func (r *Responder) adaptStatelessR1(st *respState, p Proposal) error {
-	if err := r.pauseAll(st, true); err != nil {
-		return err
+	// Recall every input exchange of an instance in one atomic discard:
+	// filtering the build queue ahead of the probe queue would let probes
+	// run against state that left the build flow but was not yet replayed.
+	stateful := make(map[string]bool, len(st.topo.Inputs))
+	for _, ex := range st.topo.Inputs {
+		stateful[ex.Exchange] = ex.Stateful
 	}
-	defer func() { _ = r.pauseAll(st, false) }()
-
-	// Recall still-unprocessed tuples from each consumer instance — all
-	// input exchanges in one atomic step per instance.
-	type recalled struct {
-		exchange string
-		prodIdx  int
-		consIdx  int
-		seqs     []int64
+	type resend struct {
+		exchange         string
+		prodIdx, consIdx int
+		seqs             []int64
 	}
-	var recalls []recalled
+	var resends []resend
 	for _, cons := range st.topo.Instances {
-		if r.deadInstance(st, cons) {
+		if !recall || r.deadInstance(st, cons) {
 			continue
 		}
-		reply, err := r.rpc.Call(r.ctx, cons.Node, cons.Service, ctrlMsg("", &transport.Ctrl{Op: transport.CtrlDiscard}))
+		reply, err := r.call(cons, "", &transport.Ctrl{Op: transport.CtrlDiscard, Buckets: moved})
 		if err != nil {
 			return err
 		}
@@ -506,35 +537,95 @@ func (r *Responder) adaptStatelessR1(st *respState, p Proposal) error {
 			if err != nil {
 				return err
 			}
-			recalls = append(recalls, recalled{exchange: ex, prodIdx: prodIdx, consIdx: cons.Index, seqs: seqs})
-		}
-	}
-	// Install the new weights, then re-route the recalled tuples.
-	for _, ex := range st.topo.Inputs {
-		for _, prod := range ex.Producers {
-			if r.nodeDead(prod.Node) {
-				continue
+			if !stateful[ex] { // stateful streams are covered by the replay
+				resends = append(resends, resend{exchange: ex, prodIdx: prodIdx, consIdx: cons.Index, seqs: seqs})
 			}
-			if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange,
-				&transport.Ctrl{Op: transport.CtrlSetWeights, Weights: p.Weights})); err != nil {
+		}
+		if st.mirror != nil {
+			if _, err := r.call(cons, "", &transport.Ctrl{Op: transport.CtrlEvict, Buckets: moved}); err != nil {
 				return err
 			}
 		}
 	}
-	for _, rc := range recalls {
-		if len(rc.seqs) == 0 {
+
+	if err := r.eachLiveProducer(st, func(ex ExchangeTopology, prod InstanceRef) error {
+		ctrl := route
+		_, err := r.call(prod, ex.Exchange, &ctrl)
+		return err
+	}); err != nil {
+		return err
+	}
+
+	// Build logs are never acknowledged, so replaying them recreates the
+	// moved buckets' state at the new owners; after that a dead stateful
+	// shard holds no recoverable work and is only detached, while a dead
+	// stateless shard's unacknowledged log is exactly its missing work.
+	if err := r.eachLiveProducer(st, func(ex ExchangeTopology, prod InstanceRef) error {
+		if ex.Stateful && len(moved) > 0 {
+			if _, err := r.call(prod, ex.Exchange, &transport.Ctrl{Op: transport.CtrlReplay, Buckets: moved}); err != nil {
+				return err
+			}
+			r.stateReplays.Inc()
+			r.obsReplays.Inc()
+			r.otl.Append(obs.Event{
+				Kind:          obs.KindReplay,
+				AtMs:          r.nowMs(),
+				Node:          string(r.node),
+				Fragment:      st.topo.Fragment,
+				Retrospective: true,
+				Detail:        "state replay " + ex.Exchange,
+			})
+		}
+		drain := transport.CtrlReplayLost
+		if ex.Stateful {
+			drain = transport.CtrlDetachConsumer
+		}
+		for _, di := range dead {
+			reply, err := r.call(prod, ex.Exchange, &transport.Ctrl{Op: drain, Peer: di})
+			if err != nil {
+				return err
+			}
+			if reply.Routed > 0 {
+				r.countMoved(st.topo.Fragment, reply.Routed)
+			}
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+
+	for _, rs := range resends {
+		if len(rs.seqs) == 0 {
 			continue
 		}
-		prod, ok := r.producerRef(st, rc.exchange, rc.prodIdx)
+		prod, ok := r.producerRef(st, rs.exchange, rs.prodIdx)
 		if !ok {
-			return fmt.Errorf("core: discard report names unknown stream %s/%d", rc.exchange, rc.prodIdx)
+			return fmt.Errorf("core: discard report names unknown stream %s/%d", rs.exchange, rs.prodIdx)
 		}
-		msg := ctrlMsg(rc.exchange, &transport.Ctrl{Op: transport.CtrlResend, Seqs: rc.seqs})
-		msg.ConsumerIdx = rc.consIdx
+		if r.nodeDead(prod.Node) {
+			return fmt.Errorf("core: recalled tuples of stream %s/%d are stranded on dead node %s",
+				rs.exchange, rs.prodIdx, prod.Node)
+		}
+		msg := ctrlMsg(rs.exchange, &transport.Ctrl{Op: transport.CtrlResend, Seqs: rs.seqs})
+		msg.ConsumerIdx = rs.consIdx
 		if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, msg); err != nil {
 			return err
 		}
-		r.countMoved(st.topo.Fragment, int64(len(rc.seqs)))
+		r.countMoved(st.topo.Fragment, int64(len(rs.seqs)))
+	}
+
+	// Downstream consumers stop waiting for the dead instances' EOS. Their
+	// queued tuples from those streams stay: they derive from inputs the
+	// dead instances had acknowledged, which survivors never regenerate.
+	for _, cons := range st.topo.Downstream {
+		if r.nodeDead(cons.Node) {
+			continue
+		}
+		for _, di := range dead {
+			if _, err := r.call(cons, st.topo.Output, &transport.Ctrl{Op: transport.CtrlDetach, Peer: di}); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -568,118 +659,26 @@ func (r *Responder) producerRef(st *respState, exchange string, prodIdx int) (In
 	return InstanceRef{}, false
 }
 
-// adaptStateful deploys W' for a stateful fragment: the bucket→owner map
-// moves minimally, queued tuples of the moved buckets are recalled, the
-// moved buckets' build state is evicted, the recovery logs replay the state
-// to its new owners, and recalled probe tuples are re-routed.
-func (r *Responder) adaptStateful(st *respState, p Proposal) error {
-	r.mu.Lock()
-	moved, err := st.mirror.SetWeights(p.Weights)
-	newMap := st.mirror.OwnerMap()
-	r.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if len(moved) == 0 {
-		return nil
-	}
-
-	if err := r.pauseAll(st, true); err != nil {
-		return err
-	}
-	defer func() { _ = r.pauseAll(st, false) }()
-
-	// Recall queued tuples of the moved buckets — every input exchange of
-	// an instance in one atomic step — and evict their state. Discarded
-	// build-side tuples need no resend: the replay below retransmits every
-	// logged tuple of the moved buckets.
-	stateful := make(map[string]bool, len(st.topo.Inputs))
-	for _, ex := range st.topo.Inputs {
-		stateful[ex.Exchange] = ex.Stateful
-	}
-	type resend struct {
-		exchange string
-		prodIdx  int
-		consIdx  int
-		seqs     []int64
-	}
-	var resends []resend
-	for _, cons := range st.topo.Instances {
-		if r.deadInstance(st, cons) {
-			continue
-		}
-		reply, err := r.rpc.Call(r.ctx, cons.Node, cons.Service, ctrlMsg("",
-			&transport.Ctrl{Op: transport.CtrlDiscard, Buckets: moved}))
-		if err != nil {
-			return err
-		}
-		for key, seqs := range reply.DiscardedSeqs {
-			ex, prodIdx, err := transport.ParseStreamKey(key)
-			if err != nil {
-				return err
-			}
-			if stateful[ex] {
-				continue // covered by replay below
-			}
-			resends = append(resends, resend{exchange: ex, prodIdx: prodIdx, consIdx: cons.Index, seqs: seqs})
-		}
-		if _, err := r.rpc.Call(r.ctx, cons.Node, cons.Service, ctrlMsg("", &transport.Ctrl{Op: transport.CtrlEvict, Buckets: moved})); err != nil {
-			return err
-		}
-	}
-	// Install the new owner map everywhere, then replay state and re-route
-	// recalled probes.
+// eachLiveProducer calls fn for every producer instance feeding st whose
+// machine is alive, exchange by exchange, and stops at the first error.
+func (r *Responder) eachLiveProducer(st *respState, fn func(ExchangeTopology, InstanceRef) error) error {
 	for _, ex := range st.topo.Inputs {
 		for _, prod := range ex.Producers {
 			if r.nodeDead(prod.Node) {
 				continue
 			}
-			if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange,
-				&transport.Ctrl{Op: transport.CtrlSetBucketMap, BucketMap: newMap})); err != nil {
+			if err := fn(ex, prod); err != nil {
 				return err
 			}
 		}
-	}
-	for _, ex := range st.topo.Inputs {
-		if !ex.Stateful {
-			continue
-		}
-		for _, prod := range ex.Producers {
-			if r.nodeDead(prod.Node) {
-				continue
-			}
-			if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange,
-				&transport.Ctrl{Op: transport.CtrlReplay, Buckets: moved})); err != nil {
-				return err
-			}
-			r.stateReplays.Inc()
-			r.obsReplays.Inc()
-			r.otl.Append(obs.Event{
-				Kind:          obs.KindReplay,
-				AtMs:          r.nowMs(),
-				Node:          string(r.node),
-				Fragment:      st.topo.Fragment,
-				Retrospective: true,
-				Detail:        "state replay " + ex.Exchange,
-			})
-		}
-	}
-	for _, rs := range resends {
-		if len(rs.seqs) == 0 {
-			continue
-		}
-		prod, ok := r.producerRef(st, rs.exchange, rs.prodIdx)
-		if !ok {
-			return fmt.Errorf("core: discard report names unknown stream %s/%d", rs.exchange, rs.prodIdx)
-		}
-		msg := ctrlMsg(rs.exchange, &transport.Ctrl{Op: transport.CtrlResend, Seqs: rs.seqs})
-		msg.ConsumerIdx = rs.consIdx
-		if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, msg); err != nil {
-			return err
-		}
-		r.countMoved(st.topo.Fragment, int64(len(rs.seqs)))
 	}
 	return nil
+}
+
+// call sends one control request to a fragment instance and waits for the
+// reply.
+func (r *Responder) call(ref InstanceRef, exchange string, ctrl *transport.Ctrl) (*transport.Ctrl, error) {
+	return r.rpc.Call(r.ctx, ref.Node, ref.Service, ctrlMsg(exchange, ctrl))
 }
 
 // pauseAll pauses or resumes every producer feeding the fragment. A pause
@@ -692,16 +691,12 @@ func (r *Responder) pauseAll(st *respState, pause bool) error {
 		op = transport.CtrlPause
 	}
 	var firstErr error
-	for _, ex := range st.topo.Inputs {
-		for _, prod := range ex.Producers {
-			if r.nodeDead(prod.Node) {
-				continue
-			}
-			if _, err := r.rpc.Call(r.ctx, prod.Node, prod.Service, ctrlMsg(ex.Exchange, &transport.Ctrl{Op: op})); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	_ = r.eachLiveProducer(st, func(ex ExchangeTopology, prod InstanceRef) error {
+		if _, err := r.call(prod, ex.Exchange, &transport.Ctrl{Op: op}); err != nil && firstErr == nil {
+			firstErr = err
 		}
-	}
+		return nil
+	})
 	if pause && firstErr != nil {
 		_ = r.pauseAll(st, false)
 	}
@@ -712,7 +707,7 @@ func (r *Responder) pauseAll(st *respState, pause bool) error {
 // transport error when the hosting machine is unreachable; sessions use it
 // as the heartbeat primitive behind failure detection.
 func (r *Responder) Ping(ref InstanceRef) error {
-	_, err := r.rpc.Call(r.ctx, ref.Node, ref.Service, ctrlMsg("", &transport.Ctrl{Op: transport.CtrlPing}))
+	_, err := r.call(ref, "", &transport.Ctrl{Op: transport.CtrlPing})
 	return err
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -609,48 +610,36 @@ func (r *FragmentRuntime) handle(from simnet.NodeID, msg *transport.Message) {
 func (r *FragmentRuntime) handleControl(msg *transport.Message) {
 	ctrl := msg.Ctrl
 	reply := &transport.Ctrl{Op: ctrl.Op, RequestID: ctrl.RequestID, OK: true}
+	var err error
 	switch ctrl.Op {
 	case transport.CtrlPause:
-		if err := r.requireProducer(ctrl, func(p *Producer) error { return p.Pause() }); err != nil {
-			reply.OK, reply.Err = false, err.Error()
-		}
+		err = r.requireProducer(ctrl, (*Producer).Pause)
 	case transport.CtrlResume:
-		if err := r.requireProducer(ctrl, func(p *Producer) error { p.Resume(); return nil }); err != nil {
-			reply.OK, reply.Err = false, err.Error()
-		}
+		err = r.requireProducer(ctrl, func(p *Producer) error { p.Resume(); return nil })
 	case transport.CtrlSetWeights:
-		if err := r.requireProducer(ctrl, func(p *Producer) error { return p.SetWeights(ctrl.Weights) }); err != nil {
-			reply.OK, reply.Err = false, err.Error()
-		}
+		err = r.requireProducer(ctrl, func(p *Producer) error { return p.SetWeights(ctrl.Weights) })
 	case transport.CtrlSetBucketMap:
-		if err := r.requireProducer(ctrl, func(p *Producer) error { return p.SetOwnerMap(ctrl.BucketMap) }); err != nil {
-			reply.OK, reply.Err = false, err.Error()
-		}
+		err = r.requireProducer(ctrl, func(p *Producer) error { return p.SetOwnerMap(ctrl.BucketMap) })
 	case transport.CtrlReplay:
-		if err := r.requireProducer(ctrl, func(p *Producer) error {
+		err = r.requireProducer(ctrl, func(p *Producer) error {
 			_, err := p.Replay(ctrl.Buckets)
 			return err
-		}); err != nil {
-			reply.OK, reply.Err = false, err.Error()
-		}
+		})
 	case transport.CtrlResend:
-		if err := r.requireProducer(ctrl, func(p *Producer) error {
+		err = r.requireProducer(ctrl, func(p *Producer) error {
 			_, err := p.Resend(msg.ConsumerIdx, ctrl.Seqs)
 			return err
-		}); err != nil {
-			reply.OK, reply.Err = false, err.Error()
-		}
+		})
 	case transport.CtrlProgress:
 		// Producers report routed/estimate; a request naming one of this
 		// instance's input exchanges reports the tuples consumed from it,
 		// so the Responder can estimate progress as processed/expected.
 		if c := r.consumers[msg.Exchange]; c != nil {
-			consumed, _, _ := c.Stats()
-			reply.Routed = consumed
+			reply.Routed, _, _ = c.Stats()
 		} else if r.producer != nil {
 			reply.Routed, reply.Est = r.producer.Progress()
 		} else {
-			reply.OK, reply.Err = false, "no producer on "+r.service
+			err = errors.New("no producer on " + r.service)
 		}
 	case transport.CtrlDiscard:
 		// An empty exchange filters EVERY input queue in one quiesce, so a
@@ -661,10 +650,10 @@ func (r *FragmentRuntime) handleControl(msg *transport.Message) {
 			for _, c := range r.consumers {
 				targets = append(targets, c)
 			}
-		} else if c := r.consumers[msg.Exchange]; c != nil {
-			targets = []*Consumer{c}
-		} else {
-			reply.OK, reply.Err = false, fmt.Sprintf("no consumer for exchange %s on %s", msg.Exchange, r.service)
+		} else if err = r.requireConsumer(msg.Exchange, func(c *Consumer) error {
+			targets = append(targets, c)
+			return nil
+		}); err != nil {
 			break
 		}
 		report := make(map[string][]int64)
@@ -678,46 +667,36 @@ func (r *FragmentRuntime) handleControl(msg *transport.Message) {
 		reply.DiscardedSeqs = report
 	case transport.CtrlEvict:
 		if r.stateTarget == nil {
-			reply.OK, reply.Err = false, "no stateful operator on "+r.service
-			break
+			err = errors.New("no stateful operator on " + r.service)
+		} else {
+			r.stateTarget.EvictBuckets(ctrl.Buckets)
 		}
-		r.stateTarget.EvictBuckets(ctrl.Buckets)
 	case transport.CtrlReplayLost:
-		if err := r.requireProducer(ctrl, func(p *Producer) error {
+		err = r.requireProducer(ctrl, func(p *Producer) error {
 			n, err := p.ReplayLost(ctrl.Peer)
 			reply.Routed = int64(n)
 			return err
-		}); err != nil {
-			reply.OK, reply.Err = false, err.Error()
-		}
+		})
 	case transport.CtrlDetachConsumer:
-		if err := r.requireProducer(ctrl, func(p *Producer) error { return p.DetachConsumer(ctrl.Peer) }); err != nil {
-			reply.OK, reply.Err = false, err.Error()
-		}
+		err = r.requireProducer(ctrl, func(p *Producer) error { return p.DetachConsumer(ctrl.Peer) })
 	case transport.CtrlDetach:
-		if c := r.consumers[msg.Exchange]; c != nil {
-			if err := c.DetachProducer(ctrl.Peer); err != nil {
-				reply.OK, reply.Err = false, err.Error()
-			}
-		} else {
-			reply.OK, reply.Err = false, fmt.Sprintf("no consumer for exchange %s on %s", msg.Exchange, r.service)
-		}
+		err = r.requireConsumer(msg.Exchange, func(c *Consumer) error { return c.DetachProducer(ctrl.Peer) })
 	case transport.CtrlAttach:
-		if err := r.requireProducer(ctrl, func(p *Producer) error {
+		err = r.requireProducer(ctrl, func(p *Producer) error {
 			return p.AddConsumer(Addr{Node: ctrl.PeerNode, Service: ctrl.PeerService}, ctrl.Weights)
-		}); err != nil {
-			reply.OK, reply.Err = false, err.Error()
-		}
+		})
 	case transport.CtrlExpectProducer:
-		if c := r.consumers[msg.Exchange]; c != nil {
+		err = r.requireConsumer(msg.Exchange, func(c *Consumer) error {
 			c.AddProducer(Addr{Node: ctrl.PeerNode, Service: ctrl.PeerService})
-		} else {
-			reply.OK, reply.Err = false, fmt.Sprintf("no consumer for exchange %s on %s", msg.Exchange, r.service)
-		}
+			return nil
+		})
 	case transport.CtrlPing:
 		// Liveness probe: reaching this handler is the answer.
 	default:
-		reply.OK, reply.Err = false, fmt.Sprintf("unknown control op %v", ctrl.Op)
+		err = fmt.Errorf("unknown control op %v", ctrl.Op)
+	}
+	if err != nil {
+		reply.OK, reply.Err = false, err.Error()
 	}
 	if ctrl.ReplyService == "" {
 		return
@@ -733,6 +712,14 @@ func (r *FragmentRuntime) requireProducer(ctrl *transport.Ctrl, fn func(*Produce
 		return fmt.Errorf("engine: control %v on fragment %s with no producer", ctrl.Op, r.cfg.Fragment.ID)
 	}
 	return fn(r.producer)
+}
+
+func (r *FragmentRuntime) requireConsumer(exchange string, fn func(*Consumer) error) error {
+	c := r.consumers[exchange]
+	if c == nil {
+		return fmt.Errorf("no consumer for exchange %s on %s", exchange, r.service)
+	}
+	return fn(c)
 }
 
 // ConsumedTuples reports the cumulative tuples this instance consumed from

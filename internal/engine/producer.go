@@ -724,9 +724,6 @@ func (p *Producer) SetOwnerMap(m []int32) error {
 	return p.policy.SetOwnerMap(m)
 }
 
-// Weights reports the current distribution vector.
-func (p *Producer) Weights() []float64 { return p.policy.Weights() }
-
 // Progress reports routed tuples and the optimiser's estimate.
 func (p *Producer) Progress() (routed, est int64) {
 	return p.routed.Load(), p.Est
@@ -762,30 +759,13 @@ func (p *Producer) Replay(buckets []int32) (int, error) {
 		})
 		s.mu.Unlock()
 	}
-	moved := 0
-	for _, mv := range pending {
-		src := p.shards[mv.consumer]
+	return p.reroute(len(pending), func(i int) (logEntry, error) {
+		src := p.shards[pending[i].consumer]
 		src.mu.Lock()
-		src.log.take(mv.seq)
+		src.log.take(pending[i].seq)
 		src.mu.Unlock()
-		target := p.policy.RouteBucket(mv.e.bucket)
-		dst := p.shards[target]
-		dst.mu.Lock()
-		p.appendShardLocked(dst, mv.e.bucket, mv.e.tuple)
-		moved++
-		var err error
-		if len(dst.buf) >= p.bufferTuples {
-			err = p.flushShardLocked(target, dst, true)
-		}
-		dst.mu.Unlock()
-		if err != nil {
-			return moved, err
-		}
-	}
-	if err := p.flushAll(true); err != nil {
-		return moved, err
-	}
-	return moved, nil
+		return pending[i].e, nil
+	}, true, -1)
 }
 
 // Resend re-routes previously discarded tuples (reported by a consumer
@@ -796,13 +776,31 @@ func (p *Producer) Resend(fromConsumer int, seqs []int64) (int, error) {
 	src := p.shards[fromConsumer]
 	sorted := append([]int64(nil), seqs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	n := 0
-	for _, seq := range sorted {
+	return p.reroute(len(sorted), func(i int) (logEntry, error) {
 		src.mu.Lock()
-		e, ok := src.log.take(seq)
+		e, ok := src.log.take(sorted[i])
 		src.mu.Unlock()
 		if !ok {
-			return n, fmt.Errorf("engine: resend of unknown seq %d on %s/consumer %d", seq, p.Exchange, fromConsumer)
+			return e, fmt.Errorf("engine: resend of unknown seq %d on %s/consumer %d", sorted[i], p.Exchange, fromConsumer)
+		}
+		return e, nil
+	}, false, -1)
+}
+
+// reroute is the one loop that moves logged entries to new consumers: it
+// takes n entries in order from next, routes each under the current policy
+// (by its bucket when it has one), appends it to the target shard under a
+// fresh sequence number, and flushes full buffers, then every shard.
+// Replay buffers are flagged for state rebuild; normal flow also closes the
+// checkpoint intervals and re-checks end-of-stream, since the moved entries
+// may have been what held it back. An entry routed to the consumer named
+// by lost fails the call. Call with the barrier held exclusively.
+func (p *Producer) reroute(n int, next func(i int) (logEntry, error), replay bool, lost int) (int, error) {
+	moved := 0
+	for i := 0; i < n; i++ {
+		e, err := next(i)
+		if err != nil {
+			return moved, err
 		}
 		var target int
 		if e.bucket >= 0 {
@@ -810,29 +808,34 @@ func (p *Producer) Resend(fromConsumer int, seqs []int64) (int, error) {
 		} else {
 			target, _ = p.policy.Route(e.tuple)
 		}
+		if target == lost {
+			return moved, fmt.Errorf("engine: replay-lost on %s still routes to dead consumer %d", p.Exchange, lost)
+		}
 		dst := p.shards[target]
 		dst.mu.Lock()
 		p.appendShardLocked(dst, e.bucket, e.tuple)
-		n++
-		var err error
+		moved++
 		if len(dst.buf) >= p.bufferTuples {
-			err = p.flushShardLocked(target, dst, false)
+			err = p.flushShardLocked(target, dst, replay)
 		}
 		dst.mu.Unlock()
 		if err != nil {
-			return n, err
+			return moved, err
 		}
 	}
-	if err := p.flushAll(false); err != nil {
-		return n, err
+	if err := p.flushAll(replay); err != nil {
+		return moved, err
+	}
+	if replay {
+		return moved, nil
 	}
 	p.finMu.Lock()
 	defer p.finMu.Unlock()
 	if err := p.finalizeCheckpointsLocked(); err != nil {
-		return n, err
+		return moved, err
 	}
 	_ = p.maybeFinishLocked()
-	return n, nil
+	return moved, nil
 }
 
 // FlushHeld transmits every held buffer. The fragment runtime calls it in
@@ -879,40 +882,7 @@ func (p *Producer) ReplayLost(dead int) (int, error) {
 	src.buf = src.buf[:0]
 	src.dead = true
 	src.mu.Unlock()
-	n := 0
-	for _, e := range pending {
-		var target int
-		if e.bucket >= 0 {
-			target = p.policy.RouteBucket(e.bucket)
-		} else {
-			target, _ = p.policy.Route(e.tuple)
-		}
-		if target == dead {
-			return n, fmt.Errorf("engine: replay-lost on %s still routes to dead consumer %d", p.Exchange, dead)
-		}
-		dst := p.shards[target]
-		dst.mu.Lock()
-		p.appendShardLocked(dst, e.bucket, e.tuple)
-		n++
-		var err error
-		if len(dst.buf) >= p.bufferTuples {
-			err = p.flushShardLocked(target, dst, false)
-		}
-		dst.mu.Unlock()
-		if err != nil {
-			return n, err
-		}
-	}
-	if err := p.flushAll(false); err != nil {
-		return n, err
-	}
-	p.finMu.Lock()
-	defer p.finMu.Unlock()
-	if err := p.finalizeCheckpointsLocked(); err != nil {
-		return n, err
-	}
-	_ = p.maybeFinishLocked()
-	return n, nil
+	return p.reroute(len(pending), func(i int) (logEntry, error) { return pending[i], nil }, false, dead)
 }
 
 // DetachConsumer marks a dead consumer instance as gone without replaying

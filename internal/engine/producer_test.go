@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 // producerHarness wires a producer to an in-proc transport with a capture
 // endpoint per consumer.
 type producerHarness struct {
+	net  *simnet.Network
 	tr   *transport.InProc
 	ctx  *ExecContext
 	prod *Producer
@@ -28,28 +31,16 @@ func newProducerHarness(t *testing.T, consumers int, stateful bool, policy DistP
 	net := simnet.NewNetwork(clock)
 	net.AddNode("src")
 	h := &producerHarness{
+		net:      net,
 		tr:       transport.NewInProc(net),
 		received: make(map[int][]*transport.Message),
 	}
 	addrs := make([]Addr, consumers)
 	for i := 0; i < consumers; i++ {
-		i := i
-		node := simnet.NodeID("sink")
-		if net.Node(node) == nil {
-			net.AddNode(node)
-		}
+		node := simnet.NodeID(fmt.Sprintf("sink%d", i))
+		net.AddNode(node)
 		svc := "cons/" + string(rune('0'+i))
-		h.tr.Register(node, svc, func(_ simnet.NodeID, m *transport.Message) {
-			// The producer recycles data frames once Send returns, so the
-			// harness snapshots the message instead of retaining it — the
-			// same no-retention contract real consumers follow.
-			cp := *m
-			cp.Tuples = append([]relation.Tuple(nil), m.Tuples...)
-			cp.Buckets = append([]int32(nil), m.Buckets...)
-			h.mu.Lock()
-			h.received[i] = append(h.received[i], &cp)
-			h.mu.Unlock()
-		})
+		h.tr.Register(node, svc, h.capture(i))
 		addrs[i] = Addr{Node: node, Service: svc}
 	}
 	h.ctx = &ExecContext{
@@ -64,6 +55,21 @@ func newProducerHarness(t *testing.T, consumers int, stateful bool, policy DistP
 	})
 	h.prod.Bind(h.ctx)
 	return h
+}
+
+// capture is consumer i's endpoint handler.
+func (h *producerHarness) capture(i int) transport.Handler {
+	return func(_ simnet.NodeID, m *transport.Message) {
+		// The producer recycles data frames once Send returns, so the
+		// harness snapshots the message instead of retaining it — the
+		// same no-retention contract real consumers follow.
+		cp := *m
+		cp.Tuples = append([]relation.Tuple(nil), m.Tuples...)
+		cp.Buckets = append([]int32(nil), m.Buckets...)
+		h.mu.Lock()
+		h.received[i] = append(h.received[i], &cp)
+		h.mu.Unlock()
+	}
 }
 
 func (h *producerHarness) messages(consumer int) []*transport.Message {
@@ -278,5 +284,103 @@ func TestProducerProgressAndCounts(t *testing.T) {
 	counts := h.prod.ConsumerTupleCounts()
 	if counts[0]+counts[1] != 6 || counts[0] != 3 {
 		t.Fatalf("counts = %v", counts)
+	}
+}
+
+// eosTo reports whether the consumer received end-of-stream.
+func (h *producerHarness) eosTo(consumer int) bool {
+	for _, m := range h.messages(consumer) {
+		if m.Kind == transport.KindEOS {
+			return true
+		}
+	}
+	return false
+}
+
+func TestProducerPeerLoss(t *testing.T) {
+	// Every buffer is flushed before the machine dies (8 tuples, 4 per
+	// consumer, buffers of 4), so the first send to find it gone is the
+	// end-of-stream of a stateful exchange or the closing checkpoint of a
+	// stateless one — not a data flush.
+	for _, tc := range []struct {
+		name     string
+		ft       bool
+		stateful bool
+		kill     simnet.NodeID
+		wantErr  bool
+	}{
+		{name: "fault-tolerant, stateful: EOS finds the consumer gone", ft: true, stateful: true, kill: "sink1"},
+		{name: "fault-tolerant, stateless: the checkpoint finds the consumer gone", ft: true, kill: "sink1"},
+		{name: "not fault-tolerant", stateful: true, kill: "sink1", wantErr: true},
+		// Consumer 0 shares the producer's machine, so the error names the
+		// consumer's node too; it is still the producer's own loss.
+		{name: "the producer's own machine is the one down", ft: true, stateful: true, kill: "src", wantErr: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pol, _ := NewWeightedPolicy([]float64{0.5, 0.5})
+			h := newProducerHarness(t, 2, tc.stateful, pol)
+			if tc.kill == "src" {
+				h.tr.Register("src", "cons/0", h.capture(0))
+				h.prod.Consumers[0] = Addr{Node: "src", Service: "cons/0"}
+			}
+			var peersDown []simnet.NodeID
+			if tc.ft {
+				h.prod.SetFaultTolerant(false, func(n simnet.NodeID) { peersDown = append(peersDown, n) })
+			}
+			batch := make([]relation.Tuple, 8)
+			for i := range batch {
+				batch[i] = intTuple(i)
+			}
+			if err := h.prod.SendBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < 2; c++ {
+				if got := len(h.messages(c)); got != 1 {
+					t.Fatalf("consumer %d got %d buffers before the loss, want 1", c, got)
+				}
+			}
+			h.net.Node(tc.kill).Fail()
+
+			err := h.prod.Close()
+			if tc.wantErr {
+				var down *transport.NodeDownError
+				if !errors.As(err, &down) || down.Node != tc.kill {
+					t.Fatalf("Close = %v, want the transport error naming %s", err, tc.kill)
+				}
+				if len(peersDown) != 0 {
+					t.Fatalf("onPeerDown called with %v", peersDown)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Close = %v, want the dead consumer detached", err)
+			}
+			if !h.prod.shards[1].dead {
+				t.Fatal("the dead consumer's shard is still live")
+			}
+			if len(peersDown) != 1 || peersDown[0] != "sink1" {
+				t.Fatalf("onPeerDown calls = %v, want [sink1]", peersDown)
+			}
+			if !tc.stateful {
+				// The dead shard's log holds back EOS until failover drains it
+				// onto the survivor, which then acknowledges everything.
+				if h.eosTo(0) {
+					t.Fatal("EOS sent while the dead shard's log is undrained")
+				}
+				if err := h.prod.SetWeights([]float64{1, 0}); err != nil {
+					t.Fatal(err)
+				}
+				if n, err := h.prod.ReplayLost(1); err != nil || n != 4 {
+					t.Fatalf("ReplayLost = %d, %v; want 4", n, err)
+				}
+				h.prod.HandleAck(&transport.Message{Kind: transport.KindAck, ConsumerIdx: 0, Checkpoint: 8})
+			}
+			if !h.eosTo(0) {
+				t.Fatal("the surviving consumer never got EOS")
+			}
+			if len(peersDown) != 1 {
+				t.Fatalf("onPeerDown calls = %v, want exactly one", peersDown)
+			}
+		})
 	}
 }

@@ -111,9 +111,6 @@ func (c *Cluster) Network() *simnet.Network { return c.net }
 // adaptations happen).
 func (c *Cluster) Bus() *bus.Bus { return c.bus }
 
-// Transport exposes the message transport.
-func (c *Cluster) Transport() transport.Transport { return c.tr }
-
 // Registry exposes the resource registry.
 func (c *Cluster) Registry() *registry.Registry { return c.registry }
 

@@ -17,10 +17,6 @@ type InProc struct {
 
 	mu        sync.RWMutex
 	endpoints map[endpointKey]Handler
-	// cut holds directed network partitions injected by the chaos
-	// harness; a cut pair delivers NodeDownError exactly like a crashed
-	// destination, but the isolated node itself keeps running.
-	cut map[[2]simnet.NodeID]bool
 
 	obsSent *obs.Counter
 }
@@ -35,25 +31,8 @@ func NewInProc(net *simnet.Network) *InProc {
 	return &InProc{
 		net:       net,
 		endpoints: make(map[endpointKey]Handler),
-		cut:       make(map[[2]simnet.NodeID]bool),
 		obsSent:   obs.Default().Counter(obs.Label(obs.MTransportMessages, "kind", "inproc")),
 	}
-}
-
-// SetPartitioned injects (v=true) or heals (v=false) a directed network
-// partition: sends from one node to the other fail with NodeDownError while
-// both machines keep running. Chaos tests use it to model an evaluator that
-// is alive but unreachable.
-func (t *InProc) SetPartitioned(a, b simnet.NodeID, v bool) {
-	t.mu.Lock()
-	if v {
-		t.cut[[2]simnet.NodeID{a, b}] = true
-		t.cut[[2]simnet.NodeID{b, a}] = true
-	} else {
-		delete(t.cut, [2]simnet.NodeID{a, b})
-		delete(t.cut, [2]simnet.NodeID{b, a})
-	}
-	t.mu.Unlock()
 }
 
 // Register implements Transport.
@@ -81,11 +60,7 @@ func (t *InProc) Send(from, to simnet.NodeID, service string, msg *Message) (flo
 	}
 	t.mu.RLock()
 	h, ok := t.endpoints[endpointKey{to, service}]
-	partitioned := t.cut[[2]simnet.NodeID{from, to}]
 	t.mu.RUnlock()
-	if partitioned {
-		return 0, &NodeDownError{Node: to}
-	}
 	if !ok {
 		return 0, fmt.Errorf("transport: no endpoint %q on node %q", service, to)
 	}
