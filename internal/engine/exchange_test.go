@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -69,6 +70,8 @@ type testCluster struct {
 	// parallelism, when > 1, runs every parallel-eligible fragment under
 	// the morsel worker pool.
 	parallelism int
+	// ft deploys every instance with elastic crash recovery (RuntimeConfig.FT).
+	ft bool
 
 	runtimes map[string]*FragmentRuntime
 	results  chan relation.Tuple
@@ -124,6 +127,7 @@ func (c *testCluster) deploy(plan *physical.Plan) {
 				Ctx:      ctx,
 				Tr:       c.tr,
 				Node:     node,
+				FT:       c.ft,
 			}
 			if frag.Output == nil {
 				cfg.Sink = &chanSink{ch: c.results}
@@ -303,6 +307,55 @@ func TestQ1PipelineEndToEnd(t *testing.T) {
 	m1, m2 := c.monitor.counts()
 	if m1 == 0 || m2 == 0 {
 		t.Errorf("monitoring events: m1=%d m2=%d", m1, m2)
+	}
+}
+
+// TestQ1M1StreamAtWidth1 pins the paper's M1 cadence on the width-1 driver,
+// with and without elastic recovery: every instance emits at exactly every
+// tenth produced tuple, with exact selectivity, and each event attributes
+// exactly its window's cost — the fragment's closed-form per-tuple charge.
+func TestQ1M1StreamAtWidth1(t *testing.T) {
+	for _, ft := range []bool{false, true} {
+		t.Run(fmt.Sprintf("ft=%v", ft), func(t *testing.T) {
+			c := newTestCluster(t, "data1", "ws0", "ws1", "coord")
+			c.ft = ft
+			defer c.stopAll()
+			c.deploy(q1Plan(120))
+			if n := len(c.collect()); n != 120 {
+				t.Fatalf("got %d rows, want 120", n)
+			}
+			// Nodes are unperturbed, the demo tables are in memory and the
+			// cluster's costs carry no per-byte scan term.
+			perTuple := map[string]float64{
+				"F1": c.costs.ScanMs,
+				"F2": ws.Entropy{CostMs: 0.5}.BaseCostMs() + c.costs.ProjectMs,
+				"F3": 0,
+			}
+			events := make(map[string][]M1Event)
+			c.monitor.mu.Lock()
+			for _, e := range c.monitor.m1 {
+				id := fmt.Sprintf("%s#%d", e.Fragment, e.Instance)
+				events[id] = append(events[id], e)
+			}
+			c.monitor.mu.Unlock()
+			for id, rt := range c.runtimes {
+				got := events[id]
+				if want := int(rt.Produced() / 10); len(got) != want {
+					t.Fatalf("%s: %d M1 events for %d produced tuples, want %d", id, len(got), rt.Produced(), want)
+				}
+				for i, e := range got {
+					if e.Produced != int64(10*(i+1)) {
+						t.Fatalf("%s: event %d at Produced=%d, want %d", id, i, e.Produced, 10*(i+1))
+					}
+					if e.Selectivity != 1 {
+						t.Fatalf("%s: event %d selectivity %v, want 1", id, i, e.Selectivity)
+					}
+					if want := perTuple[e.Fragment]; math.Abs(e.CostPerTupleMs-want) > 1e-9 {
+						t.Fatalf("%s: event %d cost %v ms/tuple, closed form %v", id, i, e.CostPerTupleMs, want)
+					}
+				}
+			}
+		})
 	}
 }
 
