@@ -2,12 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/simnet"
 	"repro/internal/transport"
-	"repro/internal/vtime"
 )
 
 // Addr is a transport endpoint of a fragment instance.
@@ -70,7 +70,6 @@ type Consumer struct {
 	Stateful bool
 
 	gate *flowGate
-	ctx  *ExecContext
 	tr   transport.Transport
 	node simnet.NodeID
 
@@ -78,10 +77,15 @@ type Consumer struct {
 	queue    seqQueue[queueEntry]
 	eos      int
 	streams  []*streamState
-	lastPop  []queueEntry // entries popped but not yet marked processed
 	consumed int64
 	waitMs   float64
 	closed   bool
+
+	// self is the handle the consumer's own NextBatch pops through when it
+	// is the leaf of the compiled operator tree; workers counts the worker
+	// handles NewWorker gave out that have not closed yet.
+	self    ConsumerWorker
+	workers atomic.Int32
 
 	obsConsumed *obs.Counter
 
@@ -113,6 +117,7 @@ func newConsumer(exchange string, consumerIdx int, producers []Addr, stateful bo
 	for i := range c.streams {
 		c.streams[i] = &streamState{discarded: make(map[int64]bool)}
 	}
+	c.self.c = c
 	return c
 }
 
@@ -134,25 +139,27 @@ func (c *Consumer) SetFaultTolerant(commit func(acks []ackItem)) {
 }
 
 // Open implements Iterator.
-func (c *Consumer) Open(ctx *ExecContext) error {
-	c.ctx = ctx
-	return nil
-}
+func (c *Consumer) Open(ctx *ExecContext) error { return c.self.Open(ctx) }
 
-// NextBatch implements Iterator: it blocks until tuples arrive, every
-// producer has closed the exchange, or the consumer is closed, then pops up
-// to dst.Cap() queued tuples under a single gate-lock acquisition. Marking
-// the previous batch processed happens on entry, so between two pops exactly
-// one batch is in flight: the flow gate's quiesce waits for it, and
-// checkpoint acknowledgements fire only after it has been processed.
-func (c *Consumer) NextBatch(dst *relation.Batch) (int, error) {
+// NextBatch implements Iterator: it pops through the consumer's own handle
+// (see pop).
+func (c *Consumer) NextBatch(dst *relation.Batch) (int, error) { return c.pop(&c.self, dst) }
+
+// pop is the one dequeue loop, for the consumer's own handle and for every
+// worker handle alike. It marks w's previous batch processed, then blocks
+// until tuples arrive, every producer has closed the exchange, or the
+// consumer is closed, and pops up to dst.Cap() queued tuples under a single
+// gate-lock acquisition. So between two pops exactly one batch per handle is
+// in flight: the flow gate's quiesce waits for it, and checkpoint
+// acknowledgements fire only after it has been processed.
+func (c *Consumer) pop(w *ConsumerWorker, dst *relation.Batch) (int, error) {
 	dst.Rewind()
 	c.gate.mu.Lock()
-	c.finishInflightLocked()
+	c.finishLocked(w)
 	flushed := false
 	for {
 		if c.queue.len() > 0 && !c.gate.paused {
-			n := c.popLocked(&c.lastPop, dst)
+			n := c.popLocked(&w.pending, dst)
 			c.gate.mu.Unlock()
 			c.obsConsumed.Add(int64(n))
 			return n, nil
@@ -162,17 +169,19 @@ func (c *Consumer) NextBatch(dst *relation.Batch) (int, error) {
 			return 0, nil
 		}
 		if !flushed {
-			// About to block: pay the outstanding modelled work first so
-			// the measured wait reflects genuine starvation, then recheck.
+			// About to block: pay the handle's outstanding modelled work
+			// first so the measured wait reflects genuine starvation, then
+			// recheck. A meter is goroutine-confined, so each handle flushes
+			// its own driver's.
 			flushed = true
 			c.gate.mu.Unlock()
-			c.ctx.Meter.Flush()
+			w.ctx.Meter.Flush()
 			c.gate.mu.Lock()
 			continue
 		}
-		start := c.ctx.Clock.NowMs()
+		start := w.ctx.Clock.NowMs()
 		c.gate.cond.Wait()
-		c.waitMs += c.ctx.Clock.NowMs() - start
+		c.waitMs += w.ctx.Clock.NowMs() - start
 	}
 }
 
@@ -249,18 +258,19 @@ func (c *Consumer) ftAckableLocked() []ackItem {
 	return acks
 }
 
-// finishInflightLocked marks the previously popped entries processed,
-// releasing the gate and acknowledging completed checkpoints.
-func (c *Consumer) finishInflightLocked() {
-	if len(c.lastPop) == 0 {
+// finishLocked marks w's popped entries processed, releasing the gate and
+// acknowledging completed checkpoints — through the commit section when
+// fault-tolerant. Caller holds gate.mu; it is dropped while acks are sent,
+// because transmission sleeps and may park on a paused producer's barrier.
+func (c *Consumer) finishLocked(w *ConsumerWorker) {
+	if len(w.pending) == 0 {
 		return
 	}
-	acks := c.finishEntriesLocked(c.lastPop)
-	c.lastPop = c.lastPop[:0]
+	acks := c.finishEntriesLocked(w.pending)
+	w.pending = w.pending[:0]
 	if len(acks) == 0 {
 		return
 	}
-	// Send acks outside the gate lock: transmission sleeps.
 	c.gate.mu.Unlock()
 	if c.ft && c.ftCommit != nil {
 		c.ftCommit(acks)
@@ -272,68 +282,57 @@ func (c *Consumer) finishInflightLocked() {
 	c.gate.mu.Lock()
 }
 
-// ConsumerWorker is one morsel worker's handle on a shared Consumer: the
-// worker's popped tuples stay in flight — and its completed checkpoint acks
-// unsent — until the worker calls Finish, so the flow gate's quiesce waits
-// on every worker's current morsel exactly as it waits on the serial
-// driver's current batch, and no worker can finish another's morsel.
+// ConsumerWorker is one driver's handle on a Consumer, and the exchange leaf
+// of that driver's operator chain: the tuples it popped stay in flight — and
+// the checkpoint acks they complete unsent — until its next pop or Finish,
+// so the flow gate's quiesce waits on every driver's current batch and no
+// driver can finish another's. The Consumer pops through a handle of its
+// own; each worker chain of the morsel pool holds one from NewWorker.
 type ConsumerWorker struct {
 	c       *Consumer
-	pending []queueEntry
+	ctx     *ExecContext
+	pending []queueEntry // guarded by c.gate.mu
+	closed  bool
 }
 
-// NewWorker returns a fresh worker handle.
-func (c *Consumer) NewWorker() *ConsumerWorker { return &ConsumerWorker{c: c} }
+// NewWorker returns a fresh worker handle. The consumer stays open until
+// every handle it gave out has closed.
+func (c *Consumer) NewWorker() *ConsumerWorker {
+	c.workers.Add(1)
+	return &ConsumerWorker{c: c}
+}
 
-// Finish marks the worker's previously popped entries processed. Call with
-// no locks held: completed checkpoint acks are transmitted inline.
+// Open implements Iterator: the handle waits on ctx's clock and flushes its
+// meter before parking.
+func (w *ConsumerWorker) Open(ctx *ExecContext) error {
+	w.ctx = ctx
+	return nil
+}
+
+// NextBatch implements Iterator.
+func (w *ConsumerWorker) NextBatch(dst *relation.Batch) (int, error) { return w.c.pop(w, dst) }
+
+// Finish marks the handle's popped entries processed. Call with no locks
+// held: completed checkpoint acks are transmitted inline.
 func (w *ConsumerWorker) Finish() {
-	if len(w.pending) == 0 {
-		return
-	}
-	c := w.c
-	c.gate.mu.Lock()
-	acks := c.finishEntriesLocked(w.pending)
-	c.gate.mu.Unlock()
-	w.pending = w.pending[:0]
-	for _, a := range acks {
-		c.sendAck(a)
-	}
+	w.c.gate.mu.Lock()
+	w.c.finishLocked(w)
+	w.c.gate.mu.Unlock()
 }
 
-// NextBatchFor pops a batch for worker w, flushing the worker's own meter m
-// before parking (a vtime.Meter is goroutine-confined, so the consumer's
-// bound context meter must not be flushed from worker goroutines). Unlike
-// NextBatch it does not finish w's previous batch on entry — the worker
-// does that explicitly, with no locks held, before asking for more input.
-func (c *Consumer) NextBatchFor(w *ConsumerWorker, dst *relation.Batch, m *vtime.Meter) (int, error) {
-	dst.Rewind()
-	c.gate.mu.Lock()
-	flushed := false
-	for {
-		if c.queue.len() > 0 && !c.gate.paused {
-			n := c.popLocked(&w.pending, dst)
-			c.gate.mu.Unlock()
-			c.obsConsumed.Add(int64(n))
-			return n, nil
-		}
-		if c.closed || (c.eos == len(c.Producers) && c.queue.len() == 0 && !c.gate.paused) {
-			c.gate.mu.Unlock()
-			return 0, nil
-		}
-		if !flushed {
-			flushed = true
-			c.gate.mu.Unlock()
-			if m != nil {
-				m.Flush()
-			}
-			c.gate.mu.Lock()
-			continue
-		}
-		start := c.ctx.Clock.NowMs()
-		c.gate.cond.Wait()
-		c.waitMs += c.ctx.Clock.NowMs() - start
+// Close implements Iterator: it finishes the handle's batch, and the last
+// worker handle to close closes the consumer — closing it on the first
+// would end the input of siblings still reading.
+func (w *ConsumerWorker) Close() error {
+	if w.closed {
+		return nil
 	}
+	w.closed = true
+	w.Finish()
+	if w.c.workers.Add(-1) > 0 {
+		return nil
+	}
+	return w.c.Close()
 }
 
 // ackableLocked pops every pending checkpoint that is complete: no sequence
@@ -388,7 +387,7 @@ func (c *Consumer) sendAck(a ackItem) {
 // Close implements Iterator: it releases any blocked NextBatch.
 func (c *Consumer) Close() error {
 	c.gate.locked(func() {
-		c.finishInflightLocked()
+		c.finishLocked(&c.self)
 		c.closed = true
 		c.gate.cond.Broadcast()
 	})

@@ -60,7 +60,7 @@ func benchExchangeBacklog(b *testing.B, n int) {
 		tr.Register("n", "prod", func(_ simnet.NodeID, m *transport.Message) { prod.HandleAck(m) })
 
 		for at := 0; at < n; at += relation.DefaultBatchSize {
-			if err := prod.SendBatch(tuples[at:min(at+relation.DefaultBatchSize, n)]); err != nil {
+			if err := prod.SendBatch(tuples[at:min(at+relation.DefaultBatchSize, n)], ctx.Meter); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -46,8 +46,8 @@ type RuntimeConfig struct {
 	// FT enables elastic crash recovery for this instance: consumers
 	// acknowledge processed prefixes inside node commit sections paired
 	// with the flush of derived outputs, producers survive peer death by
-	// parking the lost tuples in their recovery logs, and the driver is
-	// forced serial (the commit pairing relies on the serial pull order).
+	// parking the lost tuples in their recovery logs, and the driver runs
+	// at width 1 (the commit pairing relies on one puller's pull order).
 	FT bool
 	// OnPeerDown is told when a flush discovers a dead peer (FT only).
 	OnPeerDown func(simnet.NodeID)
@@ -65,19 +65,19 @@ type FragmentRuntime struct {
 	root        Iterator
 	consumers   map[string]*Consumer
 	producer    *Producer
-	join        *HashJoin
 	stateTarget StateTarget
 	service     string
 
 	// joinBySpec/aggBySpec map plan specs to their compiled stateful
-	// operators, so the parallel driver's worker chains can clone them
-	// around the same shared state.
+	// operators, so the worker pool's chains can clone them around the same
+	// shared state.
 	joinBySpec map[*physical.OpSpec]*HashJoin
 	aggBySpec  map[*physical.OpSpec]*HashAggregate
 
 	mu       sync.Mutex
 	err      error
 	produced int64
+	m1       m1Window
 
 	// Registry handles, resolved once per instance; the driver's inner loop
 	// touches them with one atomic op per batch.
@@ -220,30 +220,12 @@ func (r *FragmentRuntime) compile(spec *physical.OpSpec) (Iterator, error) {
 	case physical.KScan:
 		return &TableScan{Table: spec.Table}, nil
 
-	case physical.KFilter:
+	case physical.KFilter, physical.KProject, physical.KOpCall:
 		child, err := r.compile(spec.Children[0])
 		if err != nil {
 			return nil, err
 		}
-		pred, err := logical.CompilePredicate(spec.Pred, spec.Children[0].OutSchema())
-		if err != nil {
-			return nil, err
-		}
-		return &Select{Child: child, Pred: pred}, nil
-
-	case physical.KProject:
-		child, err := r.compile(spec.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return &Project{Child: child, Ords: spec.Ords}, nil
-
-	case physical.KOpCall:
-		child, err := r.compile(spec.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return &OperationCall{Fn: spec.Fn, ArgOrds: spec.ArgOrds, Child: child}, nil
+		return rowOp(spec, child)
 
 	case physical.KJoin:
 		build, err := r.compile(spec.Children[0])
@@ -267,7 +249,6 @@ func (r *FragmentRuntime) compile(spec *physical.OpSpec) (Iterator, error) {
 			BuildKeys: spec.BuildKeys, ProbeKeys: spec.ProbeKeys,
 			BuildEst: est,
 		}
-		r.join = join
 		r.joinBySpec[spec] = join
 		// The build-side consumer feeds replayed state directly into the
 		// join; the scheduler always places the consume leaf directly
@@ -341,6 +322,24 @@ func (r *FragmentRuntime) compile(spec *physical.OpSpec) (Iterator, error) {
 	}
 }
 
+// rowOp lowers a per-row operator — filter, projection or web-service call —
+// over child. These hold no state, so the compiled tree and every worker
+// chain build their own.
+func rowOp(spec *physical.OpSpec, child Iterator) (Iterator, error) {
+	switch spec.Kind {
+	case physical.KFilter:
+		pred, err := logical.CompilePredicate(spec.Pred, spec.Children[0].OutSchema())
+		if err != nil {
+			return nil, err
+		}
+		return &Select{Child: child, Pred: pred}, nil
+	case physical.KProject:
+		return &Project{Child: child, Ords: spec.Ords}, nil
+	default:
+		return &OperationCall{Fn: spec.Fn, ArgOrds: spec.ArgOrds, Child: child}, nil
+	}
+}
+
 func (r *FragmentRuntime) producerFragmentOf(exchange string) *physical.FragmentSpec {
 	for _, f := range r.cfg.Plan.Fragments {
 		if f.Output != nil && f.Output.ID == exchange {
@@ -355,9 +354,6 @@ func (r *FragmentRuntime) Producer() *Producer { return r.producer }
 
 // Consumer exposes an input exchange endpoint by ID.
 func (r *FragmentRuntime) Consumer(exchange string) *Consumer { return r.consumers[exchange] }
-
-// Join exposes the fragment's hash join, if any.
-func (r *FragmentRuntime) Join() *HashJoin { return r.join }
 
 // Service returns the instance's transport service name.
 func (r *FragmentRuntime) Service() string { return r.service }
@@ -375,16 +371,14 @@ func (r *FragmentRuntime) Err() error {
 	return r.err
 }
 
-// Run executes the fragment batch-at-a-time: it opens the tree, pulls
-// batches from the root, pushes them into the output exchange with one
-// SendBatch per batch (or into the result sink), and emits M1 self-monitoring
-// events every MonitorEvery produced tuples. When monitoring is active, each
-// batch is clamped to the remaining M1 window, so events fire at exactly
-// every MonitorEvery-th produced tuple and attribute exactly that window's
-// cost — the paper's monitoring cadence, whatever the batch width. It
-// returns when the input is exhausted, on the first error, or when ctx is
-// canceled — cancellation interrupts the driver even while it is blocked in
-// a consumer wait or a paused exchange. A nil ctx means run unconstrained.
+// Run executes the fragment batch-at-a-time and emits M1 self-monitoring
+// events every MonitorEvery produced tuples. At width 1 it runs the driver's
+// batch loop (drive) over the compiled tree on the calling goroutine; a
+// parallel-eligible fragment with Parallelism > 1 runs the same loop on a
+// pool of worker chains (runParallel). It returns when the input is
+// exhausted, on the first error, or when ctx is canceled — cancellation
+// interrupts the driver even while it is blocked in a consumer wait, a
+// paused exchange or a build barrier. A nil ctx means run unconstrained.
 func (r *FragmentRuntime) Run(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -396,28 +390,9 @@ func (r *FragmentRuntime) Run(ctx context.Context) error {
 	if ectx.Monitor != nil && ectx.Costs.AdaptStartupMs > 0 {
 		ectx.chargeFlat(ectx.Costs.AdaptStartupMs)
 	}
-	if ectx.Parallelism > 1 && r.parallelOK() && !r.cfg.FT {
-		// Elastic recovery needs the serial driver: the commit pairing of
-		// held-output flushes with processed-prefix acks assumes one puller.
-		return r.runParallel(ctx, ectx.Parallelism)
-	}
-	if err := r.root.Open(ectx); err != nil {
-		_ = r.root.Close()
-		return r.fail(err)
-	}
-	// Every exit below must close the operator tree exactly once: stateful
-	// operators release their reserved memory (and spill runs) in Close, so
-	// an error return that skips it leaks mem_inflight_bytes for the rest of
-	// the process. The success path closes explicitly to surface the error.
-	rootClosed := false
-	defer func() {
-		if !rootClosed {
-			_ = r.root.Close()
-		}
-	}()
-	// The watcher translates a context cancellation into an interrupt of
-	// the driver's two blocking edges (consumer waits and paused
-	// exchanges); it must not outlive Run, so Run closes done on exit.
+	// The watcher translates a context cancellation into an interrupt of the
+	// driver's blocking edges; it must not outlive Run, so Run closes done on
+	// exit.
 	if ctx.Done() != nil {
 		done := make(chan struct{})
 		defer close(done)
@@ -425,38 +400,72 @@ func (r *FragmentRuntime) Run(ctx context.Context) error {
 			select {
 			case <-ctx.Done():
 				r.interrupt(qerr.FromContext(ctx))
+				r.abortBarriers()
 			case <-done:
 			}
 		}()
 	}
-	// Monitoring baselines exclude startup and build-phase costs only in
-	// the sense that per-interval deltas start here.
-	lastCharged := ectx.Meter.ChargedMs()
-	lastWait := r.waitMs()
-	var sinceM1 int64
-	monitoring := ectx.Monitor != nil && ectx.MonitorEvery > 0
+	var err error
+	if ectx.Parallelism > 1 && r.parallelOK() && !r.cfg.FT {
+		// Elastic recovery needs one driver: the commit pairing of
+		// held-output flushes with processed-prefix acks assumes one puller.
+		err = r.runParallel(ctx, ectx.Parallelism)
+	} else {
+		err = r.drive(ctx, r.root, ectx, nil)
+	}
+	// The interrupt path unblocks a driver by making consumers report a clean
+	// end of stream; this check turns that into the typed cancellation error
+	// instead of a truncated "success".
+	if ctx.Err() != nil {
+		return r.fail(qerr.FromContext(ctx))
+	}
+	if err == nil {
+		if r.producer != nil {
+			err = r.producer.Close()
+		} else {
+			err = r.cfg.Sink.Close()
+		}
+	}
+	if err != nil {
+		return r.fail(err)
+	}
+	ectx.Meter.Flush()
+	return nil
+}
 
+// drive is the driver's one batch loop, run inline at width 1 and by every
+// worker of the pool: open the chain, then pull a batch, push it into the
+// output exchange (or the result sink, which only width 1 has) charging
+// wctx's meter, and report it to the M1 window, which clamps the next batch
+// to what is left of the window. It returns at the end of the input, on an
+// error, or on cancellation, which the caller reports. morselMs, when set,
+// observes each batch's wall time.
+func (r *FragmentRuntime) drive(ctx context.Context, chain Iterator, wctx *ExecContext, morselMs *obs.Histogram) (err error) {
+	// Every exit must close the chain exactly once: stateful operators
+	// release their reserved memory (and spill runs) in Close, so an error
+	// return that skips it leaks mem_inflight_bytes for the rest of the
+	// process. A close error surfaces when nothing failed before it.
+	defer func() {
+		if cerr := chain.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	if err := chain.Open(wctx); err != nil {
+		return err
+	}
+	r.m1Opened()
 	batch := relation.GetBatch()
 	defer batch.Release()
-	for {
-		// The interrupt path unblocks the driver by making consumers report
-		// a clean end-of-stream; this check converts that into the typed
-		// cancellation error instead of a truncated "success".
-		if ctx.Err() != nil {
-			return r.fail(qerr.FromContext(ctx))
-		}
-		if monitoring {
-			batch.SetLimit(ectx.MonitorEvery - int(sinceM1))
-		}
-		n, err := r.root.NextBatch(batch)
-		if err != nil {
-			return r.fail(err)
-		}
-		if n == 0 {
-			break
+	batch.SetLimit(r.m1Every())
+	prev := wctx.Meter.ChargedMs()
+	for ctx.Err() == nil {
+		start := wctx.Clock.NowMs()
+		n, err := chain.NextBatch(batch)
+		if err != nil || n == 0 {
+			return err
 		}
 		if r.producer != nil {
-			err = r.producer.SendBatch(batch.Tuples)
+			err = r.producer.SendBatch(batch.Tuples, wctx.Meter)
 		} else {
 			for _, t := range batch.Tuples {
 				if err = r.cfg.Sink.Send(t); err != nil {
@@ -465,51 +474,97 @@ func (r *FragmentRuntime) Run(ctx context.Context) error {
 			}
 		}
 		if err != nil {
-			return r.fail(err)
+			return err
 		}
-		r.mu.Lock()
-		r.produced += int64(n)
-		produced := r.produced
-		r.mu.Unlock()
-		r.obsProduced.Add(int64(n))
-		r.obsBatchSize.Observe(float64(n))
-		sinceM1 += int64(n)
-		if monitoring && sinceM1 >= int64(ectx.MonitorEvery) {
-			charged := ectx.Meter.ChargedMs()
-			wait := r.waitMs()
-			consumed := r.consumedTuples()
-			sel := 1.0
-			if consumed > 0 {
-				sel = float64(produced) / float64(consumed)
-			}
-			ectx.Monitor.EmitM1(M1Event{
-				Fragment:       r.cfg.Fragment.ID,
-				Instance:       r.cfg.Instance,
-				Node:           r.cfg.Node,
-				CostPerTupleMs: (charged - lastCharged) / float64(sinceM1),
-				WaitPerTupleMs: (wait - lastWait) / float64(sinceM1),
-				Selectivity:    sel,
-				Produced:       produced,
-			})
-			lastCharged, lastWait, sinceM1 = charged, wait, 0
-		}
+		morselMs.Observe(wctx.Clock.NowMs() - start)
+		cur := wctx.Meter.ChargedMs()
+		batch.SetLimit(r.recordBatch(n, cur-prev))
+		prev = cur
 	}
-	if ctx.Err() != nil {
-		return r.fail(qerr.FromContext(ctx))
-	}
-	rootClosed = true
-	if err := r.root.Close(); err != nil {
-		return r.fail(err)
-	}
-	if r.producer != nil {
-		if err := r.producer.Close(); err != nil {
-			return r.fail(err)
-		}
-	} else if err := r.cfg.Sink.Close(); err != nil {
-		return r.fail(err)
-	}
-	ectx.Meter.Flush()
 	return nil
+}
+
+// m1Window is the driver's M1 emitter state: the paper's "every MonitorEvery
+// tuples from each exchange producer that roots a subplan", one window per
+// fragment instance whatever its width. Every chain reports each batch it
+// pushed out with the cost its own meter charged for it (meters are
+// goroutine-confined), and the window closes on the batch that fills it.
+// Chains clamp their next batch to what is left of the window, so at width 1
+// every event covers exactly MonitorEvery tuples and exactly their cost.
+// Emission happens under mu so Produced stays monotonic.
+type m1Window struct {
+	mu       sync.Mutex
+	started  bool
+	count    int64
+	lastN    int64
+	costMs   float64 // charged since the window opened
+	lastWait float64
+}
+
+// m1Every is the M1 window length in produced tuples, or 0 when the instance
+// is not self-monitoring.
+func (r *FragmentRuntime) m1Every() int {
+	if ctx := r.cfg.Ctx; ctx.Monitor != nil && ctx.MonitorEvery > 0 {
+		return ctx.MonitorEvery
+	}
+	return 0
+}
+
+// m1Opened marks one chain past its Open. The first takes the wait
+// baseline, so startup and build-phase waits stay outside every window, as
+// each chain's cost baseline does.
+func (r *FragmentRuntime) m1Opened() {
+	if r.m1Every() == 0 {
+		return
+	}
+	w := &r.m1
+	w.mu.Lock()
+	if !w.started {
+		w.started, w.lastWait = true, r.waitMs()
+	}
+	w.mu.Unlock()
+}
+
+// recordBatch counts n tuples a chain pushed out, whose processing charged
+// costMs to that chain's meter, closes the M1 window if they filled it, and
+// returns the width of the chain's next batch: what is left of the window,
+// or 0 (no clamp) when the instance is not self-monitoring.
+func (r *FragmentRuntime) recordBatch(n int, costMs float64) int {
+	r.mu.Lock()
+	r.produced += int64(n)
+	r.mu.Unlock()
+	r.obsProduced.Add(int64(n))
+	r.obsBatchSize.Observe(float64(n))
+	every := r.m1Every()
+	if every == 0 {
+		return 0
+	}
+	w := &r.m1
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.count += int64(n)
+	w.costMs += costMs
+	interval := w.count - w.lastN
+	if interval < int64(every) {
+		return every - int(interval)
+	}
+	wait := r.waitMs()
+	consumed := r.consumedTuples()
+	sel := 1.0
+	if consumed > 0 {
+		sel = float64(w.count) / float64(consumed)
+	}
+	r.cfg.Ctx.Monitor.EmitM1(M1Event{
+		Fragment:       r.cfg.Fragment.ID,
+		Instance:       r.cfg.Instance,
+		Node:           r.cfg.Node,
+		CostPerTupleMs: w.costMs / float64(interval),
+		WaitPerTupleMs: (wait - w.lastWait) / float64(interval),
+		Selectivity:    sel,
+		Produced:       w.count,
+	})
+	w.lastN, w.costMs, w.lastWait = w.count, 0, wait
+	return every
 }
 
 // Interrupt aborts the running driver from outside with the given cause —

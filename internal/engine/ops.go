@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/relation"
 	"repro/internal/scalar"
@@ -14,6 +15,11 @@ import (
 // budget-governed readahead in front of the decoder (see scan.go).
 type TableScan struct {
 	Table string
+
+	// claim, when set, is the morsel counter the scan shares with its
+	// sibling worker clones: each batch-sized run of an in-memory table, or
+	// each block of a stored one, goes to the clone that claims its index.
+	claim *atomic.Int64
 
 	ctx    *ExecContext
 	tuples []relation.Tuple
@@ -38,7 +44,7 @@ func (s *TableScan) Open(ctx *ExecContext) error {
 		return err
 	}
 	if stored {
-		s.blocks = newBlockScan(ctx, br)
+		s.blocks = newBlockScan(ctx, br, s.claim)
 		return nil
 	}
 	s.tuples = tbl.Tuples
@@ -56,18 +62,19 @@ func (s *TableScan) NextBatch(dst *relation.Batch) (int, error) {
 		return n, err
 	}
 	dst.Rewind()
-	n := len(s.tuples) - s.pos
-	if n <= 0 {
+	n, at := dst.Cap(), s.pos
+	if s.claim != nil {
+		at = int(s.claim.Add(int64(n))) - n
+	} else {
+		s.pos += n
+	}
+	if at >= len(s.tuples) {
 		return 0, nil
 	}
-	if c := dst.Cap(); n > c {
-		n = c
-	}
-	chunk := s.tuples[s.pos : s.pos+n]
-	s.pos += n
+	chunk := s.tuples[at:min(at+n, len(s.tuples))]
 	chargeScanBatch(s.ctx, chunk, nil, &s.costs)
 	dst.AppendAll(chunk)
-	return n, nil
+	return len(chunk), nil
 }
 
 // Close implements Iterator.

@@ -1,16 +1,24 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
+	"repro/internal/logical"
 	"repro/internal/obs"
+	"repro/internal/physical"
 	"repro/internal/relation"
 	"repro/internal/simnet"
+	"repro/internal/storage"
 	"repro/internal/transport"
 	"repro/internal/vtime"
+	"repro/internal/ws"
 )
 
 // TestParallelQ1MatchesSerial runs the Q1 pipeline once serially and once
@@ -60,24 +68,42 @@ func TestParallelQ1MatchesSerial(t *testing.T) {
 
 // BenchmarkFragmentParallel prices the morsel pool's width through the
 // production driver: TestParallelQ1MatchesSerial's three-fragment Q1 cluster,
-// every parallel-eligible fragment running FragmentRuntime.Run → runParallel
-// at the given width (w1 is the serial driver, as in production). Reported,
-// never gated: it asserts the row count only.
+// every parallel-eligible fragment running FragmentRuntime.Run at the given
+// width, over the in-memory demo tables (w1, w2, w4) and over the same tables
+// stored on a posix backend (posix/w1, …), where the scan fragment decodes
+// stored blocks. Reported, never gated: it asserts the row count only.
 func BenchmarkFragmentParallel(b *testing.B) {
-	for _, width := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c := newTestCluster(b, "data1", "ws0", "ws1", "coord")
-				c.parallelism = width
-				c.deploy(q1Plan(120))
-				n := len(c.collect())
-				c.stopAll()
-				if n != 120 {
-					b.Fatalf("width %d produced %d rows, want 120", width, n)
+	posix, err := storage.NewPosix(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer posix.Close()
+	stored, err := dataset.DemoStored(posix, 120, 200)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tables := range []struct {
+		prefix string
+		store  *dataset.Store // nil: the cluster's in-memory tables
+	}{{"", nil}, {"posix/", stored}} {
+		for _, width := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%sw%d", tables.prefix, width), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					c := newTestCluster(b, "data1", "ws0", "ws1", "coord")
+					if tables.store != nil {
+						c.store = tables.store
+					}
+					c.parallelism = width
+					c.deploy(q1Plan(120))
+					n := len(c.collect())
+					c.stopAll()
+					if n != 120 {
+						b.Fatalf("width %d produced %d rows, want 120", width, n)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -178,9 +204,10 @@ func TestParallelStatefulEvictReplay(t *testing.T) {
 }
 
 // TestProducerControlRacesConcurrentSenders races Pause/Resume/SetWeights
-// against several workers pushing batches through SendBatchMeter, then
-// checks the routed accounting stayed exact. Run under -race this exercises
-// the flow barrier, the per-consumer shard counters and the policy swap.
+// against several workers pushing batches through SendBatch, each on its own
+// meter, then checks the routed accounting stayed exact. Run under -race this
+// exercises the flow barrier, the per-consumer shard counters and the policy
+// swap.
 func TestProducerControlRacesConcurrentSenders(t *testing.T) {
 	pol, err := NewWeightedPolicy([]float64{0.5, 0.5})
 	if err != nil {
@@ -205,7 +232,7 @@ func TestProducerControlRacesConcurrentSenders(t *testing.T) {
 				for i := range ts {
 					ts[i] = intTuple(s*batches*batchSize + b*batchSize + i)
 				}
-				if err := h.prod.SendBatchMeter(ts, m); err != nil {
+				if err := h.prod.SendBatch(ts, m); err != nil {
 					t.Errorf("sender %d: %v", s, err)
 					return
 				}
@@ -267,5 +294,124 @@ func TestProducerControlRacesConcurrentSenders(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("tuple %d delivered %d times", v, n)
 		}
+	}
+}
+
+// errFailingCall is what failingCall returns for every tuple.
+var errFailingCall = errors.New("service unavailable")
+
+// failingCall is a web service whose every invocation fails — once gate is
+// closed. entered is signalled as an invocation starts waiting.
+type failingCall struct{ entered, gate chan struct{} }
+
+func (failingCall) Name() string              { return "Fail" }
+func (failingCall) ArgTypes() []relation.Type { return []relation.Type{relation.TString} }
+func (failingCall) ResultType() relation.Type { return relation.TString }
+func (failingCall) BaseCostMs() float64       { return 0 }
+func (f failingCall) Invoke([]relation.Value) (relation.Value, error) {
+	select {
+	case f.entered <- struct{}{}:
+	default:
+	}
+	<-f.gate
+	return relation.Null, errFailingCall
+}
+
+// TestParallelWorkerFailsBeforeBarrier runs a width-2 fragment in which one
+// worker fails in a join's build phase, after its sibling finished building,
+// so the sibling goes on to wait where the failed worker never arrives: the
+// absorb barrier of an aggregate above the join, or the build barrier of a
+// second join on the probe side. Run must return the worker's error — the
+// pool aborts the barriers it will never reach — and leave no goroutine
+// behind.
+func TestParallelWorkerFailsBeforeBarrier(t *testing.T) {
+	seqCols := []relation.Column{
+		{Table: "p", Name: "ORF", Type: relation.TString},
+		{Table: "p", Name: "sequence", Type: relation.TString},
+	}
+	intCols := []relation.Column{
+		{Table: "i", Name: "ORF1", Type: relation.TString},
+		{Table: "i", Name: "ORF2", Type: relation.TString},
+	}
+	scan := func(table string, cols []relation.Column) *physical.OpSpec {
+		return &physical.OpSpec{Kind: physical.KScan, Table: table, OutCols: cols}
+	}
+	join := func(build, probe *physical.OpSpec) *physical.OpSpec {
+		return &physical.OpSpec{Kind: physical.KJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+			OutCols:  append(append([]relation.Column{}, build.OutCols...), probe.OutCols...),
+			Children: []*physical.OpSpec{build, probe}}
+	}
+	// The build side both workers pull from one shared scan: the table fits
+	// one batch, so exactly one worker claims it and fails.
+	failingBuild := &physical.OpSpec{Kind: physical.KOpCall, Fn: "Fail", ArgOrds: []int{1},
+		OutCols:  append(append([]relation.Column{}, seqCols...), relation.Column{Name: "x", Type: relation.TString}),
+		Children: []*physical.OpSpec{scan("protein_sequences", seqCols)}}
+	aggJoin := join(failingBuild, scan("protein_interactions", intCols))
+	outerJoin := join(failingBuild, join(scan("protein_sequences", seqCols), scan("protein_interactions", intCols)))
+	cases := map[string]struct{ root, failingJoin *physical.OpSpec }{
+		"aggregate": {&physical.OpSpec{Kind: physical.KAggregate, GroupOrds: []int{0},
+			AggKinds: []uint8{uint8(logical.AggCount)}, AggArgs: []int{-1},
+			OutCols:  []relation.Column{seqCols[0], {Name: "n", Type: relation.TInt}},
+			Children: []*physical.OpSpec{aggJoin}}, aggJoin},
+		"join": {outerJoin, outerJoin},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			clock := vtime.NewClock(time.Microsecond)
+			net := simnet.NewNetwork(clock)
+			net.AddNode("ws0")
+			net.AddNode("coord")
+			frag := &physical.FragmentSpec{ID: "F1", Root: tc.root,
+				Instances: []simnet.NodeID{"ws0"}, InitialWeights: []float64{1},
+				Output: &physical.ExchangeSpec{ID: "E1", ConsumerFragment: "F2", Policy: physical.PolicyWeighted}}
+			top := &physical.FragmentSpec{ID: "F2", Instances: []simnet.NodeID{"coord"}, InitialWeights: []float64{1},
+				Root: &physical.OpSpec{Kind: physical.KConsume, Exchange: "E1", NumProducers: 1, OutCols: tc.root.OutCols}}
+			plan := &physical.Plan{Fragments: []*physical.FragmentSpec{frag, top}, Coordinator: "coord"}
+			call := failingCall{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+			rt, err := NewFragmentRuntime(RuntimeConfig{
+				Plan: plan, Fragment: frag, Tr: transport.NewInProc(net), Node: "ws0",
+				Ctx: &ExecContext{Clock: clock, Node: net.Node("ws0"), Meter: vtime.NewMeter(clock),
+					Store: dataset.DemoSized(10, 10), Services: ws.NewRegistry(call),
+					Buckets: 16, Parallelism: 2},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- rt.Run(context.Background()) }()
+			// Fail only once the sibling waits at the failing join's build
+			// barrier: the failed worker's arrival then completes it, and the
+			// sibling moves on to the barrier only the abort can release.
+			<-call.entered
+			b := &rt.joinBySpec[tc.failingJoin].shared.barrier
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				b.mu.Lock()
+				waiting := b.remaining == 1
+				b.mu.Unlock()
+				if waiting {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the sibling worker never reached the build barrier")
+				}
+			}
+			close(call.gate)
+			select {
+			case err = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run hung: a worker still waits at a barrier its failed sibling never reached")
+			}
+			rt.Stop()
+			if !errors.Is(err, errFailingCall) {
+				t.Fatalf("Run = %v, want the failed worker's error", err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("%d goroutines after Run, %d before:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+				}
+			}
+		})
 	}
 }

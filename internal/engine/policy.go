@@ -23,8 +23,6 @@ type DistPolicy interface {
 	RouteBatch(ts []relation.Tuple, consumers []int, buckets []int32)
 	// RouteBucket picks the owner of a bucket (hash policies only).
 	RouteBucket(bucket int32) int
-	// Weights returns the current distribution vector W.
-	Weights() []float64
 	// SetWeights installs a new distribution vector W'. For hash policies
 	// this re-derives the bucket→owner map, moving as few buckets as
 	// possible; the returned moved list contains the reassigned buckets
@@ -116,13 +114,6 @@ func (p *WeightedPolicy) RouteBucket(int32) int {
 	panic("engine: RouteBucket on weighted policy")
 }
 
-// Weights implements DistPolicy.
-func (p *WeightedPolicy) Weights() []float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]float64(nil), p.weights...)
-}
-
 // SetWeights implements DistPolicy.
 func (p *WeightedPolicy) SetWeights(w []float64) ([]int32, error) {
 	p.mu.Lock()
@@ -166,10 +157,9 @@ func (p *WeightedPolicy) SetOwnerMap([]int32) error {
 type HashPolicy struct {
 	keyOrds []int
 
-	mu      sync.Mutex
-	owner   []int32
-	weights []float64
-	n       int
+	mu    sync.Mutex
+	owner []int32
+	n     int
 }
 
 // NewHashPolicy derives the initial owner map from the weight vector over n
@@ -184,7 +174,6 @@ func NewHashPolicy(keyOrds []int, buckets int, w []float64) (*HashPolicy, error)
 	p := &HashPolicy{
 		keyOrds: append([]int(nil), keyOrds...),
 		owner:   make([]int32, buckets),
-		weights: append([]float64(nil), w...),
 		n:       len(w),
 	}
 	// Initial assignment: contiguous ranges sized by largest remainder.
@@ -234,13 +223,6 @@ func (p *HashPolicy) RouteBucket(b int32) int {
 	return int(p.owner[b])
 }
 
-// Weights implements DistPolicy.
-func (p *HashPolicy) Weights() []float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]float64(nil), p.weights...)
-}
-
 // SetWeights implements DistPolicy: it re-derives the owner map with
 // minimal movement — only the buckets that must change owner to meet the
 // new apportionment are reassigned — and returns the moved buckets.
@@ -250,7 +232,6 @@ func (p *HashPolicy) SetWeights(w []float64) ([]int32, error) {
 	if err := validWeights(w, p.n); err != nil {
 		return nil, err
 	}
-	copy(p.weights, w)
 	target := apportion(w, len(p.owner))
 	have := make([]int, p.n)
 	for _, o := range p.owner {

@@ -303,35 +303,19 @@ func (p *Producer) SetFaultTolerant(holdback bool, onPeerDown func(simnet.NodeID
 	p.onPeerDown = onPeerDown
 }
 
-func (p *Producer) driverMeter() *vtime.Meter {
-	if p.ctx == nil {
-		return nil
-	}
-	return p.ctx.Meter
-}
-
 // SendBatch routes a batch of tuples under one policy-lock and one
 // shard-lock acquisition per consumer. Per consumer, everything — tuple
 // order, sequence numbers, recovery-log entries, buffer boundaries,
 // checkpoint insertion, and the per-buffer M2 monitoring events — depends
 // only on the tuple sequence, never on how it was cut into batches, so the
 // R1/R2 redistribution protocols and the monitoring cadence are unaffected
-// by batch width. It blocks while the producer is paused by the control
+// by batch width. The modelled log-management cost is charged to m, the
+// calling driver's meter (a vtime.Meter is goroutine-confined, so each
+// morsel worker passes its own while all of them share one producer; nil
+// charges nothing). It blocks while the producer is paused by the control
 // plane and returns the cancellation cause if the exchange is canceled
 // (before or while blocked).
-func (p *Producer) SendBatch(ts []relation.Tuple) error {
-	return p.sendBatch(ts, p.driverMeter())
-}
-
-// SendBatchMeter is SendBatch with the modelled log-management cost charged
-// to m instead of the bound context's meter. Morsel workers use it: a
-// vtime.Meter is goroutine-confined, so each worker passes its own while
-// all of them share one producer.
-func (p *Producer) SendBatchMeter(ts []relation.Tuple, m *vtime.Meter) error {
-	return p.sendBatch(ts, m)
-}
-
-func (p *Producer) sendBatch(ts []relation.Tuple, m *vtime.Meter) error {
+func (p *Producer) SendBatch(ts []relation.Tuple, m *vtime.Meter) error {
 	if len(ts) == 0 {
 		return nil
 	}

@@ -84,7 +84,7 @@ func TestProducerBuffersAndCheckpoints(t *testing.T) {
 	pol, _ := NewWeightedPolicy([]float64{1})
 	h := newProducerHarness(t, 1, false, pol)
 	for i := 0; i < 10; i++ {
-		if err := h.prod.SendBatch([]relation.Tuple{intTuple(i)}); err != nil {
+		if err := h.prod.SendBatch([]relation.Tuple{intTuple(i)}, h.ctx.Meter); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,7 +138,7 @@ func TestProducerAckExclusionKeepsRecalledEntries(t *testing.T) {
 	pol, _ := NewWeightedPolicy([]float64{1})
 	h := newProducerHarness(t, 1, false, pol)
 	for i := 0; i < 8; i++ {
-		_ = h.prod.SendBatch([]relation.Tuple{intTuple(i)})
+		_ = h.prod.SendBatch([]relation.Tuple{intTuple(i)}, h.ctx.Meter)
 	}
 	_ = h.prod.Close()
 	// Ack checkpoint 8 but except seqs 3 and 4 (recalled by a consumer).
@@ -167,7 +167,7 @@ func TestProducerStatefulNeverAcks(t *testing.T) {
 	}
 	h := newProducerHarness(t, 2, true, pol)
 	for i := 0; i < 20; i++ {
-		_ = h.prod.SendBatch([]relation.Tuple{intTuple(i)})
+		_ = h.prod.SendBatch([]relation.Tuple{intTuple(i)}, h.ctx.Meter)
 	}
 	if err := h.prod.Close(); err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestProducerPauseBlocksSend(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() {
-		_ = h.prod.SendBatch([]relation.Tuple{intTuple(1)})
+		_ = h.prod.SendBatch([]relation.Tuple{intTuple(1)}, h.ctx.Meter)
 		close(done)
 	}()
 	select {
@@ -225,7 +225,7 @@ func TestProducerReplayRoutesByNewMap(t *testing.T) {
 	}
 	h := newProducerHarness(t, 2, true, pol)
 	for i := 0; i < 12; i++ {
-		_ = h.prod.SendBatch([]relation.Tuple{intTuple(i)})
+		_ = h.prod.SendBatch([]relation.Tuple{intTuple(i)}, h.ctx.Meter)
 	}
 	_ = h.prod.Close()
 	if got := len(h.messages(1)); got > 1 { // EOS only
@@ -265,7 +265,7 @@ func TestProducerReplayRoutesByNewMap(t *testing.T) {
 func TestProducerResendUnknownSeq(t *testing.T) {
 	pol, _ := NewWeightedPolicy([]float64{1})
 	h := newProducerHarness(t, 1, false, pol)
-	_ = h.prod.SendBatch([]relation.Tuple{intTuple(1)})
+	_ = h.prod.SendBatch([]relation.Tuple{intTuple(1)}, h.ctx.Meter)
 	if _, err := h.prod.Resend(0, []int64{99}); err == nil {
 		t.Fatal("resend of unknown seq accepted")
 	}
@@ -275,7 +275,7 @@ func TestProducerProgressAndCounts(t *testing.T) {
 	pol, _ := NewWeightedPolicy([]float64{0.5, 0.5})
 	h := newProducerHarness(t, 2, false, pol)
 	for i := 0; i < 6; i++ {
-		_ = h.prod.SendBatch([]relation.Tuple{intTuple(i)})
+		_ = h.prod.SendBatch([]relation.Tuple{intTuple(i)}, h.ctx.Meter)
 	}
 	routed, est := h.prod.Progress()
 	if routed != 6 || est != 1000 {
@@ -331,7 +331,7 @@ func TestProducerPeerLoss(t *testing.T) {
 			for i := range batch {
 				batch[i] = intTuple(i)
 			}
-			if err := h.prod.SendBatch(batch); err != nil {
+			if err := h.prod.SendBatch(batch, h.ctx.Meter); err != nil {
 				t.Fatal(err)
 			}
 			for c := 0; c < 2; c++ {

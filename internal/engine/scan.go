@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/obs"
@@ -12,27 +13,29 @@ import (
 
 // Streaming stored-table scans (DESIGN.md §5k). A stored table is scanned
 // batch-at-a-time: whole length-prefixed blocks are fetched, decoded into the
-// scan's arena, and appended to the caller's pooled batch.
+// scan's arena, and appended to the caller's pooled batch. There is one
+// decoder (blockScan) with two block sources; either way a block's bytes are
+// reserved against the query's memory budget before it is read, and
+// released once it is decoded.
 //
-// Serial scans additionally read ahead: an async producer goroutine fetches
-// up to Readahead blocks (default 2 — double buffering) in front of the
-// decoder, reserving each in-flight block's bytes against the query's
-// memory budget before issuing the read. Under budget pressure the producer
-// shrinks to one block in flight — it waits for the decoder to drain
-// everything already fetched before reading on — so a scan never amplifies
-// a breach, and the transition lands on the adaptation timeline. Ownership
-// of a reservation moves with the block: the producer reserves, whoever
-// ends up holding the fetch (decoder, drain loop, or the producer itself on
-// a teardown race) releases, so cancel-mid-readahead zeroes
-// mem_inflight_bytes.
+// A serial scan reads ahead: an async producer goroutine fetches up to
+// Readahead blocks (default 2 — double buffering) in front of the decoder.
+// Under budget pressure the producer shrinks to one block in flight — it
+// waits for the decoder to drain everything already fetched before reading
+// on — so a scan never amplifies a breach, and the transition lands on the
+// adaptation timeline. Ownership of a reservation moves with the block: the
+// producer reserves, whoever ends up holding the fetch (decoder, drain loop,
+// or the producer itself on a teardown race) releases, so
+// cancel-mid-readahead zeroes mem_inflight_bytes.
 //
-// Morsel-parallel scans skip the readahead goroutine: each worker claims
-// the next unread block off a shared atomic counter and decodes it on its
-// own arena, reserving the block against its own budget stripe for exactly
-// the time it is being decoded (see parallel.go). Serial scans decode
-// blocks strictly in run order, so R1 replay of a scan-rooted fragment
-// regenerates a byte-identical stream; the scan's watermark is the block
-// index.
+// Otherwise the decoder claims blocks itself: it takes the next index off a
+// claim counter, reserves the block and reads it. A serial scan with
+// Readahead < 0 counts on its own; the worker clones of a morsel pool share
+// one counter, so each block goes to the clone that claims it and is
+// decoded on that clone's arena against its own budget stripe (see
+// parallel.go). Serial scans decode blocks strictly in run order, so R1
+// replay of a scan-rooted fragment regenerates a byte-identical stream; the
+// scan's watermark is the block index.
 
 // defaultReadahead is the in-flight block cap of a serial stored scan when
 // ExecContext.Readahead is 0: one block being decoded, one being fetched.
@@ -62,15 +65,10 @@ func recordScanEvent(ctx *ExecContext, detail string) {
 	})
 }
 
-// blockFetch is one block handed from the readahead producer to the
-// decoder. size is the budget reservation travelling with it; whoever
-// consumes the fetch releases it.
+// blockFetch is one block read for the decoder. size is the budget
+// reservation travelling with it; whoever consumes the fetch releases it.
 type blockFetch struct {
 	data []byte
-	// base is data's string aliasing (blockString) — the decoder carves
-	// every string value of the block from it (see
-	// relation.DecodeTuplesShared).
-	base string
 	size int64
 	err  error
 }
@@ -89,15 +87,21 @@ func blockString(data []byte) string {
 	return unsafe.String(unsafe.SliceData(data), len(data))
 }
 
-// blockScan is the serial stored-scan state: block-granular fetch (sync or
-// via the readahead producer) plus incremental decode. It is a
-// single-goroutine object except for the producer it may own.
+// blockScan is the one stored-block decoder: block-granular fetch — from the
+// readahead producer, or by the claim step over next — plus incremental
+// decode. It is a single-goroutine object except for the producer it may
+// own.
 type blockScan struct {
 	ctx   *ExecContext
 	br    storage.BlockReader
 	acct  *storage.BudgetAcct
-	depth int // in-flight block cap; <= 0 reads synchronously
+	depth int // in-flight block cap; <= 0 claims blocks synchronously
 	met   scanMetrics
+
+	// next is the claim counter of the synchronous fetch: the scan's own, or
+	// the one it shares with its sibling worker clones.
+	next *atomic.Int64
+	own  atomic.Int64
 
 	// Decode state of the current block. base is the block payload's
 	// string aliasing (blockString); every string value decoded from the
@@ -110,44 +114,36 @@ type blockScan struct {
 	curSize int64 // reservation held for the current block
 	sizes   []int // encoded sizes of the last fill's tuples (see fill)
 
-	// Synchronous fetch state.
-	next int
-
-	// Readahead state (depth > 0). slots is the in-flight token pool: the
-	// producer takes one per fetch, the decoder returns one per finished
-	// block, and under pressure the producer reclaims them all to drain
-	// the pipeline.
-	started  bool
-	out      chan blockFetch
-	slots    chan struct{}
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-	closed   bool
+	// Readahead state (depth > 0), created on the first fetch. slots is the
+	// in-flight token pool: the producer takes one per fetch, the decoder
+	// returns one per finished block, and under pressure the producer
+	// reclaims them all to drain the pipeline.
+	out    chan blockFetch
+	slots  chan struct{}
+	stop   chan struct{}
+	wg     sync.WaitGroup
+	closed bool
 }
 
-// newBlockScan wraps a block reader for one serial scan under ctx.
-func newBlockScan(ctx *ExecContext, br storage.BlockReader) *blockScan {
-	depth := ctx.Readahead
-	if depth == 0 {
-		depth = defaultReadahead
+// newBlockScan wraps a block reader for one scan under ctx. claim is the
+// block counter the scan shares with its sibling worker clones, which claim
+// blocks synchronously; nil makes a serial scan, which counts on its own and
+// reads ahead ctx.Readahead blocks.
+func newBlockScan(ctx *ExecContext, br storage.BlockReader, claim *atomic.Int64) *blockScan {
+	b := &blockScan{ctx: ctx, br: br, acct: ctx.memAcct(), depth: -1, met: newScanMetrics(), next: claim}
+	if claim == nil {
+		b.next = &b.own
+		b.depth = ctx.Readahead
+		if b.depth == 0 {
+			b.depth = defaultReadahead
+		}
 	}
-	return &blockScan{ctx: ctx, br: br, acct: ctx.memAcct(), depth: depth, met: newScanMetrics()}
+	return b
 }
-
-// reader exposes the underlying BlockReader for the morsel-parallel path,
-// which claims blocks itself instead of driving this scan (see
-// sharedSource). Only valid before the first fill call.
-func (b *blockScan) reader() storage.BlockReader { return b.br }
 
 // start launches the readahead producer. Lazy — called on the first fetch —
-// so a scan that is immediately upgraded to morsel-parallel mode never
-// spawns it.
+// so a scan closed before its first read never spawns it.
 func (b *blockScan) start() {
-	b.started = true
-	if b.depth <= 0 {
-		return
-	}
 	b.out = make(chan blockFetch, b.depth)
 	b.slots = make(chan struct{}, b.depth)
 	for i := 0; i < b.depth; i++ {
@@ -158,9 +154,8 @@ func (b *blockScan) start() {
 	go b.produce()
 }
 
-// produce is the readahead goroutine: fetch blocks in order, each reserved
-// against the budget before the read, at most depth in flight — shrinking
-// to one while the budget is breached.
+// produce is the readahead goroutine: fetch blocks in order, at most depth
+// in flight — shrinking to one while the budget is breached.
 func (b *blockScan) produce() {
 	defer b.wg.Done()
 	defer close(b.out)
@@ -193,28 +188,30 @@ func (b *blockScan) produce() {
 			shrunk = false
 			recordScanEvent(b.ctx, "readahead restored: memory pressure cleared")
 		}
-		size := int64(b.br.BlockSize(i))
-		b.acct.Reserve(size)
-		// Every block gets a fresh buffer — the string aliasing below and
-		// the decoded values sharing it depend on the buffer never being
-		// written again.
-		data, err := b.br.ReadBlock(i, nil)
-		b.met.blocksRead.Inc()
-		b.met.readaheadBytes.Add(size)
-		var base string
-		if err == nil {
-			base = blockString(data)
-		}
+		f := b.read(i)
+		b.met.readaheadBytes.Add(f.size)
 		select {
-		case b.out <- blockFetch{data: data, base: base, size: size, err: err}:
+		case b.out <- f:
 		case <-b.stop:
-			b.acct.Release(size)
+			b.acct.Release(f.size)
 			return
 		}
-		if err != nil {
+		if f.err != nil {
 			return
 		}
 	}
+}
+
+// read reserves block i's bytes against the budget, then reads the block.
+// Every block gets a fresh buffer: the string aliasing of the decode state
+// and the decoded values sharing it depend on the buffer never being written
+// again.
+func (b *blockScan) read(i int) blockFetch {
+	size := int64(b.br.BlockSize(i))
+	b.acct.Reserve(size)
+	data, err := b.br.ReadBlock(i, nil)
+	b.met.blocksRead.Inc()
+	return blockFetch{data: data, size: size, err: err}
 }
 
 // finishBlock releases the reservation of the fully decoded current block
@@ -230,37 +227,29 @@ func (b *blockScan) finishBlock() {
 }
 
 // advance fetches the next block and primes the decode state; ok is false
-// at end of table.
+// at end of table. Without readahead the fetch is the claim step: take the
+// next index off the claim counter, reserve the block and read it.
 func (b *blockScan) advance() (ok bool, err error) {
-	if !b.started {
-		b.start()
-	}
 	b.finishBlock()
 	var f blockFetch
-	if b.out != nil {
-		var live bool
-		f, live = <-b.out
-		if !live {
-			return false, nil
+	if b.depth > 0 {
+		if b.out == nil {
+			b.start()
 		}
-		if f.err != nil {
-			b.acct.Release(f.size)
-			return false, f.err
+		var live bool
+		if f, live = <-b.out; !live {
+			return false, nil
 		}
 	} else {
-		if b.next >= b.br.Blocks() {
+		i := int(b.next.Add(1) - 1)
+		if i >= b.br.Blocks() {
 			return false, nil
 		}
-		size := int64(b.br.BlockSize(b.next))
-		b.acct.Reserve(size)
-		data, err := b.br.ReadBlock(b.next, nil)
-		b.met.blocksRead.Inc()
-		if err != nil {
-			b.acct.Release(size)
-			return false, err
-		}
-		b.next++
-		f = blockFetch{data: data, base: blockString(data), size: size}
+		f = b.read(i)
+	}
+	if f.err != nil {
+		b.acct.Release(f.size)
+		return false, f.err
 	}
 	n, rest, err := relation.TupleCount(f.data)
 	if err != nil {
@@ -269,7 +258,7 @@ func (b *blockScan) advance() (ok bool, err error) {
 	}
 	b.curSize = f.size
 	b.left, b.rest = n, rest
-	b.base = f.base
+	b.base = blockString(f.data)
 	return true, nil
 }
 
@@ -327,7 +316,7 @@ func (b *blockScan) close() error {
 	}
 	b.closed = true
 	if b.out != nil {
-		b.stopOnce.Do(func() { close(b.stop) })
+		close(b.stop)
 		for f := range b.out {
 			b.acct.Release(f.size)
 		}

@@ -258,7 +258,7 @@ func FuzzStoredScanRoundTrip(f *testing.F) {
 		}
 		ctx := testCtx()
 		ctx.Readahead = depth%5 - 1 // [-1, 3]: sync plus several depths
-		scan := newBlockScan(ctx, br)
+		scan := newBlockScan(ctx, br, nil)
 		var got []relation.Tuple
 		batch := relation.NewBatch(7)
 		for {

@@ -383,7 +383,7 @@ func TestConsumerWindowMatchesMapModel(t *testing.T) {
 					continue
 				}
 				batch.SetLimit(1 + rng.Intn(40))
-				n, err := c.NextBatchFor(ws[w], batch, nil)
+				n, err := ws[w].NextBatch(batch)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -509,6 +509,8 @@ func TestHashAggregateParallelSpillParity(t *testing.T) {
 							base.InsertState(replayed)
 						}
 						_, p0, _ := spillCounters()
+						overrelease := obs.Default().Counter(obs.MMemOverrelease)
+						o0 := overrelease.Value()
 						got := runCloneWorkers(t, ctx, width, func(w int) Iterator {
 							return base.WorkerClone(&hookSource{tuples: shares[w], at: len(shares[w]) / 2, hook: func() {
 								arrived.Done()
@@ -535,6 +537,11 @@ func TestHashAggregateParallelSpillParity(t *testing.T) {
 								t.Fatal("aggregate never dumped under a 512-byte budget")
 							}
 							assertClean(t, ctx)
+						}
+						// A release of bytes the budget never held is clamped,
+						// so it would hide a reservation that lands later.
+						if d := overrelease.Value() - o0; d != 0 {
+							t.Fatalf("%d releases exceeded the reserved bytes (mem_overrelease_total)", d)
 						}
 					})
 				}

@@ -34,19 +34,24 @@ func groupBytes(key relation.Tuple, nAccs int) int64 {
 }
 
 // reserveGroup reserves a freshly created group against the budget through
-// the creating worker's stripe handle.
+// the creating worker's stripe handle. The reservation lands before s.bytes
+// counts it, so no release — dump's or Close's — can take bytes the budget
+// does not hold yet.
 func (s *aggState) reserveGroup(key relation.Tuple, nAccs int, a *storage.BudgetAcct) {
 	if !s.spillOn {
 		return
 	}
 	sz := groupBytes(key, nAccs)
-	s.bytes.Add(sz)
 	a.Reserve(sz)
+	s.bytes.Add(sz)
 }
 
 // dump writes every group to the spill run and restarts the in-memory tables
-// empty, slabs and all. Caller holds no locks; dump takes s.mu then the
-// partial locks — the same order mergeAndFreeze uses.
+// empty, slabs and all, releasing exactly the bytes of the groups it drops:
+// those it wrote, and those an eviction unlinked but left in a slab. A group
+// a worker creates once its table has been emptied stays reserved. Caller
+// holds no locks; dump takes s.mu then the partial locks — the same order
+// mergeAndFreeze uses.
 func (s *aggState) dump(a *HashAggregate) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -62,12 +67,15 @@ func (s *aggState) dump(a *HashAggregate) error {
 		s.run = w
 		s.spillLive = make(map[int32]int64)
 	}
-	var dumped int64
+	var dumped, released int64
 	var recs relation.Arena // the run keeps a record until its block flushes
 	nk, na := len(a.GroupOrds), len(a.Kinds)
 	emit := func(tab aggTable) error {
 		for i := range tab {
 			p := &tab[i]
+			for g := range p.next {
+				released += groupBytes(p.key(int32(g), nk), na)
+			}
 			for h, c := range p.chains {
 				b := int32(h % uint64(s.buckets))
 				for g := c.head; g >= 0; g = p.next[g] {
@@ -96,7 +104,7 @@ func (s *aggState) dump(a *HashAggregate) error {
 			return err
 		}
 	}
-	released := s.bytes.Swap(0)
+	s.bytes.Add(-released)
 	s.mem.Release(released)
 	s.met.bytes.Add(released)
 	s.met.parts.Inc()

@@ -150,9 +150,6 @@ func NodeLoss(op string, err error) error { return New(KindNodeLoss, op, err) }
 // frames, unreadable runs).
 func Storage(op string, err error) error { return New(KindStorage, op, err) }
 
-// IsNodeLoss reports whether err is classified as evaluator death.
-func IsNodeLoss(err error) bool { return KindOf(err) == KindNodeLoss }
-
 // KindOf reports the kind of the outermost *Error in err's chain, or
 // KindUnknown.
 func KindOf(err error) Kind {

@@ -1,24 +1,20 @@
 package vtime
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 )
 
 // SharedMeter is the concurrency-safe counterpart of Meter: many goroutines
-// may Charge it at once. Charged totals accumulate through a lock-free CAS
-// loop and debt through an atomic add; the goroutine whose charge tips the
-// accumulated debt over the quantum swaps the whole debt out and sleeps it
-// off, so the long-run rate matches a single Meter while other chargers
-// proceed unblocked. Worker pools use one per shared operator (hash-join
+// may Charge it at once. Debt accumulates through an atomic add; the
+// goroutine whose charge tips the accumulated debt over the quantum swaps the
+// whole debt out and sleeps it off, so the long-run rate matches a single
+// Meter while other chargers proceed unblocked. Worker pools use one per shared operator (hash-join
 // insert path, replay absorption), where the goroutine-confined Meter's
 // single-owner contract cannot hold.
 type SharedMeter struct {
 	clock   *Clock
 	quantum time.Duration
-	// chargedBits holds math.Float64bits of the total paper ms ever charged.
-	chargedBits atomic.Uint64
 	// debtNs is the accumulated unslept debt in nanoseconds; it may go
 	// negative when the OS timer overshoots (bounded oversleep credit).
 	debtNs atomic.Int64
@@ -33,16 +29,6 @@ func NewSharedMeter(clock *Clock) *SharedMeter {
 // Charge records a cost of ms paper milliseconds. The caller sleeps only if
 // its charge tips the accumulated debt over the quantum.
 func (m *SharedMeter) Charge(ms float64) {
-	if ms <= 0 {
-		return
-	}
-	for {
-		old := m.chargedBits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + ms)
-		if m.chargedBits.CompareAndSwap(old, nv) {
-			break
-		}
-	}
 	d := m.clock.DurationOf(ms)
 	if d <= 0 {
 		return
@@ -50,18 +36,6 @@ func (m *SharedMeter) Charge(ms float64) {
 	if m.debtNs.Add(int64(d)) >= int64(m.quantum) {
 		m.settle()
 	}
-}
-
-// Flush sleeps off any remaining positive debt.
-func (m *SharedMeter) Flush() {
-	if m.debtNs.Load() > 0 {
-		m.settle()
-	}
-}
-
-// ChargedMs returns the total paper milliseconds ever charged.
-func (m *SharedMeter) ChargedMs() float64 {
-	return math.Float64frombits(m.chargedBits.Load())
 }
 
 // settle swaps the debt out and sleeps it; concurrent chargers keep
