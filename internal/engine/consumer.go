@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -16,12 +18,29 @@ type Addr struct {
 	Service string
 }
 
-// queueEntry is one received tuple awaiting processing.
-type queueEntry struct {
-	producer int
-	seq      int64
-	bucket   int32
-	tuple    relation.Tuple
+// queueBuf is one received buffer in the consumer's queue: its tuples, the
+// next one to pop, and the buffer's ordinal in its stream's window.
+type queueBuf struct {
+	bufRun
+	producer int32
+	pos      int32
+	ord      int64
+}
+
+// bufQueue is the consumer's queue: one entry per received buffer, in
+// arrival order, with the tuples copied into the consumer's own slots.
+type bufQueue struct {
+	q     seqQueue[queueBuf]
+	store slotStore
+	n     int // tuples neither popped nor discarded
+}
+
+func (b *bufQueue) len() int { return b.n }
+
+// span is a run of consecutive sequences one pop took from one buffer.
+type span struct {
+	producer, n int32
+	first, ord  int64
 }
 
 // streamState tracks the checkpoint/acknowledgement protocol for one
@@ -30,15 +49,15 @@ type queueEntry struct {
 // until the consumer acknowledges the checkpoint, meaning the interval's
 // tuples "have finished processing and are not needed any more".
 type streamState struct {
-	// outstanding tracks received-but-unprocessed sequence numbers; its
+	// outstanding tracks received buffers with unprocessed tuples; its
 	// front is the stream's low-water mark.
 	outstanding seqWindow
-	// discarded holds sequence numbers removed by a retrospective recall;
-	// checkpoints covering them are never acknowledged, so the producer
-	// keeps (or explicitly migrates) those log entries.
-	discarded map[int64]bool
+	// discarded holds, ascending, the sequences a recall removed; an ack
+	// lists those at or below its checkpoint so the producer keeps them for
+	// the resend. A recall replaces the slice: acks in flight share it.
+	discarded []int64
 	// pending are checkpoint sequences awaiting acknowledgement, ascending.
-	pending []int64
+	pending seqQueue[int64]
 	// eosSeen makes end-of-stream idempotent: a detach after a real EOS
 	// (or a duplicate EOS) must not double-count towards termination.
 	eosSeen bool
@@ -74,7 +93,7 @@ type Consumer struct {
 	node simnet.NodeID
 
 	// Guarded by gate.mu.
-	queue    seqQueue[queueEntry]
+	queue    bufQueue
 	eos      int
 	streams  []*streamState
 	consumed int64
@@ -115,7 +134,7 @@ func newConsumer(exchange string, consumerIdx int, producers []Addr, stateful bo
 		obsConsumed: obs.Default().Counter(obs.Label(obs.MExchangeTuplesConsumed, "exchange", exchange)),
 	}
 	for i := range c.streams {
-		c.streams[i] = &streamState{discarded: make(map[int64]bool)}
+		c.streams[i] = &streamState{}
 	}
 	c.self.c = c
 	return c
@@ -126,13 +145,11 @@ func (c *Consumer) SetStateTarget(t StateTarget) { c.stateTarget = t }
 
 // SetFaultTolerant switches the consumer to elastic-recovery
 // acknowledgement (set once by the fragment runtime before the driver
-// starts): at every batch boundary the consumer acknowledges its whole
-// processed prefix per stream, and commit delivers those acks — paired
-// with the flush of the outputs derived from them — inside one
-// crash-atomic node commit section. An input is therefore acknowledged if
-// and only if its effects are durably downstream, which makes the
-// producer-side recovery log of a dead instance exactly the set of tuples
-// that must be replayed onto survivors.
+// starts): at every batch boundary it acknowledges its processed prefix per
+// stream, and commit delivers those acks with the flush of the outputs
+// derived from them in one crash-atomic node commit section. So an input is
+// acknowledged iff its effects are durably downstream, and a dead
+// instance's upstream recovery log is exactly what survivors must replay.
 func (c *Consumer) SetFaultTolerant(commit func(acks []ackItem)) {
 	c.ft = true
 	c.ftCommit = commit
@@ -145,13 +162,11 @@ func (c *Consumer) Open(ctx *ExecContext) error { return c.self.Open(ctx) }
 // (see pop).
 func (c *Consumer) NextBatch(dst *relation.Batch) (int, error) { return c.pop(&c.self, dst) }
 
-// pop is the one dequeue loop, for the consumer's own handle and for every
-// worker handle alike. It marks w's previous batch processed, then blocks
-// until tuples arrive, every producer has closed the exchange, or the
-// consumer is closed, and pops up to dst.Cap() queued tuples under a single
-// gate-lock acquisition. So between two pops exactly one batch per handle is
-// in flight: the flow gate's quiesce waits for it, and checkpoint
-// acknowledgements fire only after it has been processed.
+// pop is the one dequeue loop, for every handle. It marks w's previous
+// batch processed, then blocks until tuples arrive, every producer has
+// closed the exchange, or the consumer is closed, and pops up to dst.Cap()
+// tuples under one gate-lock acquisition. So one batch per handle is in
+// flight: the gate's quiesce waits for it, and acks follow its processing.
 func (c *Consumer) pop(w *ConsumerWorker, dst *relation.Batch) (int, error) {
 	dst.Rewind()
 	c.gate.mu.Lock()
@@ -159,7 +174,7 @@ func (c *Consumer) pop(w *ConsumerWorker, dst *relation.Batch) (int, error) {
 	flushed := false
 	for {
 		if c.queue.len() > 0 && !c.gate.paused {
-			n := c.popLocked(&w.pending, dst)
+			n := c.popLocked(w, dst)
 			c.gate.mu.Unlock()
 			c.obsConsumed.Add(int64(n))
 			return n, nil
@@ -185,19 +200,32 @@ func (c *Consumer) pop(w *ConsumerWorker, dst *relation.Batch) (int, error) {
 	}
 }
 
-// popLocked pops up to dst.Cap() queued entries into dst, recording them in
-// *pending and marking them in flight. Caller holds gate.mu and has checked
-// that the queue is non-empty and the gate unpaused.
-func (c *Consumer) popLocked(pending *[]queueEntry, dst *relation.Batch) int {
-	n := c.queue.len()
-	if cp := dst.Cap(); n > cp {
-		n = cp
+// popLocked pops up to dst.Cap() queued tuples into dst, recording them as
+// spans in w.pending and marking them in flight. Caller holds gate.mu and
+// has checked that the queue is non-empty and the gate unpaused.
+func (c *Consumer) popLocked(w *ConsumerWorker, dst *relation.Batch) int {
+	n := min(c.queue.n, dst.Cap())
+	for got := 0; got < n; {
+		e := c.queue.q.front()
+		for e.pos < e.n && got < n {
+			if e.isDead(int(e.pos)) {
+				e.pos++
+				continue
+			}
+			k := int32(1) // a run of live tuples
+			for e.pos+k < e.n && got+int(k) < n && !e.isDead(int(e.pos+k)) {
+				k++
+			}
+			dst.AppendAll(e.tuples()[e.pos : e.pos+k])
+			w.pending = append(w.pending, span{producer: e.producer, n: k, first: e.first + int64(e.pos), ord: e.ord})
+			e.pos += k
+			got += int(k)
+		}
+		if e.pos == e.n {
+			popRun(&c.queue.q, &c.queue.store)
+		}
 	}
-	for i := 0; i < n; i++ {
-		e := c.queue.popFront()
-		*pending = append(*pending, e)
-		dst.Append(e.tuple)
-	}
+	c.queue.n -= n
 	c.gate.inflight += n
 	c.consumed += int64(n)
 	return n
@@ -211,48 +239,37 @@ type ackItem struct {
 	except     []int64
 }
 
-// finishEntriesLocked marks entries processed, releasing the flow gate, and
-// returns the checkpoint acks that became complete. The caller must send
-// them only after dropping gate.mu: transmission sleeps, and the ack
+// finishSpansLocked marks spans processed, releasing the flow gate, and
+// appends the checkpoint acks that became complete to acks. The caller must
+// send them only after dropping gate.mu: transmission sleeps, and the ack
 // handler may park on the producer's flow barrier.
-func (c *Consumer) finishEntriesLocked(entries []queueEntry) []ackItem {
-	for _, e := range entries {
-		st := c.streams[e.producer]
-		st.outstanding.finish(e.seq)
-		if e.seq > st.maxProcessed {
-			st.maxProcessed = e.seq
-		}
-		c.gate.inflight--
+func (c *Consumer) finishSpansLocked(spans []span, acks []ackItem) []ackItem {
+	for _, s := range spans {
+		st := c.streams[s.producer]
+		st.outstanding.finish(s.ord, int(s.n))
+		st.maxProcessed = max(st.maxProcessed, s.first+int64(s.n)-1)
+		c.gate.inflight -= int(s.n)
 	}
 	c.gate.cond.Broadcast()
 	if c.ft {
-		return c.ftAckableLocked()
+		return c.ftAckableLocked(acks)
 	}
-	return c.ackableLocked()
+	return c.ackableLocked(acks)
 }
 
 // ftAckableLocked emits one ack per stream whose processed prefix advanced:
-// the checkpoint is the highest processed sequence, with every discarded
-// sequence at or below it re-listed as exempt (discards are released by the
-// resend step, never by acks). Per-stream delivery and serial processing
-// are in sequence order, so "maxProcessed" is equivalent to "all below it
-// processed or discarded".
-func (c *Consumer) ftAckableLocked() []ackItem {
+// the checkpoint is the highest processed sequence (delivery and serial
+// processing are in sequence order, so all below it are processed or
+// discarded), with the discarded ones at or below it re-listed as exempt.
+func (c *Consumer) ftAckableLocked(acks []ackItem) []ackItem {
 	if c.Stateful {
-		return nil
+		return acks
 	}
-	var acks []ackItem
 	for p, st := range c.streams {
 		if st.detached || st.maxProcessed <= st.lastAcked {
 			continue
 		}
-		var except []int64
-		for s := range st.discarded {
-			if s <= st.maxProcessed {
-				except = append(except, s)
-			}
-		}
-		acks = append(acks, ackItem{producer: p, checkpoint: st.maxProcessed, except: except})
+		acks = append(acks, ackItem{producer: p, checkpoint: st.maxProcessed, except: upTo(st.discarded, st.maxProcessed)})
 		st.lastAcked = st.maxProcessed
 	}
 	return acks
@@ -266,8 +283,8 @@ func (c *Consumer) finishLocked(w *ConsumerWorker) {
 	if len(w.pending) == 0 {
 		return
 	}
-	acks := c.finishEntriesLocked(w.pending)
-	w.pending = w.pending[:0]
+	acks := c.finishSpansLocked(w.pending, w.acks[:0])
+	w.pending, w.acks = w.pending[:0], acks
 	if len(acks) == 0 {
 		return
 	}
@@ -283,15 +300,15 @@ func (c *Consumer) finishLocked(w *ConsumerWorker) {
 }
 
 // ConsumerWorker is one driver's handle on a Consumer, and the exchange leaf
-// of that driver's operator chain: the tuples it popped stay in flight — and
-// the checkpoint acks they complete unsent — until its next pop or Finish,
-// so the flow gate's quiesce waits on every driver's current batch and no
-// driver can finish another's. The Consumer pops through a handle of its
+// of its operator chain: the tuples it popped stay in flight, and the acks
+// they complete unsent, until its next pop or Finish, so the gate's quiesce
+// waits on every driver's batch. The Consumer pops through a handle of its
 // own; each worker chain of the morsel pool holds one from NewWorker.
 type ConsumerWorker struct {
 	c       *Consumer
 	ctx     *ExecContext
-	pending []queueEntry // guarded by c.gate.mu
+	pending []span    // guarded by c.gate.mu
+	acks    []ackItem // the acks its last finish completed, reused
 	closed  bool
 }
 
@@ -339,32 +356,29 @@ func (w *ConsumerWorker) Close() error {
 // at or below it is still outstanding. Sequences discarded by a recall
 // count as satisfied but are reported in the ack's exclusion list so the
 // producer keeps their log entries for the resend step.
-func (c *Consumer) ackableLocked() []ackItem {
+func (c *Consumer) ackableLocked(acks []ackItem) []ackItem {
 	if c.Stateful || c.ft {
 		// Fault-tolerant consumers acknowledge processed prefixes at batch
 		// boundaries instead; checkpoint arrival alone must not trigger an
 		// ack outside a commit section.
-		return nil
+		return acks
 	}
-	var acks []ackItem
 	for p, st := range c.streams {
-		for len(st.pending) > 0 {
-			ck := st.pending[0]
+		for st.pending.len() > 0 {
+			ck := *st.pending.front()
 			if st.outstanding.anyAtOrBelow(ck) {
 				break
 			}
-			var except []int64
-			for s := range st.discarded {
-				if s <= ck {
-					except = append(except, s)
-				}
-			}
-			acks = append(acks, ackItem{producer: p, checkpoint: ck, except: except})
-			st.pending = st.pending[1:]
+			acks = append(acks, ackItem{producer: p, checkpoint: ck, except: upTo(st.discarded, ck)})
+			st.pending.popFront()
 		}
 	}
 	return acks
 }
+
+// ackPool recycles acknowledgement messages: both transports are done with
+// a message once Send returns.
+var ackPool = sync.Pool{New: func() any { return new(transport.Message) }}
 
 func (c *Consumer) sendAck(a ackItem) {
 	// Snapshot the address under the gate lock: a live join may grow the
@@ -372,7 +386,8 @@ func (c *Consumer) sendAck(a ackItem) {
 	c.gate.mu.Lock()
 	addr := c.Producers[a.producer]
 	c.gate.mu.Unlock()
-	msg := &transport.Message{
+	msg := ackPool.Get().(*transport.Message)
+	*msg = transport.Message{
 		Kind:        transport.KindAck,
 		Exchange:    c.Exchange,
 		ProducerIdx: a.producer,
@@ -382,6 +397,8 @@ func (c *Consumer) sendAck(a ackItem) {
 	}
 	// A failed ack only delays log release; it cannot corrupt the query.
 	_, _ = c.tr.Send(c.node, addr.Node, addr.Service, msg)
+	*msg = transport.Message{}
+	ackPool.Put(msg)
 }
 
 // Close implements Iterator: it releases any blocked NextBatch.
@@ -424,37 +441,34 @@ func (c *Consumer) Deliver(msg *transport.Message) error {
 			return fmt.Errorf("engine: bad producer index %d on exchange %s", msg.ProducerIdx, c.Exchange)
 		}
 		var acks []ackItem
-		c.gate.locked(func() {
-			st := c.streams[msg.ProducerIdx]
-			for i, t := range msg.Tuples {
-				seq := msg.StartSeq + int64(i)
-				var bucket int32 = -1
-				if msg.Buckets != nil {
-					bucket = msg.Buckets[i]
+		c.gate.mu.Lock()
+		st := c.streams[msg.ProducerIdx]
+		if n := len(msg.Tuples); n > 0 {
+			// The tuples are copied out: an in-proc sender reuses its
+			// storage once Deliver returns.
+			ch, off := c.queue.store.reserve(n)
+			copy(ch.tuples[off:], msg.Tuples)
+			if bks := ch.buckets[off : off+n]; copy(bks, msg.Buckets) == 0 {
+				for i := range bks {
+					bks[i] = -1
 				}
-				c.queue.push(queueEntry{
-					producer: msg.ProducerIdx,
-					seq:      seq,
-					bucket:   bucket,
-					tuple:    t,
-				})
-				st.outstanding.add(seq)
 			}
-			if msg.Checkpoint > 0 {
-				// Checkpoints arrive ascending, so the ordered insert is
-				// an append unless a stream was reordered.
-				i := len(st.pending)
-				st.pending = append(st.pending, msg.Checkpoint)
-				for ; i > 0 && st.pending[i-1] > msg.Checkpoint; i-- {
-					st.pending[i] = st.pending[i-1]
-				}
-				st.pending[i] = msg.Checkpoint
-				// A checkpoint-only message may close an interval whose
-				// tuples were all processed already.
-				acks = c.ackableLocked()
-			}
-			c.gate.cond.Broadcast()
-		})
+			c.queue.q.push(queueBuf{
+				bufRun:   bufRun{first: msg.StartSeq, c: ch, off: int32(off), n: int32(n), live: int32(n)},
+				producer: int32(msg.ProducerIdx),
+				ord:      st.outstanding.add(msg.StartSeq, n),
+			})
+			c.queue.n += n
+		}
+		if msg.Checkpoint > 0 {
+			// A stream delivers in order, so checkpoints arrive ascending. A
+			// checkpoint-only message may close an interval whose tuples
+			// were all processed already.
+			st.pending.push(msg.Checkpoint)
+			acks = c.ackableLocked(nil)
+		}
+		c.gate.cond.Broadcast()
+		c.gate.mu.Unlock()
 		// Acks triggered by delivery are sent asynchronously: the in-proc
 		// transport runs Deliver on the producer's own goroutine, which may
 		// hold the producer lock the ack handler needs.
@@ -481,20 +495,31 @@ func (c *Consumer) discardLocked(buckets []int32) map[int][]int64 {
 		}
 	}
 	report := make(map[int][]int64)
-	// One rotation of the queue: every entry is popped, and the kept ones
-	// rejoin at the back in their original order.
-	for n := c.queue.len(); n > 0; n-- {
-		e := c.queue.popFront()
-		// Tuples from a detached (dead) producer are never discarded: its
-		// recovery log is gone, so no resend could ever restore them.
-		if (filter == nil || filter[e.bucket]) && !c.streams[e.producer].detached {
-			st := c.streams[e.producer]
-			st.outstanding.finish(e.seq)
-			st.discarded[e.seq] = true
-			report[e.producer] = append(report[e.producer], e.seq)
-		} else {
-			c.queue.push(e)
+	for ord := c.queue.q.base; ord < c.queue.q.next(); ord++ {
+		e := c.queue.q.at(ord)
+		st := c.streams[e.producer]
+		if st.detached {
+			// Tuples from a detached (dead) producer are never discarded:
+			// its recovery log is gone, so no resend could ever restore
+			// them.
+			continue
 		}
+		k := 0
+		for i := e.pos; i < e.n; i++ {
+			if (filter == nil || filter[e.buckets()[i]]) && e.kill(int(i)) {
+				report[int(e.producer)] = append(report[int(e.producer)], e.first+int64(i))
+				k++
+			}
+		}
+		if k > 0 {
+			st.outstanding.finish(e.ord, k)
+			c.queue.n -= k
+		}
+	}
+	for p, seqs := range report {
+		st := c.streams[p]
+		st.discarded = append(slices.Clip(st.discarded), seqs...)
+		slices.Sort(st.discarded)
 	}
 	return report
 }
@@ -529,7 +554,7 @@ func (c *Consumer) DetachProducer(producer int) error {
 func (c *Consumer) AddProducer(addr Addr) {
 	c.gate.locked(func() {
 		c.Producers = append(c.Producers, addr)
-		c.streams = append(c.streams, &streamState{discarded: make(map[int64]bool)})
+		c.streams = append(c.streams, &streamState{})
 	})
 }
 
@@ -537,5 +562,5 @@ func (c *Consumer) AddProducer(addr Addr) {
 func (c *Consumer) Stats() (consumed int64, waitMs float64, queued int) {
 	c.gate.mu.Lock()
 	defer c.gate.mu.Unlock()
-	return c.consumed, c.waitMs, c.queue.len()
+	return c.consumed, c.waitMs, c.queue.n
 }

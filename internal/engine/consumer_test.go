@@ -33,8 +33,12 @@ func newConsumerHarness(t *testing.T, producers int, stateful bool) *consumerHar
 		addrs[i] = Addr{Node: "src", Service: "prod"}
 	}
 	tr.Register("src", "prod", func(_ simnet.NodeID, m *transport.Message) {
+		// The consumer recycles ack messages once Send returns, so the
+		// harness keeps a copy, as a real producer would.
+		cp := *m
+		cp.Except = append([]int64(nil), m.Except...)
 		h.mu.Lock()
-		h.acks = append(h.acks, m)
+		h.acks = append(h.acks, &cp)
 		h.mu.Unlock()
 	})
 	h.ctx = &ExecContext{Clock: clock, Node: net.Node("sink"),

@@ -3,12 +3,8 @@ package engine
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/relation"
-	"repro/internal/simnet"
-	"repro/internal/transport"
-	"repro/internal/vtime"
 )
 
 // BenchmarkExchangeBacklog prices the exchange's checkpoint / recovery-log /
@@ -16,49 +12,46 @@ import (
 // the whole stream while the consumer is stalled (as a join's probe side is
 // while the build side is still arriving), then the consumer drains it and
 // acknowledges every checkpoint until the log is empty and EOS arrives. The
-// reported ns/tuple must stay flat as the backlog grows.
+// recall cases hash-route the stream and, half-way through the drain, recall
+// and resend the queued tuples of half the buckets, so recalled tuples are
+// marked dead in place, pin their buffers and are re-logged. The reported
+// ns/tuple must stay flat as the backlog grows.
 func BenchmarkExchangeBacklog(b *testing.B) {
-	for _, n := range []int{10_000, 20_000, 40_000, 80_000} {
-		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) { benchExchangeBacklog(b, n) })
+	for _, recall := range []bool{false, true} {
+		for _, n := range []int{10_000, 20_000, 40_000, 80_000} {
+			name := fmt.Sprintf("%dk", n/1000)
+			if recall {
+				name = "recall/" + name
+			}
+			b.Run(name, func(b *testing.B) { benchExchangeBacklog(b, n, recall) })
+		}
 	}
 }
 
-func benchExchangeBacklog(b *testing.B, n int) {
+func benchExchangeBacklog(b *testing.B, n int, recall bool) {
 	tuples := make([]relation.Tuple, n)
 	for i := range tuples {
 		tuples[i] = relation.Tuple{relation.Int(int64(i)), relation.String("payload")}
 	}
-	clock := vtime.NewClock(time.Nanosecond)
-	net := simnet.NewNetwork(clock)
-	net.AddNode("n") // one node: the loopback link costs nothing
-	ctx := &ExecContext{Clock: clock, Node: net.Node("n"), Meter: vtime.NewMeter(clock)}
+	half := []int32{0, 1, 2, 3, 4, 5, 6, 7}
+	net, ctx := newExchangeContext()
 	batch := relation.GetBatch()
 	defer batch.Release()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := transport.NewInProc(net)
-		pol, err := NewWeightedPolicy([]float64{1})
+		var pol DistPolicy
+		var err error
+		if recall {
+			pol, err = NewHashPolicy([]int{0}, 16, []float64{1})
+		} else {
+			pol, err = NewWeightedPolicy([]float64{1})
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
-		prod := NewProducer(ProducerConfig{
-			Exchange: "EX", Fragment: "F", ConsumerFragment: "G",
-			Consumers: []Addr{{Node: "n", Service: "cons"}},
-			Policy:    pol, Transport: tr, Node: "n",
-		})
-		prod.Bind(ctx)
-		cons := newConsumer("EX", 0, []Addr{{Node: "n", Service: "prod"}}, false, newFlowGate(), tr, "n")
-		if err := cons.Open(ctx); err != nil {
-			b.Fatal(err)
-		}
-		tr.Register("n", "cons", func(_ simnet.NodeID, m *transport.Message) {
-			if err := cons.Deliver(m); err != nil {
-				b.Error(err)
-			}
-		})
-		tr.Register("n", "prod", func(_ simnet.NodeID, m *transport.Message) { prod.HandleAck(m) })
-
+		rig := newExchangeRig(b, net, ctx, 1, pol, false, 0, 0)
+		prod, cons := rig.prod, rig.cons[0]
 		for at := 0; at < n; at += relation.DefaultBatchSize {
 			if err := prod.SendBatch(tuples[at:min(at+relation.DefaultBatchSize, n)], ctx.Meter); err != nil {
 				b.Fatal(err)
@@ -67,8 +60,23 @@ func benchExchangeBacklog(b *testing.B, n int) {
 		if err := prod.Close(); err != nil {
 			b.Fatal(err)
 		}
-		got := 0
+		got, recalled := 0, !recall
 		for {
+			if !recalled && got >= n/2 {
+				recalled = true
+				if err := prod.Pause(); err != nil {
+					b.Fatal(err)
+				}
+				var report map[int][]int64
+				cons.gate.locked(func() {
+					cons.finishLocked(&cons.self)
+					report = cons.discardLocked(half)
+				})
+				if _, err := prod.Resend(0, report[0]); err != nil {
+					b.Fatal(err)
+				}
+				prod.Resume()
+			}
 			k, err := cons.NextBatch(batch)
 			if err != nil {
 				b.Fatal(err)

@@ -3,7 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,40 +25,34 @@ const DefaultBufferTuples = 50
 // data tuples they send").
 const DefaultCheckpointEvery = 50
 
-type bufEntry struct {
-	seq    int64
-	bucket int32
-	tuple  relation.Tuple
-}
-
 // producerShard is the per-consumer slice of the producer's mutable state:
-// the pending buffer, the recovery log (which owns the stream's sequence
-// counter) and the checkpoint interval position. Concurrent senders routing
-// to different consumers touch disjoint shards and never contend; everything
-// that must observe a consistent cross-shard picture (Pause, Replay, Resend,
-// Close) goes through the flow barrier instead.
+// the recovery log (which owns the stream's sequence counter, and whose
+// tail is the open buffer) and the checkpoint interval position. Concurrent
+// senders routing to different consumers touch disjoint shards and never
+// contend; everything that must observe a consistent cross-shard picture
+// (Pause, Replay, Resend, Close) goes through the flow barrier instead.
 type producerShard struct {
 	mu        sync.Mutex
-	buf       []bufEntry
 	log       recoveryLog
 	sinceCkpt int
 	// dead marks the consumer instance as crash-stopped or detached:
 	// flushes drop the buffer (the log keeps the entries for failover
 	// replay), and checkpoints/EOS are not addressed to it.
 	dead bool
+	// msg is the data-message header flushes reuse. Both transports are
+	// done with a message once Send returns: the in-proc consumer copies
+	// the tuples out, and TCP encodes them into its own frame.
+	msg transport.Message
 }
 
-// flowBarrier coordinates the producer's data plane (Send/SendBatch, from
-// one driver or many morsel workers) with its control plane. Data-plane
-// calls enter as "active" and are blocked while the producer is paused or a
-// control operation holds the barrier exclusively; acknowledgements enter
-// too but are blocked only by exclusive sections — acks must keep flowing
-// during an R1 pause, or a downstream quiesce waiting on a worker whose ack
-// is in flight would deadlock. Exclusive acquisition waits for every active
-// call to drain, giving Pause/Replay/Resend/Close the same atomicity the
-// old single producer mutex provided: no ack can delete a log entry between
-// a replay's snapshot and its migration, and no sender can slip a tuple
-// into a half-flushed picture.
+// flowBarrier coordinates the producer's data plane (SendBatch, from one
+// driver or many morsel workers) with its control plane. Data-plane calls
+// are blocked while paused or while a control operation holds the barrier
+// exclusively; acks only by exclusive sections, since a downstream quiesce
+// may wait on a worker whose ack is in flight. Exclusive acquisition waits
+// for every active call to drain, so no ack deletes a log entry between a
+// replay's snapshot and its migration, and no sender slips a tuple into a
+// half-flushed picture.
 type flowBarrier struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -70,35 +64,24 @@ type flowBarrier struct {
 
 func (b *flowBarrier) init() { b.cond = sync.NewCond(&b.mu) }
 
-// enter admits a data-plane call, blocking while paused or exclusive. The
-// caller's meter is flushed before parking so the modelled cost of already
-// processed tuples is fully paid (mirroring the consumer-side convention).
-func (b *flowBarrier) enter(m *vtime.Meter) error {
+// enter admits a call, blocking while exclusive; a data-plane call also
+// blocks while paused and fails once canceled, an acknowledgement (ack) does
+// neither. The caller's meter is flushed before parking so the modelled cost
+// of already processed tuples is fully paid (mirroring the consumer side).
+func (b *flowBarrier) enter(m *vtime.Meter, ack bool) error {
 	b.mu.Lock()
-	for (b.paused || b.exclusive) && b.cancelErr == nil {
+	defer b.mu.Unlock()
+	for ack && b.exclusive || !ack && (b.paused || b.exclusive) && b.cancelErr == nil {
 		if m != nil {
 			m.Flush()
 		}
 		b.cond.Wait()
 	}
-	if b.cancelErr != nil {
-		err := b.cancelErr
-		b.mu.Unlock()
-		return err
+	if !ack && b.cancelErr != nil {
+		return b.cancelErr
 	}
 	b.active++
-	b.mu.Unlock()
 	return nil
-}
-
-// enterAck admits an acknowledgement, blocking only on exclusive sections.
-func (b *flowBarrier) enterAck() {
-	b.mu.Lock()
-	for b.exclusive {
-		b.cond.Wait()
-	}
-	b.active++
-	b.mu.Unlock()
 }
 
 func (b *flowBarrier) exit() {
@@ -160,33 +143,14 @@ type routeScratch struct {
 
 var routeScratchPool = sync.Pool{New: func() any { return new(routeScratch) }}
 
-// sendFrame is a pooled outgoing-buffer frame: the message header plus the
-// tuple and bucket slices it points at. Both transports release the frame
-// synchronously — the in-proc transport runs the handler before Send
-// returns, and the TCP transport fully encodes the message into its own
-// wire buffer — so the frame is reusable as soon as flushShardLocked is
-// done with it.
-type sendFrame struct {
-	msg     transport.Message
-	tuples  []relation.Tuple
-	buckets []int32
-}
-
-var framePool = sync.Pool{New: func() any { return new(sendFrame) }}
-
 // Producer is the sending half of an exchange: it routes the fragment's
 // output tuples to the consumer instances under the current distribution
 // policy, batches them into buffers, inserts checkpoints, and keeps every
-// unacknowledged tuple in a per-consumer recovery log. The log is the
-// substrate of retrospective adaptation: it contains, at any point, the
-// in-transit tuples plus the tuples making up downstream operator state
-// (paper §3.1, Response).
-//
-// State is sharded per consumer so that concurrent morsel workers calling
-// SendBatch serialize only when routing to the same consumer; routed and
-// buffer counters are atomic (exact, no sampling), and the control plane
-// takes the flow barrier to retain the R1/R2 protocol semantics of the
-// previous single-mutex design.
+// unacknowledged buffer in a per-consumer recovery log: the in-transit
+// tuples plus those making up downstream operator state, the substrate of
+// retrospective adaptation (paper §3.1, Response). State is sharded per
+// consumer, so concurrent morsel workers serialize only when routing to the
+// same consumer; the control plane takes the flow barrier.
 type Producer struct {
 	Exchange string
 	// Fragment and Instance identify the producing subplan clone.
@@ -212,14 +176,11 @@ type Producer struct {
 	bufferTuples    int
 	checkpointEvery int
 
-	// ft enables the elastic-failover behaviour: a flush that fails
-	// because the TARGET node died marks the shard dead and reports the
-	// peer through onPeerDown instead of failing the driver; the logged
-	// tuples wait for the session's failover to replay them onto
-	// survivors. holdback additionally defers buffer-full flushes so the
+	// ft enables elastic failover: a send that finds the TARGET node dead
+	// marks the shard dead and reports the peer through onPeerDown instead
+	// of failing the driver. holdback defers buffer-full flushes so the
 	// fragment runtime can flush outputs and acknowledge the inputs they
-	// derive from in one commit section — the exactly-once invariant of
-	// crash recovery (DESIGN.md §5h).
+	// derive from in one commit section (DESIGN.md §5h).
 	ft         bool
 	holdback   bool
 	onPeerDown func(simnet.NodeID)
@@ -283,7 +244,7 @@ func NewProducer(cfg ProducerConfig) *Producer {
 		p.checkpointEvery = DefaultCheckpointEvery
 	}
 	for i := range p.shards {
-		p.shards[i] = &producerShard{log: newRecoveryLog()}
+		p.shards[i] = &producerShard{log: recoveryLog{seq: 1}}
 	}
 	p.barrier.init()
 	return p
@@ -304,22 +265,17 @@ func (p *Producer) SetFaultTolerant(holdback bool, onPeerDown func(simnet.NodeID
 }
 
 // SendBatch routes a batch of tuples under one policy-lock and one
-// shard-lock acquisition per consumer. Per consumer, everything — tuple
-// order, sequence numbers, recovery-log entries, buffer boundaries,
-// checkpoint insertion, and the per-buffer M2 monitoring events — depends
-// only on the tuple sequence, never on how it was cut into batches, so the
-// R1/R2 redistribution protocols and the monitoring cadence are unaffected
-// by batch width. The modelled log-management cost is charged to m, the
-// calling driver's meter (a vtime.Meter is goroutine-confined, so each
-// morsel worker passes its own while all of them share one producer; nil
-// charges nothing). It blocks while the producer is paused by the control
-// plane and returns the cancellation cause if the exchange is canceled
-// (before or while blocked).
+// shard-lock acquisition per consumer. Per consumer, sequence numbers,
+// buffer boundaries, checkpoints and M2 events depend only on the tuple
+// sequence, never on how it was cut into batches. The modelled
+// log-management cost is charged to m, the calling driver's (goroutine-
+// confined) meter; nil charges nothing. It blocks while the producer is
+// paused and returns the cancellation cause once the exchange is canceled.
 func (p *Producer) SendBatch(ts []relation.Tuple, m *vtime.Meter) error {
 	if len(ts) == 0 {
 		return nil
 	}
-	if err := p.barrier.enter(m); err != nil {
+	if err := p.barrier.enter(m, false); err != nil {
 		return err
 	}
 	defer p.barrier.exit()
@@ -352,8 +308,8 @@ outer:
 				s.mu.Lock()
 				locked = true
 			}
-			p.appendShardLocked(s, buckets[i], ts[i])
-			if len(s.buf) >= p.bufferTuples && !p.holdback {
+			s.log.append(ts[i], buckets[i])
+			if s.log.openBuf().n >= int32(p.bufferTuples) && !p.holdback {
 				if err = p.flushShardLocked(c, s, false); err != nil {
 					s.mu.Unlock()
 					break outer
@@ -373,93 +329,48 @@ outer:
 	return nil
 }
 
-// appendShardLocked assigns the next stream sequence and records the tuple
-// in the shard's buffer and recovery log. Caller holds s.mu.
-func (p *Producer) appendShardLocked(s *producerShard, bucket int32, t relation.Tuple) {
-	seq := s.log.append(t, bucket)
-	s.buf = append(s.buf, bufEntry{seq: seq, bucket: bucket, tuple: t})
-}
-
-// flushShardLocked transmits the shard's pending buffer through a pooled
-// frame, inserting a checkpoint when the interval is due, and emits the M2
-// monitoring event. Caller holds s.mu.
+// flushShardLocked closes the shard's open buffer and transmits it straight
+// from the recovery log, inserting a checkpoint when the interval is due,
+// and emits the M2 monitoring event. Caller holds s.mu.
 func (p *Producer) flushShardLocked(consumer int, s *producerShard, replay bool) error {
-	buf := s.buf
+	b := s.log.openBuf()
+	if b == nil {
+		return nil
+	}
+	s.log.open = false
 	if s.dead {
-		// The consumer instance is gone: drop the buffer (entries stay in
-		// the recovery log for failover replay) and keep the driver going.
-		for i := range buf {
-			buf[i] = bufEntry{}
-		}
-		s.buf = buf[:0]
+		// The consumer instance is gone: the buffer is not sent (its tuples
+		// stay in the recovery log for failover replay) and the driver
+		// keeps going.
 		return nil
 	}
-	if len(buf) == 0 {
-		return nil
-	}
-	fr := framePool.Get().(*sendFrame)
-	tuples := fr.tuples[:0]
-	hasBuckets := false
-	for _, e := range buf {
-		tuples = append(tuples, e.tuple)
-		if e.bucket >= 0 {
-			hasBuckets = true
-		}
-	}
-	msg := &fr.msg
+	msg := &s.msg
 	*msg = transport.Message{
 		Kind:        transport.KindData,
 		Exchange:    p.Exchange,
 		ProducerIdx: p.Instance,
 		ConsumerIdx: consumer,
 		Epoch:       int(p.epoch.Load()),
-		StartSeq:    buf[0].seq,
+		StartSeq:    b.first,
 		Replay:      replay,
-		Tuples:      tuples,
+		Tuples:      b.tuples(),
 	}
-	bks := fr.buckets[:0]
-	if hasBuckets {
-		for _, e := range buf {
-			bks = append(bks, e.bucket)
-		}
-		msg.Buckets = bks
+	if slices.ContainsFunc(b.buckets(), func(k int32) bool { return k >= 0 }) {
+		msg.Buckets = b.buckets()
 	}
 	if !replay {
-		s.sinceCkpt += len(buf)
+		s.sinceCkpt += int(b.n)
 		if s.sinceCkpt >= p.checkpointEvery {
-			msg.Checkpoint = buf[len(buf)-1].seq
+			msg.Checkpoint = b.first + int64(b.n) - 1
 			s.sinceCkpt = 0
 		}
 	}
-	// Drop the tuple references before reusing the backing array.
-	for i := range buf {
-		buf[i] = bufEntry{}
-	}
-	s.buf = buf[:0]
-	count := len(tuples)
 	addr := p.Consumers[consumer]
 	cost, err := p.tr.Send(p.node, addr.Node, addr.Service, msg)
-	// Both transports are done with the frame once Send returns (in-proc
-	// dispatches synchronously, TCP encodes into its own wire buffer), so
-	// it can be cleared and recycled.
-	for i := range tuples {
-		tuples[i] = nil
-	}
-	fr.tuples = tuples[:0]
-	fr.buckets = bks[:0]
-	fr.msg = transport.Message{}
-	framePool.Put(fr)
+	*msg = transport.Message{}
 	if err != nil {
-		var down *transport.NodeDownError
-		if p.ft && errors.As(err, &down) && down.Node == addr.Node && addr.Node != p.node {
-			// The peer died. Mark the shard dead and keep the driver
-			// flowing: the flushed entries are still in the recovery log,
-			// and the session's failover replays them onto survivors.
-			s.dead = true
-			if p.onPeerDown != nil {
-				p.onPeerDown(addr.Node)
-			}
-			return nil
+		if p.markDeadOnPeerLoss(consumer, addr, err, true) {
+			return nil // the buffer's tuples are still logged
 		}
 		return qerr.Transport(fmt.Sprintf("exchange %s flush to %s", p.Exchange, addr.Service), err)
 	}
@@ -475,13 +386,13 @@ func (p *Producer) flushShardLocked(consumer int, s *producerShard, replay bool)
 			ConsumerInstance: consumer,
 			ConsumerNode:     addr.Node,
 			SendCostMs:       cost,
-			TupleCount:       count,
+			TupleCount:       int(b.n),
 		})
 	}
 	return nil
 }
 
-// flushAll flushes every shard. Call with the barrier held exclusively.
+// flushAll flushes every shard. Call inside the barrier.
 func (p *Producer) flushAll(replay bool) error {
 	for c, s := range p.shards {
 		s.mu.Lock()
@@ -525,11 +436,11 @@ func (p *Producer) finalizeCheckpointsLocked() error {
 	}
 	for c, s := range p.shards {
 		s.mu.Lock()
-		skip := s.sinceCkpt == 0 || s.log.next() == 1 || s.dead
+		skip := s.sinceCkpt == 0 || s.log.seq == 1 || s.dead
 		var ck int64
 		if !skip {
 			s.sinceCkpt = 0
-			ck = s.log.next() - 1
+			ck = s.log.seq - 1
 		}
 		s.mu.Unlock()
 		if skip {
@@ -545,7 +456,7 @@ func (p *Producer) finalizeCheckpointsLocked() error {
 		}
 		addr := p.Consumers[c]
 		if _, err := p.tr.Send(p.node, addr.Node, addr.Service, msg); err != nil {
-			if p.markDeadOnPeerLoss(c, addr, err) {
+			if p.markDeadOnPeerLoss(c, addr, err, false) {
 				continue
 			}
 			return qerr.Transport(fmt.Sprintf("exchange %s checkpoint to %s", p.Exchange, addr.Service), err)
@@ -557,16 +468,20 @@ func (p *Producer) finalizeCheckpointsLocked() error {
 // markDeadOnPeerLoss handles a send error in fault-tolerant mode: if the
 // error reports that the TARGET consumer's node died, the shard is marked
 // dead (its logged tuples await failover replay) and the caller may carry
-// on. Self-death and other faults stay fatal.
-func (p *Producer) markDeadOnPeerLoss(consumer int, addr Addr, err error) bool {
+// on. Self-death and other faults stay fatal. locked says the caller holds
+// the shard's lock.
+func (p *Producer) markDeadOnPeerLoss(consumer int, addr Addr, err error, locked bool) bool {
 	var down *transport.NodeDownError
 	if !p.ft || !errors.As(err, &down) || down.Node != addr.Node || addr.Node == p.node {
 		return false
 	}
-	s := p.shards[consumer]
-	s.mu.Lock()
-	s.dead = true
-	s.mu.Unlock()
+	if s := p.shards[consumer]; locked {
+		s.dead = true
+	} else {
+		s.mu.Lock()
+		s.dead = true
+		s.mu.Unlock()
+	}
 	if p.onPeerDown != nil {
 		p.onPeerDown(addr.Node)
 	}
@@ -609,7 +524,7 @@ func (p *Producer) maybeFinishLocked() error {
 			ConsumerIdx: i,
 		}
 		if _, err := p.tr.Send(p.node, addr.Node, addr.Service, msg); err != nil {
-			if p.markDeadOnPeerLoss(i, addr, err) {
+			if p.markDeadOnPeerLoss(i, addr, err, false) {
 				continue
 			}
 			return qerr.Transport(fmt.Sprintf("exchange %s EOS to %s", p.Exchange, addr.Service), err)
@@ -632,25 +547,14 @@ func (p *Producer) Cancel(cause error) {
 
 // HandleAck releases acknowledged log entries (stateless exchanges only;
 // stateful logs persist until Release). Sequences listed in Except were
-// discarded by a recall: they stay logged until the resend step migrates
-// them to their new consumer. Acks pass the flow barrier in ack mode: they
-// keep flowing while the producer is paused (blocking them would deadlock a
-// downstream quiesce waiting on a worker whose ack is in flight) but are
-// excluded from exclusive control sections, so an ack can never delete a
-// log entry between a Replay's snapshot and its migration.
+// discarded by a recall, ascending: they stay logged until the resend step
+// migrates them to their new consumer. Acks enter the barrier in ack mode.
 func (p *Producer) HandleAck(msg *transport.Message) {
 	if p.Stateful {
 		return
 	}
-	p.barrier.enterAck()
+	_ = p.barrier.enter(nil, true)
 	defer p.barrier.exit()
-	var keep map[int64]bool
-	if len(msg.Except) > 0 {
-		keep = make(map[int64]bool, len(msg.Except))
-		for _, s := range msg.Except {
-			keep[s] = true
-		}
-	}
 	if msg.ConsumerIdx < 0 || msg.ConsumerIdx >= len(p.shards) {
 		return
 	}
@@ -662,18 +566,16 @@ func (p *Producer) HandleAck(msg *transport.Message) {
 		s.mu.Unlock()
 		return
 	}
-	s.log.release(msg.Checkpoint, keep)
+	s.log.release(msg.Checkpoint, msg.Except)
 	s.mu.Unlock()
 	p.finMu.Lock()
 	_ = p.maybeFinishLocked()
 	p.finMu.Unlock()
 }
 
-// Pause stops the normal flow after flushing pending buffers, so that when
-// it returns every routed tuple is at (or on the wire to) its consumer and
-// the retrospective protocol sees a consistent picture. The paused flag is
-// raised inside the exclusive section, so no sender can slip a tuple in
-// between the flush and the pause taking effect.
+// Pause stops the normal flow after flushing every open buffer, so that
+// when it returns every routed tuple is at (or on the wire to) its
+// consumer. The flag is raised inside the exclusive section.
 func (p *Producer) Pause() error {
 	p.barrier.lockExclusive()
 	if err := p.flushAll(false); err != nil {
@@ -731,24 +633,23 @@ func (p *Producer) Replay(buckets []int32) (int, error) {
 	type movedEntry struct {
 		consumer int
 		seq      int64
-		e        logEntry
 	}
 	var pending []movedEntry
 	for consumer, s := range p.shards {
 		s.mu.Lock()
-		s.log.each(func(seq int64, e logEntry) {
-			if set[e.bucket] {
-				pending = append(pending, movedEntry{consumer: consumer, seq: seq, e: e})
+		s.log.each(func(seq int64, _ relation.Tuple, bucket int32) {
+			if set[bucket] {
+				pending = append(pending, movedEntry{consumer: consumer, seq: seq})
 			}
 		})
 		s.mu.Unlock()
 	}
-	return p.reroute(len(pending), func(i int) (logEntry, error) {
+	return p.reroute(len(pending), func(i int) (relation.Tuple, int32, error) {
 		src := p.shards[pending[i].consumer]
 		src.mu.Lock()
-		src.log.take(pending[i].seq)
+		t, bucket, _ := src.log.take(pending[i].seq)
 		src.mu.Unlock()
-		return pending[i].e, nil
+		return t, bucket, nil
 	}, true, -1)
 }
 
@@ -758,48 +659,47 @@ func (p *Producer) Resend(fromConsumer int, seqs []int64) (int, error) {
 	p.barrier.lockExclusive()
 	defer p.barrier.unlockExclusive()
 	src := p.shards[fromConsumer]
-	sorted := append([]int64(nil), seqs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return p.reroute(len(sorted), func(i int) (logEntry, error) {
+	sorted := slices.Clone(seqs)
+	slices.Sort(sorted)
+	return p.reroute(len(sorted), func(i int) (relation.Tuple, int32, error) {
 		src.mu.Lock()
-		e, ok := src.log.take(sorted[i])
+		t, bucket, ok := src.log.take(sorted[i])
 		src.mu.Unlock()
 		if !ok {
-			return e, fmt.Errorf("engine: resend of unknown seq %d on %s/consumer %d", sorted[i], p.Exchange, fromConsumer)
+			return nil, 0, fmt.Errorf("engine: resend of unknown seq %d on %s/consumer %d", sorted[i], p.Exchange, fromConsumer)
 		}
-		return e, nil
+		return t, bucket, nil
 	}, false, -1)
 }
 
-// reroute is the one loop that moves logged entries to new consumers: it
-// takes n entries in order from next, routes each under the current policy
-// (by its bucket when it has one), appends it to the target shard under a
-// fresh sequence number, and flushes full buffers, then every shard.
-// Replay buffers are flagged for state rebuild; normal flow also closes the
-// checkpoint intervals and re-checks end-of-stream, since the moved entries
-// may have been what held it back. An entry routed to the consumer named
-// by lost fails the call. Call with the barrier held exclusively.
-func (p *Producer) reroute(n int, next func(i int) (logEntry, error), replay bool, lost int) (int, error) {
+// reroute is the one loop that moves logged tuples to new consumers: it
+// takes n tuples in order from next, routes each under the current policy
+// (by its bucket when it has one), logs it on the target shard under a
+// fresh sequence number, and flushes full buffers, then every shard. Normal
+// flow also closes the checkpoint intervals and re-checks end-of-stream. A
+// tuple routed to the consumer named by lost fails the call. Call with the
+// barrier held exclusively.
+func (p *Producer) reroute(n int, next func(i int) (relation.Tuple, int32, error), replay bool, lost int) (int, error) {
 	moved := 0
 	for i := 0; i < n; i++ {
-		e, err := next(i)
+		t, bucket, err := next(i)
 		if err != nil {
 			return moved, err
 		}
 		var target int
-		if e.bucket >= 0 {
-			target = p.policy.RouteBucket(e.bucket)
+		if bucket >= 0 {
+			target = p.policy.RouteBucket(bucket)
 		} else {
-			target, _ = p.policy.Route(e.tuple)
+			target, _ = p.policy.Route(t)
 		}
 		if target == lost {
 			return moved, fmt.Errorf("engine: replay-lost on %s still routes to dead consumer %d", p.Exchange, lost)
 		}
 		dst := p.shards[target]
 		dst.mu.Lock()
-		p.appendShardLocked(dst, e.bucket, e.tuple)
+		dst.log.append(t, bucket)
 		moved++
-		if len(dst.buf) >= p.bufferTuples {
+		if dst.log.openBuf().n >= int32(p.bufferTuples) {
 			err = p.flushShardLocked(target, dst, replay)
 		}
 		dst.mu.Unlock()
@@ -828,27 +728,16 @@ func (p *Producer) reroute(n int, next func(i int) (logEntry, error), replay boo
 // mode so it flows during an R1 pause but never overlaps an exclusive
 // control section.
 func (p *Producer) FlushHeld() error {
-	p.barrier.enterAck()
+	_ = p.barrier.enter(nil, true)
 	defer p.barrier.exit()
-	for c, s := range p.shards {
-		s.mu.Lock()
-		err := p.flushShardLocked(c, s, false)
-		s.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.flushAll(false)
 }
 
-// ReplayLost re-routes every logged-but-unacknowledged tuple of a dead
-// consumer instance onto the surviving instances under the current
-// (already reweighted) policy as normal flow, then detaches the instance.
-// Because acknowledgements release log entries only when the consumer has
-// processed the tuples AND durably forwarded their outputs (the holdback
-// commit), the dead shard's log is exactly the set of tuples whose effects
-// are missing downstream — replaying them, and nothing else, preserves
-// exact results. It returns the number of tuples moved.
+// ReplayLost re-routes every unacknowledged tuple of a dead consumer
+// instance onto the survivors under the current (already reweighted) policy
+// as normal flow, detaches the instance, and returns the tuples moved. Acks
+// release a tuple only once its outputs are durably forwarded (the holdback
+// commit), so the dead shard's log is exactly what is missing downstream.
 func (p *Producer) ReplayLost(dead int) (int, error) {
 	p.barrier.lockExclusive()
 	defer p.barrier.unlockExclusive()
@@ -857,16 +746,15 @@ func (p *Producer) ReplayLost(dead int) (int, error) {
 	}
 	src := p.shards[dead]
 	src.mu.Lock()
-	pending := make([]logEntry, 0, src.log.live)
-	src.log.each(func(_ int64, e logEntry) { pending = append(pending, e) })
+	tuples := make([]relation.Tuple, 0, src.log.live)
+	buckets := make([]int32, 0, src.log.live)
+	src.log.each(func(_ int64, t relation.Tuple, bucket int32) {
+		tuples, buckets = append(tuples, t), append(buckets, bucket)
+	})
 	src.log.reset()
-	for i := range src.buf {
-		src.buf[i] = bufEntry{}
-	}
-	src.buf = src.buf[:0]
 	src.dead = true
 	src.mu.Unlock()
-	return p.reroute(len(pending), func(i int) (logEntry, error) { return pending[i], nil }, false, dead)
+	return p.reroute(len(tuples), func(i int) (relation.Tuple, int32, error) { return tuples[i], buckets[i], nil }, false, dead)
 }
 
 // DetachConsumer marks a dead consumer instance as gone without replaying
@@ -882,10 +770,7 @@ func (p *Producer) DetachConsumer(dead int) error {
 	s := p.shards[dead]
 	s.mu.Lock()
 	s.dead = true
-	for i := range s.buf {
-		s.buf[i] = bufEntry{}
-	}
-	s.buf = s.buf[:0]
+	s.log.open = false // the open buffer is never sent; the log keeps it
 	if p.Stateful {
 		// Stateful logs exist to rebuild remote state; the dead instance's
 		// buckets were already replayed to their new owners.
@@ -920,7 +805,7 @@ func (p *Producer) AddConsumer(addr Addr, w []float64) error {
 		return err
 	}
 	p.Consumers = append(p.Consumers, addr)
-	p.shards = append(p.shards, &producerShard{log: newRecoveryLog()})
+	p.shards = append(p.shards, &producerShard{log: recoveryLog{seq: 1}})
 	return nil
 }
 
@@ -951,7 +836,7 @@ func (p *Producer) ConsumerTupleCounts() []int64 {
 	counts := make([]int64, len(p.shards))
 	for i, s := range p.shards {
 		s.mu.Lock()
-		counts[i] = s.log.next() - 1
+		counts[i] = s.log.seq - 1
 		s.mu.Unlock()
 	}
 	return counts

@@ -1,218 +1,306 @@
 package engine
 
-import "repro/internal/relation"
+import (
+	"slices"
+	"sort"
 
-// seqChunk is the number of entries per seqQueue chunk. Every stream pays
-// for one chunk of each queue however few tuples it carries, so the size is
-// set by the small end: at 64 a point query's exchange allocates 3KiB for
-// its widest queue (queueEntry, 48 bytes), where 256 made the serving
-// workloads allocate more per query than the maps did. Per-entry chunk
-// bookkeeping is already negligible at this size.
-const seqChunk = 64
+	"repro/internal/relation"
+)
 
 // seqQueue is the exchange's one FIFO: entries are appended under consecutive
-// sequence numbers and removed from the front, and any entry still held is
-// addressable by its sequence in O(1). Per-stream sequence numbers are
-// monotone (paper §3.1), which is what makes the recovery log a queue, an
-// acknowledgement a prefix truncation, and the consumer's "anything
-// outstanding at or below this checkpoint?" a comparison against the front
-// sequence. Storage is fixed-size chunks; the chunk the head leaves is kept
-// for the tail to reuse, so a steady stream allocates no entry storage and a
-// backlog of B entries costs B slots, never a regrowth copy.
+// sequence numbers, removed from the front, and addressable by sequence in
+// O(1). The exchange keeps one entry per buffer, never per tuple. A full
+// backing slice slides down instead of growing once half of it is popped,
+// so a steady stream allocates nothing.
 type seqQueue[T any] struct {
-	chunks []*[seqChunk]T
-	spare  *[seqChunk]T
-	head   int   // offset of the front entry from the start of chunks[0]
-	n      int   // entries held
-	base   int64 // sequence of the front entry
+	s    []T
+	head int   // index of the front entry in s
+	base int64 // sequence of the front entry
 }
 
-func (q *seqQueue[T]) len() int { return q.n }
+func (q *seqQueue[T]) len() int { return len(q.s) - q.head }
 
 // next is the sequence the next push will be stored under.
-func (q *seqQueue[T]) next() int64 { return q.base + int64(q.n) }
+func (q *seqQueue[T]) next() int64 { return q.base + int64(q.len()) }
+
+// front returns the front entry; the queue must be non-empty.
+func (q *seqQueue[T]) front() *T { return &q.s[q.head] }
 
 func (q *seqQueue[T]) push(v T) {
-	i := q.head + q.n
-	if i/seqChunk == len(q.chunks) {
-		c := q.spare
-		if c == nil {
-			c = new([seqChunk]T)
-		}
-		q.spare = nil
-		q.chunks = append(q.chunks, c)
+	if len(q.s) == cap(q.s) && q.head > 0 && 2*q.head >= len(q.s) {
+		n := copy(q.s, q.s[q.head:])
+		clear(q.s[n:])
+		q.s, q.head = q.s[:n], 0
 	}
-	q.chunks[i/seqChunk][i%seqChunk] = v
-	q.n++
+	q.s = append(q.s, v)
 }
 
-// at returns the slot holding sequence seq, or nil if seq is not held.
+// at returns the entry stored under seq, or nil if seq is not held.
 func (q *seqQueue[T]) at(seq int64) *T {
 	if seq < q.base || seq >= q.next() {
 		return nil
 	}
-	i := q.head + int(seq-q.base)
-	return &q.chunks[i/seqChunk][i%seqChunk]
+	return &q.s[q.head+int(seq-q.base)]
 }
 
-// popFront removes and returns the front entry; the queue must be non-empty.
-// The slot is zeroed so a recycled chunk pins no tuple.
-func (q *seqQueue[T]) popFront() T {
-	var zero T
-	slot := &q.chunks[q.head/seqChunk][q.head%seqChunk]
-	v := *slot
-	*slot = zero
+// popFront zeroes and removes the front entry; the queue must be non-empty.
+func (q *seqQueue[T]) popFront() {
+	clear(q.s[q.head : q.head+1])
 	q.head++
-	q.n--
 	q.base++
-	if q.head%seqChunk == 0 {
-		// The chunk just left is drained: keep it for the tail. Drained
-		// chunks are cut from the slice once they are half of it, so the
-		// shift costs O(1) per chunk, amortised.
-		k := q.head / seqChunk
-		q.spare, q.chunks[k-1] = q.chunks[k-1], nil
-		if 2*k >= len(q.chunks) {
-			live := copy(q.chunks, q.chunks[k:])
-			clear(q.chunks[live:])
-			q.chunks = q.chunks[:live]
-			q.head = 0
+	if q.head == len(q.s) {
+		q.s, q.head = q.s[:0], 0
+	}
+}
+
+// slotChunk stores the tuples, and their routing buckets, of consecutive
+// buffers: a buffer is a contiguous run of slots inside one chunk.
+type slotChunk struct {
+	tuples  []relation.Tuple
+	buckets []int32
+}
+
+// Fresh chunks start at seqChunk slots, since every stream pays for one,
+// and double up to maxSlotChunk while a backlog grows: B backlogged tuples
+// cost O(log B + B/maxSlotChunk) chunks, none ever copied.
+const seqChunk, maxSlotChunk = 64, 4096
+
+// slotStore hands out slot runs to one FIFO of buffers. The chunk the FIFO's
+// front leaves becomes the spare, or is rewound in place when the FIFO
+// drained, so a steady stream allocates nothing.
+type slotStore struct {
+	tail, spare *slotChunk
+	used        int // slots of tail handed out
+	size        int // capacity of the last fresh chunk
+}
+
+// reserve returns n contiguous free slots.
+func (s *slotStore) reserve(n int) (*slotChunk, int) {
+	if s.tail == nil || s.used+n > len(s.tail.tuples) {
+		c := s.spare
+		if c != nil && len(c.tuples) >= n {
+			s.spare = nil
+		} else {
+			s.size = max(n, seqChunk, min(2*s.size, maxSlotChunk))
+			c = &slotChunk{tuples: make([]relation.Tuple, s.size), buckets: make([]int32, s.size)}
+		}
+		s.tail, s.used = c, 0
+	}
+	s.used += n
+	return s.tail, s.used - n
+}
+
+// drop retires chunk c once the FIFO's front has moved from it to next (nil:
+// the FIFO is empty).
+func (s *slotStore) drop(c, next *slotChunk) {
+	switch {
+	case c == next:
+	case c == s.tail:
+		clear(c.tuples[:s.used])
+		s.used = 0
+	default:
+		clear(c.tuples)
+		if s.spare == nil || len(c.tuples) > len(s.spare.tuples) {
+			s.spare = c
 		}
 	}
-	return v
 }
 
-// reset drops every entry and restarts the queue at sequence base.
-func (q *seqQueue[T]) reset(base int64) {
-	if q.n > 0 {
-		*q = seqQueue[T]{}
+// bufRun is one buffer of one stream: n tuples from sequence first, in slots
+// [off, off+n) of c. dead marks the tuples a recall, ack or take removed; it
+// is allocated only when one splits the buffer.
+type bufRun struct {
+	first  int64
+	c      *slotChunk
+	off, n int32
+	live   int32 // tuples not dead
+	dead   []uint64
+}
+
+func (b bufRun) chunk() *slotChunk         { return b.c }
+func (b *bufRun) tuples() []relation.Tuple { return b.c.tuples[b.off : b.off+b.n] }
+func (b *bufRun) buckets() []int32         { return b.c.buckets[b.off : b.off+b.n] }
+
+func (b *bufRun) isDead(i int) bool {
+	return b.live == 0 || b.dead != nil && b.dead[i/64]&(1<<(i%64)) != 0
+}
+
+// kill marks tuple i dead and reports whether it was live.
+func (b *bufRun) kill(i int) bool {
+	if b.isDead(i) {
+		return false
 	}
-	q.base = base
+	if b.dead == nil {
+		b.dead = make([]uint64, (b.n+63)/64)
+	}
+	b.dead[i/64] |= 1 << (i % 64)
+	b.live--
+	return true
 }
 
-// logEntry is one recovery-log record: a tuple that has been sent but has
-// not finished processing at its consumer (or constitutes operator state).
-// A released record stays in place as a tombstone (live false, tuple
-// dropped) until the released prefix reaches it.
-type logEntry struct {
-	tuple  relation.Tuple
-	bucket int32
-	live   bool
+// popRun pops the front buffer of q, retiring the chunk it leaves behind.
+func popRun[T interface{ chunk() *slotChunk }](q *seqQueue[T], s *slotStore) {
+	c := (*q.front()).chunk()
+	q.popFront()
+	var next *slotChunk
+	if q.len() > 0 {
+		next = (*q.front()).chunk()
+	}
+	s.drop(c, next)
 }
 
-// recoveryLog is one consumer stream's recovery log and its sequence
-// counter: entry i is sequence base+i, so the log is dense from its oldest
-// unreleased record to the last sequence handed out.
+// recoveryLog is one consumer stream's recovery log and sequence counter:
+// one bufRun per buffer from the oldest holding an unreleased tuple, the
+// tail being the open buffer while one is being filled.
 type recoveryLog struct {
-	q    seqQueue[logEntry]
-	live int // records not yet released
+	bufs  seqQueue[bufRun]
+	store slotStore
+	open  bool  // the tail is the open buffer
+	seq   int64 // next sequence to hand out; sequences start at 1
+	live  int   // tuples not yet released
 }
 
-func newRecoveryLog() recoveryLog {
-	return recoveryLog{q: seqQueue[logEntry]{base: 1}}
+// openBuf returns the open buffer, or nil.
+func (l *recoveryLog) openBuf() *bufRun {
+	if !l.open {
+		return nil
+	}
+	return l.bufs.at(l.bufs.next() - 1)
 }
 
-// next is the stream's next sequence number (sequences start at 1).
-func (l *recoveryLog) next() int64 { return l.q.next() }
-
-// append logs a tuple under the stream's next sequence and returns it.
+// append logs a tuple into the open buffer under the stream's next sequence
+// and returns it.
 func (l *recoveryLog) append(t relation.Tuple, bucket int32) int64 {
-	seq := l.q.next()
-	l.q.push(logEntry{tuple: t, bucket: bucket, live: true})
+	b, s := l.openBuf(), &l.store
+	switch {
+	case b == nil:
+		c, off := s.reserve(1)
+		l.bufs.push(bufRun{first: l.seq, c: c, off: int32(off)})
+		l.open = true
+		b = l.openBuf()
+	case b.c == s.tail && s.used == int(b.off+b.n) && s.used < len(b.c.tuples):
+		s.used++ // grow in place
+	default: // the chunk is full: move the open buffer to a fresh run
+		c, off := s.reserve(int(b.n) + 1)
+		copy(c.tuples[off:], b.tuples())
+		copy(c.buckets[off:], b.buckets())
+		b.c, b.off = c, int32(off)
+	}
+	b.c.tuples[b.off+b.n], b.c.buckets[b.off+b.n] = t, bucket
+	b.n++
+	b.live++
 	l.live++
-	return seq
+	l.seq++
+	return l.seq - 1
 }
 
-// take removes and returns the record logged under seq.
-func (l *recoveryLog) take(seq int64) (logEntry, bool) {
-	e := l.q.at(seq)
-	if e == nil || !e.live {
-		return logEntry{}, false
+// take removes and returns the tuple logged under seq.
+func (l *recoveryLog) take(seq int64) (relation.Tuple, int32, bool) {
+	i := sort.Search(l.bufs.len(), func(i int) bool { return l.bufs.at(l.bufs.base+int64(i)).first > seq })
+	b := l.bufs.at(l.bufs.base + int64(i) - 1)
+	if b == nil || seq-b.first >= int64(b.n) || !b.kill(int(seq-b.first)) {
+		return nil, 0, false
 	}
-	out := *e
-	*e = logEntry{}
 	l.live--
+	k := b.off + int32(seq-b.first)
+	t, bucket := b.c.tuples[k], b.c.buckets[k]
 	l.trim()
-	return out, true
+	return t, bucket, true
 }
 
-// release drops every record at or below checkpoint ck except the sequences
-// in keep. A late, smaller ack finds its range already trimmed and does
-// nothing; the scan restarts at the log's front each time, which stays
-// amortised O(1) per record because the released prefix is trimmed — only
-// kept records (a recall awaiting its resend) are ever looked at twice.
-func (l *recoveryLog) release(ck int64, keep map[int64]bool) {
-	if end := l.q.next() - 1; ck > end {
-		ck = end
-	}
-	for seq := l.q.base; seq <= ck; seq++ {
-		if e := l.q.at(seq); e.live && !keep[seq] {
-			*e = logEntry{}
-			l.live--
+// release drops every tuple at or below checkpoint ck except the ascending
+// sequences in keep, whole buffers at once unless a kept sequence, a split
+// or a mid-buffer ck cuts one. Only buffers pinned by kept tuples are ever
+// walked twice.
+func (l *recoveryLog) release(ck int64, keep []int64) {
+	for ord := l.bufs.base; ord < l.bufs.next(); ord++ {
+		b := l.bufs.at(ord)
+		if b.first > ck || l.open && ord == l.bufs.next()-1 {
+			break
+		}
+		last := b.first + int64(b.n) - 1
+		k, _ := slices.BinarySearch(keep, b.first)
+		if ck >= last && b.dead == nil && (k == len(keep) || keep[k] > last) {
+			l.live -= int(b.live)
+			b.live = 0
+			continue
+		}
+		for seq := b.first; seq <= min(ck, last); seq++ {
+			for k < len(keep) && keep[k] < seq {
+				k++
+			}
+			if (k == len(keep) || keep[k] != seq) && b.kill(int(seq-b.first)) {
+				l.live--
+			}
 		}
 	}
 	l.trim()
 }
 
+// trim pops released buffers off the front.
 func (l *recoveryLog) trim() {
-	for l.q.len() > 0 && !l.q.at(l.q.base).live {
-		l.q.popFront()
+	for l.bufs.len() > 0 && l.bufs.front().live == 0 && !(l.open && l.bufs.len() == 1) {
+		popRun(&l.bufs, &l.store)
 	}
 }
 
-// each calls fn for every live record in sequence order.
-func (l *recoveryLog) each(fn func(seq int64, e logEntry)) {
-	for seq := l.q.base; seq < l.q.next(); seq++ {
-		if e := l.q.at(seq); e.live {
-			fn(seq, *e)
+// each calls fn for every live tuple in sequence order.
+func (l *recoveryLog) each(fn func(seq int64, t relation.Tuple, bucket int32)) {
+	for ord := l.bufs.base; ord < l.bufs.next(); ord++ {
+		b := l.bufs.at(ord)
+		for i, t := range b.tuples() {
+			if !b.isDead(i) {
+				fn(b.first+int64(i), t, b.buckets()[i])
+			}
 		}
 	}
 }
 
-// reset drops every record; the sequence counter carries on.
-func (l *recoveryLog) reset() {
-	l.q.reset(l.q.next())
-	l.live = 0
+// reset drops every tuple; the sequence counter carries on.
+func (l *recoveryLog) reset() { *l = recoveryLog{seq: l.seq} }
+
+// winBuf is a received buffer: its first sequence and how many of its
+// tuples are neither processed nor discarded.
+type winBuf struct {
+	first int64
+	left  int32
 }
 
-// seqWindow tracks which received sequences of one stream are still
-// unprocessed. It holds one finished flag per sequence from the oldest
-// outstanding one to the newest received; the finished prefix is trimmed as
-// it forms, so the front of the window is the stream's low-water mark.
+// seqWindow tracks, by arrival ordinal, the received buffers of one stream
+// that still hold unprocessed tuples. Finished buffers are trimmed off the
+// front, so its first sequence is the low-water mark; checkpoints fall on
+// buffer ends, so "is checkpoint ck complete?" is one comparison. Sequences
+// the stream skipped (replay buffers) are never added: they count as done.
 type seqWindow struct {
-	q seqQueue[bool] // true: finished (processed, discarded, or never received)
+	q seqQueue[winBuf]
 }
 
-// add marks seq received and outstanding. Sequences a stream skips — replay
-// buffers draw from the same counter but bypass the queue — count as
-// finished. Streams deliver in sequence order; a sequence below the
-// low-water mark has by definition nothing outstanding at or below it and is
-// not tracked.
-func (w *seqWindow) add(seq int64) {
-	if w.q.len() == 0 {
-		w.q.reset(seq)
-	}
-	for w.q.next() < seq {
-		w.q.push(true)
-	}
-	if seq == w.q.next() {
-		w.q.push(false)
-	} else if f := w.q.at(seq); f != nil {
-		*f = false
-	}
+// add records a received buffer of n tuples and returns its ordinal.
+func (w *seqWindow) add(first int64, n int) int64 {
+	w.q.push(winBuf{first, int32(n)})
+	return w.q.next() - 1
 }
 
-// finish marks seq processed (or discarded). Workers finish out of order, so
-// the low-water mark advances only over a contiguous finished prefix.
-func (w *seqWindow) finish(seq int64) {
-	if f := w.q.at(seq); f != nil {
-		*f = true
-	}
-	for w.q.len() > 0 && *w.q.at(w.q.base) {
+// finish marks k tuples of buffer ord processed (or discarded). Workers
+// finish out of order, so the mark advances only over a finished prefix.
+func (w *seqWindow) finish(ord int64, k int) {
+	w.q.at(ord).left -= int32(k)
+	for w.q.len() > 0 && w.q.front().left == 0 {
 		w.q.popFront()
 	}
 }
 
-// anyAtOrBelow reports whether any sequence at or below ck is outstanding.
+// anyAtOrBelow reports whether a buffer starting at or below ck is
+// outstanding.
 func (w *seqWindow) anyAtOrBelow(ck int64) bool {
-	return w.q.len() > 0 && w.q.base <= ck
+	return w.q.len() > 0 && w.q.front().first <= ck
+}
+
+// upTo returns the prefix of the ascending seqs that is at or below ck.
+func upTo(seqs []int64, ck int64) []int64 {
+	k, found := slices.BinarySearch(seqs, ck)
+	if found {
+		k++
+	}
+	return seqs[:k]
 }

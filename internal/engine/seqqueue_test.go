@@ -14,15 +14,15 @@ import (
 	"repro/internal/transport"
 )
 
-// The two model tests below drive the seq-indexed recovery log and the
-// consumer's low-water-mark window through seeded random interleavings and
-// compare them, after every step, with the map bookkeeping they replaced
-// (kept here, verbatim in behaviour, as the reference). The generators stay
-// inside what the protocol can produce: a stream delivers in sequence order.
+// The two model tests below drive the buffer-granular recovery log and the
+// consumer's queue and low-water-mark window through seeded random
+// interleavings and compare them, after every step, with the per-tuple map
+// bookkeeping of the original design (kept here, verbatim in behaviour, as
+// the reference). The generators stay inside what the protocol can produce:
+// a stream delivers in sequence order.
 
 func TestSeqQueueRecyclesChunks(t *testing.T) {
-	var q seqQueue[int]
-	q.reset(7)
+	q := seqQueue[int]{base: 7}
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 3*seqChunk+5; i++ {
 			q.push(round*10000 + i)
@@ -31,40 +31,74 @@ func TestSeqQueueRecyclesChunks(t *testing.T) {
 			if *q.at(q.base) != round*10000+i {
 				t.Fatalf("round %d: front = %d, want %d", round, *q.at(q.base), round*10000+i)
 			}
-			if got := q.popFront(); got != round*10000+i {
-				t.Fatalf("round %d: pop = %d, want %d", round, got, round*10000+i)
-			}
+			q.popFront()
 		}
-		if q.len() != 0 || len(q.chunks) > 1 {
-			t.Fatalf("round %d: drained queue holds %d entries in %d chunks", round, q.len(), len(q.chunks))
+		if q.len() != 0 {
+			t.Fatalf("round %d: drained queue holds %d entries", round, q.len())
 		}
 	}
 	if q.next() != 7+5*(3*seqChunk+5) {
 		t.Fatalf("next = %d after %d pushes from base 7", q.next(), 5*(3*seqChunk+5))
 	}
-	// A steady stream (the consumer keeps up) allocates no chunk.
-	if a := testing.AllocsPerRun(10, func() {
-		for i := 0; i < 4*seqChunk; i++ {
-			q.push(i)
-			q.push(i)
-			q.popFront()
-			q.popFront()
-		}
-	}); a != 0 {
-		t.Fatalf("steady stream allocates %.0f times per %d entries", a, 8*seqChunk)
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
 	}
+	// A steady exchange stream (the consumer keeps up) allocates nothing:
+	// buffers are logged, sent, queued, popped, acknowledged and released
+	// in recycled storage.
+	pol, err := NewWeightedPolicy([]float64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, ctx := newExchangeContext()
+	rig := newExchangeRig(t, net, ctx, 1, pol, false, 0, 0)
+	tuples := make([]relation.Tuple, DefaultBufferTuples)
+	for i := range tuples {
+		tuples[i] = intTuple(i)
+	}
+	batch := relation.NewBatch(DefaultBufferTuples)
+	step := func() {
+		if err := rig.prod.SendBatch(tuples, ctx.Meter); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := rig.cons[0].NextBatch(batch); err != nil || n != len(tuples) {
+			t.Fatalf("popped %d tuples, %v", n, err)
+		}
+	}
+	// Each run streams 500 buffers, several chunks' worth, so that even one
+	// allocation per chunk turned over would show.
+	steps := func() {
+		for i := 0; i < 500; i++ {
+			step()
+		}
+	}
+	steps()
+	if a := testing.AllocsPerRun(5, steps); a != 0 {
+		t.Fatalf("a steady stream allocates %.0f times per 500 buffers", a)
+	}
+	if _, _, logged := rig.prod.Stats(); logged > DefaultBufferTuples {
+		t.Fatalf("%d tuples still logged; the acknowledgements did not release them", logged)
+	}
+}
+
+// modelEntry is one logged or queued tuple of the per-tuple models.
+type modelEntry struct {
+	producer int
+	seq      int64
+	bucket   int32
+	tuple    relation.Tuple
 }
 
 // mapLog is the recovery log as the parent kept it.
 type mapLog struct {
-	m    map[int64]logEntry
+	m    map[int64]modelEntry
 	next int64
 }
 
 func (l *mapLog) append(t relation.Tuple, bucket int32) int64 {
 	seq := l.next
 	l.next++
-	l.m[seq] = logEntry{tuple: t, bucket: bucket, live: true}
+	l.m[seq] = modelEntry{tuple: t, bucket: bucket}
 	return seq
 }
 
@@ -92,37 +126,44 @@ func (l *mapLog) sortedSeqs() []int64 {
 func TestRecoveryLogMatchesMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		log := newRecoveryLog()
-		model := &mapLog{m: map[int64]logEntry{}, next: 1}
+		log := recoveryLog{seq: 1}
+		model := &mapLog{m: map[int64]modelEntry{}, next: 1}
 		id := 0
+		// The producer closes a buffer when it is full or flushed: here at
+		// every 16th sequence and at the end of every operation.
 		appendBoth := func(tp relation.Tuple, bucket int32) {
 			if a, b := log.append(tp, bucket), model.append(tp, bucket); a != b {
 				t.Fatalf("seed %d: append assigned seq %d, model %d", seed, a, b)
 			}
+			if log.seq%16 == 0 {
+				log.open = false
+			}
 		}
 		check := func(step int, op string) {
 			t.Helper()
+			log.open = false
 			want := model.sortedSeqs()
 			var got []int64
-			log.each(func(seq int64, e logEntry) {
+			log.each(func(seq int64, tp relation.Tuple, bucket int32) {
 				got = append(got, seq)
-				if !reflect.DeepEqual(e, model.m[seq]) {
+				if e := (modelEntry{tuple: tp, bucket: bucket}); !reflect.DeepEqual(e, model.m[seq]) {
 					t.Fatalf("seed %d step %d (%s): seq %d holds %+v, model %+v", seed, step, op, seq, e, model.m[seq])
 				}
 			})
 			if !reflect.DeepEqual(got, want) && (len(got) != 0 || len(want) != 0) {
 				t.Fatalf("seed %d step %d (%s): live set %v, model %v", seed, step, op, got, want)
 			}
-			if log.live != len(model.m) || log.next() != model.next {
+			if log.live != len(model.m) || log.seq != model.next {
 				t.Fatalf("seed %d step %d (%s): live %d next %d, model %d %d",
-					seed, step, op, log.live, log.next(), len(model.m), model.next)
+					seed, step, op, log.live, log.seq, len(model.m), model.next)
 			}
-			// The log holds nothing below its oldest live record.
-			if len(want) > 0 && log.q.base != want[0] {
-				t.Fatalf("seed %d step %d (%s): base %d, oldest live %d", seed, step, op, log.q.base, want[0])
+			// The log holds nothing below the buffer of its oldest live record.
+			if front := log.bufs.at(log.bufs.base); len(want) > 0 &&
+				(front.first > want[0] || want[0] >= front.first+int64(front.n)) {
+				t.Fatalf("seed %d step %d (%s): front buffer [%d,+%d), oldest live %d", seed, step, op, front.first, front.n, want[0])
 			}
-			if len(want) == 0 && log.q.len() != 0 {
-				t.Fatalf("seed %d step %d (%s): empty log still holds %d slots", seed, step, op, log.q.len())
+			if len(want) == 0 && log.bufs.len() != 0 {
+				t.Fatalf("seed %d step %d (%s): empty log still holds %d buffers", seed, step, op, log.bufs.len())
 			}
 		}
 		for step := 0; step < 1500; step++ {
@@ -145,13 +186,8 @@ func TestRecoveryLogMatchesMapModel(t *testing.T) {
 					}
 					op = fmt.Sprintf("ack %d except %v", ck, except)
 				}
-				var keep map[int64]bool
-				if len(except) > 0 {
-					keep = make(map[int64]bool)
-					for _, s := range except {
-						keep[s] = true
-					}
-				}
+				keep := append([]int64(nil), except...)
+				sort.Slice(keep, func(i, j int) bool { return keep[i] < keep[j] })
 				log.release(ck, keep)
 				model.ack(ck, except)
 			case r < 90: // Resend: take by sequence, migrate under a fresh one
@@ -159,19 +195,19 @@ func TestRecoveryLogMatchesMapModel(t *testing.T) {
 				seq := model.next - int64(rng.Intn(150))
 				want, wantOK := model.m[seq]
 				delete(model.m, seq)
-				got, ok := log.take(seq)
-				if ok != wantOK || !reflect.DeepEqual(got, want) {
+				tp, bucket, ok := log.take(seq)
+				if got := (modelEntry{tuple: tp, bucket: bucket}); ok != wantOK || ok && !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d step %d: take(%d) = %+v %v, model %+v %v", seed, step, seq, got, ok, want, wantOK)
 				}
 				if ok {
-					appendBoth(got.tuple, got.bucket)
+					appendBoth(tp, bucket)
 				}
 			case r < 97: // Replay: a bucket's records leave mid-log and re-enter at the end
 				op = "replay"
 				bucket := int32(rng.Intn(4))
 				var moved []int64
-				log.each(func(seq int64, e logEntry) {
-					if e.bucket == bucket {
+				log.each(func(seq int64, _ relation.Tuple, b int32) {
+					if b == bucket {
 						moved = append(moved, seq)
 					}
 				})
@@ -185,17 +221,17 @@ func TestRecoveryLogMatchesMapModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: replay snapshot %v, model (sorted) %v", seed, step, moved, want)
 				}
 				for _, seq := range moved {
-					e, ok := log.take(seq)
+					tp, b, ok := log.take(seq)
 					if !ok {
 						t.Fatalf("seed %d step %d: replay lost seq %d", seed, step, seq)
 					}
 					delete(model.m, seq)
-					appendBoth(e.tuple, e.bucket)
+					appendBoth(tp, b)
 				}
 			default: // Release / DetachConsumer / ReplayLost
 				op = "reset"
 				log.reset()
-				model.m = map[int64]logEntry{}
+				model.m = map[int64]modelEntry{}
 			}
 			check(step, op)
 		}
@@ -265,13 +301,13 @@ func TestConsumerWindowMatchesMapModel(t *testing.T) {
 		for i := range streams {
 			streams[i] = &mapStream{outstanding: map[int64]bool{}, discarded: map[int64]bool{}}
 		}
-		var queue []queueEntry
+		var queue []modelEntry
 		nextSeq := make([]int64, producers)
 		for i := range nextSeq {
 			nextSeq[i] = 1
 		}
 		ws := make([]*ConsumerWorker, workers)
-		held := make([][]queueEntry, workers) // the model's view of each worker's morsel
+		held := make([][]modelEntry, workers) // the model's view of each worker's morsel
 		for i := range ws {
 			ws[i] = c.NewWorker()
 		}
@@ -315,13 +351,26 @@ func TestConsumerWindowMatchesMapModel(t *testing.T) {
 				t.Fatalf("seed %d step %d (%s): %d queued, model %d", seed, step, op, c.queue.len(), len(queue))
 			}
 			for p, st := range c.streams {
+				// Outstanding: the stream's live queued tuples plus the
+				// spans the workers hold.
 				var live []int64
-				w := &st.outstanding
-				for seq := w.q.base; seq < w.q.next(); seq++ {
-					if !*w.q.at(seq) {
-						live = append(live, seq)
+				for ord := c.queue.q.base; ord < c.queue.q.next(); ord++ {
+					if e := c.queue.q.at(ord); int(e.producer) == p {
+						for i := e.pos; i < e.n; i++ {
+							if !e.isDead(int(i)) {
+								live = append(live, e.first+int64(i))
+							}
+						}
 					}
 				}
+				for _, w := range ws {
+					for _, s := range w.pending {
+						for i := int64(0); int(s.producer) == p && i < int64(s.n); i++ {
+							live = append(live, s.first+i)
+						}
+					}
+				}
+				sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
 				model := make([]int64, 0, len(streams[p].outstanding))
 				for seq := range streams[p].outstanding {
 					model = append(model, seq)
@@ -330,17 +379,35 @@ func TestConsumerWindowMatchesMapModel(t *testing.T) {
 				if fmt.Sprint(live) != fmt.Sprint(model) {
 					t.Fatalf("seed %d step %d (%s): stream %d outstanding %v, model %v", seed, step, op, p, live, model)
 				}
-				if len(model) > 0 && w.q.base != model[0] {
-					t.Fatalf("seed %d step %d (%s): stream %d low-water mark %d, oldest outstanding %d",
-						seed, step, op, p, w.q.base, model[0])
+				// The window counts the same tuples, and its front buffer
+				// holds the oldest outstanding one.
+				w := &st.outstanding.q
+				left := 0
+				for ord := w.base; ord < w.next(); ord++ {
+					left += int(w.at(ord).left)
 				}
-				if fmt.Sprint(st.pending) != fmt.Sprint(streams[p].pending) {
-					t.Fatalf("seed %d step %d (%s): stream %d pending %v, model %v", seed, step, op, p, st.pending, streams[p].pending)
+				if left != len(model) {
+					t.Fatalf("seed %d step %d (%s): stream %d window counts %d outstanding, model %d", seed, step, op, p, left, len(model))
+				}
+				if len(model) > 0 && (w.at(w.base).first > model[0] || w.len() > 1 && w.at(w.base+1).first <= model[0]) {
+					t.Fatalf("seed %d step %d (%s): stream %d low-water mark %d, oldest outstanding %d",
+						seed, step, op, p, w.at(w.base).first, model[0])
+				}
+				var pending []int64
+				for ord := st.pending.base; ord < st.pending.next(); ord++ {
+					pending = append(pending, *st.pending.at(ord))
+				}
+				if fmt.Sprint(pending) != fmt.Sprint(streams[p].pending) {
+					t.Fatalf("seed %d step %d (%s): stream %d pending %v, model %v", seed, step, op, p, pending, streams[p].pending)
 				}
 				// The sets change only in a recall; every ack's Except list
 				// re-checks their content anyway.
+				discarded := map[int64]bool{}
+				for _, seq := range st.discarded {
+					discarded[seq] = true
+				}
 				if len(st.discarded) != len(streams[p].discarded) ||
-					strings.HasPrefix(op, "discard") && !reflect.DeepEqual(st.discarded, streams[p].discarded) {
+					strings.HasPrefix(op, "discard") && !reflect.DeepEqual(discarded, streams[p].discarded) {
 					t.Fatalf("seed %d step %d (%s): stream %d discarded %v, model %v", seed, step, op, p, st.discarded, streams[p].discarded)
 				}
 			}
@@ -358,7 +425,7 @@ func TestConsumerWindowMatchesMapModel(t *testing.T) {
 				n := rng.Intn(60) // zero: a checkpoint-only message
 				msg := &transport.Message{Kind: transport.KindData, Exchange: "EX", ProducerIdx: p, StartSeq: nextSeq[p]}
 				for i := 0; i < n; i++ {
-					e := queueEntry{producer: p, seq: nextSeq[p], bucket: int32(rng.Intn(4)), tuple: intTuple(step)}
+					e := modelEntry{producer: p, seq: nextSeq[p], bucket: int32(rng.Intn(4)), tuple: intTuple(step)}
 					nextSeq[p]++
 					msg.Tuples = append(msg.Tuples, e.tuple)
 					msg.Buckets = append(msg.Buckets, e.bucket)
@@ -394,8 +461,14 @@ func TestConsumerWindowMatchesMapModel(t *testing.T) {
 				if n != take {
 					t.Fatalf("seed %d step %d: popped %d, model %d", seed, step, n, take)
 				}
+				var popped []modelEntry
+				for _, s := range ws[w].pending {
+					for i := int64(0); i < int64(s.n); i++ {
+						popped = append(popped, modelEntry{producer: int(s.producer), seq: s.first + i})
+					}
+				}
 				for i, e := range queue[:take] {
-					if got := ws[w].pending[i]; got.producer != e.producer || got.seq != e.seq || got.bucket != e.bucket {
+					if got := popped[i]; got.producer != e.producer || got.seq != e.seq || &batch.Tuples[i][0] != &e.tuple[0] {
 						t.Fatalf("seed %d step %d: popped %+v, model %+v", seed, step, got, e)
 					}
 				}

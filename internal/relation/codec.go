@@ -39,20 +39,26 @@ func preallocCount(n uint64) int {
 	return int(n)
 }
 
-// encBufPool recycles encode buffers so steady-state encoding of buffers and
-// messages allocates nothing. Pooled as *[]byte to avoid the slice-header
-// allocation on Put.
-var encBufPool = sync.Pool{
-	New: func() any {
+// encBufPool recycles encode buffers, each in a *[]byte box; boxPool keeps
+// the boxes Get emptied for Put to refill. A sync.Pool holds pointers, and
+// boxing a caller's slice afresh on every Put would allocate, so with the
+// two pools steady-state encoding of buffers and messages allocates nothing.
+var (
+	encBufPool = sync.Pool{New: func() any {
 		b := make([]byte, 0, 4096)
 		return &b
-	},
-}
+	}}
+	boxPool = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // GetEncodeBuffer returns an empty pooled byte buffer for encoding. Return
 // it with PutEncodeBuffer once its contents have been copied out or written.
 func GetEncodeBuffer() []byte {
-	return (*encBufPool.Get().(*[]byte))[:0]
+	box := encBufPool.Get().(*[]byte)
+	b := (*box)[:0]
+	*box = nil
+	boxPool.Put(box)
+	return b
 }
 
 // PutEncodeBuffer recycles a buffer obtained from GetEncodeBuffer (or any
@@ -61,8 +67,9 @@ func PutEncodeBuffer(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
-	b = b[:0]
-	encBufPool.Put(&b)
+	box := boxPool.Get().(*[]byte)
+	*box = b[:0]
+	encBufPool.Put(box)
 }
 
 // AppendTuple appends the binary encoding of t to dst and returns the

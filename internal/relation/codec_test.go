@@ -227,3 +227,14 @@ func TestDecodeTupleIntoCorrupt(t *testing.T) {
 		}
 	}
 }
+
+func TestEncodeBufferPoolAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		PutEncodeBuffer(AppendTuple(GetEncodeBuffer(), Tuple{Int(1)}))
+	}); a != 0 {
+		t.Fatalf("GetEncodeBuffer+PutEncodeBuffer allocates %.2f times", a)
+	}
+}

@@ -122,23 +122,19 @@ func (t *TCP) Send(from, to simnet.NodeID, service string, msg *Message) (float6
 	if err != nil {
 		return 0, err
 	}
-	// Encode the routing header and message directly into one pooled frame
-	// buffer; the bytes are fully flushed to the bufio writer before the
-	// buffer is recycled, so nothing retains it.
+	// Encode the length prefix, routing header and message into one pooled
+	// frame buffer, the prefix filled in last; the bytes are fully flushed to
+	// the bufio writer before the buffer is recycled, so nothing retains it.
 	frame := relation.GetEncodeBuffer()
 	defer func() { relation.PutEncodeBuffer(frame) }()
+	frame = append(frame, 0, 0, 0, 0)
 	frame = appendString(frame, service)
 	frame = appendString(frame, string(from))
 	frame = AppendMessage(frame, msg)
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
 
 	conn.mu.Lock()
 	defer conn.mu.Unlock()
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(frame)))
-	if _, err := conn.w.Write(lenBuf[:]); err != nil {
-		t.dropConn(to)
-		return 0, err
-	}
 	if _, err := conn.w.Write(frame); err != nil {
 		t.dropConn(to)
 		return 0, err

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -307,4 +309,39 @@ func TestTCPCloseIdempotent(t *testing.T) {
 		t.Error("send-only transport has an address")
 	}
 	_ = c.Close()
+}
+
+// TestTCPSendAllocatesNothing sends acknowledgements to a connected loopback
+// peer that discards the bytes: framing and encoding reuse pooled buffers.
+func TestTCPSendAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			_, _ = io.Copy(io.Discard, c)
+			_ = c.Close()
+		}
+	}()
+	a, err := NewTCP("nodeA", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	a.AddPeer("nodeB", ln.Addr().String())
+	msg := &Message{Kind: KindAck, Exchange: "E1", ProducerIdx: 1, Checkpoint: 50, Except: []int64{3, 4}}
+	send := func() {
+		if _, err := a.Send("nodeA", "nodeB", "frag/F1#1", msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send() // dial once
+	if n := testing.AllocsPerRun(100, send); n != 0 {
+		t.Fatalf("TCP.Send allocates %.2f times per message", n)
+	}
 }
