@@ -34,9 +34,9 @@ chaos:
 ## budget forced on every test configuration that sets none of its own, so
 ## the stateful queries that outgrow it exercise the grace-hash spill path:
 ## first with the classic serial drivers, then again with width-4 morsel
-## worker pools and the striped-budget parallel spill path. The two variables
-## are read by internal/testenv, which only _test.go files import; production
-## code never reads them. TestStoredTableQueryMatchesInMemory fails either
+## worker pools spilling concurrently under the one shared budget. The two
+## variables are read by internal/testenv, which only _test.go files import;
+## production code never reads them. TestStoredTableQueryMatchesInMemory fails either
 ## pass if the forced budget spilled nothing.
 lowmem:
 	GRIDDQP_FORCE_MEM_BUDGET=65536 $(GO) test ./internal/services/ ./internal/chaos/ -count=1

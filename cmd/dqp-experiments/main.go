@@ -34,14 +34,12 @@ func main() {
 	spillDir := flag.String("spill-dir", "", "directory for posix spill runs (empty spills to memory)")
 	tableRows := flag.Int("table-rows", 0, "override protein_sequences cardinality for every run, scaling protein_interactions proportionally (0 keeps each experiment's own size)")
 	tableBackend := flag.String("table-backend", "", "generate base tables as block-framed stored runs: 'memory', 'posix' (temp dir), or a posix directory path (empty keeps in-memory tables)")
-	readahead := flag.Int("readahead", 0, "stored-scan readahead depth in blocks (0 default double buffering, negative synchronous)")
 	flag.Parse()
 	exp.DefaultParallelism = *parallel
 	exp.DefaultMemoryBudget = *memBudget
 	exp.DefaultSpillDir = *spillDir
 	exp.DefaultTableRows = *tableRows
 	exp.DefaultTableBackend = *tableBackend
-	exp.DefaultScanReadahead = *readahead
 
 	if *metrics != "" {
 		srv, bound, err := obs.Serve(*metrics, obs.Default())

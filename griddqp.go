@@ -149,9 +149,9 @@ func (g *Grid) AddDemoDatabaseSized(node string, sequences, interactions int) er
 // AddStoredDatabaseSized adds a data node whose demo tables live as
 // block-framed runs under dir on disk rather than in memory, generated
 // streamingly at the given cardinalities — the tables may be far larger than
-// RAM. Scans read them batch-at-a-time with budget-governed readahead (see
-// ScanReadahead) and results are tuple-for-tuple identical to
-// AddDemoDatabaseSized at the same cardinalities.
+// RAM. Scans read them a block at a time, each block reserved against the
+// query's memory budget while it is decoded, and results are tuple-for-tuple
+// identical to AddDemoDatabaseSized at the same cardinalities.
 func (g *Grid) AddStoredDatabaseSized(node, dir string, sequences, interactions int) error {
 	backend, err := storage.NewPosix(dir)
 	if err != nil {
@@ -203,20 +203,18 @@ func (g *Grid) Alive(node string) bool {
 type CoordinatorOption func(*services.GDQSConfig)
 
 // Adaptive enables the AQP components with the paper's default parameters.
-// Options that tune orthogonal knobs (QueryTimeout, Parallel, Elastic,
-// Heartbeat, MemoryBudget, SpillDir, ScanReadahead) survive in either order.
+// It sets only the adaptivity settings (monitoring frequency, MED, Diagnoser
+// and Responder), so every other option survives in either order; the
+// adaptivity options (Retrospective, AssessWithCommunication, MonitorEvery)
+// go after it.
 func Adaptive() CoordinatorOption {
 	return func(c *services.GDQSConfig) {
 		def := services.DefaultGDQSConfig()
-		def.QueryTimeout = c.QueryTimeout
-		def.Parallelism = c.Parallelism
-		def.Elastic = c.Elastic
-		def.HeartbeatEvery = c.HeartbeatEvery
-		def.HeartbeatMisses = c.HeartbeatMisses
-		def.MemoryBudgetBytes = c.MemoryBudgetBytes
-		def.SpillDir = c.SpillDir
-		def.ScanReadahead = c.ScanReadahead
-		*c = def
+		c.Adaptive = def.Adaptive
+		c.MonitorEvery = def.MonitorEvery
+		c.MED = def.MED
+		c.Diagnoser = def.Diagnoser
+		c.Responder = def.Responder
 	}
 }
 
@@ -322,16 +320,6 @@ func MemoryBudget(bytes int64) CoordinatorOption {
 // in a posix directory instead of the default in-memory backend.
 func SpillDir(dir string) CoordinatorOption {
 	return func(c *services.GDQSConfig) { c.SpillDir = dir }
-}
-
-// ScanReadahead sets how many blocks a serial stored-table scan keeps in
-// flight: the scan decodes one block while an asynchronous reader fetches the
-// next n-1, every in-flight byte reserved against the query's memory budget
-// (the pipeline shrinks to a single block under budget pressure). 0 keeps the
-// default double buffering; a negative n disables the readahead goroutine
-// entirely, reading blocks synchronously.
-func ScanReadahead(n int) CoordinatorOption {
-	return func(c *services.GDQSConfig) { c.ScanReadahead = n }
 }
 
 // Typed query-failure sentinels, re-exported from the internal error layer

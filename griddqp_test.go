@@ -9,6 +9,7 @@ import (
 	"time"
 
 	repro "repro"
+	"repro/internal/services"
 )
 
 // demoGrid assembles the standard topology at a fast time scale.
@@ -28,6 +29,52 @@ func demoGrid(t *testing.T, opts ...repro.CoordinatorOption) (*repro.Grid, *repr
 		t.Fatal(err)
 	}
 	return g, coord
+}
+
+// TestAdaptiveKeepsOtherOptions applies every option that is not an
+// adaptivity option before and after Adaptive() and Elastic(): the order must
+// not matter, and the option must have taken effect.
+func TestAdaptiveKeepsOtherOptions(t *testing.T) {
+	opts := []struct {
+		name string
+		opt  repro.CoordinatorOption
+	}{
+		{"Heartbeat", repro.Heartbeat(time.Second, 7)},
+		{"Parallel", repro.Parallel(3)},
+		{"QueryTimeout", repro.QueryTimeout(time.Second)},
+		{"PlanCacheSize", repro.PlanCacheSize(-1)},
+		{"MaxConcurrentQueries", repro.MaxConcurrentQueries(3, 5)},
+		{"QueueTimeout", repro.QueueTimeout(time.Second)},
+		{"MemoryBudget", repro.MemoryBudget(1 << 20)},
+		{"SpillDir", repro.SpillDir("spill")},
+	}
+	modes := []struct {
+		name string
+		opt  repro.CoordinatorOption
+	}{
+		{"Adaptive", repro.Adaptive()},
+		{"Elastic", repro.Elastic()},
+	}
+	apply := func(opts ...repro.CoordinatorOption) services.GDQSConfig {
+		cfg := services.GDQSConfig{QueryTimeout: 5 * time.Minute}
+		for _, o := range opts {
+			o(&cfg)
+		}
+		return cfg
+	}
+	for _, m := range modes {
+		for _, o := range opts {
+			t.Run(m.name+"/"+o.name, func(t *testing.T) {
+				before, after := apply(o.opt, m.opt), apply(m.opt, o.opt)
+				if before != after {
+					t.Fatalf("%s then %s:\n%+v\n%s then %s:\n%+v", o.name, m.name, before, m.name, o.name, after)
+				}
+				if before == apply(m.opt) {
+					t.Fatalf("%s had no effect", o.name)
+				}
+			})
+		}
+	}
 }
 
 func TestFacadeStaticQuery(t *testing.T) {

@@ -94,7 +94,7 @@ func parallelBudgetedGrid(t *testing.T, nodes []simnet.NodeID, seqs, ints int, b
 // unfaulted run must be exact; the run with an evaluator crash-stopped
 // mid-query must fail with a typed error (non-elastic sessions don't
 // recover), leak zero spill runs, and return mem_inflight_bytes to zero —
-// the cross-worker abort must release every stripe's reservations.
+// the cross-worker abort must release every worker's reservations.
 func TestKillEvaluatorMidParallelSpill(t *testing.T) {
 	freshObs(t)
 	nodes := []simnet.NodeID{"ws0", "ws1", "ws2"}

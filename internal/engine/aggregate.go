@@ -40,8 +40,6 @@ type HashAggregate struct {
 
 	ctx    *ExecContext
 	shared *aggState
-	// acct is this clone's budget stripe handle (stripe 0 for serial runs).
-	acct *storage.BudgetAcct
 	// part is this clone's private absorb table.
 	part *aggPartial
 
@@ -150,8 +148,8 @@ type aggState struct {
 	// morsel-parallel; see spillagg.go). On breach every group — final and
 	// partial — is dumped as a partial-aggregate record to one append-only
 	// run and the tables restart empty; the final merge reloads and
-	// re-merges the run. Workers account group creation through per-stripe
-	// budget handles; the dump itself serializes under mu.
+	// re-merges the run. Workers account group creation against the shared
+	// budget; the dump itself serializes under mu.
 	spillEnv
 	// bytes is the accounted in-memory group footprint. Atomic because
 	// groups are created under either s.mu (replays, reload) or a partial's
@@ -281,7 +279,6 @@ func (a *HashAggregate) Open(ctx *ExecContext) error {
 	a.ctx = ctx
 	s := a.ensureShared()
 	s.init(ctx, len(a.GroupOrds))
-	a.acct = ctx.memAcct()
 	a.part = &aggPartial{table: make(aggTable, joinPartitions)}
 	s.mu.Lock()
 	s.partials = append(s.partials, a.part)
@@ -318,7 +315,7 @@ func (a *HashAggregate) absorb(ts []relation.Tuple) {
 	a.part.mu.Lock()
 	if a.part.table != nil {
 		for _, t := range ts {
-			a.shared.absorbTuple(a.part.table, t, a, a.acct)
+			a.shared.absorbTuple(a.part.table, t, a)
 		}
 	}
 	a.part.mu.Unlock()
@@ -345,7 +342,7 @@ func (a *HashAggregate) drainChild() error {
 		// partial locks, the same order the final merge uses. Concurrent
 		// breaching workers serialize on s.mu inside dump; the second
 		// arrival dumps whatever trickled in since, which is cheap.
-		if s.spillOn && a.acct.Over() {
+		if s.spillOn && s.mem.Over() {
 			if err := s.dump(a); err != nil {
 				return err
 			}
@@ -387,14 +384,14 @@ func (a *HashAggregate) NextBatch(dst *relation.Batch) (int, error) {
 }
 
 // absorbTuple folds one input tuple into its group in tab, reserving a group
-// it creates through acct. The caller holds whatever lock guards tab; a
+// it creates against the budget. The caller holds whatever lock guards tab; a
 // carries the column metadata (identical across clones).
-func (s *aggState) absorbTuple(tab aggTable, t relation.Tuple, a *HashAggregate, acct *storage.BudgetAcct) {
+func (s *aggState) absorbTuple(tab aggTable, t relation.Tuple, a *HashAggregate) {
 	h := t.Hash(a.GroupOrds)
 	p := tab.part(int32(h % uint64(s.buckets)))
 	g, created := p.group(h, t, a.GroupOrds, len(a.Kinds))
 	if created {
-		s.reserveGroup(p.key(g, len(a.GroupOrds)), len(a.Kinds), acct)
+		s.reserveGroup(p.key(g, len(a.GroupOrds)), len(a.Kinds))
 	}
 	accs := p.accs[int(g)*len(a.Kinds):]
 	for i, kind := range a.Kinds {
@@ -586,7 +583,7 @@ func (a *HashAggregate) InsertState(tuples []relation.Tuple) {
 			s.insertMeter.charge(s.ctx.Node.PerturbedCost(s.ctx.Costs.AggMs))
 			s.mu.Lock()
 			if s.final != nil {
-				s.absorbTuple(s.final, t, a, s.acct0)
+				s.absorbTuple(s.final, t, a)
 				absorbed++
 			}
 			s.mu.Unlock()
@@ -671,7 +668,6 @@ type Sort struct {
 	Desc  []bool
 
 	ctx    *ExecContext
-	acct   *storage.BudgetAcct
 	in     *relation.Batch // input batch, owned by the operator
 	sorted []relation.Tuple
 	pos    int
@@ -688,7 +684,6 @@ type Sort struct {
 // Open implements Iterator.
 func (s *Sort) Open(ctx *ExecContext) error {
 	s.ctx = ctx
-	s.acct = ctx.memAcct()
 	recordUngoverned(ctx, "sort")
 	s.in = relation.GetBatch()
 	return s.Child.Open(ctx)
@@ -715,11 +710,11 @@ func (s *Sort) drain() error {
 			s.sorted = append(s.sorted, t)
 			sz := sortTupleBytes(t)
 			s.bufBytes += sz
-			s.acct.Reserve(sz)
+			s.ctx.Mem.Reserve(sz)
 			// Over is query-global: shed only when this buffer is a
 			// real share of the budget, or an over-budget neighbour
 			// (a frozen aggregate upstream) makes every tuple a run.
-			if s.acct.Over() && s.bufBytes >= s.ctx.Mem.Limit()/sortShedShare {
+			if s.ctx.Mem.Over() && s.bufBytes >= s.ctx.Mem.Limit()/sortShedShare {
 				if err := s.flushRun(); err != nil {
 					return err
 				}
@@ -759,8 +754,7 @@ func (s *Sort) NextBatch(dst *relation.Batch) (int, error) {
 }
 
 // emitSorted refills dst with the next dst.Cap() tuples of a fully ordered
-// result and advances *pos past them — the emit phase of the blocking
-// ordering operators (Sort, TopN).
+// result and advances *pos past them — Sort's in-memory emit phase.
 func emitSorted(dst *relation.Batch, sorted []relation.Tuple, pos *int) int {
 	dst.Rewind()
 	n := min(len(sorted)-*pos, dst.Cap())

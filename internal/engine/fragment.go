@@ -291,16 +291,6 @@ func (r *FragmentRuntime) compile(spec *physical.OpSpec) (Iterator, error) {
 		return &Sort{Child: child, Ords: spec.SortOrds, Desc: spec.SortDesc}, nil
 
 	case physical.KLimit:
-		// ORDER BY + LIMIT fuses into a bounded-heap TopN when N is small:
-		// same bytes out as stable-sort-then-limit, O(N) state instead of
-		// buffering (or externally sorting) the whole input.
-		if c := spec.Children[0]; c.Kind == physical.KSort && spec.LimitN > 0 && spec.LimitN <= topNMaxN {
-			child, err := r.compile(c.Children[0])
-			if err != nil {
-				return nil, err
-			}
-			return &TopN{Child: child, Ords: c.SortOrds, Desc: c.SortDesc, N: spec.LimitN}, nil
-		}
 		child, err := r.compile(spec.Children[0])
 		if err != nil {
 			return nil, err

@@ -162,47 +162,46 @@ func (s *joinState) part(b int32) *joinPart {
 	return &s.parts[int(b)%joinPartitions]
 }
 
-// insertBatch adds build tuples one partition lock at a time, accounting
-// through the calling worker's budget stripe. The breach check runs once
-// per batch: Over is a single shared load, and the bounded over-shoot of a
-// batch (at most one morsel of entries) just means the victim partition
-// spills marginally later.
-func (s *joinState) insertBatch(a *storage.BudgetAcct, keys []int, ts []relation.Tuple) {
+// insertBatch adds build tuples one partition lock at a time. The breach
+// check runs once per batch: Over is a single shared load, and the bounded
+// over-shoot of a batch (at most one morsel of entries) just means the
+// victim partition spills marginally later.
+func (s *joinState) insertBatch(keys []int, ts []relation.Tuple) {
 	for _, t := range ts {
-		s.insertOne(a, keys, t)
+		s.insertOne(keys, t)
 	}
-	if s.spillOn && a.Over() {
+	if s.spillOn && s.mem.Over() {
 		s.spillVictims()
 	}
 }
 
 // insertOne appends one build tuple to its partition's entry arena and links
-// it onto the hash chain. Bytes are reserved on a before the partition's
+// it onto the hash chain. Bytes are reserved before the partition's
 // byte count is published, so a concurrent spiller releasing p.bytes is
 // always covered by completed reservations and the accountant never clamps
 // on a live partition.
-func (s *joinState) insertOne(a *storage.BudgetAcct, keys []int, t relation.Tuple) {
+func (s *joinState) insertOne(keys []int, t relation.Tuple) {
 	h := t.Hash(keys)
 	b := int32(h % uint64(s.buckets))
 	p := s.part(b)
 	var reserve int64
 	if s.spillOn {
 		reserve = spillEntryBytes(t)
-		a.Reserve(reserve)
+		s.mem.Reserve(reserve)
 	}
 	p.mu.Lock()
 	if p.spilled {
 		s.appendSpilledLocked(p, b, t)
 		p.mu.Unlock()
 		if reserve > 0 {
-			a.Release(reserve) // routed to the build run, not held in memory
+			s.mem.Release(reserve) // routed to the build run, not held in memory
 		}
 		return
 	}
 	if p.chains == nil {
 		p.mu.Unlock()
 		if reserve > 0 {
-			a.Release(reserve) // table already released (post-close replay)
+			s.mem.Release(reserve) // table already released (post-close replay)
 		}
 		return
 	}
@@ -327,7 +326,7 @@ func (b *buildBarrier) wait() error {
 // another clone moves the corresponding state.
 //
 // Under morsel parallelism several worker clones share one joinState: all
-// workers drain the shared build source into the striped table, meet at a
+// workers drain the shared build source into the partitioned table, meet at a
 // barrier, then probe concurrently. Build order across workers is immaterial
 // — the table is a bag per (bucket, hash) and probing starts only after the
 // barrier, so the probe sees the same complete table a serial build yields.
@@ -342,8 +341,6 @@ type HashJoin struct {
 	ctx     *ExecContext
 	buckets int
 	shared  *joinState
-	// acct is this clone's budget stripe handle (stripe 0 for serial runs).
-	acct *storage.BudgetAcct
 
 	// pending holds overflow outputs that did not fit the current output
 	// batch (a single probe tuple can match many build tuples); pendHead
@@ -400,7 +397,6 @@ func (j *HashJoin) Open(ctx *ExecContext) error {
 	s := j.ensureShared()
 	s.init(ctx, j.BuildEst)
 	j.buckets = s.buckets
-	j.acct = ctx.memAcct()
 	j.in = relation.GetBatch()
 	if err := j.openBuild(ctx, s); err != nil {
 		return err
@@ -427,7 +423,7 @@ func (j *HashJoin) openBuild(ctx *ExecContext, s *joinState) error {
 			return nil
 		}
 		ctx.chargeN(ctx.Costs.JoinBuildMs, n)
-		s.insertBatch(j.acct, j.BuildKeys, j.in.Tuples)
+		s.insertBatch(j.BuildKeys, j.in.Tuples)
 		// The build phase produces nothing, so the driver's M1 emission is
 		// silent; emit operator-level events so the Diagnoser can already
 		// rebalance a perturbed build. Each worker attributes its own
@@ -553,9 +549,9 @@ func (j *HashJoin) InsertState(tuples []relation.Tuple) {
 	}
 	for _, t := range tuples {
 		s.insertMeter.charge(s.ctx.Node.PerturbedCost(s.ctx.Costs.JoinBuildMs))
-		s.insertOne(s.acct0, j.BuildKeys, t)
+		s.insertOne(j.BuildKeys, t)
 	}
-	if s.spillOn && s.acct0.Over() {
+	if s.spillOn && s.mem.Over() {
 		s.spillVictims()
 	}
 }

@@ -11,8 +11,9 @@ import (
 
 // TableScan reads a base table from the node's Grid Data Service store.
 // In-memory tables are handed out by reference from their tuple slice;
-// stored tables decode whole blocks at a time into the scan's arena, with
-// budget-governed readahead in front of the decoder (see scan.go).
+// stored tables decode whole blocks at a time into the scan's arena, each
+// block reserved against the query's memory budget while it is decoded (see
+// scan.go).
 type TableScan struct {
 	Table string
 

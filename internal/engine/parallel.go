@@ -124,9 +124,6 @@ func (r *FragmentRuntime) runParallel(ctx context.Context, workers int) error {
 		}
 		chains[w] = chain
 		wctxs[w] = ectx.workerContext()
-		// Each worker accounts memory through its own budget stripe, so
-		// per-tuple reservations at full width never contend on one counter.
-		wctxs[w].MemAcct = ectx.Mem.Acct(w)
 	}
 	for _, j := range r.joinBySpec {
 		j.SetWorkers(workers)

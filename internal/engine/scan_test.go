@@ -2,9 +2,11 @@ package engine
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/storage"
 )
@@ -56,11 +58,8 @@ func TestStoredScanParity(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			defer backend.Close()
 			ctx, mem := storedEventsCtx(t, backend, 20000)
-			for _, depth := range []int{0, -1, 1, 4} {
-				ctx.Readahead = depth
-				got := drain(t, &TableScan{Table: "events"}, ctx, 0)
-				sameTuplesLabeled(t, name, mem.Tuples, got)
-			}
+			got := drain(t, &TableScan{Table: "events"}, ctx, 0)
+			sameTuplesLabeled(t, name, mem.Tuples, got)
 		})
 	}
 }
@@ -106,15 +105,15 @@ func TestStoredScanBudgetLifecycle(t *testing.T) {
 	ctx, mem := storedEventsCtx(t, backend, 20000)
 	ctx.Mem = storage.NewBudget(1 << 20)
 
-	// Full drain under budget: every in-flight reservation is returned.
+	// Full drain under budget: every block reservation is returned.
 	got := drain(t, &TableScan{Table: "events"}, ctx, 0)
 	sameTuplesLabeled(t, "drain", mem.Tuples, got)
 	if in := ctx.Mem.Inflight(); in != 0 {
 		t.Fatalf("after drain: %d bytes still inflight", in)
 	}
 
-	// Cancel mid-readahead: the producer has blocks in flight; Close must
-	// reclaim every reservation without leaking the goroutine.
+	// Cancel mid-block: the scan holds the current block's reservation;
+	// Close must return it.
 	scan := &TableScan{Table: "events"}
 	if err := scan.Open(ctx); err != nil {
 		t.Fatal(err)
@@ -133,7 +132,7 @@ func TestStoredScanBudgetLifecycle(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 
-	// Close with no reads at all must not start or leak anything.
+	// Close with no reads at all must not leak anything.
 	scan = &TableScan{Table: "events"}
 	if err := scan.Open(ctx); err != nil {
 		t.Fatal(err)
@@ -150,8 +149,8 @@ func TestStoredScanUnderBreachedBudget(t *testing.T) {
 	backend := storage.NewMemory()
 	defer backend.Close()
 	ctx, mem := storedEventsCtx(t, backend, 20000)
-	// A budget smaller than one block: the producer runs permanently shrunk
-	// to a single in-flight block and must neither deadlock nor misread.
+	// A budget smaller than one block: every block is read over budget, and
+	// the scan must neither stall nor misread.
 	ctx.Mem = storage.NewBudget(1024)
 	got := drain(t, &TableScan{Table: "events"}, ctx, 0)
 	sameTuplesLabeled(t, "shrunk", mem.Tuples, got)
@@ -160,10 +159,15 @@ func TestStoredScanUnderBreachedBudget(t *testing.T) {
 	}
 }
 
+// TestTopNMatchesSortLimit pins the top-N query shape (ORDER BY ... LIMIT n),
+// which compiles to Limit over Sort: its output is a stable sort of the input
+// truncated to n, ties in arrival order, both unbudgeted and under a budget
+// small enough that the sort spills runs. Limit stops pulling at n, and
+// closing the abandoned sort must return every reservation and run.
 func TestTopNMatchesSortLimit(t *testing.T) {
 	backend := storage.NewMemory()
 	defer backend.Close()
-	ctx, _ := storedEventsCtx(t, backend, 5000)
+	ctx, mem := storedEventsCtx(t, backend, 5000)
 	cases := []struct {
 		name string
 		ords []int
@@ -178,52 +182,55 @@ func TestTopNMatchesSortLimit(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want := drain(t, &Limit{
-				Child: &Sort{Child: &TableScan{Table: "events"}, Ords: c.ords, Desc: c.desc},
-				N:     c.n,
-			}, ctx, 0)
-			got := drain(t, &TopN{
-				Child: &TableScan{Table: "events"},
-				Ords:  c.ords, Desc: c.desc, N: c.n,
-			}, ctx, 0)
-			sameTuplesLabeled(t, c.name, want, got)
-		})
-	}
-}
+			want := slices.Clone(mem.Tuples)
+			slices.SortStableFunc(want, func(a, b relation.Tuple) int {
+				for i, ord := range c.ords {
+					cmp := a[ord].Compare(b[ord])
+					if c.desc[i] {
+						cmp = -cmp
+					}
+					if cmp != 0 {
+						return cmp
+					}
+				}
+				return 0
+			})
+			want = want[:min(int64(len(want)), c.n)]
+			topN := func() Iterator {
+				return &Limit{
+					Child: &Sort{Child: &TableScan{Table: "events"}, Ords: c.ords, Desc: c.desc},
+					N:     c.n,
+				}
+			}
+			sameTuplesLabeled(t, c.name, want, drain(t, topN(), ctx, 0))
 
-func TestTopNBudgetRelease(t *testing.T) {
-	backend := storage.NewMemory()
-	defer backend.Close()
-	ctx, _ := storedEventsCtx(t, backend, 5000)
-	ctx.Mem = storage.NewBudget(1 << 30)
-	top := &TopN{Child: &TableScan{Table: "events"}, Ords: []int{0}, Desc: []bool{false}, N: 100}
-	if err := top.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := top.NextBatch(relation.NewBatch(1)); err != nil || n != 1 {
-		t.Fatalf("first row: n=%d err=%v", n, err)
-	}
-	if ctx.Mem.Inflight() == 0 {
-		t.Fatal("TopN retained state is not accounted")
-	}
-	// Abandon mid-emit: Close must return every reservation.
-	if err := top.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if in := ctx.Mem.Inflight(); in != 0 {
-		t.Fatalf("%d bytes still inflight after Close", in)
+			spill := storage.NewMemory()
+			defer spill.Close()
+			bctx := *ctx
+			bctx.Mem, bctx.Spill = storage.NewBudget(64<<10), spill
+			runs0 := obs.Default().Counter(obs.MSpillPartitions).Value()
+			sameTuplesLabeled(t, c.name+"/budgeted", want, drain(t, topN(), &bctx, 0))
+			if obs.Default().Counter(obs.MSpillPartitions).Value() == runs0 {
+				t.Fatal("budgeted sort never spilled a run")
+			}
+			if in := bctx.Mem.Inflight(); in != 0 {
+				t.Fatalf("%d bytes still inflight after Close", in)
+			}
+			if runs, err := spill.List(); err != nil || len(runs) != 0 {
+				t.Fatalf("leaked sort runs %v (%v)", runs, err)
+			}
+		})
 	}
 }
 
 // FuzzStoredScanRoundTrip feeds arbitrary tuple sequences through a stored
 // run and back out via the block scan: whatever tuple boundary lands on a
-// block boundary, the batched decode must reproduce the input byte-exactly
-// in every readahead mode.
+// block boundary, the batched decode must reproduce the input byte-exactly.
 func FuzzStoredScanRoundTrip(f *testing.F) {
-	f.Add(relation.EncodeTuple(relation.Tuple{relation.Int(7)}), 0)
-	f.Add(relation.EncodeTuple(relation.Tuple{relation.String("ORF YAL00007C"), relation.Null}), -1)
-	f.Add(bytes.Repeat(relation.EncodeTuple(relation.Tuple{relation.Float(1.5)}), 64), 4)
-	f.Fuzz(func(t *testing.T, raw []byte, depth int) {
+	f.Add(relation.EncodeTuple(relation.Tuple{relation.Int(7)}))
+	f.Add(relation.EncodeTuple(relation.Tuple{relation.String("ORF YAL00007C"), relation.Null}))
+	f.Add(bytes.Repeat(relation.EncodeTuple(relation.Tuple{relation.Float(1.5)}), 64))
+	f.Fuzz(func(t *testing.T, raw []byte) {
 		// The plain single-tuple decoder is the reference the scan's fused
 		// block decode is held against.
 		var arena relation.Arena
@@ -256,9 +263,7 @@ func FuzzStoredScanRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := testCtx()
-		ctx.Readahead = depth%5 - 1 // [-1, 3]: sync plus several depths
-		scan := newBlockScan(ctx, br, nil)
+		scan := newBlockScan(testCtx(), br, nil)
 		var got []relation.Tuple
 		batch := relation.NewBatch(7)
 		for {

@@ -21,8 +21,7 @@ import (
 // it, preserving the exact multiset of matches the in-memory join produces.
 //
 // Spilling works for serial and morsel-parallel joins alike. Workers
-// account build bytes through per-stripe budget handles (storage.Budget is
-// striped, so Over stays one shared load at width 8), victim selection and
+// account build bytes against the one shared budget, victim selection and
 // partition eviction serialize under joinState.spillMu, and in-flight
 // inserts/probes of other partitions proceed untouched — eviction only
 // takes the victim partition's lock. The drain phase is coordinated by a
@@ -86,13 +85,11 @@ func newSpillMetrics() spillMetrics {
 
 // spillEnv is a stateful operator's spill wiring, decided once when its
 // shared state initialises: spillOn means a budget and a backend are both
-// configured. Serial and morsel-parallel operators spill alike; workers
-// account through their own stripe handles and acct0 serves the paths that
-// have none (replays, reloads, release).
+// configured. Serial and morsel-parallel operators spill alike, every
+// worker accounting through the one shared budget.
 type spillEnv struct {
 	spillOn bool
 	mem     *storage.Budget
-	acct0   *storage.BudgetAcct
 	backend storage.Backend
 	base    string // run-name namespace for this operator's runs
 	met     spillMetrics
@@ -106,7 +103,7 @@ func newSpillEnv(ctx *ExecContext, op string) spillEnv {
 		return spillEnv{}
 	}
 	return spillEnv{
-		spillOn: true, mem: ctx.Mem, acct0: ctx.Mem.Acct(0),
+		spillOn: true, mem: ctx.Mem,
 		backend: ctx.Spill, base: ctx.spillRunName(op), met: newSpillMetrics(),
 	}
 }
@@ -309,9 +306,8 @@ type spillPair struct {
 // the joinState's shared queue, so clones drain independent pairs
 // concurrently.
 type joinSpillDrain struct {
-	s    *joinState
-	j    *HashJoin
-	acct *storage.BudgetAcct
+	s *joinState
+	j *HashJoin
 
 	table      map[uint64][]spillEntry
 	tableBytes int64
@@ -444,9 +440,9 @@ func (d *joinSpillDrain) load(pr spillPair) error {
 		}
 		sz := spillEntryBytes(t)
 		d.tableBytes += sz
-		d.acct.Reserve(sz)
+		s.mem.Reserve(sz)
 		d.table[h] = append(d.table[h], spillEntry{t: t, wm: wm, idx: idx})
-		if d.acct.Over() && pr.depth < maxSpillDepth {
+		if s.mem.Over() && pr.depth < maxSpillDepth {
 			_ = r.Close()
 			return d.repartition(pr)
 		}
@@ -470,7 +466,7 @@ func (d *joinSpillDrain) load(pr spillPair) error {
 // then queues the sub-pairs in front of the remaining work.
 func (d *joinSpillDrain) repartition(pr spillPair) error {
 	s := d.s
-	d.acct.Release(d.tableBytes)
+	s.mem.Release(d.tableBytes)
 	d.tableBytes = 0
 	d.table = nil
 	shift := uint(40 + 3*pr.depth)
@@ -565,7 +561,7 @@ func (d *joinSpillDrain) finishPair() {
 		_ = d.s.backend.Remove(d.cur.build)
 		_ = d.s.backend.Remove(d.cur.probe)
 	}
-	d.acct.Release(d.tableBytes)
+	d.s.mem.Release(d.tableBytes)
 	d.tableBytes = 0
 	d.table = nil
 	d.active = false
@@ -601,7 +597,7 @@ func (j *HashJoin) drainPending() (bool, error) {
 			return false, err
 		}
 		s.sealOnce.Do(s.sealRuns)
-		j.drain = &joinSpillDrain{s: s, j: j, acct: j.acct}
+		j.drain = &joinSpillDrain{s: s, j: j}
 	}
 	d := j.drain
 	for j.pendHead >= len(j.pending) {

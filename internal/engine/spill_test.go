@@ -285,7 +285,7 @@ func TestHashJoinSpillEvictReplay(t *testing.T) {
 }
 
 // runCloneWorkers drives n WorkerClone chains concurrently — one goroutine
-// per clone with its own worker context and budget stripe, mirroring
+// per clone with its own worker context over the shared budget, mirroring
 // runParallel — and returns the union of their outputs.
 func runCloneWorkers(t testing.TB, ctx *ExecContext, n int, clone func(w int) Iterator) []relation.Tuple {
 	t.Helper()
@@ -297,7 +297,6 @@ func runCloneWorkers(t testing.TB, ctx *ExecContext, n int, clone func(w int) It
 	for w := 0; w < n; w++ {
 		it := clone(w)
 		wctx := ctx.workerContext()
-		wctx.MemAcct = ctx.Mem.Acct(w)
 		go func() {
 			if err := it.Open(wctx); err != nil {
 				ch <- res{err: err}
@@ -334,7 +333,7 @@ func runCloneWorkers(t testing.TB, ctx *ExecContext, n int, clone func(w int) It
 
 func TestHashJoinParallelSpillParity(t *testing.T) {
 	// Morsel-parallel joins spill under the same budget as serial ones: each
-	// clone inserts and probes through its own stripe handle, eviction is
+	// clone inserts and probes against the shared budget, eviction is
 	// serialized under spillMu, and the spilled pairs drain cooperatively
 	// from the shared queue after the probe barrier. The union of the
 	// workers' outputs must equal the serial unbudgeted join's multiset.
@@ -441,8 +440,8 @@ const (
 func TestHashAggregateParallelSpillParity(t *testing.T) {
 	// Every width, R1 interleaving, budget and input must emit exactly the
 	// rows — in exactly the order — of the serial, unbudgeted, undisturbed
-	// aggregate: clones absorb disjoint input shares through their own budget
-	// stripes, replays land in the final table, the merge adopts or folds
+	// aggregate: clones absorb disjoint input shares under the shared
+	// budget, replays land in the final table, the merge adopts or folds
 	// partition by partition, and dumps go through the shared run. Workers
 	// pull disjoint runs of the frozen output, so the union is re-sorted.
 	groupOrds := []int{0}
@@ -573,7 +572,6 @@ func TestHashAggregateReservesGroupsOnce(t *testing.T) {
 			// Every clone sees every group, so each group is created width times.
 			clone := base.WorkerClone(NewSliceSource(input, 0))
 			wctx := ctx.workerContext()
-			wctx.MemAcct = ctx.Mem.Acct(w)
 			go func() {
 				defer done.Done()
 				batch := relation.NewBatch(4)

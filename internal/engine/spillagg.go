@@ -24,25 +24,24 @@ import (
 // records below it. Groups absorbed from replayed history afterwards are
 // dumped beyond the watermark and survive, mirroring the in-memory
 // delete-then-replay exactly. Like the join, spilling works for serial and
-// morsel-parallel aggregates alike: workers account group creation through
-// per-stripe budget handles and dumps serialize under s.mu, which already
-// orders them against the final merge.
+// morsel-parallel aggregates alike: workers account group creation against
+// the one shared budget and dumps serialize under s.mu, which already orders
+// them against the final merge.
 
 // groupBytes is the accounted in-memory footprint of one group.
 func groupBytes(key relation.Tuple, nAccs int) int64 {
 	return int64(key.ByteSize()) + 48*int64(nAccs+1)
 }
 
-// reserveGroup reserves a freshly created group against the budget through
-// the creating worker's stripe handle. The reservation lands before s.bytes
-// counts it, so no release — dump's or Close's — can take bytes the budget
-// does not hold yet.
-func (s *aggState) reserveGroup(key relation.Tuple, nAccs int, a *storage.BudgetAcct) {
+// reserveGroup reserves a freshly created group against the budget. The
+// reservation lands before s.bytes counts it, so no release — dump's or
+// Close's — can take bytes the budget does not hold yet.
+func (s *aggState) reserveGroup(key relation.Tuple, nAccs int) {
 	if !s.spillOn {
 		return
 	}
 	sz := groupBytes(key, nAccs)
-	a.Reserve(sz)
+	s.mem.Reserve(sz)
 	s.bytes.Add(sz)
 }
 
@@ -173,7 +172,7 @@ func (s *aggState) reloadLocked(a *HashAggregate) error {
 		p := s.final.part(b)
 		g, created := p.group(key.Hash(s.keyOrds), key, s.keyOrds, len(accs))
 		if created {
-			s.reserveGroup(key, len(accs), s.acct0)
+			s.reserveGroup(key, len(accs))
 		}
 		for i, kind := range a.Kinds {
 			p.accs[int(g)*len(accs)+i].merge(accs[i], kind)
@@ -187,7 +186,7 @@ func (s *aggState) reloadLocked(a *HashAggregate) error {
 
 // External merge sort (see DESIGN.md §5i, §5j). Sort is never
 // parallel-eligible — it runs in the serial collector fragment — but it
-// shares the query's striped budget with any morsel-parallel joins and
+// shares the query's budget with any morsel-parallel joins and
 // aggregates upstream: under a budget the buffer is accounted per tuple
 // and, on breach, sorted and flushed as one run. The emit phase merges
 // the sealed runs with the sorted in-memory tail; ties resolve to the
@@ -227,7 +226,7 @@ func (s *Sort) flushRun() error {
 		return fmt.Errorf("engine: sort spill seal: %w", err)
 	}
 	s.runs = append(s.runs, name)
-	s.acct.Release(s.bufBytes)
+	s.ctx.Mem.Release(s.bufBytes)
 	s.met.bytes.Add(s.bufBytes)
 	s.bufBytes = 0
 	s.met.parts.Inc()
@@ -317,7 +316,7 @@ func (s *Sort) closeSpill() {
 		_ = s.ctx.Spill.Remove(name)
 	}
 	s.runs = nil
-	s.acct.Release(s.bufBytes)
+	s.ctx.Mem.Release(s.bufBytes)
 	s.bufBytes = 0
 }
 

@@ -149,21 +149,17 @@ var (
 	DefaultSpillDir     string
 )
 
-// DefaultTableRows, DefaultTableBackend and DefaultScanReadahead are the
-// hooks for the dqp-experiments -table-rows, -table-backend and -readahead
-// flags. A nonzero DefaultTableRows overrides every run's protein_sequences
+// DefaultTableRows and DefaultTableBackend are the hooks for the
+// dqp-experiments -table-rows and -table-backend flags. A nonzero DefaultTableRows overrides every run's protein_sequences
 // cardinality (protein_interactions scales proportionally), so the whole
 // suite can be replayed against much larger tables. A non-empty
 // DefaultTableBackend generates the tables as block-framed stored runs
 // instead of in-memory slices: "memory" stores them on the in-memory
 // backend, "posix" on a temporary on-disk directory removed after the run,
 // and any other value is taken as a posix directory path to reuse.
-// DefaultScanReadahead sets GDQSConfig.ScanReadahead for every run
-// (0 default double buffering, negative synchronous).
 var (
-	DefaultTableRows     int
-	DefaultTableBackend  string
-	DefaultScanReadahead int
+	DefaultTableRows    int
+	DefaultTableBackend string
 )
 
 // buildStore materialises the demo tables for one run, honouring the
@@ -300,7 +296,6 @@ func Run(cfg Config) (*Result, error) {
 		QueryTimeout:      10 * time.Minute,
 		MemoryBudgetBytes: DefaultMemoryBudget,
 		SpillDir:          DefaultSpillDir,
-		ScanReadahead:     DefaultScanReadahead,
 	}
 	g, err := services.NewGDQS(cluster, "coord", gcfg)
 	if err != nil {

@@ -25,7 +25,7 @@ const storedBudgetRatio = 16
 // block-framed tables many times the query's memory budget, against the
 // same query over in-memory tables with no budget. The rows report the
 // table-bytes-to-budget ratio, result divergence (must be zero — the
-// stored, budgeted, readahead run is byte-identical), stored blocks read,
+// stored, budgeted run is byte-identical), stored blocks read,
 // and the leak checks: inflight budget bytes after the query must be zero.
 func StoredStreaming() (*Experiment, error) {
 	e := &Experiment{
@@ -42,8 +42,8 @@ func StoredStreaming() (*Experiment, error) {
 	}
 
 	// Stored: the same query over posix block runs under a budget derived
-	// from the catalog's stored volume, with readahead at its default
-	// double buffering. The table-backend/budget/spill hooks are the same
+	// from the catalog's stored volume. The table-backend/budget/spill hooks
+	// are the same
 	// package-level defaults the dqp-experiments flags use; save/restore
 	// them so the rest of the suite is unaffected.
 	spillDir, err := os.MkdirTemp("", "dqp-exp-spill-")
@@ -74,13 +74,11 @@ func StoredStreaming() (*Experiment, error) {
 
 	o := obs.Default()
 	blocks0 := o.Counter(obs.MScanBlocksRead).Value()
-	readahead0 := o.Counter(obs.MScanReadaheadBytes).Value()
 	got, err := Run(storedCfg)
 	if err != nil {
 		return nil, fmt.Errorf("exp: streaming stored run: %w", err)
 	}
 	blocksRead := o.Counter(obs.MScanBlocksRead).Value() - blocks0
-	readaheadBytes := o.Counter(obs.MScanReadaheadBytes).Value() - readahead0
 	if totalBytes == 0 || DefaultMemoryBudget == 0 {
 		return nil, fmt.Errorf("exp: streaming run never sized its budget from the catalog")
 	}
@@ -94,8 +92,6 @@ func StoredStreaming() (*Experiment, error) {
 		Measurement{Label: "result rows diverging from in-memory unbudgeted run", Paper: math.NaN(),
 			Measured: float64(divergingRows(got.Rows, want.Rows))},
 		Measurement{Label: "stored blocks read", Paper: math.NaN(), Measured: float64(blocksRead)},
-		Measurement{Label: "readahead bytes reserved over the run", Paper: math.NaN(),
-			Measured: float64(readaheadBytes)},
 		Measurement{Label: "mem_inflight_bytes after query", Paper: math.NaN(),
 			Measured: float64(o.Gauge(obs.MMemInflight).Value())},
 		Measurement{Label: "response vs in-memory unbudgeted run", Paper: math.NaN(),
@@ -103,10 +99,10 @@ func StoredStreaming() (*Experiment, error) {
 	)
 	e.Notes = append(e.Notes,
 		"The streaming scan engine is an extension (DESIGN.md §5k); there are no paper values. Tables are "+
-			"generated as block-framed posix runs and scanned batch-at-a-time with budget-governed readahead; "+
+			"generated as block-framed posix runs and scanned batch-at-a-time, each block reserved against the memory budget while it is decoded; "+
 			"the memory budget is sized from the catalog's stored volume so the tables dwarf it by design.",
 		"Divergence is compared tuple for tuple against the in-memory, unbudgeted run — storage backend, "+
-			"memory budget and readahead change where bytes live and when they move, never the result.",
+			"memory budget change where bytes live and when they move, never the result.",
 		"`make bigtable` runs the same scenario as a test (GRIDDQP_BIGTABLE_ROWS scales it); "+
 			"the stored scan's wall-clock cost is the `storage.block_read_mb_per_s`, `relation.decode_ns_per_tuple` "+
 			"and `engine.scan_ns_per_tuple` layers of the end-to-end benchmark (`make e2e`, BENCHMARK.json).",

@@ -66,12 +66,8 @@ const (
 	MAdmissionWaiting  = "admission_waiting"
 	MAdmissionQueueMs  = "admission_queue_ms"
 
-	// Stored-table scans: blocks decoded by the batched scan path (all
-	// modes) and bytes fetched ahead of the consumer by the readahead
-	// goroutine (serial stored scans only; morsel-parallel scans read on
-	// demand).
-	MScanBlocksRead     = "scan_blocks_read_total"
-	MScanReadaheadBytes = "scan_readahead_bytes"
+	// Stored-table scans: blocks decoded by the batched scan path.
+	MScanBlocksRead = "scan_blocks_read_total"
 
 	// Memory governance: per-query budget accounting and grace-hash /
 	// external-sort spilling (no labels; spill detail is on the timeline).

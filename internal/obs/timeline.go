@@ -32,11 +32,6 @@ const (
 	// spilled partition re-partitioned on reload. Detail names the operator
 	// and partition, Tuples the spilled tuple count.
 	KindSpill EventKind = "spill"
-	// KindScan marks a stored-scan readahead transition: the async
-	// prefetcher shrank to one in-flight block because the query's memory
-	// budget was breached (or grew back when pressure cleared). Detail
-	// carries the direction.
-	KindScan EventKind = "scan"
 )
 
 // Event is one adaptation-timeline entry. Fields beyond Seq/AtMs/Kind are
@@ -46,7 +41,7 @@ type Event struct {
 	// reader can detect ring evictions between two snapshots.
 	Seq int64 `json:"seq"`
 	// AtMs is the publication time in paper milliseconds.
-	AtMs float64 `json:"at_ms"`
+	AtMs float64   `json:"at_ms"`
 	Kind EventKind `json:"kind"`
 	// Node is the component's hosting machine; Fragment the subplan the
 	// event concerns.

@@ -79,12 +79,6 @@ type GDQSConfig struct {
 	// spills in the in-memory storage backend (fine for tests and paper-scale
 	// runs, no use for actually relieving memory pressure).
 	SpillDir string
-	// ScanReadahead is the stored-scan prefetch depth in blocks: how many
-	// blocks a serial stored scan may hold in flight between its readahead
-	// goroutine and the decoder, each reserved against the query's memory
-	// budget. 0 selects the engine default (2 — double buffering); negative
-	// disables the readahead goroutine and reads synchronously.
-	ScanReadahead int
 }
 
 // Heartbeat defaults: probes are cheap one-message RPCs, so a short real-time

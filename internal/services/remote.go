@@ -56,16 +56,11 @@ type Manifest struct {
 
 	// MemoryBudgetBytes caps each deployment's stateful-operator memory per
 	// machine (0 unbudgeted) at any Parallelism width — morsel workers
-	// account through per-stripe handles of one striped budget and spill
-	// concurrently. SpillDir roots posix spill runs, with each process
+	// account against one shared budget and spill concurrently. SpillDir roots posix spill runs, with each process
 	// spilling under its own node-named subdirectory (empty keeps spills in
 	// memory).
 	MemoryBudgetBytes int64
 	SpillDir          string
-
-	// ScanReadahead is the stored-scan prefetch depth in blocks (0 default,
-	// negative synchronous); see GDQSConfig.ScanReadahead.
-	ScanReadahead int
 }
 
 // DataNodeSpec describes one data machine.
@@ -95,7 +90,6 @@ func (m Manifest) sessionConfig() GDQSConfig {
 	cfg.Diagnoser.Assessment = m.Assessment
 	cfg.Responder.Response = m.Response
 	cfg.Parallelism = m.Parallelism
-	cfg.ScanReadahead = m.ScanReadahead
 	return cfg
 }
 

@@ -214,7 +214,6 @@ func (s *QuerySession) newInstanceRuntime(frag *physical.FragmentSpec, idx int, 
 		Fragment:     frag.ID,
 		Instance:     idx,
 		Parallelism:  h.cfg.Parallelism,
-		Readahead:    h.cfg.ScanReadahead,
 		Mem:          s.mem,
 		Spill:        h.spill,
 	}

@@ -182,7 +182,7 @@ func TestBudgetedAdaptiveRetrospective(t *testing.T) {
 
 // TestParallelBudgetedQueryMatchesSerial runs the acceptance scenario with a
 // width-4 morsel worker pool AND a memory budget together: parallel joins and
-// aggregates spill through their per-worker budget stripes and must return
+// aggregates spill under one shared budget and must return
 // rows byte-identical to the serial unbudgeted run, leaking neither runs nor
 // inflight bytes.
 func TestParallelBudgetedQueryMatchesSerial(t *testing.T) {

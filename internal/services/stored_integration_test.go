@@ -157,35 +157,9 @@ func TestStoredScanParallelParity(t *testing.T) {
 	}
 }
 
-// TestStoredScanReadaheadModes replays the stored-table query synchronous,
-// double-buffered and deep, expecting identical rows each way.
-func TestStoredScanReadaheadModes(t *testing.T) {
-	const seqs, ints = 300, 900
-	_, ref := spillGrid(t, seqs, ints, 0, "")
-	want, err := ref.Execute(context.Background(), qJoinAgg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, depth := range []int{-1, 0, 4} {
-		backend, err := storage.NewPosix(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, g := storedGrid(t, backend, seqs, ints, func(cfg *GDQSConfig) {
-			cfg.ScanReadahead = depth
-		})
-		got, err := g.Execute(context.Background(), qJoinAgg)
-		if err != nil {
-			t.Fatalf("depth %d: %v", depth, err)
-		}
-		sameRows(t, "readahead", want.Rows, got.Rows)
-		backend.Close()
-	}
-}
-
-// TestStoredOrderByLimitFusion checks the fused Top-N path end to end: an
-// ORDER BY + LIMIT query over stored tables must match the unlimited ordering
-// truncated by hand.
+// TestStoredOrderByLimitFusion checks ORDER BY + LIMIT end to end: the
+// query over stored tables, compiled to Limit over Sort, must match the
+// unlimited ordering truncated by hand.
 func TestStoredOrderByLimitFusion(t *testing.T) {
 	const qFull = "select i.ORF1, count(*) AS n from protein_interactions i group by i.ORF1 order by n desc, i.ORF1"
 	const qTop = qFull + " limit 7"

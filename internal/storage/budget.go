@@ -1,62 +1,28 @@
 package storage
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
 )
-
-// budgetStripes is the number of independent reservation stripes. Eight
-// matches the widest morsel pool the benchmarks exercise; worker w maps to
-// stripe w % budgetStripes.
-const budgetStripes = 8
-
-// stripeChunkMax caps the credit a stripe draws from the shared pool in one
-// refill, bounding the accountant's slack (early-Over margin) at
-// budgetStripes * stripeChunkMax bytes regardless of the limit.
-const stripeChunkMax = 8 << 10
-
-// stripe is one padded reservation lane. used is the stripe's exact signed
-// byte balance (it may go negative when a worker releases bytes another
-// worker reserved — only the cross-stripe sum is meaningful). credit is the
-// prepaid allowance drawn from the shared pool that reserves consume before
-// touching shared state again.
-type stripe struct {
-	used   atomic.Int64
-	credit atomic.Int64
-	_      [48]byte // pad to a cache line so stripes don't false-share
-}
 
 // Budget is the per-query memory accountant: stateful operators reserve
 // bytes as they buffer tuples and release them when state is spilled,
 // drained or freed. A breach (Over) does not block — it is the signal for
 // the operator to grace-hash-spill a partition or flush a sort run.
 //
-// The accountant is striped for morsel-parallel fragments: each worker
-// reserves through its own stripe (see Acct), paying for reservations out
-// of a prepaid per-stripe credit drawn from a shared pool in chunks. The
-// hot path (Reserve within credit, Over) therefore touches only
-// stripe-local or read-mostly cache lines; the shared pool is written once
-// per chunk, not once per reservation. The cost is a bounded early-trigger
-// slack: Over may report true up to budgetStripes*chunk bytes before the
-// exact inflight sum crosses the limit — a conservative error, the operator
-// just spills slightly sooner.
-//
-// Releases are the cold path (they accompany a spill or a drain) and are
-// serialized so the total can be clamped at zero: releasing bytes that were
-// never reserved (an operator error path after a failed spill) counts
-// mem_overrelease_total instead of driving the accountant — and the
-// mem_inflight_bytes gauge — negative.
+// The balance is one exact atomic counter shared by every fragment instance
+// and every morsel worker of the query, so Over is true exactly when the
+// reserved bytes exceed the limit. Releasing bytes that were never reserved
+// (an operator error path after a failed spill) clamps the balance at zero
+// and counts mem_overrelease_total instead of driving the accountant — and
+// the mem_inflight_bytes gauge — negative.
 //
 // All methods are safe on a nil *Budget (unbudgeted execution) and for
 // concurrent use.
 type Budget struct {
 	limit   int64
-	pool    atomic.Int64 // limit minus outstanding credit; negative => Over
-	chunk   int64        // credit refill granularity
-	relMu   sync.Mutex   // serializes releases for exact clamping
-	stripes [budgetStripes]stripe
+	used    atomic.Int64
 	gauge   *obs.Gauge
 	overrel *obs.Counter
 }
@@ -66,91 +32,55 @@ type Budget struct {
 // the mem_inflight_bytes gauge; clamped over-releases count
 // mem_overrelease_total.
 func NewBudget(limit int64) *Budget {
-	b := &Budget{
+	return &Budget{
 		limit:   limit,
 		gauge:   obs.Default().Gauge(obs.MMemInflight),
 		overrel: obs.Default().Counter(obs.MMemOverrelease),
 	}
-	if limit > 0 {
-		b.chunk = limit / (8 * budgetStripes)
-		if b.chunk < 1 {
-			b.chunk = 1
-		}
-		if b.chunk > stripeChunkMax {
-			b.chunk = stripeChunkMax
-		}
-		b.pool.Store(limit)
-	}
-	return b
 }
 
-// Reserve accounts n bytes of operator state on stripe 0. Negative n is
-// accepted for compatibility and routed through Release.
-func (b *Budget) Reserve(n int64) { b.reserve(0, n) }
-
-// Release returns n previously reserved bytes through stripe 0. The total
-// is clamped at zero: bytes released beyond what is currently reserved are
-// dropped and counted in mem_overrelease_total.
-func (b *Budget) Release(n int64) { b.release(0, n) }
-
-func (b *Budget) reserve(i int, n int64) {
+// Reserve accounts n bytes of operator state; negative n is a Release.
+func (b *Budget) Reserve(n int64) {
 	if b == nil || n == 0 {
 		return
 	}
 	if n < 0 {
-		b.release(i, -n)
+		b.Release(-n)
 		return
 	}
-	// Gauge before stripe: a concurrent release clamps against the stripe
-	// sum, so every gauge decrement is covered by an already-applied
-	// increment and mem_inflight_bytes can never go negative.
+	// Gauge before balance: a concurrent release clamps against the balance,
+	// so every gauge decrement is covered by an already-applied increment and
+	// mem_inflight_bytes can never go negative.
 	b.gauge.Add(n)
-	s := &b.stripes[i]
-	s.used.Add(n)
-	if b.limit <= 0 {
-		return
-	}
-	if c := s.credit.Add(-n); c < 0 {
-		draw := ((-c + b.chunk - 1) / b.chunk) * b.chunk
-		b.pool.Add(-draw)
-		s.credit.Add(draw)
-	}
+	b.used.Add(n)
 }
 
-func (b *Budget) release(i int, n int64) {
+// Release returns n previously reserved bytes, clamping the balance at zero:
+// bytes beyond what is reserved are dropped and count mem_overrelease_total.
+func (b *Budget) Release(n int64) {
 	if b == nil || n == 0 {
 		return
 	}
 	if n < 0 {
-		b.reserve(i, -n)
+		b.Reserve(-n)
 		return
 	}
-	b.relMu.Lock()
-	rel := n
-	total := b.totalLocked()
-	if rel > total {
-		rel = total
-		if rel < 0 {
-			rel = 0
-		}
-		b.overrel.Inc()
-	}
-	if rel > 0 {
-		b.stripes[i].used.Add(-rel)
-		b.gauge.Add(-rel)
-		if b.limit > 0 {
-			b.pool.Add(rel)
+	for {
+		used := b.used.Load()
+		rel := min(n, used)
+		if b.used.CompareAndSwap(used, used-rel) {
+			if rel < n {
+				b.overrel.Inc()
+			}
+			b.gauge.Add(-rel)
+			return
 		}
 	}
-	b.relMu.Unlock()
 }
 
-// Over reports whether reserved state exceeds the limit. It is a single
-// atomic load of the shared credit pool, which is written only once per
-// credit chunk — cheap enough for per-tuple checks at worker-pool width.
-// It may trigger up to budgetStripes*chunk bytes early (never late).
+// Over reports whether reserved state exceeds the limit.
 func (b *Budget) Over() bool {
-	return b != nil && b.limit > 0 && b.pool.Load() < 0
+	return b != nil && b.limit > 0 && b.used.Load() > b.limit
 }
 
 // Limit returns the configured byte limit (0 when unbudgeted).
@@ -161,77 +91,10 @@ func (b *Budget) Limit() int64 {
 	return b.limit
 }
 
-// Inflight returns the currently reserved bytes, exact across all stripes.
-// It serializes against releases so the cross-stripe sum is never observed
-// mid-release (which could transiently read negative); concurrent reserves
-// only add, so the result is always >= 0.
+// Inflight returns the currently reserved bytes.
 func (b *Budget) Inflight() int64 {
 	if b == nil {
 		return 0
 	}
-	b.relMu.Lock()
-	total := b.totalLocked()
-	b.relMu.Unlock()
-	return total
-}
-
-// totalLocked sums the stripe balances; the caller holds relMu.
-func (b *Budget) totalLocked() int64 {
-	total := int64(0)
-	for k := range b.stripes {
-		total += b.stripes[k].used.Load()
-	}
-	return total
-}
-
-// Acct returns a reservation handle bound to the stripe for worker w, so
-// morsel-parallel clones account through disjoint cache lines. Any number
-// of handles (and the Budget's own stripe-0 methods) may be used
-// concurrently; Inflight and the gauge stay exact. Safe on a nil Budget
-// (returns a nil handle, which is inert).
-func (b *Budget) Acct(w int) *BudgetAcct {
-	if b == nil {
-		return nil
-	}
-	if w < 0 {
-		w = -w
-	}
-	return &BudgetAcct{b: b, i: w % budgetStripes}
-}
-
-// BudgetAcct is a per-worker view of a Budget bound to one stripe. All
-// methods are safe on a nil *BudgetAcct (unbudgeted execution).
-type BudgetAcct struct {
-	b *Budget
-	i int
-}
-
-// Reserve accounts n bytes on this handle's stripe.
-func (a *BudgetAcct) Reserve(n int64) {
-	if a == nil {
-		return
-	}
-	a.b.reserve(a.i, n)
-}
-
-// Release returns n previously reserved bytes through this handle's stripe,
-// clamped at zero like Budget.Release.
-func (a *BudgetAcct) Release(n int64) {
-	if a == nil {
-		return
-	}
-	a.b.release(a.i, n)
-}
-
-// Over reports whether the underlying budget is over its limit.
-func (a *BudgetAcct) Over() bool {
-	return a != nil && a.b.Over()
-}
-
-// Budget returns the underlying shared accountant (nil on a nil handle).
-func (a *BudgetAcct) Budget() *Budget {
-	if a == nil {
-		return nil
-	}
-	return a.b
+	return b.used.Load()
 }

@@ -43,58 +43,38 @@ func TestBudgetOverReleaseClamps(t *testing.T) {
 	}
 }
 
-// TestBudgetAcctStripes exercises per-worker handles: reserves on one
-// stripe released through another must keep the cross-stripe total exact.
-func TestBudgetAcctStripes(t *testing.T) {
-	b := NewBudget(1 << 16)
-	a0, a5 := b.Acct(0), b.Acct(5)
-	a0.Reserve(1000)
-	a5.Reserve(500)
-	if got := b.Inflight(); got != 1500 {
-		t.Fatalf("inflight = %d, want 1500", got)
-	}
-	a5.Release(1000) // releases bytes a0 reserved: fine, total is the truth
-	if got := b.Inflight(); got != 500 {
-		t.Fatalf("inflight = %d, want 500", got)
-	}
-	a0.Release(500)
-	if got := b.Inflight(); got != 0 {
-		t.Fatalf("inflight = %d, want 0", got)
-	}
-	var nilA *BudgetAcct
-	nilA.Reserve(1 << 40)
-	nilA.Release(1)
-	if nilA.Over() || nilA.Budget() != nil {
-		t.Fatal("nil BudgetAcct must be inert")
-	}
-	if (*Budget)(nil).Acct(3) != nil {
-		t.Fatal("nil Budget must hand out nil handles")
+// TestBudgetOverIsExact pins the accountant's exactness: Over is false with
+// exactly the limit reserved and true one byte past it, for limits that are
+// not multiples of any reservation granularity.
+func TestBudgetOverIsExact(t *testing.T) {
+	for _, limit := range []int64{1, 7, 1000, 65537, 1<<20 + 13} {
+		b := NewBudget(limit)
+		b.Reserve(limit)
+		if got := b.Inflight(); got != limit {
+			t.Fatalf("limit %d: inflight = %d, want %d", limit, got, limit)
+		}
+		if b.Over() {
+			t.Fatalf("limit %d: Over with exactly the limit reserved", limit)
+		}
+		b.Reserve(1)
+		if !b.Over() {
+			t.Fatalf("limit %d: not Over at limit+1", limit)
+		}
+		b.Release(1)
+		if b.Over() {
+			t.Fatalf("limit %d: still Over after releasing back to the limit", limit)
+		}
+		b.Release(limit)
 	}
 }
 
-// TestBudgetOverConservative pins the striping contract: Over may trigger
-// early (bounded slack) but never late.
-func TestBudgetOverConservative(t *testing.T) {
-	const limit = 1 << 16
-	b := NewBudget(limit)
-	slack := int64(budgetStripes) * b.chunk
-	b.Acct(1).Reserve(limit - slack - 1)
-	if b.Over() {
-		t.Fatalf("Over at limit-slack-1 (%d of %d, slack %d)", b.Inflight(), limit, slack)
-	}
-	b.Acct(2).Reserve(slack + 2)
-	if !b.Over() {
-		t.Fatalf("not Over at limit+1 (%d of %d)", b.Inflight(), limit)
-	}
-}
-
-// TestBudgetStripedStress hammers striped Reserve/Release/Over from 8
+// TestBudgetStripedStress hammers Reserve/Release/Over on one budget from 8
 // goroutines with randomized shares (run under -race). Throughout and at
 // the end the invariants hold: Inflight never observed negative, and after
 // every goroutine returns its reservations the accountant is exactly zero.
 func TestBudgetStripedStress(t *testing.T) {
 	const (
-		workers = budgetStripes
+		workers = 8
 		rounds  = 4000
 	)
 	b := NewBudget(1 << 20)
@@ -104,14 +84,12 @@ func TestBudgetStripedStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)*7919 + 1))
-			acct := b.Acct(w)
-			peer := b.Acct(w + 3) // cross-stripe releases are legal
 			held := int64(0)
 			for i := 0; i < rounds; i++ {
 				n := int64(rng.Intn(4096) + 1)
 				switch rng.Intn(4) {
 				case 0, 1:
-					acct.Reserve(n)
+					b.Reserve(n)
 					held += n
 				case 2:
 					if held > 0 {
@@ -119,18 +97,18 @@ func TestBudgetStripedStress(t *testing.T) {
 						if rel > n {
 							rel = n
 						}
-						peer.Release(rel)
+						b.Release(rel)
 						held -= rel
 					}
 				default:
-					acct.Over()
+					b.Over()
 					if got := b.Inflight(); got < 0 {
 						t.Errorf("Inflight went negative: %d", got)
 						return
 					}
 				}
 			}
-			acct.Release(held)
+			b.Release(held)
 		}(w)
 	}
 	wg.Wait()

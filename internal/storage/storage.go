@@ -83,7 +83,7 @@ type BlockReader interface {
 	// Blocks reports how many framed blocks the run holds.
 	Blocks() int
 	// BlockSize reports the payload size in bytes of block i — known before
-	// the read, so readahead can reserve the bytes against a Budget first.
+	// the read, so a scan can reserve the bytes against a Budget first.
 	BlockSize(i int) int
 	// ReadBlock returns the payload of block i (length prefix stripped).
 	// buf is reused when it has the capacity; the returned slice is only
