@@ -64,13 +64,27 @@ opbench:
 
 ## cover: statement coverage of the whole tree under the tier-1 tests, with
 ## -coverpkg=./... so a function counts as run whichever package's tests
-## reach it. Prints every function left at 0.0% outside cmd/ and examples/,
-## their count, and the total. Reported, never gated; not part of check.
+## reach it. A gate: it prints every function left at 0.0% outside cmd/ and
+## internal/exp/ and fails if any of them is missing from COVER_ALLOW, then
+## prints their count and the total. Not part of check; CI runs it in its
+## check job.
 cover:
 	$(GO) test -count=1 -coverpkg=./... -coverprofile=cover.out ./...
-	@$(GO) tool cover -func=cover.out | awk '/^total:/ { total = $$NF; next } \
-		$$NF == "0.0%" && $$1 !~ /^repro\/(cmd|examples)\// { print; n++ } \
-		END { printf "%d functions at 0.0%% outside cmd/ and examples/; total %s of statements\n", n, total }'
+	@$(GO) tool cover -func=cover.out | awk -v allow="$(COVER_ALLOW)" ' \
+		BEGIN { split(allow, a, " "); for (i in a) ok[a[i]] = 1 } \
+		/^total:/ { total = $$NF; next } \
+		$$NF == "0.0%" && $$1 !~ /^repro\/(cmd|internal\/exp)\// { \
+			f = $$1; sub(/:[0-9]+:$$/, "", f); n++; \
+			if ((f ":" $$2) in ok) print $$0 "  (allowlisted)"; else { print $$0 "  NOT ALLOWLISTED"; bad++ } } \
+		END { printf "%d functions at 0.0%% outside cmd/ and internal/exp/ (%d not allowlisted); total %s of statements\n", n, bad, total; \
+			exit (bad > 0) }'
+
+## COVER_ALLOW: the functions `make cover` lets stay at 0.0%, as
+## file:function, each with its reason.
+# The seven exprNode markers seal sqlparse's Expr interface; nothing calls them.
+COVER_ALLOW += repro/internal/sqlparse/ast.go:exprNode
+# Called only from bench/, a module of its own the coverage run does not reach.
+COVER_ALLOW += repro/internal/services/cluster.go:Network repro/internal/services/cluster.go:Registry
 
 ## e2e: the repo's end-to-end benchmark exactly as BENCHMARK.json runs it —
 ## every workload at full scale in real wall-clock, oracle-checked (minutes;

@@ -41,7 +41,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/plancache"
 	"repro/internal/qerr"
@@ -95,13 +94,6 @@ func StepAt(n int, before, after Perturbation) Perturbation {
 // library; implement the interface to add your own.
 type WebService = ws.Service
 
-// EntropyAnalyser returns the demo bioinformatics Web Service with the
-// given per-call cost in paper milliseconds (0 selects the default).
-func EntropyAnalyser(costMs float64) WebService { return ws.Entropy{CostMs: costMs} }
-
-// SequenceLength returns the auxiliary demo service.
-func SequenceLength() WebService { return ws.SequenceLength{} }
-
 // GridOption customises NewGrid.
 type GridOption func(*services.ClusterConfig)
 
@@ -109,11 +101,6 @@ type GridOption func(*services.ClusterConfig)
 // all modelled costs are expressed in paper milliseconds.
 func WithScale(d time.Duration) GridOption {
 	return func(c *services.ClusterConfig) { c.Scale = d }
-}
-
-// WithCosts overrides the engine's operator cost model.
-func WithCosts(costs engine.Costs) GridOption {
-	return func(c *services.ClusterConfig) { c.Costs = costs }
 }
 
 // Grid is a simulated Grid under construction: machines, data, services.
@@ -129,10 +116,6 @@ func NewGrid(opts ...GridOption) *Grid {
 	}
 	return &Grid{cluster: services.NewCluster(cfg)}
 }
-
-// Cluster exposes the underlying service layer for advanced use (bus
-// subscriptions, catalog inspection).
-func (g *Grid) Cluster() *services.Cluster { return g.cluster }
 
 // UseDemoDatabase adds a data node "data1" hosting the paper's demo tables
 // at their evaluation cardinalities (3000 protein_sequences, 4700
@@ -203,19 +186,11 @@ func (g *Grid) Alive(node string) bool {
 type CoordinatorOption func(*services.GDQSConfig)
 
 // Adaptive enables the AQP components with the paper's default parameters.
-// It sets only the adaptivity settings (monitoring frequency, MED, Diagnoser
-// and Responder), so every other option survives in either order; the
-// adaptivity options (Retrospective, AssessWithCommunication, MonitorEvery)
-// go after it.
+// It sets nothing else, so every option, the adaptivity ones
+// (Retrospective, AssessWithCommunication, MonitorEvery) included, takes
+// effect in either order.
 func Adaptive() CoordinatorOption {
-	return func(c *services.GDQSConfig) {
-		def := services.DefaultGDQSConfig()
-		c.Adaptive = def.Adaptive
-		c.MonitorEvery = def.MonitorEvery
-		c.MED = def.MED
-		c.Diagnoser = def.Diagnoser
-		c.Responder = def.Responder
-	}
+	return func(c *services.GDQSConfig) { c.Adaptive = true }
 }
 
 // Elastic enables crash recovery and live cluster membership, implying
@@ -230,21 +205,8 @@ func Adaptive() CoordinatorOption {
 // fragment drivers, so it costs some throughput; see docs/OPERATIONS.md.
 func Elastic() CoordinatorOption {
 	return func(c *services.GDQSConfig) {
-		if !c.Adaptive {
-			Adaptive()(c)
-		}
+		c.Adaptive = true
 		c.Elastic = true
-	}
-}
-
-// Heartbeat tunes the elastic failure detector: every is the real-time
-// probe interval, and misses is how many consecutive probe failures
-// diagnose a machine as dead (unreachable-machine errors are definitive
-// and bypass the count). Zero values keep the service defaults.
-func Heartbeat(every time.Duration, misses int) CoordinatorOption {
-	return func(c *services.GDQSConfig) {
-		c.HeartbeatEvery = every
-		c.HeartbeatMisses = misses
 	}
 }
 
@@ -310,8 +272,7 @@ func QueueTimeout(d time.Duration) CoordinatorOption {
 // joins and aggregates grace-hash-spill partitions to the coordinator's
 // storage backend when the budget is breached, and sorts switch to external
 // merge runs. Results are unchanged (joins and aggregates are order-free
-// multisets); only memory use and speed differ. 0 disables budgeting; see
-// also Coordinator.SetMemoryBudget.
+// multisets); only memory use and speed differ. 0 disables budgeting.
 func MemoryBudget(bytes int64) CoordinatorOption {
 	return func(c *services.GDQSConfig) { c.MemoryBudgetBytes = bytes }
 }
@@ -342,15 +303,23 @@ type Coordinator struct {
 // NewCoordinator creates the query coordinator on the named machine. With
 // no options it runs the static (non-adaptive) system.
 func (g *Grid) NewCoordinator(node string, opts ...CoordinatorOption) (*Coordinator, error) {
-	cfg := services.GDQSConfig{QueryTimeout: 5 * time.Minute}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	gd, err := services.NewGDQS(g.cluster, simnet.NodeID(node), cfg)
+	gd, err := services.NewGDQS(g.cluster, simnet.NodeID(node), coordinatorConfig(opts))
 	if err != nil {
 		return nil, err
 	}
 	return &Coordinator{gdqs: gd}, nil
+}
+
+// coordinatorConfig applies opts to the paper's default parameters with
+// adaptivity off: the adaptivity settings lie inert until Adaptive or
+// Elastic switches them on, so no option resets another.
+func coordinatorConfig(opts []CoordinatorOption) services.GDQSConfig {
+	cfg := services.DefaultGDQSConfig()
+	cfg.Adaptive = false
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
 }
 
 // Result is a completed query.
@@ -437,13 +406,6 @@ type PlanCacheStats = plancache.Stats
 // PlanCacheStats reports how the coordinator's plan cache is doing.
 func (c *Coordinator) PlanCacheStats() PlanCacheStats {
 	return c.gdqs.PlanCacheStats()
-}
-
-// SetMemoryBudget retunes the per-query memory budget (bytes; 0 disables
-// budgeting) on a live coordinator. Queries admitted after the call run
-// under the new budget; running queries keep the one they started with.
-func (c *Coordinator) SetMemoryBudget(bytes int64) {
-	c.gdqs.SetMemoryBudget(bytes)
 }
 
 // MetricsHandler serves the process-wide observability layer over HTTP:

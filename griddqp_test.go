@@ -2,7 +2,11 @@ package repro_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -31,15 +35,18 @@ func demoGrid(t *testing.T, opts ...repro.CoordinatorOption) (*repro.Grid, *repr
 	return g, coord
 }
 
-// TestAdaptiveKeepsOtherOptions applies every option that is not an
-// adaptivity option before and after Adaptive() and Elastic(): the order must
+// TestAdaptiveKeepsOtherOptions applies every option before and after
+// Adaptive() and Elastic(), the adaptivity options included: the order must
 // not matter, and the option must have taken effect.
 func TestAdaptiveKeepsOtherOptions(t *testing.T) {
 	opts := []struct {
 		name string
 		opt  repro.CoordinatorOption
 	}{
-		{"Heartbeat", repro.Heartbeat(time.Second, 7)},
+		{"Retrospective", repro.Retrospective()},
+		{"AssessWithCommunication", repro.AssessWithCommunication()},
+		{"MonitorEvery5", repro.MonitorEvery(5)},
+		{"MonitorEvery0", repro.MonitorEvery(0)},
 		{"Parallel", repro.Parallel(3)},
 		{"QueryTimeout", repro.QueryTimeout(time.Second)},
 		{"PlanCacheSize", repro.PlanCacheSize(-1)},
@@ -56,11 +63,7 @@ func TestAdaptiveKeepsOtherOptions(t *testing.T) {
 		{"Elastic", repro.Elastic()},
 	}
 	apply := func(opts ...repro.CoordinatorOption) services.GDQSConfig {
-		cfg := services.GDQSConfig{QueryTimeout: 5 * time.Minute}
-		for _, o := range opts {
-			o(&cfg)
-		}
-		return cfg
+		return repro.CoordinatorConfig(opts)
 	}
 	for _, m := range modes {
 		for _, o := range opts {
@@ -91,6 +94,99 @@ func TestFacadeStaticQuery(t *testing.T) {
 	}
 	if len(res.Columns) != 1 {
 		t.Errorf("columns = %v", res.Columns)
+	}
+}
+
+// TestFacadeDemoDatabase checks that UseDemoDatabase loads the paper's
+// evaluation cardinalities.
+func TestFacadeDemoDatabase(t *testing.T) {
+	g := repro.NewGrid(repro.WithScale(2 * time.Microsecond))
+	if err := g.UseDemoDatabase(); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddComputeNode("ws0", 1.0); err != nil {
+		t.Fatal(err)
+	}
+	coord, err := g.NewCoordinator("coord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for table, want := range map[string]string{"protein_sequences": "3000", "protein_interactions": "4700"} {
+		res, err := coord.Query("select count(*) AS n from " + table + " t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0].Format(); got != want {
+			t.Errorf("count(%s) = %s, want %s", table, got, want)
+		}
+	}
+}
+
+// TestFacadeStoredDatabase checks that the disk-stored demo tables answer a
+// join exactly as the in-memory ones of the same cardinalities do.
+func TestFacadeStoredDatabase(t *testing.T) {
+	const q = "select p.ORF, i.ORF2 from protein_sequences p, protein_interactions i where p.ORF = i.ORF1"
+	rows := func(add func(*repro.Grid) error) []string {
+		g := repro.NewGrid(repro.WithScale(2 * time.Microsecond))
+		if err := add(g); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.AddComputeNode("ws0", 1.0); err != nil {
+			t.Fatal(err)
+		}
+		coord, err := g.NewCoordinator("coord")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := coord.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(res.Rows))
+		for i, r := range res.Rows {
+			out[i] = r.Format()
+		}
+		slices.Sort(out)
+		return out
+	}
+	want := rows(func(g *repro.Grid) error { return g.AddDemoDatabaseSized("data1", 120, 200) })
+	got := rows(func(g *repro.Grid) error { return g.AddStoredDatabaseSized("data1", t.TempDir(), 120, 200) })
+	if len(want) != 200 || !slices.Equal(got, want) {
+		t.Fatalf("stored rows (%d) differ from in-memory rows (%d)", len(got), len(want))
+	}
+}
+
+// TestFacadeMetricsHandler reads both observability endpoints after a query.
+func TestFacadeMetricsHandler(t *testing.T) {
+	_, coord := demoGrid(t)
+	if _, err := coord.Query("select p.ORF from protein_sequences p where p.ORF = 'YAL00001C'"); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(repro.MetricsHandler())
+	defer srv.Close()
+	res, err := srv.Client().Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(res.Body)
+	res.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), "queries_total") {
+		t.Fatalf("/metrics lacks queries_total:\n%s", body)
+	}
+	res, err = srv.Client().Get(srv.URL + "/timeline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var dump map[string]any
+	if err := json.NewDecoder(res.Body).Decode(&dump); err != nil {
+		t.Fatalf("/timeline is not JSON: %v", err)
+	}
+	if _, ok := dump["events"]; !ok {
+		t.Fatalf("/timeline = %v, want an events field", dump)
 	}
 }
 

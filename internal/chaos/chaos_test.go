@@ -49,7 +49,6 @@ func elasticGrid(t *testing.T, nodes []simnet.NodeID, seqs, ints int) (*services
 	cfg := services.DefaultGDQSConfig()
 	cfg.Elastic = true
 	cfg.QueryTimeout = 60 * time.Second
-	cfg.HeartbeatEvery = 10 * time.Millisecond
 	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g, err := services.NewGDQS(cluster, "coord", cfg)
 	if err != nil {

@@ -40,7 +40,6 @@ func budgetedElasticGrid(t *testing.T, nodes []simnet.NodeID, seqs, ints int, bu
 	cfg := services.DefaultGDQSConfig()
 	cfg.Elastic = true
 	cfg.QueryTimeout = 60 * time.Second
-	cfg.HeartbeatEvery = 10 * time.Millisecond
 	cfg.MemoryBudgetBytes = budget
 	testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
 	g, err := services.NewGDQS(cluster, "coord", cfg)

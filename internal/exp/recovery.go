@@ -126,7 +126,7 @@ func Recovery() (*Experiment, error) {
 			"values, so every row is measured-only.",
 		"Detection latency spans the authoritative membership 'leave' publication to the session's failure "+
 			"pipeline starting; the in-process bus delivers it almost immediately, and the active heartbeat "+
-			"(HeartbeatEvery × HeartbeatMisses, default 50 ms real time) bounds detection when that signal is "+
+			"(two missed 25 ms probes, 50 ms real time) bounds detection when that signal is "+
 			"lost (e.g. a network partition).",
 		"'Crash to resumed routing' additionally covers interrupting the dead machine's drivers, zeroing its "+
 			"weights, and replaying its unacknowledged partitions from the producers' recovery logs onto "+

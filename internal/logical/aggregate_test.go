@@ -89,6 +89,21 @@ func TestPlanOrderByLimit(t *testing.T) {
 	}
 }
 
+// TestExplainFilterOrderByLimit walks a plan with a column-to-column
+// filter under ORDER BY … LIMIT: every node's label, children and schema.
+func TestExplainFilterOrderByLimit(t *testing.T) {
+	n := plan(t, "select i.ORF1 from protein_interactions i where i.ORF1 <> i.ORF2 order by i.ORF1 limit 3")
+	if cols := n.Schema().Columns(); len(cols) != 1 || cols[0].Name != "ORF1" {
+		t.Fatalf("root schema = %v", cols)
+	}
+	got := Explain(n)
+	for _, want := range []string{"Limit(3)\n  Sort(i.ORF1)\n", "Filter(i.ORF1 <> i.ORF2)"} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("explain lacks %q:\n%s", want, got)
+		}
+	}
+}
+
 func TestPlanOrderByAlias(t *testing.T) {
 	n := plan(t, "select i.ORF1, count(*) AS n from protein_interactions i group by i.ORF1 order by n desc")
 	if _, ok := n.(*Sort); !ok {

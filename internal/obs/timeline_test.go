@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -115,4 +116,50 @@ func TestHandlerEndpoints(t *testing.T) {
 		t.Fatalf("nil obs /metrics: %v %v", err, res)
 	}
 	res.Body.Close()
+}
+
+// TestServeRoundTrip binds Serve to an ephemeral loopback port and reads
+// both endpoints back over a real connection.
+func TestServeRoundTrip(t *testing.T) {
+	o := New()
+	o.Counter("queries_total").Inc()
+	o.Record(Event{Kind: KindOutcome, Fragment: "q1/F1", Outcome: "adapted"})
+	srv, addr, err := Serve("127.0.0.1:0", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	res, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(res.Body)
+	res.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), "queries_total 1") {
+		t.Fatalf("/metrics missing counter:\n%s", body)
+	}
+
+	res, err = http.Get("http://" + addr + "/timeline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump struct {
+		Events []Event `json:"events"`
+	}
+	err = json.NewDecoder(res.Body).Decode(&dump)
+	res.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dump.Events) != 1 || dump.Events[0].Outcome != "adapted" {
+		t.Fatalf("/timeline events = %+v", dump.Events)
+	}
+
+	if _, _, err := Serve("127.0.0.1:-1", o); err == nil {
+		t.Fatal("Serve accepted an unbindable address")
+	}
 }

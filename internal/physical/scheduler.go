@@ -12,9 +12,6 @@ import (
 type Options struct {
 	// Coordinator hosts the top (result) fragment.
 	Coordinator simnet.NodeID
-	// MaxParallelism caps the number of compute resources used for
-	// partitioned fragments; 0 means all registered resources.
-	MaxParallelism int
 }
 
 // Schedule lowers a logical plan to a distributed physical plan following
@@ -27,11 +24,7 @@ func Schedule(root logical.Node, reg *registry.Registry, opts Options) (*Plan, e
 	if opts.Coordinator == "" {
 		return nil, fmt.Errorf("physical: no coordinator node")
 	}
-	compute := reg.ComputeResources()
-	if opts.MaxParallelism > 0 && len(compute) > opts.MaxParallelism {
-		compute = compute[:opts.MaxParallelism]
-	}
-	b := &builder{plan: &Plan{Coordinator: opts.Coordinator}, compute: compute}
+	b := &builder{plan: &Plan{Coordinator: opts.Coordinator}, compute: reg.ComputeResources()}
 
 	// Sort and Limit always sit at the plan root (the planner guarantees
 	// it); peel them off and evaluate them inside the collect fragment at

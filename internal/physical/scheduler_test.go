@@ -173,13 +173,6 @@ func TestScheduleWeightsProportionalToSpeed(t *testing.T) {
 	}
 }
 
-func TestScheduleMaxParallelism(t *testing.T) {
-	p := schedule(t, q1, Options{Coordinator: "coord", MaxParallelism: 1})
-	if got := len(p.Fragments[1].Instances); got != 1 {
-		t.Fatalf("instances = %d, want 1", got)
-	}
-}
-
 func TestScheduleErrors(t *testing.T) {
 	stmt, _ := sqlparse.Parse(q1)
 	ln, err := logical.Plan(stmt, demoCatalog())

@@ -100,9 +100,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	return c
 }
 
-// Clock exposes the cluster's virtual clock.
-func (c *Cluster) Clock() *vtime.Clock { return c.clock }
-
 // Network exposes the simulated network (experiments perturb nodes through
 // it).
 func (c *Cluster) Network() *simnet.Network { return c.net }

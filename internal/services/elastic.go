@@ -33,6 +33,15 @@ import (
 // newcomer into every eligible fragment (AdmitInstance) with a fresh
 // runtime and a nonzero weight share, without restarting the query.
 
+// The heartbeat detector's timing: probes are cheap one-message RPCs, so a
+// short real-time interval keeps detection latency well under typical query
+// durations. Two missed probes, 50 ms real time, diagnose a machine as dead;
+// unreachable-node errors are definitive and bypass the count.
+const (
+	heartbeatEvery  = 25 * time.Millisecond
+	heartbeatMisses = 2
+)
+
 // maxFailoverRetries bounds how many times one node's failover is retried
 // when further evaluators die while the protocol is in flight.
 const maxFailoverRetries = 8
@@ -267,20 +276,12 @@ func (s *QuerySession) unrecoverable(node simnet.NodeID) error {
 
 // heartbeatLoop actively probes one fragment instance per evaluating
 // machine. An unreachable-node error is a definitive diagnosis; other
-// failures (e.g. timeouts) must repeat HeartbeatMisses times before the
+// failures (e.g. timeouts) must repeat heartbeatMisses times before the
 // machine is declared dead. Probes ride the same RPC path as adaptations,
 // so a machine that can acknowledge a probe can also acknowledge a
 // reweighting.
 func (s *QuerySession) heartbeatLoop() {
-	every := s.host.cfg.HeartbeatEvery
-	if every <= 0 {
-		every = DefaultHeartbeatEvery
-	}
-	misses := s.host.cfg.HeartbeatMisses
-	if misses <= 0 {
-		misses = DefaultHeartbeatMisses
-	}
-	ticker := time.NewTicker(every)
+	ticker := time.NewTicker(heartbeatEvery)
 	defer ticker.Stop()
 	missed := map[simnet.NodeID]int{}
 	for {
@@ -304,7 +305,7 @@ func (s *QuerySession) heartbeatLoop() {
 				continue
 			}
 			missed[node]++
-			if missed[node] >= misses {
+			if missed[node] >= heartbeatMisses {
 				missed[node] = 0
 				s.reportDead(node)
 			}

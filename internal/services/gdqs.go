@@ -2,9 +2,7 @@ package services
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sync/atomic"
 	"time"
 
@@ -33,8 +31,6 @@ type GDQSConfig struct {
 	MED       core.MEDConfig
 	Diagnoser core.DiagnoserConfig
 	Responder core.ResponderConfig
-	// MaxParallelism caps the compute resources used per query.
-	MaxParallelism int
 	// Parallelism is the morsel worker-pool width of each fragment driver:
 	// 0 (or 1) keeps the classic serial drivers, negative resolves to the
 	// machine's GOMAXPROCS, and larger values run parallel-eligible
@@ -63,30 +59,16 @@ type GDQSConfig struct {
 	// running stateless fragments. Requires Adaptive (recovery deploys
 	// through the Responder) and forces serial fragment drivers.
 	Elastic bool
-	// HeartbeatEvery is the real-time interval between liveness probes of
-	// the evaluating machines (DefaultHeartbeatEvery when 0; elastic only).
-	HeartbeatEvery time.Duration
-	// HeartbeatMisses is how many consecutive probe failures diagnose a
-	// node as dead (DefaultHeartbeatMisses when 0). Unreachable-node errors
-	// are definitive and bypass the count.
-	HeartbeatMisses int
 	// MemoryBudgetBytes caps each query's stateful-operator memory: on
 	// breach, hash joins and aggregates grace-hash-spill partitions to the
 	// storage backend and sorts switch to external merge runs. 0 means
-	// unbudgeted. The budget can be changed at runtime with SetMemoryBudget.
+	// unbudgeted.
 	MemoryBudgetBytes int64
 	// SpillDir roots spill runs in a posix-backed directory; empty keeps
 	// spills in the in-memory storage backend (fine for tests and paper-scale
 	// runs, no use for actually relieving memory pressure).
 	SpillDir string
 }
-
-// Heartbeat defaults: probes are cheap one-message RPCs, so a short real-time
-// interval keeps detection latency well under typical query durations.
-const (
-	DefaultHeartbeatEvery  = 25 * time.Millisecond
-	DefaultHeartbeatMisses = 2
-)
 
 // DefaultGDQSConfig returns an adaptive configuration with the paper's
 // default parameters.
@@ -146,7 +128,6 @@ func NewGDQS(cluster *Cluster, node simnet.NodeID, cfg GDQSConfig) (*GDQS, error
 		spill: spill,
 		site:  cluster.site,
 	}}
-	g.memBudget.Store(cfg.MemoryBudgetBytes)
 	if cfg.PlanCacheSize >= 0 {
 		g.cache = plancache.New[*cachedPlan](cfg.PlanCacheSize, obs.Default().Registry())
 	}
@@ -154,30 +135,8 @@ func NewGDQS(cluster *Cluster, node simnet.NodeID, cfg GDQSConfig) (*GDQS, error
 	return g, nil
 }
 
-// SetMemoryBudget retunes the per-query memory budget (bytes; 0 disables
-// budgeting). Sessions admitted after the call run under the new budget;
-// running queries keep the one they started with. The budget participates in
-// the plan-template epoch, so cached templates re-plan instead of hitting.
-func (g *GDQS) SetMemoryBudget(n int64) { g.memBudget.Store(n) }
-
-// MemoryBudget returns the current per-query memory budget in bytes.
-func (g *GDQS) MemoryBudget() int64 { return g.memBudget.Load() }
-
 // SpillBackend returns the storage backend sessions spill to.
 func (g *GDQS) SpillBackend() storage.Backend { return g.spill }
-
-// planEpoch is the plan-cache invalidation token: the cluster topology
-// version folded (FNV-64a) with the execution environment a template was
-// planned under — the memory budget and the spill backend's identity. Any
-// change to either makes every cached entry miss.
-func (g *GDQS) planEpoch() uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(g.memBudget.Load()))
-	_, _ = h.Write(b[:])
-	_, _ = h.Write([]byte(g.spill.Name()))
-	return h.Sum64() ^ g.cluster.Version()
-}
 
 // cachedPlan is one plan-cache entry: the untagged, unbound physical plan
 // template plus its parameter slots (untyped slots upgraded with the
@@ -317,11 +276,10 @@ func (g *GDQS) planFor(key string, template *sqlparse.SelectStmt,
 }
 
 // templateFor returns the cached plan template for key, planning and caching
-// it on a miss. Entries are keyed to the plan epoch (cluster topology plus
-// memory budget and spill backend), so plans scheduled against an outgrown
-// Grid or a retuned execution environment re-plan instead of hitting.
+// it on a miss. Entries are keyed to the cluster's topology version, so
+// plans scheduled against an outgrown Grid re-plan instead of hitting.
 func (g *GDQS) templateFor(key string, template *sqlparse.SelectStmt, slots []sqlparse.Slot) (*cachedPlan, error) {
-	epoch := g.planEpoch()
+	epoch := g.cluster.Version()
 	if g.cache != nil {
 		if cp, ok := g.cache.Get(key, epoch); ok {
 			return cp, nil
@@ -389,7 +347,7 @@ func (g *GDQS) planDirect(stmt *sqlparse.SelectStmt) (*physical.Plan, error) {
 
 // planOptions is what the scheduler is told about this coordinator.
 func (g *GDQS) planOptions() physical.Options {
-	return physical.Options{Coordinator: g.node, MaxParallelism: g.cfg.MaxParallelism}
+	return physical.Options{Coordinator: g.node}
 }
 
 // Explain compiles and schedules a query without executing it.

@@ -2,7 +2,6 @@ package services
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bus"
@@ -43,11 +42,8 @@ type host struct {
 	// grid is the exchange tuning every participant agrees on.
 	grid ClusterConfig
 	cfg  GDQSConfig
-	// spill is the storage backend every session spills to; memBudget is the
-	// per-query byte limit (atomic so SetMemoryBudget can retune a live
-	// service — running queries keep the budget they started with).
-	spill     storage.Backend
-	memBudget atomic.Int64
+	// spill is the storage backend every session spills to.
+	spill storage.Backend
 	// site returns the machine with the given ID when this process hosts it,
 	// nil otherwise.
 	site func(simnet.NodeID) *site

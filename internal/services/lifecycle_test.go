@@ -223,9 +223,9 @@ var lifecycleHosts = []struct {
 func (d *lifecycleDeployment) released(t *testing.T, baseline int) {
 	t.Helper()
 	waitNoExtraGoroutines(t, baseline)
-	for _, b := range d.spills {
+	for i, b := range d.spills {
 		if runs, err := b.List(); err != nil || len(runs) != 0 {
-			t.Errorf("spill backend %s left runs %v (err %v)", b.Name(), runs, err)
+			t.Errorf("spill backend %d left runs %v (err %v)", i, runs, err)
 		}
 	}
 }
@@ -339,7 +339,7 @@ func TestLifecycleFragmentErrorReleasesGoroutines(t *testing.T) {
 	for _, h := range lifecycleHosts {
 		t.Run(h.name, func(t *testing.T) {
 			d := h.build(t, 120, 600, time.Minute)
-			d.host.memBudget.Store(2048)
+			d.host.cfg.MemoryBudgetBytes = 2048
 			d.host.spill = failingCreates{d.host.spill}
 			baseline := len(queryGoroutines())
 			_, err := d.execute(context.Background(), qJoinAgg)

@@ -14,8 +14,7 @@ import (
 // valid for the life of their coordinator (topology changes transparently
 // re-plan on the next Execute).
 type Stmt struct {
-	g     *GDQS
-	query string
+	g *GDQS
 	// key/template/slots are the normalized form; Execute starts from here,
 	// skipping parse and normalize entirely.
 	key      string
@@ -39,14 +38,10 @@ func (g *GDQS) Prepare(query string) (*Stmt, error) {
 		return nil, err
 	}
 	return &Stmt{
-		g: g, query: query,
-		key: key, template: template, slots: slots,
+		g: g, key: key, template: template, slots: slots,
 		numUser: sqlparse.NumUserParams(slots),
 	}, nil
 }
-
-// Query returns the statement's original SQL text.
-func (s *Stmt) Query() string { return s.query }
 
 // NumParams reports how many `?` arguments Execute expects.
 func (s *Stmt) NumParams() int { return s.numUser }

@@ -90,6 +90,7 @@ func (m Manifest) sessionConfig() GDQSConfig {
 	cfg.Diagnoser.Assessment = m.Assessment
 	cfg.Responder.Response = m.Response
 	cfg.Parallelism = m.Parallelism
+	cfg.MemoryBudgetBytes = m.MemoryBudgetBytes
 	return cfg
 }
 
@@ -150,7 +151,6 @@ func (m Manifest) newParticipant(tr transport.Transport, local simnet.NodeID) (*
 			return nil
 		},
 	}
-	h.memBudget.Store(m.MemoryBudgetBytes)
 	if local == m.Coordinator {
 		h.bus = bus.New(h.clock, nil)
 		h.rpc = transport.NewCaller(tr, local, "gdqs/deploy@"+string(local), deployTimeout)

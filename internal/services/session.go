@@ -125,7 +125,7 @@ func newQuerySession(ctx context.Context, h *host, plan *physical.Plan, sql stri
 		dead:     make(map[simnet.NodeID]bool),
 		deadCh:   make(chan simnet.NodeID, 64),
 		joinCh:   make(chan core.NodeEvent, 64),
-		mem:      storage.NewBudget(h.memBudget.Load()),
+		mem:      storage.NewBudget(h.cfg.MemoryBudgetBytes),
 	}
 	s.rtCond = sync.NewCond(&s.rtMu)
 	// The host that owns the coordinator's machine coordinates: it alone

@@ -286,38 +286,3 @@ func TestParallelBudgetedAdaptiveRetrospective(t *testing.T) {
 		t.Fatalf("mem_inflight_bytes = %d after parallel adaptive query, want 0", n)
 	}
 }
-
-// TestMemoryBudgetChangeInvalidatesPlanCache covers the plan-epoch fold: a
-// runtime budget change must re-plan, not reuse a template compiled for a
-// different memory envelope.
-func TestMemoryBudgetChangeInvalidatesPlanCache(t *testing.T) {
-	_, g := testGrid(t, false, 40, 60)
-	if _, err := g.Execute(context.Background(), qOrf(1)); err != nil {
-		t.Fatal(err)
-	}
-	d := statsDelta(g, func() {
-		if _, err := g.Execute(context.Background(), qOrf(2)); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if d.Hits != 1 {
-		t.Fatalf("pre-change execute: %+v, want 1 hit", d)
-	}
-
-	g.SetMemoryBudget(1 << 20)
-	d = statsDelta(g, func() {
-		res, err := g.Execute(context.Background(), qOrf(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Rows) != 1 {
-			t.Fatalf("rows = %d", len(res.Rows))
-		}
-	})
-	if d.Misses != 1 || d.Hits != 0 {
-		t.Fatalf("post-change execute: %+v, want 1 miss (epoch must fold the budget)", d)
-	}
-	if g.MemoryBudget() != 1<<20 {
-		t.Fatalf("MemoryBudget = %d", g.MemoryBudget())
-	}
-}

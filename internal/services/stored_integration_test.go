@@ -109,8 +109,8 @@ func TestStoredTableQueryMatchesInMemory(t *testing.T) {
 			// the one `make lowmem` forces on the whole suite (serial, then
 			// width 4), and the lane means something only if the join and the
 			// aggregate then really spill.
-			if g.MemoryBudget() > 0 && o.Counter(obs.MSpillPartitions).Value() == spilled0 {
-				t.Fatalf("forced %d-byte budget (width %d) never spilled a partition", g.MemoryBudget(), g.cfg.Parallelism)
+			if g.cfg.MemoryBudgetBytes > 0 && o.Counter(obs.MSpillPartitions).Value() == spilled0 {
+				t.Fatalf("forced %d-byte budget (width %d) never spilled a partition", g.cfg.MemoryBudgetBytes, g.cfg.Parallelism)
 			}
 		})
 	}
@@ -234,7 +234,7 @@ func TestBigTableStoredScan(t *testing.T) {
 		total += meta.TotalBytes
 	}
 	budget := total / 16
-	g.SetMemoryBudget(budget)
+	g.cfg.MemoryBudgetBytes = budget
 
 	o := obs.Default()
 	blocks0 := o.Counter(obs.MScanBlocksRead).Value()

@@ -24,9 +24,6 @@ func NewMemory() *Memory {
 	return &Memory{runs: make(map[string]*memRun)}
 }
 
-// Name implements Backend.
-func (m *Memory) Name() string { return "memory" }
-
 // Create implements Backend.
 func (m *Memory) Create(name string) (RunWriter, error) {
 	m.mu.Lock()

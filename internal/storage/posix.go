@@ -32,12 +32,6 @@ func NewPosix(dir string) (*Posix, error) {
 	return &Posix{dir: dir, open: make(map[string]bool)}, nil
 }
 
-// Name implements Backend.
-func (p *Posix) Name() string { return "posix:" + p.dir }
-
-// Dir returns the spill directory.
-func (p *Posix) Dir() string { return p.dir }
-
 // escapeRun maps a run name to a flat file name: every byte outside
 // [A-Za-z0-9.-] is rewritten as %XX, so distinct names stay distinct and
 // escaping preserves prefix relationships ('/' always escapes the same way).

@@ -49,10 +49,6 @@ type RunReader interface {
 // readers are not. Run names use '/' as a hierarchy separator
 // ("q7.f1-i0/join-p5-build"), which is what prefix cleanup keys on.
 type Backend interface {
-	// Name identifies the backend configuration ("memory", "posix:<dir>");
-	// it participates in the plan-cache epoch so switching storage
-	// invalidates cached plans.
-	Name() string
 	// Create makes a new empty run, failing if the name already exists.
 	Create(name string) (RunWriter, error)
 	// Open returns a reader over a sealed run.

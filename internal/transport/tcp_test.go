@@ -286,6 +286,56 @@ func TestTCPSendAfterClose(t *testing.T) {
 	}
 }
 
+// TestTCPWriteFailureRedials checks that a send whose write fails drops the
+// cached connection, and that the next send dials afresh and is delivered.
+// The failure is a write deadline already past, so the connection's read
+// loop stays unaware of it and cannot evict the entry first.
+func TestTCPWriteFailureRedials(t *testing.T) {
+	a, b := tcpPair(t)
+	got := make(chan int64, 2)
+	b.Register("nodeB", "svc", func(_ simnet.NodeID, m *Message) { got <- m.StartSeq })
+	recv := func() int64 {
+		select {
+		case seq := <-got:
+			return seq
+		case <-time.After(5 * time.Second):
+			t.Fatal("message never delivered")
+			return 0
+		}
+	}
+	if _, err := a.Send("nodeA", "nodeB", "svc", &Message{Kind: KindEOS, StartSeq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if seq := recv(); seq != 1 {
+		t.Fatalf("delivered seq %d, want 1", seq)
+	}
+	a.mu.Lock()
+	stale := a.conns["nodeB"]
+	a.mu.Unlock()
+	_ = stale.c.SetWriteDeadline(time.Now().Add(-time.Second))
+	if _, err := a.Send("nodeA", "nodeB", "svc", &Message{Kind: KindEOS, StartSeq: 2}); err == nil {
+		t.Fatal("send past the write deadline succeeded")
+	}
+	a.mu.Lock()
+	_, cached := a.conns["nodeB"]
+	a.mu.Unlock()
+	if cached {
+		t.Fatal("failed connection still cached")
+	}
+	if _, err := a.Send("nodeA", "nodeB", "svc", &Message{Kind: KindEOS, StartSeq: 3}); err != nil {
+		t.Fatalf("send after the failure did not redial: %v", err)
+	}
+	if seq := recv(); seq != 3 {
+		t.Fatalf("delivered seq %d, want 3", seq)
+	}
+	a.mu.Lock()
+	fresh := a.conns["nodeB"]
+	a.mu.Unlock()
+	if fresh == nil || fresh == stale {
+		t.Fatal("second send reused the failed connection")
+	}
+}
+
 func TestTCPCloseIdempotent(t *testing.T) {
 	a, err := NewTCP("x", "127.0.0.1:0")
 	if err != nil {
