@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	dqp-experiments [-o EXPERIMENTS.md] [-only Table1,Fig2a]
+//	dqp-experiments [-o EXPERIMENTS.md] [-only Table1,Fig2a,StoredStreaming]
 //
 // The full suite takes several minutes of real time: the simulated testbed
 // actually executes every query, including the heavily perturbed static
@@ -25,9 +25,34 @@ import (
 	"repro/internal/obs"
 )
 
+// builder is one experiment of the suite, by the name -only selects it by.
+type builder struct {
+	name string
+	fn   func() (*exp.Experiment, error)
+}
+
+// all is the suite in report order; -only's help lists it.
+var all = []builder{
+	{"Table1", exp.Table1},
+	{"Fig2a", exp.Fig2a},
+	{"Fig2b", exp.Fig2b},
+	{"Fig3a", exp.Fig3a},
+	{"Fig3b", exp.Fig3b},
+	{"Fig4", exp.Fig4},
+	{"Fig5", exp.Fig5},
+	{"Overheads", exp.Overheads},
+	{"MonitoringFrequency", exp.MonitoringFrequency},
+	{"Recovery", exp.Recovery},
+	{"StoredStreaming", exp.StoredStreaming},
+}
+
 func main() {
+	names := make([]string, len(all))
+	for i, b := range all {
+		names[i] = b.name
+	}
 	out := flag.String("o", "EXPERIMENTS.md", "output file ('-' for stdout)")
-	only := flag.String("only", "", "comma-separated experiment subset (Table1,Fig2a,Fig2b,Fig3a,Fig3b,Fig4,Fig5,Overheads,MonitoringFrequency,Recovery)")
+	only := flag.String("only", "", "comma-separated experiment subset ("+strings.Join(names, ",")+")")
 	parallel := flag.Int("parallel", 0, "morsel worker-pool width per fragment driver (0/1 serial, negative = GOMAXPROCS)")
 	metrics := flag.String("metrics", "", "HTTP listen address for /metrics and /timeline while the suite runs (e.g. :9090; empty disables)")
 	memBudget := flag.Int64("mem-budget", 0, "per-query stateful-operator memory budget in bytes; operators spill past it (0 unbudgeted)")
@@ -51,23 +76,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "observability: http://%s/metrics and /timeline\n", bound)
 	}
 
-	type builder struct {
-		name string
-		fn   func() (*exp.Experiment, error)
-	}
-	all := []builder{
-		{"Table1", exp.Table1},
-		{"Fig2a", exp.Fig2a},
-		{"Fig2b", exp.Fig2b},
-		{"Fig3a", exp.Fig3a},
-		{"Fig3b", exp.Fig3b},
-		{"Fig4", exp.Fig4},
-		{"Fig5", exp.Fig5},
-		{"Overheads", exp.Overheads},
-		{"MonitoringFrequency", exp.MonitoringFrequency},
-		{"Recovery", exp.Recovery},
-		{"StoredStreaming", exp.StoredStreaming},
-	}
 	selected := all
 	if *only != "" {
 		want := map[string]bool{}

@@ -103,7 +103,7 @@ func TestBatchEquivalenceJoin(t *testing.T) {
 	for _, p := range demoTable(t, "protein_interactions") {
 		for _, b := range demoTable(t, "protein_sequences") {
 			if b[0].Equal(p[0]) {
-				want = append(want, b.Concat(p))
+				want = append(want, append(b.Clone(), p...))
 			}
 		}
 	}

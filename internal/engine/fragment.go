@@ -247,7 +247,7 @@ func (r *FragmentRuntime) compile(spec *physical.OpSpec) (Iterator, error) {
 		join := &HashJoin{
 			Build: build, Probe: probe,
 			BuildKeys: spec.BuildKeys, ProbeKeys: spec.ProbeKeys,
-			BuildEst: est,
+			BuildEst: est, Out: spec.Ords,
 		}
 		r.joinBySpec[spec] = join
 		// The build-side consumer feeds replayed state directly into the

@@ -321,9 +321,10 @@ func (b *buildBarrier) wait() error {
 
 // HashJoin is the partitioned equi-join: it drains its build input into a
 // bucketed hash table during Open, then streams the probe input, emitting
-// one concatenated tuple per match. Each clone of the join holds only the
-// buckets the current distribution policy routes to it; moving a bucket to
-// another clone moves the corresponding state.
+// one tuple per match: the build tuple followed by the probe tuple, or the
+// Out columns of that when a projection is fused in. Each clone of the join
+// holds only the buckets the current distribution policy routes to it;
+// moving a bucket to another clone moves the corresponding state.
 //
 // Under morsel parallelism several worker clones share one joinState: all
 // workers drain the shared build source into the partitioned table, meet at a
@@ -337,6 +338,11 @@ type HashJoin struct {
 	// positive, the shared table's partition arenas and chain maps are
 	// pre-sized for it instead of growing on demand.
 	BuildEst int
+	// Out, when set, is a projection fused into the join: the ordinals over
+	// build ++ probe each match emits, in order, charged ProjectMs per
+	// emitted tuple exactly as a Project over the join would be. The
+	// concatenated match is never built.
+	Out []int
 
 	ctx     *ExecContext
 	buckets int
@@ -373,8 +379,8 @@ func (j *HashJoin) WorkerClone(build, probe Iterator) *HashJoin {
 	return &HashJoin{
 		Build: build, Probe: probe,
 		BuildKeys: j.BuildKeys, ProbeKeys: j.ProbeKeys,
-		BuildEst: j.BuildEst,
-		shared:   j.ensureShared(),
+		BuildEst: j.BuildEst, Out: j.Out,
+		shared: j.ensureShared(),
 	}
 }
 
@@ -435,9 +441,18 @@ func (j *HashJoin) openBuild(ctx *ExecContext, s *joinState) error {
 }
 
 // NextBatch implements Iterator: it probes whole input batches,
-// emitting concatenated matches carved from an arena. Matches overflowing
-// dst spill to pending and lead the next batch.
+// emitting matches carved from an arena. Matches overflowing dst spill to
+// pending and lead the next batch. A fused projection is charged once per
+// returned batch, after the probe, as the Project it replaces would be.
 func (j *HashJoin) NextBatch(dst *relation.Batch) (int, error) {
+	n, err := j.nextBatch(dst)
+	if err == nil && j.Out != nil {
+		j.ctx.chargeN(j.ctx.Costs.ProjectMs, n)
+	}
+	return n, err
+}
+
+func (j *HashJoin) nextBatch(dst *relation.Batch) (int, error) {
 	dst.Rewind()
 	for j.pendHead < len(j.pending) && !dst.Full() {
 		dst.Append(j.pending[j.pendHead])
@@ -492,9 +507,7 @@ func (j *HashJoin) NextBatch(dst *relation.Batch) (int, error) {
 				if !j.keysEqual(cand, t) {
 					continue
 				}
-				out := j.arena.Alloc(len(cand) + len(t))
-				copy(out, cand)
-				copy(out[len(cand):], t)
+				out := j.emit(cand, t)
 				if dst.Full() {
 					j.pending = append(j.pending, out)
 				} else {
@@ -505,6 +518,26 @@ func (j *HashJoin) NextBatch(dst *relation.Batch) (int, error) {
 		}
 	}
 	return dst.Len(), nil
+}
+
+// emit builds the output tuple of one match from the arena: build ++ probe,
+// or just the Out columns of it.
+func (j *HashJoin) emit(build, probe relation.Tuple) relation.Tuple {
+	if j.Out == nil {
+		out := j.arena.Alloc(len(build) + len(probe))
+		copy(out, build)
+		copy(out[len(build):], probe)
+		return out
+	}
+	out := j.arena.Alloc(len(j.Out))
+	for k, o := range j.Out {
+		if o < len(build) {
+			out[k] = build[o]
+		} else {
+			out[k] = probe[o-len(build)]
+		}
+	}
+	return out
 }
 
 // keysEqual guards against 64-bit hash collisions.

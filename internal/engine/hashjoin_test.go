@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/relation"
@@ -183,5 +184,109 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 		j.Probe = NewSliceSource(probe, 0)
 		_ = j.Probe.Open(ctx)
 		pullAll(b, j, 0)
+	}
+}
+
+// TestHashJoinOutParity holds a join with a fused projection (Out) to the
+// plan it replaces, a Project over the unfused join: the same rows as a
+// multiset and the same modelled milliseconds on every meter, on the probe
+// path at width 1 and 2 and through the spill drain under a 64KiB budget.
+func TestHashJoinOutParity(t *testing.T) {
+	out := []int{3, 0} // one probe column, then the build key
+	for _, tc := range []struct {
+		name    string
+		workers int
+		budget  int64
+	}{
+		{"w1", 1, 0},
+		{"w2", 2, 0},
+		{"w1-budget64k", 1, 64 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := buildTuples(2000)
+			probe := probeTuples(6000, 2000)
+			run := func(fused bool) ([]relation.Tuple, []float64) {
+				ctx := testCtx()
+				if tc.budget > 0 {
+					ctx = budgetedCtx(tc.budget)
+				}
+				base := newJoin(nil, nil)
+				base.SetWorkers(tc.workers)
+				if fused {
+					base.Out = out
+				}
+				wctxs := make([]*ExecContext, tc.workers)
+				chains := make([]Iterator, tc.workers)
+				bs, ps := len(build)/tc.workers, len(probe)/tc.workers
+				for w := range chains {
+					wctxs[w] = ctx.workerContext()
+					var it Iterator = base.WorkerClone(
+						NewSliceSource(build[w*bs:(w+1)*bs], 0),
+						NewSliceSource(probe[w*ps:(w+1)*ps], 0))
+					if !fused {
+						it = &Project{Child: it, Ords: out}
+					}
+					chains[w] = it
+				}
+				outs := make([][]relation.Tuple, tc.workers)
+				var wg sync.WaitGroup
+				for w := range chains {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						it := chains[w]
+						if err := it.Open(wctxs[w]); err != nil {
+							t.Error(err)
+							return
+						}
+						batch := relation.GetBatch()
+						defer batch.Release()
+						for {
+							n, err := it.NextBatch(batch)
+							if err != nil {
+								t.Error(err)
+								break
+							}
+							if n == 0 {
+								break
+							}
+							outs[w] = append(outs[w], batch.Tuples...)
+						}
+						if err := it.Close(); err != nil {
+							t.Error(err)
+						}
+					}(w)
+				}
+				wg.Wait()
+				if tc.budget > 0 {
+					assertClean(t, ctx)
+				}
+				var rows []relation.Tuple
+				ms := make([]float64, tc.workers)
+				for w := range outs {
+					rows = append(rows, outs[w]...)
+					ms[w] = wctxs[w].Meter.ChargedMs()
+				}
+				return rows, ms
+			}
+			_, p0, _ := spillCounters()
+			want, wantMs := run(false)
+			got, gotMs := run(true)
+			if _, p1, _ := spillCounters(); tc.budget > 0 && p1 == p0 {
+				t.Fatal("budget was never breached: the spill drain went untested")
+			}
+			if len(got) != len(probe) {
+				t.Fatalf("fused join emitted %d rows, want %d", len(got), len(probe))
+			}
+			if len(got[0]) != len(out) {
+				t.Fatalf("fused join emitted rows of width %d, want %d", len(got[0]), len(out))
+			}
+			sameMultiset(t, got, want)
+			for w := range wantMs {
+				if gotMs[w] != wantMs[w] {
+					t.Errorf("worker %d: fused join charged %v ms, Project over the join %v ms", w, gotMs[w], wantMs[w])
+				}
+			}
+		})
 	}
 }

@@ -59,7 +59,7 @@ func (s *TableScan) Open(ctx *ExecContext) error {
 func (s *TableScan) NextBatch(dst *relation.Batch) (int, error) {
 	if s.blocks != nil {
 		n, err := s.blocks.fill(dst)
-		chargeScanBatch(s.ctx, dst.Tuples, s.blocks.sizes, &s.costs)
+		chargeScanBatch(s.ctx, dst.Tuples, &s.costs)
 		return n, err
 	}
 	dst.Rewind()
@@ -73,7 +73,7 @@ func (s *TableScan) NextBatch(dst *relation.Batch) (int, error) {
 		return 0, nil
 	}
 	chunk := s.tuples[at:min(at+n, len(s.tuples))]
-	chargeScanBatch(s.ctx, chunk, nil, &s.costs)
+	chargeScanBatch(s.ctx, chunk, &s.costs)
 	dst.AppendAll(chunk)
 	return len(chunk), nil
 }

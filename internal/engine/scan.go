@@ -58,7 +58,6 @@ type blockScan struct {
 	left    uint64
 	arena   relation.Arena
 	curSize int64 // reservation held for the current block
-	sizes   []int // encoded sizes of the last fill's tuples (see fill)
 }
 
 // newBlockScan wraps a block reader for one scan under ctx. claim is the
@@ -116,15 +115,9 @@ func (b *blockScan) advance() (ok bool, err error) {
 // with one fused relation.DecodeTuplesShared call. Decoded tuples carve their
 // value slots from the scan's arena and their strings from the block's
 // immutable buffer — blocks are never overwritten, so tuples stay valid
-// indefinitely. When the cost model has a
-// byte-dependent component, sizes[:n] afterwards holds the encoded byte size
-// of each appended tuple — measured by the decode's pointer advance, the
-// input chargeScanBatch would otherwise recompute by walking every value;
-// with a flat scan cost the bookkeeping is skipped entirely.
+// indefinitely.
 func (b *blockScan) fill(dst *relation.Batch) (int, error) {
 	dst.Rewind()
-	b.sizes = b.sizes[:0]
-	needSizes := b.ctx.Costs.ScanByteMs != 0
 	for !dst.Full() {
 		if b.left == 0 {
 			ok, err := b.advance()
@@ -136,20 +129,10 @@ func (b *blockScan) fill(dst *relation.Batch) (int, error) {
 			}
 			continue
 		}
-		var sizes []int
-		if needSizes {
-			if b.sizes == nil {
-				b.sizes = make([]int, 0, dst.Cap())
-			}
-			sizes = b.sizes
-		}
 		var err error
-		b.rest, b.left, sizes, err = relation.DecodeTuplesShared(&b.arena, b.base, b.rest, b.left, dst, sizes)
+		b.rest, b.left, _, err = relation.DecodeTuplesShared(&b.arena, b.base, b.rest, b.left, dst, nil)
 		if err != nil {
 			return dst.Len(), qerr.Storage("scan tuple", err)
-		}
-		if needSizes {
-			b.sizes = sizes
 		}
 	}
 	return dst.Len(), nil
@@ -162,13 +145,12 @@ func (b *blockScan) close() error {
 	return b.br.Close()
 }
 
-// chargeScanBatch charges the scan cost of one decoded chunk against ctx:
-// one bundled charge when the byte-dependent component is off, a per-tuple
-// cost vector otherwise. sizes, when non-nil, carries the chunk's encoded
-// tuple sizes as measured by the decoder's pointer advance — exactly
-// Tuple.ByteSize without re-walking every value; a nil sizes falls back to
-// the walk. costs is a reusable scratch buffer threaded by the caller.
-func chargeScanBatch(ctx *ExecContext, chunk []relation.Tuple, sizes []int, costs *[]float64) {
+// chargeScanBatch charges the scan cost of one chunk against ctx: one
+// bundled charge when the byte-dependent component is off, a per-tuple cost
+// vector of Tuple.ByteSize otherwise, so a stored table and an in-memory one
+// holding the same rows cost the same. costs is a reusable scratch buffer
+// threaded by the caller.
+func chargeScanBatch(ctx *ExecContext, chunk []relation.Tuple, costs *[]float64) {
 	n := len(chunk)
 	if n == 0 {
 		return
@@ -181,14 +163,8 @@ func chargeScanBatch(ctx *ExecContext, chunk []relation.Tuple, sizes []int, cost
 		*costs = make([]float64, n)
 	}
 	cs := (*costs)[:n]
-	if sizes != nil {
-		for i, sz := range sizes[:n] {
-			cs[i] = ctx.Costs.ScanMs + ctx.Costs.ScanByteMs*float64(sz)
-		}
-	} else {
-		for i, t := range chunk {
-			cs[i] = ctx.Costs.ScanMs + ctx.Costs.ScanByteMs*float64(t.ByteSize())
-		}
+	for i, t := range chunk {
+		cs[i] = ctx.Costs.ScanMs + ctx.Costs.ScanByteMs*float64(t.ByteSize())
 	}
 	ctx.chargeEach(cs)
 }

@@ -96,6 +96,28 @@ func TestStoredScanBatchPath(t *testing.T) {
 	}
 }
 
+// TestStoredScanChargesMatchInMemory holds a stored scan to the cost of an
+// in-memory scan of the same rows under the paper's byte-dependent scan
+// cost: both charge Tuple.ByteSize per tuple, whatever the block encoding
+// measures.
+func TestStoredScanChargesMatchInMemory(t *testing.T) {
+	backend := storage.NewMemory()
+	defer backend.Close()
+	stored, mem := storedEventsCtx(t, backend, 5000)
+	inMem := testCtx()
+	inMem.Store = dataset.NewStore()
+	inMem.Store.Add(mem)
+	if stored.Costs.ScanByteMs == 0 {
+		t.Fatal("default costs have no byte-dependent scan component")
+	}
+	got := drain(t, &TableScan{Table: "events"}, stored, 0)
+	want := drain(t, &TableScan{Table: "events"}, inMem, 0)
+	sameTuplesLabeled(t, "stored", want, got)
+	if s, m := stored.Meter.ChargedMs(), inMem.Meter.ChargedMs(); s != m {
+		t.Fatalf("stored scan charged %v ms, in-memory scan of the same rows %v ms", s, m)
+	}
+}
+
 func TestStoredScanBudgetLifecycle(t *testing.T) {
 	backend, err := storage.NewPosix(t.TempDir())
 	if err != nil {

@@ -582,10 +582,10 @@ func (d *joinSpillDrain) close() {
 // sits in j.pending, returning false once every pair is exhausted. On first
 // entry the clone arrives at the probe-completion barrier and waits for its
 // siblings — only then are the runs sealed (once) and the pair queue
-// opened. No operator cost is charged here: every probe tuple already paid
+// opened. No join cost is charged here: every probe tuple already paid
 // JoinProbeMs when it was routed, and every build tuple JoinBuildMs when
 // inserted — the drain is the deferred completion of work already
-// accounted.
+// accounted. A fused projection's cost is NextBatch's, as on the probe path.
 func (j *HashJoin) drainPending() (bool, error) {
 	s := j.shared
 	if err := s.err(); err != nil {
@@ -636,7 +636,7 @@ func (j *HashJoin) drainPending() (bool, error) {
 			if len(d.evicts) > 0 && evicted(d.evicts, b, e.idx, jdx) {
 				continue
 			}
-			j.pending = append(j.pending, e.t.Concat(t))
+			j.pending = append(j.pending, j.emit(e.t, t))
 		}
 	}
 	return true, nil

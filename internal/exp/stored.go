@@ -101,7 +101,7 @@ func StoredStreaming() (*Experiment, error) {
 		"The streaming scan engine is an extension (DESIGN.md §5k); there are no paper values. Tables are "+
 			"generated as block-framed posix runs and scanned batch-at-a-time, each block reserved against the memory budget while it is decoded; "+
 			"the memory budget is sized from the catalog's stored volume so the tables dwarf it by design.",
-		"Divergence is compared tuple for tuple against the in-memory, unbudgeted run — storage backend, "+
+		"Divergence is compared tuple for tuple against the in-memory, unbudgeted run — storage backend and "+
 			"memory budget change where bytes live and when they move, never the result.",
 		"`make bigtable` runs the same scenario as a test (GRIDDQP_BIGTABLE_ROWS scales it); "+
 			"the stored scan's wall-clock cost is the `storage.block_read_mb_per_s`, `relation.decode_ns_per_tuple` "+

@@ -11,13 +11,14 @@ import (
 
 func TestPlanGroupByCount(t *testing.T) {
 	n := plan(t, "select i.ORF1, count(*) AS n from protein_interactions i group by i.ORF1")
-	proj, ok := n.(*Project)
+	// The select list is the aggregate's own output, so no Project sits on
+	// top; the one below keeps only the group column.
+	agg, ok := n.(*Aggregate)
 	if !ok {
 		t.Fatalf("root = %T", n)
 	}
-	agg, ok := proj.Child.(*Aggregate)
-	if !ok {
-		t.Fatalf("child = %T", proj.Child)
+	if in, ok := agg.Child.(*Project); !ok || len(in.Ords) != 1 || in.Ords[0] != 0 {
+		t.Fatalf("aggregate input = %s", Explain(agg.Child))
 	}
 	if len(agg.GroupOrds) != 1 || agg.GroupOrds[0] != 0 {
 		t.Fatalf("group ords = %v", agg.GroupOrds)
@@ -33,12 +34,17 @@ func TestPlanGroupByCount(t *testing.T) {
 
 func TestPlanGlobalAggregate(t *testing.T) {
 	n := plan(t, "select count(*) from protein_sequences")
-	agg, ok := n.(*Project).Child.(*Aggregate)
+	agg, ok := n.(*Aggregate)
 	if !ok {
-		t.Fatalf("child = %T", n.(*Project).Child)
+		t.Fatalf("root = %T", n)
 	}
 	if len(agg.GroupOrds) != 0 {
 		t.Fatalf("global aggregate has group ords %v", agg.GroupOrds)
+	}
+	// COUNT(*) reads no column, and a projection keeps at least one: the
+	// scan feeds the aggregate directly.
+	if _, ok := agg.Child.(*Scan); !ok {
+		t.Fatalf("aggregate input = %T", agg.Child)
 	}
 }
 
@@ -163,6 +169,20 @@ func tableWithInt(t *testing.T) catalog.TableMeta {
 	}
 }
 
+// wideTable registers a table with a column no aggregate reads (pad) and
+// the group key last, so pruning both drops and reorders columns.
+func wideTable() catalog.TableMeta {
+	return catalog.TableMeta{
+		Name: "wide",
+		Schema: relation.NewSchema(
+			relation.Column{Table: "wide", Name: "pad", Type: relation.TString},
+			relation.Column{Table: "wide", Name: "v", Type: relation.TInt},
+			relation.Column{Table: "wide", Name: "k", Type: relation.TString},
+		),
+		Cardinality: 100, AvgTupleBytes: 30, Node: "data1",
+	}
+}
+
 // parseQ parses or fails the test.
 func parseQ(t *testing.T, q string) *sqlparse.SelectStmt {
 	t.Helper()
@@ -216,5 +236,101 @@ func TestPlanHavingErrors(t *testing.T) {
 		if !strings.Contains(strings.ToLower(err.Error()), strings.ToLower(strings.Split(sub, " ")[0])) {
 			t.Errorf("Plan(%q) error %q missing %q", q, err, sub)
 		}
+	}
+}
+
+// aggInput returns the aggregate under root and the projection feeding it,
+// failing unless the planner put one there.
+func aggInput(t *testing.T, root Node) (*Aggregate, *Project) {
+	t.Helper()
+	for n := root; ; n = n.Children()[0] {
+		if agg, ok := n.(*Aggregate); ok {
+			in, ok := agg.Child.(*Project)
+			if !ok {
+				t.Fatalf("aggregate input is %T, not a pruning Project:\n%s", agg.Child, Explain(root))
+			}
+			return agg, in
+		}
+		if len(n.Children()) == 0 {
+			t.Fatalf("no aggregate in:\n%s", Explain(root))
+		}
+	}
+}
+
+func TestPlanPruneSumArgument(t *testing.T) {
+	cat := demoCatalog()
+	_ = cat.PutTable(tableWithInt(t))
+	_ = cat.PutTable(wideTable())
+	n, err := Plan(parseQ(t, "select sum(v) s, k from wide group by k"), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, in := aggInput(t, n)
+	// Group column first, then the argument; pad never leaves the scan.
+	if len(in.Ords) != 2 || in.Ords[0] != 2 || in.Ords[1] != 1 {
+		t.Fatalf("pruning ords = %v, want [2 1]", in.Ords)
+	}
+	if agg.GroupOrds[0] != 0 || agg.Aggs[0].ArgOrd != 1 {
+		t.Fatalf("remapped group %v, arg %d", agg.GroupOrds, agg.Aggs[0].ArgOrd)
+	}
+	// The select list reorders the aggregate's output, so a Project stays.
+	top, ok := n.(*Project)
+	if !ok || len(top.Ords) != 2 || top.Ords[0] != 1 || top.Ords[1] != 0 {
+		t.Fatalf("root:\n%s", Explain(n))
+	}
+	if s := n.Schema(); s.Column(0).Name != "s" || s.Column(0).Type != relation.TFloat || s.Column(1).Name != "k" {
+		t.Fatalf("schema = %v", s)
+	}
+	// A table whose every column the aggregate reads is not pruned.
+	n, err = Plan(parseQ(t, "select k, sum(v) from nums group by k"), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg, ok := n.(*Aggregate); !ok || agg.Child.Label() != "Scan(nums AS nums @data1, card=100)" {
+		t.Fatalf("plan:\n%s", Explain(n))
+	}
+}
+
+func TestPlanPruneHavingGroupColumn(t *testing.T) {
+	n := plan(t, "select i.ORF1, count(*) from protein_interactions i group by i.ORF1 having i.ORF1 <> 'x'")
+	agg, in := aggInput(t, n)
+	if len(in.Ords) != 1 || in.Ords[0] != 0 || agg.GroupOrds[0] != 0 {
+		t.Fatalf("pruning ords = %v, group = %v", in.Ords, agg.GroupOrds)
+	}
+	f := n.(*Project).Child.(*Filter)
+	if !strings.Contains(f.Pred.String(), "i.ORF1 <> x") {
+		t.Fatalf("pred = %v", f.Pred)
+	}
+}
+
+func TestPlanPruneHavingHiddenAggregate(t *testing.T) {
+	cat := demoCatalog()
+	_ = cat.PutTable(wideTable())
+	n, err := Plan(parseQ(t, "select k, count(*) from wide group by k having max(v) > 3"), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, in := aggInput(t, n)
+	// The hidden aggregate's argument is read, so it travels too.
+	if len(in.Ords) != 2 || in.Ords[0] != 2 || in.Ords[1] != 1 {
+		t.Fatalf("pruning ords = %v, want [2 1]", in.Ords)
+	}
+	if len(agg.Aggs) != 2 || agg.Aggs[1].Name != "_having1" || agg.Aggs[1].ArgOrd != 1 {
+		t.Fatalf("aggs = %+v", agg.Aggs)
+	}
+	// The final projection drops the hidden column.
+	if s := n.Schema(); s.Len() != 2 || s.Column(0).Name != "k" {
+		t.Fatalf("schema = %v", s)
+	}
+}
+
+func TestPlanPruneJoinInput(t *testing.T) {
+	n := plan(t, "select p.ORF, count(*) from protein_sequences p, protein_interactions i where p.ORF = i.ORF1 group by p.ORF")
+	agg, in := aggInput(t, n)
+	if n != Node(agg) {
+		t.Fatalf("identity projection over the aggregate was kept:\n%s", Explain(n))
+	}
+	if _, ok := in.Child.(*Join); !ok || len(in.Ords) != 1 || in.Ords[0] != 0 {
+		t.Fatalf("aggregate input:\n%s", Explain(in))
 	}
 }

@@ -158,9 +158,8 @@ func (p *Project) Children() []Node { return []Node{p.Child} }
 // Label implements Node.
 func (p *Project) Label() string {
 	names := make([]string, len(p.Ords))
-	for i, o := range p.Ords {
+	for i := range names {
 		names[i] = p.schema.Column(i).QualifiedName()
-		_ = o
 	}
 	return fmt.Sprintf("Project(%s)", strings.Join(names, ", "))
 }

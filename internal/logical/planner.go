@@ -2,6 +2,7 @@ package logical
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/catalog"
@@ -491,6 +492,7 @@ func planAggregate(stmt *sqlparse.SelectStmt, current Node, hints map[int]sqlpar
 		}
 	}
 
+	current, groupOrds, aggs = pruneAggregateInput(current, groupOrds, aggs)
 	var node Node = NewAggregate(current, groupOrds, aggs)
 	if len(havingRewritten) > 0 {
 		pred, err := compileConjunction(havingRewritten, node.Schema(), hints)
@@ -501,16 +503,52 @@ func planAggregate(stmt *sqlparse.SelectStmt, current Node, hints map[int]sqlpar
 	}
 	// Project to the select-list order over the aggregate output schema
 	// (group columns first, then aggregate columns; hidden HAVING
-	// aggregates are dropped here).
+	// aggregates are dropped here). A projection that would copy every row
+	// of the aggregate itself unchanged is left out.
 	ords := make([]int, len(items))
+	identity := len(items) == node.Schema().Len()
 	for i, it := range items {
 		if it.aggIdx >= 0 {
 			ords[i] = len(groupOrds) + it.aggIdx
 		} else {
 			ords[i] = it.groupIdx
 		}
+		identity = identity && ords[i] == i
+	}
+	if _, direct := node.(*Aggregate); direct && identity {
+		return node, nil
 	}
 	return NewProject(node, ords), nil
+}
+
+// pruneAggregateInput puts a projection under an aggregate so that only the
+// columns it reads — the group columns, then the aggregate arguments, in
+// first-use order — travel to it, and remaps the ordinals onto that
+// projection. It leaves the input alone when the aggregate reads no column
+// (a global COUNT(*): a projection must keep at least one) or every column.
+func pruneAggregateInput(input Node, groupOrds []int, aggs []AggSpec) (Node, []int, []AggSpec) {
+	var need []int
+	use := func(ord int) int {
+		if p := slices.Index(need, ord); p >= 0 {
+			return p
+		}
+		need = append(need, ord)
+		return len(need) - 1
+	}
+	group := make([]int, len(groupOrds))
+	for i, o := range groupOrds {
+		group[i] = use(o)
+	}
+	pruned := append([]AggSpec(nil), aggs...)
+	for i := range pruned {
+		if pruned[i].ArgOrd >= 0 {
+			pruned[i].ArgOrd = use(pruned[i].ArgOrd)
+		}
+	}
+	if len(need) == 0 || len(need) == input.Schema().Len() {
+		return input, groupOrds, aggs
+	}
+	return NewProject(input, need), group, pruned
 }
 
 // planOrderLimit wraps the plan with Sort and Limit nodes when the

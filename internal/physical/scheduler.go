@@ -206,6 +206,12 @@ func (b *builder) build(n logical.Node) (buildResult, error) {
 		if err != nil {
 			return buildResult{}, err
 		}
+		if j := child.spec; j.Kind == KJoin && j.Ords == nil {
+			// Fuse into the join: it emits only the projected columns, so
+			// the concatenated match is never built.
+			j.Ords, j.OutCols = v.Ords, v.Schema().Columns()
+			return child, nil
+		}
 		spec := &OpSpec{
 			Kind:     KProject,
 			Children: []*OpSpec{child.spec},

@@ -141,10 +141,18 @@ func TestScheduleQ2Topology(t *testing.T) {
 	if join.EstInputTuples != 3000+4700 {
 		t.Errorf("join est input = %d", join.EstInputTuples)
 	}
-	if join.Root.Kind != KProject || join.Root.Children[0].Kind != KJoin {
-		t.Errorf("join tree:\n%s", p.Explain())
+	// The select list's Project([3]) is fused into the join, which emits
+	// only i.ORF2.
+	jn := join.Root
+	if jn.Kind != KJoin || len(jn.Ords) != 1 || jn.Ords[0] != 3 {
+		t.Fatalf("join tree:\n%s", p.Explain())
 	}
-	jn := join.Root.Children[0]
+	if len(jn.OutCols) != 1 || jn.OutCols[0].QualifiedName() != "i.ORF2" {
+		t.Errorf("join output columns = %v", jn.OutCols)
+	}
+	if !strings.Contains(p.Explain(), "HashJoin(build=[0] probe=[0] out=[3])") {
+		t.Errorf("explain does not show the fused projection:\n%s", p.Explain())
+	}
 	if jn.Children[0].Exchange != seqScan.Output.ID || jn.Children[1].Exchange != intScan.Output.ID {
 		t.Error("join consume wiring")
 	}

@@ -73,7 +73,8 @@ type OpSpec struct {
 	// KFilter: conjuncts re-compiled on the evaluator against the child
 	// schema.
 	Pred []sqlparse.Comparison
-	// KProject.
+	// KProject: the kept ordinals. KJoin: a fused projection, the output
+	// ordinals over build ++ probe (nil emits the whole concatenation).
 	Ords []int
 	// KOpCall.
 	Fn         string
@@ -238,7 +239,11 @@ func (p *Plan) Explain() string {
 			case KOpCall:
 				fmt.Fprintf(&b, "OperationCall(%s)", o.Fn)
 			case KJoin:
-				fmt.Fprintf(&b, "HashJoin(build=%v probe=%v)", o.BuildKeys, o.ProbeKeys)
+				fmt.Fprintf(&b, "HashJoin(build=%v probe=%v", o.BuildKeys, o.ProbeKeys)
+				if o.Ords != nil {
+					fmt.Fprintf(&b, " out=%v", o.Ords)
+				}
+				b.WriteByte(')')
 			case KConsume:
 				fmt.Fprintf(&b, "Consume(%s from %d producers)", o.Exchange, o.NumProducers)
 			case KAggregate:

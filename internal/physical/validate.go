@@ -117,6 +117,9 @@ func (p *Plan) Validate() error {
 			if len(o.OutCols) == 0 && o.Kind != KLimit && o.Kind != KSort {
 				err = fmt.Errorf("physical: fragment %s: %v spec has no output schema", f.ID, o.Kind)
 			}
+			if o.Kind == KJoin && o.Ords != nil && err == nil {
+				err = validateJoinOut(f.ID, o)
+			}
 			for _, c := range o.Children {
 				walk(c)
 			}
@@ -144,6 +147,24 @@ func (p *Plan) Validate() error {
 		if !consumed[id] {
 			return fmt.Errorf("physical: exchange %s has no consumer", id)
 		}
+	}
+	return nil
+}
+
+// validateJoinOut checks a join's fused projection: one output column per
+// ordinal, each ordinal inside build ++ probe.
+func validateJoinOut(frag string, o *OpSpec) error {
+	if len(o.Children) != 2 {
+		return fmt.Errorf("physical: fragment %s: join has %d inputs, want 2", frag, len(o.Children))
+	}
+	width := len(o.Children[0].OutCols) + len(o.Children[1].OutCols)
+	for _, ord := range o.Ords {
+		if ord < 0 || ord >= width {
+			return fmt.Errorf("physical: fragment %s: join output ordinal %d outside its %d input columns", frag, ord, width)
+		}
+	}
+	if len(o.OutCols) != len(o.Ords) {
+		return fmt.Errorf("physical: fragment %s: join emits %d ordinals into %d output columns", frag, len(o.Ords), len(o.OutCols))
 	}
 	return nil
 }

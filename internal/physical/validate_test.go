@@ -108,3 +108,34 @@ func TestTagIsolatesPlans(t *testing.T) {
 		t.Fatal("empty tag mutated the plan")
 	}
 }
+
+// TestValidateJoinOut checks the projection fused into a join: its ordinals
+// must address build ++ probe, one output column each.
+func TestValidateJoinOut(t *testing.T) {
+	const analytic = "select p.ORF, count(*) from protein_sequences p, protein_interactions i where p.ORF = i.ORF1 group by p.ORF"
+	for _, q := range []string{q2, analytic} {
+		if err := validPlan(t, q).Validate(); err != nil {
+			t.Errorf("Validate(%q): %v", q, err)
+		}
+	}
+	join := func(p *Plan) *OpSpec { return p.Fragments[2].Root }
+	for _, tc := range []struct {
+		name string
+		mut  func(*Plan)
+		want string
+	}{
+		{"ordinal past probe", func(p *Plan) { join(p).Ords = []int{4} }, "outside its 4 input columns"},
+		{"negative ordinal", func(p *Plan) { join(p).Ords = []int{-1} }, "outside"},
+		{"arity", func(p *Plan) { join(p).Ords = []int{3, 0} }, "2 ordinals into 1 output columns"},
+	} {
+		p := validPlan(t, q2)
+		if j := join(p); j.Kind != KJoin {
+			t.Fatalf("fragment F3 root is %v:\n%s", j.Kind, p.Explain())
+		}
+		tc.mut(p)
+		err := p.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}

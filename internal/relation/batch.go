@@ -118,8 +118,8 @@ type Arena struct {
 }
 
 // arenaChunk is the Values per allocation block: large enough to amortize,
-// small enough not to strand much memory when mostly unused, and — at up to
-// 48 bytes per Value — sized to stay under the runtime's 32KiB small-object
+// small enough not to strand much memory when mostly unused, and — at 32
+// bytes per Value, 20KiB a chunk — under the runtime's 32KiB small-object
 // threshold, so chunk allocation takes the malloc fast path instead of the
 // large-object path (block scans allocate a chunk every few hundred tuples;
 // the difference is visible in their profiles).

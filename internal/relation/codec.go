@@ -82,10 +82,10 @@ func AppendTuple(dst []byte, t Tuple) []byte {
 			dst = append(dst, 0)
 		case TInt:
 			dst = append(dst, 1)
-			dst = binary.AppendVarint(dst, v.i)
+			dst = binary.AppendVarint(dst, int64(v.n))
 		case TFloat:
 			dst = append(dst, 2)
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.f))
+			dst = binary.LittleEndian.AppendUint64(dst, v.n)
 		case TString:
 			dst = append(dst, 3)
 			dst = binary.AppendUvarint(dst, uint64(len(v.s)))
@@ -167,8 +167,8 @@ func DecodeTuple(a *Arena, b []byte) (Tuple, []byte, error) {
 // offsets are derived as len(base)-len(b)); carved tuples share its backing,
 // so retaining one keeps its whole block's string alive. sizes, when
 // non-nil, is extended with the encoded byte size of each appended tuple
-// (the scan cost model's per-tuple input) and returned; pass nil when sizes
-// are not needed. The whole header/value loop is fused and index-based — one
+// and returned (an encoded size, shorter than Tuple.ByteSize's fixed-width
+// estimate); pass nil when sizes are not needed. The whole header/value loop is fused and index-based — one
 // call and one bounds context per run of tuples. Returns the undecoded
 // remainder and how many of left remain.
 func DecodeTuplesShared(a *Arena, base string, b []byte, left uint64, dst *Batch, sizes []int) ([]byte, uint64, []int, error) {

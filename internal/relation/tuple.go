@@ -18,14 +18,6 @@ func (t Tuple) Clone() Tuple {
 	return out
 }
 
-// Concat returns the concatenation of t and u, as produced by a join.
-func (t Tuple) Concat(u Tuple) Tuple {
-	out := make(Tuple, 0, len(t)+len(u))
-	out = append(out, t...)
-	out = append(out, u...)
-	return out
-}
-
 // Project returns a new tuple with the values at the given ordinals.
 func (t Tuple) Project(ordinals []int) Tuple {
 	out := make(Tuple, len(ordinals))

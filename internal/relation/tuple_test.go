@@ -50,13 +50,8 @@ func TestTupleCloneIsIndependent(t *testing.T) {
 	}
 }
 
-func TestTupleConcatProject(t *testing.T) {
-	a := Tuple{Int(1), Int(2)}
-	b := Tuple{String("x")}
-	c := a.Concat(b)
-	if !c.Equal(Tuple{Int(1), Int(2), String("x")}) {
-		t.Fatalf("Concat = %v", c.Format())
-	}
+func TestTupleProject(t *testing.T) {
+	c := Tuple{Int(1), Int(2), String("x")}
 	p := c.Project([]int{2, 0})
 	if !p.Equal(Tuple{String("x"), Int(1)}) {
 		t.Fatalf("Project = %v", p.Format())

@@ -7,19 +7,20 @@ import (
 )
 
 // Value is a single typed datum. The zero Value is the NULL of type 0.
-// Values are small and passed by copy.
+// Values are small and passed by copy: 32 bytes, the int and float payloads
+// sharing one word, which every tuple, arena chunk and sort buffer pays per
+// column.
 type Value struct {
 	typ Type
-	i   int64   // TInt payload
-	f   float64 // TFloat payload
-	s   string  // TString payload
+	n   uint64 // TInt payload as its two's-complement bits, TFloat as math.Float64bits
+	s   string // TString payload
 }
 
 // Int returns a TInt value.
-func Int(v int64) Value { return Value{typ: TInt, i: v} }
+func Int(v int64) Value { return Value{typ: TInt, n: uint64(v)} }
 
 // Float returns a TFloat value.
-func Float(v float64) Value { return Value{typ: TFloat, f: v} }
+func Float(v float64) Value { return Value{typ: TFloat, n: math.Float64bits(v)} }
 
 // String returns a TString value.
 func String(v string) Value { return Value{typ: TString, s: v} }
@@ -39,16 +40,16 @@ func (v Value) AsInt() int64 {
 	if v.typ != TInt {
 		panic(fmt.Sprintf("relation: AsInt on %v value", v.typ))
 	}
-	return v.i
+	return int64(v.n)
 }
 
 // AsFloat returns the float payload, widening TInt values.
 func (v Value) AsFloat() float64 {
 	switch v.typ {
 	case TFloat:
-		return v.f
+		return math.Float64frombits(v.n)
 	case TInt:
-		return float64(v.i)
+		return float64(int64(v.n))
 	default:
 		panic(fmt.Sprintf("relation: AsFloat on %v value", v.typ))
 	}
@@ -70,9 +71,9 @@ func (v Value) Format() string {
 	case 0:
 		return "NULL"
 	case TInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case TFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case TString:
 		return v.s
 	default:
@@ -97,9 +98,10 @@ func (v Value) Equal(w Value) bool {
 	case 0:
 		return true
 	case TInt:
-		return v.i == w.i
+		return v.n == w.n
 	case TFloat:
-		return v.f == w.f
+		// Compared as floats, not bits: -0 equals 0 and NaN equals nothing.
+		return math.Float64frombits(v.n) == math.Float64frombits(w.n)
 	case TString:
 		return v.s == w.s
 	}
@@ -163,13 +165,13 @@ func (v Value) Hash() uint64 {
 	case 0:
 		return fnvByte(fnvOffset64, 0)
 	case TInt:
-		return fnvUint64(fnvByte(fnvOffset64, 1), uint64(v.i))
+		return fnvUint64(fnvByte(fnvOffset64, 1), v.n)
 	case TFloat:
 		// Same tag as TInt so 3 and 3.0 collide.
-		if f := v.f; f == math.Trunc(f) && math.Abs(f) < 1<<62 {
+		if f := math.Float64frombits(v.n); f == math.Trunc(f) && math.Abs(f) < 1<<62 {
 			return fnvUint64(fnvByte(fnvOffset64, 1), uint64(int64(f)))
 		}
-		return fnvUint64(fnvByte(fnvOffset64, 1), math.Float64bits(v.f))
+		return fnvUint64(fnvByte(fnvOffset64, 1), v.n)
 	case TString:
 		h := fnvByte(fnvOffset64, 3)
 		for i := 0; i < len(v.s); i++ {
