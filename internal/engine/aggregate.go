@@ -3,7 +3,9 @@ package engine
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -16,9 +18,10 @@ import (
 // HashAggregate groups its input by key columns and computes aggregates per
 // group. It is the engine's second stateful operator and lays its state out
 // the way the hash join does (hashjoin.go): per routing-bucket partition,
-// groups sit inline in append-grown slabs chained from one hash-keyed map, so
-// absorbing a tuple is one map probe and a new group is no heap object of
-// its own. It implements StateTarget: R1 evicts a bucket by scanning its
+// groups sit inline in chunks that are never copied, chained from one
+// hash-keyed map, so absorbing a tuple is one map probe and a new group is no
+// heap object of its own; each group's row is the row it is emitted as. It
+// implements StateTarget: R1 evicts a bucket by scanning its
 // partition's chains, and the moved groups' raw input tuples are replayed
 // from the exchange recovery logs and re-absorbed at the new owner.
 //
@@ -52,17 +55,38 @@ type HashAggregate struct {
 }
 
 // aggPart is one partition (routing bucket % joinPartitions) of a group
-// table. Group g's key is keys[g*nKeys:][:nKeys], its accumulators
-// accs[g*nAccs:][:nAccs], and next[g] the following group on its hash chain.
-// The slabs grow by append, so a three-group aggregate pays for three groups.
-// An evicted chain leaves its slab entries behind, unreachable, until the
-// table goes — evictions are rare, as in the join.
+// table. Its groups live in chunks that are allocated once and never copied:
+// chunk k holds aggChunk0<<k groups (chunkOf). Group g's row — its key, then
+// one output slot per aggregate — is the row it is emitted as, and its
+// accumulators sit beside it in the same chunk (slot). Chunk 0 alone is
+// allocated twice — for one group, then whole once a second arrives — so a
+// partition of one group, as each of a three-group aggregate's is, pays for
+// one. Chains are per 64-bit hash, so next, the link to a chain's
+// following group, exists only where two groups' hashes collide. An evicted
+// chain leaves its groups in the chunks, unreachable, until the table goes —
+// evictions are rare, as in the join.
 type aggPart struct {
 	chains map[uint64]chainRef // hash → chain (bucket derivable from hash)
-	next   []int32
-	keys   []relation.Value
-	accs   []accumulator
-	live   int // groups reachable from chains
+	next   map[int32]int32     // group → the next group on its chain
+	chunks []aggChunk
+	n      int32 // groups allocated
+	live   int32 // groups reachable from chains
+}
+
+// aggChunk holds consecutive groups of a partition: rows with stride
+// nKeys+nAggs, and nAggs accumulators per group.
+type aggChunk struct {
+	rows []relation.Value
+	accs []accumulator
+}
+
+// aggChunk0 is the number of groups in a partition's first chunk.
+const aggChunk0 = 8
+
+// chunkOf locates group g: chunk k starts at group aggChunk0*(1<<k - 1).
+func chunkOf(g int32) (k, off int) {
+	k = bits.Len32(uint32(g)/aggChunk0+1) - 1
+	return k, int(g) + aggChunk0 - aggChunk0<<k
 }
 
 // aggTable is the joinPartitions partitions of one group table; nil once it
@@ -74,44 +98,78 @@ func (t aggTable) part(b int32) *aggPart { return &t[int(b)%joinPartitions] }
 func (t aggTable) live() int {
 	n := 0
 	for i := range t {
-		n += t[i].live
+		n += int(t[i].live)
 	}
 	return n
 }
 
-func (p *aggPart) key(g int32, nKeys int) relation.Tuple {
-	return relation.Tuple(p.keys[int(g)*nKeys : (int(g)+1)*nKeys])
+// slot returns group g's row (capacity-capped: rows are emitted by
+// reference) and its accumulators.
+func (p *aggPart) slot(g int32, stride, nAccs int) (relation.Tuple, []accumulator) {
+	k, off := chunkOf(g)
+	c := &p.chunks[k]
+	return c.rows[off*stride : (off+1)*stride : (off+1)*stride], c.accs[off*nAccs : (off+1)*nAccs]
 }
 
-// group returns the group whose key is t's values at ords, appending it to
-// the slabs when the partition does not hold it yet.
-func (p *aggPart) group(h uint64, t relation.Tuple, ords []int, nAccs int) (g int32, created bool) {
+// keyIs reports whether row's key is t's values at ords.
+func keyIs(row, t relation.Tuple, ords []int) bool {
+	for j, ord := range ords {
+		if !row[j].Equal(t[ord]) {
+			return false
+		}
+	}
+	return true
+}
+
+// group returns the row and accumulators of the group whose key is t's
+// values at ords, adding the group to the partition when it does not hold
+// it yet.
+func (p *aggPart) group(h uint64, t relation.Tuple, ords []int, nAccs int) (row relation.Tuple, accs []accumulator, created bool) {
+	stride := len(ords) + nAccs
 	c, ok := p.chains[h]
 	if ok {
-	chain:
-		for g = c.head; g >= 0; g = p.next[g] {
-			for i, key := range p.key(g, len(ords)) {
-				if !key.Equal(t[ords[i]]) {
-					continue chain // 64-bit hash collision
-				}
+		for g, i := c.head, c.n; ; g = p.next[g] {
+			if row, accs = p.slot(g, stride, nAccs); keyIs(row, t, ords) {
+				return row, accs, false
 			}
-			return g, false
+			if i--; i == 0 {
+				break // a 64-bit hash collision: a new group joins the chain
+			}
 		}
-	} else {
-		c.head = -1
+		if p.next == nil {
+			p.next = make(map[int32]int32)
+		}
+		p.next[p.n] = c.head // chain order is immaterial: push front
 	}
-	g = int32(len(p.next))
-	p.next = append(p.next, c.head) // chain order is immaterial: push front
-	for _, ord := range ords {
-		p.keys = append(p.keys, t[ord])
+	g := p.n
+	k, _ := chunkOf(g)
+	if k == len(p.chunks) {
+		p.chunks = append(p.chunks, aggChunk{})
+		if k > 0 {
+			size := aggChunk0 << k
+			p.chunks[k] = aggChunk{rows: make([]relation.Value, size*stride), accs: make([]accumulator, size*nAccs)}
+		}
 	}
-	p.accs = append(p.accs, make([]accumulator, nAccs)...)
+	if k == 0 {
+		c0 := &p.chunks[0]
+		if g == 1 { // a second group: chunk 0 takes its full size
+			c0.rows = slices.Grow(c0.rows, (aggChunk0-1)*stride)
+			c0.accs = slices.Grow(c0.accs, (aggChunk0-1)*nAccs)
+		}
+		c0.rows = append(c0.rows, make([]relation.Value, stride)...)
+		c0.accs = append(c0.accs, make([]accumulator, nAccs)...)
+	}
+	row, accs = p.slot(g, stride, nAccs)
+	for j, ord := range ords {
+		row[j] = t[ord]
+	}
 	if p.chains == nil {
 		p.chains = make(map[uint64]chainRef)
 	}
 	p.chains[h] = chainRef{head: g, n: c.n + 1}
+	p.n++
 	p.live++
-	return g, true
+	return row, accs, true
 }
 
 // aggPartial is one worker's lock-private table. Its mutex is uncontended on
@@ -210,31 +268,43 @@ func (s *aggState) release() {
 	s.mu.Unlock()
 }
 
-// accumulator folds one aggregate column.
+// accumulator folds one COUNT, SUM or AVG column. It holds no pointer, so
+// the collector never scans a chunk of them. A MIN or MAX keeps its running
+// value in the group's output slot instead, Null until it has seen one.
 type accumulator struct {
-	count  int64
-	sum    float64
-	minmax relation.Value
-	seen   bool
+	count int64
+	sum   float64
 }
 
-// merge folds another accumulator for the same group and kind into acc.
-func (acc *accumulator) merge(other accumulator, kind logical.AggKind) {
+// merge folds a partial aggregate of the same group and kind into acc and
+// the group's output slot: other and, for MIN/MAX, v, the partial's running
+// value (Null when it has seen none).
+func (acc *accumulator) merge(kind logical.AggKind, slot *relation.Value, other accumulator, v relation.Value) {
 	switch kind {
 	case logical.AggCount, logical.AggSum, logical.AggAvg:
 		acc.count += other.count
 		acc.sum += other.sum
 	case logical.AggMin:
-		if other.seen && (!acc.seen || other.minmax.Compare(acc.minmax) < 0) {
-			acc.minmax = other.minmax
-			acc.seen = true
+		if !v.IsNull() && (slot.IsNull() || v.Compare(*slot) < 0) {
+			*slot = v
 		}
 	case logical.AggMax:
-		if other.seen && (!acc.seen || other.minmax.Compare(acc.minmax) > 0) {
-			acc.minmax = other.minmax
-			acc.seen = true
+		if !v.IsNull() && (slot.IsNull() || v.Compare(*slot) > 0) {
+			*slot = v
 		}
 	}
+}
+
+// mergeGroup folds one partial group — its row, whose slots hold MIN/MAX
+// running values, and its accumulators — into partition p, and reports
+// whether the group was new there.
+func mergeGroup(p *aggPart, h uint64, row relation.Tuple, accs []accumulator, keyOrds []int, kinds []logical.AggKind) (created bool) {
+	nk := len(keyOrds)
+	drow, daccs, created := p.group(h, row, keyOrds, len(kinds))
+	for i, kind := range kinds {
+		daccs[i].merge(kind, &drow[nk+i], accs[i], row[nk+i])
+	}
+	return created
 }
 
 // ensureShared lazily creates the shared state. Not safe for concurrent
@@ -314,9 +384,13 @@ func (a *HashAggregate) drain() error {
 func (a *HashAggregate) absorb(ts []relation.Tuple) {
 	a.part.mu.Lock()
 	if a.part.table != nil {
+		var grown int64
 		for _, t := range ts {
-			a.shared.absorbTuple(a.part.table, t, a)
+			grown += a.shared.absorbTuple(a.part.table, t, a)
 		}
+		// Reserved before the partial lock drops: a dump, which releases
+		// these groups, must take that lock first.
+		a.shared.reserve(grown)
 	}
 	a.part.mu.Unlock()
 }
@@ -383,31 +457,32 @@ func (a *HashAggregate) NextBatch(dst *relation.Batch) (int, error) {
 	return n, nil
 }
 
-// absorbTuple folds one input tuple into its group in tab, reserving a group
-// it creates against the budget. The caller holds whatever lock guards tab; a
-// carries the column metadata (identical across clones).
-func (s *aggState) absorbTuple(tab aggTable, t relation.Tuple, a *HashAggregate) {
+// absorbTuple folds one input tuple into its group in tab and returns the
+// accounted bytes of a group it created, which the caller reserves before
+// it releases whatever lock guards tab; a carries the column metadata
+// (identical across clones).
+func (s *aggState) absorbTuple(tab aggTable, t relation.Tuple, a *HashAggregate) (grown int64) {
+	nk := len(a.GroupOrds)
 	h := t.Hash(a.GroupOrds)
 	p := tab.part(int32(h % uint64(s.buckets)))
-	g, created := p.group(h, t, a.GroupOrds, len(a.Kinds))
-	if created {
-		s.reserveGroup(p.key(g, len(a.GroupOrds)), len(a.Kinds))
+	row, accs, created := p.group(h, t, a.GroupOrds, len(a.Kinds))
+	if created && s.spillOn {
+		grown = groupBytes(row[:nk], len(a.Kinds))
 	}
-	accs := p.accs[int(g)*len(a.Kinds):]
 	for i, kind := range a.Kinds {
 		one := accumulator{count: 1} // the tuple as a one-row partial aggregate
+		var v relation.Value
 		if ord := a.ArgOrds[i]; ord >= 0 {
-			v := t[ord]
-			if v.IsNull() {
+			if v = t[ord]; v.IsNull() {
 				continue // SQL aggregates skip NULLs
 			}
 			if kind == logical.AggSum || kind == logical.AggAvg {
 				one.sum = v.AsFloat()
 			}
-			one.minmax, one.seen = v, true
 		}
-		accs[i].merge(one, kind)
+		accs[i].merge(kind, &row[nk+i], one, v)
 	}
+	return grown
 }
 
 // mergeAndFreeze brings every partial into the final table (which already
@@ -446,15 +521,12 @@ func (s *aggState) mergeAndFreeze(a *HashAggregate) {
 // reservation along.
 func (s *aggState) fold(dst, src *aggPart, kinds []logical.AggKind) {
 	var freed int64
+	nk, na := len(s.keyOrds), len(kinds)
 	for h, c := range src.chains {
-		for g := c.head; g >= 0; g = src.next[g] {
-			key := src.key(g, len(s.keyOrds))
-			d, created := dst.group(h, key, s.keyOrds, len(kinds))
-			if !created {
-				freed += groupBytes(key, len(kinds))
-			}
-			for i, kind := range kinds {
-				dst.accs[int(d)*len(kinds)+i].merge(src.accs[int(g)*len(kinds)+i], kind)
+		for g, i := c.head, c.n; i > 0; g, i = src.next[g], i-1 {
+			row, accs := src.slot(g, nk+na, na)
+			if !mergeGroup(dst, h, row, accs, s.keyOrds, kinds) {
+				freed += groupBytes(row[:nk], na)
 			}
 		}
 	}
@@ -483,7 +555,7 @@ func compareKeys(x, y relation.Tuple) int {
 		switch {
 		case c != 0 || cx == 0:
 		case cx == relation.TString:
-			c = cmp.Compare(x[i].AsString(), y[i].AsString())
+			c = strings.Compare(x[i].AsString(), y[i].AsString())
 		case x[i].Type() == relation.TInt && y[i].Type() == relation.TInt:
 			c = cmp.Compare(x[i].AsInt(), y[i].AsInt())
 		default:
@@ -497,26 +569,23 @@ func compareKeys(x, y relation.Tuple) int {
 }
 
 // freezeLocked turns the final table into output rows, ascending by group
-// key for deterministic per-instance output. Rows are carved from one slab
-// and hold the values themselves, so the table goes.
+// key for deterministic per-instance output. Each group's results are
+// written into its own row, which is emitted where it lies; the rows keep
+// their chunks alive, and the table goes.
 func (s *aggState) freezeLocked(a *HashAggregate) {
-	nk, width := len(a.GroupOrds), len(a.GroupOrds)+len(a.Kinds)
+	nk, na := len(a.GroupOrds), len(a.Kinds)
 	if nk == 0 && s.final.live() == 0 {
 		// A global aggregate emits exactly one row even over empty input.
-		s.final[0].group(0, nil, nil, len(a.Kinds))
+		s.final[0].group(0, nil, nil, na)
 	}
-	n := s.final.live()
-	slab := make([]relation.Value, n*width)
-	s.out = make([]relation.Tuple, 0, n)
+	s.out = make([]relation.Tuple, 0, s.final.live())
 	for pi := range s.final {
 		p := &s.final[pi]
 		for _, c := range p.chains {
-			for g := c.head; g >= 0; g = p.next[g] {
-				row := slab[:width:width]
-				slab = slab[width:]
-				copy(row, p.key(g, nk))
-				for i, kind := range a.Kinds {
-					row[nk+i] = p.accs[int(g)*len(a.Kinds)+i].result(kind)
+			for g, i := c.head, c.n; i > 0; g, i = p.next[g], i-1 {
+				row, accs := p.slot(g, nk+na, na)
+				for j, kind := range a.Kinds {
+					row[nk+j] = accs[j].result(kind, row[nk+j])
 				}
 				s.out = append(s.out, row)
 			}
@@ -526,8 +595,9 @@ func (s *aggState) freezeLocked(a *HashAggregate) {
 	s.final = nil
 }
 
-// result finalises one accumulator.
-func (acc *accumulator) result(kind logical.AggKind) relation.Value {
+// result finalises one accumulator; slot is the group's output slot, which
+// holds a MIN or MAX as it stands.
+func (acc *accumulator) result(kind logical.AggKind, slot relation.Value) relation.Value {
 	switch kind {
 	case logical.AggCount:
 		return relation.Int(acc.count)
@@ -542,10 +612,7 @@ func (acc *accumulator) result(kind logical.AggKind) relation.Value {
 		}
 		return relation.Float(acc.sum / float64(acc.count))
 	case logical.AggMin, logical.AggMax:
-		if !acc.seen {
-			return relation.Null
-		}
-		return acc.minmax
+		return slot
 	default:
 		return relation.Null
 	}
@@ -583,7 +650,7 @@ func (a *HashAggregate) InsertState(tuples []relation.Tuple) {
 			s.insertMeter.charge(s.ctx.Node.PerturbedCost(s.ctx.Costs.AggMs))
 			s.mu.Lock()
 			if s.final != nil {
-				s.absorbTuple(s.final, t, a)
+				s.reserve(s.absorbTuple(s.final, t, a))
 				absorbed++
 			}
 			s.mu.Unlock()
@@ -630,7 +697,7 @@ func (t aggTable) evict(buckets []int32, nBuckets int) {
 	}
 	for _, b := range buckets {
 		p := t.part(b)
-		p.live -= unlinkBucket(p.chains, b, nBuckets)
+		p.live -= int32(unlinkBucket(p.chains, b, nBuckets))
 	}
 }
 
@@ -702,22 +769,22 @@ func (s *Sort) drain() error {
 			break
 		}
 		s.ctx.chargeFlat(s.ctx.Costs.SortMs * float64(n))
+		s.sorted = relation.AppendDoubling(s.sorted, s.in.Tuples...)
 		if !spill {
-			s.sorted = append(s.sorted, s.in.Tuples...)
 			continue
 		}
+		var sz int64
 		for _, t := range s.in.Tuples {
-			s.sorted = append(s.sorted, t)
-			sz := sortTupleBytes(t)
-			s.bufBytes += sz
-			s.ctx.Mem.Reserve(sz)
-			// Over is query-global: shed only when this buffer is a
-			// real share of the budget, or an over-budget neighbour
-			// (a frozen aggregate upstream) makes every tuple a run.
-			if s.ctx.Mem.Over() && s.bufBytes >= s.ctx.Mem.Limit()/sortShedShare {
-				if err := s.flushRun(); err != nil {
-					return err
-				}
+			sz += sortTupleBytes(t)
+		}
+		s.bufBytes += sz
+		s.ctx.Mem.Reserve(sz)
+		// Over is query-global: shed only when this buffer is a real share
+		// of the budget, or an over-budget neighbour (a frozen aggregate
+		// upstream) makes every batch a run.
+		if s.ctx.Mem.Over() && s.bufBytes >= s.ctx.Mem.Limit()/sortShedShare {
+			if err := s.flushRun(); err != nil {
+				return err
 			}
 		}
 	}
@@ -763,17 +830,18 @@ func emitSorted(dst *relation.Batch, sorted []relation.Tuple, pos *int) int {
 	return n
 }
 
-func (s *Sort) less(a, b relation.Tuple) bool {
+// compare orders two tuples by the sort keys.
+func (s *Sort) compare(a, b relation.Tuple) int {
 	for i, ord := range s.Ords {
-		cmp := a[ord].Compare(b[ord])
+		c := a[ord].Compare(b[ord])
 		if s.Desc[i] {
-			cmp = -cmp
+			c = -c
 		}
-		if cmp != 0 {
-			return cmp < 0
+		if c != 0 {
+			return c
 		}
 	}
-	return false
+	return 0
 }
 
 // Close implements Iterator.

@@ -2,6 +2,10 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/logical"
@@ -210,30 +214,342 @@ func TestHashAggregateEvictReplay(t *testing.T) {
 	}
 }
 
-// TestHashAggregateAllocationCeiling pins what the slab layout buys: a group
-// is not a heap object. The small case guards the other end — a three-group
-// aggregate must not pay for slabs it never fills (it took 65 allocations
-// when every group was a heap object; it takes 33 now).
+// TestHashAggregateAllocationCeiling pins what the chunked layout buys: a
+// group is not a heap object, a partition's chunks are O(log groups) objects
+// that are never copied, and a three-group aggregate pays for three groups —
+// no more objects (33) and no more bytes (5 330) than when the slabs grew by
+// append and the freeze copied every row.
 func TestHashAggregateAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not the production build's under -race")
 	}
 	ctx := testCtx()
 	ctx.Costs = Costs{}
-	run := func(input []relation.Tuple) float64 {
-		return testing.AllocsPerRun(5, func() {
+	run := func(input []relation.Tuple) func() {
+		return func() {
 			drain(t, newAgg(input, []int{0}, []logical.AggKind{logical.AggCount}, []int{-1}), ctx, 0)
-		})
+		}
 	}
 	big := make([]relation.Tuple, 20000)
 	for i := range big {
 		big[i] = relation.Tuple{relation.String(fmt.Sprintf("YAL%05dC", i%10000)), relation.Int(int64(i))}
 	}
-	if perGroup := run(big) / 10000; perGroup >= 0.5 {
+	if perGroup := testing.AllocsPerRun(5, run(big)) / 10000; perGroup >= 0.5 {
 		t.Errorf("%.2f heap objects per group, want < 0.5", perGroup)
 	}
-	if small := run(aggInput(30, 3)); small > 65 {
-		t.Errorf("a 3-group aggregate allocates %.0f objects, want <= 65", small)
+	small := run(aggInput(30, 3))
+	if n := testing.AllocsPerRun(5, small); n > 33 {
+		t.Errorf("a 3-group aggregate allocates %.0f objects, want <= 33", n)
+	}
+	if b := bytesPerRun(5, small); b > 5330 {
+		t.Errorf("a 3-group aggregate allocates %.0f bytes, want <= 5330", b)
+	}
+	// One partition's own objects — its chunks and their directory; the
+	// chain map is reused, so that only they count — grow with the number
+	// of chunks, about 2.5 per doubling of its groups. Slabs grown by append
+	// took three objects per 1.25x.
+	for _, n := range []int{1, 8, 9, 24, 25, 4096} {
+		chains := make(map[uint64]chainRef, n)
+		allocs := testing.AllocsPerRun(5, func() {
+			clear(chains)
+			p := aggPart{chains: chains}
+			for i := 0; i < n; i++ {
+				p.group(uint64(i), relation.Tuple{relation.Int(int64(i))}, []int{0}, 2)
+			}
+		})
+		chunks, _ := chunkOf(int32(n - 1))
+		if want := 3*float64(chunks+1) + 2; allocs > want {
+			t.Errorf("%d groups in one partition took %.0f objects, want <= %.0f (%d chunks)", n, allocs, want, chunks+1)
+		}
+	}
+}
+
+// TestAggPartHashCollisions puts groups of distinct keys on one 64-bit hash
+// — one chain, linked through next, which real input all but never makes —
+// across chunk 0's end, and checks that each is found again, walked once,
+// folded group by group and unlinked with its chain.
+func TestAggPartHashCollisions(t *testing.T) {
+	const h = 42
+	kinds := []logical.AggKind{logical.AggCount, logical.AggMax}
+	keyOrds := []int{0}
+	fill := func(p *aggPart, from, to int) {
+		for i := from; i < to; i++ {
+			row, accs, created := p.group(h, relation.Tuple{relation.Int(int64(i))}, keyOrds, len(kinds))
+			if !created {
+				t.Fatalf("key %d found before it was added", i)
+			}
+			accs[0].count, row[2] = 1, relation.Int(int64(i))
+		}
+	}
+	var src, dst aggPart
+	fill(&src, 0, 20)
+	for i := 0; i < 20; i++ {
+		row, _, created := src.group(h, relation.Tuple{relation.Int(int64(i))}, keyOrds, len(kinds))
+		if created || row[0].AsInt() != int64(i) {
+			t.Fatalf("key %d: created %v, found %s", i, created, row.Format())
+		}
+	}
+	fill(&dst, 10, 30)
+	for g, i := src.chains[h].head, src.chains[h].n; i > 0; g, i = src.next[g], i-1 {
+		row, accs := src.slot(g, 3, 2)
+		mergeGroup(&dst, h, row, accs, keyOrds, kinds)
+	}
+	seen := map[int64]bool{}
+	for g, i := dst.chains[h].head, dst.chains[h].n; i > 0; g, i = dst.next[g], i-1 {
+		row, accs := dst.slot(g, 3, 2)
+		k := row[0].AsInt()
+		want := int64(1)
+		if k >= 10 && k < 20 {
+			want = 2
+		}
+		if seen[k] || accs[0].count != want || row[2].AsInt() != k {
+			t.Errorf("group %s: count %d, seen before %v; want count %d once", row.Format(), accs[0].count, seen[k], want)
+		}
+		seen[k] = true
+	}
+	if len(seen) != 30 || dst.live != 30 {
+		t.Fatalf("walked %d groups, live %d, want 30", len(seen), dst.live)
+	}
+	if n := unlinkBucket(dst.chains, int32(h%64), 64); n != 30 {
+		t.Fatalf("unlinking the bucket dropped %d groups, want 30", n)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average heap bytes f
+// allocates, after one warm-up run.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// keysPerPartition returns Int keys 0, 1, 2, ..., skipping some, so that each
+// partition of a group table over the given number of buckets holds exactly
+// n of them.
+func keysPerPartition(n, buckets int) []int64 {
+	held := make([]int, joinPartitions)
+	var keys []int64
+	for k := int64(0); len(keys) < n*joinPartitions; k++ {
+		p := int(relation.Tuple{relation.Int(k)}.Hash([]int{0})%uint64(buckets)) % joinPartitions
+		if held[p] < n {
+			held[p]++
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// refAggregate is the reference the chunk-boundary test compares against:
+// COUNT(*), SUM, AVG, MIN and MAX of column 1 by the Int key in column 0,
+// computed with a map, ascending by key.
+func refAggregate(input []relation.Tuple) []relation.Tuple {
+	type acc struct {
+		rows, n  int64
+		sum      float64
+		min, max relation.Value
+	}
+	by := map[int64]*acc{}
+	for _, tp := range input {
+		a := by[tp[0].AsInt()]
+		if a == nil {
+			a = &acc{}
+			by[tp[0].AsInt()] = a
+		}
+		a.rows++
+		if v := tp[1]; !v.IsNull() {
+			a.n++
+			a.sum += v.AsFloat()
+			if a.min.IsNull() || v.Compare(a.min) < 0 {
+				a.min = v
+			}
+			if a.max.IsNull() || v.Compare(a.max) > 0 {
+				a.max = v
+			}
+		}
+	}
+	var out []relation.Tuple
+	for k, a := range by {
+		sum, avg := relation.Null, relation.Null
+		if a.n > 0 {
+			sum, avg = relation.Float(a.sum), relation.Float(a.sum/float64(a.n))
+		}
+		out = append(out, relation.Tuple{relation.Int(k), relation.Int(a.rows), sum, avg, a.min, a.max})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0].AsInt() < out[j][0].AsInt() })
+	return out
+}
+
+// runAggShares runs base over one worker clone per share. Once every worker
+// has absorbed half its share, worker 0 calls r1 (when set) while the others
+// wait. The frozen rows come back ascending by key.
+func runAggShares(t *testing.T, ctx *ExecContext, base *HashAggregate, shares [][]relation.Tuple, r1 func()) []relation.Tuple {
+	t.Helper()
+	base.SetWorkers(len(shares))
+	var arrived sync.WaitGroup
+	arrived.Add(len(shares))
+	release := make(chan struct{})
+	got := runCloneWorkers(t, ctx, len(shares), func(w int) Iterator {
+		return base.WorkerClone(&hookSource{tuples: shares[w], at: len(shares[w]) / 2, hook: func() {
+			arrived.Done()
+			if w == 0 {
+				arrived.Wait()
+				if r1 != nil {
+					r1()
+				}
+				close(release)
+			}
+			<-release
+		}})
+	})
+	sort.SliceStable(got, func(i, j int) bool { return compareKeys(got[i][:1], got[j][:1]) < 0 })
+	return got
+}
+
+// TestHashAggregateChunkBoundaries fills every partition to just below, at
+// and just past the ends of chunks 0 and 1, and to ~4 096 groups, and drives
+// each table through an R1 evict and replay, dumps and their reload, and a
+// width-2 fold of tables that both hold every group: the frozen rows must be
+// byte-equal to a map-based reference.
+func TestHashAggregateChunkBoundaries(t *testing.T) {
+	kinds := []logical.AggKind{logical.AggCount, logical.AggSum, logical.AggAvg, logical.AggMin, logical.AggMax}
+	args := []int{-1, 1, 1, 1, 1}
+	const buckets = 64 // testCtx's
+	for _, perPart := range []int{7, 8, 9, 23, 24, 25, 4096} {
+		keys := keysPerPartition(perPart, buckets)
+		// Each key's first row, then its second, then a NULL argument for
+		// every third key: the worker shares below split a key's rows.
+		var first, rest []relation.Tuple
+		for _, k := range keys {
+			first = append(first, relation.Tuple{relation.Int(k), relation.Int(2 * k)})
+			rest = append(rest, relation.Tuple{relation.Int(k), relation.Int(-k)})
+			if k%3 == 0 {
+				rest = append(rest, relation.Tuple{relation.Int(k), relation.Null})
+			}
+		}
+		input := append(append([]relation.Tuple(nil), first...), rest...)
+		want := refAggregate(input)
+		var stateBytes int64
+		for _, row := range want {
+			stateBytes += groupBytes(row[:1], len(kinds))
+		}
+		moved := func(tp relation.Tuple) bool { return tp.Hash([]int{0})%buckets%5 == 0 }
+		scripts := []string{"serial", "evict-replay", "dump-reload", "w2-fold", "w2-fold-dump-evict-replay"}
+		if perPart > 25 {
+			scripts = []string{"serial", "w2-fold-dump-evict-replay"} // all three paths in one run
+		}
+		for _, script := range scripts {
+			t.Run(fmt.Sprintf("%d/%s", perPart, script), func(t *testing.T) {
+				base := &HashAggregate{GroupOrds: []int{0}, Kinds: kinds, ArgOrds: args}
+				shares := [][]relation.Tuple{input}
+				if strings.HasPrefix(script, "w2-fold") {
+					shares = [][]relation.Tuple{first, rest}
+				}
+				ctx := testCtx()
+				if strings.Contains(script, "dump") {
+					ctx = budgetedCtx(max(512, stateBytes/4))
+				}
+				var r1 func()
+				if strings.Contains(script, "evict-replay") {
+					var evict []int32
+					for b := int32(0); b < buckets; b += 5 {
+						evict = append(evict, b)
+					}
+					r1 = func() {
+						base.EvictBuckets(evict)
+						var replay []relation.Tuple
+						for _, share := range shares {
+							for _, tp := range share[:len(share)/2] {
+								if moved(tp) {
+									replay = append(replay, tp)
+								}
+							}
+						}
+						base.InsertState(replay)
+					}
+				}
+				_, p0, _ := spillCounters()
+				got := runAggShares(t, ctx, base, shares, r1)
+				_, p1, _ := spillCounters()
+				if len(got) != len(want) {
+					t.Fatalf("got %d groups, want %d", len(got), len(want))
+				}
+				for i := range want {
+					if string(relation.EncodeTuple(got[i])) != string(relation.EncodeTuple(want[i])) {
+						t.Fatalf("group %d = %s, want %s", i, got[i].Format(), want[i].Format())
+					}
+				}
+				if ctx.Mem != nil {
+					if p1 == p0 {
+						t.Fatal("the aggregate never dumped")
+					}
+					assertClean(t, ctx)
+				}
+			})
+		}
+	}
+}
+
+// TestHashAggregateMinMaxNullGroups pins MIN and MAX, which run in the
+// group's output slot, over a group whose arguments are all NULL and over
+// groups that mix NULLs with ints or strings — serially, through dumps whose
+// records carry NULL-only partials, and through a width-2 fold.
+func TestHashAggregateMinMaxNullGroups(t *testing.T) {
+	var input []relation.Tuple
+	add := func(k string, v relation.Value) { input = append(input, relation.Tuple{relation.String(k), v}) }
+	// Three batches of NULL arguments first: every dump of them is a
+	// NULL-only partial of each group.
+	for i := 0; i < 300; i++ {
+		add("M", relation.Null)
+		add("N", relation.Null)
+		add("S", relation.Null)
+	}
+	add("M", relation.Int(5))
+	add("M", relation.Int(-3))
+	add("M", relation.Int(9))
+	add("S", relation.String("pear"))
+	add("S", relation.String("apple"))
+	add("S", relation.String("zoo"))
+	add("M", relation.Null)
+	kinds := []logical.AggKind{logical.AggCount, logical.AggCount, logical.AggMin, logical.AggMax}
+	args := []int{-1, 1, 1, 1}
+	want := []string{"(M, 304, 3, -3, 9)", "(N, 300, 0, NULL, NULL)", "(S, 303, 3, apple, zoo)"}
+	for _, width := range []int{1, 2} {
+		for _, limit := range []int64{0, 1} {
+			t.Run(fmt.Sprintf("w%d/budget%d", width, limit), func(t *testing.T) {
+				ctx := testCtx()
+				if limit > 0 {
+					ctx = budgetedCtx(limit) // dumps after every batch
+				}
+				shares := make([][]relation.Tuple, width)
+				for i, tp := range input {
+					shares[i%width] = append(shares[i%width], tp)
+				}
+				base := &HashAggregate{GroupOrds: []int{0}, Kinds: kinds, ArgOrds: args}
+				_, p0, _ := spillCounters()
+				got := runAggShares(t, ctx, base, shares, nil)
+				_, p1, _ := spillCounters()
+				if len(got) != len(want) {
+					t.Fatalf("got %d groups, want %d", len(got), len(want))
+				}
+				for i, row := range got {
+					if row.Format() != want[i] {
+						t.Errorf("group %d = %s, want %s", i, row.Format(), want[i])
+					}
+				}
+				if limit > 0 {
+					if p1-p0 < 3 {
+						t.Fatalf("%d dumps under a 1-byte budget, want one per batch", p1-p0)
+					}
+					assertClean(t, ctx)
+				}
+			})
+		}
 	}
 }
 

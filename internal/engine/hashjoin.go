@@ -162,48 +162,59 @@ func (s *joinState) part(b int32) *joinPart {
 	return &s.parts[int(b)%joinPartitions]
 }
 
-// insertBatch adds build tuples one partition lock at a time. The breach
-// check runs once per batch: Over is a single shared load, and the bounded
-// over-shoot of a batch (at most one morsel of entries) just means the
-// victim partition spills marginally later.
-func (s *joinState) insertBatch(keys []int, ts []relation.Tuple) {
-	for _, t := range ts {
-		s.insertOne(keys, t)
+// insertBatch adds build tuples one partition lock at a time; charge, when
+// set, runs before each (a replay's per-tuple insert cost). The whole batch
+// is reserved in one call before any of it is published, so a concurrent
+// spiller releasing p.bytes is always covered by completed reservations and
+// the accountant never clamps on a live partition; what the batch does not
+// hold in memory is released in one call after it. The breach check runs
+// once per batch: Over is a single shared load, and the bounded over-shoot
+// of a batch (at most one morsel of entries) just means the victim
+// partition spills marginally later.
+func (s *joinState) insertBatch(keys []int, ts []relation.Tuple, charge func()) {
+	if s.spillOn {
+		var reserve int64
+		for _, t := range ts {
+			reserve += spillEntryBytes(t)
+		}
+		s.mem.Reserve(reserve)
 	}
-	if s.spillOn && s.mem.Over() {
-		s.spillVictims()
+	var unheld int64
+	for _, t := range ts {
+		if charge != nil {
+			charge()
+		}
+		unheld += s.insertOne(keys, t)
+	}
+	if s.spillOn {
+		s.mem.Release(unheld)
+		if s.mem.Over() {
+			s.spillVictims()
+		}
 	}
 }
 
-// insertOne appends one build tuple to its partition's entry arena and links
-// it onto the hash chain. Bytes are reserved before the partition's
-// byte count is published, so a concurrent spiller releasing p.bytes is
-// always covered by completed reservations and the accountant never clamps
-// on a live partition.
-func (s *joinState) insertOne(keys []int, t relation.Tuple) {
+// insertOne appends one reserved build tuple to its partition's entry arena
+// and links it onto the hash chain. It returns the tuple's reserved bytes
+// when the partition does not hold it in memory: a spilled partition routes
+// it to the build run, and a released table (a post-close replay) drops it.
+func (s *joinState) insertOne(keys []int, t relation.Tuple) (unheld int64) {
 	h := t.Hash(keys)
 	b := int32(h % uint64(s.buckets))
 	p := s.part(b)
 	var reserve int64
 	if s.spillOn {
 		reserve = spillEntryBytes(t)
-		s.mem.Reserve(reserve)
 	}
 	p.mu.Lock()
 	if p.spilled {
 		s.appendSpilledLocked(p, b, t)
 		p.mu.Unlock()
-		if reserve > 0 {
-			s.mem.Release(reserve) // routed to the build run, not held in memory
-		}
-		return
+		return reserve
 	}
 	if p.chains == nil {
 		p.mu.Unlock()
-		if reserve > 0 {
-			s.mem.Release(reserve) // table already released (post-close replay)
-		}
-		return
+		return reserve
 	}
 	idx := int32(len(p.entries))
 	p.entries = append(p.entries, joinEntry{t: t, next: -1})
@@ -217,6 +228,7 @@ func (s *joinState) insertOne(keys []int, t relation.Tuple) {
 	p.held++
 	p.bytes += reserve
 	p.mu.Unlock()
+	return 0
 }
 
 // release drops one clone reference; the last one frees the table. Inserts
@@ -429,7 +441,7 @@ func (j *HashJoin) openBuild(ctx *ExecContext, s *joinState) error {
 			return nil
 		}
 		ctx.chargeN(ctx.Costs.JoinBuildMs, n)
-		s.insertBatch(j.BuildKeys, j.in.Tuples)
+		s.insertBatch(j.BuildKeys, j.in.Tuples, nil)
 		// The build phase produces nothing, so the driver's M1 emission is
 		// silent; emit operator-level events so the Diagnoser can already
 		// rebalance a perturbed build. Each worker attributes its own
@@ -580,13 +592,9 @@ func (j *HashJoin) InsertState(tuples []relation.Tuple) {
 	if s == nil || !s.ready.Load() {
 		return
 	}
-	for _, t := range tuples {
+	s.insertBatch(j.BuildKeys, tuples, func() {
 		s.insertMeter.charge(s.ctx.Node.PerturbedCost(s.ctx.Costs.JoinBuildMs))
-		s.insertOne(j.BuildKeys, t)
-	}
-	if s.spillOn && s.mem.Over() {
-		s.spillVictims()
-	}
+	})
 }
 
 // EvictBuckets implements StateTarget.

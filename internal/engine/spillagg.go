@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/relation"
 	"repro/internal/storage"
@@ -33,16 +33,16 @@ func groupBytes(key relation.Tuple, nAccs int) int64 {
 	return int64(key.ByteSize()) + 48*int64(nAccs+1)
 }
 
-// reserveGroup reserves a freshly created group against the budget. The
-// reservation lands before s.bytes counts it, so no release — dump's or
-// Close's — can take bytes the budget does not hold yet.
-func (s *aggState) reserveGroup(key relation.Tuple, nAccs int) {
-	if !s.spillOn {
+// reserve reserves the groupBytes of freshly created groups against the
+// budget, once per batch. The reservation lands before s.bytes counts it, so
+// no release — dump's or Close's — can take bytes the budget does not hold
+// yet; callers reserve before they drop the lock guarding the new groups.
+func (s *aggState) reserve(grown int64) {
+	if grown == 0 {
 		return
 	}
-	sz := groupBytes(key, nAccs)
-	s.mem.Reserve(sz)
-	s.bytes.Add(sz)
+	s.mem.Reserve(grown)
+	s.bytes.Add(grown)
 }
 
 // dump writes every group to the spill run and restarts the in-memory tables
@@ -72,14 +72,16 @@ func (s *aggState) dump(a *HashAggregate) error {
 	emit := func(tab aggTable) error {
 		for i := range tab {
 			p := &tab[i]
-			for g := range p.next {
-				released += groupBytes(p.key(int32(g), nk), na)
+			for g := int32(0); g < p.n; g++ {
+				row, _ := p.slot(g, nk+na, na)
+				released += groupBytes(row[:nk], na)
 			}
 			for h, c := range p.chains {
 				b := int32(h % uint64(s.buckets))
-				for g := c.head; g >= 0; g = p.next[g] {
+				for g, i := c.head, c.n; i > 0; g, i = p.next[g], i-1 {
 					rec := recs.Alloc(1 + nk + 4*na)
-					encodeGroupRec(rec, b, p.key(g, nk), p.accs[int(g)*na:])
+					row, accs := p.slot(g, nk+na, na)
+					encodeGroupRec(rec, b, row, accs)
 					if err := s.run.Append(rec); err != nil {
 						return fmt.Errorf("engine: agg spill append: %w", err)
 					}
@@ -111,34 +113,41 @@ func (s *aggState) dump(a *HashAggregate) error {
 	return nil
 }
 
-// encodeGroupRec flattens one group into the run record rec:
-// [Int(bucket), key..., per aggregate: Int(count), Float(sum), minmax, Int(seen)].
-func encodeGroupRec(rec relation.Tuple, b int32, key relation.Tuple, accs []accumulator) {
+// encodeGroupRec flattens one unfrozen group — its row, whose output slots
+// hold the MIN/MAX running values and Null elsewhere, and its accumulators —
+// into the run record rec:
+// [Int(bucket), key..., per aggregate: Int(count), Float(sum), slot, Int(seen)].
+func encodeGroupRec(rec relation.Tuple, b int32, row relation.Tuple, accs []accumulator) {
 	rec[0] = relation.Int(int64(b))
-	n := 1 + copy(rec[1:], key)
-	for i := 0; n < len(rec); i, n = i+1, n+4 {
-		acc := accs[i]
+	nk := len(row) - len(accs)
+	n := 1 + copy(rec[1:], row[:nk])
+	for i, acc := range accs {
 		seen := int64(0)
-		if acc.seen {
+		if !row[nk+i].IsNull() {
 			seen = 1
 		}
-		rec[n], rec[n+1], rec[n+2], rec[n+3] = relation.Int(acc.count), relation.Float(acc.sum), acc.minmax, relation.Int(seen)
+		rec[n], rec[n+1], rec[n+2], rec[n+3] = relation.Int(acc.count), relation.Float(acc.sum), row[nk+i], relation.Int(seen)
+		n += 4
 	}
 }
 
-// decodeGroupRec inverts encodeGroupRec into the caller's accs.
-func decodeGroupRec(rec relation.Tuple, nKeys int, accs []accumulator) (b int32, key relation.Tuple, err error) {
-	if len(rec) != 1+nKeys+4*len(accs) || rec[0].Type() != relation.TInt || rec[0].AsInt() < 0 {
-		return 0, nil, fmt.Errorf("engine: malformed agg spill record")
+// decodeGroupRec inverts encodeGroupRec into the caller's row and accs.
+func decodeGroupRec(rec, row relation.Tuple, accs []accumulator) (b int32, err error) {
+	nk := len(row) - len(accs)
+	if len(rec) != 1+nk+4*len(accs) || rec[0].Type() != relation.TInt || rec[0].AsInt() < 0 {
+		return 0, fmt.Errorf("engine: malformed agg spill record")
 	}
+	copy(row, rec[1:1+nk])
 	for i := range accs {
-		f := rec[1+nKeys+4*i:]
-		if f[0].Type() != relation.TInt || f[1].Type() != relation.TFloat || f[3].Type() != relation.TInt {
-			return 0, nil, fmt.Errorf("engine: malformed agg spill record")
+		f := rec[1+nk+4*i:]
+		if f[0].Type() != relation.TInt || f[1].Type() != relation.TFloat || f[3].Type() != relation.TInt ||
+			f[2].IsNull() != (f[3].AsInt() == 0) {
+			return 0, fmt.Errorf("engine: malformed agg spill record")
 		}
-		accs[i] = accumulator{count: f[0].AsInt(), sum: f[1].AsFloat(), minmax: f[2], seen: f[3].AsInt() != 0}
+		accs[i] = accumulator{count: f[0].AsInt(), sum: f[1].AsFloat()}
+		row[nk+i] = f[2]
 	}
-	return int32(rec[0].AsInt()), rec[1 : 1+nKeys], nil
+	return int32(rec[0].AsInt()), nil
 }
 
 // reloadLocked re-merges the dumped records into the merged final table.
@@ -153,7 +162,10 @@ func (s *aggState) reloadLocked(a *HashAggregate) error {
 		return fmt.Errorf("engine: agg spill reload: %w", err)
 	}
 	defer r.Close()
-	accs := make([]accumulator, len(a.Kinds))
+	nk, na := len(s.keyOrds), len(a.Kinds)
+	row, accs := make(relation.Tuple, nk+na), make([]accumulator, na)
+	var grown int64
+	defer func() { s.reserve(grown) }() // s.mu is held until the freeze
 	for idx := int64(0); ; idx++ {
 		rec, ok, rerr := r.Next()
 		if rerr != nil {
@@ -162,20 +174,15 @@ func (s *aggState) reloadLocked(a *HashAggregate) error {
 		if !ok {
 			break
 		}
-		b, key, derr := decodeGroupRec(rec, len(s.keyOrds), accs)
+		b, derr := decodeGroupRec(rec, row, accs)
 		if derr != nil {
 			return derr
 		}
 		if idx < s.evictedAt[b] {
 			continue // appended before its bucket's eviction watermark
 		}
-		p := s.final.part(b)
-		g, created := p.group(key.Hash(s.keyOrds), key, s.keyOrds, len(accs))
-		if created {
-			s.reserveGroup(key, len(accs))
-		}
-		for i, kind := range a.Kinds {
-			p.accs[int(g)*len(accs)+i].merge(accs[i], kind)
+		if mergeGroup(s.final.part(b), row[:nk].Hash(s.keyOrds), row, accs, s.keyOrds, a.Kinds) && s.spillOn {
+			grown += groupBytes(row[:nk], na)
 		}
 	}
 	_ = s.backend.Remove(s.runName)
@@ -187,11 +194,11 @@ func (s *aggState) reloadLocked(a *HashAggregate) error {
 // External merge sort (see DESIGN.md §5i, §5j). Sort is never
 // parallel-eligible — it runs in the serial collector fragment — but it
 // shares the query's budget with any morsel-parallel joins and
-// aggregates upstream: under a budget the buffer is accounted per tuple
+// aggregates upstream: under a budget the buffer is accounted per batch
 // and, on breach, sorted and flushed as one run. The emit phase merges
 // the sealed runs with the sorted in-memory tail; ties resolve to the
 // earlier source (runs in flush order, the tail last), which reproduces
-// sort.SliceStable over the full input byte for byte.
+// a stable sort of the full input byte for byte.
 
 // sortShedShare bounds how far the sort can push the query past its budget:
 // it flushes a run once the budget is breached and its own buffer holds at
@@ -290,7 +297,7 @@ func (s *Sort) mergeNext() (relation.Tuple, bool, error) {
 		if !src.ok {
 			continue
 		}
-		if best < 0 || s.less(src.head, s.merge[best].head) {
+		if best < 0 || s.compare(src.head, s.merge[best].head) < 0 {
 			best = i
 		}
 	}
@@ -322,5 +329,5 @@ func (s *Sort) closeSpill() {
 
 // sortBuffer stable-sorts the in-memory buffer by the sort keys.
 func sortBuffer(s *Sort) {
-	sort.SliceStable(s.sorted, func(i, j int) bool { return s.less(s.sorted[i], s.sorted[j]) })
+	slices.SortStableFunc(s.sorted, s.compare)
 }

@@ -50,6 +50,33 @@ func TestTupleCloneIsIndependent(t *testing.T) {
 	}
 }
 
+func TestAppendDoubling(t *testing.T) {
+	// Below 1024 tuples the buffer grows as append grows it; from there its
+	// capacity doubles, by one tuple or by a batch, and keeps every tuple.
+	var got, want []Tuple
+	for i := 0; i < 5000; i++ {
+		one := Tuple{Int(int64(i))}
+		before := cap(got)
+		if i%3 == 0 {
+			got = AppendDoubling(got, one)
+		} else {
+			got = AppendDoubling(got, one, one)
+			want = append(want, one)
+		}
+		want = append(want, one)
+		if grew := cap(got) != before; grew && before >= 1024 && cap(got) != 2*before {
+			t.Fatalf("at %d tuples the capacity went %d -> %d, want double", len(got), before, cap(got))
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the buffer's tuples differ from append's")
+	}
+	small := AppendDoubling(make([]Tuple, 0, 512)[:512], Tuple{})
+	if plain := append(make([]Tuple, 0, 512)[:512], Tuple{}); cap(small) != cap(plain) {
+		t.Fatalf("below 1024 tuples: capacity %d, append gives %d", cap(small), cap(plain))
+	}
+}
+
 func TestTupleProject(t *testing.T) {
 	c := Tuple{Int(1), Int(2), String("x")}
 	p := c.Project([]int{2, 0})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // Value is a single typed datum. The zero Value is the NULL of type 0.
@@ -126,14 +127,7 @@ func (v Value) Compare(w Value) int {
 		if v.typ != TString || w.typ != TString {
 			panic("relation: comparing string with non-string")
 		}
-		switch {
-		case v.s < w.s:
-			return -1
-		case v.s > w.s:
-			return 1
-		default:
-			return 0
-		}
+		return strings.Compare(v.s, w.s)
 	}
 	a, b := v.AsFloat(), w.AsFloat()
 	switch {

@@ -262,7 +262,7 @@ func (c *Cluster) Close() {
 type rowSink struct{ rows []relation.Tuple }
 
 func (s *rowSink) Send(t relation.Tuple) error {
-	s.rows = append(s.rows, t)
+	s.rows = relation.AppendDoubling(s.rows, t)
 	return nil
 }
 
