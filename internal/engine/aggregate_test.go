@@ -11,6 +11,7 @@ import (
 	"repro/internal/logical"
 	"repro/internal/obs"
 	"repro/internal/relation"
+	"repro/internal/storage"
 )
 
 // aggInput builds (k, v) tuples: key K{i%keys}, value i.
@@ -452,7 +453,7 @@ func TestHashAggregateChunkBoundaries(t *testing.T) {
 				}
 				ctx := testCtx()
 				if strings.Contains(script, "dump") {
-					ctx = budgetedCtx(max(512, stateBytes/4))
+					ctx = budgetedCtx(max(512, stateBytes/4), storage.NewMemory())
 				}
 				var r1 func()
 				if strings.Contains(script, "evict-replay") {
@@ -524,7 +525,7 @@ func TestHashAggregateMinMaxNullGroups(t *testing.T) {
 			t.Run(fmt.Sprintf("w%d/budget%d", width, limit), func(t *testing.T) {
 				ctx := testCtx()
 				if limit > 0 {
-					ctx = budgetedCtx(limit) // dumps after every batch
+					ctx = budgetedCtx(limit, storage.NewMemory()) // dumps after every batch
 				}
 				shares := make([][]relation.Tuple, width)
 				for i, tp := range input {

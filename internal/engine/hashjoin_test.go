@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/relation"
+	"repro/internal/storage"
 )
 
 func buildTuples(n int) []relation.Tuple {
@@ -208,7 +209,7 @@ func TestHashJoinOutParity(t *testing.T) {
 			run := func(fused bool) ([]relation.Tuple, []float64) {
 				ctx := testCtx()
 				if tc.budget > 0 {
-					ctx = budgetedCtx(tc.budget)
+					ctx = budgetedCtx(tc.budget, storage.NewMemory())
 				}
 				base := newJoin(nil, nil)
 				base.SetWorkers(tc.workers)

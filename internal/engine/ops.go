@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/scalar"
 	"repro/internal/ws"
@@ -45,7 +46,7 @@ func (s *TableScan) Open(ctx *ExecContext) error {
 		return err
 	}
 	if stored {
-		s.blocks = newBlockScan(ctx, br, s.claim)
+		s.blocks = newBlockScan(ctx.Mem, obs.Default().Counter(obs.MScanBlocksRead), br, s.claim)
 		return nil
 	}
 	s.tuples = tbl.Tuples

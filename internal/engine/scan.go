@@ -13,9 +13,10 @@ import (
 // Streaming stored-table scans (DESIGN.md §5k). A stored table is scanned
 // batch-at-a-time: whole length-prefixed blocks are fetched, decoded into the
 // scan's arena, and appended to the caller's pooled batch. There is one
-// decoder (blockScan) with one block source, the claim step: take the next
-// index off a claim counter, reserve the block's bytes against the query's
-// memory budget, read it, and release the reservation once it is decoded.
+// decoder (blockScan), for stored tables and spill runs (openRun) alike, with
+// one block source, the claim step: take the next index off a claim counter,
+// reserve the block's bytes against the query's memory budget, read it, and
+// release the reservation once it is decoded.
 // A serial scan counts on its own; the worker clones of a morsel pool share
 // one counter, so each block goes to the clone that claims it and is decoded
 // on that clone's arena (see parallel.go). Serial scans decode blocks
@@ -23,7 +24,7 @@ import (
 // a byte-identical stream; the scan's watermark is the block index.
 
 // blockString aliases a block buffer as a string without copying. Safe only
-// because stored scans read every block into a fresh buffer that is never
+// because block scans read every block into a fresh buffer that is never
 // written again: the decoder reads the bytes — through the string for value
 // payloads, through the slice for frame headers — but nothing mutates them,
 // so the usual string-immutability guarantee holds. Decoded string values
@@ -36,11 +37,13 @@ func blockString(data []byte) string {
 	return unsafe.String(unsafe.SliceData(data), len(data))
 }
 
-// blockScan is the one stored-block decoder: block-granular fetch by the
-// claim step over next, plus incremental decode. It is a single-goroutine
-// object.
+// blockScan is the one run decoder: block-granular fetch by the claim step
+// over next, plus incremental decode. A stored scan reserves each block
+// against the query's budget and counts it in scan_blocks_read; a spill
+// reload has neither (both nil-safe), as the operator reloading the run
+// accounts what it keeps. It is a single-goroutine object.
 type blockScan struct {
-	ctx        *ExecContext
+	mem        *storage.Budget
 	br         storage.BlockReader
 	blocksRead *obs.Counter
 
@@ -58,23 +61,39 @@ type blockScan struct {
 	left    uint64
 	arena   relation.Arena
 	curSize int64 // reservation held for the current block
+
+	// batch and pos serve nextTuple's one-record-at-a-time reads.
+	batch *relation.Batch
+	pos   int
 }
 
-// newBlockScan wraps a block reader for one scan under ctx. claim is the
-// block counter the scan shares with its sibling worker clones; nil makes a
-// serial scan, which counts on its own.
-func newBlockScan(ctx *ExecContext, br storage.BlockReader, claim *atomic.Int64) *blockScan {
-	b := &blockScan{ctx: ctx, br: br, blocksRead: obs.Default().Counter(obs.MScanBlocksRead), next: claim}
+// newBlockScan wraps a block reader for one scan. mem and blocksRead are a
+// stored scan's budget and scan_blocks_read counter. claim is the block
+// counter the scan shares with its sibling worker clones; nil makes a serial
+// scan, which counts on its own.
+func newBlockScan(mem *storage.Budget, blocksRead *obs.Counter, br storage.BlockReader, claim *atomic.Int64) *blockScan {
+	b := &blockScan{mem: mem, br: br, blocksRead: blocksRead, next: claim}
 	if claim == nil {
 		b.next = &b.own
 	}
 	return b
 }
 
+// openRun opens a sealed spill run for a reload or merge: a serial block
+// scan with no budget and no blocks-read counter. Reloaded tuples follow the
+// scan's lifetime rule: their strings alias a block never written again.
+func openRun(backend storage.Backend, name string) (*blockScan, error) {
+	br, err := backend.OpenBlocks(name)
+	if err != nil {
+		return nil, err
+	}
+	return newBlockScan(nil, nil, br, nil), nil
+}
+
 // finishBlock releases the reservation of the fully decoded current block.
 func (b *blockScan) finishBlock() {
 	if b.curSize > 0 {
-		b.ctx.Mem.Release(b.curSize)
+		b.mem.Release(b.curSize)
 		b.curSize = 0
 	}
 }
@@ -92,16 +111,16 @@ func (b *blockScan) advance() (ok bool, err error) {
 		return false, nil
 	}
 	size := int64(b.br.BlockSize(i))
-	b.ctx.Mem.Reserve(size)
+	b.mem.Reserve(size)
 	data, err := b.br.ReadBlock(i, nil)
 	b.blocksRead.Inc()
 	if err != nil {
-		b.ctx.Mem.Release(size)
+		b.mem.Release(size)
 		return false, err
 	}
 	n, rest, err := relation.TupleCount(data)
 	if err != nil {
-		b.ctx.Mem.Release(size)
+		b.mem.Release(size)
 		return false, qerr.Storage("scan block", err)
 	}
 	b.curSize = size
@@ -136,6 +155,22 @@ func (b *blockScan) fill(dst *relation.Batch) (int, error) {
 		}
 	}
 	return dst.Len(), nil
+}
+
+// nextTuple returns the next tuple in run order, refilling the scan's own
+// batch through fill; ok is false at end of run.
+func (b *blockScan) nextTuple() (t relation.Tuple, ok bool, err error) {
+	if b.batch == nil {
+		b.batch = relation.NewBatch(0)
+	}
+	if b.pos == b.batch.Len() {
+		if n, err := b.fill(b.batch); n == 0 || err != nil {
+			return nil, false, err
+		}
+		b.pos = 0
+	}
+	b.pos++
+	return b.batch.Tuples[b.pos-1], true, nil
 }
 
 // close releases the current block's reservation and closes the reader;

@@ -281,11 +281,10 @@ func FuzzStoredScanRoundTrip(f *testing.F) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		br, err := backend.OpenBlocks("fuzz")
+		scan, err := openRun(backend, "fuzz")
 		if err != nil {
 			t.Fatal(err)
 		}
-		scan := newBlockScan(testCtx(), br, nil)
 		var got []relation.Tuple
 		batch := relation.NewBatch(7)
 		for {

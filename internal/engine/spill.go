@@ -312,7 +312,7 @@ type joinSpillDrain struct {
 	table      map[uint64][]spillEntry
 	tableBytes int64
 	evicts     []spillEvict
-	reader     storage.RunReader
+	reader     *blockScan // the current pair's probe run
 	active     bool
 	cur        spillPair
 	closed     bool
@@ -411,16 +411,16 @@ func evicted(evicts []spillEvict, b int32, idx, jdx int64) bool {
 // spillFan ways and re-queued instead (d stays inactive).
 func (d *joinSpillDrain) load(pr spillPair) error {
 	s := d.s
-	r, err := s.backend.Open(pr.build)
+	r, err := openRun(s.backend, pr.build)
 	if err != nil {
 		return fmt.Errorf("engine: spill reload: %w", err)
 	}
 	d.table = make(map[uint64][]spillEntry)
 	d.tableBytes = 0
 	for {
-		rec, ok, rerr := r.Next()
+		rec, ok, rerr := r.nextTuple()
 		if rerr != nil {
-			_ = r.Close()
+			_ = r.close()
 			return rerr
 		}
 		if !ok {
@@ -428,7 +428,7 @@ func (d *joinSpillDrain) load(pr spillPair) error {
 		}
 		wm, idx, t, derr := decodeBuildRec(rec)
 		if derr != nil {
-			_ = r.Close()
+			_ = r.close()
 			return derr
 		}
 		h := t.Hash(d.j.BuildKeys)
@@ -443,14 +443,14 @@ func (d *joinSpillDrain) load(pr spillPair) error {
 		s.mem.Reserve(sz)
 		d.table[h] = append(d.table[h], spillEntry{t: t, wm: wm, idx: idx})
 		if s.mem.Over() && pr.depth < maxSpillDepth {
-			_ = r.Close()
+			_ = r.close()
 			return d.repartition(pr)
 		}
 	}
-	if err := r.Close(); err != nil {
+	if err := r.close(); err != nil {
 		return err
 	}
-	pj, err := s.backend.Open(pr.probe)
+	pj, err := openRun(s.backend, pr.probe)
 	if err != nil {
 		return fmt.Errorf("engine: spill reload: %w", err)
 	}
@@ -463,8 +463,9 @@ func (d *joinSpillDrain) load(pr spillPair) error {
 
 // repartition splits pr's build and probe runs spillFan ways by a hash-bit
 // slice untouched by bucket/partition selection and by shallower splits,
-// then queues the sub-pairs in front of the remaining work.
-func (d *joinSpillDrain) repartition(pr spillPair) error {
+// then queues the sub-pairs in front of the remaining work. On failure it
+// removes every sub-run it created.
+func (d *joinSpillDrain) repartition(pr spillPair) (err error) {
 	s := d.s
 	s.mem.Release(d.tableBytes)
 	d.tableBytes = 0
@@ -472,23 +473,24 @@ func (d *joinSpillDrain) repartition(pr spillPair) error {
 	shift := uint(40 + 3*pr.depth)
 	base := strings.TrimSuffix(pr.build, "-build")
 	seq := spillRunSeq.Add(1)
+	subName := func(k int, kind string) string { return fmt.Sprintf("%s-r%d-s%d-%s", base, seq, k, kind) }
 
 	split := func(src string, metaLen int, keys []int, kind string) ([]storage.RunWriter, error) {
 		ws := make([]storage.RunWriter, spillFan)
 		for k := range ws {
-			w, err := s.backend.Create(fmt.Sprintf("%s-r%d-s%d-%s", base, seq, k, kind))
+			w, err := s.backend.Create(subName(k, kind))
 			if err != nil {
 				return ws, err
 			}
 			ws[k] = w
 		}
-		r, err := s.backend.Open(src)
+		r, err := openRun(s.backend, src)
 		if err != nil {
 			return ws, err
 		}
-		defer r.Close()
+		defer r.close()
 		for {
-			rec, ok, rerr := r.Next()
+			rec, ok, rerr := r.nextTuple()
 			if rerr != nil {
 				return ws, rerr
 			}
@@ -505,29 +507,31 @@ func (d *joinSpillDrain) repartition(pr spillPair) error {
 		}
 	}
 
-	closeAll := func(ws []storage.RunWriter) {
-		for _, w := range ws {
+	drop := func(ws []storage.RunWriter, kind string) {
+		for k, w := range ws {
 			if w != nil {
 				_ = w.Close()
+				_ = s.backend.Remove(subName(k, kind))
 			}
 		}
 	}
-	bws, err := split(pr.build, 2, d.j.BuildKeys, "build")
-	if err != nil {
-		closeAll(bws)
+	var bws, pws []storage.RunWriter
+	defer func() {
+		if err != nil {
+			drop(bws, "build")
+			drop(pws, "probe")
+		}
+	}()
+	if bws, err = split(pr.build, 2, d.j.BuildKeys, "build"); err != nil {
 		return fmt.Errorf("engine: spill repartition: %w", err)
 	}
-	pws, err := split(pr.probe, 1, d.j.ProbeKeys, "probe")
-	if err != nil {
-		closeAll(bws)
-		closeAll(pws)
+	if pws, err = split(pr.probe, 1, d.j.ProbeKeys, "probe"); err != nil {
 		return fmt.Errorf("engine: spill repartition: %w", err)
 	}
 	var moved int64
 	subs := make([]spillPair, 0, spillFan)
 	for k := 0; k < spillFan; k++ {
-		bn := fmt.Sprintf("%s-r%d-s%d-build", base, seq, k)
-		pn := fmt.Sprintf("%s-r%d-s%d-probe", base, seq, k)
+		bn, pn := subName(k, "build"), subName(k, "probe")
 		probeTuples := pws[k].Tuples()
 		if err := bws[k].Close(); err != nil {
 			return fmt.Errorf("engine: spill repartition: %w", err)
@@ -554,7 +558,7 @@ func (d *joinSpillDrain) repartition(pr spillPair) error {
 // finishPair releases the drained pair's table, reader and runs.
 func (d *joinSpillDrain) finishPair() {
 	if d.reader != nil {
-		_ = d.reader.Close()
+		_ = d.reader.close()
 		d.reader = nil
 	}
 	if d.active {
@@ -611,11 +615,13 @@ func (j *HashJoin) drainPending() (bool, error) {
 				return false, nil
 			}
 			if err := d.load(pr); err != nil {
+				_ = s.backend.Remove(pr.build)
+				_ = s.backend.Remove(pr.probe)
 				return false, err
 			}
 			continue // load may have re-partitioned; re-check
 		}
-		rec, ok, err := d.reader.Next()
+		rec, ok, err := d.reader.nextTuple()
 		if err != nil {
 			return false, err
 		}

@@ -1,23 +1,43 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"regexp"
 	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/logical"
 	"repro/internal/obs"
+	"repro/internal/qerr"
 	"repro/internal/relation"
 	"repro/internal/storage"
 )
 
-// budgetedCtx is testCtx plus a memory budget and a spill backend.
-func budgetedCtx(limit int64) *ExecContext {
+// budgetedCtx is testCtx plus a memory budget and the spill backend.
+func budgetedCtx(limit int64, spill storage.Backend) *ExecContext {
 	ctx := testCtx()
 	ctx.Mem = storage.NewBudget(limit)
-	ctx.Spill = storage.NewMemory()
+	ctx.Spill = spill
 	return ctx
+}
+
+// forEachSpillBackend runs f as one subtest per spill backend: the
+// in-memory one and a posix one under a fresh temporary directory.
+func forEachSpillBackend(t *testing.T, f func(t *testing.T, spill storage.Backend)) {
+	t.Helper()
+	t.Run("memory", func(t *testing.T) { f(t, storage.NewMemory()) })
+	t.Run("posix", func(t *testing.T) {
+		spill, err := storage.NewPosix(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer spill.Close()
+		f(t, spill)
+	})
 }
 
 // encodings canonicalises a result set for multiset comparison: spilled joins
@@ -72,16 +92,18 @@ func TestHashJoinSpillParity(t *testing.T) {
 	probe := probeTuples(600, 200)
 	want := drain(t, newJoin(build, probe), testCtx(), 0)
 
-	b0, p0, _ := spillCounters()
-	ctx := budgetedCtx(2048) // far below the ~200-entry build side
-	got := drain(t, newJoin(build, probe), ctx, 0)
-	b1, p1, _ := spillCounters()
+	forEachSpillBackend(t, func(t *testing.T, spill storage.Backend) {
+		b0, p0, _ := spillCounters()
+		ctx := budgetedCtx(2048, spill) // far below the ~200-entry build side
+		got := drain(t, newJoin(build, probe), ctx, 0)
+		b1, p1, _ := spillCounters()
 
-	sameMultiset(t, got, want)
-	if p1 == p0 || b1 == b0 {
-		t.Fatal("budget was never breached: test exercised nothing")
-	}
-	assertClean(t, ctx)
+		sameMultiset(t, got, want)
+		if p1 == p0 || b1 == b0 {
+			t.Fatal("budget was never breached: test exercised nothing")
+		}
+		assertClean(t, ctx)
+	})
 }
 
 func TestHashJoinSpillRecursiveRepartition(t *testing.T) {
@@ -89,18 +111,20 @@ func TestHashJoinSpillRecursiveRepartition(t *testing.T) {
 	probe := probeTuples(360, 120)
 	want := drain(t, newJoin(build, probe), testCtx(), 0)
 
-	_, _, r0 := spillCounters()
-	// A 1-byte budget breaches on every reserve: the drain's reloads breach
-	// too and re-partition recursively down to maxSpillDepth.
-	ctx := budgetedCtx(1)
-	got := drain(t, newJoin(build, probe), ctx, 0)
-	_, _, r1 := spillCounters()
+	forEachSpillBackend(t, func(t *testing.T, spill storage.Backend) {
+		_, _, r0 := spillCounters()
+		// A 1-byte budget breaches on every reserve: the drain's reloads
+		// breach too and re-partition recursively down to maxSpillDepth.
+		ctx := budgetedCtx(1, spill)
+		got := drain(t, newJoin(build, probe), ctx, 0)
+		_, _, r1 := spillCounters()
 
-	sameMultiset(t, got, want)
-	if r1 == r0 {
-		t.Fatal("no recursive re-partition happened under a 1-byte budget")
-	}
-	assertClean(t, ctx)
+		sameMultiset(t, got, want)
+		if r1 == r0 {
+			t.Fatal("no recursive re-partition happened under a 1-byte budget")
+		}
+		assertClean(t, ctx)
+	})
 }
 
 func TestHashJoinSpillDuplicateKeys(t *testing.T) {
@@ -113,13 +137,15 @@ func TestHashJoinSpillDuplicateKeys(t *testing.T) {
 	probe := probeTuples(40, 8)
 	want := drain(t, newJoin(build, probe), testCtx(), 0)
 
-	ctx := budgetedCtx(1)
-	got := drain(t, newJoin(build, probe), ctx, 0)
-	sameMultiset(t, got, want)
-	if len(got) != 5*40 {
-		t.Fatalf("join produced %d tuples, want %d", len(got), 5*40)
-	}
-	assertClean(t, ctx)
+	forEachSpillBackend(t, func(t *testing.T, spill storage.Backend) {
+		ctx := budgetedCtx(1, spill)
+		got := drain(t, newJoin(build, probe), ctx, 0)
+		sameMultiset(t, got, want)
+		if len(got) != 5*40 {
+			t.Fatalf("join produced %d tuples, want %d", len(got), 5*40)
+		}
+		assertClean(t, ctx)
+	})
 }
 
 func TestHashAggregateSpillParity(t *testing.T) {
@@ -129,24 +155,26 @@ func TestHashAggregateSpillParity(t *testing.T) {
 	args := []int{-1, 1, 1, 1}
 	want := drain(t, newAgg(input, groupOrds, kinds, args), testCtx(), 0)
 
-	_, p0, _ := spillCounters()
-	ctx := budgetedCtx(512) // a handful of groups per dump
-	got := drain(t, newAgg(input, groupOrds, kinds, args), ctx, 0)
-	_, p1, _ := spillCounters()
+	forEachSpillBackend(t, func(t *testing.T, spill storage.Backend) {
+		_, p0, _ := spillCounters()
+		ctx := budgetedCtx(512, spill) // a handful of groups per dump
+		got := drain(t, newAgg(input, groupOrds, kinds, args), ctx, 0)
+		_, p1, _ := spillCounters()
 
-	// Aggregate output is sorted by group key, so parity is positional.
-	if len(got) != len(want) {
-		t.Fatalf("got %d groups, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if string(relation.EncodeTuple(got[i])) != string(relation.EncodeTuple(want[i])) {
-			t.Fatalf("group %d diverged: %v vs %v", i, got[i].Format(), want[i].Format())
+		// Aggregate output is sorted by group key, so parity is positional.
+		if len(got) != len(want) {
+			t.Fatalf("got %d groups, want %d", len(got), len(want))
 		}
-	}
-	if p1 == p0 {
-		t.Fatal("aggregate never dumped under a 512-byte budget")
-	}
-	assertClean(t, ctx)
+		for i := range want {
+			if string(relation.EncodeTuple(got[i])) != string(relation.EncodeTuple(want[i])) {
+				t.Fatalf("group %d diverged: %v vs %v", i, got[i].Format(), want[i].Format())
+			}
+		}
+		if p1 == p0 {
+			t.Fatal("aggregate never dumped under a 512-byte budget")
+		}
+		assertClean(t, ctx)
+	})
 }
 
 func TestSortSpillParity(t *testing.T) {
@@ -158,24 +186,26 @@ func TestSortSpillParity(t *testing.T) {
 	}
 	want := drain(t, sorter(), testCtx(), 0)
 
-	_, p0, _ := spillCounters()
-	ctx := budgetedCtx(1024) // forces several flushed runs plus a tail
-	got := drain(t, sorter(), ctx, 0)
-	_, p1, _ := spillCounters()
+	forEachSpillBackend(t, func(t *testing.T, spill storage.Backend) {
+		_, p0, _ := spillCounters()
+		ctx := budgetedCtx(1024, spill) // forces several flushed runs plus a tail
+		got := drain(t, sorter(), ctx, 0)
+		_, p1, _ := spillCounters()
 
-	if len(got) != len(want) {
-		t.Fatalf("sorted %d tuples, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if string(relation.EncodeTuple(got[i])) != string(relation.EncodeTuple(want[i])) {
-			t.Fatalf("external sort order diverged at %d: %v vs %v",
-				i, got[i].Format(), want[i].Format())
+		if len(got) != len(want) {
+			t.Fatalf("sorted %d tuples, want %d", len(got), len(want))
 		}
-	}
-	if p1 == p0 {
-		t.Fatal("sort never flushed a run under a 1KiB budget")
-	}
-	assertClean(t, ctx)
+		for i := range want {
+			if string(relation.EncodeTuple(got[i])) != string(relation.EncodeTuple(want[i])) {
+				t.Fatalf("external sort order diverged at %d: %v vs %v",
+					i, got[i].Format(), want[i].Format())
+			}
+		}
+		if p1 == p0 {
+			t.Fatal("sort never flushed a run under a 1KiB budget")
+		}
+		assertClean(t, ctx)
+	})
 }
 
 func TestSortShedsOwnShareOnly(t *testing.T) {
@@ -193,7 +223,7 @@ func TestSortShedsOwnShareOnly(t *testing.T) {
 	}
 	want := drain(t, sorter(), testCtx(), 0)
 
-	ctx := budgetedCtx(limit)
+	ctx := budgetedCtx(limit, storage.NewMemory())
 	ctx.Mem.Reserve(2 * limit)
 	_, p0, _ := spillCounters()
 	got := drain(t, sorter(), ctx, 0)
@@ -221,67 +251,69 @@ func TestHashJoinSpillEvictReplay(t *testing.T) {
 	// replay the evicted build tuples from the "recovery log", and verify
 	// every probe tuple still matches exactly once.
 	build := buildTuples(40)
-	ctx := budgetedCtx(64) // everything spills almost immediately
-	j := newJoin(build, probeTuples(40, 40))
-	if err := j.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	_, p0, _ := spillCounters()
-	_ = p0 // counters are process-wide; spill activity asserted structurally below
-	spilled := false
-	for i := range j.shared.parts {
-		if j.shared.parts[i].spilled {
-			spilled = true
-		}
-	}
-	if !spilled {
-		t.Fatal("no partition spilled under a 64-byte budget")
-	}
-	var evict []int32
-	evictSet := make(map[int32]bool)
-	for _, tp := range build[:10] {
-		b, err := j.BucketOf(tp)
-		if err != nil {
+	forEachSpillBackend(t, func(t *testing.T, spill storage.Backend) {
+		ctx := budgetedCtx(64, spill) // everything spills almost immediately
+		j := newJoin(build, probeTuples(40, 40))
+		if err := j.Open(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if !evictSet[b] {
-			evictSet[b] = true
-			evict = append(evict, b)
+		_, p0, _ := spillCounters()
+		_ = p0 // counters are process-wide; spill activity asserted structurally below
+		spilled := false
+		for i := range j.shared.parts {
+			if j.shared.parts[i].spilled {
+				spilled = true
+			}
 		}
-	}
-	before := j.StateSize()
-	j.EvictBuckets(evict)
-	if j.StateSize() >= before {
-		t.Fatal("eviction did not shrink state while spilled")
-	}
-	var replay []relation.Tuple
-	for _, tp := range build {
-		b, err := j.BucketOf(tp)
-		if err != nil {
+		if !spilled {
+			t.Fatal("no partition spilled under a 64-byte budget")
+		}
+		var evict []int32
+		evictSet := make(map[int32]bool)
+		for _, tp := range build[:10] {
+			b, err := j.BucketOf(tp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !evictSet[b] {
+				evictSet[b] = true
+				evict = append(evict, b)
+			}
+		}
+		before := j.StateSize()
+		j.EvictBuckets(evict)
+		if j.StateSize() >= before {
+			t.Fatal("eviction did not shrink state while spilled")
+		}
+		var replay []relation.Tuple
+		for _, tp := range build {
+			b, err := j.BucketOf(tp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if evictSet[b] {
+				replay = append(replay, tp)
+			}
+		}
+		j.InsertState(replay)
+		out := pullAll(t, j, 0)
+		if len(out) != 40 {
+			t.Fatalf("join after evict+replay under spill produced %d tuples, want 40", len(out))
+		}
+		// Exactly-once per probe: every probe index 0..39 appears once.
+		seen := make(map[int64]bool)
+		for _, tp := range out {
+			idx := tp[3].AsInt()
+			if seen[idx] {
+				t.Fatalf("probe %d matched twice", idx)
+			}
+			seen[idx] = true
+		}
+		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if evictSet[b] {
-			replay = append(replay, tp)
-		}
-	}
-	j.InsertState(replay)
-	out := pullAll(t, j, 0)
-	if len(out) != 40 {
-		t.Fatalf("join after evict+replay under spill produced %d tuples, want 40", len(out))
-	}
-	// Exactly-once per probe: every probe index 0..39 appears once.
-	seen := make(map[int64]bool)
-	for _, tp := range out {
-		idx := tp[3].AsInt()
-		if seen[idx] {
-			t.Fatalf("probe %d matched twice", idx)
-		}
-		seen[idx] = true
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	assertClean(t, ctx)
+		assertClean(t, ctx)
+	})
 }
 
 // runCloneWorkers drives n WorkerClone chains concurrently — one goroutine
@@ -342,22 +374,24 @@ func TestHashJoinParallelSpillParity(t *testing.T) {
 	want := drain(t, newJoin(build, probe), testCtx(), 0)
 
 	const workers = 4
-	b0, p0, _ := spillCounters()
-	ctx := budgetedCtx(2048) // far below the ~200-entry build side
-	base := newJoin(nil, nil)
-	base.SetWorkers(workers)
-	got := runCloneWorkers(t, ctx, workers, func(w int) Iterator {
-		return base.WorkerClone(
-			NewSliceSource(build[w*50:(w+1)*50], 0),
-			NewSliceSource(probe[w*150:(w+1)*150], 0))
-	})
-	b1, p1, _ := spillCounters()
+	forEachSpillBackend(t, func(t *testing.T, spill storage.Backend) {
+		b0, p0, _ := spillCounters()
+		ctx := budgetedCtx(2048, spill) // far below the ~200-entry build side
+		base := newJoin(nil, nil)
+		base.SetWorkers(workers)
+		got := runCloneWorkers(t, ctx, workers, func(w int) Iterator {
+			return base.WorkerClone(
+				NewSliceSource(build[w*50:(w+1)*50], 0),
+				NewSliceSource(probe[w*150:(w+1)*150], 0))
+		})
+		b1, p1, _ := spillCounters()
 
-	sameMultiset(t, got, want)
-	if p1 == p0 || b1 == b0 {
-		t.Fatal("parallel join never spilled under a 2KiB budget")
-	}
-	assertClean(t, ctx)
+		sameMultiset(t, got, want)
+		if p1 == p0 || b1 == b0 {
+			t.Fatal("parallel join never spilled under a 2KiB budget")
+		}
+		assertClean(t, ctx)
+	})
 }
 
 // hookSource feeds a worker clone its input share and runs hook once, between
@@ -466,82 +500,87 @@ func TestHashAggregateParallelSpillParity(t *testing.T) {
 				for _, limit := range []int64{0, 512} {
 					name := fmt.Sprintf("%s/w%d/%s/budget%d", ds.name, width, script, limit)
 					t.Run(name, func(t *testing.T) {
-						// Split the input: what the workers absorb, and what
-						// the script replays into the final table instead.
-						var absorbed, replayed []relation.Tuple
-						for i, tp := range ds.input {
-							switch {
-							case script == aggReplayAdopt && moved[bucketOf(tp)],
-								script == aggReplayFold && moved[bucketOf(tp)] && i%2 == 1:
-								replayed = append(replayed, tp)
-							default:
-								absorbed = append(absorbed, tp)
+						check := func(t *testing.T, ctx *ExecContext) {
+							// Split the input: what the workers absorb, and what
+							// the script replays into the final table instead.
+							var absorbed, replayed []relation.Tuple
+							for i, tp := range ds.input {
+								switch {
+								case script == aggReplayAdopt && moved[bucketOf(tp)],
+									script == aggReplayFold && moved[bucketOf(tp)] && i%2 == 1:
+									replayed = append(replayed, tp)
+								default:
+									absorbed = append(absorbed, tp)
+								}
 							}
-						}
-						ctx := testCtx()
-						if limit > 0 {
-							ctx = budgetedCtx(limit) // a handful of groups per dump
-						}
-						base := &HashAggregate{GroupOrds: groupOrds, Kinds: ds.kinds, ArgOrds: ds.args}
-						base.SetWorkers(width)
-						shares := make([][]relation.Tuple, width)
-						for i, tp := range absorbed {
-							shares[i%width] = append(shares[i%width], tp)
-						}
-						var arrived sync.WaitGroup
-						arrived.Add(width)
-						release := make(chan struct{})
-						r1 := func() {
-							if script == aggEvictReplay {
-								// The buckets move here from a sibling instance
-								// and back: what the workers absorbed of them so
-								// far is evicted and replayed from the log.
-								base.EvictBuckets(movedBuckets)
-								for _, share := range shares {
-									for _, tp := range share[:len(share)/2] {
-										if moved[bucketOf(tp)] {
-											replayed = append(replayed, tp)
+							base := &HashAggregate{GroupOrds: groupOrds, Kinds: ds.kinds, ArgOrds: ds.args}
+							base.SetWorkers(width)
+							shares := make([][]relation.Tuple, width)
+							for i, tp := range absorbed {
+								shares[i%width] = append(shares[i%width], tp)
+							}
+							var arrived sync.WaitGroup
+							arrived.Add(width)
+							release := make(chan struct{})
+							r1 := func() {
+								if script == aggEvictReplay {
+									// The buckets move here from a sibling instance
+									// and back: what the workers absorbed of them so
+									// far is evicted and replayed from the log.
+									base.EvictBuckets(movedBuckets)
+									for _, share := range shares {
+										for _, tp := range share[:len(share)/2] {
+											if moved[bucketOf(tp)] {
+												replayed = append(replayed, tp)
+											}
 										}
 									}
 								}
+								base.InsertState(replayed)
 							}
-							base.InsertState(replayed)
-						}
-						_, p0, _ := spillCounters()
-						overrelease := obs.Default().Counter(obs.MMemOverrelease)
-						o0 := overrelease.Value()
-						got := runCloneWorkers(t, ctx, width, func(w int) Iterator {
-							return base.WorkerClone(&hookSource{tuples: shares[w], at: len(shares[w]) / 2, hook: func() {
-								arrived.Done()
-								if w == 0 {
-									arrived.Wait()
-									r1()
-									close(release)
+							_, p0, _ := spillCounters()
+							overrelease := obs.Default().Counter(obs.MMemOverrelease)
+							o0 := overrelease.Value()
+							got := runCloneWorkers(t, ctx, width, func(w int) Iterator {
+								return base.WorkerClone(&hookSource{tuples: shares[w], at: len(shares[w]) / 2, hook: func() {
+									arrived.Done()
+									if w == 0 {
+										arrived.Wait()
+										r1()
+										close(release)
+									}
+									<-release
+								}})
+							})
+							_, p1, _ := spillCounters()
+							sort.SliceStable(got, func(i, j int) bool { return compareKeys(got[i][:1], got[j][:1]) < 0 })
+							if len(got) != len(want) {
+								t.Fatalf("got %d groups, want %d", len(got), len(want))
+							}
+							for i := range want {
+								if !got[i].Equal(want[i]) {
+									t.Fatalf("group %d = %s, want %s", i, got[i].Format(), want[i].Format())
 								}
-								<-release
-							}})
+							}
+							if limit > 0 {
+								if p1 == p0 {
+									t.Fatal("aggregate never dumped under a 512-byte budget")
+								}
+								assertClean(t, ctx)
+							}
+							// A release of bytes the budget never held is clamped,
+							// so it would hide a reservation that lands later.
+							if d := overrelease.Value() - o0; d != 0 {
+								t.Fatalf("%d releases exceeded the reserved bytes (mem_overrelease_total)", d)
+							}
+						}
+						if limit == 0 {
+							check(t, testCtx())
+							return
+						}
+						forEachSpillBackend(t, func(t *testing.T, spill storage.Backend) {
+							check(t, budgetedCtx(limit, spill)) // a handful of groups per dump
 						})
-						_, p1, _ := spillCounters()
-						sort.SliceStable(got, func(i, j int) bool { return compareKeys(got[i][:1], got[j][:1]) < 0 })
-						if len(got) != len(want) {
-							t.Fatalf("got %d groups, want %d", len(got), len(want))
-						}
-						for i := range want {
-							if !got[i].Equal(want[i]) {
-								t.Fatalf("group %d = %s, want %s", i, got[i].Format(), want[i].Format())
-							}
-						}
-						if limit > 0 {
-							if p1 == p0 {
-								t.Fatal("aggregate never dumped under a 512-byte budget")
-							}
-							assertClean(t, ctx)
-						}
-						// A release of bytes the budget never held is clamped,
-						// so it would hide a reservation that lands later.
-						if d := overrelease.Value() - o0; d != 0 {
-							t.Fatalf("%d releases exceeded the reserved bytes (mem_overrelease_total)", d)
-						}
 					})
 				}
 			}
@@ -561,7 +600,7 @@ func TestHashAggregateReservesGroupsOnce(t *testing.T) {
 		want += groupBytes(row[:1], len(kinds))
 	}
 	for _, width := range []int{1, 4} {
-		ctx := budgetedCtx(1 << 20)
+		ctx := budgetedCtx(1<<20, storage.NewMemory())
 		base := &HashAggregate{GroupOrds: []int{0}, Kinds: kinds, ArgOrds: []int{-1, 1}}
 		base.SetWorkers(width)
 		var emitted, done sync.WaitGroup
@@ -599,5 +638,86 @@ func TestHashAggregateReservesGroupsOnce(t *testing.T) {
 		close(proceed)
 		done.Wait()
 		assertClean(t, ctx)
+	}
+}
+
+// corruptingBackend damages a payload byte of every spilled run whose name
+// matches as the run is read back: the first value tag of block 0's first
+// record becomes one no encoder writes.
+type corruptingBackend struct {
+	storage.Backend
+	match *regexp.Regexp
+}
+
+// OpenBlocks wraps the matching runs' readers.
+func (c corruptingBackend) OpenBlocks(name string) (storage.BlockReader, error) {
+	br, err := c.Backend.OpenBlocks(name)
+	if err != nil || !c.match.MatchString(name) {
+		return br, err
+	}
+	return corruptBlocks{br}, nil
+}
+
+type corruptBlocks struct{ storage.BlockReader }
+
+// ReadBlock damages a copy of block 0; the run itself stays intact.
+func (c corruptBlocks) ReadBlock(i int, buf []byte) ([]byte, error) {
+	block, err := c.BlockReader.ReadBlock(i, buf)
+	if err != nil || i > 0 {
+		return block, err
+	}
+	block = bytes.Clone(block)
+	_, rest, _ := relation.TupleCount(block)
+	_, sz := binary.Uvarint(rest) // the first record's value count
+	block[len(block)-len(rest)+sz] = 0xff
+	return block, nil
+}
+
+// TestSpillCorruptRunTypedErrors reads damaged spill runs back through the
+// operators: the join's build reload and probe drain, the aggregate's
+// reload and the sort's merge must each fail with a typed storage error,
+// and Close must still leave no inflight bytes and no runs behind.
+func TestSpillCorruptRunTypedErrors(t *testing.T) {
+	cases := []struct {
+		name, match string
+		limit       int64
+		op          func() Iterator
+	}{
+		// Partition runs are -pN-build/-probe, a repartition's sub-runs
+		// -rN-sK-build/-probe. Every partition reload repartitions here, so
+		// partition probe runs are read by the split; under 12000 bytes the
+		// sub-pairs' reloads fit and the drain streams their probe runs.
+		{"join-reload", "-build$", 2048, func() Iterator { return newJoin(buildTuples(200), probeTuples(600, 200)) }},
+		{"join-split", `-p\d+-probe$`, 2048, func() Iterator { return newJoin(buildTuples(200), probeTuples(600, 200)) }},
+		{"join-drain", `-s\d+-probe$`, 12000, func() Iterator { return newJoin(buildTuples(200), probeTuples(600, 200)) }},
+		{"agg-reload", "-groups$", 512, func() Iterator {
+			return newAgg(aggInput(500, 30), []int{0}, []logical.AggKind{logical.AggCount}, []int{-1})
+		}},
+		{"sort-merge", "/sort-", 1024, func() Iterator {
+			return &Sort{Child: NewSliceSource(probeTuples(400, 25), 0), Ords: []int{0}, Desc: []bool{false}}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			forEachSpillBackend(t, func(t *testing.T, spill storage.Backend) {
+				ctx := budgetedCtx(c.limit, corruptingBackend{spill, regexp.MustCompile(c.match)})
+				it := c.op()
+				err := it.Open(ctx)
+				batch := relation.GetBatch()
+				defer batch.Release()
+				for err == nil {
+					var n int
+					if n, err = it.NextBatch(batch); n == 0 && err == nil {
+						t.Fatal("a corrupt spill run was read to completion")
+					}
+				}
+				var qe *qerr.Error
+				if !errors.As(err, &qe) || qe.Kind != qerr.KindStorage {
+					t.Fatalf("want qerr.KindStorage, got %T: %v", err, err)
+				}
+				_ = it.Close()
+				assertClean(t, ctx)
+			})
+		})
 	}
 }

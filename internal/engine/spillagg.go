@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/relation"
-	"repro/internal/storage"
 )
 
 // Aggregate spilling (see DESIGN.md §5i). Unlike the join, the aggregate
@@ -157,17 +156,17 @@ func (s *aggState) reloadLocked(a *HashAggregate) error {
 		return fmt.Errorf("engine: agg spill seal: %w", err)
 	}
 	s.run = nil
-	r, err := s.backend.Open(s.runName)
+	r, err := openRun(s.backend, s.runName)
 	if err != nil {
 		return fmt.Errorf("engine: agg spill reload: %w", err)
 	}
-	defer r.Close()
+	defer r.close()
 	nk, na := len(s.keyOrds), len(a.Kinds)
 	row, accs := make(relation.Tuple, nk+na), make([]accumulator, na)
 	var grown int64
 	defer func() { s.reserve(grown) }() // s.mu is held until the freeze
 	for idx := int64(0); ; idx++ {
-		rec, ok, rerr := r.Next()
+		rec, ok, rerr := r.nextTuple()
 		if rerr != nil {
 			return rerr
 		}
@@ -244,7 +243,7 @@ func (s *Sort) flushRun() error {
 
 // sortSource is one merge input: a sealed run or the in-memory tail.
 type sortSource struct {
-	reader storage.RunReader // nil for the in-memory tail
+	reader *blockScan // nil for the in-memory tail
 	buf    []relation.Tuple
 	pos    int
 	head   relation.Tuple
@@ -253,7 +252,7 @@ type sortSource struct {
 
 func (src *sortSource) advance() error {
 	if src.reader != nil {
-		t, ok, err := src.reader.Next()
+		t, ok, err := src.reader.nextTuple()
 		if err != nil {
 			return err
 		}
@@ -274,7 +273,7 @@ func (src *sortSource) advance() error {
 func (s *Sort) startMerge() error {
 	sortBuffer(s)
 	for _, name := range s.runs {
-		r, err := s.ctx.Spill.Open(name)
+		r, err := openRun(s.ctx.Spill, name)
 		if err != nil {
 			return fmt.Errorf("engine: sort spill reload: %w", err)
 		}
@@ -315,7 +314,7 @@ func (s *Sort) mergeNext() (relation.Tuple, bool, error) {
 func (s *Sort) closeSpill() {
 	for _, src := range s.merge {
 		if src.reader != nil {
-			_ = src.reader.Close()
+			_ = src.reader.close()
 		}
 	}
 	s.merge = nil

@@ -104,9 +104,8 @@ func EncodeTuple(t Tuple) []byte {
 
 // DecodeTuple decodes one tuple from the front of b, returning the tuple and
 // the remaining bytes. The tuple's value slots are carved from the caller's
-// arena (spill-run readers decode thousands per block); it is an ordinary
-// immutable tuple and may outlive the arena. String values are copied out of
-// b, so b may be reused afterwards.
+// arena; it is an ordinary immutable tuple and may outlive the arena. String
+// values are copied out of b, so b may be reused afterwards.
 //
 // This is deliberately the plain decoder — binary.Uvarint, one value at a
 // time, no hand-inlined fast paths: it is the independent reference the fuzz

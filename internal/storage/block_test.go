@@ -68,8 +68,8 @@ func decodeBlocks(t *testing.T, r BlockReader) []relation.Tuple {
 	return out
 }
 
-// TestBlockReaderMatchesCursor holds the block-granular reader against both
-// the written tuples and the sequential RunReader over the same run.
+// TestBlockReaderMatchesCursor holds the block-granular reader against the
+// written tuples, decoded with the plain single-tuple reference decoder.
 func TestBlockReaderMatchesCursor(t *testing.T) {
 	for name, b := range blockBackends(t) {
 		t.Run(name, func(t *testing.T) {
@@ -88,22 +88,10 @@ func TestBlockReaderMatchesCursor(t *testing.T) {
 			if len(got) != len(want) {
 				t.Fatalf("decoded %d of %d tuples", len(got), len(want))
 			}
-			seq, err := b.Open("tbl")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer seq.Close()
 			for i := range want {
 				if !tuplesIdentical(want[i], got[i]) {
 					t.Fatalf("tuple %d diverged", i)
 				}
-				tp, ok, err := seq.Next()
-				if err != nil || !ok || !tuplesIdentical(tp, got[i]) {
-					t.Fatalf("tuple %d: sequential reader gave (%v, %v, %v)", i, tp, ok, err)
-				}
-			}
-			if _, ok, err := seq.Next(); ok || err != nil {
-				t.Fatalf("sequential reader past the end: ok=%v err=%v", ok, err)
 			}
 		})
 	}
@@ -123,17 +111,6 @@ func TestBlockReaderCloseIdempotent(t *testing.T) {
 			}
 			if err := r.Close(); err != nil {
 				t.Fatalf("second Close must be a no-op: %v", err)
-			}
-			// The cursor reader's Close must be idempotent too.
-			cur, err := b.Open("tbl")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cur.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := cur.Close(); err != nil {
-				t.Fatalf("second cursor Close must be a no-op: %v", err)
 			}
 		})
 	}
@@ -158,7 +135,7 @@ func TestBlockReaderUnsealedAndMissing(t *testing.T) {
 	}
 }
 
-// corruptors mutate a sealed run's raw bytes in ways the readers must reject
+// corruptors mutate a sealed run's raw bytes in ways OpenBlocks must reject
 // with a typed storage error, not a panic or a silent short read.
 var corruptors = []struct {
 	name string
@@ -175,7 +152,8 @@ var corruptors = []struct {
 	}},
 }
 
-// corruptMemory rewrites a sealed memory run in place.
+// corruptMemory rewrites a sealed memory run in place: its frames are
+// joined, mutated, and stored back as a list of one frame.
 func corruptMemory(t *testing.T, m *Memory, name string, mut func([]byte) []byte) {
 	t.Helper()
 	m.mu.Lock()
@@ -184,7 +162,7 @@ func corruptMemory(t *testing.T, m *Memory, name string, mut func([]byte) []byte
 	if run == nil || !run.sealed {
 		t.Fatalf("run %q not sealed", name)
 	}
-	run.data = mut(bytes.Clone(run.data))
+	run.frames = [][]byte{mut(bytes.Join(run.frames, nil))}
 }
 
 // corruptPosix rewrites a sealed posix run file.
@@ -224,20 +202,6 @@ func TestCorruptRunTypedErrors(t *testing.T) {
 					case *Posix:
 						corruptPosix(t, impl, "tbl", c.mut)
 					}
-					// The cursor reader hits the damage lazily on Next.
-					cur, err := b.Open("tbl")
-					if err != nil {
-						t.Fatal(err)
-					}
-					for err == nil {
-						var ok bool
-						_, ok, err = cur.Next()
-						if !ok && err == nil {
-							t.Fatal("cursor read a corrupt run to completion")
-						}
-					}
-					wantStorageErr(t, err)
-					_ = cur.Close()
 					// The block reader validates the frame chain up front.
 					r, err := b.OpenBlocks("tbl")
 					if err == nil {

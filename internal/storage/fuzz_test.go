@@ -55,23 +55,20 @@ func FuzzSpillRunRoundTrip(f *testing.F) {
 		if err := w.Close(); err != nil {
 			t.Fatalf("seal: %v", err)
 		}
-		r, err := b.Open("fuzz")
+		r, err := b.OpenBlocks("fuzz")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		for i, want := range tuples {
-			got, ok, err := r.Next()
-			if err != nil || !ok {
-				t.Fatalf("tuple %d: ok=%v err=%v", i, ok, err)
-			}
-			if !bytes.Equal(relation.EncodeTuple(want), relation.EncodeTuple(got)) {
-				t.Fatalf("tuple %d changed across the run:\n%x\n%x",
-					i, relation.EncodeTuple(want), relation.EncodeTuple(got))
-			}
+		got := decodeBlocks(t, r)
+		if len(got) != len(tuples) {
+			t.Fatalf("run yielded %d tuples, want %d", len(got), len(tuples))
 		}
-		if _, ok, _ := r.Next(); ok {
-			t.Fatal("run yielded extra tuples")
+		for i, want := range tuples {
+			if !bytes.Equal(relation.EncodeTuple(want), relation.EncodeTuple(got[i])) {
+				t.Fatalf("tuple %d changed across the run:\n%x\n%x",
+					i, relation.EncodeTuple(want), relation.EncodeTuple(got[i]))
+			}
 		}
 	})
 }

@@ -1,11 +1,12 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 )
 
-// Memory is the in-process Backend: runs are byte slices in a map. It is
+// Memory is the in-process Backend: runs are lists of frames in a map. It is
 // the default spill target — demos, tests and the simulated cluster spill
 // "to storage" without touching the filesystem, while exercising exactly
 // the same framing and codec as the posix backend.
@@ -14,8 +15,10 @@ type Memory struct {
 	runs map[string]*memRun
 }
 
+// memRun keeps one slice per flushed frame, so a reloaded tuple whose
+// strings alias its block pins that frame, not the whole run.
 type memRun struct {
-	data   []byte
+	frames [][]byte
 	sealed bool
 }
 
@@ -42,7 +45,7 @@ func (m *Memory) Create(name string) (RunWriter, error) {
 		if m.runs == nil || m.runs[name] != run {
 			return fmt.Errorf("storage: run %q removed while writing", name)
 		}
-		run.data = append(run.data, block...)
+		run.frames = append(run.frames, bytes.Clone(block))
 		return nil
 	}
 	seal := func() error {
@@ -54,38 +57,9 @@ func (m *Memory) Create(name string) (RunWriter, error) {
 	return newBlockWriter(sink, seal), nil
 }
 
-// Open implements Backend.
-func (m *Memory) Open(name string) (RunReader, error) {
-	m.mu.Lock()
-	run, ok := m.runs[name]
-	m.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("storage: no run %q", name)
-	}
-	if !run.sealed {
-		return nil, fmt.Errorf("storage: run %q is not sealed", name)
-	}
-	data := run.data
-	return newBlockReader(func() ([]byte, error) {
-		if len(data) == 0 {
-			return nil, nil
-		}
-		if len(data) < 4 {
-			return nil, corruptRun(name, "truncated block header")
-		}
-		n := int(data[0]) | int(data[1])<<8 | int(data[2])<<16 | int(data[3])<<24
-		if n < 0 || n > len(data)-4 {
-			return nil, corruptRun(name, "bad block length %d", n)
-		}
-		block := data[4 : 4+n]
-		data = data[4+n:]
-		return block, nil
-	}, nil), nil
-}
-
-// OpenBlocks implements Backend. The sealed slice is immutable, so the
-// reader indexes every frame once up front and serves ReadBlock as zero-copy
-// interior slices; concurrent reads need no locking.
+// OpenBlocks implements Backend. The sealed frames are immutable, so the
+// reader validates and indexes every frame once up front and serves
+// ReadBlock as zero-copy payload slices; concurrent reads need no locking.
 func (m *Memory) OpenBlocks(name string) (BlockReader, error) {
 	m.mu.Lock()
 	run, ok := m.runs[name]
@@ -96,53 +70,49 @@ func (m *Memory) OpenBlocks(name string) (BlockReader, error) {
 	if !run.sealed {
 		return nil, fmt.Errorf("storage: run %q is not sealed", name)
 	}
-	data := run.data
-	var offs []int
-	for off := 0; off < len(data); {
-		if len(data)-off < 4 {
-			return nil, corruptRun(name, "truncated block header")
+	var blocks [][]byte
+	for _, data := range run.frames {
+		for off := 0; off < len(data); {
+			if len(data)-off < 4 {
+				return nil, corruptRun(name, "truncated block header")
+			}
+			n := int(data[off]) | int(data[off+1])<<8 | int(data[off+2])<<16 | int(data[off+3])<<24
+			if n < 0 || n > len(data)-off-4 {
+				return nil, corruptRun(name, "bad block length %d", n)
+			}
+			blocks = append(blocks, data[off+4:off+4+n])
+			off += 4 + n
 		}
-		n := int(data[off]) | int(data[off+1])<<8 | int(data[off+2])<<16 | int(data[off+3])<<24
-		if n < 0 || n > len(data)-off-4 {
-			return nil, corruptRun(name, "bad block length %d", n)
-		}
-		offs = append(offs, off+4)
-		off += 4 + n
 	}
-	return &memBlockReader{name: name, data: data, offs: offs}, nil
+	return &memBlockReader{name: name, blocks: blocks}, nil
 }
 
-// memBlockReader serves block payloads as read-only slices of one sealed
-// in-memory run. All state is immutable after construction, so every method
-// is trivially safe for concurrent use and Close is a no-op.
+// memBlockReader serves the block payloads of one sealed in-memory run. All
+// state is immutable after construction, so every method is trivially safe
+// for concurrent use and Close is a no-op.
 type memBlockReader struct {
-	name string
-	data []byte
-	offs []int // payload start of each block; size derives from the frame
+	name   string
+	blocks [][]byte
 }
 
 // Blocks implements BlockReader.
-func (r *memBlockReader) Blocks() int { return len(r.offs) }
+func (r *memBlockReader) Blocks() int { return len(r.blocks) }
 
 // BlockSize implements BlockReader.
 func (r *memBlockReader) BlockSize(i int) int {
-	if i < 0 || i >= len(r.offs) {
+	if i < 0 || i >= len(r.blocks) {
 		return 0
 	}
-	end := len(r.data)
-	if i+1 < len(r.offs) {
-		end = r.offs[i+1] - 4
-	}
-	return end - r.offs[i]
+	return len(r.blocks[i])
 }
 
 // ReadBlock implements BlockReader; buf is ignored because the payload is
 // already resident.
 func (r *memBlockReader) ReadBlock(i int, _ []byte) ([]byte, error) {
-	if i < 0 || i >= len(r.offs) {
-		return nil, corruptRun(r.name, "block %d out of range [0,%d)", i, len(r.offs))
+	if i < 0 || i >= len(r.blocks) {
+		return nil, corruptRun(r.name, "block %d out of range [0,%d)", i, len(r.blocks))
 	}
-	return r.data[r.offs[i] : r.offs[i]+r.BlockSize(i)], nil
+	return r.blocks[i], nil
 }
 
 // Close implements BlockReader.

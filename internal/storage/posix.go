@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,8 +11,8 @@ import (
 )
 
 // Posix is the filesystem Backend: each run is one file under a spill
-// directory, written through a buffered writer and read back with a
-// buffered reader. Run names are escaped into flat file names (the '/'
+// directory, written through a buffered writer and read back a block at a
+// time with ReadAt. Run names are escaped into flat file names (the '/'
 // hierarchy separator becomes part of the escaped name), so prefix cleanup
 // stays a directory scan.
 type Posix struct {
@@ -110,41 +109,6 @@ func (p *Posix) Create(name string) (RunWriter, error) {
 		return f.Close()
 	}
 	return newBlockWriter(sink, seal), nil
-}
-
-// Open implements Backend.
-func (p *Posix) Open(name string) (RunReader, error) {
-	p.mu.Lock()
-	writing := p.open[name]
-	p.mu.Unlock()
-	if writing {
-		return nil, fmt.Errorf("storage: run %q is not sealed", name)
-	}
-	f, err := os.Open(p.path(name))
-	if err != nil {
-		return nil, fmt.Errorf("storage: open run: %w", err)
-	}
-	br := bufio.NewReaderSize(f, 128<<10)
-	var hdr [4]byte
-	var block []byte
-	fill := func() ([]byte, error) {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF {
-				return nil, nil
-			}
-			return nil, corruptRun(name, "block header: %w", err)
-		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		if cap(block) < int(n) {
-			block = make([]byte, n)
-		}
-		block = block[:n]
-		if _, err := io.ReadFull(br, block); err != nil {
-			return nil, corruptRun(name, "block body: %w", err)
-		}
-		return block, nil
-	}
-	return newBlockReader(fill, f.Close), nil
 }
 
 // OpenBlocks implements Backend. One sequential header scan validates

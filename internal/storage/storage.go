@@ -1,10 +1,11 @@
 // Package storage is the temporary-run layer under memory-governed
 // execution: a pluggable Backend hands out append-only runs of encoded
 // tuples that spilling operators (grace-hash join and aggregate partitions,
-// external-sort runs) write sequentially and read back sequentially. Runs
-// reuse the hardened wire tuple codec, framed in length-prefixed blocks, so
-// a spilled partition round-trips byte-exactly through the same code path
-// the transport already fuzzes.
+// external-sort runs) write sequentially and read back a block at a time
+// through OpenBlocks, the one read path stored tables use too. Runs reuse
+// the hardened wire tuple codec, framed in length-prefixed blocks, so a
+// spilled partition round-trips byte-exactly through the same code path the
+// transport already fuzzes.
 //
 // The package also provides Budget, the per-query memory accountant the
 // engine threads through ExecContext: operators reserve bytes as they buffer
@@ -35,28 +36,17 @@ type RunWriter interface {
 	Close() error
 }
 
-// RunReader streams a sealed run back in append order. Readers are
-// single-goroutine objects.
-type RunReader interface {
-	// Next returns the next tuple; ok is false at end of run.
-	Next() (t relation.Tuple, ok bool, err error)
-	// Close releases the reader (the run itself stays until removed).
-	Close() error
-}
-
 // Backend creates, opens and removes named temporary runs. Implementations
-// are safe for concurrent use by multiple queries; individual writers and
-// readers are not. Run names use '/' as a hierarchy separator
+// are safe for concurrent use by multiple queries; individual writers are
+// not. Run names use '/' as a hierarchy separator
 // ("q7.f1-i0/join-p5-build"), which is what prefix cleanup keys on.
 type Backend interface {
 	// Create makes a new empty run, failing if the name already exists.
 	Create(name string) (RunWriter, error)
-	// Open returns a reader over a sealed run.
-	Open(name string) (RunReader, error)
 	// OpenBlocks returns a block-granular reader over a sealed run — the
-	// stored-scan path. The whole frame chain is validated up front, so a
-	// truncated or corrupt run fails here with a typed storage error rather
-	// than mid-scan.
+	// one read path, for stored scans and spill reloads alike. The whole
+	// frame chain is validated up front, so a truncated or corrupt run fails
+	// here with a typed storage error rather than mid-scan.
 	OpenBlocks(name string) (BlockReader, error)
 	// Remove deletes a run (idempotent: removing an absent run is not an
 	// error).
@@ -71,10 +61,9 @@ type Backend interface {
 }
 
 // BlockReader gives random access to the sealed, length-prefixed blocks of
-// one run — the batch-at-a-time stored-scan path. Unlike RunReader, a
-// BlockReader is safe for concurrent ReadBlock calls from multiple
-// goroutines (morsel workers share one reader over disjoint block ranges),
-// and Close is idempotent.
+// one run — the batch-at-a-time read path. A BlockReader is safe for
+// concurrent ReadBlock calls from multiple goroutines (morsel workers share
+// one reader over disjoint block ranges), and Close is idempotent.
 type BlockReader interface {
 	// Blocks reports how many framed blocks the run holds.
 	Blocks() int
@@ -180,61 +169,6 @@ func (w *blockWriter) Close() error {
 	w.closed = true
 	if w.seal != nil {
 		return w.seal()
-	}
-	return nil
-}
-
-// blockReader implements the shared run-reader framing: fill hands it the
-// next whole block, and Next decodes tuples out of it one at a time.
-type blockReader struct {
-	fill   func() ([]byte, error) // next block payload; nil at end of run
-	done   func() error
-	rest   []byte // undecoded remainder of the current block
-	left   uint64 // tuples remaining in the current block
-	arena  relation.Arena
-	closed bool
-}
-
-func newBlockReader(fill func() ([]byte, error), done func() error) *blockReader {
-	return &blockReader{fill: fill, done: done}
-}
-
-// Next implements RunReader.
-func (r *blockReader) Next() (relation.Tuple, bool, error) {
-	for r.left == 0 {
-		block, err := r.fill()
-		if err != nil {
-			return nil, false, err
-		}
-		if block == nil {
-			return nil, false, nil
-		}
-		n, rest, err := relation.TupleCount(block)
-		if err != nil {
-			return nil, false, qerr.Storage("run block", err)
-		}
-		r.left, r.rest = n, rest
-	}
-	t, rest, err := relation.DecodeTuple(&r.arena, r.rest)
-	if err != nil {
-		return nil, false, qerr.Storage("run tuple", err)
-	}
-	r.rest = rest
-	r.left--
-	return t, true, nil
-}
-
-// Close implements RunReader. It is idempotent: closing a reader that was
-// already closed mid-scan is a no-op, so teardown paths that race a scan's
-// own cleanup never double-release the underlying handle.
-func (r *blockReader) Close() error {
-	if r.closed {
-		return nil
-	}
-	r.closed = true
-	r.rest, r.left = nil, 0
-	if r.done != nil {
-		return r.done()
 	}
 	return nil
 }

@@ -50,21 +50,18 @@ func TestRunRoundTrip(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			r, err := b.Open("q1.f1-i0/join-1-build")
+			r, err := b.OpenBlocks("q1.f1-i0/join-1-build")
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, wt := range want {
-				got, ok, err := r.Next()
-				if err != nil || !ok {
-					t.Fatalf("tuple %d: ok=%v err=%v", i, ok, err)
-				}
-				if !tuplesIdentical(wt, got) {
-					t.Fatalf("tuple %d: %v != %v", i, wt.Format(), got.Format())
-				}
+			got := decodeBlocks(t, r)
+			if len(got) != len(want) {
+				t.Fatalf("run yielded %d tuples, want %d", len(got), len(want))
 			}
-			if _, ok, err := r.Next(); ok || err != nil {
-				t.Fatalf("expected end of run, ok=%v err=%v", ok, err)
+			for i, wt := range want {
+				if !tuplesIdentical(wt, got[i]) {
+					t.Fatalf("tuple %d: %v != %v", i, wt.Format(), got[i].Format())
+				}
 			}
 			if err := r.Close(); err != nil {
 				t.Fatal(err)
@@ -104,13 +101,15 @@ func TestOpenUnsealedFails(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := b.Open("open-race"); err == nil {
-				t.Fatal("Open before Close must fail")
+			if _, err := b.OpenBlocks("open-race"); err == nil {
+				t.Fatal("OpenBlocks before Close must fail")
 			}
 			_ = w.Close()
-			if _, err := b.Open("open-race"); err != nil {
-				t.Fatalf("Open after seal: %v", err)
+			r, err := b.OpenBlocks("open-race")
+			if err != nil {
+				t.Fatalf("OpenBlocks after seal: %v", err)
 			}
+			_ = r.Close()
 		})
 	}
 }
