@@ -4,10 +4,12 @@ import (
 	"context"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bus"
 	"repro/internal/obs"
 	"repro/internal/simnet"
+	"repro/internal/vtime"
 )
 
 // Assessment selects how the Diagnoser computes the per-instance cost
@@ -85,6 +87,8 @@ type Diagnoser struct {
 	obsIn           *obs.Counter
 	obsProposals    *obs.Counter
 	timeline        *obs.Timeline
+	// clock stamps timeline events; SetClock installs it (nil stamps 0).
+	clock atomic.Pointer[vtime.Clock]
 }
 
 type diagState struct {
@@ -128,6 +132,10 @@ func NewDiagnoser(ctx context.Context, b *bus.Bus, node simnet.NodeID, cfg Diagn
 	)
 	return d
 }
+
+// SetClock sets the clock that stamps the Diagnoser's timeline events. Safe
+// against concurrently recorded events.
+func (d *Diagnoser) SetClock(c *vtime.Clock) { d.clock.Store(c) }
 
 // Stop cancels the subscriptions. Idempotent and safe from multiple
 // goroutines.
@@ -296,6 +304,7 @@ func (d *Diagnoser) assessLocked(st *diagState) *Proposal {
 	d.obsProposals.Inc()
 	d.timeline.Append(obs.Event{
 		Kind:       obs.KindProposal,
+		AtMs:       stampMs(&d.clock),
 		Node:       string(d.node),
 		Fragment:   st.topo.Fragment,
 		OldWeights: append([]float64(nil), st.weights...),

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bus"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/simnet"
+	"repro/internal/vtime"
 )
 
 // MonitorAdapter implements engine.MonitorSink by publishing raw events to
@@ -77,6 +79,8 @@ type MonitoringEventDetector struct {
 	obsRaw   *obs.Counter
 	obsNotif *obs.Counter
 	timeline *obs.Timeline
+	// clock stamps timeline events; SetClock installs it (nil stamps 0).
+	clock atomic.Pointer[vtime.Clock]
 }
 
 // window is the per-group running state.
@@ -113,6 +117,19 @@ func NewMED(ctx context.Context, b *bus.Bus, node simnet.NodeID, cfg MEDConfig) 
 	}
 	m.sub = b.SubscribeContext(ctx, "med@"+string(node), node, bus.Topic(TopicRawPrefix+string(node)), m.onRaw)
 	return m
+}
+
+// SetClock sets the clock that stamps the detector's timeline events. Safe
+// against concurrently recorded events.
+func (m *MonitoringEventDetector) SetClock(c *vtime.Clock) { m.clock.Store(c) }
+
+// stampMs reads a component's timeline clock: paper milliseconds, or 0 if
+// none was set.
+func stampMs(c *atomic.Pointer[vtime.Clock]) float64 {
+	if clk := c.Load(); clk != nil {
+		return clk.NowMs()
+	}
+	return 0
 }
 
 // Stop cancels the subscription. Idempotent and safe from multiple
@@ -216,6 +233,7 @@ func (m *MonitoringEventDetector) publish(n CostNotification) {
 	}
 	m.timeline.Append(obs.Event{
 		Kind:      obs.KindMEDNotify,
+		AtMs:      stampMs(&m.clock),
 		Node:      string(m.node),
 		Fragment:  fragment,
 		Key:       n.Key,

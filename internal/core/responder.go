@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bus"
@@ -112,10 +113,9 @@ type Responder struct {
 	// out the RPC timeout against a torn-down fragment.
 	ctx context.Context
 
-	// clockMu guards clock: SetClock is called from the session goroutine
-	// while the subscription's delivery goroutine reads it to stamp events.
-	clockMu sync.Mutex
-	clock   *vtime.Clock
+	// clock stamps timeline events. SetClock is called from the session
+	// goroutine while the subscription's delivery goroutine reads it.
+	clock atomic.Pointer[vtime.Clock]
 
 	// protoMu serializes deployment protocols — proposal-driven
 	// adaptations, failure recovery and live-instance admission — so at
@@ -184,7 +184,6 @@ func NewResponder(ctx context.Context, b *bus.Bus, tr transport.Transport, node 
 		node:      node,
 		cfg:       cfg,
 		ctx:       ctx,
-		clock:     vtime.NewClock(vtime.DefaultScale),
 		fragments: make(map[string]*respState),
 		deadNodes: make(map[simnet.NodeID]bool),
 		rpc:       transport.NewCaller(tr, node, "aqp/responder@"+string(node), 60*time.Second),
@@ -206,6 +205,7 @@ func NewResponder(ctx context.Context, b *bus.Bus, tr transport.Transport, node 
 		obsRecoveryMs: o.Histogram(obs.MRecoveryDuration, obs.DefBucketsLatencyMs),
 		otl:           o.Timeline(),
 	}
+	r.clock.Store(vtime.NewClock(vtime.DefaultScale))
 	r.sub = b.SubscribeContext(ctx, "responder", node, TopicDiagnosis, r.onProposal)
 	return r
 }
@@ -244,19 +244,11 @@ func (r *Responder) Register(topo FragmentTopology) error {
 }
 
 // SetClock replaces the timeline clock. Safe against concurrently recorded
-// events (the delivery goroutine reads the clock through the same lock).
-func (r *Responder) SetClock(c *vtime.Clock) {
-	r.clockMu.Lock()
-	r.clock = c
-	r.clockMu.Unlock()
-}
+// events.
+func (r *Responder) SetClock(c *vtime.Clock) { r.clock.Store(c) }
 
-// nowMs stamps paper time under the clock lock.
-func (r *Responder) nowMs() float64 {
-	r.clockMu.Lock()
-	defer r.clockMu.Unlock()
-	return r.clock.NowMs()
-}
+// nowMs stamps paper time.
+func (r *Responder) nowMs() float64 { return stampMs(&r.clock) }
 
 // Stats returns a snapshot of the activity counters.
 func (r *Responder) Stats() ResponderStats {

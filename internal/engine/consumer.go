@@ -18,21 +18,36 @@ type Addr struct {
 	Service string
 }
 
-// queueBuf is one received buffer in the consumer's queue: its tuples, the
-// next one to pop, and the buffer's ordinal in its stream's window.
+// queueBuf is one received buffer in the consumer's queue, read in place:
+// its tuples and buckets (nil: the stream routes by none), the next tuple to
+// pop, and the buffer's ordinal in its stream's window.
 type queueBuf struct {
-	bufRun
+	first   int64
+	tuples  []relation.Tuple
+	buckets []int32
+	deadSet
 	producer int32
 	pos      int32
 	ord      int64
 }
 
+// bucket returns tuple i's routing bucket, or -1 if its stream routes by
+// none. Only a live, unpopped tuple's slots may be read (see Deliver).
+func (e *queueBuf) bucket(i int) int32 {
+	if poisoned(e.tuples[i]) {
+		panic(fmt.Sprintf("engine: consumer read released slot %d of the buffer at seq %d", i, e.first))
+	}
+	if len(e.buckets) == 0 {
+		return -1
+	}
+	return e.buckets[i]
+}
+
 // bufQueue is the consumer's queue: one entry per received buffer, in
-// arrival order, with the tuples copied into the consumer's own slots.
+// arrival order.
 type bufQueue struct {
-	q     seqQueue[queueBuf]
-	store slotStore
-	n     int // tuples neither popped nor discarded
+	q seqQueue[queueBuf]
+	n int // tuples neither popped nor discarded
 }
 
 func (b *bufQueue) len() int { return b.n }
@@ -216,13 +231,13 @@ func (c *Consumer) popLocked(w *ConsumerWorker, dst *relation.Batch) int {
 			for e.pos+k < e.n && got+int(k) < n && !e.isDead(int(e.pos+k)) {
 				k++
 			}
-			dst.AppendAll(e.tuples()[e.pos : e.pos+k])
+			dst.AppendAll(e.tuples[e.pos : e.pos+k])
 			w.pending = append(w.pending, span{producer: e.producer, n: k, first: e.first + int64(e.pos), ord: e.ord})
 			e.pos += k
 			got += int(k)
 		}
 		if e.pos == e.n {
-			popRun(&c.queue.q, &c.queue.store)
+			c.queue.q.popFront()
 		}
 	}
 	c.queue.n -= n
@@ -412,8 +427,20 @@ func (c *Consumer) Close() error {
 }
 
 // Deliver ingests a data or EOS message from the transport. Replay buffers
-// go straight to the registered state target; normal buffers join the
-// queue.
+// go straight to the registered state target; normal buffers join the queue
+// as they are, without a copy: the entry reads msg.Tuples and msg.Buckets in
+// place, which in process are the producer's recovery-log slots. That is
+// safe by the exchange's lifetime rule:
+//   - a sent buffer's slots are immutable;
+//   - a producer's slotStore rewinds or recycles a chunk only after every
+//     buffer in it was released: acknowledged at or below a checkpoint, or
+//     taken by a resend; a stateful log never recycles, since its replay
+//     takes tuples the consumer may still hold queued;
+//   - a consumer acknowledges a checkpoint only after every tuple at or
+//     below it was popped or discarded.
+//
+// So a consumer that reads only live, unpopped slots never reads a recycled
+// one. A data message must carry one bucket per tuple or none.
 func (c *Consumer) Deliver(msg *transport.Message) error {
 	switch msg.Kind {
 	case transport.KindEOS:
@@ -430,6 +457,9 @@ func (c *Consumer) Deliver(msg *transport.Message) error {
 		})
 		return nil
 	case transport.KindData:
+		if len(msg.Buckets) != 0 && len(msg.Buckets) != len(msg.Tuples) {
+			return fmt.Errorf("engine: %d buckets for %d tuples on exchange %s", len(msg.Buckets), len(msg.Tuples), c.Exchange)
+		}
 		if msg.Replay {
 			if c.stateTarget == nil {
 				return fmt.Errorf("engine: replay buffer on exchange %s with no state target", c.Exchange)
@@ -444,17 +474,11 @@ func (c *Consumer) Deliver(msg *transport.Message) error {
 		c.gate.mu.Lock()
 		st := c.streams[msg.ProducerIdx]
 		if n := len(msg.Tuples); n > 0 {
-			// The tuples are copied out: an in-proc sender reuses its
-			// storage once Deliver returns.
-			ch, off := c.queue.store.reserve(n)
-			copy(ch.tuples[off:], msg.Tuples)
-			if bks := ch.buckets[off : off+n]; copy(bks, msg.Buckets) == 0 {
-				for i := range bks {
-					bks[i] = -1
-				}
-			}
 			c.queue.q.push(queueBuf{
-				bufRun:   bufRun{first: msg.StartSeq, c: ch, off: int32(off), n: int32(n), live: int32(n)},
+				first:    msg.StartSeq,
+				tuples:   msg.Tuples,
+				buckets:  msg.Buckets,
+				deadSet:  deadSet{n: int32(n), live: int32(n)},
 				producer: int32(msg.ProducerIdx),
 				ord:      st.outstanding.add(msg.StartSeq, n),
 			})
@@ -505,8 +529,9 @@ func (c *Consumer) discardLocked(buckets []int32) map[int][]int64 {
 			continue
 		}
 		k := 0
-		for i := e.pos; i < e.n; i++ {
-			if (filter == nil || filter[e.buckets()[i]]) && e.kill(int(i)) {
+		for i := int(e.pos); i < int(e.n); i++ {
+			// A dead tuple's slot may already be recycled: read nothing of it.
+			if !e.isDead(i) && (filter == nil || filter[e.bucket(i)]) && e.kill(i) {
 				report[int(e.producer)] = append(report[int(e.producer)], e.first+int64(i))
 				k++
 			}

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math/bits"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -219,6 +221,70 @@ func TestConsumerRejectsBadMessages(t *testing.T) {
 	}
 	if err := h.cons.Deliver(&transport.Message{Kind: transport.KindData, ProducerIdx: 9}); err == nil {
 		t.Error("bad producer index accepted")
+	}
+}
+
+// TestConsumerRejectsBucketCountMismatch: a data buffer carries one bucket
+// per tuple or none. Anything else is refused before it is queued, so a later
+// bucket-filtered recall never reads a bucket the buffer did not carry.
+func TestConsumerRejectsBucketCountMismatch(t *testing.T) {
+	h := newConsumerHarness(t, 1, false)
+	for _, buckets := range [][]int32{{3}, {3, 5, 7}} {
+		msg := &transport.Message{Kind: transport.KindData, Exchange: "EX", StartSeq: 1,
+			Tuples: []relation.Tuple{intTuple(1), intTuple(2)}, Buckets: buckets}
+		if err := h.cons.Deliver(msg); err == nil {
+			t.Errorf("2 tuples with %d buckets accepted", len(buckets))
+		}
+	}
+	if _, _, queued := h.cons.Stats(); queued != 0 {
+		t.Fatalf("%d tuples of refused buffers queued", queued)
+	}
+	h.deliver(t, 1, 0, []int32{3, 5}, intTuple(1), intTuple(2))
+	h.cons.gate.mu.Lock()
+	report := h.cons.discardLocked([]int32{5})
+	h.cons.gate.mu.Unlock()
+	if len(report[0]) != 1 || report[0][0] != 2 {
+		t.Fatalf("bucket 5 recall reported %v, want seq 2", report)
+	}
+}
+
+// TestConsumerBacklogAllocatesNoSlots: the queue reads each delivered buffer
+// in place, so a backlog of B buffers costs only the growth of the queue's
+// and the window's entry slices: O(log B) objects, and less per tuple than
+// the 28 bytes a copied tuple costs in slots (its header and its bucket).
+// The entry slices come to about 10 bytes per tuple of a 50-tuple buffer.
+func TestConsumerBacklogAllocatesNoSlots(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const buffers, size = 4096, 50
+	h := newConsumerHarness(t, 1, false)
+	tuples := make([]relation.Tuple, size)
+	buckets := make([]int32, size)
+	for i := range tuples {
+		tuples[i] = intTuple(i)
+	}
+	msg := &transport.Message{Kind: transport.KindData, Exchange: "EX", Tuples: tuples, Buckets: buckets}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for b := 0; b < buffers; b++ {
+		msg.StartSeq = int64(1 + size*b)
+		if err := h.cons.Deliver(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if _, _, queued := h.cons.Stats(); queued != buffers*size {
+		t.Fatalf("%d tuples queued, want %d", queued, buffers*size)
+	}
+	objects, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	if limit := 4 * bits.Len(buffers); objects > uint64(limit) {
+		t.Errorf("a backlog of %d buffers allocated %d objects, want at most %d", buffers, objects, limit)
+	}
+	if perTuple := float64(bytes) / (buffers * size); perTuple >= 28 {
+		t.Errorf("a backlog of %d buffers allocated %.1f bytes per tuple (%.0f per buffer): the queue copies its tuples",
+			buffers, perTuple, perTuple*size)
 	}
 }
 

@@ -244,7 +244,7 @@ func NewProducer(cfg ProducerConfig) *Producer {
 		p.checkpointEvery = DefaultCheckpointEvery
 	}
 	for i := range p.shards {
-		p.shards[i] = &producerShard{log: recoveryLog{seq: 1}}
+		p.shards[i] = &producerShard{log: newRecoveryLog(p.Stateful)}
 	}
 	p.barrier.init()
 	return p
@@ -805,7 +805,7 @@ func (p *Producer) AddConsumer(addr Addr, w []float64) error {
 		return err
 	}
 	p.Consumers = append(p.Consumers, addr)
-	p.shards = append(p.shards, &producerShard{log: recoveryLog{seq: 1}})
+	p.shards = append(p.shards, &producerShard{log: newRecoveryLog(p.Stateful)})
 	return nil
 }
 

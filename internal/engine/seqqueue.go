@@ -3,6 +3,7 @@ package engine
 import (
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/relation"
 )
@@ -65,14 +66,27 @@ type slotChunk struct {
 // cost O(log B + B/maxSlotChunk) chunks, none ever copied.
 const seqChunk, maxSlotChunk = 64, 4096
 
-// slotStore hands out slot runs to one FIFO of buffers. The chunk the FIFO's
-// front leaves becomes the spare, or is rewound in place when the FIFO
-// drained, so a steady stream allocates nothing.
+// slotStore hands out the slot runs of one recovery log. The chunk the
+// log's front leaves becomes the spare, or is rewound in place when the log
+// drained, so a steady stream allocates nothing. A run, once sent, is read
+// in place by its consumer (see Consumer.Deliver), so a chunk is rewound or
+// recycled only after every buffer in it was released.
 type slotStore struct {
 	tail, spare *slotChunk
 	used        int // slots of tail handed out
 	size        int // capacity of the last fresh chunk
+	// noRecycle leaves every chunk the log's front leaves to the garbage
+	// collector. A stateful log sets it: its tuples are released only by a
+	// replay, which takes them whether or not their consumer still holds
+	// them queued.
+	noRecycle bool
 }
+
+// slotPoison holds nil in production. A test that stores a tuple in it
+// makes drop fill released slots with that tuple instead of clearing them,
+// so a reader that outlives a slot's lifetime sees the poison. It is atomic
+// because acknowledgement goroutines of earlier tests may still release.
+var slotPoison atomic.Pointer[relation.Tuple]
 
 // reserve returns n contiguous free slots.
 func (s *slotStore) reserve(n int) (*slotChunk, int) {
@@ -90,64 +104,81 @@ func (s *slotStore) reserve(n int) (*slotChunk, int) {
 	return s.tail, s.used - n
 }
 
-// drop retires chunk c once the FIFO's front has moved from it to next (nil:
-// the FIFO is empty).
+// drop retires chunk c once the log's front has moved from it to next (nil:
+// the log is empty).
 func (s *slotStore) drop(c, next *slotChunk) {
 	switch {
 	case c == next:
+	case s.noRecycle:
+		if c == s.tail {
+			s.tail = nil
+		}
 	case c == s.tail:
-		clear(c.tuples[:s.used])
+		releaseSlots(c.tuples[:s.used])
 		s.used = 0
 	default:
-		clear(c.tuples)
+		releaseSlots(c.tuples)
 		if s.spare == nil || len(c.tuples) > len(s.spare.tuples) {
 			s.spare = c
 		}
 	}
 }
 
-// bufRun is one buffer of one stream: n tuples from sequence first, in slots
-// [off, off+n) of c. dead marks the tuples a recall, ack or take removed; it
-// is allocated only when one splits the buffer.
-type bufRun struct {
-	first  int64
-	c      *slotChunk
-	off, n int32
-	live   int32 // tuples not dead
-	dead   []uint64
+// poisoned reports whether t is the tuple a test stored in slotPoison.
+func poisoned(t relation.Tuple) bool {
+	p := slotPoison.Load()
+	return p != nil && len(t) > 0 && len(*p) > 0 && &t[0] == &(*p)[0]
 }
 
-func (b bufRun) chunk() *slotChunk         { return b.c }
-func (b *bufRun) tuples() []relation.Tuple { return b.c.tuples[b.off : b.off+b.n] }
-func (b *bufRun) buckets() []int32         { return b.c.buckets[b.off : b.off+b.n] }
+// releaseSlots clears released slots, or poisons them under a test.
+func releaseSlots(ts []relation.Tuple) {
+	p := slotPoison.Load()
+	if p == nil {
+		clear(ts)
+		return
+	}
+	for i := range ts {
+		ts[i] = *p
+	}
+}
 
-func (b *bufRun) isDead(i int) bool {
-	return b.live == 0 || b.dead != nil && b.dead[i/64]&(1<<(i%64)) != 0
+// deadSet marks which of a buffer's n tuples are gone: released by an ack
+// or taken by a resend or replay in a recovery log, discarded by a recall in
+// the consumer's queue. The bitmap is allocated only when one splits the
+// buffer.
+type deadSet struct {
+	n, live int32 // tuples, and tuples not dead
+	dead    []uint64
+}
+
+func (d *deadSet) isDead(i int) bool {
+	return d.live == 0 || d.dead != nil && d.dead[i/64]&(1<<(i%64)) != 0
 }
 
 // kill marks tuple i dead and reports whether it was live.
-func (b *bufRun) kill(i int) bool {
-	if b.isDead(i) {
+func (d *deadSet) kill(i int) bool {
+	if d.isDead(i) {
 		return false
 	}
-	if b.dead == nil {
-		b.dead = make([]uint64, (b.n+63)/64)
+	if d.dead == nil {
+		d.dead = make([]uint64, (d.n+63)/64)
 	}
-	b.dead[i/64] |= 1 << (i % 64)
-	b.live--
+	d.dead[i/64] |= 1 << (i % 64)
+	d.live--
 	return true
 }
 
-// popRun pops the front buffer of q, retiring the chunk it leaves behind.
-func popRun[T interface{ chunk() *slotChunk }](q *seqQueue[T], s *slotStore) {
-	c := (*q.front()).chunk()
-	q.popFront()
-	var next *slotChunk
-	if q.len() > 0 {
-		next = (*q.front()).chunk()
-	}
-	s.drop(c, next)
+// bufRun is one buffer of one stream: n tuples from sequence first, in slots
+// [off, off+n) of c.
+type bufRun struct {
+	first int64
+	c     *slotChunk
+	off   int32
+	deadSet
 }
+
+func (b *bufRun) tuples() []relation.Tuple { return b.c.tuples[b.off : b.off+b.n] }
+func (b *bufRun) buckets() []int32         { return b.c.buckets[b.off : b.off+b.n] }
 
 // recoveryLog is one consumer stream's recovery log and sequence counter:
 // one bufRun per buffer from the oldest holding an unreleased tuple, the
@@ -158,6 +189,12 @@ type recoveryLog struct {
 	open  bool  // the tail is the open buffer
 	seq   int64 // next sequence to hand out; sequences start at 1
 	live  int   // tuples not yet released
+}
+
+// newRecoveryLog returns an empty log whose sequences start at 1; a
+// stateful exchange's log never recycles its slots.
+func newRecoveryLog(stateful bool) recoveryLog {
+	return recoveryLog{seq: 1, store: slotStore{noRecycle: stateful}}
 }
 
 // openBuf returns the open buffer, or nil.
@@ -240,7 +277,13 @@ func (l *recoveryLog) release(ck int64, keep []int64) {
 // trim pops released buffers off the front.
 func (l *recoveryLog) trim() {
 	for l.bufs.len() > 0 && l.bufs.front().live == 0 && !(l.open && l.bufs.len() == 1) {
-		popRun(&l.bufs, &l.store)
+		c := l.bufs.front().c
+		l.bufs.popFront()
+		var next *slotChunk
+		if l.bufs.len() > 0 {
+			next = l.bufs.front().c
+		}
+		l.store.drop(c, next)
 	}
 }
 
@@ -256,8 +299,11 @@ func (l *recoveryLog) each(fn func(seq int64, t relation.Tuple, bucket int32)) {
 	}
 }
 
-// reset drops every tuple; the sequence counter carries on.
-func (l *recoveryLog) reset() { *l = recoveryLog{seq: l.seq} }
+// reset drops every tuple, leaving its slots to the garbage collector; the
+// sequence counter carries on.
+func (l *recoveryLog) reset() {
+	*l = recoveryLog{seq: l.seq, store: slotStore{noRecycle: l.store.noRecycle}}
+}
 
 // winBuf is a received buffer: its first sequence and how many of its
 // tuples are neither processed nor discarded.

@@ -503,6 +503,7 @@ func (s *QuerySession) admitInto(frag *physical.FragmentSpec, node simnet.NodeID
 	s.rtMu.Lock()
 	if s.meds[node] == nil {
 		s.meds[node] = core.NewMED(s.ctx, s.host.bus, node, s.host.cfg.MED)
+		s.meds[node].SetClock(s.host.clock)
 	}
 	if s.ctx.Err() != nil {
 		// Close() has started tearing the session down; it will not see

@@ -111,12 +111,17 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	resp.Body.Close()
 	first := map[obs.EventKind]int64{}
+	firstAt := map[obs.EventKind]float64{}
 	for _, e := range dump.Events {
 		if _, seen := first[e.Kind]; !seen {
 			first[e.Kind] = e.Seq
+			firstAt[e.Kind] = e.AtMs
 		}
 		if e.Kind == obs.KindProposal && (len(e.OldWeights) == 0 || len(e.NewWeights) == 0) {
 			t.Errorf("proposal event without weight vectors: %+v", e)
+		}
+		if (e.Kind == obs.KindMEDNotify || e.Kind == obs.KindProposal) && e.AtMs <= 0 {
+			t.Errorf("%s event without its time: %+v", e.Kind, e)
 		}
 	}
 	notify, okN := first[obs.KindMEDNotify]
@@ -128,6 +133,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	if !(notify < proposal && proposal < outcome) {
 		t.Fatalf("timeline out of order: notify=%d proposal=%d outcome=%d", notify, proposal, outcome)
+	}
+	if n, p, o := firstAt[obs.KindMEDNotify], firstAt[obs.KindProposal], firstAt[obs.KindOutcome]; !(n <= p && p <= o) {
+		t.Fatalf("timeline times out of order: notify at %.3f ms, proposal at %.3f, outcome at %.3f", n, p, o)
 	}
 	adapted := false
 	for _, e := range dump.Events {

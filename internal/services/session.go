@@ -143,10 +143,12 @@ func newQuerySession(ctx context.Context, h *host, plan *physical.Plan, sql stri
 			for _, node := range frag.Instances {
 				if s.meds[node] == nil {
 					s.meds[node] = core.NewMED(sctx, h.bus, node, h.cfg.MED)
+					s.meds[node].SetClock(h.clock)
 				}
 			}
 		}
 		s.diagnoser = core.NewDiagnoser(sctx, h.bus, h.node, h.cfg.Diagnoser)
+		s.diagnoser.SetClock(h.clock)
 		s.responder = core.NewResponder(sctx, h.bus, h.tr, h.node, h.cfg.Responder)
 		s.responder.SetClock(h.clock)
 		for _, topo := range core.TopologyOf(plan, h.grid.Buckets) {

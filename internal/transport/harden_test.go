@@ -133,3 +133,54 @@ func TestTCPCorruptFrameCountedAndDropped(t *testing.T) {
 		t.Fatalf("transport_corrupt_frames_total rose by %d, want 2", n)
 	}
 }
+
+// TestWireRejectsBucketCountMismatch: a data message carries one bucket per
+// tuple or none. A short list would leave a receiver's tuples without their
+// routing bucket and a long one names tuples that do not exist, so either
+// is refused as ErrWire, and a TCP receiver drops and counts the frame.
+func TestWireRejectsBucketCountMismatch(t *testing.T) {
+	tuples := []relation.Tuple{{relation.Int(1)}, {relation.Int(2)}, {relation.Int(3)}}
+	bad := []*Message{
+		{Kind: KindData, Exchange: "E", Tuples: tuples, Buckets: []int32{4, 5}},
+		{Kind: KindData, Exchange: "E", Tuples: tuples[:2], Buckets: []int32{4, 5, 6}},
+		{Kind: KindData, Exchange: "E", Buckets: []int32{4}},
+	}
+	for i, m := range bad {
+		if _, err := UnmarshalMessage(MarshalMessage(m)); !errors.Is(err, ErrWire) {
+			t.Fatalf("message %d (%d tuples, %d buckets): err = %v, want ErrWire", i, len(m.Tuples), len(m.Buckets), err)
+		}
+	}
+	for _, m := range []*Message{
+		{Kind: KindData, Exchange: "E", Tuples: tuples},
+		{Kind: KindData, Exchange: "E", Tuples: tuples, Buckets: []int32{4, 5, 6}},
+	} {
+		if _, err := UnmarshalMessage(MarshalMessage(m)); err != nil {
+			t.Fatalf("%d tuples, %d buckets refused: %v", len(m.Tuples), len(m.Buckets), err)
+		}
+	}
+
+	a, b := tcpPair(t)
+	delivered := make(chan *Message, 1)
+	b.Register("nodeB", "svc", func(_ simnet.NodeID, m *Message) { delivered <- m })
+	before := b.obsCorrupt.Value()
+	for _, m := range append(bad, &Message{Kind: KindEOS, Exchange: "E"}) {
+		if _, err := a.Send("nodeA", "nodeB", "svc", m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var m *Message
+	waitFor(t, func() bool {
+		select {
+		case m = <-delivered:
+			return true
+		default:
+			return false
+		}
+	})
+	if m.Kind != KindEOS {
+		t.Fatalf("delivered %+v, want only the well-formed EOS", m)
+	}
+	if n := b.obsCorrupt.Value() - before; n != int64(len(bad)) {
+		t.Fatalf("transport_corrupt_frames_total rose by %d, want %d", n, len(bad))
+	}
+}

@@ -87,9 +87,24 @@ type Message struct {
 
 	// KindData: Tuples carry StartSeq..StartSeq+len-1 (per-stream
 	// sequence numbers); Buckets, when present, carries each tuple's
-	// routing bucket (hash exchanges). Replay marks retransmissions that
-	// recreate operator state rather than normal flow. Checkpoint, when
-	// >= 0, closes the checkpoint interval ending at that sequence.
+	// routing bucket (hash exchanges), one per tuple. Replay marks
+	// retransmissions that recreate operator state rather than normal
+	// flow. Checkpoint, when >= 0, closes the checkpoint interval ending at
+	// that sequence.
+	//
+	// The receiver keeps Tuples and Buckets without a copy: in process they
+	// are the producer's recovery-log slots. The lifetime rule that makes
+	// this safe:
+	//   - a sent buffer's slots are immutable;
+	//   - a producer's slot store rewinds or recycles a chunk only after
+	//     every buffer in it was released: acknowledged at or below a
+	//     checkpoint, or taken by a resend; a stateful log never recycles,
+	//     since its replay takes tuples the consumer may still hold queued;
+	//   - a consumer acknowledges a checkpoint only after every tuple at or
+	//     below it was popped or discarded.
+	//
+	// So a consumer that reads only live, unpopped slots never reads a
+	// recycled one. Over TCP they are decoded afresh for every message.
 	StartSeq   int64
 	Tuples     []relation.Tuple
 	Buckets    []int32

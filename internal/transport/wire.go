@@ -259,6 +259,9 @@ func UnmarshalMessageArena(a *relation.Arena, b []byte) (*Message, error) {
 	if !validKind(m.Kind) {
 		return nil, fmt.Errorf("%w: bad kind %d", ErrWire, m.Kind)
 	}
+	if len(m.Buckets) != 0 && len(m.Buckets) != len(m.Tuples) {
+		return nil, fmt.Errorf("%w: %d buckets for %d tuples", ErrWire, len(m.Buckets), len(m.Tuples))
+	}
 	return m, nil
 }
 
