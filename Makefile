@@ -11,7 +11,9 @@ check: vet doclint build race chaos lowmem bigtable benchsmoke
 vet:
 	$(GO) vet ./...
 
-## doclint: fail on exported identifiers without doc comments.
+## doclint: fail on exported identifiers without doc comments, and on a
+## backticked file, selector, call or test name in DESIGN.md,
+## docs/OPERATIONS.md or README.md that the tree does not declare.
 doclint:
 	$(GO) run ./cmd/doclint ./...
 

@@ -5,6 +5,12 @@
 // variable that lacks one. For grouped const/var declarations a single doc
 // comment on the block covers every name in it.
 //
+// Run from the module root, it also checks the code references of the
+// design and operations documents (docFiles): every backticked Go file must
+// exist and be long enough for a cited line, and every backticked selector,
+// call or camelCase identifier must be declared by the module (see
+// checkDocRefs).
+//
 // It exists because `go vet` does not check documentation and the container
 // bakes in no external linters; `make check` runs it over the public facade
 // and every internal package.
@@ -59,8 +65,17 @@ func main() {
 	for _, dir := range dirs {
 		bad += lintDir(dir)
 	}
+	stale := 0
+	if _, err := os.Stat("go.mod"); err == nil {
+		stale = checkDocRefs(".")
+	}
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "doclint: %d exported identifier(s) without doc comments\n", bad)
+	}
+	if stale > 0 {
+		fmt.Fprintf(os.Stderr, "doclint: %d documentation reference(s) the code does not declare\n", stale)
+	}
+	if bad+stale > 0 {
 		os.Exit(1)
 	}
 }

@@ -210,11 +210,12 @@ func Elastic() CoordinatorOption {
 	}
 }
 
-// Parallel sets the morsel worker-pool width of every fragment driver:
-// parallel-eligible fragments (those feeding an exchange, with no sort or
-// limit) run their operator chain on n workers over shared operator state.
-// n <= 1 keeps the classic serial drivers; pass a negative n to use the
-// machine's GOMAXPROCS.
+// Parallel sets the morsel worker-pool width of the stateless fragment
+// drivers: a fragment feeding an exchange through scans, filters,
+// projections and web-service calls runs its operator chain on n workers.
+// Joins, aggregates, sorts and result sinks run one driver each; the plan
+// parallelises them across instances. n <= 1 keeps the classic serial
+// drivers; pass a negative n to use the machine's GOMAXPROCS.
 func Parallel(n int) CoordinatorOption {
 	return func(c *services.GDQSConfig) { c.Parallelism = n }
 }

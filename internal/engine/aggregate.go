@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/logical"
 	"repro/internal/obs"
@@ -23,16 +22,8 @@ import (
 // heap object of its own; each group's row is the row it is emitted as. It
 // implements StateTarget: R1 evicts a bucket by scanning its
 // partition's chains, and the moved groups' raw input tuples are replayed
-// from the exchange recovery logs and re-absorbed at the new owner.
-//
-// Every worker clone absorbs into a private table — aggregation is
-// commutative, so no lock contends on the hot path — while replays land in
-// the final table. At the absorb barrier a worker's partition moves into the
-// final table whole where the final table holds nothing, and is folded group
-// by group where it does (a replay landed there, or a sibling got there
-// first), so a group is found, allocated and reserved against the budget
-// once. Evictions sweep every table: a bucket moved mid-absorb loses its
-// partial contributions exactly as the replayed history recreates them.
+// from the exchange recovery logs and re-absorbed at the new owner. Absorb,
+// replay, evict, dump and freeze all work on the one table.
 type HashAggregate struct {
 	Child     Iterator
 	GroupOrds []int
@@ -41,14 +32,13 @@ type HashAggregate struct {
 	Kinds   []logical.AggKind
 	ArgOrds []int
 
-	ctx    *ExecContext
-	shared *aggState
-	// part is this clone's private absorb table.
-	part *aggPartial
+	ctx *ExecContext
+	st  aggState
 
-	// emitting flips once this clone has drained and the merged output is
-	// frozen; the emit cursor itself lives in the shared state.
+	// emitting flips once the input is drained and the output frozen; pos
+	// is the emit cursor into st.out.
 	emitting bool
+	pos      int
 
 	// in is the owned input batch for the vectorized absorb phase.
 	in *relation.Batch
@@ -90,7 +80,7 @@ func chunkOf(g int32) (k, off int) {
 }
 
 // aggTable is the joinPartitions partitions of one group table; nil once it
-// has been merged away, frozen or released.
+// has been frozen or released.
 type aggTable []aggPart
 
 func (t aggTable) part(b int32) *aggPart { return &t[int(b)%joinPartitions] }
@@ -172,88 +162,58 @@ func (p *aggPart) group(h uint64, t relation.Tuple, ords []int, nAccs int) (row 
 	return row, accs, true
 }
 
-// aggPartial is one worker's lock-private table. Its mutex is uncontended on
-// the absorb path; only R1 evictions, dumps and the final merge touch it
-// from outside.
-type aggPartial struct {
-	mu    sync.Mutex
-	table aggTable
-}
-
-// aggState is shared by every worker clone of one HashAggregate. final holds
-// replayed groups during the absorb phase and every group after the merge;
-// out/pos are the frozen emit output and shared cursor.
+// aggState is a HashAggregate's group table. The driver absorbs into it and
+// InsertState/EvictBuckets reach it from transport goroutines meanwhile, so
+// every access to the table holds mu; the driver takes mu once per input
+// batch. out is the frozen emit output.
 type aggState struct {
-	initOnce sync.Once
-	ready    atomic.Bool
-	ctx      *ExecContext // first opener's context; shared fields only
-	buckets  int
-	keyOrds  []int // 0..nKeys-1: a stored key's ordinals, for group()
+	mu      sync.Mutex
+	ready   bool         // set by Open; until then R1 calls find no table
+	ctx     *ExecContext // the driver's context
+	buckets int
+	keyOrds []int // 0..nKeys-1: a stored key's ordinals, for group()
 
 	insertMeter *opInsertMeter
-	mon         *opMonitor
-	barrier     buildBarrier
-	mergeOnce   sync.Once
-	refs        atomic.Int32
+	mon         opMonitor
 
-	mu       sync.Mutex
-	final    aggTable
-	partials []*aggPartial
-	out      []relation.Tuple
-	pos      int
+	table aggTable
+	out   []relation.Tuple
 
-	// Spill wiring (aggregates under a memory budget, serial or
-	// morsel-parallel; see spillagg.go). On breach every group — final and
-	// partial — is dumped as a partial-aggregate record to one append-only
-	// run and the tables restart empty; the final merge reloads and
-	// re-merges the run. Workers account group creation against the shared
-	// budget; the dump itself serializes under mu.
+	// Spill wiring (aggregates under a memory budget; see spillagg.go). On
+	// breach every group is dumped as a partial-aggregate record to one
+	// append-only run and the table restarts empty; the freeze reloads and
+	// re-merges the run.
 	spillEnv
-	// bytes is the accounted in-memory group footprint. Atomic because
-	// groups are created under either s.mu (replays, reload) or a partial's
-	// mu (absorb), never both.
-	bytes atomic.Int64
-
-	// Guarded by mu: the dump run and its R1 bookkeeping.
+	bytes     int64 // accounted in-memory group footprint
 	run       storage.RunWriter
 	runName   string
 	recCount  int64           // records appended to the run
 	evictedAt map[int32]int64 // bucket → record watermark at eviction
 	spillLive map[int32]int64 // live (unevicted) dumped records per bucket
-	mergeErr  error           // reload failure, surfaced by drain
-}
-
-func newAggState() *aggState {
-	s := &aggState{}
-	s.refs.Store(1)
-	s.barrier.reset(1)
-	return s
 }
 
 func (s *aggState) init(ctx *ExecContext, nKeys int) {
-	s.initOnce.Do(func() {
-		s.ctx = ctx
-		s.buckets = ctx.Buckets
-		if s.buckets <= 0 {
-			s.buckets = DefaultBuckets
-		}
-		s.keyOrds = make([]int, nKeys)
-		for i := range s.keyOrds {
-			s.keyOrds[i] = i
-		}
-		s.final = make(aggTable, joinPartitions)
-		s.insertMeter = newOpInsertMeter(ctx)
-		s.mon = newOpMonitor(ctx)
-		s.spillEnv = newSpillEnv(ctx, "agg")
-		s.ready.Store(true)
-	})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.ctx = ctx
+	s.buckets = ctx.Buckets
+	if s.buckets <= 0 {
+		s.buckets = DefaultBuckets
+	}
+	s.keyOrds = make([]int, nKeys)
+	for i := range s.keyOrds {
+		s.keyOrds[i] = i
+	}
+	s.table = make(aggTable, joinPartitions)
+	s.insertMeter = newOpInsertMeter(ctx)
+	s.mon = opMonitor{ctx: ctx}
+	s.spillEnv = newSpillEnv(ctx, "agg")
+	s.ready = true
 }
 
 func (s *aggState) release() {
-	if s.refs.Add(-1) != 0 {
-		return
-	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.run != nil {
 		_ = s.run.Close()
 		s.run = nil
@@ -262,10 +222,11 @@ func (s *aggState) release() {
 		_ = s.backend.Remove(s.runName)
 		s.runName = ""
 	}
-	s.mem.Release(s.bytes.Swap(0))
-	s.final = nil
+	s.mem.Release(s.bytes)
+	s.bytes = 0
+	s.table = nil
 	s.out = nil
-	s.mu.Unlock()
+	s.spillLive = nil
 }
 
 // accumulator folds one COUNT, SUM or AVG column. It holds no pointer, so
@@ -307,99 +268,36 @@ func mergeGroup(p *aggPart, h uint64, row relation.Tuple, accs []accumulator, ke
 	return created
 }
 
-// ensureShared lazily creates the shared state. Not safe for concurrent
-// callers: it runs during plan compilation / worker-chain construction,
-// strictly before workers start.
-func (a *HashAggregate) ensureShared() *aggState {
-	if a.shared == nil {
-		a.shared = newAggState()
-	}
-	return a.shared
-}
-
-// WorkerClone returns an aggregate over the given per-worker input that
-// shares this aggregate's merged state, barrier, and monitoring state.
-func (a *HashAggregate) WorkerClone(child Iterator) *HashAggregate {
-	return &HashAggregate{
-		Child:     child,
-		GroupOrds: a.GroupOrds, Kinds: a.Kinds, ArgOrds: a.ArgOrds,
-		shared: a.ensureShared(),
-	}
-}
-
-// SetWorkers declares how many clones will Open and Close this aggregate's
-// shared state. Call before any worker starts; the default is 1.
-func (a *HashAggregate) SetWorkers(n int) {
-	s := a.ensureShared()
-	s.refs.Store(int32(n))
-	s.barrier.reset(n)
-}
-
-// Abort releases sibling workers blocked at the absorb barrier; the worker
-// pool calls it when a worker fails before reaching this aggregate.
-func (a *HashAggregate) Abort() {
-	if a.shared != nil {
-		a.shared.barrier.cancel()
-	}
-}
-
 // Open implements Iterator. Unlike the join's build phase, absorption
-// happens lazily in Next so that it interleaves with control operations.
+// happens lazily in NextBatch so that it interleaves with control
+// operations.
 func (a *HashAggregate) Open(ctx *ExecContext) error {
 	a.ctx = ctx
-	s := a.ensureShared()
-	s.init(ctx, len(a.GroupOrds))
-	a.part = &aggPartial{table: make(aggTable, joinPartitions)}
-	s.mu.Lock()
-	s.partials = append(s.partials, a.part)
-	s.mu.Unlock()
+	a.st.init(ctx, len(a.GroupOrds))
 	a.in = relation.GetBatch()
 	return a.Child.Open(ctx)
 }
 
-// drain absorbs this clone's share of the child input, waits for every
-// sibling worker, then (once, in whichever worker gets there first) merges
-// the partials and freezes the emit-phase output.
-func (a *HashAggregate) drain() error {
-	s := a.shared
-	if err := a.drainChild(); err != nil {
-		return err
-	}
-	if err := s.barrier.wait(); err != nil {
-		return err
-	}
-	s.mergeOnce.Do(func() { s.mergeAndFreeze(a) })
+// absorb folds input tuples into the table under one lock and, when the
+// groups it created breach the budget, dumps the table.
+func (a *HashAggregate) absorb(ts []relation.Tuple) error {
+	s := &a.st
 	s.mu.Lock()
-	mergeErr := s.mergeErr
-	s.mu.Unlock()
-	if mergeErr != nil {
-		return mergeErr
+	defer s.mu.Unlock()
+	if s.table == nil {
+		return nil
 	}
-	a.emitting = true
+	s.absorbLocked(ts, a)
+	if s.spillOn && s.mem.Over() {
+		return s.dumpLocked(a)
+	}
 	return nil
 }
 
-// absorb folds input tuples into this clone's private table. Tests call it
-// directly to script mid-absorb evict/replay interleavings.
-func (a *HashAggregate) absorb(ts []relation.Tuple) {
-	a.part.mu.Lock()
-	if a.part.table != nil {
-		var grown int64
-		for _, t := range ts {
-			grown += a.shared.absorbTuple(a.part.table, t, a)
-		}
-		// Reserved before the partial lock drops: a dump, which releases
-		// these groups, must take that lock first.
-		a.shared.reserve(grown)
-	}
-	a.part.mu.Unlock()
-}
-
-// drainChild absorbs the child batch-at-a-time (clamped to the M1 window so
-// absorb-phase monitoring cadence is unchanged) into this clone's table.
-func (a *HashAggregate) drainChild() error {
-	s := a.shared
-	defer s.barrier.arrive()
+// drain absorbs the child batch-at-a-time (clamped to the M1 window so
+// absorb-phase monitoring cadence is unchanged), then freezes the output.
+func (a *HashAggregate) drain() error {
+	s := &a.st
 	a.in.SetLimit(batchLimit(a.ctx, relation.DefaultBatchSize))
 	prev := a.ctx.Meter.ChargedMs()
 	for {
@@ -408,21 +306,12 @@ func (a *HashAggregate) drainChild() error {
 			return err
 		}
 		if n == 0 {
-			return nil
+			return s.freeze(a)
 		}
 		a.ctx.chargeN(a.ctx.Costs.AggMs, n)
-		a.absorb(a.in.Tuples)
-		// Breach check outside the partial lock: dump takes s.mu then the
-		// partial locks, the same order the final merge uses. Concurrent
-		// breaching workers serialize on s.mu inside dump; the second
-		// arrival dumps whatever trickled in since, which is cheap.
-		if s.spillOn && s.mem.Over() {
-			if err := s.dump(a); err != nil {
-				return err
-			}
+		if err := a.absorb(a.in.Tuples); err != nil {
+			return err
 		}
-		// Each worker attributes its own meter's delta for the batch; the
-		// shared monitor merges the windows into one M1 stream.
 		cur := a.ctx.Meter.ChargedMs()
 		s.mon.tickN(n, cur-prev)
 		prev = cur
@@ -431,40 +320,38 @@ func (a *HashAggregate) drainChild() error {
 
 // NextBatch implements Iterator: the first call drains the child, absorbing
 // whole input batches into group state with one charge bundle per batch; the
-// emit phase hands out one row per group by reference, workers pulling
-// disjoint runs from the shared cursor.
+// emit phase hands out one row per group by reference.
 func (a *HashAggregate) NextBatch(dst *relation.Batch) (int, error) {
 	if !a.emitting {
 		if err := a.drain(); err != nil {
 			return 0, err
 		}
+		a.emitting = true
 	}
-	dst.Rewind()
-	s := a.shared
-	s.mu.Lock()
-	n := len(s.out) - s.pos
-	if n <= 0 {
-		s.mu.Unlock()
-		return 0, nil
-	}
-	if c := dst.Cap(); n > c {
-		n = c
-	}
-	dst.AppendAll(s.out[s.pos : s.pos+n])
-	s.pos += n
-	s.mu.Unlock()
+	// out is written only by this goroutine (freeze, Close), so reading it
+	// needs no lock.
+	n := emitSorted(dst, a.st.out, &a.pos)
 	a.ctx.chargeFlat(a.ctx.Costs.ProjectMs * float64(n))
 	return n, nil
 }
 
-// absorbTuple folds one input tuple into its group in tab and returns the
-// accounted bytes of a group it created, which the caller reserves before
-// it releases whatever lock guards tab; a carries the column metadata
-// (identical across clones).
-func (s *aggState) absorbTuple(tab aggTable, t relation.Tuple, a *HashAggregate) (grown int64) {
+// absorbLocked folds input tuples into their groups and reserves the groups
+// it created, once per batch; a carries the column metadata. Caller holds
+// s.mu.
+func (s *aggState) absorbLocked(ts []relation.Tuple, a *HashAggregate) {
+	var grown int64
+	for _, t := range ts {
+		grown += s.absorbTuple(t, a)
+	}
+	s.reserve(grown)
+}
+
+// absorbTuple folds one input tuple into its group and returns the
+// accounted bytes of a group it created.
+func (s *aggState) absorbTuple(t relation.Tuple, a *HashAggregate) (grown int64) {
 	nk := len(a.GroupOrds)
 	h := t.Hash(a.GroupOrds)
-	p := tab.part(int32(h % uint64(s.buckets)))
+	p := s.table.part(int32(h % uint64(s.buckets)))
 	row, accs, created := p.group(h, t, a.GroupOrds, len(a.Kinds))
 	if created && s.spillOn {
 		grown = groupBytes(row[:nk], len(a.Kinds))
@@ -485,55 +372,21 @@ func (s *aggState) absorbTuple(tab aggTable, t relation.Tuple, a *HashAggregate)
 	return grown
 }
 
-// mergeAndFreeze brings every partial into the final table (which already
-// holds any replayed groups) and freezes the emit output. A partition the
-// final table holds nothing of is adopted whole — slabs, chains and the
-// reservations behind them; only a partition both sides hold is folded.
-func (s *aggState) mergeAndFreeze(a *HashAggregate) {
+// freeze re-merges any dumped records into the table and freezes the emit
+// output.
+func (s *aggState) freeze(a *HashAggregate) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, p := range s.partials {
-		p.mu.Lock()
-		for i := range p.table {
-			if dst, src := &s.final[i], &p.table[i]; dst.live == 0 {
-				*dst = *src
-			} else {
-				s.fold(dst, src, a.Kinds)
-			}
-		}
-		p.table = nil
-		p.mu.Unlock()
-	}
 	if s.runName != "" {
-		// Dumped partial-aggregate records re-merge into the freshly merged
-		// in-memory table; the distinct result groups this materialises are
-		// exactly what the emit buffer holds anyway (see spillagg.go).
+		// Dumped partial-aggregate records re-merge into the in-memory
+		// table; the distinct result groups this materialises are exactly
+		// what the emit buffer holds anyway (see spillagg.go).
 		if err := s.reloadLocked(a); err != nil {
-			s.mergeErr = err
-			return
+			return err
 		}
 	}
 	s.freezeLocked(a)
-}
-
-// fold merges every group of src into dst. A group both sides hold keeps
-// dst's reservation and returns its own; one only src holds carries its
-// reservation along.
-func (s *aggState) fold(dst, src *aggPart, kinds []logical.AggKind) {
-	var freed int64
-	nk, na := len(s.keyOrds), len(kinds)
-	for h, c := range src.chains {
-		for g, i := c.head, c.n; i > 0; g, i = src.next[g], i-1 {
-			row, accs := src.slot(g, nk+na, na)
-			if !mergeGroup(dst, h, row, accs, s.keyOrds, kinds) {
-				freed += groupBytes(row[:nk], na)
-			}
-		}
-	}
-	if s.spillOn {
-		s.bytes.Add(-freed)
-		s.mem.Release(freed)
-	}
+	return nil
 }
 
 // keyClass maps both numeric types to one class, so that classes order NULL <
@@ -568,19 +421,19 @@ func compareKeys(x, y relation.Tuple) int {
 	return 0
 }
 
-// freezeLocked turns the final table into output rows, ascending by group
+// freezeLocked turns the table into output rows, ascending by group
 // key for deterministic per-instance output. Each group's results are
 // written into its own row, which is emitted where it lies; the rows keep
 // their chunks alive, and the table goes.
 func (s *aggState) freezeLocked(a *HashAggregate) {
 	nk, na := len(a.GroupOrds), len(a.Kinds)
-	if nk == 0 && s.final.live() == 0 {
+	if nk == 0 && s.table.live() == 0 {
 		// A global aggregate emits exactly one row even over empty input.
-		s.final[0].group(0, nil, nil, na)
+		s.table[0].group(0, nil, nil, na)
 	}
-	s.out = make([]relation.Tuple, 0, s.final.live())
-	for pi := range s.final {
-		p := &s.final[pi]
+	s.out = make([]relation.Tuple, 0, s.table.live())
+	for pi := range s.table {
+		p := &s.table[pi]
 		for _, c := range p.chains {
 			for g, i := c.head, c.n; i > 0; g, i = p.next[g], i-1 {
 				row, accs := p.slot(g, nk+na, na)
@@ -592,7 +445,7 @@ func (s *aggState) freezeLocked(a *HashAggregate) {
 		}
 	}
 	slices.SortFunc(s.out, func(x, y relation.Tuple) int { return compareKeys(x[:nk], y[:nk]) })
-	s.final = nil
+	s.table = nil
 }
 
 // result finalises one accumulator; slot is the group's output slot, which
@@ -618,18 +471,11 @@ func (acc *accumulator) result(kind logical.AggKind, slot relation.Value) relati
 	}
 }
 
-// Close implements Iterator. The shared state survives until the last
-// sibling clone closes.
+// Close implements Iterator: it releases the table, the frozen output, the
+// spill run and the reserved bytes.
 func (a *HashAggregate) Close() error {
 	err := a.Child.Close()
-	if a.part != nil {
-		a.part.mu.Lock()
-		a.part.table = nil
-		a.part.mu.Unlock()
-	}
-	if a.shared != nil {
-		a.shared.release()
-	}
+	a.st.release()
 	if a.in != nil {
 		a.in.Release()
 		a.in = nil
@@ -638,43 +484,43 @@ func (a *HashAggregate) Close() error {
 }
 
 // InsertState implements StateTarget: replayed raw input tuples are
-// re-absorbed into the final table on this clone. It may run concurrently
-// with absorbing workers and with other replay deliveries. A replay that
-// finds no table — the aggregate is not open yet, or has frozen its output or
-// closed — cannot be absorbed and StateTarget cannot refuse it (ROADMAP item
-// 1); every tuple lost that way is counted.
+// re-absorbed into the table. It runs on a transport goroutine,
+// concurrently with the driver and with other replay deliveries; the
+// batch's cost is charged before the table's lock is taken. A replay that
+// finds no table — the aggregate is not open yet, or has frozen its output
+// or closed — cannot be absorbed and StateTarget cannot refuse it (ROADMAP
+// item 1); every tuple lost that way is counted.
 func (a *HashAggregate) InsertState(tuples []relation.Tuple) {
+	s := &a.st
+	s.mu.Lock()
+	ready, ctx, meter := s.ready, s.ctx, s.insertMeter
+	s.mu.Unlock()
 	absorbed := 0
-	if s := a.shared; s != nil && s.ready.Load() {
-		for _, t := range tuples {
-			s.insertMeter.charge(s.ctx.Node.PerturbedCost(s.ctx.Costs.AggMs))
-			s.mu.Lock()
-			if s.final != nil {
-				s.reserve(s.absorbTuple(s.final, t, a))
-				absorbed++
-			}
-			s.mu.Unlock()
+	if ready {
+		meter.charge(ctx.Node.PerturbedCostN(ctx.Costs.AggMs, len(tuples)))
+		s.mu.Lock()
+		if s.table != nil {
+			s.absorbLocked(tuples, a)
+			absorbed = len(tuples)
 		}
+		s.mu.Unlock()
 	}
 	obs.Default().Counter(obs.MAggReplayDropped).Add(int64(len(tuples) - absorbed))
 }
 
-// EvictBuckets implements StateTarget: the bucket vanishes from the final
-// table and from every worker table, so partial contributions cannot
-// double-count against the replayed history at the new owner.
+// EvictBuckets implements StateTarget: the bucket's groups vanish from the
+// table, and its dumped records die at the current watermark.
 func (a *HashAggregate) EvictBuckets(buckets []int32) {
-	s := a.shared
-	if s == nil || !s.ready.Load() {
-		return
-	}
-	// s.mu is held throughout, so no dump can slip between the watermark and
-	// a worker table's eviction and carry the bucket's groups past it.
+	s := &a.st
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.final.evict(buckets, s.buckets)
-	if s.spillOn && s.runName != "" {
-		// Dumped records of the bucket die at the current watermark; groups
-		// replayed afterwards are dumped beyond it and survive the reload.
+	if !s.ready {
+		return
+	}
+	s.table.evict(buckets, s.buckets)
+	if s.runName != "" {
+		// Groups replayed afterwards are dumped beyond the watermark and
+		// survive the reload.
 		if s.evictedAt == nil {
 			s.evictedAt = make(map[int32]int64)
 		}
@@ -682,11 +528,6 @@ func (a *HashAggregate) EvictBuckets(buckets []int32) {
 			s.evictedAt[b] = s.recCount
 			delete(s.spillLive, b)
 		}
-	}
-	for _, p := range s.partials {
-		p.mu.Lock()
-		p.table.evict(buckets, s.buckets)
-		p.mu.Unlock()
 	}
 }
 
@@ -701,25 +542,17 @@ func (t aggTable) evict(buckets []int32, nBuckets int) {
 	}
 }
 
-// StateSize implements StateTarget: the groups held in the final table and
-// every worker table, or, once frozen, as output rows.
+// StateSize implements StateTarget: the groups held in the table or, once
+// frozen, as output rows.
 func (a *HashAggregate) StateSize() int {
-	s := a.shared
-	if s == nil || !s.ready.Load() {
-		return 0
-	}
+	s := &a.st
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := s.final.live() + len(s.out)
+	n := s.table.live() + len(s.out)
 	// Dumped records count as held state (an upper bound: a group dumped
 	// twice counts twice until the reload re-merges it).
 	for _, c := range s.spillLive {
 		n += int(c)
-	}
-	for _, p := range s.partials {
-		p.mu.Lock()
-		n += p.table.live()
-		p.mu.Unlock()
 	}
 	return n
 }

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/logical"
@@ -145,9 +144,7 @@ func TestHashAggregateEvictReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	bucketOf := func(tp relation.Tuple) int32 { return int32(tp.Hash([]int{0}) % uint64(ctx.Buckets)) }
-	// StateSize must equal the number of live groups after every step: the
-	// worker table's plus the final table's (a group replayed into the final
-	// table and met again by the worker is held twice until the merge).
+	// StateSize must equal the number of live groups after every step.
 	groups := func(ts []relation.Tuple) int {
 		distinct := map[string]bool{}
 		for _, tp := range ts {
@@ -163,7 +160,13 @@ func TestHashAggregateEvictReplay(t *testing.T) {
 	}
 	// Absorb half the input manually, evict some buckets, replay exactly the
 	// evicted tuples (as the recovery log would), then absorb the rest.
-	agg.absorb(input[:100])
+	absorb := func(ts []relation.Tuple) {
+		t.Helper()
+		if err := agg.absorb(ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	absorb(input[:100])
 	step("absorbing half", 8)
 	evicted := map[int32]bool{}
 	var evict []int32
@@ -183,13 +186,15 @@ func TestHashAggregateEvictReplay(t *testing.T) {
 	step("evicting", 8-groups(replay))
 	agg.InsertState(replay)
 	step("replaying", 8)
-	agg.absorb(input[100:])
-	step("absorbing the rest", 8+groups(replay))
-	agg.shared.mergeAndFreeze(agg)
+	absorb(input[100:])
+	step("absorbing the rest", 8)
+	if err := agg.st.freeze(agg); err != nil {
+		t.Fatal(err)
+	}
 	step("freezing", 8)
 	totalCount := int64(0)
 	totalSum := 0.0
-	for _, row := range agg.shared.out {
+	for _, row := range agg.st.out {
 		totalCount += row[1].AsInt()
 		totalSum += row[2].AsFloat()
 	}
@@ -386,37 +391,19 @@ func refAggregate(input []relation.Tuple) []relation.Tuple {
 	return out
 }
 
-// runAggShares runs base over one worker clone per share. Once every worker
-// has absorbed half its share, worker 0 calls r1 (when set) while the others
-// wait. The frozen rows come back ascending by key.
-func runAggShares(t *testing.T, ctx *ExecContext, base *HashAggregate, shares [][]relation.Tuple, r1 func()) []relation.Tuple {
+// runAggHooked runs base over input. Once it has absorbed the first at
+// tuples, r1 (when set) runs between two batches. The frozen rows come back
+// ascending by key.
+func runAggHooked(t *testing.T, ctx *ExecContext, base *HashAggregate, input []relation.Tuple, at int, r1 func()) []relation.Tuple {
 	t.Helper()
-	base.SetWorkers(len(shares))
-	var arrived sync.WaitGroup
-	arrived.Add(len(shares))
-	release := make(chan struct{})
-	got := runCloneWorkers(t, ctx, len(shares), func(w int) Iterator {
-		return base.WorkerClone(&hookSource{tuples: shares[w], at: len(shares[w]) / 2, hook: func() {
-			arrived.Done()
-			if w == 0 {
-				arrived.Wait()
-				if r1 != nil {
-					r1()
-				}
-				close(release)
-			}
-			<-release
-		}})
-	})
-	sort.SliceStable(got, func(i, j int) bool { return compareKeys(got[i][:1], got[j][:1]) < 0 })
-	return got
+	base.Child = &hookSource{tuples: input, at: at, hook: r1}
+	return drain(t, base, ctx, 0)
 }
 
 // TestHashAggregateChunkBoundaries fills every partition to just below, at
 // and just past the ends of chunks 0 and 1, and to ~4 096 groups, and drives
-// each table through an R1 evict and replay, dumps and their reload, and a
-// width-2 fold of tables that both hold every group: the frozen rows must be
-// byte-equal to a map-based reference.
+// each table through an R1 evict and replay and through dumps and their
+// reload: the frozen rows must be byte-equal to a map-based reference.
 func TestHashAggregateChunkBoundaries(t *testing.T) {
 	kinds := []logical.AggKind{logical.AggCount, logical.AggSum, logical.AggAvg, logical.AggMin, logical.AggMax}
 	args := []int{-1, 1, 1, 1, 1}
@@ -424,7 +411,7 @@ func TestHashAggregateChunkBoundaries(t *testing.T) {
 	for _, perPart := range []int{7, 8, 9, 23, 24, 25, 4096} {
 		keys := keysPerPartition(perPart, buckets)
 		// Each key's first row, then its second, then a NULL argument for
-		// every third key: the worker shares below split a key's rows.
+		// every third key.
 		var first, rest []relation.Tuple
 		for _, k := range keys {
 			first = append(first, relation.Tuple{relation.Int(k), relation.Int(2 * k)})
@@ -440,17 +427,13 @@ func TestHashAggregateChunkBoundaries(t *testing.T) {
 			stateBytes += groupBytes(row[:1], len(kinds))
 		}
 		moved := func(tp relation.Tuple) bool { return tp.Hash([]int{0})%buckets%5 == 0 }
-		scripts := []string{"serial", "evict-replay", "dump-reload", "w2-fold", "w2-fold-dump-evict-replay"}
+		scripts := []string{"serial", "evict-replay", "dump-reload", "dump-evict-replay"}
 		if perPart > 25 {
-			scripts = []string{"serial", "w2-fold-dump-evict-replay"} // all three paths in one run
+			scripts = []string{"serial", "dump-evict-replay"} // both paths in one run
 		}
 		for _, script := range scripts {
 			t.Run(fmt.Sprintf("%d/%s", perPart, script), func(t *testing.T) {
 				base := &HashAggregate{GroupOrds: []int{0}, Kinds: kinds, ArgOrds: args}
-				shares := [][]relation.Tuple{input}
-				if strings.HasPrefix(script, "w2-fold") {
-					shares = [][]relation.Tuple{first, rest}
-				}
 				ctx := testCtx()
 				if strings.Contains(script, "dump") {
 					ctx = budgetedCtx(max(512, stateBytes/4), storage.NewMemory())
@@ -464,18 +447,16 @@ func TestHashAggregateChunkBoundaries(t *testing.T) {
 					r1 = func() {
 						base.EvictBuckets(evict)
 						var replay []relation.Tuple
-						for _, share := range shares {
-							for _, tp := range share[:len(share)/2] {
-								if moved(tp) {
-									replay = append(replay, tp)
-								}
+						for _, tp := range input[:len(input)/2] {
+							if moved(tp) {
+								replay = append(replay, tp)
 							}
 						}
 						base.InsertState(replay)
 					}
 				}
 				_, p0, _ := spillCounters()
-				got := runAggShares(t, ctx, base, shares, r1)
+				got := runAggHooked(t, ctx, base, input, len(input)/2, r1)
 				_, p1, _ := spillCounters()
 				if len(got) != len(want) {
 					t.Fatalf("got %d groups, want %d", len(got), len(want))
@@ -498,8 +479,8 @@ func TestHashAggregateChunkBoundaries(t *testing.T) {
 
 // TestHashAggregateMinMaxNullGroups pins MIN and MAX, which run in the
 // group's output slot, over a group whose arguments are all NULL and over
-// groups that mix NULLs with ints or strings — serially, through dumps whose
-// records carry NULL-only partials, and through a width-2 fold.
+// groups that mix NULLs with ints or strings — in memory and through dumps
+// whose records carry NULL-only partials.
 func TestHashAggregateMinMaxNullGroups(t *testing.T) {
 	var input []relation.Tuple
 	add := func(k string, v relation.Value) { input = append(input, relation.Tuple{relation.String(k), v}) }
@@ -520,43 +501,37 @@ func TestHashAggregateMinMaxNullGroups(t *testing.T) {
 	kinds := []logical.AggKind{logical.AggCount, logical.AggCount, logical.AggMin, logical.AggMax}
 	args := []int{-1, 1, 1, 1}
 	want := []string{"(M, 304, 3, -3, 9)", "(N, 300, 0, NULL, NULL)", "(S, 303, 3, apple, zoo)"}
-	for _, width := range []int{1, 2} {
-		for _, limit := range []int64{0, 1} {
-			t.Run(fmt.Sprintf("w%d/budget%d", width, limit), func(t *testing.T) {
-				ctx := testCtx()
-				if limit > 0 {
-					ctx = budgetedCtx(limit, storage.NewMemory()) // dumps after every batch
+	for _, limit := range []int64{0, 1} {
+		t.Run(fmt.Sprintf("budget%d", limit), func(t *testing.T) {
+			ctx := testCtx()
+			if limit > 0 {
+				ctx = budgetedCtx(limit, storage.NewMemory()) // dumps after every batch
+			}
+			base := &HashAggregate{GroupOrds: []int{0}, Kinds: kinds, ArgOrds: args}
+			_, p0, _ := spillCounters()
+			got := runAggHooked(t, ctx, base, input, 0, nil)
+			_, p1, _ := spillCounters()
+			if len(got) != len(want) {
+				t.Fatalf("got %d groups, want %d", len(got), len(want))
+			}
+			for i, row := range got {
+				if row.Format() != want[i] {
+					t.Errorf("group %d = %s, want %s", i, row.Format(), want[i])
 				}
-				shares := make([][]relation.Tuple, width)
-				for i, tp := range input {
-					shares[i%width] = append(shares[i%width], tp)
+			}
+			if limit > 0 {
+				if p1-p0 < 3 {
+					t.Fatalf("%d dumps under a 1-byte budget, want one per batch", p1-p0)
 				}
-				base := &HashAggregate{GroupOrds: []int{0}, Kinds: kinds, ArgOrds: args}
-				_, p0, _ := spillCounters()
-				got := runAggShares(t, ctx, base, shares, nil)
-				_, p1, _ := spillCounters()
-				if len(got) != len(want) {
-					t.Fatalf("got %d groups, want %d", len(got), len(want))
-				}
-				for i, row := range got {
-					if row.Format() != want[i] {
-						t.Errorf("group %d = %s, want %s", i, row.Format(), want[i])
-					}
-				}
-				if limit > 0 {
-					if p1-p0 < 3 {
-						t.Fatalf("%d dumps under a 1-byte budget, want one per batch", p1-p0)
-					}
-					assertClean(t, ctx)
-				}
-			})
-		}
+				assertClean(t, ctx)
+			}
+		})
 	}
 }
 
 // BenchmarkHashAggregate is the operator's inner loop at the analytic
 // workload's cardinality: 47 000 join rows into ~23 000 string-keyed groups,
-// COUNT(*), serially and through two worker clones.
+// COUNT(*).
 func BenchmarkHashAggregate(b *testing.B) {
 	input := make([]relation.Tuple, 47000)
 	for i := range input {
@@ -564,22 +539,15 @@ func BenchmarkHashAggregate(b *testing.B) {
 	}
 	ctx := testCtx()
 	ctx.Costs = Costs{} // measure the data structure, not the cost model
-	for _, width := range []int{1, 2} {
-		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				base := newAgg(nil, []int{0}, []logical.AggKind{logical.AggCount}, []int{-1})
-				base.SetWorkers(width)
-				share := len(input) / width
-				out := runCloneWorkers(b, ctx, width, func(w int) Iterator {
-					return base.WorkerClone(NewSliceSource(input[w*share:(w+1)*share], 0))
-				})
-				if len(out) != 23000 {
-					b.Fatalf("groups = %d, want 23000", len(out))
-				}
+	b.Run("w1", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out := drain(b, newAgg(input, []int{0}, []logical.AggKind{logical.AggCount}, []int{-1}), ctx, 0)
+			if len(out) != 23000 {
+				b.Fatalf("groups = %d, want 23000", len(out))
 			}
-		})
-	}
+		}
+	})
 }
 
 func TestSortOperator(t *testing.T) {
@@ -638,5 +606,50 @@ func TestAggKindsOfValidation(t *testing.T) {
 	}
 	if _, err := aggKindsOf([]uint8{99}); err == nil {
 		t.Error("kind 99 accepted")
+	}
+}
+
+// TestHashAggregateReplayRacesDriver delivers replays from a second
+// goroutine, as transport deliveries do, while the driver absorbs — in
+// memory and dumping under a budget. Every tuple is either absorbed once or
+// counted as dropped (a replay that finds the output frozen).
+func TestHashAggregateReplayRacesDriver(t *testing.T) {
+	input, replay := aggInput(3000, 40), aggInput(400, 40)
+	for _, limit := range []int64{0, 512} {
+		t.Run(fmt.Sprintf("budget%d", limit), func(t *testing.T) {
+			ctx := testCtx()
+			if limit > 0 {
+				ctx = budgetedCtx(limit, storage.NewMemory())
+			}
+			dropped := obs.Default().Counter(obs.MAggReplayDropped)
+			d0 := dropped.Value()
+			agg := newAgg(input, []int{0}, []logical.AggKind{logical.AggCount}, []int{-1})
+			if err := agg.Open(ctx); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; i < len(replay); i += 10 {
+					agg.InsertState(replay[i : i+10])
+					_ = agg.StateSize()
+				}
+			}()
+			out := pullAll(t, agg, 0)
+			<-done
+			var total int64
+			for _, row := range out {
+				total += row[1].AsInt()
+			}
+			if got, want := total+dropped.Value()-d0, int64(len(input)+len(replay)); got != want {
+				t.Fatalf("%d tuples counted and %d dropped, want %d in all", total, dropped.Value()-d0, want)
+			}
+			if err := agg.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if limit > 0 {
+				assertClean(t, ctx)
+			}
+		})
 	}
 }

@@ -47,7 +47,7 @@ type RuntimeConfig struct {
 	// acknowledge processed prefixes inside node commit sections paired
 	// with the flush of derived outputs, producers survive peer death by
 	// parking the lost tuples in their recovery logs, and the driver runs
-	// at width 1 (the commit pairing relies on one puller's pull order).
+	// at width 1 (FragmentRuntime.width).
 	FT bool
 	// OnPeerDown is told when a flush discovers a dead peer (FT only).
 	OnPeerDown func(simnet.NodeID)
@@ -67,12 +67,6 @@ type FragmentRuntime struct {
 	producer    *Producer
 	stateTarget StateTarget
 	service     string
-
-	// joinBySpec/aggBySpec map plan specs to their compiled stateful
-	// operators, so the worker pool's chains can clone them around the same
-	// shared state.
-	joinBySpec map[*physical.OpSpec]*HashJoin
-	aggBySpec  map[*physical.OpSpec]*HashAggregate
 
 	mu       sync.Mutex
 	err      error
@@ -96,8 +90,6 @@ func NewFragmentRuntime(cfg RuntimeConfig) (*FragmentRuntime, error) {
 		cfg:          cfg,
 		gate:         newFlowGate(),
 		consumers:    make(map[string]*Consumer),
-		joinBySpec:   make(map[*physical.OpSpec]*HashJoin),
-		aggBySpec:    make(map[*physical.OpSpec]*HashAggregate),
 		service:      "frag/" + cfg.Fragment.InstanceID(cfg.Instance),
 		obsProduced:  o.Counter(obs.Label(obs.MEngineTuplesProduced, "fragment", cfg.Fragment.ID)),
 		obsBatchSize: o.Histogram(obs.MEngineBatchSize, obs.DefBucketsSize),
@@ -249,7 +241,6 @@ func (r *FragmentRuntime) compile(spec *physical.OpSpec) (Iterator, error) {
 			BuildKeys: spec.BuildKeys, ProbeKeys: spec.ProbeKeys,
 			BuildEst: est, Out: spec.Ords,
 		}
-		r.joinBySpec[spec] = join
 		// The build-side consumer feeds replayed state directly into the
 		// join; the scheduler always places the consume leaf directly
 		// below the join.
@@ -274,7 +265,6 @@ func (r *FragmentRuntime) compile(spec *physical.OpSpec) (Iterator, error) {
 			Kinds:     kinds,
 			ArgOrds:   spec.AggArgs,
 		}
-		r.aggBySpec[spec] = agg
 		// The consume leaf feeds replayed state straight into the
 		// aggregate, as with the join's build side.
 		if c, ok := child.(*Consumer); ok {
@@ -367,8 +357,8 @@ func (r *FragmentRuntime) Err() error {
 // parallel-eligible fragment with Parallelism > 1 runs the same loop on a
 // pool of worker chains (runParallel). It returns when the input is
 // exhausted, on the first error, or when ctx is canceled — cancellation
-// interrupts the driver even while it is blocked in a consumer wait, a
-// paused exchange or a build barrier. A nil ctx means run unconstrained.
+// interrupts the driver even while it is blocked in a consumer wait or a
+// paused exchange. A nil ctx means run unconstrained.
 func (r *FragmentRuntime) Run(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -390,16 +380,13 @@ func (r *FragmentRuntime) Run(ctx context.Context) error {
 			select {
 			case <-ctx.Done():
 				r.interrupt(qerr.FromContext(ctx))
-				r.abortBarriers()
 			case <-done:
 			}
 		}()
 	}
 	var err error
-	if ectx.Parallelism > 1 && r.parallelOK() && !r.cfg.FT {
-		// Elastic recovery needs one driver: the commit pairing of
-		// held-output flushes with processed-prefix acks assumes one puller.
-		err = r.runParallel(ctx, ectx.Parallelism)
+	if w := r.width(); w > 1 {
+		err = r.runParallel(ctx, w)
 	} else {
 		err = r.drive(ctx, r.root, ectx, nil)
 	}

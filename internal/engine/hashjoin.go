@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/relation"
 	"repro/internal/storage"
@@ -22,10 +21,10 @@ type StateTarget interface {
 	StateSize() int
 }
 
-// joinPartitions is the lock-striping factor of the shared build table. A
-// routing bucket maps to partition bucket%joinPartitions, so an R1 eviction
-// of a bucket touches exactly one partition and morsel workers building or
-// probing different partitions never contend.
+// joinPartitions is the number of partitions of a build table. A routing
+// bucket maps to partition bucket%joinPartitions, so an R1 eviction of a
+// bucket touches exactly one partition, and a partition is the unit the
+// grace-hash spill moves to disk.
 const joinPartitions = 16
 
 // joinEntry is one build tuple in a partition's entry arena. Chains thread
@@ -60,7 +59,6 @@ func unlinkBucket(chains map[uint64]chainRef, b int32, buckets int) (n int) {
 }
 
 type joinPart struct {
-	mu sync.Mutex
 	// entries is the partition's build-tuple arena, pre-sized from the
 	// optimiser's cardinality estimate: inserting appends here instead of
 	// growing one slice per distinct key.
@@ -68,10 +66,10 @@ type joinPart struct {
 	chains  map[uint64]chainRef // hash → chain (bucket derivable from hash)
 	held    int
 
-	// Grace-hash spill state (joins under a memory budget, serial or
-	// morsel-parallel; see spill.go). Once spilled, the partition's build
-	// tuples live in a build run, probe tuples route to a probe run, and
-	// matching is deferred to the post-probe drain.
+	// Grace-hash spill state (joins under a memory budget; see spill.go).
+	// Once spilled, the partition's build tuples live in a build run, probe
+	// tuples route to a probe run, and matching is deferred to the
+	// post-probe drain.
 	bytes      int64 // accounted bytes of the in-memory entries
 	spilled    bool
 	build      storage.RunWriter
@@ -84,94 +82,63 @@ type joinPart struct {
 	evicts     []spillEvict    // R1 evictions recorded while spilled
 }
 
-// joinState is the build-side hash table shared by every worker clone of one
-// HashJoin (and by the serial join, which is simply a one-worker pool). It
-// is the unit the R1 protocol targets: evict/replay address buckets here, so
-// repartitioning is oblivious to how many workers built the table.
+// joinState is a HashJoin's build-side hash table. It is the unit the R1
+// protocol targets: evict/replay address buckets here. The join's driver
+// builds and probes it, and InsertState/EvictBuckets reach it from transport
+// goroutines meanwhile, so every access holds mu. The driver takes mu once
+// per build or probe batch, never across a child's NextBatch.
 type joinState struct {
-	initOnce sync.Once
-	ready    atomic.Bool
-	ctx      *ExecContext // first opener's context; shared fields only
-	buckets  int
+	mu      sync.Mutex
+	ready   bool         // set by Open; until then R1 calls find no table
+	ctx     *ExecContext // the driver's context
+	buckets int
 
 	insertMeter *opInsertMeter
-	mon         *opMonitor
-	barrier     buildBarrier
-	// refs counts unclosed clones; the last Close releases the table.
-	refs  atomic.Int32
-	parts [joinPartitions]joinPart
+	mon         opMonitor
+	parts       [joinPartitions]joinPart
 
-	// Spill wiring (see spill.go): workers coordinate partition eviction
-	// under spillMu.
 	spillEnv
-	// spillMu serializes victim selection and partition eviction across
-	// workers, so two breaching workers never race to spill partitions.
-	spillMu sync.Mutex
-
-	// Parallel drain coordination: probers meet at probeBarrier once their
-	// probe inputs are exhausted, one worker seals the spilled runs
-	// (sealOnce), and the resulting pairs queue in pairQ for any worker to
-	// drain — pairs are independent, so workers pull and match them
-	// concurrently, repartitioned sub-pairs re-queueing at the front.
-	probeBarrier buildBarrier
-	sealOnce     sync.Once
-	pairMu       sync.Mutex
-	pairQ        []spillPair
-
-	errMu    sync.Mutex
 	spillErr error // first spill I/O failure; surfaced before completion
 }
 
-func newJoinState() *joinState {
-	s := &joinState{}
-	s.refs.Store(1)
-	s.barrier.reset(1)
-	s.probeBarrier.reset(1)
-	return s
-}
-
 func (s *joinState) init(ctx *ExecContext, est int) {
-	s.initOnce.Do(func() {
-		s.ctx = ctx
-		s.buckets = ctx.Buckets
-		if s.buckets <= 0 {
-			s.buckets = DefaultBuckets
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.ctx = ctx
+	s.buckets = ctx.Buckets
+	if s.buckets <= 0 {
+		s.buckets = DefaultBuckets
+	}
+	s.insertMeter = newOpInsertMeter(ctx)
+	s.mon = opMonitor{ctx: ctx}
+	// Pre-size from the optimiser's build-side estimate: each partition
+	// arena and chain map gets its uniform share plus 25% headroom for
+	// skew. est <= 0 (no estimate) falls back to grow-on-demand.
+	perPart := 0
+	if est > 0 {
+		perPart = est/joinPartitions + est/(4*joinPartitions) + 8
+	}
+	for i := range s.parts {
+		p := &s.parts[i]
+		p.chains = make(map[uint64]chainRef, perPart)
+		if perPart > 0 {
+			p.entries = make([]joinEntry, 0, perPart)
 		}
-		s.insertMeter = newOpInsertMeter(ctx)
-		s.mon = newOpMonitor(ctx)
-		// Pre-size from the optimiser's build-side estimate: each partition
-		// arena and chain map gets its uniform share plus 25% headroom for
-		// skew. est <= 0 (no estimate) falls back to grow-on-demand.
-		perPart := 0
-		if est > 0 {
-			perPart = est/joinPartitions + est/(4*joinPartitions) + 8
-		}
-		for i := range s.parts {
-			p := &s.parts[i]
-			p.chains = make(map[uint64]chainRef, perPart)
-			if perPart > 0 {
-				p.entries = make([]joinEntry, 0, perPart)
-			}
-		}
-		s.spillEnv = newSpillEnv(ctx, "join")
-		s.ready.Store(true)
-	})
+	}
+	s.spillEnv = newSpillEnv(ctx, "join")
+	s.ready = true
 }
 
 func (s *joinState) part(b int32) *joinPart {
 	return &s.parts[int(b)%joinPartitions]
 }
 
-// insertBatch adds build tuples one partition lock at a time; charge, when
-// set, runs before each (a replay's per-tuple insert cost). The whole batch
-// is reserved in one call before any of it is published, so a concurrent
-// spiller releasing p.bytes is always covered by completed reservations and
-// the accountant never clamps on a live partition; what the batch does not
-// hold in memory is released in one call after it. The breach check runs
-// once per batch: Over is a single shared load, and the bounded over-shoot
-// of a batch (at most one morsel of entries) just means the victim
-// partition spills marginally later.
-func (s *joinState) insertBatch(keys []int, ts []relation.Tuple, charge func()) {
+// insertBatchLocked adds build tuples to the table. The whole batch is
+// reserved in one call and what the table does not hold in memory is
+// released in one call after it; the breach check runs once per batch, so
+// the bounded over-shoot of a batch just means the victim partition spills
+// marginally later. Caller holds s.mu.
+func (s *joinState) insertBatchLocked(keys []int, ts []relation.Tuple) {
 	if s.spillOn {
 		var reserve int64
 		for _, t := range ts {
@@ -181,9 +148,6 @@ func (s *joinState) insertBatch(keys []int, ts []relation.Tuple, charge func()) 
 	}
 	var unheld int64
 	for _, t := range ts {
-		if charge != nil {
-			charge()
-		}
 		unheld += s.insertOne(keys, t)
 	}
 	if s.spillOn {
@@ -197,7 +161,7 @@ func (s *joinState) insertBatch(keys []int, ts []relation.Tuple, charge func()) 
 // insertOne appends one reserved build tuple to its partition's entry arena
 // and links it onto the hash chain. It returns the tuple's reserved bytes
 // when the partition does not hold it in memory: a spilled partition routes
-// it to the build run, and a released table (a post-close replay) drops it.
+// it to the build run.
 func (s *joinState) insertOne(keys []int, t relation.Tuple) (unheld int64) {
 	h := t.Hash(keys)
 	b := int32(h % uint64(s.buckets))
@@ -206,14 +170,8 @@ func (s *joinState) insertOne(keys []int, t relation.Tuple) (unheld int64) {
 	if s.spillOn {
 		reserve = spillEntryBytes(t)
 	}
-	p.mu.Lock()
 	if p.spilled {
 		s.appendSpilledLocked(p, b, t)
-		p.mu.Unlock()
-		return reserve
-	}
-	if p.chains == nil {
-		p.mu.Unlock()
 		return reserve
 	}
 	idx := int32(len(p.entries))
@@ -227,108 +185,33 @@ func (s *joinState) insertOne(keys []int, t relation.Tuple) (unheld int64) {
 	}
 	p.held++
 	p.bytes += reserve
-	p.mu.Unlock()
 	return 0
 }
 
-// release drops one clone reference; the last one frees the table. Inserts
-// arriving after release (a replay racing query completion) become benign
-// no-ops, as before.
+// release frees the table, its spill runs and its reservations. R1 calls
+// arriving afterwards (a replay racing query completion) find no table.
 func (s *joinState) release() {
-	if s.refs.Add(-1) != 0 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.ready {
 		return
 	}
+	s.ready = false
 	for i := range s.parts {
 		p := &s.parts[i]
-		p.mu.Lock()
 		if p.build != nil {
 			_ = p.build.Close()
-			p.build = nil
-		}
-		if p.probe != nil {
 			_ = p.probe.Close()
-			p.probe = nil
 		}
 		if p.spilled {
 			_ = s.backend.Remove(p.buildName)
 			_ = s.backend.Remove(p.probeName)
-			p.spilled = false
-			p.spillLive = nil
-			p.evicts = nil
 		}
 		if p.bytes > 0 {
 			s.mem.Release(p.bytes)
-			p.bytes = 0
 		}
-		p.chains = nil
-		p.entries = nil
-		p.held = 0
-		p.mu.Unlock()
+		*p = joinPart{}
 	}
-	// Queued drain pairs no clone ever pulled (a cancelled or failed query)
-	// leave their runs behind; sweep them with the table.
-	s.pairMu.Lock()
-	for _, pr := range s.pairQ {
-		_ = s.backend.Remove(pr.build)
-		_ = s.backend.Remove(pr.probe)
-	}
-	s.pairQ = nil
-	s.pairMu.Unlock()
-}
-
-// buildBarrier holds probers back until every worker has finished building
-// (or absorbing, for the aggregate). A worker that fails mid-build still
-// arrives — the drain loops arrive via defer — and an interrupted fragment
-// closes the shared source so remaining drains return 0 and arrive promptly.
-// cancel covers the one remaining hang: a worker that errors before ever
-// reaching the barrier operator's Open.
-type buildBarrier struct {
-	mu        sync.Mutex
-	remaining int
-	cancelled bool
-	done      chan struct{}
-}
-
-func (b *buildBarrier) reset(n int) {
-	b.mu.Lock()
-	b.remaining = n
-	b.cancelled = false
-	b.done = make(chan struct{})
-	b.mu.Unlock()
-}
-
-func (b *buildBarrier) arrive() {
-	b.mu.Lock()
-	b.remaining--
-	if b.remaining == 0 && !b.cancelled {
-		close(b.done)
-	}
-	b.mu.Unlock()
-}
-
-// cancel releases all waiters with an error; used when a sibling worker
-// fails before arriving.
-func (b *buildBarrier) cancel() {
-	b.mu.Lock()
-	if !b.cancelled && b.remaining > 0 {
-		b.cancelled = true
-		close(b.done)
-	}
-	b.mu.Unlock()
-}
-
-func (b *buildBarrier) wait() error {
-	b.mu.Lock()
-	done := b.done
-	b.mu.Unlock()
-	<-done
-	b.mu.Lock()
-	cancelled := b.cancelled
-	b.mu.Unlock()
-	if cancelled {
-		return fmt.Errorf("engine: build barrier cancelled by failed worker")
-	}
-	return nil
 }
 
 // HashJoin is the partitioned equi-join: it drains its build input into a
@@ -336,19 +219,15 @@ func (b *buildBarrier) wait() error {
 // one tuple per match: the build tuple followed by the probe tuple, or the
 // Out columns of that when a projection is fused in. Each clone of the join
 // holds only the buckets the current distribution policy routes to it;
-// moving a bucket to another clone moves the corresponding state.
-//
-// Under morsel parallelism several worker clones share one joinState: all
-// workers drain the shared build source into the partitioned table, meet at a
-// barrier, then probe concurrently. Build order across workers is immaterial
-// — the table is a bag per (bucket, hash) and probing starts only after the
-// barrier, so the probe sees the same complete table a serial build yields.
+// moving a bucket to another clone moves the corresponding state. A join
+// runs on its fragment's one driver goroutine; only R1 state calls arrive
+// from elsewhere.
 type HashJoin struct {
 	Build, Probe         Iterator
 	BuildKeys, ProbeKeys []int
 	// BuildEst is the optimiser's build-side cardinality estimate; when
-	// positive, the shared table's partition arenas and chain maps are
-	// pre-sized for it instead of growing on demand.
+	// positive, the table's partition arenas and chain maps are pre-sized
+	// for it instead of growing on demand.
 	BuildEst int
 	// Out, when set, is a projection fused into the join: the ordinals over
 	// build ++ probe each match emits, in order, charged ProjectMs per
@@ -356,9 +235,8 @@ type HashJoin struct {
 	// concatenated match is never built.
 	Out []int
 
-	ctx     *ExecContext
-	buckets int
-	shared  *joinState
+	ctx *ExecContext
+	st  joinState
 
 	// pending holds overflow outputs that did not fit the current output
 	// batch (a single probe tuple can match many build tuples); pendHead
@@ -375,58 +253,21 @@ type HashJoin struct {
 	drain *joinSpillDrain
 }
 
-// ensureShared lazily creates the shared state. Not safe for concurrent
-// callers: it runs during plan compilation / worker-chain construction,
-// strictly before workers start.
-func (j *HashJoin) ensureShared() *joinState {
-	if j.shared == nil {
-		j.shared = newJoinState()
-	}
-	return j.shared
-}
-
-// WorkerClone returns a join over the given per-worker inputs that shares
-// this join's build table, barrier, and monitoring state.
-func (j *HashJoin) WorkerClone(build, probe Iterator) *HashJoin {
-	return &HashJoin{
-		Build: build, Probe: probe,
-		BuildKeys: j.BuildKeys, ProbeKeys: j.ProbeKeys,
-		BuildEst: j.BuildEst, Out: j.Out,
-		shared: j.ensureShared(),
-	}
-}
-
-// SetWorkers declares how many clones (including any that is itself run)
-// will Open and Close this join's shared state. Call before any worker
-// starts; the default is 1, the serial contract.
-func (j *HashJoin) SetWorkers(n int) {
-	s := j.ensureShared()
-	s.refs.Store(int32(n))
-	s.barrier.reset(n)
-	s.probeBarrier.reset(n)
-}
-
 // Open implements Iterator: it drains the build input batch-at-a-time
 // (clamped to the M1 window so build-phase monitoring cadence is unchanged)
-// into the shared table, then waits for every sibling worker's build before
-// opening the probe side.
+// into the table, then opens the probe side.
 func (j *HashJoin) Open(ctx *ExecContext) error {
 	j.ctx = ctx
-	s := j.ensureShared()
-	s.init(ctx, j.BuildEst)
-	j.buckets = s.buckets
+	j.st.init(ctx, j.BuildEst)
 	j.in = relation.GetBatch()
-	if err := j.openBuild(ctx, s); err != nil {
-		return err
-	}
-	if err := s.barrier.wait(); err != nil {
+	if err := j.openBuild(ctx); err != nil {
 		return err
 	}
 	return j.Probe.Open(ctx)
 }
 
-func (j *HashJoin) openBuild(ctx *ExecContext, s *joinState) error {
-	defer s.barrier.arrive()
+func (j *HashJoin) openBuild(ctx *ExecContext) error {
+	s := &j.st
 	if err := j.Build.Open(ctx); err != nil {
 		return err
 	}
@@ -441,11 +282,12 @@ func (j *HashJoin) openBuild(ctx *ExecContext, s *joinState) error {
 			return nil
 		}
 		ctx.chargeN(ctx.Costs.JoinBuildMs, n)
-		s.insertBatch(j.BuildKeys, j.in.Tuples, nil)
+		s.mu.Lock()
+		s.insertBatchLocked(j.BuildKeys, j.in.Tuples)
+		s.mu.Unlock()
 		// The build phase produces nothing, so the driver's M1 emission is
 		// silent; emit operator-level events so the Diagnoser can already
-		// rebalance a perturbed build. Each worker attributes its own
-		// meter's delta for the batch, which the shared monitor merges.
+		// rebalance a perturbed build.
 		cur := ctx.Meter.ChargedMs()
 		s.mon.tickN(n, cur-prev)
 		prev = cur
@@ -464,8 +306,8 @@ func (j *HashJoin) NextBatch(dst *relation.Batch) (int, error) {
 	return n, err
 }
 
-func (j *HashJoin) nextBatch(dst *relation.Batch) (int, error) {
-	dst.Rewind()
+// takePending moves carried-over matches into dst until it is full.
+func (j *HashJoin) takePending(dst *relation.Batch) {
 	for j.pendHead < len(j.pending) && !dst.Full() {
 		dst.Append(j.pending[j.pendHead])
 		j.pendHead++
@@ -473,6 +315,11 @@ func (j *HashJoin) nextBatch(dst *relation.Batch) (int, error) {
 	if j.pendHead == len(j.pending) {
 		j.pending, j.pendHead = j.pending[:0], 0
 	}
+}
+
+func (j *HashJoin) nextBatch(dst *relation.Batch) (int, error) {
+	dst.Rewind()
+	j.takePending(dst)
 	j.in.SetLimit(dst.Cap())
 	for dst.Len() == 0 {
 		n, err := j.Probe.NextBatch(j.in)
@@ -480,56 +327,55 @@ func (j *HashJoin) nextBatch(dst *relation.Batch) (int, error) {
 			return dst.Len(), err
 		}
 		if n == 0 {
-			if j.shared.spillOn {
+			if j.st.spillOn {
 				more, derr := j.drainPending()
 				if derr != nil {
 					return dst.Len(), derr
 				}
 				if more {
-					for j.pendHead < len(j.pending) && !dst.Full() {
-						dst.Append(j.pending[j.pendHead])
-						j.pendHead++
-					}
-					if j.pendHead == len(j.pending) {
-						j.pending, j.pendHead = j.pending[:0], 0
-					}
+					j.takePending(dst)
 					continue
 				}
 			}
 			return dst.Len(), nil
 		}
 		j.ctx.chargeN(j.ctx.Costs.JoinProbeMs, n)
-		for _, t := range j.in.Tuples {
-			h := t.Hash(j.ProbeKeys)
-			b := int32(h % uint64(j.buckets))
-			p := j.shared.part(b)
-			p.mu.Lock()
-			if p.spilled {
-				j.shared.routeProbeLocked(p, t)
-				p.mu.Unlock()
-				continue
-			}
-			c, ok := p.chains[h]
-			if !ok {
-				p.mu.Unlock()
-				continue
-			}
-			for e := c.head; e >= 0; e = p.entries[e].next {
-				cand := p.entries[e].t
-				if !j.keysEqual(cand, t) {
-					continue
-				}
-				out := j.emit(cand, t)
-				if dst.Full() {
-					j.pending = append(j.pending, out)
-				} else {
-					dst.Append(out)
-				}
-			}
-			p.mu.Unlock()
-		}
+		j.probe(j.in.Tuples, dst)
 	}
 	return dst.Len(), nil
+}
+
+// probe matches one probe batch under the table's lock: matches fill dst and
+// overflow to pending, and probe tuples of spilled partitions are deferred
+// to their probe runs.
+func (j *HashJoin) probe(ts []relation.Tuple, dst *relation.Batch) {
+	s := &j.st
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, t := range ts {
+		h := t.Hash(j.ProbeKeys)
+		p := s.part(int32(h % uint64(s.buckets)))
+		if p.spilled {
+			s.routeProbeLocked(p, t)
+			continue
+		}
+		c, ok := p.chains[h]
+		if !ok {
+			continue
+		}
+		for e := c.head; e >= 0; e = p.entries[e].next {
+			cand := p.entries[e].t
+			if !j.keysEqual(cand, t) {
+				continue
+			}
+			out := j.emit(cand, t)
+			if dst.Full() {
+				j.pending = append(j.pending, out)
+			} else {
+				dst.Append(out)
+			}
+		}
+	}
 }
 
 // emit builds the output tuple of one match from the arena: build ++ probe,
@@ -562,8 +408,8 @@ func (j *HashJoin) keysEqual(build, probe relation.Tuple) bool {
 	return true
 }
 
-// Close implements Iterator. The shared table survives until the last
-// sibling clone closes.
+// Close implements Iterator: it releases the table, its spill runs and its
+// reserved bytes.
 func (j *HashJoin) Close() error {
 	errB := j.Build.Close()
 	errP := j.Probe.Close()
@@ -575,9 +421,7 @@ func (j *HashJoin) Close() error {
 		j.drain.close()
 		j.drain = nil
 	}
-	if j.shared != nil {
-		j.shared.release()
-	}
+	j.st.release()
 	if errB != nil {
 		return errB
 	}
@@ -585,22 +429,31 @@ func (j *HashJoin) Close() error {
 }
 
 // InsertState implements StateTarget: replayed build tuples recreate bucket
-// state on this clone. It may run concurrently with probing, and with
-// several transport goroutines delivering replay buffers at once.
+// state on this clone. It runs on a transport goroutine, concurrently with
+// the driver and with other replay deliveries; the batch's insert cost is
+// charged before the table's lock is taken.
 func (j *HashJoin) InsertState(tuples []relation.Tuple) {
-	s := j.shared
-	if s == nil || !s.ready.Load() {
+	s := &j.st
+	s.mu.Lock()
+	ready, ctx, meter := s.ready, s.ctx, s.insertMeter
+	s.mu.Unlock()
+	if !ready {
 		return
 	}
-	s.insertBatch(j.BuildKeys, tuples, func() {
-		s.insertMeter.charge(s.ctx.Node.PerturbedCost(s.ctx.Costs.JoinBuildMs))
-	})
+	meter.charge(ctx.Node.PerturbedCostN(ctx.Costs.JoinBuildMs, len(tuples)))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ready {
+		s.insertBatchLocked(j.BuildKeys, tuples)
+	}
 }
 
 // EvictBuckets implements StateTarget.
 func (j *HashJoin) EvictBuckets(buckets []int32) {
-	s := j.shared
-	if s == nil || !s.ready.Load() {
+	s := &j.st
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.ready {
 		return
 	}
 	// Eviction unlinks the bucket's chains; the arena entries behind them
@@ -609,52 +462,38 @@ func (j *HashJoin) EvictBuckets(buckets []int32) {
 	// the build side's size either way.
 	for _, b := range buckets {
 		p := s.part(b)
-		p.mu.Lock()
 		if p.spilled {
 			// The bucket's tuples live in the build run; record the kill
 			// window instead of unlinking (see spill.go).
 			p.evicts = append(p.evicts, spillEvict{bucket: b, buildIdx: p.buildCount, probeIdx: p.probeCount})
 			p.held -= int(p.spillLive[b])
 			delete(p.spillLive, b)
-			p.mu.Unlock()
 			continue
 		}
 		p.held -= unlinkBucket(p.chains, b, s.buckets)
-		p.mu.Unlock()
 	}
 }
 
 // StateSize implements StateTarget.
 func (j *HashJoin) StateSize() int {
-	s := j.shared
-	if s == nil || !s.ready.Load() {
-		return 0
-	}
+	s := &j.st
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	held := 0
 	for i := range s.parts {
-		p := &s.parts[i]
-		p.mu.Lock()
-		held += p.held
-		p.mu.Unlock()
+		held += s.parts[i].held
 	}
 	return held
-}
-
-// Abort releases sibling workers blocked at the build or probe-completion
-// barrier; the worker pool calls it when a worker fails before reaching
-// this join's Open (or before finishing its probe share).
-func (j *HashJoin) Abort() {
-	if j.shared != nil {
-		j.shared.barrier.cancel()
-		j.shared.probeBarrier.cancel()
-	}
 }
 
 // BucketOf reports the bucket a build-side tuple belongs to; tests use it
 // to cross-check alignment with the distribution policy.
 func (j *HashJoin) BucketOf(t relation.Tuple) (int32, error) {
-	if j.shared == nil || !j.shared.ready.Load() {
+	s := &j.st
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.ready {
 		return 0, fmt.Errorf("engine: join not opened")
 	}
-	return int32(t.Hash(j.BuildKeys) % uint64(j.shared.buckets)), nil
+	return int32(t.Hash(j.BuildKeys) % uint64(s.buckets)), nil
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/relation"
@@ -190,85 +189,37 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 
 // TestHashJoinOutParity holds a join with a fused projection (Out) to the
 // plan it replaces, a Project over the unfused join: the same rows as a
-// multiset and the same modelled milliseconds on every meter, on the probe
-// path at width 1 and 2 and through the spill drain under a 64KiB budget.
+// multiset and the same modelled milliseconds, on the probe path and through
+// the spill drain under a 64KiB budget.
 func TestHashJoinOutParity(t *testing.T) {
 	out := []int{3, 0} // one probe column, then the build key
 	for _, tc := range []struct {
-		name    string
-		workers int
-		budget  int64
+		name   string
+		budget int64
 	}{
-		{"w1", 1, 0},
-		{"w2", 2, 0},
-		{"w1-budget64k", 1, 64 << 10},
+		{"w1", 0},
+		{"w1-budget64k", 64 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			build := buildTuples(2000)
 			probe := probeTuples(6000, 2000)
-			run := func(fused bool) ([]relation.Tuple, []float64) {
+			run := func(fused bool) ([]relation.Tuple, float64) {
 				ctx := testCtx()
 				if tc.budget > 0 {
 					ctx = budgetedCtx(tc.budget, storage.NewMemory())
 				}
-				base := newJoin(nil, nil)
-				base.SetWorkers(tc.workers)
+				join := newJoin(build, probe)
+				var it Iterator = join
 				if fused {
-					base.Out = out
+					join.Out = out
+				} else {
+					it = &Project{Child: join, Ords: out}
 				}
-				wctxs := make([]*ExecContext, tc.workers)
-				chains := make([]Iterator, tc.workers)
-				bs, ps := len(build)/tc.workers, len(probe)/tc.workers
-				for w := range chains {
-					wctxs[w] = ctx.workerContext()
-					var it Iterator = base.WorkerClone(
-						NewSliceSource(build[w*bs:(w+1)*bs], 0),
-						NewSliceSource(probe[w*ps:(w+1)*ps], 0))
-					if !fused {
-						it = &Project{Child: it, Ords: out}
-					}
-					chains[w] = it
-				}
-				outs := make([][]relation.Tuple, tc.workers)
-				var wg sync.WaitGroup
-				for w := range chains {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						it := chains[w]
-						if err := it.Open(wctxs[w]); err != nil {
-							t.Error(err)
-							return
-						}
-						batch := relation.GetBatch()
-						defer batch.Release()
-						for {
-							n, err := it.NextBatch(batch)
-							if err != nil {
-								t.Error(err)
-								break
-							}
-							if n == 0 {
-								break
-							}
-							outs[w] = append(outs[w], batch.Tuples...)
-						}
-						if err := it.Close(); err != nil {
-							t.Error(err)
-						}
-					}(w)
-				}
-				wg.Wait()
+				rows := drain(t, it, ctx, 0)
 				if tc.budget > 0 {
 					assertClean(t, ctx)
 				}
-				var rows []relation.Tuple
-				ms := make([]float64, tc.workers)
-				for w := range outs {
-					rows = append(rows, outs[w]...)
-					ms[w] = wctxs[w].Meter.ChargedMs()
-				}
-				return rows, ms
+				return rows, ctx.Meter.ChargedMs()
 			}
 			_, p0, _ := spillCounters()
 			want, wantMs := run(false)
@@ -283,10 +234,73 @@ func TestHashJoinOutParity(t *testing.T) {
 				t.Fatalf("fused join emitted rows of width %d, want %d", len(got[0]), len(out))
 			}
 			sameMultiset(t, got, want)
-			for w := range wantMs {
-				if gotMs[w] != wantMs[w] {
-					t.Errorf("worker %d: fused join charged %v ms, Project over the join %v ms", w, gotMs[w], wantMs[w])
+			if gotMs != wantMs {
+				t.Errorf("fused join charged %v ms, Project over the join %v ms", gotMs, wantMs)
+			}
+		})
+	}
+}
+
+// TestHashJoinR1RacesDriver evicts and replays buckets from a second
+// goroutine, as transport deliveries do, while the driver probes — in memory
+// and with partitions spilled. Evicting a bucket and replaying its build
+// tuples leaves the table as it was, so every probe tuple matches at most
+// once and the table ends holding the whole build side.
+func TestHashJoinR1RacesDriver(t *testing.T) {
+	build := buildTuples(200)
+	for _, limit := range []int64{0, 2048} {
+		t.Run(fmt.Sprintf("budget%d", limit), func(t *testing.T) {
+			ctx := testCtx()
+			if limit > 0 {
+				ctx = budgetedCtx(limit, storage.NewMemory())
+			}
+			j := newJoin(build, probeTuples(4000, 200))
+			if err := j.Open(ctx); err != nil {
+				t.Fatal(err)
+			}
+			byBucket := map[int32][]relation.Tuple{}
+			for _, tp := range build {
+				b, err := j.BucketOf(tp)
+				if err != nil {
+					t.Fatal(err)
 				}
+				byBucket[b] = append(byBucket[b], tp)
+			}
+			stop, done := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					for b, ts := range byBucket {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						j.EvictBuckets([]int32{b})
+						j.InsertState(ts)
+						_ = j.StateSize()
+					}
+				}
+			}()
+			out := pullAll(t, j, 0)
+			close(stop)
+			<-done
+			seen := map[int64]bool{}
+			for _, tp := range out {
+				if idx := tp[3].AsInt(); seen[idx] {
+					t.Fatalf("probe %d matched twice", idx)
+				} else {
+					seen[idx] = true
+				}
+			}
+			if n := j.StateSize(); n != len(build) {
+				t.Fatalf("StateSize = %d after evict/replay rounds, want %d", n, len(build))
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if limit > 0 {
+				assertClean(t, ctx)
 			}
 		})
 	}

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"sync"
-
-	"repro/internal/vtime"
-)
+import "repro/internal/vtime"
 
 // opMonitor lets a blocking operator emit M1 self-monitoring events while
 // it absorbs input. The fragment driver's own M1 emission is keyed to
@@ -12,24 +8,15 @@ import (
 // absorb phase would otherwise be invisible to the Diagnoser — and the
 // machine could not be rebalanced until the operator started emitting.
 //
-// The monitor is safe for concurrent use: morsel workers absorbing in
-// parallel merge their per-worker cost windows here, and events are emitted
-// under the lock so Produced stays monotonic in the event stream MED sees.
+// The operator's driver is the monitor's one caller.
 type opMonitor struct {
 	ctx *ExecContext
 
-	mu        sync.Mutex
 	count     int64
 	lastCount int64
 	// windowMs accumulates the cost charged for absorbed tuples since the
-	// last emission. Callers measure their own meter's delta (meters are
-	// goroutine-confined) and pass it in, so the merged window attributes
-	// exactly what the serial driver's meter reading attributed.
+	// last emission, as the driver's meter measured it.
 	windowMs float64
-}
-
-func newOpMonitor(ctx *ExecContext) *opMonitor {
-	return &opMonitor{ctx: ctx}
 }
 
 // tickN records n absorbed tuples that cost chargedMs, emitting an M1 event
@@ -43,8 +30,6 @@ func (m *opMonitor) tickN(n int, chargedMs float64) {
 		return
 	}
 	every := int64(m.ctx.MonitorEvery)
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.windowMs += chargedMs
 	m.count += int64(n)
 	if m.count-m.lastCount < every {
@@ -64,8 +49,8 @@ func (m *opMonitor) tickN(n int, chargedMs float64) {
 }
 
 // opInsertMeter charges replay-insert work happening on control-plane
-// goroutines, where a driver's or worker's goroutine-confined meter must
-// not be touched. Backed by a SharedMeter: remote transports may deliver
+// goroutines, where the driver's goroutine-confined meter must not be
+// touched. Backed by a SharedMeter: remote transports may deliver
 // replay buffers from several connection goroutines at once.
 type opInsertMeter struct {
 	meter *vtime.SharedMeter

@@ -10,28 +10,36 @@ import (
 	"repro/internal/physical"
 )
 
-// This file implements the fragment runtime's morsel-driven execution mode:
-// the fragment's operator chain is replicated once per worker, the chains
-// share their leaves (scans claiming batch-sized runs or whole stored blocks
-// off one shared counter, or the fragment's exchange Consumer handing each
-// worker its own in-flight window), stateful operators share their
-// partitioned state behind a build barrier, and every worker pushes its
-// results into the sharded output exchange independently. Each worker runs
-// the driver's one batch loop (FragmentRuntime.drive), the loop that runs the
-// compiled tree at width 1. Fragments whose sink is order-sensitive (result
-// sinks, sorts, limits) always run at width 1.
+// This file implements the fragment runtime's morsel-driven execution mode
+// for stateless chains (scan → filter/project/op-call → exchange): the
+// fragment's operator chain is replicated once per worker, the chains share
+// their leaves (scans claiming batch-sized runs or whole stored blocks off
+// one shared counter, or the fragment's exchange Consumer handing each
+// worker its own in-flight window), and every worker pushes its results into
+// the sharded output exchange independently. Each worker runs the driver's
+// one batch loop (FragmentRuntime.drive), the loop that runs the compiled
+// tree at width 1.
 
-// parallelOK reports whether the fragment may run under the worker pool:
-// its output must be an exchange (producers are order-insensitive across
-// workers; a result sink is not) and its chain must not contain an
-// order-sensitive operator.
-func (r *FragmentRuntime) parallelOK() bool {
-	return r.producer != nil && specParallelOK(r.cfg.Fragment.Root)
+// width is the number of operator chains Run drives, the one place a
+// fragment's width is decided: the context's Parallelism when the fragment
+// may run under the worker pool, 1 otherwise. Its output must be an
+// exchange (producers are order-insensitive across workers; a result sink
+// is not), its chain must hold no operator with state (a join or aggregate,
+// whose state the plan partitions across instances, never across workers)
+// or order (a sort or limit), and the instance must not be elastic: the
+// commit pairing of held-output flushes with processed-prefix acks assumes
+// one puller.
+func (r *FragmentRuntime) width() int {
+	p := r.cfg.Ctx.Parallelism
+	if p <= 1 || r.producer == nil || r.cfg.FT || !specParallelOK(r.cfg.Fragment.Root) {
+		return 1
+	}
+	return p
 }
 
 func specParallelOK(s *physical.OpSpec) bool {
 	switch s.Kind {
-	case physical.KSort, physical.KLimit:
+	case physical.KJoin, physical.KAggregate, physical.KSort, physical.KLimit:
 		return false
 	}
 	for _, c := range s.Children {
@@ -43,8 +51,7 @@ func specParallelOK(s *physical.OpSpec) bool {
 }
 
 // buildWorkerChain mirrors compile() for one worker: per-row operators are
-// fresh per worker, stateful operators are clones sharing the compiled
-// instance's state, scans share one claim counter per leaf spec (created by
+// fresh per worker, scans share one claim counter per leaf spec (created by
 // the first chain to reach it), and exchange leaves are worker handles on the
 // compiled Consumer.
 func (r *FragmentRuntime) buildWorkerChain(spec *physical.OpSpec, claims map[*physical.OpSpec]*atomic.Int64) (Iterator, error) {
@@ -64,24 +71,6 @@ func (r *FragmentRuntime) buildWorkerChain(spec *physical.OpSpec, claims map[*ph
 		}
 		return rowOp(spec, child)
 
-	case physical.KJoin:
-		build, err := r.buildWorkerChain(spec.Children[0], claims)
-		if err != nil {
-			return nil, err
-		}
-		probe, err := r.buildWorkerChain(spec.Children[1], claims)
-		if err != nil {
-			return nil, err
-		}
-		return r.joinBySpec[spec].WorkerClone(build, probe), nil
-
-	case physical.KAggregate:
-		child, err := r.buildWorkerChain(spec.Children[0], claims)
-		if err != nil {
-			return nil, err
-		}
-		return r.aggBySpec[spec].WorkerClone(child), nil
-
 	case physical.KConsume:
 		return r.consumers[spec.Exchange].NewWorker(), nil
 
@@ -90,21 +79,10 @@ func (r *FragmentRuntime) buildWorkerChain(spec *physical.OpSpec, claims map[*ph
 	}
 }
 
-// abortBarriers releases workers blocked on a stateful operator's build
-// barrier when a sibling failed before arriving there.
-func (r *FragmentRuntime) abortBarriers() {
-	for _, j := range r.joinBySpec {
-		j.Abort()
-	}
-	for _, a := range r.aggBySpec {
-		a.Abort()
-	}
-}
-
 // runParallel drives the fragment on a pool of workers: it builds one
-// operator chain per worker over shared leaves and shared operator state and
-// runs the driver's batch loop on each concurrently, every worker pushing its
-// batches into the sharded producer independently. The first worker error
+// operator chain per worker over shared leaves and runs the driver's batch
+// loop on each concurrently, every worker pushing its batches into the
+// sharded producer independently. The first worker error
 // interrupts the siblings and is returned; Run owns the startup charges and
 // the close, flush and cancel tail.
 func (r *FragmentRuntime) runParallel(ctx context.Context, workers int) error {
@@ -115,8 +93,8 @@ func (r *FragmentRuntime) runParallel(ctx context.Context, workers int) error {
 	for w := range chains {
 		chain, err := r.buildWorkerChain(r.cfg.Fragment.Root, claims)
 		if err != nil {
-			// Chains already built hold clone references on shared operator
-			// state; close them so the last reference frees the state.
+			// Chains already built hold worker handles on the fragment's
+			// consumers; close them so the last handle closes the consumer.
 			for _, c := range chains[:w] {
 				_ = c.Close()
 			}
@@ -125,13 +103,6 @@ func (r *FragmentRuntime) runParallel(ctx context.Context, workers int) error {
 		chains[w] = chain
 		wctxs[w] = ectx.workerContext()
 	}
-	for _, j := range r.joinBySpec {
-		j.SetWorkers(workers)
-	}
-	for _, a := range r.aggBySpec {
-		a.SetWorkers(workers)
-	}
-
 	o := obs.Default()
 	gauge := o.Gauge(obs.MEngineParallelWorkers)
 	morselMs := o.Histogram(obs.MEngineMorselMs, obs.DefBucketsLatencyMs)
@@ -154,10 +125,9 @@ func (r *FragmentRuntime) runParallel(ctx context.Context, workers int) error {
 			errOnce.Do(func() {
 				firstErr = err
 				r.fail(err)
-				// Unblock siblings parked in consumer waits, producer barriers,
-				// or a build barrier the failed worker never reached.
+				// Unblock siblings parked in consumer waits or producer
+				// barriers.
 				r.interrupt(err)
-				r.abortBarriers()
 			})
 		}(chains[w], wctxs[w])
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -297,121 +298,146 @@ func TestProducerControlRacesConcurrentSenders(t *testing.T) {
 	}
 }
 
-// errFailingCall is what failingCall returns for every tuple.
-var errFailingCall = errors.New("service unavailable")
-
-// failingCall is a web service whose every invocation fails — once gate is
-// closed. entered is signalled as an invocation starts waiting.
-type failingCall struct{ entered, gate chan struct{} }
-
-func (failingCall) Name() string              { return "Fail" }
-func (failingCall) ArgTypes() []relation.Type { return []relation.Type{relation.TString} }
-func (failingCall) ResultType() relation.Type { return relation.TString }
-func (failingCall) BaseCostMs() float64       { return 0 }
-func (f failingCall) Invoke([]relation.Value) (relation.Value, error) {
-	select {
-	case f.entered <- struct{}{}:
-	default:
+// TestFragmentWidth pins the plan's one width decision (width) at
+// Parallelism 4: stateless chains run 4 worker chains, while a join, an
+// aggregate, a sort, a result sink and an elastic (FT) instance each run
+// one.
+func TestFragmentWidth(t *testing.T) {
+	q1 := q1Plan(120)
+	consume := q1.Fragments[2].Root // the result sink's exchange leaf
+	countCols := []relation.Column{{Name: "n", Type: relation.TInt}}
+	agg := q1Plan(120)
+	agg.Fragments[1].Root = &physical.OpSpec{Kind: physical.KAggregate,
+		AggKinds: []uint8{uint8(logical.AggCount)}, AggArgs: []int{-1}, OutCols: countCols,
+		Children: []*physical.OpSpec{agg.Fragments[1].Root.Children[0].Children[0]}}
+	sorted := q1Plan(120)
+	sorted.Fragments[2].Root = &physical.OpSpec{Kind: physical.KSort, SortOrds: []int{0}, SortDesc: []bool{false},
+		OutCols: consume.OutCols, Children: []*physical.OpSpec{consume}}
+	for _, tc := range []struct {
+		name string
+		plan *physical.Plan
+		frag int
+		ft   bool
+		want int
+	}{
+		{"scan", q1, 0, false, 4},
+		{"op-call", q1, 1, false, 4},
+		{"join", q2Plan(120, 200), 2, false, 1},
+		{"aggregate", agg, 1, false, 1},
+		{"result-sink", q1, 2, false, 1},
+		{"sort", sorted, 2, false, 1},
+		{"ft", q1, 1, true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCluster(t, "data1", "ws0", "ws1", "coord")
+			frag := tc.plan.Fragments[tc.frag]
+			node := frag.Instances[0]
+			cfg := RuntimeConfig{Plan: tc.plan, Fragment: frag, Tr: c.tr, Node: node, FT: tc.ft,
+				Ctx: &ExecContext{Clock: c.clock, Node: c.net.Node(node), Meter: vtime.NewMeter(c.clock),
+					Store: c.store, Buckets: 64, Parallelism: 4}}
+			if frag.Output == nil {
+				cfg.Sink = &chanSink{ch: c.results}
+			}
+			rt, err := NewFragmentRuntime(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Stop()
+			if got := rt.width(); got != tc.want {
+				t.Fatalf("fragment %s runs %d chains, want %d", frag.ID, got, tc.want)
+			}
+		})
 	}
-	<-f.gate
+}
+
+// flakyCall is a web service that echoes its argument, except for fail: that
+// invocation waits until the other morsel has been invoked in full, so its
+// worker is parked in the paused producer, then fails.
+type flakyCall struct {
+	fail   relation.Value
+	others int64
+	passed *atomic.Int64
+}
+
+func (flakyCall) Name() string              { return "Flaky" }
+func (flakyCall) ArgTypes() []relation.Type { return []relation.Type{relation.TString} }
+func (flakyCall) ResultType() relation.Type { return relation.TString }
+func (flakyCall) BaseCostMs() float64       { return 0 }
+func (f flakyCall) Invoke(args []relation.Value) (relation.Value, error) {
+	if !args[0].Equal(f.fail) {
+		f.passed.Add(1)
+		return args[0], nil
+	}
+	for deadline := time.Now().Add(10 * time.Second); f.passed.Load() < f.others && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	return relation.Null, errFailingCall
 }
 
-// TestParallelWorkerFailsBeforeBarrier runs a width-2 fragment in which one
-// worker fails in a join's build phase, after its sibling finished building,
-// so the sibling goes on to wait where the failed worker never arrives: the
-// absorb barrier of an aggregate above the join, or the build barrier of a
-// second join on the probe side. Run must return the worker's error — the
-// pool aborts the barriers it will never reach — and leave no goroutine
+// errFailingCall is what flakyCall's failing invocation returns.
+var errFailingCall = errors.New("service unavailable")
+
+// TestParallelWorkerFailureInterruptsSiblings runs a width-2 scan → op-call
+// fragment over two morsels behind a paused output exchange: one worker
+// parks pushing its morsel, and the other fails on its morsel's first tuple.
+// Run must return the failed worker's error — the failure interrupts the
+// parked sibling, which nothing else would release — and leave no goroutine
 // behind.
-func TestParallelWorkerFailsBeforeBarrier(t *testing.T) {
+func TestParallelWorkerFailureInterruptsSiblings(t *testing.T) {
+	before := runtime.NumGoroutine()
 	seqCols := []relation.Column{
 		{Table: "p", Name: "ORF", Type: relation.TString},
 		{Table: "p", Name: "sequence", Type: relation.TString},
 	}
-	intCols := []relation.Column{
-		{Table: "i", Name: "ORF1", Type: relation.TString},
-		{Table: "i", Name: "ORF2", Type: relation.TString},
-	}
-	scan := func(table string, cols []relation.Column) *physical.OpSpec {
-		return &physical.OpSpec{Kind: physical.KScan, Table: table, OutCols: cols}
-	}
-	join := func(build, probe *physical.OpSpec) *physical.OpSpec {
-		return &physical.OpSpec{Kind: physical.KJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
-			OutCols:  append(append([]relation.Column{}, build.OutCols...), probe.OutCols...),
-			Children: []*physical.OpSpec{build, probe}}
-	}
-	// The build side both workers pull from one shared scan: the table fits
-	// one batch, so exactly one worker claims it and fails.
-	failingBuild := &physical.OpSpec{Kind: physical.KOpCall, Fn: "Fail", ArgOrds: []int{1},
+	root := &physical.OpSpec{Kind: physical.KOpCall, Fn: "Flaky", ArgOrds: []int{0},
 		OutCols:  append(append([]relation.Column{}, seqCols...), relation.Column{Name: "x", Type: relation.TString}),
-		Children: []*physical.OpSpec{scan("protein_sequences", seqCols)}}
-	aggJoin := join(failingBuild, scan("protein_interactions", intCols))
-	outerJoin := join(failingBuild, join(scan("protein_sequences", seqCols), scan("protein_interactions", intCols)))
-	cases := map[string]struct{ root, failingJoin *physical.OpSpec }{
-		"aggregate": {&physical.OpSpec{Kind: physical.KAggregate, GroupOrds: []int{0},
-			AggKinds: []uint8{uint8(logical.AggCount)}, AggArgs: []int{-1},
-			OutCols:  []relation.Column{seqCols[0], {Name: "n", Type: relation.TInt}},
-			Children: []*physical.OpSpec{aggJoin}}, aggJoin},
-		"join": {outerJoin, outerJoin},
+		Children: []*physical.OpSpec{{Kind: physical.KScan, Table: "protein_sequences", OutCols: seqCols}}}
+	clock := vtime.NewClock(time.Microsecond)
+	net := simnet.NewNetwork(clock)
+	net.AddNode("ws0")
+	net.AddNode("coord")
+	frag := &physical.FragmentSpec{ID: "F1", Root: root,
+		Instances: []simnet.NodeID{"ws0"}, InitialWeights: []float64{1},
+		Output: &physical.ExchangeSpec{ID: "E1", ConsumerFragment: "F2", Policy: physical.PolicyWeighted}}
+	top := &physical.FragmentSpec{ID: "F2", Instances: []simnet.NodeID{"coord"}, InitialWeights: []float64{1},
+		Root: &physical.OpSpec{Kind: physical.KConsume, Exchange: "E1", NumProducers: 1, OutCols: root.OutCols}}
+	plan := &physical.Plan{Fragments: []*physical.FragmentSpec{frag, top}, Coordinator: "coord"}
+	// Two morsels of one batch each: the scan hands each worker one.
+	store := dataset.DemoSized(2*relation.DefaultBatchSize, 10)
+	seqs, err := store.Table("protein_sequences")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, tc := range cases {
-		t.Run(name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			clock := vtime.NewClock(time.Microsecond)
-			net := simnet.NewNetwork(clock)
-			net.AddNode("ws0")
-			net.AddNode("coord")
-			frag := &physical.FragmentSpec{ID: "F1", Root: tc.root,
-				Instances: []simnet.NodeID{"ws0"}, InitialWeights: []float64{1},
-				Output: &physical.ExchangeSpec{ID: "E1", ConsumerFragment: "F2", Policy: physical.PolicyWeighted}}
-			top := &physical.FragmentSpec{ID: "F2", Instances: []simnet.NodeID{"coord"}, InitialWeights: []float64{1},
-				Root: &physical.OpSpec{Kind: physical.KConsume, Exchange: "E1", NumProducers: 1, OutCols: tc.root.OutCols}}
-			plan := &physical.Plan{Fragments: []*physical.FragmentSpec{frag, top}, Coordinator: "coord"}
-			call := failingCall{entered: make(chan struct{}, 1), gate: make(chan struct{})}
-			rt, err := NewFragmentRuntime(RuntimeConfig{
-				Plan: plan, Fragment: frag, Tr: transport.NewInProc(net), Node: "ws0",
-				Ctx: &ExecContext{Clock: clock, Node: net.Node("ws0"), Meter: vtime.NewMeter(clock),
-					Store: dataset.DemoSized(10, 10), Services: ws.NewRegistry(call),
-					Buckets: 16, Parallelism: 2},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			done := make(chan error, 1)
-			go func() { done <- rt.Run(context.Background()) }()
-			// Fail only once the sibling waits at the failing join's build
-			// barrier: the failed worker's arrival then completes it, and the
-			// sibling moves on to the barrier only the abort can release.
-			<-call.entered
-			b := &rt.joinBySpec[tc.failingJoin].shared.barrier
-			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-				b.mu.Lock()
-				waiting := b.remaining == 1
-				b.mu.Unlock()
-				if waiting {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("the sibling worker never reached the build barrier")
-				}
-			}
-			close(call.gate)
-			select {
-			case err = <-done:
-			case <-time.After(10 * time.Second):
-				t.Fatal("Run hung: a worker still waits at a barrier its failed sibling never reached")
-			}
-			rt.Stop()
-			if !errors.Is(err, errFailingCall) {
-				t.Fatalf("Run = %v, want the failed worker's error", err)
-			}
-			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					buf := make([]byte, 1<<16)
-					t.Fatalf("%d goroutines after Run, %d before:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
-				}
-			}
-		})
+	call := flakyCall{fail: seqs.Tuples[relation.DefaultBatchSize][0], others: relation.DefaultBatchSize, passed: new(atomic.Int64)}
+	rt, err := NewFragmentRuntime(RuntimeConfig{
+		Plan: plan, Fragment: frag, Tr: transport.NewInProc(net), Node: "ws0",
+		Ctx: &ExecContext{Clock: clock, Node: net.Node("ws0"), Meter: vtime.NewMeter(clock),
+			Store: store, Services: ws.NewRegistry(call), Buckets: 16, Parallelism: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Producer().Pause(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- rt.Run(context.Background()) }()
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run hung: the failed worker did not interrupt its parked sibling")
+	}
+	rt.Stop()
+	if !errors.Is(err, errFailingCall) {
+		t.Fatalf("Run = %v, want the failed worker's error", err)
+	}
+	if n := call.passed.Load(); n != relation.DefaultBatchSize {
+		t.Fatalf("%d invocations passed, want the other morsel's %d", n, relation.DefaultBatchSize)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Run, %d before:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }

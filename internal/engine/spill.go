@@ -11,7 +11,7 @@ import (
 
 // Grace-hash spilling for the hash join (paper-era memory governance, see
 // DESIGN.md §5i). When a query runs under a memory budget with a spill
-// backend configured, the shared build table accounts the bytes it holds.
+// backend configured, the build table accounts the bytes it holds.
 // On a breach the largest in-memory partition is spilled wholesale: its
 // entries move to a build run, and probe tuples hashing into it are deferred
 // to a probe run instead of being matched inline. After the probe input is
@@ -19,19 +19,11 @@ import (
 // is reloaded under the same budget — re-partitioned fan-ways and re-queued
 // if it alone breaches — and the deferred probe tuples are matched against
 // it, preserving the exact multiset of matches the in-memory join produces.
-//
-// Spilling works for serial and morsel-parallel joins alike. Workers
-// account build bytes against the one shared budget, victim selection and
-// partition eviction serialize under joinState.spillMu, and in-flight
-// inserts/probes of other partitions proceed untouched — eviction only
-// takes the victim partition's lock. The drain phase is coordinated by a
-// second barrier: every worker arrives at probeBarrier when its probe share
-// is exhausted, one worker seals the spilled runs (no probe tuple can
-// arrive after the barrier), and the sealed (build, probe) pairs queue in
-// the shared pairQ. Pairs are independent, so workers pull and drain them
-// concurrently, each against its own private reload table; a pair that
-// re-partitions pushes its sub-pairs back onto the front of the shared
-// queue for any worker to pick up.
+// Victim selection and eviction run on the driver under the table's lock,
+// inside the build or probe batch that breached. The drain runs on the
+// driver too, once its probe input is exhausted: it seals the spilled runs
+// and works through its own list of (build, probe) pairs depth-first, a
+// re-partitioned pair's sub-pairs going to the front.
 //
 // Correctness under R1 (retrospective eviction + replay) relies on two
 // watermarks carried in run records:
@@ -84,9 +76,8 @@ func newSpillMetrics() spillMetrics {
 }
 
 // spillEnv is a stateful operator's spill wiring, decided once when its
-// shared state initialises: spillOn means a budget and a backend are both
-// configured. Serial and morsel-parallel operators spill alike, every
-// worker accounting through the one shared budget.
+// state initialises: spillOn means a budget and a backend are both
+// configured.
 type spillEnv struct {
 	spillOn bool
 	mem     *storage.Budget
@@ -150,25 +141,21 @@ type spillEvict struct {
 	probeIdx int64
 }
 
+// setSpillErr records the first spill I/O failure. Caller holds s.mu.
 func (s *joinState) setSpillErr(err error) {
-	if err == nil {
-		return
-	}
-	s.errMu.Lock()
 	if s.spillErr == nil {
 		s.spillErr = err
 	}
-	s.errMu.Unlock()
 }
 
 func (s *joinState) err() error {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.spillErr
 }
 
 // appendSpilledLocked routes a build tuple (insert or R1 replay) into a
-// spilled partition's build run. Called with p.mu held. After the drain has
+// spilled partition's build run. Caller holds s.mu. After the drain has
 // sealed the runs the tuple is counted but dropped: its watermark would be
 // the final probe count, so it could never match a deferred probe tuple.
 func (s *joinState) appendSpilledLocked(p *joinPart, b int32, t relation.Tuple) {
@@ -189,7 +176,7 @@ func (s *joinState) appendSpilledLocked(p *joinPart, b int32, t relation.Tuple) 
 }
 
 // routeProbeLocked defers a probe tuple of a spilled partition to its probe
-// run. Called with p.mu held.
+// run. Caller holds s.mu.
 func (s *joinState) routeProbeLocked(p *joinPart, t relation.Tuple) {
 	if p.probe == nil {
 		return
@@ -206,20 +193,14 @@ func (s *joinState) routeProbeLocked(p *joinPart, t relation.Tuple) {
 }
 
 // spillVictims spills whole partitions, largest first, until the budget is
-// met or nothing spillable remains. Concurrent breaching workers serialize
-// here: the second arrival re-checks Over and usually returns immediately.
+// met or nothing spillable remains. Caller holds s.mu.
 func (s *joinState) spillVictims() {
-	s.spillMu.Lock()
-	defer s.spillMu.Unlock()
 	for s.mem.Over() {
 		vi, vb := -1, int64(0)
 		for i := range s.parts {
-			p := &s.parts[i]
-			p.mu.Lock()
-			if !p.spilled && p.chains != nil && p.bytes > vb {
+			if p := &s.parts[i]; !p.spilled && p.bytes > vb {
 				vi, vb = i, p.bytes
 			}
-			p.mu.Unlock()
 		}
 		if vi < 0 || !s.spillPartition(vi) {
 			return
@@ -228,14 +209,9 @@ func (s *joinState) spillVictims() {
 }
 
 // spillPartition moves partition i's in-memory entries to a build run and
-// marks it spilled, releasing the accounted bytes.
+// marks it spilled, releasing the accounted bytes. Caller holds s.mu.
 func (s *joinState) spillPartition(i int) bool {
 	p := &s.parts[i]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.spilled || p.chains == nil {
-		return false
-	}
 	p.buildName = fmt.Sprintf("%s-p%d-build", s.base, i)
 	p.probeName = fmt.Sprintf("%s-p%d-probe", s.base, i)
 	bw, err := s.backend.Create(p.buildName)
@@ -301,14 +277,12 @@ type spillPair struct {
 // joinSpillDrain matches deferred probe tuples after the streaming probe
 // phase: it reloads one build run at a time into an in-memory table (under
 // the budget, re-partitioning on breach) and streams the paired probe run
-// through it. Each worker clone owns one drain — the reload table, reader
-// and current pair are goroutine-private — while the pending pairs live in
-// the joinState's shared queue, so clones drain independent pairs
-// concurrently.
+// through it. pairs is the work left, drained front first.
 type joinSpillDrain struct {
 	s *joinState
 	j *HashJoin
 
+	pairs      []spillPair
 	table      map[uint64][]spillEntry
 	tableBytes int64
 	evicts     []spillEvict
@@ -318,19 +292,19 @@ type joinSpillDrain struct {
 	closed     bool
 }
 
-// sealRuns seals every spilled partition's runs and queues the pairs with
-// deferred probe tuples; pairs nothing probed are removed outright. Exactly
-// one clone runs this (sealOnce), strictly after every clone has passed the
-// probe-completion barrier — no probe tuple can arrive afterwards, so the
-// snapshot is complete. Build tuples may still arrive via R1 replay; they
-// are counted but dropped, as their watermark (the final probe count) could
-// never match a deferred probe tuple.
-func (s *joinState) sealRuns() {
+// sealRuns seals every spilled partition's runs and returns the pairs with
+// deferred probe tuples; pairs nothing probed are removed outright. The
+// driver runs it once its probe input is exhausted, so no probe tuple can
+// arrive afterwards and the snapshot is complete. Build tuples may still
+// arrive via R1 replay; they are counted but dropped, as their watermark
+// (the final probe count) could never match a deferred probe tuple.
+func (s *joinState) sealRuns() []spillPair {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var pairs []spillPair
 	for i := range s.parts {
 		p := &s.parts[i]
-		p.mu.Lock()
 		if !p.spilled {
-			p.mu.Unlock()
 			continue
 		}
 		if p.build != nil {
@@ -345,40 +319,16 @@ func (s *joinState) sealRuns() {
 		if p.probeCount == 0 {
 			_ = s.backend.Remove(p.buildName)
 			_ = s.backend.Remove(p.probeName)
-			p.mu.Unlock()
 			continue
 		}
-		pr := spillPair{
+		pairs = append(pairs, spillPair{
 			build:  p.buildName,
 			probe:  p.probeName,
 			part:   i,
 			evicts: append([]spillEvict(nil), p.evicts...),
-		}
-		p.mu.Unlock()
-		s.pairMu.Lock()
-		s.pairQ = append(s.pairQ, pr)
-		s.pairMu.Unlock()
+		})
 	}
-}
-
-// popPair pulls the next pending drain pair off the shared queue.
-func (s *joinState) popPair() (spillPair, bool) {
-	s.pairMu.Lock()
-	defer s.pairMu.Unlock()
-	if len(s.pairQ) == 0 {
-		return spillPair{}, false
-	}
-	pr := s.pairQ[0]
-	s.pairQ = s.pairQ[1:]
-	return pr, true
-}
-
-// pushPairsFront queues repartitioned sub-pairs ahead of the remaining
-// work, preserving the depth-first drain order of the serial path.
-func (s *joinState) pushPairsFront(prs []spillPair) {
-	s.pairMu.Lock()
-	s.pairQ = append(prs, s.pairQ...)
-	s.pairMu.Unlock()
+	return pairs
 }
 
 func decodeBuildRec(rec relation.Tuple) (wm, idx int64, t relation.Tuple, err error) {
@@ -408,7 +358,7 @@ func evicted(evicts []spillEvict, b int32, idx, jdx int64) bool {
 
 // load reloads pr's build run into the drain table and opens its probe run.
 // If the reload alone breaches the budget the pair is re-partitioned
-// spillFan ways and re-queued instead (d stays inactive).
+// spillFan ways and its sub-pairs queued first instead (d stays inactive).
 func (d *joinSpillDrain) load(pr spillPair) error {
 	s := d.s
 	r, err := openRun(s.backend, pr.build)
@@ -463,8 +413,8 @@ func (d *joinSpillDrain) load(pr spillPair) error {
 
 // repartition splits pr's build and probe runs spillFan ways by a hash-bit
 // slice untouched by bucket/partition selection and by shallower splits,
-// then queues the sub-pairs in front of the remaining work. On failure it
-// removes every sub-run it created.
+// then queues the sub-pairs in front of the remaining work, so the drain
+// stays depth-first. On failure it removes every sub-run it created.
 func (d *joinSpillDrain) repartition(pr spillPair) (err error) {
 	s := d.s
 	s.mem.Release(d.tableBytes)
@@ -549,7 +499,7 @@ func (d *joinSpillDrain) repartition(pr spillPair) (err error) {
 	}
 	_ = s.backend.Remove(pr.build)
 	_ = s.backend.Remove(pr.probe)
-	s.pushPairsFront(subs)
+	d.pairs = append(subs, d.pairs...)
 	s.met.restarts.Inc()
 	s.spillEvent(fmt.Sprintf("join repartition %s depth %d", base, pr.depth+1), moved)
 	return nil
@@ -571,37 +521,34 @@ func (d *joinSpillDrain) finishPair() {
 	d.active = false
 }
 
-// close releases what this clone's drain still holds. Queued pairs a
-// cancelled query never drained are swept by joinState.release — they
-// belong to the shared queue, not to any one clone.
+// close releases what the drain still holds, the runs of pairs a cancelled
+// or failed query never drained included.
 func (d *joinSpillDrain) close() {
-	if d == nil || d.closed {
+	if d.closed {
 		return
 	}
 	d.closed = true
 	d.finishPair()
+	for _, pr := range d.pairs {
+		_ = d.s.backend.Remove(pr.build)
+		_ = d.s.backend.Remove(pr.probe)
+	}
+	d.pairs = nil
 }
 
 // drainPending advances the spill drain until at least one deferred match
-// sits in j.pending, returning false once every pair is exhausted. On first
-// entry the clone arrives at the probe-completion barrier and waits for its
-// siblings — only then are the runs sealed (once) and the pair queue
-// opened. No join cost is charged here: every probe tuple already paid
-// JoinProbeMs when it was routed, and every build tuple JoinBuildMs when
-// inserted — the drain is the deferred completion of work already
-// accounted. A fused projection's cost is NextBatch's, as on the probe path.
+// sits in j.pending, returning false once every pair is exhausted. The first
+// call seals the runs. No join cost is charged here: every probe tuple
+// already paid JoinProbeMs when it was routed, and every build tuple
+// JoinBuildMs when inserted — the drain is the deferred completion of work
+// already accounted. A fused projection's cost is NextBatch's, as on the probe path.
 func (j *HashJoin) drainPending() (bool, error) {
-	s := j.shared
+	s := &j.st
 	if err := s.err(); err != nil {
 		return false, err
 	}
 	if j.drain == nil {
-		s.probeBarrier.arrive()
-		if err := s.probeBarrier.wait(); err != nil {
-			return false, err
-		}
-		s.sealOnce.Do(s.sealRuns)
-		j.drain = &joinSpillDrain{s: s, j: j}
+		j.drain = &joinSpillDrain{s: s, j: j, pairs: s.sealRuns()}
 	}
 	d := j.drain
 	for j.pendHead >= len(j.pending) {
@@ -610,10 +557,11 @@ func (j *HashJoin) drainPending() (bool, error) {
 			return false, err
 		}
 		if !d.active {
-			pr, ok := s.popPair()
-			if !ok {
+			if len(d.pairs) == 0 {
 				return false, nil
 			}
+			pr := d.pairs[0]
+			d.pairs = d.pairs[1:]
 			if err := d.load(pr); err != nil {
 				_ = s.backend.Remove(pr.build)
 				_ = s.backend.Remove(pr.probe)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"regexp"
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/logical"
@@ -260,8 +259,8 @@ func TestHashJoinSpillEvictReplay(t *testing.T) {
 		_, p0, _ := spillCounters()
 		_ = p0 // counters are process-wide; spill activity asserted structurally below
 		spilled := false
-		for i := range j.shared.parts {
-			if j.shared.parts[i].spilled {
+		for i := range j.st.parts {
+			if j.st.parts[i].spilled {
 				spilled = true
 			}
 		}
@@ -316,86 +315,30 @@ func TestHashJoinSpillEvictReplay(t *testing.T) {
 	})
 }
 
-// runCloneWorkers drives n WorkerClone chains concurrently — one goroutine
-// per clone with its own worker context over the shared budget, mirroring
-// runParallel — and returns the union of their outputs.
-func runCloneWorkers(t testing.TB, ctx *ExecContext, n int, clone func(w int) Iterator) []relation.Tuple {
-	t.Helper()
-	type res struct {
-		out []relation.Tuple
-		err error
-	}
-	ch := make(chan res, n)
-	for w := 0; w < n; w++ {
-		it := clone(w)
-		wctx := ctx.workerContext()
-		go func() {
-			if err := it.Open(wctx); err != nil {
-				ch <- res{err: err}
-				return
-			}
-			var out []relation.Tuple
-			batch := relation.GetBatch()
-			defer batch.Release()
-			for {
-				n, err := it.NextBatch(batch)
-				if err != nil {
-					_ = it.Close()
-					ch <- res{err: err}
-					return
-				}
-				if n == 0 {
-					break
-				}
-				out = append(out, batch.Tuples...)
-			}
-			ch <- res{out: out, err: it.Close()}
-		}()
-	}
-	var all []relation.Tuple
-	for i := 0; i < n; i++ {
-		r := <-ch
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		all = append(all, r.out...)
-	}
-	return all
-}
-
 func TestHashJoinParallelSpillParity(t *testing.T) {
-	// Morsel-parallel joins spill under the same budget as serial ones: each
-	// clone inserts and probes against the shared budget, eviction is
-	// serialized under spillMu, and the spilled pairs drain cooperatively
-	// from the shared queue after the probe barrier. The union of the
-	// workers' outputs must equal the serial unbudgeted join's multiset.
+	// A join spills under a budget far below its build side and drains the
+	// spilled pairs after its probe input: its output must equal the
+	// unbudgeted join's multiset.
 	build := buildTuples(200)
 	probe := probeTuples(600, 200)
 	want := drain(t, newJoin(build, probe), testCtx(), 0)
 
-	const workers = 4
 	forEachSpillBackend(t, func(t *testing.T, spill storage.Backend) {
 		b0, p0, _ := spillCounters()
 		ctx := budgetedCtx(2048, spill) // far below the ~200-entry build side
-		base := newJoin(nil, nil)
-		base.SetWorkers(workers)
-		got := runCloneWorkers(t, ctx, workers, func(w int) Iterator {
-			return base.WorkerClone(
-				NewSliceSource(build[w*50:(w+1)*50], 0),
-				NewSliceSource(probe[w*150:(w+1)*150], 0))
-		})
+		got := drain(t, newJoin(build, probe), ctx, 0)
 		b1, p1, _ := spillCounters()
 
 		sameMultiset(t, got, want)
 		if p1 == p0 || b1 == b0 {
-			t.Fatal("parallel join never spilled under a 2KiB budget")
+			t.Fatal("join never spilled under a 2KiB budget")
 		}
 		assertClean(t, ctx)
 	})
 }
 
-// hookSource feeds a worker clone its input share and runs hook once, between
-// two batches, when the share's first `at` tuples have been absorbed.
+// hookSource feeds an operator its input and runs hook once, between two
+// batches, when the first `at` tuples have been absorbed.
 type hookSource struct {
 	tuples []relation.Tuple
 	pos    int
@@ -462,22 +405,33 @@ func aggDatasets() []aggDataset {
 	}
 }
 
-// The R1 interleavings of the parity matrix. Each runs with every worker
-// stopped between two batches, half-way through its share.
+// The R1 interleavings of the parity matrix. Each runs between two batches,
+// at one of aggR1Points.
 const (
 	aggNoReplay    = "no-replay"
-	aggReplayAdopt = "replay-unheld-bucket" // workers never see the replayed buckets: no duplicate groups
-	aggReplayFold  = "replay-held-bucket"   // workers hold half of the replayed buckets' tuples: every group duplicated
+	aggReplayAdopt = "replay-unheld-bucket" // the input never holds the replayed buckets: replays create their groups
+	aggReplayFold  = "replay-held-bucket"   // the input holds half of the replayed buckets' tuples: replays meet their groups
 	aggEvictReplay = "evict-mid-absorb"
 )
 
+// aggR1Points are where in the absorbed input the parity matrix runs R1:
+// before the first batch (the table is empty, so an evict finds nothing),
+// half-way, and after the last batch (the table holds every absorbed group
+// and freezes right after the replay).
+var aggR1Points = []struct {
+	name string
+	at   func(n int) int
+}{
+	{"r1-at-start", func(int) int { return 0 }},
+	{"r1-at-half", func(n int) int { return n / 2 }},
+	{"r1-at-end", func(n int) int { return n }},
+}
+
 func TestHashAggregateParallelSpillParity(t *testing.T) {
-	// Every width, R1 interleaving, budget and input must emit exactly the
-	// rows — in exactly the order — of the serial, unbudgeted, undisturbed
-	// aggregate: clones absorb disjoint input shares under the shared
-	// budget, replays land in the final table, the merge adopts or folds
-	// partition by partition, and dumps go through the shared run. Workers
-	// pull disjoint runs of the frozen output, so the union is re-sorted.
+	// Every R1 interleaving, point, budget and input must emit exactly the
+	// rows — in exactly the order — of the unbudgeted, undisturbed
+	// aggregate: replays and absorbs land in the one table, and dumps go
+	// through the one run.
 	groupOrds := []int{0}
 	for _, ds := range aggDatasets() {
 		want := drain(t, newAgg(ds.input, groupOrds, ds.kinds, ds.args), testCtx(), 0)
@@ -495,14 +449,14 @@ func TestHashAggregateParallelSpillParity(t *testing.T) {
 		for b := range moved {
 			movedBuckets = append(movedBuckets, b)
 		}
-		for _, width := range []int{1, 2, 4} {
+		for _, point := range aggR1Points {
 			for _, script := range []string{aggNoReplay, aggReplayAdopt, aggReplayFold, aggEvictReplay} {
 				for _, limit := range []int64{0, 512} {
-					name := fmt.Sprintf("%s/w%d/%s/budget%d", ds.name, width, script, limit)
+					name := fmt.Sprintf("%s/%s/%s/budget%d", ds.name, point.name, script, limit)
 					t.Run(name, func(t *testing.T) {
 						check := func(t *testing.T, ctx *ExecContext) {
-							// Split the input: what the workers absorb, and what
-							// the script replays into the final table instead.
+							// Split the input: what the aggregate absorbs, and what
+							// the script replays instead.
 							var absorbed, replayed []relation.Tuple
 							for i, tp := range ds.input {
 								switch {
@@ -513,26 +467,17 @@ func TestHashAggregateParallelSpillParity(t *testing.T) {
 									absorbed = append(absorbed, tp)
 								}
 							}
+							at := point.at(len(absorbed))
 							base := &HashAggregate{GroupOrds: groupOrds, Kinds: ds.kinds, ArgOrds: ds.args}
-							base.SetWorkers(width)
-							shares := make([][]relation.Tuple, width)
-							for i, tp := range absorbed {
-								shares[i%width] = append(shares[i%width], tp)
-							}
-							var arrived sync.WaitGroup
-							arrived.Add(width)
-							release := make(chan struct{})
 							r1 := func() {
 								if script == aggEvictReplay {
 									// The buckets move here from a sibling instance
-									// and back: what the workers absorbed of them so
-									// far is evicted and replayed from the log.
+									// and back: what was absorbed of them so far is
+									// evicted and replayed from the log.
 									base.EvictBuckets(movedBuckets)
-									for _, share := range shares {
-										for _, tp := range share[:len(share)/2] {
-											if moved[bucketOf(tp)] {
-												replayed = append(replayed, tp)
-											}
+									for _, tp := range absorbed[:at] {
+										if moved[bucketOf(tp)] {
+											replayed = append(replayed, tp)
 										}
 									}
 								}
@@ -541,19 +486,8 @@ func TestHashAggregateParallelSpillParity(t *testing.T) {
 							_, p0, _ := spillCounters()
 							overrelease := obs.Default().Counter(obs.MMemOverrelease)
 							o0 := overrelease.Value()
-							got := runCloneWorkers(t, ctx, width, func(w int) Iterator {
-								return base.WorkerClone(&hookSource{tuples: shares[w], at: len(shares[w]) / 2, hook: func() {
-									arrived.Done()
-									if w == 0 {
-										arrived.Wait()
-										r1()
-										close(release)
-									}
-									<-release
-								}})
-							})
+							got := runAggHooked(t, ctx, base, absorbed, at, r1)
 							_, p1, _ := spillCounters()
-							sort.SliceStable(got, func(i, j int) bool { return compareKeys(got[i][:1], got[j][:1]) < 0 })
 							if len(got) != len(want) {
 								t.Fatalf("got %d groups, want %d", len(got), len(want))
 							}
@@ -590,8 +524,7 @@ func TestHashAggregateParallelSpillParity(t *testing.T) {
 
 // TestHashAggregateReservesGroupsOnce pins the single reservation: under a
 // budget that never breaches, a frozen aggregate holds exactly the bytes of
-// its distinct groups — however many worker tables each group was first
-// created in — and nothing after Close.
+// its distinct groups, and nothing after Close.
 func TestHashAggregateReservesGroupsOnce(t *testing.T) {
 	input := aggInput(500, 30)
 	kinds := []logical.AggKind{logical.AggCount, logical.AggSum}
@@ -599,46 +532,21 @@ func TestHashAggregateReservesGroupsOnce(t *testing.T) {
 	for _, row := range drain(t, newAgg(input, []int{0}, kinds, []int{-1, 1}), testCtx(), 0) {
 		want += groupBytes(row[:1], len(kinds))
 	}
-	for _, width := range []int{1, 4} {
-		ctx := budgetedCtx(1<<20, storage.NewMemory())
-		base := &HashAggregate{GroupOrds: []int{0}, Kinds: kinds, ArgOrds: []int{-1, 1}}
-		base.SetWorkers(width)
-		var emitted, done sync.WaitGroup
-		emitted.Add(width)
-		done.Add(width)
-		proceed := make(chan struct{})
-		for w := 0; w < width; w++ {
-			// Every clone sees every group, so each group is created width times.
-			clone := base.WorkerClone(NewSliceSource(input, 0))
-			wctx := ctx.workerContext()
-			go func() {
-				defer done.Done()
-				batch := relation.NewBatch(4)
-				if err := clone.Open(wctx); err != nil {
-					t.Error(err)
-				}
-				_, err := clone.NextBatch(batch)
-				emitted.Done()
-				<-proceed
-				for n := 1; n > 0 && err == nil; {
-					n, err = clone.NextBatch(batch)
-				}
-				if err != nil {
-					t.Error(err)
-				}
-				if err := clone.Close(); err != nil {
-					t.Error(err)
-				}
-			}()
-		}
-		emitted.Wait()
-		if got := ctx.Mem.Inflight(); got != want {
-			t.Errorf("width %d: %d bytes reserved after the first emitted batch, want %d (the distinct groups, once)", width, got, want)
-		}
-		close(proceed)
-		done.Wait()
-		assertClean(t, ctx)
+	ctx := budgetedCtx(1<<20, storage.NewMemory())
+	agg := newAgg(input, []int{0}, kinds, []int{-1, 1})
+	if err := agg.Open(ctx); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := agg.NextBatch(relation.NewBatch(4)); err != nil {
+		t.Fatal(err)
+	}
+	if got := ctx.Mem.Inflight(); got != want {
+		t.Errorf("%d bytes reserved after the first emitted batch, want %d (the distinct groups, once)", got, want)
+	}
+	if err := agg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertClean(t, ctx)
 }
 
 // corruptingBackend damages a payload byte of every spilled run whose name

@@ -8,11 +8,10 @@ import (
 )
 
 // Aggregate spilling (see DESIGN.md §5i). Unlike the join, the aggregate
-// never defers input: on a budget breach every group — final table and
-// worker tables alike — is dumped to one append-only run as a
-// partial-aggregate record and the in-memory tables restart empty.
-// Aggregation is commutative and associative, so the final merge simply
-// reloads the run and re-merges each record into the final table; what that
+// never defers input: on a budget breach every group is dumped to one
+// append-only run as a partial-aggregate record and the in-memory table
+// restarts empty. Aggregation is commutative and associative, so the freeze
+// simply reloads the run and re-merges each record into the table; what that
 // merge materialises is the distinct result groups, i.e. the same memory the
 // emit buffer needs regardless of spilling. The budget therefore governs the
 // absorb phase — where raw-input skew, not result size, drives the
@@ -22,10 +21,7 @@ import (
 // records the run length at eviction time, and the reload drops the bucket's
 // records below it. Groups absorbed from replayed history afterwards are
 // dumped beyond the watermark and survive, mirroring the in-memory
-// delete-then-replay exactly. Like the join, spilling works for serial and
-// morsel-parallel aggregates alike: workers account group creation against
-// the one shared budget and dumps serialize under s.mu, which already orders
-// them against the final merge.
+// delete-then-replay exactly.
 
 // groupBytes is the accounted in-memory footprint of one group.
 func groupBytes(key relation.Tuple, nAccs int) int64 {
@@ -33,29 +29,20 @@ func groupBytes(key relation.Tuple, nAccs int) int64 {
 }
 
 // reserve reserves the groupBytes of freshly created groups against the
-// budget, once per batch. The reservation lands before s.bytes counts it, so
-// no release — dump's or Close's — can take bytes the budget does not hold
-// yet; callers reserve before they drop the lock guarding the new groups.
+// budget, once per batch. Caller holds s.mu.
 func (s *aggState) reserve(grown int64) {
 	if grown == 0 {
 		return
 	}
 	s.mem.Reserve(grown)
-	s.bytes.Add(grown)
+	s.bytes += grown
 }
 
-// dump writes every group to the spill run and restarts the in-memory tables
-// empty, slabs and all, releasing exactly the bytes of the groups it drops:
-// those it wrote, and those an eviction unlinked but left in a slab. A group
-// a worker creates once its table has been emptied stays reserved. Caller
-// holds no locks; dump takes s.mu then the partial locks — the same order
-// mergeAndFreeze uses.
-func (s *aggState) dump(a *HashAggregate) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.final == nil {
-		return nil
-	}
+// dumpLocked writes every group to the spill run and restarts the in-memory
+// table empty, chunks and all, releasing exactly the bytes of the groups it
+// drops: those it wrote, and those an eviction unlinked but left in a chunk.
+// Caller holds s.mu.
+func (s *aggState) dumpLocked(a *HashAggregate) error {
 	if s.run == nil {
 		s.runName = s.base + "-groups"
 		w, err := s.backend.Create(s.runName)
@@ -68,43 +55,29 @@ func (s *aggState) dump(a *HashAggregate) error {
 	var dumped, released int64
 	var recs relation.Arena // the run keeps a record until its block flushes
 	nk, na := len(a.GroupOrds), len(a.Kinds)
-	emit := func(tab aggTable) error {
-		for i := range tab {
-			p := &tab[i]
-			for g := int32(0); g < p.n; g++ {
-				row, _ := p.slot(g, nk+na, na)
-				released += groupBytes(row[:nk], na)
-			}
-			for h, c := range p.chains {
-				b := int32(h % uint64(s.buckets))
-				for g, i := c.head, c.n; i > 0; g, i = p.next[g], i-1 {
-					rec := recs.Alloc(1 + nk + 4*na)
-					row, accs := p.slot(g, nk+na, na)
-					encodeGroupRec(rec, b, row, accs)
-					if err := s.run.Append(rec); err != nil {
-						return fmt.Errorf("engine: agg spill append: %w", err)
-					}
-					s.recCount++
-					s.spillLive[b]++
-					dumped++
+	for i := range s.table {
+		p := &s.table[i]
+		for g := int32(0); g < p.n; g++ {
+			row, _ := p.slot(g, nk+na, na)
+			released += groupBytes(row[:nk], na)
+		}
+		for h, c := range p.chains {
+			b := int32(h % uint64(s.buckets))
+			for g, i := c.head, c.n; i > 0; g, i = p.next[g], i-1 {
+				rec := recs.Alloc(1 + nk + 4*na)
+				row, accs := p.slot(g, nk+na, na)
+				encodeGroupRec(rec, b, row, accs)
+				if err := s.run.Append(rec); err != nil {
+					return fmt.Errorf("engine: agg spill append: %w", err)
 				}
+				s.recCount++
+				s.spillLive[b]++
+				dumped++
 			}
-			*p = aggPart{}
 		}
-		return nil
+		*p = aggPart{}
 	}
-	if err := emit(s.final); err != nil {
-		return err
-	}
-	for _, p := range s.partials {
-		p.mu.Lock()
-		err := emit(p.table)
-		p.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	s.bytes.Add(-released)
+	s.bytes -= released
 	s.mem.Release(released)
 	s.met.bytes.Add(released)
 	s.met.parts.Inc()
@@ -149,8 +122,8 @@ func decodeGroupRec(rec, row relation.Tuple, accs []accumulator) (b int32, err e
 	return int32(rec[0].AsInt()), nil
 }
 
-// reloadLocked re-merges the dumped records into the merged final table.
-// Caller holds s.mu (the final merge).
+// reloadLocked re-merges the dumped records into the table. Caller holds
+// s.mu (the freeze).
 func (s *aggState) reloadLocked(a *HashAggregate) error {
 	if err := s.run.Close(); err != nil {
 		return fmt.Errorf("engine: agg spill seal: %w", err)
@@ -164,7 +137,7 @@ func (s *aggState) reloadLocked(a *HashAggregate) error {
 	nk, na := len(s.keyOrds), len(a.Kinds)
 	row, accs := make(relation.Tuple, nk+na), make([]accumulator, na)
 	var grown int64
-	defer func() { s.reserve(grown) }() // s.mu is held until the freeze
+	defer func() { s.reserve(grown) }()
 	for idx := int64(0); ; idx++ {
 		rec, ok, rerr := r.nextTuple()
 		if rerr != nil {
@@ -180,7 +153,7 @@ func (s *aggState) reloadLocked(a *HashAggregate) error {
 		if idx < s.evictedAt[b] {
 			continue // appended before its bucket's eviction watermark
 		}
-		if mergeGroup(s.final.part(b), row[:nk].Hash(s.keyOrds), row, accs, s.keyOrds, a.Kinds) && s.spillOn {
+		if mergeGroup(s.table.part(b), row[:nk].Hash(s.keyOrds), row, accs, s.keyOrds, a.Kinds) && s.spillOn {
 			grown += groupBytes(row[:nk], na)
 		}
 	}
@@ -190,9 +163,8 @@ func (s *aggState) reloadLocked(a *HashAggregate) error {
 	return nil
 }
 
-// External merge sort (see DESIGN.md §5i, §5j). Sort is never
-// parallel-eligible — it runs in the serial collector fragment — but it
-// shares the query's budget with any morsel-parallel joins and
+// External merge sort (see DESIGN.md §5i, §5j). Sort runs in the serial
+// collector fragment and shares the query's budget with the joins and
 // aggregates upstream: under a budget the buffer is accounted per batch
 // and, on breach, sorted and flushed as one run. The emit phase merges
 // the sealed runs with the sorted in-memory tail; ties resolve to the

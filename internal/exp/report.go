@@ -39,8 +39,10 @@ Regenerate with: ` + "`go run ./cmd/dqp-experiments`" + ` or
 
 ## Intra-fragment parallelism (morsel worker pool)
 
-Every fragment driver can run as a pool of N workers pulling batch-sized
-morsels from a shared source (` + "`dqp-experiments -parallel N`" + `, default
+Every stateless fragment driver (scans, filters, projections and
+web-service calls feeding an exchange) can run as a pool of N workers
+pulling batch-sized morsels from a shared source; joins and aggregates
+run one driver per instance (` + "`dqp-experiments -parallel N`" + `, default
 serial; DESIGN.md §5f). Real wall-clock performance is measured by the
 repository's one benchmark, bench/ (` + "`make e2e`" + `, metrics and bounds in
 BENCHMARK.json), which drives six oracle-checked workloads through the

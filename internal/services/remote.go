@@ -55,8 +55,8 @@ type Manifest struct {
 	Parallelism int
 
 	// MemoryBudgetBytes caps each deployment's stateful-operator memory per
-	// machine (0 unbudgeted) at any Parallelism width — morsel workers
-	// account against one shared budget and spill concurrently. SpillDir roots posix spill runs, with each process
+	// machine (0 unbudgeted) at any Parallelism width: every operator and
+	// worker accounts against one budget. SpillDir roots posix spill runs, with each process
 	// spilling under its own node-named subdirectory (empty keeps spills in
 	// memory).
 	MemoryBudgetBytes int64

@@ -9,9 +9,9 @@ import (
 // may Charge it at once. Debt accumulates through an atomic add; the
 // goroutine whose charge tips the accumulated debt over the quantum swaps the
 // whole debt out and sleeps it off, so the long-run rate matches a single
-// Meter while other chargers proceed unblocked. Worker pools use one per shared operator (hash-join
-// insert path, replay absorption), where the goroutine-confined Meter's
-// single-owner contract cannot hold.
+// Meter while other chargers proceed unblocked. Stateful operators use one
+// for R1 replay absorption, which arrives on transport goroutines where the
+// driver's goroutine-confined Meter's single-owner contract cannot hold.
 type SharedMeter struct {
 	clock   *Clock
 	quantum time.Duration
