@@ -88,12 +88,13 @@ func parallelBudgetedGrid(t *testing.T, nodes []simnet.NodeID, seqs, ints int, b
 	return cluster, g
 }
 
-// TestKillEvaluatorMidParallelSpill covers the parallel-spill teardown path:
-// four morsel workers per driver spill concurrently under a 4KiB budget. The
-// unfaulted run must be exact; the run with an evaluator crash-stopped
-// mid-query must fail with a typed error (non-elastic sessions don't
-// recover), leak zero spill runs, and return mem_inflight_bytes to zero —
-// the cross-worker abort must release every worker's reservations.
+// TestKillEvaluatorMidParallelSpill covers the spill teardown path at
+// Parallelism 4 under a 4KiB budget: the scans run four morsel workers
+// each, while every join instance runs on its one driver and spills its own
+// table. The unfaulted run must be exact; the run with an evaluator
+// crash-stopped mid-query must fail with a typed error (non-elastic sessions
+// don't recover), leak zero spill runs, and return mem_inflight_bytes to
+// zero — the interrupted drivers must release every reservation.
 func TestKillEvaluatorMidParallelSpill(t *testing.T) {
 	freshObs(t)
 	nodes := []simnet.NodeID{"ws0", "ws1", "ws2"}

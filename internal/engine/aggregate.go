@@ -6,12 +6,12 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/logical"
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/storage"
+	"repro/internal/vtime"
 )
 
 // HashAggregate groups its input by key columns and computes aggregates per
@@ -162,18 +162,17 @@ func (p *aggPart) group(h uint64, t relation.Tuple, ords []int, nAccs int) (row 
 	return row, accs, true
 }
 
-// aggState is a HashAggregate's group table. The driver absorbs into it and
-// InsertState/EvictBuckets reach it from transport goroutines meanwhile, so
-// every access to the table holds mu; the driver takes mu once per input
-// batch. out is the frozen emit output.
+// aggState is a HashAggregate's group table, owned like the rest of the
+// aggregate by the fragment's driver goroutine. out is the frozen emit
+// output.
 type aggState struct {
-	mu      sync.Mutex
-	ready   bool         // set by Open; until then R1 calls find no table
 	ctx     *ExecContext // the driver's context
 	buckets int
 	keyOrds []int // 0..nKeys-1: a stored key's ordinals, for group()
 
-	insertMeter *opInsertMeter
+	// insertMeter charges replay inserts. It is the driver's, as ctx.Meter
+	// is, but no M1 window reads it.
+	insertMeter *vtime.Meter
 	mon         opMonitor
 
 	table aggTable
@@ -193,8 +192,6 @@ type aggState struct {
 }
 
 func (s *aggState) init(ctx *ExecContext, nKeys int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.ctx = ctx
 	s.buckets = ctx.Buckets
 	if s.buckets <= 0 {
@@ -205,15 +202,12 @@ func (s *aggState) init(ctx *ExecContext, nKeys int) {
 		s.keyOrds[i] = i
 	}
 	s.table = make(aggTable, joinPartitions)
-	s.insertMeter = newOpInsertMeter(ctx)
+	s.insertMeter = vtime.NewMeter(ctx.Clock)
 	s.mon = opMonitor{ctx: ctx}
 	s.spillEnv = newSpillEnv(ctx, "agg")
-	s.ready = true
 }
 
 func (s *aggState) release() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.run != nil {
 		_ = s.run.Close()
 		s.run = nil
@@ -278,18 +272,13 @@ func (a *HashAggregate) Open(ctx *ExecContext) error {
 	return a.Child.Open(ctx)
 }
 
-// absorb folds input tuples into the table under one lock and, when the
-// groups it created breach the budget, dumps the table.
+// absorb folds input tuples into the table and, when the groups it created
+// breach the budget, dumps the table.
 func (a *HashAggregate) absorb(ts []relation.Tuple) error {
 	s := &a.st
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.table == nil {
-		return nil
-	}
-	s.absorbLocked(ts, a)
+	s.absorbAll(ts, a)
 	if s.spillOn && s.mem.Over() {
-		return s.dumpLocked(a)
+		return s.dump(a)
 	}
 	return nil
 }
@@ -328,17 +317,14 @@ func (a *HashAggregate) NextBatch(dst *relation.Batch) (int, error) {
 		}
 		a.emitting = true
 	}
-	// out is written only by this goroutine (freeze, Close), so reading it
-	// needs no lock.
 	n := emitSorted(dst, a.st.out, &a.pos)
 	a.ctx.chargeFlat(a.ctx.Costs.ProjectMs * float64(n))
 	return n, nil
 }
 
-// absorbLocked folds input tuples into their groups and reserves the groups
-// it created, once per batch; a carries the column metadata. Caller holds
-// s.mu.
-func (s *aggState) absorbLocked(ts []relation.Tuple, a *HashAggregate) {
+// absorbAll folds input tuples into their groups and reserves the groups
+// it created, once per batch; a carries the column metadata.
+func (s *aggState) absorbAll(ts []relation.Tuple, a *HashAggregate) {
 	var grown int64
 	for _, t := range ts {
 		grown += s.absorbTuple(t, a)
@@ -375,17 +361,15 @@ func (s *aggState) absorbTuple(t relation.Tuple, a *HashAggregate) (grown int64)
 // freeze re-merges any dumped records into the table and freezes the emit
 // output.
 func (s *aggState) freeze(a *HashAggregate) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.runName != "" {
 		// Dumped partial-aggregate records re-merge into the in-memory
 		// table; the distinct result groups this materialises are exactly
 		// what the emit buffer holds anyway (see spillagg.go).
-		if err := s.reloadLocked(a); err != nil {
+		if err := s.reload(a); err != nil {
 			return err
 		}
 	}
-	s.freezeLocked(a)
+	s.freezeTable(a)
 	return nil
 }
 
@@ -421,11 +405,11 @@ func compareKeys(x, y relation.Tuple) int {
 	return 0
 }
 
-// freezeLocked turns the table into output rows, ascending by group
+// freezeTable turns the table into output rows, ascending by group
 // key for deterministic per-instance output. Each group's results are
 // written into its own row, which is emitted where it lies; the rows keep
 // their chunks alive, and the table goes.
-func (s *aggState) freezeLocked(a *HashAggregate) {
+func (s *aggState) freezeTable(a *HashAggregate) {
 	nk, na := len(a.GroupOrds), len(a.Kinds)
 	if nk == 0 && s.table.live() == 0 {
 		// A global aggregate emits exactly one row even over empty input.
@@ -484,39 +468,24 @@ func (a *HashAggregate) Close() error {
 }
 
 // InsertState implements StateTarget: replayed raw input tuples are
-// re-absorbed into the table. It runs on a transport goroutine,
-// concurrently with the driver and with other replay deliveries; the
-// batch's cost is charged before the table's lock is taken. A replay that
-// finds no table — the aggregate is not open yet, or has frozen its output
-// or closed — cannot be absorbed and StateTarget cannot refuse it (ROADMAP
+// re-absorbed into the table at the absorb cost, on the insert meter. A
+// replay that finds no table — the aggregate has frozen its output or
+// closed — cannot be absorbed and StateTarget cannot refuse it (ROADMAP
 // item 1); every tuple lost that way is counted.
 func (a *HashAggregate) InsertState(tuples []relation.Tuple) {
 	s := &a.st
-	s.mu.Lock()
-	ready, ctx, meter := s.ready, s.ctx, s.insertMeter
-	s.mu.Unlock()
-	absorbed := 0
-	if ready {
-		meter.charge(ctx.Node.PerturbedCostN(ctx.Costs.AggMs, len(tuples)))
-		s.mu.Lock()
-		if s.table != nil {
-			s.absorbLocked(tuples, a)
-			absorbed = len(tuples)
-		}
-		s.mu.Unlock()
+	if s.table == nil {
+		obs.Default().Counter(obs.MAggReplayDropped).Add(int64(len(tuples)))
+		return
 	}
-	obs.Default().Counter(obs.MAggReplayDropped).Add(int64(len(tuples) - absorbed))
+	s.insertMeter.Charge(a.ctx.Node.PerturbedCostN(a.ctx.Costs.AggMs, len(tuples)))
+	s.absorbAll(tuples, a)
 }
 
 // EvictBuckets implements StateTarget: the bucket's groups vanish from the
 // table, and its dumped records die at the current watermark.
 func (a *HashAggregate) EvictBuckets(buckets []int32) {
 	s := &a.st
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.ready {
-		return
-	}
 	s.table.evict(buckets, s.buckets)
 	if s.runName != "" {
 		// Groups replayed afterwards are dumped beyond the watermark and
@@ -542,12 +511,10 @@ func (t aggTable) evict(buckets []int32, nBuckets int) {
 	}
 }
 
-// StateSize implements StateTarget: the groups held in the table or, once
-// frozen, as output rows.
+// StateSize reports the groups held in the table or, once frozen, as output
+// rows.
 func (a *HashAggregate) StateSize() int {
 	s := &a.st
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := s.table.live() + len(s.out)
 	// Dumped records count as held state (an upper bound: a group dumped
 	// twice counts twice until the reload re-merges it).

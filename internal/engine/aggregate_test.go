@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -610,9 +611,10 @@ func TestAggKindsOfValidation(t *testing.T) {
 }
 
 // TestHashAggregateReplayRacesDriver delivers replays from a second
-// goroutine, as transport deliveries do, while the driver absorbs — in
-// memory and dumping under a budget. Every tuple is either absorbed once or
-// counted as dropped (a replay that finds the output frozen).
+// goroutine, through Consumer.Deliver, while the fragment's driver absorbs —
+// in memory and dumping under a budget. Every tuple is either absorbed once
+// or counted as dropped (a replay that finds the output frozen, or arrives
+// after the driver closed the aggregate).
 func TestHashAggregateReplayRacesDriver(t *testing.T) {
 	input, replay := aggInput(3000, 40), aggInput(400, 40)
 	for _, limit := range []int64{0, 512} {
@@ -623,29 +625,29 @@ func TestHashAggregateReplayRacesDriver(t *testing.T) {
 			}
 			dropped := obs.Default().Counter(obs.MAggReplayDropped)
 			d0 := dropped.Value()
-			agg := newAgg(input, []int{0}, []logical.AggKind{logical.AggCount}, []int{-1})
-			if err := agg.Open(ctx); err != nil {
-				t.Fatal(err)
+			sink := &rowsSink{}
+			rig := newStateRig(t, ctx, countSpec(), sink, "A", "A")
+			for i := 0; i < len(input); i += 100 {
+				rig.data("A", false, input[i:i+100]...)
 			}
+			rig.eos("A")
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
 				for i := 0; i < len(replay); i += 10 {
-					agg.InsertState(replay[i : i+10])
-					_ = agg.StateSize()
+					rig.replay("A", replay[i:i+10])
 				}
 			}()
-			out := pullAll(t, agg, 0)
+			if err := rig.rt.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
 			<-done
 			var total int64
-			for _, row := range out {
+			for _, row := range sink.rows {
 				total += row[1].AsInt()
 			}
 			if got, want := total+dropped.Value()-d0, int64(len(input)+len(replay)); got != want {
 				t.Fatalf("%d tuples counted and %d dropped, want %d in all", total, dropped.Value()-d0, want)
-			}
-			if err := agg.Close(); err != nil {
-				t.Fatal(err)
 			}
 			if limit > 0 {
 				assertClean(t, ctx)

@@ -123,7 +123,8 @@ type Consumer struct {
 
 	obsConsumed *obs.Counter
 
-	// stateTarget receives replayed state tuples (hash-join build side).
+	// stateTarget receives replayed state tuples (the stateful operator
+	// above the consume leaf), through the gate's operation queue.
 	stateTarget StateTarget
 
 	// ft enables eager processed-prefix acknowledgements; ftCommit runs
@@ -182,12 +183,19 @@ func (c *Consumer) NextBatch(dst *relation.Batch) (int, error) { return c.pop(&c
 // closed the exchange, or the consumer is closed, and pops up to dst.Cap()
 // tuples under one gate-lock acquisition. So one batch per handle is in
 // flight: the gate's quiesce waits for it, and acks follow its processing.
+// Before it pops a tuple or reports end of stream it runs the instance's
+// queued R1 state operations (see flowGate), so they reach the operator on
+// its driver, between its batches, ahead of every tuple queued after them.
 func (c *Consumer) pop(w *ConsumerWorker, dst *relation.Batch) (int, error) {
 	dst.Rewind()
 	c.gate.mu.Lock()
 	c.finishLocked(w)
 	flushed := false
 	for {
+		if len(c.gate.ops) > 0 {
+			c.gate.runOpsLocked()
+			continue
+		}
 		if c.queue.len() > 0 && !c.gate.paused {
 			n := c.popLocked(w, dst)
 			c.gate.mu.Unlock()
@@ -426,8 +434,9 @@ func (c *Consumer) Close() error {
 	return nil
 }
 
-// Deliver ingests a data or EOS message from the transport. Replay buffers
-// go straight to the registered state target; normal buffers join the queue
+// Deliver ingests a data or EOS message from the transport. A replay buffer
+// is posted to the gate as an insert into the registered state target,
+// which the driver applies at its next pop; normal buffers join the queue
 // as they are, without a copy: the entry reads msg.Tuples and msg.Buckets in
 // place, which in process are the producer's recovery-log slots. That is
 // safe by the exchange's lifetime rule:
@@ -440,7 +449,9 @@ func (c *Consumer) Close() error {
 //     below it was popped or discarded.
 //
 // So a consumer that reads only live, unpopped slots never reads a recycled
-// one. A data message must carry one bucket per tuple or none.
+// one. A queued replay reads msg.Tuples in place after Deliver has returned:
+// it came from a stateful log, so its slots are never recycled. A data
+// message must carry one bucket per tuple or none.
 func (c *Consumer) Deliver(msg *transport.Message) error {
 	switch msg.Kind {
 	case transport.KindEOS:
@@ -461,10 +472,11 @@ func (c *Consumer) Deliver(msg *transport.Message) error {
 			return fmt.Errorf("engine: %d buckets for %d tuples on exchange %s", len(msg.Buckets), len(msg.Tuples), c.Exchange)
 		}
 		if msg.Replay {
-			if c.stateTarget == nil {
+			target, ts := c.stateTarget, msg.Tuples
+			if target == nil {
 				return fmt.Errorf("engine: replay buffer on exchange %s with no state target", c.Exchange)
 			}
-			c.stateTarget.InsertState(msg.Tuples)
+			c.gate.post(func() { target.InsertState(ts) })
 			return nil
 		}
 		if msg.ProducerIdx < 0 || msg.ProducerIdx >= len(c.streams) {

@@ -254,11 +254,6 @@ func recycledSlotsScript(t *testing.T, seed int64, stateful bool) {
 			}
 			mu.Lock()
 			for c, s := range streams {
-				for id := range s.state {
-					if isMoved[bucketOf[id]] {
-						delete(s.state, id)
-					}
-				}
 				for seq := range s.outstanding {
 					if isMoved[bucketOf[idAt[c][seq]]] {
 						stale[c][seq] = true
@@ -266,6 +261,20 @@ func recycledSlotsScript(t *testing.T, seed int64, stateful bool) {
 				}
 			}
 			mu.Unlock()
+			// The eviction queues at each consumer's gate, as the CtrlEvict
+			// handler queues it, so it applies in order with the replays.
+			for c, cons := range rig.cons {
+				s := streams[c]
+				cons.gate.post(func() {
+					mu.Lock()
+					defer mu.Unlock()
+					for id := range s.state {
+						if isMoved[bucketOf[id]] {
+							delete(s.state, id)
+						}
+					}
+				})
+			}
 			if _, err := rig.prod.Replay(moved); err != nil {
 				t.Fatal(err)
 			}

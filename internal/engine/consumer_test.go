@@ -184,9 +184,13 @@ func TestConsumerStatefulNeverAcks(t *testing.T) {
 	}
 }
 
+// TestConsumerReplayGoesToStateTarget: a replay buffer is queued for the
+// state target, not inserted at delivery, and never joins the tuple queue.
+// The next pop applies it before it pops a tuple queued after it. A replay
+// without a target is an error.
 func TestConsumerReplayGoesToStateTarget(t *testing.T) {
 	h := newConsumerHarness(t, 1, true)
-	target := &fakeStateTarget{}
+	target := &fakeStateTarget{cons: h.cons}
 	h.cons.SetStateTarget(target)
 	msg := &transport.Message{
 		Kind: transport.KindData, Exchange: "EX", Replay: true,
@@ -195,11 +199,19 @@ func TestConsumerReplayGoesToStateTarget(t *testing.T) {
 	if err := h.cons.Deliver(msg); err != nil {
 		t.Fatal(err)
 	}
-	if target.inserted != 2 {
-		t.Fatalf("state target received %d tuples", target.inserted)
+	if target.inserted != 0 {
+		t.Fatal("replay inserted at delivery, off the driver")
 	}
 	if _, _, queued := h.cons.Stats(); queued != 0 {
 		t.Fatal("replay tuples leaked into the queue")
+	}
+	h.deliver(t, 1, 0, nil, intTuple(7))
+	if tp, ok := h.pop(t); !ok || tp[0].AsInt() != 7 {
+		t.Fatalf("pop = %v %v, want tuple 7", tp, ok)
+	}
+	if target.inserted != 2 || target.consumedAt != 0 {
+		t.Fatalf("state target received %d tuples with %d consumed, want 2 before the first pop",
+			target.inserted, target.consumedAt)
 	}
 	// Replay without a target is an error.
 	h.cons.SetStateTarget(nil)
@@ -208,11 +220,19 @@ func TestConsumerReplayGoesToStateTarget(t *testing.T) {
 	}
 }
 
-type fakeStateTarget struct{ inserted int }
+// fakeStateTarget counts replayed tuples and notes how many tuples its
+// consumer had popped when the last replay arrived.
+type fakeStateTarget struct {
+	cons       *Consumer
+	inserted   int
+	consumedAt int64
+}
 
-func (f *fakeStateTarget) InsertState(ts []relation.Tuple) { f.inserted += len(ts) }
-func (f *fakeStateTarget) EvictBuckets([]int32)            {}
-func (f *fakeStateTarget) StateSize() int                  { return f.inserted }
+func (f *fakeStateTarget) InsertState(ts []relation.Tuple) {
+	f.inserted += len(ts)
+	f.consumedAt, _, _ = f.cons.Stats()
+}
+func (f *fakeStateTarget) EvictBuckets([]int32) {}
 
 func TestConsumerRejectsBadMessages(t *testing.T) {
 	h := newConsumerHarness(t, 1, false)

@@ -390,6 +390,9 @@ func (r *FragmentRuntime) Run(ctx context.Context) error {
 	} else {
 		err = r.drive(ctx, r.root, ectx, nil)
 	}
+	// Every chain is closed: R1 state operations left or arriving from now
+	// on run at once, under the gate.
+	r.gate.finish()
 	// The interrupt path unblocks a driver by making consumers report a clean
 	// end of stream; this check turns that into the typed cancellation error
 	// instead of a truncated "success".
@@ -688,20 +691,33 @@ func (r *FragmentRuntime) handleControl(msg *transport.Message) {
 		}); err != nil {
 			break
 		}
+		// A discard can complete a pending checkpoint; a driver parked in a
+		// pop would never finish another batch to acknowledge it, so the
+		// acks are collected here and sent once the gate is released.
 		report := make(map[string][]int64)
+		acks := make([][]ackItem, len(targets))
 		r.gate.quiesce(func() {
-			for _, c := range targets {
+			for i, c := range targets {
 				for prod, seqs := range c.discardLocked(ctrl.Buckets) {
 					report[transport.StreamKey(c.Exchange, prod)] = seqs
 				}
+				acks[i] = c.ackableLocked(nil)
 			}
 		})
+		for i, c := range targets {
+			for _, a := range acks[i] {
+				c.sendAck(a)
+			}
+		}
 		reply.DiscardedSeqs = report
 	case transport.CtrlEvict:
-		if r.stateTarget == nil {
+		// The eviction queues at the gate with the replays; the driver
+		// applies it between batches (see flowGate).
+		if target := r.stateTarget; target == nil {
 			err = errors.New("no stateful operator on " + r.service)
 		} else {
-			r.stateTarget.EvictBuckets(ctrl.Buckets)
+			buckets := ctrl.Buckets
+			r.gate.post(func() { target.EvictBuckets(buckets) })
 		}
 	case transport.CtrlReplayLost:
 		err = r.requireProducer(ctrl, func(p *Producer) error {

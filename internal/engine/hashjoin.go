@@ -2,23 +2,24 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/relation"
 	"repro/internal/storage"
+	"repro/internal/vtime"
 )
 
 // StateTarget is implemented by stateful operators whose state is organised
 // in routing buckets and can be repartitioned at runtime: the Responder's
 // retrospective (R1) protocol evicts buckets from old owners and recreates
-// them on new owners by replaying recovery-log tuples (paper §3.1).
+// them on new owners by replaying recovery-log tuples (paper §3.1). Both
+// calls arrive as operations queued at the instance's flow gate: the
+// fragment driver applies them between batches, and once it has closed its
+// chain they run under the gate lock, so an operator never sees two at once.
 type StateTarget interface {
 	// InsertState absorbs replayed build tuples into operator state.
 	InsertState(tuples []relation.Tuple)
 	// EvictBuckets discards the state of the given buckets.
 	EvictBuckets(buckets []int32)
-	// StateSize reports the number of tuples held as state.
-	StateSize() int
 }
 
 // joinPartitions is the number of partitions of a build table. A routing
@@ -83,17 +84,16 @@ type joinPart struct {
 }
 
 // joinState is a HashJoin's build-side hash table. It is the unit the R1
-// protocol targets: evict/replay address buckets here. The join's driver
-// builds and probes it, and InsertState/EvictBuckets reach it from transport
-// goroutines meanwhile, so every access holds mu. The driver takes mu once
-// per build or probe batch, never across a child's NextBatch.
+// protocol targets: evict/replay address buckets here. Like the rest of the
+// join it belongs to the fragment's driver goroutine.
 type joinState struct {
-	mu      sync.Mutex
-	ready   bool         // set by Open; until then R1 calls find no table
+	ready   bool         // from Open to Close; R1 calls outside find no table
 	ctx     *ExecContext // the driver's context
 	buckets int
 
-	insertMeter *opInsertMeter
+	// insertMeter charges replay inserts. It is the driver's, as ctx.Meter
+	// is, but no M1 window reads it.
+	insertMeter *vtime.Meter
 	mon         opMonitor
 	parts       [joinPartitions]joinPart
 
@@ -102,14 +102,12 @@ type joinState struct {
 }
 
 func (s *joinState) init(ctx *ExecContext, est int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.ctx = ctx
 	s.buckets = ctx.Buckets
 	if s.buckets <= 0 {
 		s.buckets = DefaultBuckets
 	}
-	s.insertMeter = newOpInsertMeter(ctx)
+	s.insertMeter = vtime.NewMeter(ctx.Clock)
 	s.mon = opMonitor{ctx: ctx}
 	// Pre-size from the optimiser's build-side estimate: each partition
 	// arena and chain map gets its uniform share plus 25% headroom for
@@ -133,12 +131,12 @@ func (s *joinState) part(b int32) *joinPart {
 	return &s.parts[int(b)%joinPartitions]
 }
 
-// insertBatchLocked adds build tuples to the table. The whole batch is
-// reserved in one call and what the table does not hold in memory is
-// released in one call after it; the breach check runs once per batch, so
-// the bounded over-shoot of a batch just means the victim partition spills
-// marginally later. Caller holds s.mu.
-func (s *joinState) insertBatchLocked(keys []int, ts []relation.Tuple) {
+// insertBatch adds build tuples to the table. The whole batch is reserved
+// in one call and what the table does not hold in memory is released in one
+// call after it; the breach check runs once per batch, so the bounded
+// over-shoot of a batch just means the victim partition spills marginally
+// later.
+func (s *joinState) insertBatch(keys []int, ts []relation.Tuple) {
 	if s.spillOn {
 		var reserve int64
 		for _, t := range ts {
@@ -171,7 +169,7 @@ func (s *joinState) insertOne(keys []int, t relation.Tuple) (unheld int64) {
 		reserve = spillEntryBytes(t)
 	}
 	if p.spilled {
-		s.appendSpilledLocked(p, b, t)
+		s.appendSpilled(p, b, t)
 		return reserve
 	}
 	idx := int32(len(p.entries))
@@ -191,8 +189,6 @@ func (s *joinState) insertOne(keys []int, t relation.Tuple) (unheld int64) {
 // release frees the table, its spill runs and its reservations. R1 calls
 // arriving afterwards (a replay racing query completion) find no table.
 func (s *joinState) release() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.ready {
 		return
 	}
@@ -220,8 +216,7 @@ func (s *joinState) release() {
 // Out columns of that when a projection is fused in. Each clone of the join
 // holds only the buckets the current distribution policy routes to it;
 // moving a bucket to another clone moves the corresponding state. A join
-// runs on its fragment's one driver goroutine; only R1 state calls arrive
-// from elsewhere.
+// runs on its fragment's one driver goroutine, R1 state calls included.
 type HashJoin struct {
 	Build, Probe         Iterator
 	BuildKeys, ProbeKeys []int
@@ -282,9 +277,7 @@ func (j *HashJoin) openBuild(ctx *ExecContext) error {
 			return nil
 		}
 		ctx.chargeN(ctx.Costs.JoinBuildMs, n)
-		s.mu.Lock()
-		s.insertBatchLocked(j.BuildKeys, j.in.Tuples)
-		s.mu.Unlock()
+		s.insertBatch(j.BuildKeys, j.in.Tuples)
 		// The build phase produces nothing, so the driver's M1 emission is
 		// silent; emit operator-level events so the Diagnoser can already
 		// rebalance a perturbed build.
@@ -345,18 +338,15 @@ func (j *HashJoin) nextBatch(dst *relation.Batch) (int, error) {
 	return dst.Len(), nil
 }
 
-// probe matches one probe batch under the table's lock: matches fill dst and
-// overflow to pending, and probe tuples of spilled partitions are deferred
-// to their probe runs.
+// probe matches one probe batch: matches fill dst and overflow to pending,
+// and probe tuples of spilled partitions are deferred to their probe runs.
 func (j *HashJoin) probe(ts []relation.Tuple, dst *relation.Batch) {
 	s := &j.st
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, t := range ts {
 		h := t.Hash(j.ProbeKeys)
 		p := s.part(int32(h % uint64(s.buckets)))
 		if p.spilled {
-			s.routeProbeLocked(p, t)
+			s.routeProbe(p, t)
 			continue
 		}
 		c, ok := p.chains[h]
@@ -429,30 +419,20 @@ func (j *HashJoin) Close() error {
 }
 
 // InsertState implements StateTarget: replayed build tuples recreate bucket
-// state on this clone. It runs on a transport goroutine, concurrently with
-// the driver and with other replay deliveries; the batch's insert cost is
-// charged before the table's lock is taken.
+// state on this clone, at the build cost, on the insert meter. A closed join
+// ignores them.
 func (j *HashJoin) InsertState(tuples []relation.Tuple) {
 	s := &j.st
-	s.mu.Lock()
-	ready, ctx, meter := s.ready, s.ctx, s.insertMeter
-	s.mu.Unlock()
-	if !ready {
+	if !s.ready {
 		return
 	}
-	meter.charge(ctx.Node.PerturbedCostN(ctx.Costs.JoinBuildMs, len(tuples)))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ready {
-		s.insertBatchLocked(j.BuildKeys, tuples)
-	}
+	s.insertMeter.Charge(j.ctx.Node.PerturbedCostN(j.ctx.Costs.JoinBuildMs, len(tuples)))
+	s.insertBatch(j.BuildKeys, tuples)
 }
 
-// EvictBuckets implements StateTarget.
+// EvictBuckets implements StateTarget. A closed join ignores it.
 func (j *HashJoin) EvictBuckets(buckets []int32) {
 	s := &j.st
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.ready {
 		return
 	}
@@ -474,11 +454,9 @@ func (j *HashJoin) EvictBuckets(buckets []int32) {
 	}
 }
 
-// StateSize implements StateTarget.
+// StateSize reports the number of build tuples the table holds.
 func (j *HashJoin) StateSize() int {
 	s := &j.st
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	held := 0
 	for i := range s.parts {
 		held += s.parts[i].held
@@ -490,8 +468,6 @@ func (j *HashJoin) StateSize() int {
 // to cross-check alignment with the distribution policy.
 func (j *HashJoin) BucketOf(t relation.Tuple) (int32, error) {
 	s := &j.st
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.ready {
 		return 0, fmt.Errorf("engine: join not opened")
 	}

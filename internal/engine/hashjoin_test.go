@@ -242,10 +242,11 @@ func TestHashJoinOutParity(t *testing.T) {
 }
 
 // TestHashJoinR1RacesDriver evicts and replays buckets from a second
-// goroutine, as transport deliveries do, while the driver probes — in memory
-// and with partitions spilled. Evicting a bucket and replaying its build
-// tuples leaves the table as it was, so every probe tuple matches at most
-// once and the table ends holding the whole build side.
+// goroutine, through the instance's CtrlEvict handler and Consumer.Deliver,
+// while the driver probes — in memory and with partitions spilled. Evicting
+// a bucket and replaying its build tuples leaves the table as it was, so
+// every probe tuple matches at most once and, once a last pull has applied
+// what the injector left queued, the table holds the whole build side.
 func TestHashJoinR1RacesDriver(t *testing.T) {
 	build := buildTuples(200)
 	for _, limit := range []int64{0, 2048} {
@@ -254,37 +255,37 @@ func TestHashJoinR1RacesDriver(t *testing.T) {
 			if limit > 0 {
 				ctx = budgetedCtx(limit, storage.NewMemory())
 			}
-			j := newJoin(build, probeTuples(4000, 200))
+			rig := newStateRig(t, ctx, joinSpec(), &rowsSink{}, "B", "B", "P")
+			rig.data("B", false, build...)
+			rig.eos("B")
+			probe := probeTuples(4000, 200)
+			for i := 0; i < len(probe); i += 100 {
+				rig.data("P", false, probe[i:i+100]...)
+			}
+			rig.eos("P")
+			j := rig.rt.root.(*HashJoin)
 			if err := j.Open(ctx); err != nil {
 				t.Fatal(err)
 			}
-			byBucket := map[int32][]relation.Tuple{}
-			for _, tp := range build {
-				b, err := j.BucketOf(tp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				byBucket[b] = append(byBucket[b], tp)
-			}
-			stop, done := make(chan struct{}), make(chan struct{})
+			// A bounded number of rounds: the driver applies every queued
+			// operation before its next tuple, so an injector that never
+			// stopped would starve it.
+			byBucket := bucketsOf(build, ctx.Buckets)
+			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				for {
+				for range 5 {
 					for b, ts := range byBucket {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						j.EvictBuckets([]int32{b})
-						j.InsertState(ts)
-						_ = j.StateSize()
+						rig.evict(b)
+						rig.replay("B", ts)
 					}
 				}
 			}()
 			out := pullAll(t, j, 0)
-			close(stop)
 			<-done
+			if rest := pullAll(t, j, 0); len(rest) != 0 {
+				t.Fatalf("%d rows after end of stream", len(rest))
+			}
 			seen := map[int64]bool{}
 			for _, tp := range out {
 				if idx := tp[3].AsInt(); seen[idx] {
@@ -297,6 +298,9 @@ func TestHashJoinR1RacesDriver(t *testing.T) {
 				t.Fatalf("StateSize = %d after evict/replay rounds, want %d", n, len(build))
 			}
 			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := rig.rt.Err(); err != nil {
 				t.Fatal(err)
 			}
 			if limit > 0 {

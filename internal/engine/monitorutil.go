@@ -1,7 +1,5 @@
 package engine
 
-import "repro/internal/vtime"
-
 // opMonitor lets a blocking operator emit M1 self-monitoring events while
 // it absorbs input. The fragment driver's own M1 emission is keyed to
 // *produced* tuples, so a hash join's build phase or a hash aggregate's
@@ -47,17 +45,3 @@ func (m *opMonitor) tickN(n int, chargedMs float64) {
 	m.lastCount = produced
 	m.windowMs = 0
 }
-
-// opInsertMeter charges replay-insert work happening on control-plane
-// goroutines, where the driver's goroutine-confined meter must not be
-// touched. Backed by a SharedMeter: remote transports may deliver
-// replay buffers from several connection goroutines at once.
-type opInsertMeter struct {
-	meter *vtime.SharedMeter
-}
-
-func newOpInsertMeter(ctx *ExecContext) *opInsertMeter {
-	return &opInsertMeter{meter: vtime.NewSharedMeter(ctx.Clock)}
-}
-
-func (m *opInsertMeter) charge(ms float64) { m.meter.Charge(ms) }

@@ -108,9 +108,9 @@ func BenchmarkFragmentParallel(b *testing.B) {
 	}
 }
 
-// TestParallelQ2JoinCorrectness checks the partitioned hash join: four
-// workers build into the shared partitioned table behind the build barrier,
-// then probe concurrently; the join result must match the single-threaded
+// TestParallelQ2JoinCorrectness runs Q2 at Parallelism 4: the scans run
+// four morsel workers each, while each join instance, being stateful, runs
+// at width 1 on its own table; the join result must match the serial
 // reference exactly.
 func TestParallelQ2JoinCorrectness(t *testing.T) {
 	c := newTestCluster(t, "data1", "ws0", "ws1", "coord")
@@ -131,9 +131,10 @@ func TestParallelQ2JoinCorrectness(t *testing.T) {
 }
 
 // TestParallelStatefulEvictReplay drives the full R1 state-repartitioning
-// protocol (pause, discard, evict, new map, replay, resend, resume) against
-// join fragments running 2-worker morsel pools: a mid-adaptation replay must
-// land in the shared operator state without loss or duplication.
+// protocol (pause, discard, evict, new map, replay, resend, resume) at
+// Parallelism 2, where the scans run morsel pools and each join instance one
+// driver: the evictions and replays, queued at the join instances' flow
+// gates, must reach their tables without loss or duplication.
 func TestParallelStatefulEvictReplay(t *testing.T) {
 	c := newTestCluster(t, "data1", "ws0", "ws1", "coord")
 	c.parallelism = 2

@@ -141,24 +141,18 @@ type spillEvict struct {
 	probeIdx int64
 }
 
-// setSpillErr records the first spill I/O failure. Caller holds s.mu.
+// setSpillErr records the first spill I/O failure.
 func (s *joinState) setSpillErr(err error) {
 	if s.spillErr == nil {
 		s.spillErr = err
 	}
 }
 
-func (s *joinState) err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.spillErr
-}
-
-// appendSpilledLocked routes a build tuple (insert or R1 replay) into a
-// spilled partition's build run. Caller holds s.mu. After the drain has
-// sealed the runs the tuple is counted but dropped: its watermark would be
-// the final probe count, so it could never match a deferred probe tuple.
-func (s *joinState) appendSpilledLocked(p *joinPart, b int32, t relation.Tuple) {
+// appendSpilled routes a build tuple (insert or R1 replay) into a spilled
+// partition's build run. After the drain has sealed the runs the tuple is
+// counted but dropped: its watermark would be the final probe count, so it
+// could never match a deferred probe tuple.
+func (s *joinState) appendSpilled(p *joinPart, b int32, t relation.Tuple) {
 	p.held++
 	p.spillLive[b]++
 	if p.build == nil {
@@ -175,9 +169,8 @@ func (s *joinState) appendSpilledLocked(p *joinPart, b int32, t relation.Tuple) 
 	s.met.bytes.Add(int64(t.ByteSize()))
 }
 
-// routeProbeLocked defers a probe tuple of a spilled partition to its probe
-// run. Caller holds s.mu.
-func (s *joinState) routeProbeLocked(p *joinPart, t relation.Tuple) {
+// routeProbe defers a probe tuple of a spilled partition to its probe run.
+func (s *joinState) routeProbe(p *joinPart, t relation.Tuple) {
 	if p.probe == nil {
 		return
 	}
@@ -193,7 +186,7 @@ func (s *joinState) routeProbeLocked(p *joinPart, t relation.Tuple) {
 }
 
 // spillVictims spills whole partitions, largest first, until the budget is
-// met or nothing spillable remains. Caller holds s.mu.
+// met or nothing spillable remains.
 func (s *joinState) spillVictims() {
 	for s.mem.Over() {
 		vi, vb := -1, int64(0)
@@ -209,7 +202,7 @@ func (s *joinState) spillVictims() {
 }
 
 // spillPartition moves partition i's in-memory entries to a build run and
-// marks it spilled, releasing the accounted bytes. Caller holds s.mu.
+// marks it spilled, releasing the accounted bytes.
 func (s *joinState) spillPartition(i int) bool {
 	p := &s.parts[i]
 	p.buildName = fmt.Sprintf("%s-p%d-build", s.base, i)
@@ -299,8 +292,6 @@ type joinSpillDrain struct {
 // arrive via R1 replay; they are counted but dropped, as their watermark
 // (the final probe count) could never match a deferred probe tuple.
 func (s *joinState) sealRuns() []spillPair {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var pairs []spillPair
 	for i := range s.parts {
 		p := &s.parts[i]
@@ -544,7 +535,7 @@ func (d *joinSpillDrain) close() {
 // already accounted. A fused projection's cost is NextBatch's, as on the probe path.
 func (j *HashJoin) drainPending() (bool, error) {
 	s := &j.st
-	if err := s.err(); err != nil {
+	if err := s.spillErr; err != nil {
 		return false, err
 	}
 	if j.drain == nil {
@@ -553,7 +544,7 @@ func (j *HashJoin) drainPending() (bool, error) {
 	d := j.drain
 	for j.pendHead >= len(j.pending) {
 		j.pending, j.pendHead = j.pending[:0], 0
-		if err := s.err(); err != nil {
+		if err := s.spillErr; err != nil {
 			return false, err
 		}
 		if !d.active {

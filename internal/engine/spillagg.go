@@ -29,7 +29,7 @@ func groupBytes(key relation.Tuple, nAccs int) int64 {
 }
 
 // reserve reserves the groupBytes of freshly created groups against the
-// budget, once per batch. Caller holds s.mu.
+// budget, once per batch.
 func (s *aggState) reserve(grown int64) {
 	if grown == 0 {
 		return
@@ -38,11 +38,10 @@ func (s *aggState) reserve(grown int64) {
 	s.bytes += grown
 }
 
-// dumpLocked writes every group to the spill run and restarts the in-memory
-// table empty, chunks and all, releasing exactly the bytes of the groups it
-// drops: those it wrote, and those an eviction unlinked but left in a chunk.
-// Caller holds s.mu.
-func (s *aggState) dumpLocked(a *HashAggregate) error {
+// dump writes every group to the spill run and restarts the in-memory table
+// empty, chunks and all, releasing exactly the bytes of the groups it drops:
+// those it wrote, and those an eviction unlinked but left in a chunk.
+func (s *aggState) dump(a *HashAggregate) error {
 	if s.run == nil {
 		s.runName = s.base + "-groups"
 		w, err := s.backend.Create(s.runName)
@@ -122,9 +121,8 @@ func decodeGroupRec(rec, row relation.Tuple, accs []accumulator) (b int32, err e
 	return int32(rec[0].AsInt()), nil
 }
 
-// reloadLocked re-merges the dumped records into the table. Caller holds
-// s.mu (the freeze).
-func (s *aggState) reloadLocked(a *HashAggregate) error {
+// reload re-merges the dumped records into the table at the freeze.
+func (s *aggState) reload(a *HashAggregate) error {
 	if err := s.run.Close(); err != nil {
 		return fmt.Errorf("engine: agg spill seal: %w", err)
 	}

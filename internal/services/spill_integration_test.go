@@ -242,8 +242,9 @@ func TestParallelBudgetedQueryMatchesSerial(t *testing.T) {
 }
 
 // TestParallelBudgetedAdaptiveRetrospective is the R1 acceptance scenario at
-// width 4 under budget: retrospective evict/replay must stay exact while four
-// workers spill concurrently through the shared partition state.
+// Parallelism 4 under budget: the scans run four morsel workers while each
+// join instance spills on its one driver, and retrospective evict/replay,
+// applied by that driver, must stay exact.
 func TestParallelBudgetedAdaptiveRetrospective(t *testing.T) {
 	_, ref := testGrid(t, false, 150, 500)
 	want, err := ref.Execute(context.Background(), q2)
