@@ -58,12 +58,13 @@ bigtable:
 benchsmoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-## opbench: the inner loop for operator work — the stateful operators', the
-## morsel pool's and the exchange's package-local benchmarks with allocation
-## counts, in seconds. Reported, never gated; a performance claim goes
-## through bench/.
+## opbench: the inner loop for operator work — the stateful operators' (their
+## spill paths included: HashJoinSpill, and HashAggregateSpill through the
+## HashAggregate prefix), the morsel pool's and the exchange's package-local
+## benchmarks with allocation counts, in seconds. Reported, never gated; a
+## performance claim goes through bench/.
 opbench:
-	$(GO) test -run '^$$' -bench 'HashAggregate|HashJoinProbe|FragmentParallel|ExchangeBacklog' -benchmem ./internal/engine/
+	$(GO) test -run '^$$' -bench 'HashAggregate|HashJoinProbe|HashJoinSpill|FragmentParallel|ExchangeBacklog' -benchmem ./internal/engine/
 
 ## cover: statement coverage of the whole tree under the tier-1 tests, with
 ## -coverpkg=./... so a function counts as run whichever package's tests

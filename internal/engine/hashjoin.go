@@ -46,6 +46,21 @@ type chainRef struct {
 	n          int32
 }
 
+// link appends entry idx to the chain of hash h and returns the chain's
+// previous tail, whose next link the caller points at idx; -1 when idx
+// starts a new chain.
+func link(chains map[uint64]chainRef, h uint64, idx int32) (prev int32) {
+	c, ok := chains[h]
+	if !ok {
+		chains[h] = chainRef{head: idx, tail: idx, n: 1}
+		return -1
+	}
+	prev = c.tail
+	c.tail, c.n = idx, c.n+1
+	chains[h] = c
+	return prev
+}
+
 // unlinkBucket deletes the chains of routing bucket b from one partition's
 // map and reports how many entries they held. Evictions are rare (one per R1
 // adaptation), so the scan is off every hot path.
@@ -174,12 +189,8 @@ func (s *joinState) insertOne(keys []int, t relation.Tuple) (unheld int64) {
 	}
 	idx := int32(len(p.entries))
 	p.entries = append(p.entries, joinEntry{t: t, next: -1})
-	if c, ok := p.chains[h]; ok {
-		p.entries[c.tail].next = idx
-		c.tail, c.n = idx, c.n+1
-		p.chains[h] = c
-	} else {
-		p.chains[h] = chainRef{head: idx, tail: idx, n: 1}
+	if prev := link(p.chains, h, idx); prev >= 0 {
+		p.entries[prev].next = idx
 	}
 	p.held++
 	p.bytes += reserve

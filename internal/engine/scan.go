@@ -62,10 +62,20 @@ type blockScan struct {
 	arena   relation.Arena
 	curSize int64 // reservation held for the current block
 
-	// batch and pos serve nextTuple's one-record-at-a-time reads.
-	batch *relation.Batch
-	pos   int
+	// batch and pos serve nextTuple's one-record-at-a-time reads. scratch,
+	// set on a transient run reader, is the arena it decodes into instead of
+	// arena, reset at every refill.
+	batch   *relation.Batch
+	pos     int
+	scratch *relation.Arena
 }
+
+// arenaPoison holds nil in production. A test that stores a value in it
+// makes a transient run reader fill the Values its arena takes back at a
+// refill with that value instead of clearing them, so a caller that kept a
+// decoded record without copying it reads the poison. It is atomic, as
+// slotPoison is, for the goroutines earlier tests leave behind.
+var arenaPoison atomic.Pointer[relation.Value]
 
 // newBlockScan wraps a block reader for one scan. mem and blocksRead are a
 // stored scan's budget and scan_blocks_read counter. claim is the block
@@ -79,15 +89,29 @@ func newBlockScan(mem *storage.Budget, blocksRead *obs.Counter, br storage.Block
 	return b
 }
 
-// openRun opens a sealed spill run for a reload or merge: a serial block
-// scan with no budget and no blocks-read counter. Reloaded tuples follow the
-// scan's lifetime rule: their strings alias a block never written again.
+// openRun opens a sealed spill run for a keeper, a reader that holds on to
+// the records it reads (a build reload, a sort merge): a serial block scan
+// with no budget and no blocks-read counter, read through nextTuple.
+// Reloaded tuples follow the scan's lifetime rule: their strings alias a
+// block never written again.
 func openRun(backend storage.Backend, name string) (*blockScan, error) {
 	br, err := backend.OpenBlocks(name)
 	if err != nil {
 		return nil, err
 	}
 	return newBlockScan(nil, nil, br, nil), nil
+}
+
+// openScratchRun opens a sealed spill run for a transient reader, which
+// copies what it keeps: records decode into the operator's scratch arena,
+// and each is valid only until the refill after it resets the arena.
+func openScratchRun(backend storage.Backend, name string, scratch *relation.Arena) (*blockScan, error) {
+	b, err := openRun(backend, name)
+	if err != nil {
+		return nil, err
+	}
+	b.scratch = scratch
+	return b, nil
 }
 
 // finishBlock releases the reservation of the fully decoded current block.
@@ -134,9 +158,13 @@ func (b *blockScan) advance() (ok bool, err error) {
 // with one fused relation.DecodeTuplesShared call. Decoded tuples carve their
 // value slots from the scan's arena and their strings from the block's
 // immutable buffer — blocks are never overwritten, so tuples stay valid
-// indefinitely.
+// indefinitely, unless a transient reader's scratch arena carved them.
 func (b *blockScan) fill(dst *relation.Batch) (int, error) {
 	dst.Rewind()
+	arena := &b.arena
+	if b.scratch != nil {
+		arena = b.scratch
+	}
 	for !dst.Full() {
 		if b.left == 0 {
 			ok, err := b.advance()
@@ -149,7 +177,7 @@ func (b *blockScan) fill(dst *relation.Batch) (int, error) {
 			continue
 		}
 		var err error
-		b.rest, b.left, _, err = relation.DecodeTuplesShared(&b.arena, b.base, b.rest, b.left, dst, nil)
+		b.rest, b.left, _, err = relation.DecodeTuplesShared(arena, b.base, b.rest, b.left, dst, nil)
 		if err != nil {
 			return dst.Len(), qerr.Storage("scan tuple", err)
 		}
@@ -158,12 +186,20 @@ func (b *blockScan) fill(dst *relation.Batch) (int, error) {
 }
 
 // nextTuple returns the next tuple in run order, refilling the scan's own
-// batch through fill; ok is false at end of run.
+// pooled batch through fill; ok is false at end of run. A transient reader's
+// refill first resets its scratch arena (see openScratchRun).
 func (b *blockScan) nextTuple() (t relation.Tuple, ok bool, err error) {
 	if b.batch == nil {
-		b.batch = relation.NewBatch(0)
+		b.batch = relation.GetBatch()
 	}
 	if b.pos == b.batch.Len() {
+		if b.scratch != nil {
+			fill := relation.Null
+			if p := arenaPoison.Load(); p != nil {
+				fill = *p
+			}
+			b.scratch.Reset(fill)
+		}
 		if n, err := b.fill(b.batch); n == 0 || err != nil {
 			return nil, false, err
 		}
@@ -173,10 +209,14 @@ func (b *blockScan) nextTuple() (t relation.Tuple, ok bool, err error) {
 	return b.batch.Tuples[b.pos-1], true, nil
 }
 
-// close releases the current block's reservation and closes the reader;
-// afterwards the scan holds no reservations.
+// close releases the current block's reservation and nextTuple's batch
+// and closes the reader; afterwards the scan holds no reservations.
 func (b *blockScan) close() error {
 	b.finishBlock()
+	if b.batch != nil {
+		b.batch.Release()
+		b.batch = nil
+	}
 	return b.br.Close()
 }
 

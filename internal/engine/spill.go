@@ -77,13 +77,17 @@ func newSpillMetrics() spillMetrics {
 
 // spillEnv is a stateful operator's spill wiring, decided once when its
 // state initialises: spillOn means a budget and a backend are both
-// configured.
+// configured. rec and scratch are the operator's one scratch record, which
+// every run append reuses (RunWriter.Append encodes it at once), and the
+// one arena its transient run readers decode into (see openScratchRun).
 type spillEnv struct {
 	spillOn bool
 	mem     *storage.Budget
 	backend storage.Backend
 	base    string // run-name namespace for this operator's runs
 	met     spillMetrics
+	rec     relation.Tuple
+	scratch relation.Arena
 }
 
 // newSpillEnv wires op ("join", "agg") for spilling under ctx, or records
@@ -158,10 +162,8 @@ func (s *joinState) appendSpilled(p *joinPart, b int32, t relation.Tuple) {
 	if p.build == nil {
 		return
 	}
-	rec := make(relation.Tuple, 0, len(t)+2)
-	rec = append(rec, relation.Int(p.probeCount), relation.Int(p.buildCount))
-	rec = append(rec, t...)
-	if err := p.build.Append(rec); err != nil {
+	s.rec = append(append(s.rec[:0], relation.Int(p.probeCount), relation.Int(p.buildCount)), t...)
+	if err := p.build.Append(s.rec); err != nil {
 		s.setSpillErr(fmt.Errorf("engine: spill build append: %w", err))
 		return
 	}
@@ -174,10 +176,8 @@ func (s *joinState) routeProbe(p *joinPart, t relation.Tuple) {
 	if p.probe == nil {
 		return
 	}
-	rec := make(relation.Tuple, 0, len(t)+1)
-	rec = append(rec, relation.Int(p.probeCount))
-	rec = append(rec, t...)
-	if err := p.probe.Append(rec); err != nil {
+	s.rec = append(append(s.rec[:0], relation.Int(p.probeCount)), t...)
+	if err := p.probe.Append(s.rec); err != nil {
 		s.setSpillErr(fmt.Errorf("engine: spill probe append: %w", err))
 		return
 	}
@@ -229,11 +229,8 @@ func (s *joinState) spillPartition(i int) bool {
 	for h, c := range p.chains {
 		b := int32(h % uint64(s.buckets))
 		for e := c.head; e >= 0; e = p.entries[e].next {
-			t := p.entries[e].t
-			rec := make(relation.Tuple, 0, len(t)+2)
-			rec = append(rec, relation.Int(0), relation.Int(p.buildCount))
-			rec = append(rec, t...)
-			if err := p.build.Append(rec); err != nil {
+			s.rec = append(append(s.rec[:0], relation.Int(0), relation.Int(p.buildCount)), p.entries[e].t...)
+			if err := p.build.Append(s.rec); err != nil {
 				s.setSpillErr(fmt.Errorf("engine: spill build append: %w", err))
 			}
 			p.buildCount++
@@ -252,11 +249,13 @@ func (s *joinState) spillPartition(i int) bool {
 	return true
 }
 
-// spillEntry is one reloaded build tuple during the drain.
+// spillEntry is one reloaded build tuple in the drain table. Like the join's
+// partitions, the table chains entries of one hash in load order.
 type spillEntry struct {
-	t   relation.Tuple
-	wm  int64 // first probe index this entry may match
-	idx int64 // build-run position, for eviction filtering
+	t    relation.Tuple
+	wm   int64 // first probe index this entry may match
+	idx  int64 // build-run position, for eviction filtering
+	next int32 // index of the next entry in the chain; -1 ends it
 }
 
 // spillPair is one (build run, probe run) pair awaiting drain.
@@ -270,13 +269,15 @@ type spillPair struct {
 // joinSpillDrain matches deferred probe tuples after the streaming probe
 // phase: it reloads one build run at a time into an in-memory table (under
 // the budget, re-partitioning on breach) and streams the paired probe run
-// through it. pairs is the work left, drained front first.
+// through it. pairs is the work left, drained front first. The table, entries
+// chained from a hash-keyed map, is reused by every pair.
 type joinSpillDrain struct {
 	s *joinState
 	j *HashJoin
 
 	pairs      []spillPair
-	table      map[uint64][]spillEntry
+	entries    []spillEntry
+	chains     map[uint64]chainRef
 	tableBytes int64
 	evicts     []spillEvict
 	reader     *blockScan // the current pair's probe run
@@ -352,12 +353,14 @@ func evicted(evicts []spillEvict, b int32, idx, jdx int64) bool {
 // spillFan ways and its sub-pairs queued first instead (d stays inactive).
 func (d *joinSpillDrain) load(pr spillPair) error {
 	s := d.s
-	r, err := openRun(s.backend, pr.build)
+	r, err := openRun(s.backend, pr.build) // a keeper: the table holds the records
 	if err != nil {
 		return fmt.Errorf("engine: spill reload: %w", err)
 	}
-	d.table = make(map[uint64][]spillEntry)
-	d.tableBytes = 0
+	d.resetTable()
+	if d.chains == nil {
+		d.chains = make(map[uint64]chainRef)
+	}
 	for {
 		rec, ok, rerr := r.nextTuple()
 		if rerr != nil {
@@ -382,7 +385,11 @@ func (d *joinSpillDrain) load(pr spillPair) error {
 		sz := spillEntryBytes(t)
 		d.tableBytes += sz
 		s.mem.Reserve(sz)
-		d.table[h] = append(d.table[h], spillEntry{t: t, wm: wm, idx: idx})
+		e := int32(len(d.entries))
+		d.entries = append(d.entries, spillEntry{t: t, wm: wm, idx: idx, next: -1})
+		if prev := link(d.chains, h, e); prev >= 0 {
+			d.entries[prev].next = e
+		}
 		if s.mem.Over() && pr.depth < maxSpillDepth {
 			_ = r.close()
 			return d.repartition(pr)
@@ -391,7 +398,7 @@ func (d *joinSpillDrain) load(pr spillPair) error {
 	if err := r.close(); err != nil {
 		return err
 	}
-	pj, err := openRun(s.backend, pr.probe)
+	pj, err := openScratchRun(s.backend, pr.probe, &s.scratch)
 	if err != nil {
 		return fmt.Errorf("engine: spill reload: %w", err)
 	}
@@ -408,9 +415,7 @@ func (d *joinSpillDrain) load(pr spillPair) error {
 // stays depth-first. On failure it removes every sub-run it created.
 func (d *joinSpillDrain) repartition(pr spillPair) (err error) {
 	s := d.s
-	s.mem.Release(d.tableBytes)
-	d.tableBytes = 0
-	d.table = nil
+	d.resetTable()
 	shift := uint(40 + 3*pr.depth)
 	base := strings.TrimSuffix(pr.build, "-build")
 	seq := spillRunSeq.Add(1)
@@ -425,7 +430,7 @@ func (d *joinSpillDrain) repartition(pr spillPair) (err error) {
 			}
 			ws[k] = w
 		}
-		r, err := openRun(s.backend, src)
+		r, err := openScratchRun(s.backend, src, &s.scratch)
 		if err != nil {
 			return ws, err
 		}
@@ -506,10 +511,18 @@ func (d *joinSpillDrain) finishPair() {
 		_ = d.s.backend.Remove(d.cur.build)
 		_ = d.s.backend.Remove(d.cur.probe)
 	}
+	d.resetTable()
+	d.active = false
+}
+
+// resetTable empties the drain table for the next pair, keeping its storage,
+// and releases its reservation.
+func (d *joinSpillDrain) resetTable() {
 	d.s.mem.Release(d.tableBytes)
 	d.tableBytes = 0
-	d.table = nil
-	d.active = false
+	clear(d.entries)
+	d.entries = d.entries[:0]
+	clear(d.chains)
 }
 
 // close releases what the drain still holds, the runs of pairs a cancelled
@@ -574,7 +587,12 @@ func (j *HashJoin) drainPending() (bool, error) {
 		}
 		h := t.Hash(j.ProbeKeys)
 		b := int32(h % uint64(s.buckets))
-		for _, e := range d.table[h] {
+		c, ok := d.chains[h]
+		if !ok {
+			continue
+		}
+		for i := c.head; i >= 0; i = d.entries[i].next {
+			e := &d.entries[i]
 			if e.wm > jdx || !j.keysEqual(e.t, t) {
 				continue
 			}

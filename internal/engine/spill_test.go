@@ -176,6 +176,77 @@ func TestHashAggregateSpillParity(t *testing.T) {
 	})
 }
 
+// TestSpillArenaPoisoned reruns the join and aggregate spill tests with
+// every transient run reader's scratch arena poisoned at each reset: the
+// Values it takes back are overwritten with a poison string instead of
+// cleared. A reader that kept a record past the next refill without copying
+// it — a drain table built from a scratch reload, a probe match, a
+// re-partition split or an aggregate merge — would read the poison and
+// diverge from the unbudgeted result.
+func TestSpillArenaPoisoned(t *testing.T) {
+	poison := relation.String("poisoned scratch value")
+	arenaPoison.Store(&poison)
+	defer arenaPoison.Store(nil)
+	for _, tc := range []struct {
+		name string
+		test func(*testing.T)
+	}{
+		{"HashJoinSpillParity", TestHashJoinSpillParity},
+		{"HashJoinSpillRecursiveRepartition", TestHashJoinSpillRecursiveRepartition},
+		{"HashJoinSpillDuplicateKeys", TestHashJoinSpillDuplicateKeys},
+		{"HashJoinSpillEvictReplay", TestHashJoinSpillEvictReplay},
+		{"HashAggregateSpillParity", TestHashAggregateSpillParity},
+	} {
+		t.Run(tc.name, tc.test)
+	}
+}
+
+// BenchmarkHashJoinSpill is the join's grace-hash spill path at the
+// analytic workload's cardinality: 30 000 build rows and 47 000 probe rows
+// under a 512 KiB budget on the memory backend, so partitions spill, probe
+// tuples defer to runs, and the drain reloads, re-partitions and matches
+// them. It reports the re-partitions per join beside time and allocations.
+func BenchmarkHashJoinSpill(b *testing.B) {
+	build := buildTuples(30000)
+	probe := probeTuples(47000, 30000)
+	_, _, r0 := spillCounters()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx := budgetedCtx(512<<10, storage.NewMemory())
+		ctx.Costs = Costs{} // measure the spill path, not the cost model
+		if out := drain(b, newJoin(build, probe), ctx, 0); len(out) != len(probe) {
+			b.Fatalf("join produced %d tuples, want %d", len(out), len(probe))
+		}
+	}
+	_, _, r1 := spillCounters()
+	b.ReportMetric(float64(r1-r0)/float64(b.N), "restarts/op")
+}
+
+// BenchmarkHashAggregateSpill is the aggregate's spill path at the analytic
+// workload's cardinality: 47 000 rows into 23 000 string-keyed groups,
+// COUNT(*) and SUM, under a 512 KiB budget on the memory backend, so the
+// table dumps to its run and the freeze reloads and re-merges it.
+func BenchmarkHashAggregateSpill(b *testing.B) {
+	input := make([]relation.Tuple, 47000)
+	for i := range input {
+		input[i] = relation.Tuple{relation.String(fmt.Sprintf("YAL%05dC", i*7919%23000)), relation.Int(int64(i))}
+	}
+	kinds := []logical.AggKind{logical.AggCount, logical.AggSum}
+	_, p0, _ := spillCounters()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx := budgetedCtx(512<<10, storage.NewMemory())
+		ctx.Costs = Costs{} // measure the spill path, not the cost model
+		if out := drain(b, newAgg(input, []int{0}, kinds, []int{-1, 1}), ctx, 0); len(out) != 23000 {
+			b.Fatalf("groups = %d, want 23000", len(out))
+		}
+	}
+	_, p1, _ := spillCounters()
+	b.ReportMetric(float64(p1-p0)/float64(b.N), "dumps/op")
+}
+
 func TestSortSpillParity(t *testing.T) {
 	// Duplicate keys with distinct payloads: the external merge must
 	// reproduce sort.SliceStable byte for byte, not just a valid ordering.

@@ -52,8 +52,10 @@ func (s *aggState) dump(a *HashAggregate) error {
 		s.spillLive = make(map[int32]int64)
 	}
 	var dumped, released int64
-	var recs relation.Arena // the run keeps a record until its block flushes
 	nk, na := len(a.GroupOrds), len(a.Kinds)
+	if w := 1 + nk + 4*na; len(s.rec) != w {
+		s.rec = make(relation.Tuple, w)
+	}
 	for i := range s.table {
 		p := &s.table[i]
 		for g := int32(0); g < p.n; g++ {
@@ -63,10 +65,9 @@ func (s *aggState) dump(a *HashAggregate) error {
 		for h, c := range p.chains {
 			b := int32(h % uint64(s.buckets))
 			for g, i := c.head, c.n; i > 0; g, i = p.next[g], i-1 {
-				rec := recs.Alloc(1 + nk + 4*na)
 				row, accs := p.slot(g, nk+na, na)
-				encodeGroupRec(rec, b, row, accs)
-				if err := s.run.Append(rec); err != nil {
+				encodeGroupRec(s.rec, b, row, accs)
+				if err := s.run.Append(s.rec); err != nil {
 					return fmt.Errorf("engine: agg spill append: %w", err)
 				}
 				s.recCount++
@@ -127,7 +128,7 @@ func (s *aggState) reload(a *HashAggregate) error {
 		return fmt.Errorf("engine: agg spill seal: %w", err)
 	}
 	s.run = nil
-	r, err := openRun(s.backend, s.runName)
+	r, err := openScratchRun(s.backend, s.runName, &s.scratch) // decodeGroupRec copies what it keeps
 	if err != nil {
 		return fmt.Errorf("engine: agg spill reload: %w", err)
 	}

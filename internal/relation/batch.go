@@ -109,12 +109,18 @@ func (b *Batch) Full() bool { return len(b.Tuples) >= b.Cap() }
 func (b *Batch) SetLimit(n int) { b.limit = n }
 
 // Arena amortizes output-tuple allocation for operators that construct new
-// tuples (projections, joins, operation calls): instead of one make per
-// tuple it carves tuples out of chunked []Value blocks. Carved tuples are
-// ordinary immutable tuples and may outlive the arena — the arena never
-// reuses handed-out memory, it only batches the allocations.
+// tuples (projections, joins, operation calls, decoders): instead of one make
+// per tuple it carves tuples out of chunked []Value blocks. An arena that is
+// never Reset is a keeper: carved tuples are ordinary immutable tuples and may
+// outlive the arena, which never reuses handed-out memory, it only batches
+// the allocations. An arena its owner Resets is transient: every Reset hands
+// its one kept chunk out again, so a reader that copies what it keeps
+// decodes without allocating.
 type Arena struct {
 	buf []Value
+	// round is a transient arena's kept chunk, which each Reset makes the
+	// current chunk again.
+	round []Value
 }
 
 // arenaChunk is the Values per allocation block: large enough to amortize,
@@ -125,7 +131,8 @@ type Arena struct {
 // the difference is visible in their profiles).
 const arenaChunk = 640
 
-// Alloc returns a zeroed tuple of n values carved from the arena.
+// Alloc returns a zeroed tuple of n values carved from the arena (on a
+// transient arena, the values hold the fill of its last Reset).
 func (a *Arena) Alloc(n int) Tuple {
 	if n == 0 {
 		return Tuple{}
@@ -140,4 +147,32 @@ func (a *Arena) Alloc(n int) Tuple {
 	t := Tuple(a.buf[:n:n])
 	a.buf = a.buf[n:]
 	return t
+}
+
+// Reset makes the arena transient and takes back every Value carved from
+// its kept chunk since the previous Reset, overwriting each with fill: Null
+// clears them, so the released slots pin no strings, and a test passes a
+// poison value to catch a reader that kept a tuple without copying it. No
+// tuple carved before a Reset may be read after it. A round that outgrew
+// the kept chunk carved the rest from fresh chunks, which Reset leaves to
+// the garbage collector; it doubles the kept chunk instead, so rounds of a
+// steady size stop allocating.
+func (a *Arena) Reset(fill Value) {
+	k := len(a.round) - len(a.buf)
+	fits := len(a.buf) > 0 && k >= 0 && &a.buf[0] == &a.round[k]
+	used := a.round
+	if fits {
+		used = a.round[:k]
+	}
+	if fill == Null {
+		clear(used)
+	} else {
+		for i := range used {
+			used[i] = fill
+		}
+	}
+	if !fits {
+		a.round = make([]Value, max(arenaChunk, 2*len(a.round)))
+	}
+	a.buf = a.round
 }

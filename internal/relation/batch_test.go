@@ -108,6 +108,39 @@ func TestArenaAllocSizes(t *testing.T) {
 	}
 }
 
+// TestArenaResetReusesChunk: a Reset arena carves its kept chunk again,
+// overwrites what it took back with the fill, doubles the chunk after a
+// round that outgrew it, and allocates nothing once rounds fit.
+func TestArenaResetReusesChunk(t *testing.T) {
+	var a Arena
+	a.Reset(Null)
+	first := a.Alloc(3)
+	first[0] = String("kept")
+	a.Alloc(arenaChunk) // outgrows the kept chunk: carved from a fresh one
+	poison := String("poison")
+	a.Reset(poison)
+	if !first[0].Equal(poison) || !first[2].Equal(poison) {
+		t.Fatalf("Reset left %v in a released slot", first.Format())
+	}
+	again := a.Alloc(3)
+	again[0] = String("kept")
+	a.Alloc(arenaChunk) // fits the doubled chunk
+	a.Reset(Null)
+	if !again[0].IsNull() {
+		t.Fatal("Reset(Null) did not clear a released slot")
+	}
+	if reused := a.Alloc(3); &reused[0] != &again[0] {
+		t.Fatal("a Reset arena did not carve its kept chunk again")
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		a.Alloc(3)
+		a.Alloc(arenaChunk)
+		a.Reset(Null)
+	}); n != 0 {
+		t.Fatalf("a warm transient arena allocates %.0f times per round", n)
+	}
+}
+
 // TestHashBucketDistribution pins the satellite requirement on the
 // multiply-mix hash: hashing 10k distinct keys must land every bucket within
 // 5% of the uniform share. At 4 buckets the expected load is 2500, so the 5%

@@ -97,6 +97,110 @@ func TestBlockReaderMatchesCursor(t *testing.T) {
 	}
 }
 
+// TestRunWriterEncodesOnAppend pins Append's contract: it keeps no
+// reference to the tuple, so a caller that overwrites one scratch record's
+// Values between appends still reads back every row it appended.
+func TestRunWriterEncodesOnAppend(t *testing.T) {
+	for name, b := range blockBackends(t) {
+		t.Run(name, func(t *testing.T) {
+			defer b.Close()
+			w, err := b.Create("scratch")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := relation.Tuple{relation.Int(1), relation.String("first")}
+			want := []relation.Tuple{rec.Clone()}
+			if err := w.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			rec[0], rec[1] = relation.Int(2), relation.String("second")
+			want = append(want, rec.Clone())
+			if err := w.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			rec[0], rec[1] = relation.Null, relation.String("overwritten before the flush")
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := b.OpenBlocks("scratch")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			got := decodeBlocks(t, r)
+			if len(got) != len(want) {
+				t.Fatalf("run yielded %d tuples, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if !tuplesIdentical(got[i], want[i]) {
+					t.Fatalf("row %d: %v, want %v", i, got[i].Format(), want[i].Format())
+				}
+			}
+		})
+	}
+}
+
+// TestRunFramingPerBlock holds a run spanning flush boundaries byte for byte
+// against its framing: one len:uint32le ++ relation.AppendTuples(block) frame
+// per block, a block closing once its tuples' Tuple.ByteSize reaches
+// blockTarget.
+func TestRunFramingPerBlock(t *testing.T) {
+	ts := testTuples(3000)
+	var want [][]byte
+	for start, pend, i := 0, 0, 0; i < len(ts); i++ {
+		pend += ts[i].ByteSize()
+		if pend >= blockTarget || i == len(ts)-1 {
+			want = append(want, relation.AppendTuples(nil, ts[start:i+1]))
+			start, pend = i+1, 0
+		}
+	}
+	if len(want) < 3 {
+		t.Fatalf("%d blocks: the run must span at least two flushes", len(want))
+	}
+	var frames []byte
+	for _, payload := range want {
+		frames = binary.LittleEndian.AppendUint32(frames, uint32(len(payload)))
+		frames = append(frames, payload...)
+	}
+	for name, b := range blockBackends(t) {
+		t.Run(name, func(t *testing.T) {
+			defer b.Close()
+			writeRun(t, b, "framed", ts)
+			var stored []byte
+			switch impl := b.(type) {
+			case *Memory:
+				stored = bytes.Join(impl.runs["framed"].frames, nil)
+			case *Posix:
+				data, err := os.ReadFile(impl.path("framed"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				stored = data
+			}
+			if !bytes.Equal(stored, frames) {
+				t.Fatalf("stored run (%d bytes) differs from its %d frames (%d bytes)", len(stored), len(want), len(frames))
+			}
+			r, err := b.OpenBlocks("framed")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if r.Blocks() != len(want) {
+				t.Fatalf("%d blocks, want %d", r.Blocks(), len(want))
+			}
+			for i, payload := range want {
+				got, err := r.ReadBlock(i, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, payload) {
+					t.Fatalf("block %d differs from AppendTuples of its tuples", i)
+				}
+			}
+		})
+	}
+}
+
 func TestBlockReaderCloseIdempotent(t *testing.T) {
 	for name, b := range blockBackends(t) {
 		t.Run(name, func(t *testing.T) {

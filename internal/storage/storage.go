@@ -13,6 +13,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -24,7 +25,9 @@ import (
 // RunWriter appends tuples to one named run. Writers are single-goroutine
 // objects; Close seals the run for reading.
 type RunWriter interface {
-	// Append encodes and buffers one tuple.
+	// Append encodes one tuple into the run's open block and keeps no
+	// reference to it: the caller may reuse the tuple, Values and all, once
+	// Append returns.
 	Append(t relation.Tuple) error
 	// AppendAll appends a batch of tuples.
 	AppendAll(ts []relation.Tuple) error
@@ -87,17 +90,27 @@ func corruptRun(name, format string, args ...any) error {
 	return qerr.Storage("run "+name, fmt.Errorf(format, args...))
 }
 
-// blockTarget is the run writers' flush threshold: buffered tuples are
-// encoded into one length-prefixed block once their encoded size passes it.
+// blockTarget is the run writers' flush threshold: the open block is
+// sealed into one length-prefixed frame once the Tuple.ByteSize of the
+// tuples encoded into it passes it.
 const blockTarget = 64 << 10
+
+// blockHead is the room the open block keeps in front of its tuples for the
+// frame header, len:uint32le ++ uvarint(count), whose count is known only at
+// the flush.
+const blockHead = 4 + binary.MaxVarintLen64
 
 // blockWriter implements the shared run-writer framing over a byte sink:
 // each flush emits one block of the form len:uint32le ++ AppendTuples(batch).
+// Append encodes a tuple into the open block at once, so the writer holds
+// bytes, never the caller's tuples. The writer reuses its buffer for the
+// next block, so sink must write or copy a block before it returns.
 type blockWriter struct {
 	sink   func(block []byte) error
 	seal   func() error
-	batch  []relation.Tuple
-	pend   int // encoded size of the buffered batch
+	buf    []byte // the open block: blockHead bytes of room, then tuples
+	count  uint64 // tuples in the open block
+	pend   int    // Tuple.ByteSize sum of the open block, the flush measure
 	tuples int64
 	bytes  int64
 	closed bool
@@ -112,7 +125,11 @@ func (w *blockWriter) Append(t relation.Tuple) error {
 	if w.closed {
 		return fmt.Errorf("storage: append to closed run")
 	}
-	w.batch = append(w.batch, t)
+	if w.buf == nil {
+		w.buf = append(relation.GetEncodeBuffer(), make([]byte, blockHead)...)
+	}
+	w.buf = relation.AppendTuple(w.buf, t)
+	w.count++
 	w.pend += t.ByteSize()
 	w.tuples++
 	if w.pend >= blockTarget {
@@ -137,40 +154,38 @@ func (w *blockWriter) Tuples() int64 { return w.tuples }
 // Bytes implements RunWriter.
 func (w *blockWriter) Bytes() int64 { return w.bytes + int64(w.pend) }
 
+// flush writes the open block's header right-aligned into its room and
+// hands the frame to the sink; the buffer stays for the next block.
 func (w *blockWriter) flush() error {
-	if len(w.batch) == 0 {
+	if w.count == 0 {
 		return nil
 	}
-	buf := relation.GetEncodeBuffer()
-	buf = append(buf, 0, 0, 0, 0) // block length, patched below
-	buf = relation.AppendTuples(buf, w.batch)
-	n := len(buf) - 4
-	buf[0], buf[1], buf[2], buf[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
-	err := w.sink(buf)
-	relation.PutEncodeBuffer(buf)
+	var cnt [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(cnt[:], w.count)
+	start := blockHead - 4 - k
+	copy(w.buf[start+4:], cnt[:k])
+	binary.LittleEndian.PutUint32(w.buf[start:], uint32(len(w.buf)-start-4))
+	err := w.sink(w.buf[start:])
 	w.bytes += int64(w.pend)
-	w.batch = w.batch[:0]
-	w.pend = 0
+	w.buf = w.buf[:blockHead]
+	w.count, w.pend = 0, 0
 	return err
 }
 
-// Close implements RunWriter.
+// Close implements RunWriter: it flushes the open block, returns its
+// buffer to the encode pool and seals the run.
 func (w *blockWriter) Close() error {
 	if w.closed {
 		return nil
 	}
-	if err := w.flush(); err != nil {
-		w.closed = true
-		if w.seal != nil {
-			_ = w.seal()
-		}
-		return err
-	}
+	err := w.flush()
 	w.closed = true
-	if w.seal != nil {
-		return w.seal()
+	relation.PutEncodeBuffer(w.buf)
+	w.buf = nil
+	if serr := w.seal(); err == nil {
+		err = serr
 	}
-	return nil
+	return err
 }
 
 // listMatching filters sorted names by prefix (shared by both backends).
