@@ -19,12 +19,14 @@ type Addr struct {
 }
 
 // queueBuf is one received buffer in the consumer's queue, read in place:
-// its tuples and buckets (nil: the stream routes by none), the next tuple to
-// pop, and the buffer's ordinal in its stream's window.
+// its tuples and buckets (nil: the stream routes by none), the owner of an
+// unlogged buffer's slots, the next tuple to pop, and the buffer's ordinal
+// in its stream's window.
 type queueBuf struct {
 	first   int64
 	tuples  []relation.Tuple
 	buckets []int32
+	slots   transport.Releaser
 	deadSet
 	producer int32
 	pos      int32
@@ -245,6 +247,9 @@ func (c *Consumer) popLocked(w *ConsumerWorker, dst *relation.Batch) int {
 			got += int(k)
 		}
 		if e.pos == e.n {
+			if e.slots != nil {
+				e.slots.Release() // its last tuple is popped
+			}
 			c.queue.q.popFront()
 		}
 	}
@@ -424,11 +429,23 @@ func (c *Consumer) sendAck(a ackItem) {
 	ackPool.Put(msg)
 }
 
-// Close implements Iterator: it releases any blocked NextBatch.
+// Close implements Iterator: it releases any blocked NextBatch and drops
+// the queued unlogged buffers, which nothing can recall, releasing their
+// slots.
 func (c *Consumer) Close() error {
 	c.gate.locked(func() {
 		c.finishLocked(&c.self)
 		c.closed = true
+		for c.queue.q.len() > 0 && c.queue.q.front().slots != nil {
+			e := c.queue.q.front()
+			for i := e.pos; i < e.n; i++ {
+				if !e.isDead(int(i)) {
+					c.queue.n--
+				}
+			}
+			e.slots.Release()
+			c.queue.q.popFront()
+		}
 		c.gate.cond.Broadcast()
 	})
 	return nil
@@ -438,8 +455,11 @@ func (c *Consumer) Close() error {
 // is posted to the gate as an insert into the registered state target,
 // which the driver applies at its next pop; normal buffers join the queue
 // as they are, without a copy: the entry reads msg.Tuples and msg.Buckets in
-// place, which in process are the producer's recovery-log slots. That is
-// safe by the exchange's lifetime rule:
+// place. An unlogged buffer (msg.Slots set) is the consumer's from then on:
+// it releases the slots once it has popped the last tuple, or when it drops
+// the buffer (empty, refused, delivered after Close, or queued at Close).
+// A logged stream's buffer is, in process, the producer's recovery-log
+// slots. That is safe by the exchange's lifetime rule:
 //   - a sent buffer's slots are immutable;
 //   - a producer's slotStore rewinds or recycles a chunk only after every
 //     buffer in it was released: acknowledged at or below a checkpoint, or
@@ -469,27 +489,36 @@ func (c *Consumer) Deliver(msg *transport.Message) error {
 		return nil
 	case transport.KindData:
 		if len(msg.Buckets) != 0 && len(msg.Buckets) != len(msg.Tuples) {
+			msg.ReleaseSlots()
 			return fmt.Errorf("engine: %d buckets for %d tuples on exchange %s", len(msg.Buckets), len(msg.Tuples), c.Exchange)
 		}
 		if msg.Replay {
 			target, ts := c.stateTarget, msg.Tuples
 			if target == nil {
+				msg.ReleaseSlots()
 				return fmt.Errorf("engine: replay buffer on exchange %s with no state target", c.Exchange)
 			}
 			c.gate.post(func() { target.InsertState(ts) })
 			return nil
 		}
 		if msg.ProducerIdx < 0 || msg.ProducerIdx >= len(c.streams) {
+			msg.ReleaseSlots()
 			return fmt.Errorf("engine: bad producer index %d on exchange %s", msg.ProducerIdx, c.Exchange)
 		}
 		var acks []ackItem
 		c.gate.mu.Lock()
 		st := c.streams[msg.ProducerIdx]
-		if n := len(msg.Tuples); n > 0 {
+		slots := msg.Slots
+		msg.Slots = nil
+		switch n := len(msg.Tuples); {
+		case slots != nil && (n == 0 || c.closed):
+			slots.Release() // an empty buffer, or one nothing will pop
+		case n > 0:
 			c.queue.q.push(queueBuf{
 				first:    msg.StartSeq,
 				tuples:   msg.Tuples,
 				buckets:  msg.Buckets,
+				slots:    slots,
 				deadSet:  deadSet{n: int32(n), live: int32(n)},
 				producer: int32(msg.ProducerIdx),
 				ord:      st.outstanding.add(msg.StartSeq, n),

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,14 +14,15 @@ import (
 )
 
 // TestConsumerNeverReadsRecycledSlots runs the exchange with every slot a
-// recovery log releases overwritten by a poison tuple. The consumer's queue
-// reads the producer's log slots in place, so a queue that read a slot past
-// its lifetime (a pop, or a recall's bucket filter, after the slot was
-// released) would see the poison. Seeded scripts drive a producer and two
-// consumers through recall rounds with resend or stateful replay, stalled
-// and out-of-order worker handles, checkpoint-only messages and, stateless,
-// a dead consumer's replay-lost; no handle may pop the poison, and every
-// tuple sent must arrive.
+// recovery log or a released send buffer gives up overwritten by a poison
+// tuple. The consumer's queue reads the producer's slots in place, so a
+// queue that read a slot past its lifetime (a pop, or a recall's bucket
+// filter, after the slot was released) would see the poison. Seeded scripts
+// drive a producer and two consumers through recall rounds with resend or
+// stateful replay, stalled and out-of-order worker handles, checkpoint-only
+// messages and, stateless, a dead consumer's replay-lost; unlogged, through
+// the same handles and prospective re-routing. No handle may pop the poison,
+// and every tuple sent must arrive.
 func TestConsumerNeverReadsRecycledSlots(t *testing.T) {
 	poison := relation.Tuple{relation.Int(-1)}
 	slotPoison.Store(&poison)
@@ -29,6 +31,245 @@ func TestConsumerNeverReadsRecycledSlots(t *testing.T) {
 		for _, stateful := range []bool{false, true} {
 			recycledSlotsScript(t, seed, stateful)
 		}
+		unloggedSlotsScript(t, seed)
+	}
+}
+
+// countedSlots counts the releases of the buffer it wraps.
+type countedSlots struct {
+	transport.Releaser
+	n *atomic.Int64
+}
+
+func (c countedSlots) Release() {
+	c.n.Add(1)
+	c.Releaser.Release()
+}
+
+// unloggedSlotsScript drives an unlogged exchange: every buffer is a pooled
+// send buffer its consumer releases once it has popped the last tuple, and
+// the producer reuses it at once. A buffer released early would show the
+// poison, or another buffer's tuples, to a later pop. No message may carry a
+// bucket or a checkpoint, no consumer may acknowledge, every buffer handed
+// over must come back exactly once, and every tuple sent must arrive exactly
+// once.
+func unloggedSlotsScript(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	pol, err := NewHashPolicy([]int{0}, 16, []float64{0.5, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, ctx := newExchangeContext()
+	rig := newExchangeRigFor(t, net, ctx, 2, ProducerConfig{Policy: pol, BufferTuples: 16, CheckpointEvery: 32, Unlogged: true})
+	var handed, released atomic.Int64
+	eos := make([]int, 2)
+	rig.onData = func(c int, m *transport.Message) {
+		if m.Kind == transport.KindEOS {
+			eos[c]++
+			return
+		}
+		if m.Slots == nil || m.Buckets != nil || m.Checkpoint != 0 || m.Replay {
+			t.Errorf("seed %d: unlogged data message %+v", seed, m)
+			return
+		}
+		handed.Add(1)
+		m.Slots = countedSlots{m.Slots, &released}
+	}
+	rig.onAck = func(*transport.Message) { t.Errorf("seed %d: an unlogged consumer acknowledged", seed) }
+
+	c0, c1 := rig.cons[0], rig.cons[1]
+	w1, w2 := c1.NewWorker(), c1.NewWorker()
+	for _, w := range []*ConsumerWorker{w1, w2} {
+		if err := w.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	handles := []*transcriptHandle{
+		{name: "c0", it: c0, finish: func() {
+			c0.gate.mu.Lock()
+			c0.finishLocked(&c0.self)
+			c0.gate.mu.Unlock()
+		}},
+		{name: "c1/w1", it: w1, finish: w1.Finish},
+		{name: "c1/w2", it: w2, finish: w2.Finish},
+	}
+	got, sent := map[int64]int{}, map[int64]int{}
+	batch := relation.NewBatch(64)
+	pop := func(h *transcriptHandle) {
+		batch.SetLimit(1 + rng.Intn(64))
+		n, err := h.it.NextBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tp := range batch.Tuples[:n] {
+			if poisoned(tp) {
+				t.Fatalf("seed %d unlogged: %s popped a released slot", seed, h.name)
+			}
+			got[tp[0].AsInt()]++
+		}
+		h.drained = n == 0
+	}
+	queued := func(c *Consumer) int { _, _, q := c.Stats(); return q }
+	nextID := int64(0)
+	mirror, _ := NewHashPolicy([]int{0}, 16, []float64{0.5, 0.5})
+	for round := 0; round < 6; round++ {
+		stall1 := rng.Intn(3) == 0
+		for i := 0; i < 30; i++ {
+			switch r := rng.Intn(10); {
+			case r < 4:
+				ts := make([]relation.Tuple, 1+rng.Intn(200))
+				for i := range ts {
+					nextID++
+					ts[i] = relation.Tuple{relation.Int(nextID)}
+					sent[nextID]++
+				}
+				if err := rig.prod.SendBatch(ts, ctx.Meter); err != nil {
+					t.Fatal(err)
+				}
+			case r < 6:
+				if queued(c0) > 0 {
+					pop(handles[0])
+				}
+			case r < 8 && !stall1:
+				if h := handles[1+rng.Intn(2)]; queued(c1) > 0 {
+					pop(h)
+				}
+			case !stall1:
+				handles[1+rng.Intn(2)].finish()
+			}
+		}
+		// A prospective round: flush, re-route, resume. Nothing is recalled.
+		if err := rig.prod.Pause(); err != nil {
+			t.Fatal(err)
+		}
+		w0 := 0.2 + 0.6*rng.Float64()
+		if _, err := mirror.SetWeights([]float64{w0, 1 - w0}); err != nil {
+			t.Fatal(err)
+		}
+		if err := rig.prod.SetOwnerMap(mirror.OwnerMap()); err != nil {
+			t.Fatal(err)
+		}
+		rig.prod.Resume()
+	}
+	if err := rig.prod.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range handles {
+		for !h.drained {
+			pop(h)
+		}
+	}
+	for _, w := range []*ConsumerWorker{w1, w2} {
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compareMultisets(t, got, sent)
+	if eos[0] != 1 || eos[1] != 1 {
+		t.Fatalf("seed %d: EOS per consumer %v, want one each", seed, eos)
+	}
+	if h, r := handed.Load(), released.Load(); h == 0 || r != h {
+		t.Fatalf("seed %d: %d buffers handed over, %d released", seed, h, r)
+	}
+	if _, buffers, logged := rig.prod.Stats(); buffers != handed.Load() || logged != 0 {
+		t.Fatalf("seed %d: %d buffers sent, %d handed over, %d tuples logged", seed, buffers, handed.Load(), logged)
+	}
+}
+
+// TestSendBufDoubleReleasePanics: a released send buffer's slots are
+// poisoned under a test, and it carries an in-pool mark, so releasing it
+// again, a handover bug that would let two readers share its slots, panics.
+func TestSendBufDoubleReleasePanics(t *testing.T) {
+	poison := relation.Tuple{relation.Int(-1)}
+	slotPoison.Store(&poison)
+	defer slotPoison.Store(nil)
+	b := sendBufPoolFor(7).get()
+	b.tuples = append(b.tuples, relation.Tuple{relation.Int(1)})
+	held := b.tuples
+	b.Release()
+	if !poisoned(held[0]) || len(b.tuples) != 0 {
+		t.Fatal("a released send buffer kept its tuples")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second release did not panic")
+		}
+	}()
+	b.Release()
+}
+
+// TestUnloggedConsumerReleasesEveryBuffer: an unlogged buffer is released
+// exactly once wherever it leaves the consumer: popped to its last tuple,
+// empty, refused by Deliver, delivered after Close, or still queued at Close.
+func TestUnloggedConsumerReleasesEveryBuffer(t *testing.T) {
+	net, ctx := newExchangeContext()
+	c := newConsumer("EX", 0, []Addr{{Node: "n", Service: "prod"}}, false, newFlowGate(), transport.NewInProc(net), "n")
+	if err := c.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var released atomic.Int64
+	pool, seq := sendBufPoolFor(3), int64(1)
+	buffer := func(n int) *transport.Message {
+		b := pool.get()
+		for range n {
+			b.tuples = append(b.tuples, relation.Tuple{relation.Int(seq)})
+			seq++
+		}
+		return &transport.Message{Kind: transport.KindData, Exchange: "EX", StartSeq: seq - int64(n),
+			Tuples: b.tuples, Slots: countedSlots{b, &released}}
+	}
+	want := func(n int64, when string) {
+		t.Helper()
+		if got := released.Load(); got != n {
+			t.Fatalf("%s: %d buffers released, want %d", when, got, n)
+		}
+	}
+	batch := relation.NewBatch(8)
+	batch.SetLimit(2)
+	if err := c.Deliver(buffer(3)); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := c.NextBatch(batch); n != 2 {
+		t.Fatalf("popped %d", n)
+	}
+	want(0, "two of three tuples popped")
+	if n, _ := c.NextBatch(batch); n != 1 {
+		t.Fatalf("popped %d", n)
+	}
+	want(1, "the last tuple popped")
+	if err := c.Deliver(buffer(0)); err != nil {
+		t.Fatal(err)
+	}
+	want(2, "an empty buffer")
+	bad := buffer(2)
+	bad.ProducerIdx = 5
+	if c.Deliver(bad) == nil {
+		t.Fatal("a bad producer index was accepted")
+	}
+	bad = buffer(2)
+	bad.Buckets = []int32{1}
+	if c.Deliver(bad) == nil {
+		t.Fatal("a bucket count mismatch was accepted")
+	}
+	want(4, "two refused buffers")
+	for range 2 {
+		if err := c.Deliver(buffer(3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, _ := c.NextBatch(batch); n != 2 {
+		t.Fatalf("popped %d", n)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want(6, "two buffers queued at Close")
+	if err := c.Deliver(buffer(3)); err != nil {
+		t.Fatal(err)
+	}
+	want(7, "a buffer delivered after Close")
+	if _, _, q := c.Stats(); q != 0 {
+		t.Fatalf("%d tuples queued after Close", q)
 	}
 }
 

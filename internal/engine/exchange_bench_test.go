@@ -14,8 +14,11 @@ import (
 // acknowledges every checkpoint until the log is empty and EOS arrives. The
 // recall cases hash-route the stream and, half-way through the drain, recall
 // and resend the queued tuples of half the buckets, so recalled tuples are
-// marked dead in place, pin their buffers and are re-logged. The reported
-// ns/tuple must stay flat as the backlog grows.
+// marked dead in place, pin their buffers and are re-logged. The unlogged
+// cases send the plain stream with no recovery log, as a session without
+// adaptivity does: no checkpoints or acks, and every buffer goes back to the
+// pool once drained. The reported ns/tuple must stay flat as the backlog
+// grows.
 func BenchmarkExchangeBacklog(b *testing.B) {
 	for _, recall := range []bool{false, true} {
 		for _, n := range []int{10_000, 20_000, 40_000, 80_000} {
@@ -23,12 +26,15 @@ func BenchmarkExchangeBacklog(b *testing.B) {
 			if recall {
 				name = "recall/" + name
 			}
-			b.Run(name, func(b *testing.B) { benchExchangeBacklog(b, n, recall) })
+			b.Run(name, func(b *testing.B) { benchExchangeBacklog(b, n, recall, false) })
 		}
+	}
+	for _, n := range []int{10_000, 20_000, 40_000, 80_000} {
+		b.Run(fmt.Sprintf("unlogged/%dk", n/1000), func(b *testing.B) { benchExchangeBacklog(b, n, false, true) })
 	}
 }
 
-func benchExchangeBacklog(b *testing.B, n int, recall bool) {
+func benchExchangeBacklog(b *testing.B, n int, recall, unlogged bool) {
 	tuples := make([]relation.Tuple, n)
 	for i := range tuples {
 		tuples[i] = relation.Tuple{relation.Int(int64(i)), relation.String("payload")}
@@ -50,7 +56,7 @@ func benchExchangeBacklog(b *testing.B, n int, recall bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rig := newExchangeRig(b, net, ctx, 1, pol, false, 0, 0)
+		rig := newExchangeRigFor(b, net, ctx, 1, ProducerConfig{Policy: pol, Unlogged: unlogged})
 		prod, cons := rig.prod, rig.cons[0]
 		for at := 0; at < n; at += relation.DefaultBatchSize {
 			if err := prod.SendBatch(tuples[at:min(at+relation.DefaultBatchSize, n)], ctx.Meter); err != nil {

@@ -41,18 +41,26 @@ func newExchangeContext() (*simnet.Network, *ExecContext) {
 func newExchangeRig(tb testing.TB, net *simnet.Network, ctx *ExecContext, consumers int, pol DistPolicy,
 	stateful bool, bufferTuples, checkpointEvery int) *exchangeRig {
 	tb.Helper()
+	return newExchangeRigFor(tb, net, ctx, consumers, ProducerConfig{
+		Stateful: stateful, Policy: pol, BufferTuples: bufferTuples, CheckpointEvery: checkpointEvery,
+	})
+}
+
+// newExchangeRigFor is newExchangeRig for a producer configured as cfg, whose
+// endpoints it fills in.
+func newExchangeRigFor(tb testing.TB, net *simnet.Network, ctx *ExecContext, consumers int, cfg ProducerConfig) *exchangeRig {
+	tb.Helper()
 	tr := transport.NewInProc(net)
 	r := &exchangeRig{}
 	addrs := make([]Addr, consumers)
 	for i := range addrs {
 		addrs[i] = Addr{Node: "n", Service: fmt.Sprintf("cons/%d", i)}
 	}
-	r.prod = NewProducer(ProducerConfig{
-		Exchange: "EX", Fragment: "F", ConsumerFragment: "G", Consumers: addrs,
-		Stateful: stateful, Policy: pol, Transport: tr, Node: "n",
-		BufferTuples: bufferTuples, CheckpointEvery: checkpointEvery,
-	})
+	cfg.Exchange, cfg.Fragment, cfg.ConsumerFragment, cfg.Consumers = "EX", "F", "G", addrs
+	cfg.Transport, cfg.Node = tr, "n"
+	r.prod = NewProducer(cfg)
 	r.prod.Bind(ctx)
+	stateful := cfg.Stateful
 	for i := range addrs {
 		c := newConsumer("EX", i, []Addr{{Node: "n", Service: "prod"}}, stateful, newFlowGate(), tr, "n")
 		if err := c.Open(ctx); err != nil {

@@ -51,6 +51,12 @@ type RuntimeConfig struct {
 	FT bool
 	// OnPeerDown is told when a flush discovers a dead peer (FT only).
 	OnPeerDown func(simnet.NodeID)
+	// Unlogged says nothing in the session can replay the instance's
+	// exchanges: no Responder, no failover. Its output producer keeps no
+	// recovery log and sends no checkpoints, so its consumers never ack,
+	// and it refuses the control operations a log serves. FT overrides
+	// it; the zero value keeps the logged protocol.
+	Unlogged bool
 }
 
 // FragmentRuntime hosts one fragment instance inside a query evaluation
@@ -67,6 +73,8 @@ type FragmentRuntime struct {
 	producer    *Producer
 	stateTarget StateTarget
 	service     string
+	// unlogged is RuntimeConfig.Unlogged unless FT forces logging.
+	unlogged bool
 
 	mu       sync.Mutex
 	err      error
@@ -91,6 +99,7 @@ func NewFragmentRuntime(cfg RuntimeConfig) (*FragmentRuntime, error) {
 		gate:         newFlowGate(),
 		consumers:    make(map[string]*Consumer),
 		service:      "frag/" + cfg.Fragment.InstanceID(cfg.Instance),
+		unlogged:     cfg.Unlogged && !cfg.FT,
 		obsProduced:  o.Counter(obs.Label(obs.MEngineTuplesProduced, "fragment", cfg.Fragment.ID)),
 		obsBatchSize: o.Histogram(obs.MEngineBatchSize, obs.DefBucketsSize),
 	}
@@ -122,6 +131,7 @@ func NewFragmentRuntime(cfg RuntimeConfig) (*FragmentRuntime, error) {
 			Node:             cfg.Node,
 			BufferTuples:     cfg.BufferTuples,
 			CheckpointEvery:  cfg.CheckpointEvery,
+			Unlogged:         r.unlogged,
 		})
 		r.producer.Bind(cfg.Ctx)
 	} else if cfg.Sink == nil {
@@ -623,6 +633,7 @@ func (r *FragmentRuntime) handle(from simnet.NodeID, msg *transport.Message) {
 	case transport.KindData, transport.KindEOS:
 		c := r.consumers[msg.Exchange]
 		if c == nil {
+			msg.ReleaseSlots()
 			r.fail(fmt.Errorf("engine: %s: data for unknown exchange %s", r.service, msg.Exchange))
 			return
 		}
@@ -641,27 +652,63 @@ func (r *FragmentRuntime) handle(from simnet.NodeID, msg *transport.Message) {
 }
 
 // handleControl executes adaptivity control operations and replies to the
-// requester.
+// requester. An unlogged instance refuses every operation that recalls,
+// evicts or replays: without a recovery log, carrying one out would lose
+// tuples or state.
 func (r *FragmentRuntime) handleControl(msg *transport.Message) {
 	ctrl := msg.Ctrl
 	reply := &transport.Ctrl{Op: ctrl.Op, RequestID: ctrl.RequestID, OK: true}
 	var err error
+	if r.unlogged && needsRecoveryLog(ctrl.Op) {
+		err = fmt.Errorf("%v on %s: %w", ctrl.Op, r.service, ErrUnlogged)
+	} else {
+		err = r.runControl(msg, reply)
+	}
+	if err != nil {
+		reply.OK, reply.Err = false, err.Error()
+	}
+	if ctrl.ReplyService == "" {
+		return
+	}
+	out := &transport.Message{Kind: transport.KindReply, Exchange: msg.Exchange, Ctrl: reply}
+	if _, err := r.cfg.Tr.Send(r.cfg.Node, ctrl.ReplyTo, ctrl.ReplyService, out); err != nil {
+		r.fail(qerr.Transport("control reply from "+r.service, err))
+	}
+}
+
+// ErrUnlogged is the reply error of a control operation that needs a
+// recovery log, sent to an instance of a session that keeps none.
+var ErrUnlogged = errors.New("engine: the instance keeps no recovery log")
+
+// needsRecoveryLog reports whether a control operation recalls, evicts or
+// replays tuples, which only a logged exchange can restore.
+func needsRecoveryLog(op transport.CtrlOp) bool {
+	switch op {
+	case transport.CtrlDiscard, transport.CtrlEvict, transport.CtrlReplay, transport.CtrlResend, transport.CtrlReplayLost:
+		return true
+	}
+	return false
+}
+
+// runControl executes one control operation, filling in reply.
+func (r *FragmentRuntime) runControl(msg *transport.Message, reply *transport.Ctrl) error {
+	ctrl := msg.Ctrl
 	switch ctrl.Op {
 	case transport.CtrlPause:
-		err = r.requireProducer(ctrl, (*Producer).Pause)
+		return r.requireProducer(ctrl, (*Producer).Pause)
 	case transport.CtrlResume:
-		err = r.requireProducer(ctrl, func(p *Producer) error { p.Resume(); return nil })
+		return r.requireProducer(ctrl, func(p *Producer) error { p.Resume(); return nil })
 	case transport.CtrlSetWeights:
-		err = r.requireProducer(ctrl, func(p *Producer) error { return p.SetWeights(ctrl.Weights) })
+		return r.requireProducer(ctrl, func(p *Producer) error { return p.SetWeights(ctrl.Weights) })
 	case transport.CtrlSetBucketMap:
-		err = r.requireProducer(ctrl, func(p *Producer) error { return p.SetOwnerMap(ctrl.BucketMap) })
+		return r.requireProducer(ctrl, func(p *Producer) error { return p.SetOwnerMap(ctrl.BucketMap) })
 	case transport.CtrlReplay:
-		err = r.requireProducer(ctrl, func(p *Producer) error {
+		return r.requireProducer(ctrl, func(p *Producer) error {
 			_, err := p.Replay(ctrl.Buckets)
 			return err
 		})
 	case transport.CtrlResend:
-		err = r.requireProducer(ctrl, func(p *Producer) error {
+		return r.requireProducer(ctrl, func(p *Producer) error {
 			_, err := p.Resend(msg.ConsumerIdx, ctrl.Seqs)
 			return err
 		})
@@ -674,7 +721,7 @@ func (r *FragmentRuntime) handleControl(msg *transport.Message) {
 		} else if r.producer != nil {
 			reply.Routed, reply.Est = r.producer.Progress()
 		} else {
-			err = errors.New("no producer on " + r.service)
+			return errors.New("no producer on " + r.service)
 		}
 	case transport.CtrlDiscard:
 		// An empty exchange filters EVERY input queue in one quiesce, so a
@@ -685,11 +732,11 @@ func (r *FragmentRuntime) handleControl(msg *transport.Message) {
 			for _, c := range r.consumers {
 				targets = append(targets, c)
 			}
-		} else if err = r.requireConsumer(msg.Exchange, func(c *Consumer) error {
+		} else if err := r.requireConsumer(msg.Exchange, func(c *Consumer) error {
 			targets = append(targets, c)
 			return nil
 		}); err != nil {
-			break
+			return err
 		}
 		// A discard can complete a pending checkpoint; a driver parked in a
 		// pop would never finish another batch to acknowledge it, so the
@@ -713,46 +760,37 @@ func (r *FragmentRuntime) handleControl(msg *transport.Message) {
 	case transport.CtrlEvict:
 		// The eviction queues at the gate with the replays; the driver
 		// applies it between batches (see flowGate).
-		if target := r.stateTarget; target == nil {
-			err = errors.New("no stateful operator on " + r.service)
-		} else {
-			buckets := ctrl.Buckets
-			r.gate.post(func() { target.EvictBuckets(buckets) })
+		target := r.stateTarget
+		if target == nil {
+			return errors.New("no stateful operator on " + r.service)
 		}
+		buckets := ctrl.Buckets
+		r.gate.post(func() { target.EvictBuckets(buckets) })
 	case transport.CtrlReplayLost:
-		err = r.requireProducer(ctrl, func(p *Producer) error {
+		return r.requireProducer(ctrl, func(p *Producer) error {
 			n, err := p.ReplayLost(ctrl.Peer)
 			reply.Routed = int64(n)
 			return err
 		})
 	case transport.CtrlDetachConsumer:
-		err = r.requireProducer(ctrl, func(p *Producer) error { return p.DetachConsumer(ctrl.Peer) })
+		return r.requireProducer(ctrl, func(p *Producer) error { return p.DetachConsumer(ctrl.Peer) })
 	case transport.CtrlDetach:
-		err = r.requireConsumer(msg.Exchange, func(c *Consumer) error { return c.DetachProducer(ctrl.Peer) })
+		return r.requireConsumer(msg.Exchange, func(c *Consumer) error { return c.DetachProducer(ctrl.Peer) })
 	case transport.CtrlAttach:
-		err = r.requireProducer(ctrl, func(p *Producer) error {
+		return r.requireProducer(ctrl, func(p *Producer) error {
 			return p.AddConsumer(Addr{Node: ctrl.PeerNode, Service: ctrl.PeerService}, ctrl.Weights)
 		})
 	case transport.CtrlExpectProducer:
-		err = r.requireConsumer(msg.Exchange, func(c *Consumer) error {
+		return r.requireConsumer(msg.Exchange, func(c *Consumer) error {
 			c.AddProducer(Addr{Node: ctrl.PeerNode, Service: ctrl.PeerService})
 			return nil
 		})
 	case transport.CtrlPing:
 		// Liveness probe: reaching this handler is the answer.
 	default:
-		err = fmt.Errorf("unknown control op %v", ctrl.Op)
+		return fmt.Errorf("unknown control op %v", ctrl.Op)
 	}
-	if err != nil {
-		reply.OK, reply.Err = false, err.Error()
-	}
-	if ctrl.ReplyService == "" {
-		return
-	}
-	out := &transport.Message{Kind: transport.KindReply, Exchange: msg.Exchange, Ctrl: reply}
-	if _, err := r.cfg.Tr.Send(r.cfg.Node, ctrl.ReplyTo, ctrl.ReplyService, out); err != nil {
-		r.fail(qerr.Transport("control reply from "+r.service, err))
-	}
+	return nil
 }
 
 func (r *FragmentRuntime) requireProducer(ctrl *transport.Ctrl, fn func(*Producer) error) error {

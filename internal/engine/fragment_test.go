@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -180,5 +181,49 @@ func TestRuntimeRunErrorPath(t *testing.T) {
 	}
 	if rt.Err() == nil {
 		t.Fatal("Err not recorded")
+	}
+}
+
+// TestUnloggedControl: an instance of a session that keeps no recovery log
+// answers every control operation that recalls, evicts or replays with a
+// failed reply naming ErrUnlogged, never a silent success; a logged
+// instance carries the same operations out. Data for an exchange the
+// instance does not consume is refused and its buffer released.
+func TestUnloggedControl(t *testing.T) {
+	ops := []transport.CtrlOp{transport.CtrlDiscard, transport.CtrlEvict, transport.CtrlReplay,
+		transport.CtrlResend, transport.CtrlReplayLost}
+	for _, unlogged := range []bool{false, true} {
+		net, ctx := newExchangeContext()
+		tr := transport.NewInProc(net)
+		one := func(id string, out *physical.ExchangeSpec) *physical.FragmentSpec {
+			return &physical.FragmentSpec{ID: id, Instances: []simnet.NodeID{"n"}, InitialWeights: []float64{1}, Output: out}
+		}
+		frag := one("S", &physical.ExchangeSpec{ID: "O", ConsumerFragment: "T", Policy: physical.PolicyHash, KeyOrds: []int{0}})
+		frag.Root = countSpec()
+		plan := &physical.Plan{Fragments: []*physical.FragmentSpec{
+			one("PA", &physical.ExchangeSpec{ID: "A", ConsumerFragment: "S", Policy: physical.PolicyHash, KeyOrds: []int{0}, Stateful: true}),
+			frag, one("T", nil)}}
+		var replies []*transport.Ctrl
+		tr.Register("n", "reply", func(_ simnet.NodeID, m *transport.Message) { replies = append(replies, m.Ctrl) })
+		rt, err := NewFragmentRuntime(RuntimeConfig{Plan: plan, Fragment: frag, Ctx: ctx, Tr: tr, Node: "n", Unlogged: unlogged})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, op := range ops {
+			rt.handleControl(&transport.Message{Kind: transport.KindControl, Exchange: "A", Ctrl: &transport.Ctrl{
+				Op: op, RequestID: uint64(i), ReplyTo: "n", ReplyService: "reply", Buckets: []int32{1}}})
+			r := replies[len(replies)-1]
+			if ok := r.OK != unlogged && (r.OK || strings.Contains(r.Err, ErrUnlogged.Error())); !ok {
+				t.Errorf("unlogged %t: %v replied OK=%t %q", unlogged, op, r.OK, r.Err)
+			}
+		}
+		var released atomic.Int64
+		b := sendBufPoolFor(1).get()
+		b.tuples = append(b.tuples, relation.Tuple{relation.Int(1)})
+		rt.handle("n", &transport.Message{Kind: transport.KindData, Exchange: "X", Tuples: b.tuples, Slots: countedSlots{b, &released}})
+		if rt.Err() == nil || released.Load() != 1 {
+			t.Errorf("data for an unknown exchange: err %v, %d releases", rt.Err(), released.Load())
+		}
+		rt.Stop()
 	}
 }

@@ -27,21 +27,25 @@ const DefaultCheckpointEvery = 50
 
 // producerShard is the per-consumer slice of the producer's mutable state:
 // the recovery log (which owns the stream's sequence counter, and whose
-// tail is the open buffer) and the checkpoint interval position. Concurrent
-// senders routing to different consumers touch disjoint shards and never
-// contend; everything that must observe a consistent cross-shard picture
-// (Pause, Replay, Resend, Close) goes through the flow barrier instead.
+// tail is the open buffer) and the checkpoint interval position. An
+// unlogged producer's shard logs nothing: its log only counts sequences,
+// and out is the open buffer. Concurrent senders routing to different
+// consumers touch disjoint shards and never contend; everything that must
+// observe a consistent cross-shard picture (Pause, Replay, Resend, Close)
+// goes through the flow barrier instead.
 type producerShard struct {
 	mu        sync.Mutex
 	log       recoveryLog
+	out       *sendBuf
 	sinceCkpt int
 	// dead marks the consumer instance as crash-stopped or detached:
 	// flushes drop the buffer (the log keeps the entries for failover
 	// replay), and checkpoints/EOS are not addressed to it.
 	dead bool
 	// msg is the data-message header flushes reuse. Both transports are
-	// done with a message once Send returns: the in-proc consumer copies
-	// the tuples out, and TCP encodes them into its own frame.
+	// done with the header once Send returns: the in-proc consumer keeps
+	// the tuple slice, never the message, and TCP encodes the tuples into
+	// its own frame.
 	msg transport.Message
 }
 
@@ -148,9 +152,11 @@ var routeScratchPool = sync.Pool{New: func() any { return new(routeScratch) }}
 // policy, batches them into buffers, inserts checkpoints, and keeps every
 // unacknowledged buffer in a per-consumer recovery log: the in-transit
 // tuples plus those making up downstream operator state, the substrate of
-// retrospective adaptation (paper §3.1, Response). State is sharded per
-// consumer, so concurrent morsel workers serialize only when routing to the
-// same consumer; the control plane takes the flow barrier.
+// retrospective adaptation (paper §3.1, Response). An unlogged producer,
+// whose session nothing can replay, sends each buffer and forgets it: no
+// log, no checkpoints, EOS at Close. State is sharded per consumer, so
+// concurrent morsel workers serialize only when routing to the same
+// consumer; the control plane takes the flow barrier.
 type Producer struct {
 	Exchange string
 	// Fragment and Instance identify the producing subplan clone.
@@ -185,6 +191,11 @@ type Producer struct {
 	holdback   bool
 	onPeerDown func(simnet.NodeID)
 
+	// unlogged sends each buffer in a pooled sendBuf drawn from bufs,
+	// which the consumer releases once it has popped it.
+	unlogged bool
+	bufs     *sendBufPool
+
 	barrier flowBarrier
 	shards  []*producerShard
 
@@ -215,6 +226,10 @@ type ProducerConfig struct {
 	Node             simnet.NodeID
 	BufferTuples     int
 	CheckpointEvery  int
+	// Unlogged drops the recovery log: nothing in the session can replay
+	// the exchange, so it keeps no log and sends no checkpoints. The zero
+	// value keeps the logged protocol.
+	Unlogged bool
 }
 
 // NewProducer builds a producer.
@@ -233,6 +248,7 @@ func NewProducer(cfg ProducerConfig) *Producer {
 		node:             cfg.Node,
 		bufferTuples:     cfg.BufferTuples,
 		checkpointEvery:  cfg.CheckpointEvery,
+		unlogged:         cfg.Unlogged,
 		shards:           make([]*producerShard, n),
 		obsRouted:        obs.Default().Counter(obs.Label(obs.MExchangeTuplesRouted, "exchange", cfg.Exchange)),
 		obsBuffers:       obs.Default().Counter(obs.Label(obs.MExchangeBuffersSent, "exchange", cfg.Exchange)),
@@ -242,6 +258,9 @@ func NewProducer(cfg ProducerConfig) *Producer {
 	}
 	if p.checkpointEvery <= 0 {
 		p.checkpointEvery = DefaultCheckpointEvery
+	}
+	if p.unlogged {
+		p.bufs = sendBufPoolFor(p.bufferTuples)
 	}
 	for i := range p.shards {
 		p.shards[i] = &producerShard{log: newRecoveryLog(p.Stateful)}
@@ -279,7 +298,7 @@ func (p *Producer) SendBatch(ts []relation.Tuple, m *vtime.Meter) error {
 		return err
 	}
 	defer p.barrier.exit()
-	if p.ctx != nil && p.ctx.Costs.LogAppendMs > 0 && m != nil {
+	if !p.unlogged && p.ctx != nil && p.ctx.Costs.LogAppendMs > 0 && m != nil {
 		m.Charge(p.ctx.Costs.LogAppendMs * float64(len(ts)))
 	}
 	sc := routeScratchPool.Get().(*routeScratch)
@@ -308,8 +327,7 @@ outer:
 				s.mu.Lock()
 				locked = true
 			}
-			s.log.append(ts[i], buckets[i])
-			if s.log.openBuf().n >= int32(p.bufferTuples) && !p.holdback {
+			if p.appendLocked(s, ts[i], buckets[i]) >= p.bufferTuples && !p.holdback {
 				if err = p.flushShardLocked(c, s, false); err != nil {
 					s.mu.Unlock()
 					break outer
@@ -329,39 +347,58 @@ outer:
 	return nil
 }
 
-// flushShardLocked closes the shard's open buffer and transmits it straight
-// from the recovery log, inserting a checkpoint when the interval is due,
-// and emits the M2 monitoring event. Caller holds s.mu.
-func (p *Producer) flushShardLocked(consumer int, s *producerShard, replay bool) error {
-	b := s.log.openBuf()
-	if b == nil {
-		return nil
+// appendLocked adds t to the shard's open buffer, opening one if none is,
+// under the stream's next sequence, and returns the buffer's fill. Caller
+// holds s.mu.
+func (p *Producer) appendLocked(s *producerShard, t relation.Tuple, bucket int32) int {
+	if !p.unlogged {
+		s.log.append(t, bucket)
+		return int(s.log.openBuf().n)
 	}
-	s.log.open = false
-	if s.dead {
-		// The consumer instance is gone: the buffer is not sent (its tuples
-		// stay in the recovery log for failover replay) and the driver
-		// keeps going.
+	if s.out == nil {
+		s.out = p.bufs.get()
+		s.out.first = s.log.seq
+	}
+	s.out.tuples = append(s.out.tuples, t)
+	s.log.seq++
+	return len(s.out.tuples)
+}
+
+// flushShardLocked closes the shard's open buffer and transmits it, straight
+// from the recovery log with a checkpoint when the interval is due, or
+// unlogged as the pooled buffer itself, and emits the M2 monitoring event.
+// Caller holds s.mu.
+func (p *Producer) flushShardLocked(consumer int, s *producerShard, replay bool) error {
+	if s.out == nil && !s.log.open {
 		return nil
 	}
 	msg := &s.msg
-	*msg = transport.Message{
-		Kind:        transport.KindData,
-		Exchange:    p.Exchange,
-		ProducerIdx: p.Instance,
-		ConsumerIdx: consumer,
-		Epoch:       int(p.epoch.Load()),
-		StartSeq:    b.first,
-		Replay:      replay,
-		Tuples:      b.tuples(),
+	*msg = transport.Message{Kind: transport.KindData, Exchange: p.Exchange, ProducerIdx: p.Instance,
+		ConsumerIdx: consumer, Epoch: int(p.epoch.Load())}
+	if p.unlogged {
+		msg.StartSeq, msg.Tuples, msg.Slots = s.out.first, s.out.tuples, s.out
+		s.out = nil
+	} else {
+		b := s.log.openBuf()
+		s.log.open = false
+		msg.StartSeq, msg.Replay, msg.Tuples = b.first, replay, b.tuples()
+		if slices.ContainsFunc(b.buckets(), func(k int32) bool { return k >= 0 }) {
+			msg.Buckets = b.buckets()
+		}
 	}
-	if slices.ContainsFunc(b.buckets(), func(k int32) bool { return k >= 0 }) {
-		msg.Buckets = b.buckets()
+	if s.dead {
+		// The consumer instance is gone: the buffer is not sent (a logged
+		// one's tuples stay in the recovery log for failover replay) and
+		// the driver keeps going.
+		msg.ReleaseSlots()
+		*msg = transport.Message{}
+		return nil
 	}
-	if !replay {
-		s.sinceCkpt += int(b.n)
+	n := len(msg.Tuples)
+	if !replay && !p.unlogged {
+		s.sinceCkpt += n
 		if s.sinceCkpt >= p.checkpointEvery {
-			msg.Checkpoint = b.first + int64(b.n) - 1
+			msg.Checkpoint = msg.StartSeq + int64(n) - 1
 			s.sinceCkpt = 0
 		}
 	}
@@ -386,7 +423,7 @@ func (p *Producer) flushShardLocked(consumer int, s *producerShard, replay bool)
 			ConsumerInstance: consumer,
 			ConsumerNode:     addr.Node,
 			SendCostMs:       cost,
-			TupleCount:       int(b.n),
+			TupleCount:       n,
 		})
 	}
 	return nil
@@ -428,10 +465,11 @@ func (p *Producer) Close() error {
 }
 
 // finalizeCheckpointsLocked closes the open checkpoint interval of every
-// stream once the driver is done: without it the tail tuples would never be
-// acknowledged and the recovery log would never drain. Caller holds finMu.
+// logged stream once the driver is done: without it the tail tuples would
+// never be acknowledged and the recovery log would never drain. Caller
+// holds finMu.
 func (p *Producer) finalizeCheckpointsLocked() error {
-	if !p.driverEOS || p.Stateful {
+	if !p.driverEOS || p.Stateful || p.unlogged {
 		return nil
 	}
 	for c, s := range p.shards {
@@ -697,9 +735,8 @@ func (p *Producer) reroute(n int, next func(i int) (relation.Tuple, int32, error
 		}
 		dst := p.shards[target]
 		dst.mu.Lock()
-		dst.log.append(t, bucket)
 		moved++
-		if dst.log.openBuf().n >= int32(p.bufferTuples) {
+		if p.appendLocked(dst, t, bucket) >= p.bufferTuples {
 			err = p.flushShardLocked(target, dst, replay)
 		}
 		dst.mu.Unlock()

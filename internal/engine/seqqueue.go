@@ -3,6 +3,7 @@ package engine
 import (
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/relation"
@@ -83,9 +84,10 @@ type slotStore struct {
 }
 
 // slotPoison holds nil in production. A test that stores a tuple in it
-// makes drop fill released slots with that tuple instead of clearing them,
-// so a reader that outlives a slot's lifetime sees the poison. It is atomic
-// because acknowledgement goroutines of earlier tests may still release.
+// makes drop, and a send buffer's release, fill released slots with that
+// tuple instead of clearing them, so a reader that outlives a slot's
+// lifetime sees the poison. It is atomic because acknowledgement
+// goroutines of earlier tests may still release.
 var slotPoison atomic.Pointer[relation.Tuple]
 
 // reserve returns n contiguous free slots.
@@ -140,6 +142,71 @@ func releaseSlots(ts []relation.Tuple) {
 	for i := range ts {
 		ts[i] = *p
 	}
+}
+
+// sendBuf is an unlogged stream's buffer: slots for one buffer's tuples,
+// filled by the producer, handed over with the data message as its Slots,
+// and released by whoever reads them last (see transport.Message.Slots).
+type sendBuf struct {
+	tuples []relation.Tuple
+	first  int64 // sequence of tuples[0]
+	pool   *sendBufPool
+	inPool bool
+}
+
+// Release implements transport.Releaser: it clears the slots, or poisons
+// them under a test, and returns the buffer to its pool. A second release
+// is a bug in the handover and panics.
+func (b *sendBuf) Release() {
+	if b.inPool {
+		panic("engine: send buffer released twice")
+	}
+	b.inPool = true
+	releaseSlots(b.tuples)
+	b.tuples = b.tuples[:0]
+	b.pool.p.Put(b)
+}
+
+// sendBufSlab is how many buffers a pool miss allocates at once: sync.Pool
+// empties at every garbage collection, so refilling it one buffer per miss
+// would cost an allocation per buffer.
+const sendBufSlab = 32
+
+// sendBufPool recycles the send buffers of one size, process-wide.
+type sendBufPool struct {
+	size int
+	p    sync.Pool
+}
+
+// sendBufPools maps a buffer size to its *sendBufPool.
+var sendBufPools sync.Map
+
+// sendBufPoolFor returns the pool of size-slot send buffers.
+func sendBufPoolFor(size int) *sendBufPool {
+	if p, ok := sendBufPools.Load(size); ok {
+		return p.(*sendBufPool)
+	}
+	p, _ := sendBufPools.LoadOrStore(size, &sendBufPool{size: size})
+	return p.(*sendBufPool)
+}
+
+// get returns an empty buffer holding up to size tuples; a miss carves a
+// fresh slab and pools all but the first of its buffers.
+func (p *sendBufPool) get() *sendBuf {
+	if b, _ := p.p.Get().(*sendBuf); b != nil {
+		b.inPool = false
+		return b
+	}
+	bufs := make([]sendBuf, sendBufSlab)
+	slots := make([]relation.Tuple, sendBufSlab*p.size)
+	for i := range bufs {
+		lo := i * p.size
+		bufs[i] = sendBuf{tuples: slots[lo : lo : lo+p.size], pool: p, inPool: i > 0}
+		if i > 0 {
+			p.p.Put(&bufs[i])
+		}
+	}
+	return &bufs[0]
 }
 
 // deadSet marks which of a buffer's n tuples are gone: released by an ack

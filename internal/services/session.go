@@ -234,6 +234,11 @@ func (s *QuerySession) newInstanceRuntime(frag *physical.FragmentSpec, idx int, 
 		Node:            node,
 		BufferTuples:    h.grid.BufferTuples,
 		CheckpointEvery: h.grid.CheckpointEvery,
+		// Only a session's Responder, or its failover (which requires
+		// Adaptive), reads the recovery logs; without them nothing can
+		// replay an exchange. An evaluator takes Adaptive from the
+		// manifest, so every instance of a query decides alike.
+		Unlogged: !h.cfg.Adaptive,
 	}
 	if s.elastic {
 		// Recovery replays from the producer-side logs, so every

@@ -2,7 +2,9 @@ package services
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"repro/internal/relation"
 	"repro/internal/simnet"
 	"repro/internal/testenv"
+	"repro/internal/transport"
 	"repro/internal/vtime"
 	"repro/internal/ws"
 )
@@ -285,5 +288,111 @@ func TestParallelBudgetedAdaptiveRetrospective(t *testing.T) {
 	}
 	if n := o.Gauge(obs.MMemInflight).Value(); n != 0 {
 		t.Fatalf("mem_inflight_bytes = %d after parallel adaptive query, want 0", n)
+	}
+}
+
+// trafficCounter wraps a session's transport and counts what it sends: data
+// buffers, checkpoints (a data message closing an interval), acks, and EOS
+// per stream.
+type trafficCounter struct {
+	transport.Transport
+	mu                sync.Mutex
+	data, ckpts, acks int
+	eos               map[string]int
+}
+
+func (c *trafficCounter) Send(from, to simnet.NodeID, service string, msg *transport.Message) (float64, error) {
+	c.mu.Lock()
+	switch msg.Kind {
+	case transport.KindData:
+		if len(msg.Tuples) > 0 {
+			c.data++
+		}
+		if msg.Checkpoint > 0 {
+			c.ckpts++
+		}
+	case transport.KindAck:
+		c.acks++
+	case transport.KindEOS:
+		c.eos[fmt.Sprintf("%s/%d->%d", msg.Exchange, msg.ProducerIdx, msg.ConsumerIdx)]++
+	}
+	c.mu.Unlock()
+	return c.Transport.Send(from, to, service, msg)
+}
+
+// countTraffic routes g's sessions through a fresh trafficCounter.
+func countTraffic(g *GDQS) *trafficCounter {
+	c := &trafficCounter{Transport: g.tr, eos: map[string]int{}}
+	g.tr = c
+	return c
+}
+
+// TestUnloggedSessionTraffic: a session without adaptivity keeps no recovery
+// log, so the join+aggregate query sends its data buffers and one EOS per
+// stream and nothing else: no checkpoint, no ack. Its rows match the
+// adaptive (logged) run at every width, budget and spill backend, and the
+// adaptive run still checkpoints and acknowledges.
+func TestUnloggedSessionTraffic(t *testing.T) {
+	const seqs, ints = 300, 900
+	cluster, _ := spillGrid(t, seqs, ints, 0, "")
+	cfg := DefaultGDQSConfig()
+	cfg.QueryTimeout = 60 * time.Second
+	adaptive, err := NewGDQS(cluster, "coord", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := countTraffic(adaptive)
+	want, err := adaptive.Execute(context.Background(), qJoinAgg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Rows) == 0 || logged.ckpts == 0 || logged.acks == 0 {
+		t.Fatalf("adaptive run: %d rows, %d checkpoints, %d acks", len(want.Rows), logged.ckpts, logged.acks)
+	}
+	for _, width := range []int{1, 4} {
+		for _, budget := range []int64{0, 64 << 10} {
+			for _, backend := range []string{"memory", "posix"} {
+				t.Run(fmt.Sprintf("w%d/budget%d/%s", width, budget, backend), func(t *testing.T) {
+					cfg := DefaultGDQSConfig()
+					cfg.Adaptive = false
+					cfg.QueryTimeout = 60 * time.Second
+					cfg.MemoryBudgetBytes = budget
+					cfg.Parallelism = width
+					if backend == "posix" {
+						cfg.SpillDir = t.TempDir()
+					}
+					testenv.Force(t, &cfg.MemoryBudgetBytes, &cfg.Parallelism)
+					g, err := NewGDQS(cluster, "coord", cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c := countTraffic(g)
+					got, err := g.Execute(context.Background(), qJoinAgg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if strings.Join(sortedRows(got), "\n") != strings.Join(sortedRows(want), "\n") {
+						t.Fatal("rows differ from the adaptive run")
+					}
+					if c.ckpts != 0 || c.acks != 0 || c.data == 0 {
+						t.Fatalf("%d data buffers, %d checkpoints, %d acks", c.data, c.ckpts, c.acks)
+					}
+					streams := 0
+					for _, f := range got.Stats.Plan.Fragments {
+						if f.Output != nil {
+							streams += len(f.Instances) * len(got.Stats.Plan.Fragment(f.Output.ConsumerFragment).Instances)
+						}
+					}
+					for s, n := range c.eos {
+						if n != 1 {
+							t.Errorf("stream %s got %d EOS", s, n)
+						}
+					}
+					if len(c.eos) != streams {
+						t.Fatalf("EOS on %d streams, the plan has %d", len(c.eos), streams)
+					}
+				})
+			}
+		}
 	}
 }

@@ -50,18 +50,22 @@ func (t *InProc) Unregister(node simnet.NodeID, service string) {
 }
 
 // Send implements Transport. The link cost is paid before the handler runs,
-// so delivery order per (from,to) pair follows real time.
+// so delivery order per (from,to) pair follows real time. The handler takes
+// over msg's tuple buffer; a send that fails releases it.
 func (t *InProc) Send(from, to simnet.NodeID, service string, msg *Message) (float64, error) {
 	if n := t.net.Node(from); n != nil && !n.Alive() {
+		msg.ReleaseSlots()
 		return 0, &NodeDownError{Node: from}
 	}
 	if n := t.net.Node(to); n != nil && !n.Alive() {
+		msg.ReleaseSlots()
 		return 0, &NodeDownError{Node: to}
 	}
 	t.mu.RLock()
 	h, ok := t.endpoints[endpointKey{to, service}]
 	t.mu.RUnlock()
 	if !ok {
+		msg.ReleaseSlots()
 		return 0, fmt.Errorf("transport: no endpoint %q on node %q", service, to)
 	}
 	cost := t.net.Link(from, to).Transmit(t.net.Clock(), msg.WireSize())

@@ -152,3 +152,66 @@ func TestKindAndOpStrings(t *testing.T) {
 		}
 	}
 }
+
+// releaseCounter counts the releases of a message's slots.
+type releaseCounter int
+
+func (r *releaseCounter) Release() { *r++ }
+
+// TestSendReleasesSlots: a send that delivers in process hands the tuple
+// buffer to the handler; a send that fails before delivery releases it, and
+// a remote TCP send releases it once the frame holds the encoded tuples.
+func TestSendReleasesSlots(t *testing.T) {
+	var n releaseCounter
+	data := func() *Message {
+		return &Message{Kind: KindData, Tuples: []relation.Tuple{{relation.Int(1)}}, Slots: &n}
+	}
+	expect := func(want releaseCounter, what string) {
+		t.Helper()
+		if n != want {
+			t.Fatalf("%s: %d releases, want %d", what, n, want)
+		}
+	}
+	network := newTestNet()
+	ip := NewInProc(network)
+	var kept *Message
+	ip.Register("b", "s", func(_ simnet.NodeID, m *Message) { kept = m })
+	if _, err := ip.Send("a", "b", "s", data()); err != nil {
+		t.Fatal(err)
+	}
+	expect(0, "in-proc delivery")
+	kept.ReleaseSlots()
+	kept.ReleaseSlots()
+	expect(1, "the handler releasing twice through the message")
+	if _, err := ip.Send("a", "b", "nope", data()); err == nil {
+		t.Fatal("send to an unknown endpoint accepted")
+	}
+	expect(2, "an unknown in-proc endpoint")
+	network.Node("b").Fail()
+	if _, err := ip.Send("a", "b", "s", data()); err == nil {
+		t.Fatal("send to a dead node accepted")
+	}
+	network.Node("a").Fail()
+	if _, err := ip.Send("a", "b", "s", data()); err == nil {
+		t.Fatal("send from a dead node accepted")
+	}
+	expect(4, "dead in-proc nodes")
+
+	a, b := tcpPair(t)
+	got := make(chan *Message, 1)
+	b.Register("nodeB", "s", func(_ simnet.NodeID, m *Message) { got <- m })
+	if _, err := a.Send("nodeA", "nodeB", "s", data()); err != nil {
+		t.Fatal(err)
+	}
+	expect(5, "a remote TCP send")
+	if m := <-got; m.Slots != nil || len(m.Tuples) != 1 {
+		t.Fatalf("decoded %+v", m)
+	}
+	if _, err := a.Send("nodeA", "nodeC", "s", data()); err == nil {
+		t.Fatal("send to an unknown peer accepted")
+	}
+	if _, err := a.Send("nodeA", "nodeA", "missing", data()); err == nil {
+		t.Fatal("send to a missing local service accepted")
+	}
+	expect(7, "failed TCP sends")
+}

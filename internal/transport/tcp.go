@@ -105,13 +105,16 @@ func (t *TCP) Unregister(node simnet.NodeID, service string) {
 	t.mu.Unlock()
 }
 
-// Send implements Transport. Local sends dispatch directly.
+// Send implements Transport. Local sends dispatch directly, and the handler
+// takes over msg's tuple buffer; a remote send releases it once the frame
+// holds the encoded tuples, and any failed send releases it.
 func (t *TCP) Send(from, to simnet.NodeID, service string, msg *Message) (float64, error) {
 	if to == t.local {
 		t.mu.Lock()
 		h := t.endpoints[service]
 		t.mu.Unlock()
 		if h == nil {
+			msg.ReleaseSlots()
 			return 0, fmt.Errorf("transport: no local endpoint %q", service)
 		}
 		t.obsLocal.Inc()
@@ -120,6 +123,7 @@ func (t *TCP) Send(from, to simnet.NodeID, service string, msg *Message) (float6
 	}
 	conn, err := t.connTo(to)
 	if err != nil {
+		msg.ReleaseSlots()
 		return 0, err
 	}
 	// Encode the length prefix, routing header and message into one pooled
@@ -131,6 +135,7 @@ func (t *TCP) Send(from, to simnet.NodeID, service string, msg *Message) (float6
 	frame = appendString(frame, service)
 	frame = appendString(frame, string(from))
 	frame = AppendMessage(frame, msg)
+	msg.ReleaseSlots()
 	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
 
 	conn.mu.Lock()

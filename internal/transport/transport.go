@@ -92,9 +92,10 @@ type Message struct {
 	// flow. Checkpoint, when >= 0, closes the checkpoint interval ending at
 	// that sequence.
 	//
-	// The receiver keeps Tuples and Buckets without a copy: in process they
-	// are the producer's recovery-log slots. The lifetime rule that makes
-	// this safe:
+	// The receiver keeps Tuples and Buckets without a copy. Over TCP they
+	// are decoded afresh for every message. In process, a logged stream's
+	// are the producer's recovery-log slots, and this lifetime rule makes
+	// that safe:
 	//   - a sent buffer's slots are immutable;
 	//   - a producer's slot store rewinds or recycles a chunk only after
 	//     every buffer in it was released: acknowledged at or below a
@@ -104,12 +105,19 @@ type Message struct {
 	//     below it was popped or discarded.
 	//
 	// So a consumer that reads only live, unpopped slots never reads a
-	// recycled one. Over TCP they are decoded afresh for every message.
+	// recycled one. An unlogged stream's Tuples live in a pooled buffer
+	// that Slots hands back (see ReleaseSlots).
 	StartSeq   int64
 	Tuples     []relation.Tuple
 	Buckets    []int32
 	Replay     bool
 	Checkpoint int64
+	// Slots, when set, owns the buffer Tuples lives in. Whoever reads the
+	// tuples last calls ReleaseSlots exactly once: the receiver once it has
+	// read or dropped every tuple, or the transport when it encoded the
+	// message or failed before delivering it. Nobody reads Tuples after
+	// that. Slots never travels on the wire.
+	Slots Releaser
 
 	// KindAck: Checkpoint is the acknowledged checkpoint sequence; Except
 	// lists sequences at or below it that were discarded by a recall and
@@ -124,6 +132,20 @@ type Message struct {
 	Query string
 	// KindMonitor: the forwarded raw event.
 	Mon *Monitor
+}
+
+// Releaser takes back the buffer a data message's tuples live in.
+type Releaser interface {
+	Release()
+}
+
+// ReleaseSlots hands the message's tuple buffer back to its owner, if it
+// has one, and forgets it, so a second call does nothing.
+func (m *Message) ReleaseSlots() {
+	if r := m.Slots; r != nil {
+		m.Slots = nil
+		r.Release()
+	}
 }
 
 // Monitor is a raw self-monitoring event in transport form (M1 when IsM2 is
