@@ -19,7 +19,7 @@ import (
 // docFiles are the documents whose code references checkDocRefs verifies,
 // relative to the module root. bench/README.md is left out: bench/ is a
 // module of its own.
-var docFiles = []string{"DESIGN.md", "docs/OPERATIONS.md", "README.md"}
+var docFiles = []string{"DESIGN.md", "docs/OPERATIONS.md", "README.md", "EXPERIMENTS.md"}
 
 var (
 	fence = regexp.MustCompile("(?s)```.*?```")

@@ -668,25 +668,39 @@ func (p *Producer) Replay(buckets []int32) (int, error) {
 	// entries appended to the new owner's log during migration must not be
 	// replayed a second time when the iteration reaches that log, or the
 	// rebuilt state would contain duplicates.
-	type movedEntry struct {
-		consumer int
-		seq      int64
-	}
-	var pending []movedEntry
+	var pending []logEntry
 	for consumer, s := range p.shards {
 		s.mu.Lock()
 		s.log.each(func(seq int64, _ relation.Tuple, bucket int32) {
 			if set[bucket] {
-				pending = append(pending, movedEntry{consumer: consumer, seq: seq})
+				pending = append(pending, logEntry{consumer: consumer, seq: seq})
 			}
 		})
 		s.mu.Unlock()
 	}
+	return p.replayEntries(pending)
+}
+
+// logEntry names one logged tuple: its consumer stream and sequence.
+type logEntry struct {
+	consumer int
+	seq      int64
+}
+
+// replayEntries moves the snapshotted entries in order as replay. An entry
+// no longer logged fails the call before anything more is routed, as in
+// Resend: routing a missing tuple would hand the new owner a nil tuple.
+// Call with the barrier held exclusively.
+func (p *Producer) replayEntries(pending []logEntry) (int, error) {
 	return p.reroute(len(pending), func(i int) (relation.Tuple, int32, error) {
-		src := p.shards[pending[i].consumer]
+		e := pending[i]
+		src := p.shards[e.consumer]
 		src.mu.Lock()
-		t, bucket, _ := src.log.take(pending[i].seq)
+		t, bucket, ok := src.log.take(e.seq)
 		src.mu.Unlock()
+		if !ok {
+			return nil, 0, fmt.Errorf("engine: replay of unknown seq %d on %s/consumer %d", e.seq, p.Exchange, e.consumer)
+		}
 		return t, bucket, nil
 	}, true, -1)
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -259,6 +260,39 @@ func TestProducerReplayRoutesByNewMap(t *testing.T) {
 	// Log entries migrated to consumer 1's stream.
 	if _, _, logSize := h.prod.Stats(); logSize != 12 {
 		t.Fatalf("log = %d after replay (stateful retains)", logSize)
+	}
+}
+
+// TestProducerReplayUnknownSeq: a replay entry whose tuple is no longer in
+// the log fails the call with an error naming the exchange and sequence,
+// before anything is routed, instead of handing its new owner a nil tuple.
+func TestProducerReplayUnknownSeq(t *testing.T) {
+	pol, err := NewHashPolicy([]int{0}, 16, []float64{1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newProducerHarness(t, 2, true, pol)
+	for i := 0; i < 6; i++ {
+		_ = h.prod.SendBatch([]relation.Tuple{intTuple(i)}, h.ctx.Meter)
+	}
+	_ = h.prod.Close()
+	before := [2]int{len(h.messages(0)), len(h.messages(1))}
+	routed, buffers, logSize := h.prod.Stats()
+
+	h.prod.barrier.lockExclusive()
+	n, err := h.prod.replayEntries([]logEntry{{consumer: 0, seq: 99}, {consumer: 0, seq: 1}})
+	h.prod.barrier.unlockExclusive()
+	if err == nil || !strings.Contains(err.Error(), "EX") || !strings.Contains(err.Error(), "seq 99") {
+		t.Fatalf("replay of a missing entry: err = %v, want one naming exchange EX and seq 99", err)
+	}
+	if n != 0 {
+		t.Fatalf("replay routed %d tuples before failing, want 0", n)
+	}
+	if after := [2]int{len(h.messages(0)), len(h.messages(1))}; after != before {
+		t.Fatalf("consumers received %v messages after the failed replay, want %v", after, before)
+	}
+	if r, b, l := h.prod.Stats(); r != routed || b != buffers || l != logSize {
+		t.Fatalf("stats moved from %d/%d/%d to %d/%d/%d", routed, buffers, logSize, r, b, l)
 	}
 }
 

@@ -49,9 +49,11 @@ BENCHMARK.json), which drives six oracle-checked workloads through the
 production entry points. The pool's width is priced through the production
 driver by ` + "`go test ./internal/engine -run '^$' -bench FragmentParallel`" + `
 (widths 1, 2 and 4; reported, never gated).
-Every adaptivity result below is invariant to the worker count: exchange
-routing shards its position counters atomically, so routed-tuple counts
-and the R1/R2 replay logs stay exact under any parallelism.
+Every adaptivity result below is invariant to the worker count: a
+fragment's workers share its exchange producer, which routes each batch
+under one policy lock and counts routed tuples atomically, so routed-tuple
+counts stay exact under any parallelism, and so do the recovery logs that
+adaptive runs keep for R1 replay. A run without adaptivity keeps no log.
 
 `)
 	for _, e := range experiments {

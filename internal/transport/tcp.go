@@ -241,15 +241,14 @@ func (t *TCP) readLoop(conn net.Conn) {
 	// silently (the RST arrives later), so waiting for a write error loses
 	// messages. Evicting here makes the next Send re-dial the peer.
 	defer t.evictConn(conn)
-	r := bufio.NewReader(conn)
+	t.receive(bufio.NewReader(conn), newReceiver())
+}
+
+// receive reads, decodes and dispatches one connection's frames until a read
+// fails or a frame's length or routing header is malformed. A corrupt message
+// is counted and dropped, and the connection stays up.
+func (t *TCP) receive(r io.Reader, rx *receiver) {
 	var lenBuf [4]byte
-	// One growable frame buffer per connection: unmarshalling copies every
-	// string out of the frame — a data message's tuple strings as one copy
-	// they share — so the buffer can be reused for the next message. The arena
-	// batches the tuples' Value allocations; decoded tuples safely outlive
-	// both.
-	var frame []byte
-	var arena relation.Arena
 	for {
 		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 			return
@@ -258,41 +257,125 @@ func (t *TCP) readLoop(conn net.Conn) {
 		if n == 0 || n > maxFrame {
 			return
 		}
-		if uint32(cap(frame)) < n {
-			frame = make([]byte, n)
-		}
-		frame = frame[:n]
+		frame := rx.frame(int(n))
 		if _, err := io.ReadFull(r, frame); err != nil {
 			return
 		}
-		service, rest, err := readString(frame)
-		if err != nil {
+		base := frameString(frame)
+		d := decoder{b: frame, base: base, rx: rx}
+		service := d.bytes()
+		from := d.name()
+		if d.err != nil {
 			return
 		}
-		fromStr, rest, err := readString(rest)
-		if err != nil {
-			return
-		}
-		msg, err := UnmarshalMessageArena(&arena, rest)
+		msg, err := decodeMessage(rx, &rx.arena, base, d.b)
 		if err != nil {
 			t.obsCorrupt.Inc()
-			continue // drop corrupt message, keep the connection
+			continue
 		}
 		t.mu.Lock()
-		h := t.endpoints[service]
+		h := t.endpoints[string(service)]
 		t.mu.Unlock()
 		if h != nil {
-			h(simnet.NodeID(fromStr), msg)
+			h(simnet.NodeID(from), msg)
 		}
 	}
 }
 
-func readString(b []byte) (string, []byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > uint64(len(b[sz:])) {
-		return "", nil, fmt.Errorf("%w: bad string", ErrWire)
+// Receive-side chunk sizes and the intern bound, per connection.
+const (
+	// slabChunk is the size of a receive-slab chunk; a larger frame gets an
+	// exact allocation of its own.
+	slabChunk = 64 << 10
+	// msgChunk is the Messages per chunk.
+	msgChunk = 64
+	// hdrChunk is the tuple headers per chunk: 24 KiB, under the runtime's
+	// 32 KiB small-object threshold. A message announcing more tuples gets
+	// a header slice of its own.
+	hdrChunk = 1024
+	// maxNames bounds a connection's intern table. Names are tagged with
+	// their query, so a long-lived connection meets new ones with every
+	// query: a full table is cleared rather than frozen, which keeps the
+	// names of the queries running now interned while a peer still cannot
+	// grow the table.
+	maxNames = 64
+	// maxNameLen is the longest name interned; a longer one is copied.
+	maxNameLen = 256
+)
+
+// receiver is one TCP connection's decode state. It makes receiving
+// allocate per connection rather than per message:
+//   - each frame is read into the unused tail of a slab chunk, and bytes a
+//     frame was read into are never written again, so decoded tuple strings
+//     alias the frame instead of copying it (a corrupt frame's region is
+//     abandoned, not rewound). A retained string keeps its whole chunk
+//     alive, as a stored-scan block does;
+//   - Messages and tuple-header slices are carved from chunks, and tuple
+//     Values from the arena, none of which is ever reused;
+//   - exchange, sender and other names are interned in a bounded table.
+type receiver struct {
+	arena relation.Arena
+	slab  []byte
+	msgs  []Message
+	hdrs  []relation.Tuple
+	names map[string]string
+}
+
+func newReceiver() *receiver {
+	return &receiver{names: make(map[string]string, maxNames)}
+}
+
+// frame returns n bytes to read the next frame into.
+func (rx *receiver) frame(n int) []byte {
+	if n > slabChunk {
+		return make([]byte, n)
 	}
-	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
+	if len(rx.slab) < n {
+		rx.slab = make([]byte, slabChunk)
+	}
+	f := rx.slab[:n:n]
+	rx.slab = rx.slab[n:]
+	return f
+}
+
+// message returns a zero Message.
+func (rx *receiver) message() *Message {
+	if len(rx.msgs) == 0 {
+		rx.msgs = make([]Message, msgChunk)
+	}
+	m := &rx.msgs[0]
+	rx.msgs = rx.msgs[1:]
+	return m
+}
+
+// headers returns an empty tuple slice of capacity c; appending past c
+// reallocates instead of overwriting the next carving.
+func (rx *receiver) headers(c int) []relation.Tuple {
+	if c > hdrChunk {
+		return make([]relation.Tuple, 0, c)
+	}
+	if len(rx.hdrs) < c {
+		rx.hdrs = make([]relation.Tuple, hdrChunk)
+	}
+	h := rx.hdrs[:0:c]
+	rx.hdrs = rx.hdrs[c:]
+	return h
+}
+
+// intern returns b as a string, allocating only for a name not seen since
+// the table was last cleared.
+func (rx *receiver) intern(b []byte) string {
+	if s, ok := rx.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(s) <= maxNameLen {
+		if len(rx.names) >= maxNames {
+			clear(rx.names)
+		}
+		rx.names[s] = s
+	}
+	return s
 }
 
 // Close stops the listener and closes every connection.

@@ -163,10 +163,10 @@ func TestTCPManyMessagesOrdered(t *testing.T) {
 	}
 }
 
-// TestTCPTuplesSurviveFrameReuse: the read loop decodes every message of a
-// connection out of one reused frame buffer. Tuples kept from the first
-// message must still read as sent after later frames of the same size — same
-// string lengths, different bytes — have overwritten that buffer.
+// TestTCPTuplesSurviveFrameReuse: the read loop reads every frame of a
+// connection into its receive slab and decodes it in place. Tuples kept from
+// the first message must still read as sent after later frames of the same
+// size — same string lengths, different bytes — have arrived behind it.
 func TestTCPTuplesSurviveFrameReuse(t *testing.T) {
 	a, b := tcpPair(t)
 	const messages, perMessage = 4, 50

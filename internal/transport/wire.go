@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"repro/internal/relation"
 	"repro/internal/simnet"
@@ -27,10 +28,14 @@ import (
 // Tuples use the relation codec. The format is self-contained; the TCP
 // transport frames each message with a 4-byte big-endian length prefix.
 //
-// The string values of a decoded message's tuples are substrings of one
-// string copy the decoder makes of that message's tuple bytes, never of the
-// input buffer, which the caller may reuse at once. Retaining one tuple
-// keeps its message's copy alive — the trade stored-scan blocks make.
+// Decoding copies no string value out of its input: the string values of a
+// decoded message's tuples are substrings of the bytes they arrived in, which
+// are never written again. UnmarshalMessage decodes one private copy of its
+// input, so its caller may reuse the input at once. A TCP connection reads
+// each frame into an append-only receive slab of 64 KiB chunks and decodes it
+// in place (see receiver), so a retained tuple string keeps its whole chunk
+// alive rather than a copy of its own message — the trade stored-scan blocks
+// make.
 
 // ErrWire is wrapped by unmarshalling errors.
 var ErrWire = errors.New("transport: corrupt wire message")
@@ -150,15 +155,32 @@ func UnmarshalMessage(b []byte) (*Message, error) {
 }
 
 // UnmarshalMessageArena decodes like UnmarshalMessage but carves tuple
-// storage from the caller's arena (nil uses one private to the call).
-// Long-lived receive loops pass a per-connection arena so decoding a data
-// frame costs one Value-block allocation per ~1k values, whatever the frame
-// boundaries.
+// storage from the caller's arena (nil uses one private to the call). It
+// decodes one private copy of b, so the caller may reuse b at once: every
+// string of the result, tuple values and names alike, is a substring of that
+// copy, and retaining any one keeps the whole copy alive.
 func UnmarshalMessageArena(a *relation.Arena, b []byte) (*Message, error) {
-	d := &decoder{b: b}
-	m := &Message{}
+	cp := slices.Clone(b)
+	return decodeMessage(nil, a, frameString(cp), cp)
+}
+
+// decodeMessage is the one message decoder. b is the encoded message and a
+// suffix of the frame base, a string over the same bytes that are never
+// written again: decoded strings are substrings of base, and a decode error
+// abandons them with the frame. A one-shot decode (rx nil) allocates its
+// Message and tuple headers; a TCP receiver carves them from its chunks and
+// interns names (see receiver). a carves the tuples' Values (nil: an arena
+// private to the call).
+func decodeMessage(rx *receiver, a *relation.Arena, base string, b []byte) (*Message, error) {
+	d := &decoder{b: b, base: base, rx: rx, arena: a}
+	var m *Message
+	if rx != nil {
+		m = rx.message()
+	} else {
+		m = &Message{}
+	}
 	m.Kind = Kind(d.byte())
-	m.Exchange = d.str()
+	m.Exchange = d.name()
 	m.ProducerIdx = int(d.varint())
 	m.ConsumerIdx = int(d.varint())
 	m.Epoch = int(d.varint())
@@ -166,7 +188,7 @@ func UnmarshalMessageArena(a *relation.Arena, b []byte) (*Message, error) {
 	m.Checkpoint = d.varint()
 	m.Replay = d.bool()
 	if n := d.count(); n > 0 {
-		m.Tuples = d.tuples(a, n)
+		m.Tuples = d.tuples(n)
 	}
 	if n := d.count(); n > 0 {
 		m.Buckets = make([]int32, 0, preallocN(n))
@@ -184,16 +206,16 @@ func UnmarshalMessageArena(a *relation.Arena, b []byte) (*Message, error) {
 	if d.bool() {
 		mo := &Monitor{}
 		mo.IsM2 = d.bool()
-		mo.Fragment = d.str()
+		mo.Fragment = d.name()
 		mo.Instance = int(d.varint())
-		mo.Node = simnet.NodeID(d.str())
+		mo.Node = simnet.NodeID(d.name())
 		mo.CostMs = math.Float64frombits(d.uvarint())
 		mo.WaitMs = math.Float64frombits(d.uvarint())
 		mo.Selectivity = math.Float64frombits(d.uvarint())
 		mo.Produced = d.varint()
-		mo.ConsumerFragment = d.str()
+		mo.ConsumerFragment = d.name()
 		mo.ConsumerInstance = int(d.varint())
-		mo.ConsumerNode = simnet.NodeID(d.str())
+		mo.ConsumerNode = simnet.NodeID(d.name())
 		mo.SendCostMs = math.Float64frombits(d.uvarint())
 		mo.TupleCount = int(d.varint())
 		m.Mon = mo
@@ -202,8 +224,8 @@ func UnmarshalMessageArena(a *relation.Arena, b []byte) (*Message, error) {
 		c := &Ctrl{}
 		c.Op = CtrlOp(d.byte())
 		c.RequestID = d.uvarint()
-		c.ReplyTo = simnet.NodeID(d.str())
-		c.ReplyService = d.str()
+		c.ReplyTo = simnet.NodeID(d.name())
+		c.ReplyService = d.name()
 		if n := d.count(); n > 0 {
 			c.Weights = make([]float64, 0, preallocN(n))
 			for i := 0; i < n; i++ {
@@ -246,8 +268,8 @@ func UnmarshalMessageArena(a *relation.Arena, b []byte) (*Message, error) {
 			}
 		}
 		c.Peer = int(d.varint())
-		c.PeerNode = simnet.NodeID(d.str())
-		c.PeerService = d.str()
+		c.PeerNode = simnet.NodeID(d.name())
+		c.PeerService = d.name()
 		m.Ctrl = c
 	}
 	if d.err != nil {
@@ -265,6 +287,15 @@ func UnmarshalMessageArena(a *relation.Arena, b []byte) (*Message, error) {
 	return m, nil
 }
 
+// frameString aliases a frame as a string without copying, as
+// engine.blockString does for stored blocks. Safe only because a frame's
+// bytes are never written once it has been read or copied: the decoder
+// reads them through the string for values and through the slice for
+// headers, and nothing mutates them.
+func frameString(b []byte) string {
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
 func validKind(k Kind) bool { return k >= KindData && k <= KindMonitor }
 
 func appendString(b []byte, s string) []byte {
@@ -279,10 +310,14 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// decoder reads the wire format with sticky errors.
+// decoder reads the wire format with sticky errors. b is the unread suffix
+// of base; rx and arena are decodeMessage's.
 type decoder struct {
-	b   []byte
-	err error
+	b     []byte
+	base  string
+	rx    *receiver
+	arena *relation.Arena
+	err   error
 }
 
 func (d *decoder) fail() {
@@ -344,26 +379,26 @@ func (d *decoder) count() int {
 }
 
 // tuples decodes the n > 0 tuples at the front of the input with the relation
-// codec's fused block decoder. Their string values are carved from one string
-// copy of the remaining input — the tuple region, whose length is unknown
-// until decoded, plus the message's short tail — so none aliases the caller's
-// buffer. The copy is made before any tuple is validated and whether or not
-// a string column follows (DecodeTuplesShared needs its base up front): a
-// message without strings, or a bogus frame, pays one frame-sized copy it
-// never reads — an accepted cost next to a per-string allocation.
-func (d *decoder) tuples(a *relation.Arena, n int) []relation.Tuple {
-	if a == nil {
-		a = new(relation.Arena)
+// codec's fused block decoder. Their string values are substrings of base, so
+// they share the frame's bytes instead of copying them.
+func (d *decoder) tuples(n int) []relation.Tuple {
+	if d.arena == nil {
+		d.arena = new(relation.Arena)
 	}
-	base := string(d.b)
 	// The batch starts at the capped capacity and grows only after it has
 	// been filled, so allocation follows the bytes decoded, not the count
 	// announced.
-	batch := relation.Batch{Tuples: make([]relation.Tuple, 0, preallocN(n))}
+	var hdrs []relation.Tuple
+	if d.rx != nil {
+		hdrs = d.rx.headers(preallocN(n))
+	} else {
+		hdrs = make([]relation.Tuple, 0, preallocN(n))
+	}
+	batch := relation.Batch{Tuples: hdrs}
 	rest, left := d.b, uint64(n)
 	for left > 0 {
 		var err error
-		if rest, left, _, err = relation.DecodeTuplesShared(a, base, rest, left, &batch, nil); err != nil {
+		if rest, left, _, err = relation.DecodeTuplesShared(d.arena, d.base, rest, left, &batch, nil); err != nil {
 			d.err = fmt.Errorf("%w: tuple %d: %v", ErrWire, uint64(n)-left, err)
 			return nil
 		}
@@ -383,13 +418,35 @@ func (d *decoder) float64() float64 {
 	return v
 }
 
-func (d *decoder) str() string {
+// bytes reads a length-prefixed byte string, aliasing the input.
+func (d *decoder) bytes() []byte {
 	n := d.count()
 	if d.err != nil || len(d.b) < n {
 		d.fail()
-		return ""
+		return nil
 	}
-	s := string(d.b[:n])
+	s := d.b[:n:n]
 	d.b = d.b[n:]
 	return s
+}
+
+// str reads a free-form string: a substring of base in a one-shot decode,
+// a copy on a TCP receiver, so that a retained text (a deploy's SQL, an
+// error) pins no slab chunk.
+func (d *decoder) str() string {
+	b := d.bytes()
+	if d.rx != nil {
+		return string(b)
+	}
+	off := len(d.base) - len(d.b) - len(b)
+	return d.base[off : off+len(b)]
+}
+
+// name reads an identifier (an exchange, service, node or fragment name):
+// a TCP receiver interns it, everything else reads it as str does.
+func (d *decoder) name() string {
+	if d.rx == nil {
+		return d.str()
+	}
+	return d.rx.intern(d.bytes())
 }
