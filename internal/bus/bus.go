@@ -181,6 +181,7 @@ func (b *Bus) Subscribe(name string, node simnet.NodeID, topic Topic, h Handler)
 		s.closed = true
 		return s
 	}
+	// Append only: Publish may be iterating the old slice (see Publish).
 	b.subs[topic] = append(b.subs[topic], s)
 	b.mu.Unlock()
 	go s.deliverLoop()
@@ -209,6 +210,12 @@ func (b *Bus) SubscribeContext(ctx context.Context, name string, node simnet.Nod
 // Publish sends payload to every subscription on topic. Under the default
 // drop-oldest policy it never blocks on subscribers; under OverflowBlock it
 // waits for space in each full queue.
+//
+// Publish iterates the topic's subscriber slice as read under b.mu, without
+// copying it, which the subscription table's copy-on-write rule makes safe:
+// Subscribe only appends past the slice's old length, so it never writes an
+// element a reader already holds; Cancel builds a fresh array instead of
+// shifting the old one; and Close replaces the whole map.
 func (b *Bus) Publish(from string, fromNode simnet.NodeID, topic Topic, payload any) {
 	n := Notification{
 		Topic:    topic,
@@ -222,8 +229,7 @@ func (b *Bus) Publish(from string, fromNode simnet.NodeID, topic Topic, payload 
 		b.mu.Unlock()
 		return
 	}
-	targets := make([]*Subscription, len(b.subs[topic]))
-	copy(targets, b.subs[topic])
+	targets := b.subs[topic]
 	b.mu.Unlock()
 	b.statsMu.Lock()
 	b.stats.Published[topic]++
@@ -384,6 +390,7 @@ func (s *Subscription) Cancel() {
 	subs := s.bus.subs[s.topic]
 	for i, other := range subs {
 		if other == s {
+			// A fresh array: Publish may be iterating the old one.
 			s.bus.subs[s.topic] = append(subs[:i:i], subs[i+1:]...)
 			break
 		}

@@ -394,3 +394,69 @@ func TestStatsSnapshotConcurrent(t *testing.T) {
 		t.Fatal("snapshot mutation leaked into the bus")
 	}
 }
+
+// TestPublishRacesSubscribeAndCancel publishes while other subscriptions
+// on the same topic come and go: Publish iterates the subscriber slice it
+// read under the lock without copying it, so Subscribe and Cancel must
+// never rewrite an element a publisher may still be reading. A
+// subscription present throughout receives every notification exactly
+// once (run with -race).
+func TestPublishRacesSubscribeAndCancel(t *testing.T) {
+	b := NewWithOptions(vtime.NewClock(time.Microsecond), nil, Options{Overflow: OverflowBlock})
+	defer b.Close()
+	churn := make(chan *Subscription, 64)
+	for i := 0; i < 4; i++ { // ahead of the stable subscription in the slice
+		churn <- b.Subscribe("churn", "n1", "t", func(Notification) {})
+	}
+	var got atomic.Int64
+	stable := b.Subscribe("stable", "n1", "t", func(Notification) { got.Add(1) })
+	const publishers, each = 2, 2000
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	churned := make(chan struct{})
+	go func() {
+		defer close(churned)
+		for {
+			select {
+			case <-stop:
+				return
+			case s := <-churn:
+				s.Cancel()
+				churn <- b.Subscribe("churn", "n1", "t", func(Notification) {})
+			}
+		}
+	}()
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				b.Publish("p", "n0", "t", i)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-churned
+	stable.Cancel()
+	stable.Drain()
+	if n := got.Load(); n != publishers*each {
+		t.Fatalf("stable subscription received %d of %d notifications", n, publishers*each)
+	}
+}
+
+// TestPublishAllocsPerCall bounds Publish on the steady-state path: a
+// payload that boxes without allocating, two subscribers whose queues have
+// grown, nothing but the rings' amortised growth left to allocate.
+func TestPublishAllocsPerCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	b := testBus()
+	defer b.Close()
+	b.Subscribe("a", "n1", "t", func(Notification) {})
+	b.Subscribe("b", "n1", "t", func(Notification) {})
+	if got := testing.AllocsPerRun(2000, func() { b.Publish("p", "n0", "t", 7) }); got >= 0.1 {
+		t.Fatalf("Publish allocates %.3f per call, want < 0.1", got)
+	}
+}

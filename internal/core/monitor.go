@@ -67,7 +67,7 @@ type MonitoringEventDetector struct {
 	cfg  MEDConfig
 
 	mu     sync.Mutex
-	groups map[string]*window
+	groups map[groupKey]*window
 	sub    *bus.Subscription
 
 	stopOnce sync.Once
@@ -81,6 +81,26 @@ type MonitoringEventDetector struct {
 	timeline *obs.Timeline
 	// clock stamps timeline events; SetClock installs it (nil stamps 0).
 	clock atomic.Pointer[vtime.Clock]
+}
+
+// groupKey identifies a MED group: an M1 group by its reporting subplan
+// clone, an M2 group by its producer and recipient clones. Being a
+// comparable struct, it finds its group without formatting a string per
+// event; String formats it only when the group fires.
+type groupKey struct {
+	comm             bool
+	fragment         string
+	instance         int
+	consumerFragment string
+	consumerInstance int
+}
+
+// String renders the key as CostNotification.Key reads it.
+func (k groupKey) String() string {
+	if k.comm {
+		return fmt.Sprintf("m2:%s#%d->%s#%d", k.fragment, k.instance, k.consumerFragment, k.consumerInstance)
+	}
+	return fmt.Sprintf("m1:%s#%d", k.fragment, k.instance)
 }
 
 // window is the per-group running state.
@@ -110,7 +130,7 @@ func NewMED(ctx context.Context, b *bus.Bus, node simnet.NodeID, cfg MEDConfig) 
 		node:     node,
 		bus:      b,
 		cfg:      cfg,
-		groups:   make(map[string]*window),
+		groups:   make(map[groupKey]*window),
 		obsRaw:   o.Counter(obs.MMEDRawEvents),
 		obsNotif: o.Counter(obs.MMEDNotifications),
 		timeline: o.Timeline(),
@@ -152,10 +172,10 @@ func (m *MonitoringEventDetector) onRaw(n bus.Notification) {
 	}
 	switch {
 	case ev.M1 != nil:
-		key := fmt.Sprintf("m1:%s#%d", ev.M1.Fragment, ev.M1.Instance)
+		key := groupKey{fragment: ev.M1.Fragment, instance: ev.M1.Instance}
 		if avg, fire := m.observe(key, ev.M1.CostPerTupleMs); fire {
 			m.publish(CostNotification{
-				Key:         key,
+				Key:         key.String(),
 				Fragment:    ev.M1.Fragment,
 				Instance:    ev.M1.Instance,
 				AvgCostMs:   avg,
@@ -167,12 +187,12 @@ func (m *MonitoringEventDetector) onRaw(n bus.Notification) {
 		if ev.M2.TupleCount == 0 {
 			return
 		}
-		key := fmt.Sprintf("m2:%s#%d->%s#%d", ev.M2.Fragment, ev.M2.Instance,
-			ev.M2.ConsumerFragment, ev.M2.ConsumerInstance)
+		key := groupKey{comm: true, fragment: ev.M2.Fragment, instance: ev.M2.Instance,
+			consumerFragment: ev.M2.ConsumerFragment, consumerInstance: ev.M2.ConsumerInstance}
 		perTuple := ev.M2.SendCostMs / float64(ev.M2.TupleCount)
 		if avg, fire := m.observe(key, perTuple); fire {
 			m.publish(CostNotification{
-				Key:              key,
+				Key:              key.String(),
 				IsComm:           true,
 				AvgCostMs:        avg,
 				ProducerFragment: ev.M2.Fragment,
@@ -187,7 +207,7 @@ func (m *MonitoringEventDetector) onRaw(n bus.Notification) {
 
 // observe folds one value into its group window and decides whether to
 // notify.
-func (m *MonitoringEventDetector) observe(key string, value float64) (avg float64, fire bool) {
+func (m *MonitoringEventDetector) observe(key groupKey, value float64) (avg float64, fire bool) {
 	m.rawSeen.Inc()
 	m.obsRaw.Inc()
 	m.mu.Lock()

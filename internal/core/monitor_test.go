@@ -281,3 +281,33 @@ func TestMEDSmallMinEvents(t *testing.T) {
 		b.Close()
 	}
 }
+
+// TestMEDObserveAllocsPerEvent bounds the raw-event hop's group lookup: once
+// a group has fired and its average holds, an M1 or M2 event that does not
+// fire allocates nothing but the window's amortised slide.
+func TestMEDObserveAllocsPerEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	b := testBus()
+	defer b.Close()
+	m := NewMED(nil, b, "ws0", DefaultMEDConfig())
+	defer m.Stop()
+	events := map[string]bus.Notification{
+		"m1": {Payload: RawEvent{M1: &engine.M1Event{Fragment: "f2", Instance: 1, Node: "ws0", CostPerTupleMs: 3, Selectivity: 1}}},
+		"m2": {Payload: RawEvent{M2: &engine.M2Event{Fragment: "f1", Instance: 0, Node: "ws0",
+			ConsumerFragment: "f2", ConsumerInstance: 1, ConsumerNode: "ws1", SendCostMs: 8, TupleCount: 4}}},
+	}
+	for kind, ev := range events {
+		for i := 0; i < 2*DefaultMEDConfig().Window; i++ { // fill the window; the group fires once
+			m.onRaw(ev)
+		}
+		_, before := m.Stats()
+		if got := testing.AllocsPerRun(1000, func() { m.onRaw(ev) }); got >= 0.1 {
+			t.Errorf("%s: onRaw allocates %.3f per event, want < 0.1", kind, got)
+		}
+		if _, after := m.Stats(); after != before {
+			t.Fatalf("%s: a steady group fired %d times while measured", kind, after-before)
+		}
+	}
+}

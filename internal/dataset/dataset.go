@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -76,8 +77,73 @@ func (t *Table) AvgTupleBytes() int {
 	return total / len(t.Tuples)
 }
 
-// orfName formats the i-th open-reading-frame identifier.
-func orfName(i int) string { return fmt.Sprintf("YAL%05dC", i) }
+// chunkBytes is the size of the string chunks generated rows are carved
+// from: a row's strings are substrings of one 64 KiB chunk shared with its
+// neighbours, not allocations of their own.
+const chunkBytes = 64 << 10
+
+// carver hands out a generator's strings and tuples from append-only chunks:
+// strings from a strings.Builder, tuples from a relation.Arena. A Builder
+// never rewrites bytes it has handed out, so each carved string stays valid
+// after the carver moves on; when the tail of a chunk is too short for the
+// next string, a fresh Builder starts the next chunk. Every chunk of a table
+// held in memory lives as long as any of its rows; a streaming writer's
+// chunks become garbage as they fill, so its memory stays O(chunk).
+type carver struct {
+	b     strings.Builder
+	start int
+	arena relation.Arena
+}
+
+// begin opens a string of at most n bytes, to be written to c.b and closed
+// by end.
+func (c *carver) begin(n int) {
+	if c.b.Cap()-c.b.Len() < n {
+		c.b = strings.Builder{}
+		c.b.Grow(max(chunkBytes, n))
+	}
+	c.start = c.b.Len()
+}
+
+// end returns the string written since begin.
+func (c *carver) end() string { return c.b.String()[c.start:] }
+
+// padded carves prefix, v zero-padded to width digits, and suffix: the
+// fmt verb %0<width>d for v >= 0, which widens past width digits as fmt
+// does.
+func (c *carver) padded(prefix string, v, width int, suffix string) string {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(v), 10)
+	c.begin(len(prefix) + max(width, len(d)) + len(suffix))
+	c.b.WriteString(prefix)
+	for i := len(d); i < width; i++ {
+		c.b.WriteByte('0')
+	}
+	c.b.Write(d)
+	c.b.WriteString(suffix)
+	return c.end()
+}
+
+// orf carves the i-th open-reading-frame identifier, YAL%05dC.
+func (c *carver) orf(i int) string { return c.padded("YAL", i, 5, "C") }
+
+// residues carves a random residue string: head followed by n residues
+// drawn from rng.
+func (c *carver) residues(rng *rand.Rand, head string, n int) string {
+	c.begin(len(head) + n)
+	c.b.WriteString(head)
+	for j := 0; j < n; j++ {
+		c.b.WriteByte(aminoAcids[rng.Intn(len(aminoAcids))])
+	}
+	return c.end()
+}
+
+// pair carves a two-string tuple.
+func (c *carver) pair(a, b string) relation.Tuple {
+	t := c.arena.Alloc(2)
+	t[0], t[1] = relation.String(a), relation.String(b)
+	return t
+}
 
 // sequencesSchema returns the protein_sequences schema.
 func sequencesSchema() *relation.Schema {
@@ -99,30 +165,21 @@ func interactionsSchema() *relation.Schema {
 // be requested in index order (the RNG stream is sequential).
 func sequencesGen(seed int64) func(i int) relation.Tuple {
 	rng := rand.New(rand.NewSource(seed))
-	var b strings.Builder
+	var c carver
 	return func(i int) relation.Tuple {
-		b.Reset()
-		b.Grow(SequenceLength)
+		orf := c.orf(i)
 		// Real protein sequences start with methionine.
-		b.WriteByte('M')
-		for j := 1; j < SequenceLength; j++ {
-			b.WriteByte(aminoAcids[rng.Intn(len(aminoAcids))])
-		}
-		return relation.Tuple{
-			relation.String(orfName(i)),
-			relation.String(b.String()),
-		}
+		return c.pair(orf, c.residues(rng, "M", SequenceLength-1))
 	}
 }
 
 // interactionsGen returns the row generator behind ProteinInteractions.
 func interactionsGen(seqCount int, seed int64) func(i int) relation.Tuple {
 	rng := rand.New(rand.NewSource(seed + 1))
+	var c carver
 	return func(int) relation.Tuple {
-		return relation.Tuple{
-			relation.String(orfName(rng.Intn(seqCount))),
-			relation.String(orfName(rng.Intn(seqCount))),
-		}
+		orf1 := c.orf(rng.Intn(seqCount))
+		return c.pair(orf1, c.orf(rng.Intn(seqCount)))
 	}
 }
 
@@ -154,11 +211,10 @@ func ProteinInteractions(n, seqCount int, seed int64) *Table {
 func interactionsZipfGen(seqCount int, s float64, seed int64) func(i int) relation.Tuple {
 	rng := rand.New(rand.NewSource(seed + 2))
 	zipf := rand.NewZipf(rng, s, 1, uint64(seqCount-1))
+	var c carver
 	return func(int) relation.Tuple {
-		return relation.Tuple{
-			relation.String(orfName(int(zipf.Uint64()))),
-			relation.String(orfName(rng.Intn(seqCount))),
-		}
+		orf1 := c.orf(int(zipf.Uint64()))
+		return c.pair(orf1, c.orf(rng.Intn(seqCount)))
 	}
 }
 
@@ -227,7 +283,7 @@ func syntheticGen(sp SyntheticSpec) func(i int) relation.Tuple {
 	if sp.ZipfS > 1 && sp.KeyDomain > 1 {
 		zipf = rand.NewZipf(rng, sp.ZipfS, 1, uint64(sp.KeyDomain-1))
 	}
-	payload := make([]byte, sp.PayloadBytes)
+	var c carver
 	return func(i int) relation.Tuple {
 		k := 0
 		if zipf != nil {
@@ -235,14 +291,11 @@ func syntheticGen(sp SyntheticSpec) func(i int) relation.Tuple {
 		} else if sp.KeyDomain > 0 {
 			k = rng.Intn(sp.KeyDomain)
 		}
-		for j := range payload {
-			payload[j] = aminoAcids[rng.Intn(len(aminoAcids))]
-		}
-		return relation.Tuple{
-			relation.String(fmt.Sprintf("k%08d", k)),
-			relation.Int(int64(i)),
-			relation.String(string(payload)),
-		}
+		t := c.arena.Alloc(3)
+		t[0] = relation.String(c.padded("k", k, 8, ""))
+		t[1] = relation.Int(int64(i))
+		t[2] = relation.String(c.residues(rng, "", sp.PayloadBytes))
+		return t
 	}
 }
 

@@ -152,3 +152,17 @@ func TestProteinInteractionsZipfSkew(t *testing.T) {
 		}
 	}
 }
+
+// maxDemoAllocs bounds DemoSized(3000, 4700): the generators carve strings
+// from 64 KiB chunks and tuples from arena chunks, so the count follows the
+// chunks (about 55), not the 7 700 rows.
+const maxDemoAllocs = 100
+
+func TestDemoSizedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	if got := testing.AllocsPerRun(3, func() { DemoSized(3000, 4700) }); got > maxDemoAllocs {
+		t.Fatalf("DemoSized(3000, 4700) makes %.0f allocations, ceiling %d", got, maxDemoAllocs)
+	}
+}

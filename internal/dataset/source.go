@@ -42,8 +42,9 @@ func NewStoredTable(name string, schema *relation.Schema, backend storage.Backen
 }
 
 // writeRows streams rows produced by gen into a backend run and returns the
-// stored table. Nothing is materialised: memory use is one tuple plus the
-// writer's block buffer regardless of n.
+// stored table. Nothing is materialised: memory use is the generator's
+// current string and tuple chunks plus the writer's block buffer regardless
+// of n, since every filled chunk is garbage once its rows are encoded.
 func writeRows(backend storage.Backend, run string, name string, schema *relation.Schema, n int, gen func(i int) relation.Tuple) (*Table, error) {
 	w, err := backend.Create(run)
 	if err != nil {
@@ -93,8 +94,8 @@ func WriteProteinInteractionsZipf(backend storage.Backend, run string, n, seqCou
 }
 
 // WriteSynthetic streams a synthetic table into a backend run — the
-// multi-GB path: memory use is one tuple plus the writer's block buffer
-// regardless of sp.Rows. Deterministic in the spec and tuple-for-tuple
+// multi-GB path: memory use is one generator chunk plus the writer's block
+// buffer regardless of sp.Rows. Deterministic in the spec and tuple-for-tuple
 // identical to Synthetic.
 func WriteSynthetic(backend storage.Backend, run string, sp SyntheticSpec) (*Table, error) {
 	sp = sp.withDefaults()

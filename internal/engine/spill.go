@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/obs"
@@ -418,13 +419,12 @@ func (d *joinSpillDrain) repartition(pr spillPair) (err error) {
 	d.resetTable()
 	shift := uint(40 + 3*pr.depth)
 	base := strings.TrimSuffix(pr.build, "-build")
-	seq := spillRunSeq.Add(1)
-	subName := func(k int, kind string) string { return fmt.Sprintf("%s-r%d-s%d-%s", base, seq, k, kind) }
+	buildNames, probeNames := subRunNames(base, spillRunSeq.Add(1))
 
-	split := func(src string, metaLen int, keys []int, kind string) ([]storage.RunWriter, error) {
+	split := func(src string, metaLen int, keys []int, names *[spillFan]string) ([]storage.RunWriter, error) {
 		ws := make([]storage.RunWriter, spillFan)
 		for k := range ws {
-			w, err := s.backend.Create(subName(k, kind))
+			w, err := s.backend.Create(names[k])
 			if err != nil {
 				return ws, err
 			}
@@ -453,31 +453,31 @@ func (d *joinSpillDrain) repartition(pr spillPair) (err error) {
 		}
 	}
 
-	drop := func(ws []storage.RunWriter, kind string) {
+	drop := func(ws []storage.RunWriter, names *[spillFan]string) {
 		for k, w := range ws {
 			if w != nil {
 				_ = w.Close()
-				_ = s.backend.Remove(subName(k, kind))
+				_ = s.backend.Remove(names[k])
 			}
 		}
 	}
 	var bws, pws []storage.RunWriter
 	defer func() {
 		if err != nil {
-			drop(bws, "build")
-			drop(pws, "probe")
+			drop(bws, &buildNames)
+			drop(pws, &probeNames)
 		}
 	}()
-	if bws, err = split(pr.build, 2, d.j.BuildKeys, "build"); err != nil {
+	if bws, err = split(pr.build, 2, d.j.BuildKeys, &buildNames); err != nil {
 		return fmt.Errorf("engine: spill repartition: %w", err)
 	}
-	if pws, err = split(pr.probe, 1, d.j.ProbeKeys, "probe"); err != nil {
+	if pws, err = split(pr.probe, 1, d.j.ProbeKeys, &probeNames); err != nil {
 		return fmt.Errorf("engine: spill repartition: %w", err)
 	}
 	var moved int64
 	subs := make([]spillPair, 0, spillFan)
 	for k := 0; k < spillFan; k++ {
-		bn, pn := subName(k, "build"), subName(k, "probe")
+		bn, pn := buildNames[k], probeNames[k]
 		probeTuples := pws[k].Tuples()
 		if err := bws[k].Close(); err != nil {
 			return fmt.Errorf("engine: spill repartition: %w", err)
@@ -499,6 +499,32 @@ func (d *joinSpillDrain) repartition(pr spillPair) (err error) {
 	s.met.restarts.Inc()
 	s.spillEvent(fmt.Sprintf("join repartition %s depth %d", base, pr.depth+1), moved)
 	return nil
+}
+
+// subRunNames names one repartition's sub-runs, "<base>-r<seq>-s<k>-build"
+// and "...-probe", as substrings of one string, so a restart allocates its
+// names once rather than once per sub-run.
+func subRunNames(base string, seq int64) (build, probe [spillFan]string) {
+	var b strings.Builder
+	b.Grow(2 * spillFan * (len(base) + 48))
+	var num [20]byte
+	name := func(k int, kind string) string {
+		start := b.Len()
+		b.WriteString(base)
+		b.WriteString("-r")
+		b.Write(strconv.AppendInt(num[:0], seq, 10))
+		b.WriteString("-s")
+		b.Write(strconv.AppendInt(num[:0], int64(k), 10))
+		b.WriteString(kind)
+		return b.String()[start:] // a Builder never rewrites bytes it handed out
+	}
+	for k := range build {
+		build[k] = name(k, "-build")
+	}
+	for k := range probe {
+		probe[k] = name(k, "-probe")
+	}
+	return build, probe
 }
 
 // finishPair releases the drained pair's table, reader and runs.

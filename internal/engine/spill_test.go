@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"regexp"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -245,6 +246,73 @@ func BenchmarkHashAggregateSpill(b *testing.B) {
 	}
 	_, p1, _ := spillCounters()
 	b.ReportMetric(float64(p1-p0)/float64(b.N), "dumps/op")
+}
+
+// maxRepartitionAllocsPerSubRun bounds what one grace-hash restart on the
+// memory backend allocates per sub-run it writes: the run itself, its one
+// frame copy and frame list, and a share of the restart's fixed cost (the
+// sub-run names, the two readers, the writer and sub-pair lists, the
+// spill event): about 3.75. The headroom covers an encode-buffer pool
+// emptied by a collection; a name formatted per sub-run, or closures and
+// a writer allocated beside each run, push it over.
+const maxRepartitionAllocsPerSubRun = 5
+
+// TestRepartitionAllocsPerSubRun counts the allocations of one
+// repartition of a small (build run, probe run) pair.
+func TestRepartitionAllocsPerSubRun(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	spill := storage.NewMemory()
+	ctx := budgetedCtx(1<<30, spill)
+	var s joinState
+	s.init(ctx, 0)
+	d := &joinSpillDrain{s: &s, j: &HashJoin{BuildKeys: []int{0}, ProbeKeys: []int{0}}}
+	write := func(name string, meta func(i int) relation.Tuple, ts []relation.Tuple) {
+		w, err := spill.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tp := range ts {
+			if err := w.Append(append(meta(i), tp...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build, probe := buildTuples(200), probeTuples(400, 200)
+	restart := func(i int) uint64 {
+		pr := spillPair{build: fmt.Sprintf("q%d-p0-build", i), probe: fmt.Sprintf("q%d-p0-probe", i)}
+		write(pr.build, func(i int) relation.Tuple { return relation.Tuple{relation.Int(0), relation.Int(int64(i))} }, build)
+		write(pr.probe, func(i int) relation.Tuple { return relation.Tuple{relation.Int(int64(i))} }, probe)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := d.repartition(pr)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d.pairs) != spillFan {
+			t.Fatalf("restart queued %d sub-pairs, want %d", len(d.pairs), spillFan)
+		}
+		for _, sub := range d.pairs {
+			_ = spill.Remove(sub.build)
+			_ = spill.Remove(sub.probe)
+		}
+		d.pairs = nil
+		return after.Mallocs - before.Mallocs
+	}
+	restart(0) // fills the encode-buffer pool the sub-run writers draw from
+	per := float64(restart(1)) / (2 * spillFan)
+	t.Logf("%.2f allocations per sub-run", per)
+	if per > maxRepartitionAllocsPerSubRun {
+		t.Fatalf("one repartition allocates %.2f per sub-run, ceiling %d", per, maxRepartitionAllocsPerSubRun)
+	}
+	if runs, _ := spill.List(); len(runs) != 0 {
+		t.Fatalf("runs left behind: %v", runs)
+	}
 }
 
 func TestSortSpillParity(t *testing.T) {

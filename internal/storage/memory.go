@@ -16,8 +16,12 @@ type Memory struct {
 }
 
 // memRun keeps one slice per flushed frame, so a reloaded tuple whose
-// strings alias its block pins that frame, not the whole run.
+// strings alias its block pins that frame, not the whole run. It is its own
+// writer's sink, so Create allocates the run and nothing beside it.
 type memRun struct {
+	blockWriter
+	m      *Memory
+	name   string
 	frames [][]byte
 	sealed bool
 }
@@ -37,41 +41,53 @@ func (m *Memory) Create(name string) (RunWriter, error) {
 	if _, ok := m.runs[name]; ok {
 		return nil, fmt.Errorf("storage: run %q already exists", name)
 	}
-	run := &memRun{}
+	run := &memRun{m: m, name: name}
+	run.sink = run
 	m.runs[name] = run
-	sink := func(block []byte) error {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if m.runs == nil || m.runs[name] != run {
-			return fmt.Errorf("storage: run %q removed while writing", name)
-		}
-		run.frames = append(run.frames, bytes.Clone(block))
-		return nil
+	return &run.blockWriter, nil
+}
+
+// put implements blockSink: it keeps a copy of the frame.
+func (r *memRun) put(block []byte) error {
+	r.m.mu.Lock()
+	defer r.m.mu.Unlock()
+	if r.m.runs == nil || r.m.runs[r.name] != r {
+		return fmt.Errorf("storage: run %q removed while writing", r.name)
 	}
-	seal := func() error {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		run.sealed = true
-		return nil
-	}
-	return newBlockWriter(sink, seal), nil
+	r.frames = append(r.frames, bytes.Clone(block))
+	return nil
+}
+
+// seal implements blockSink.
+func (r *memRun) seal() error {
+	r.m.mu.Lock()
+	r.sealed = true
+	r.m.mu.Unlock()
+	return nil
 }
 
 // OpenBlocks implements Backend. The sealed frames are immutable, so the
 // reader validates and indexes every frame once up front and serves
 // ReadBlock as zero-copy payload slices; concurrent reads need no locking.
 func (m *Memory) OpenBlocks(name string) (BlockReader, error) {
+	// The sink and seal write frames and sealed under m.mu, so read both
+	// under it too; a sealed run's frames never change afterwards.
 	m.mu.Lock()
 	run, ok := m.runs[name]
+	sealed := ok && run.sealed
+	var frames [][]byte
+	if sealed {
+		frames = run.frames
+	}
 	m.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("storage: no run %q", name)
 	}
-	if !run.sealed {
+	if !sealed {
 		return nil, fmt.Errorf("storage: run %q is not sealed", name)
 	}
 	var blocks [][]byte
-	for _, data := range run.frames {
+	for _, data := range frames {
 		for off := 0; off < len(data); {
 			if len(data)-off < 4 {
 				return nil, corruptRun(name, "truncated block header")

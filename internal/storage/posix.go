@@ -93,22 +93,37 @@ func (p *Posix) Create(name string) (RunWriter, error) {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("storage: create run: %w", err)
 	}
-	bw := bufio.NewWriterSize(f, 128<<10)
-	sink := func(block []byte) error {
-		_, err := bw.Write(block)
+	run := &posixRun{p: p, name: name, f: f, bw: bufio.NewWriterSize(f, 128<<10)}
+	run.sink = run
+	return &run.blockWriter, nil
+}
+
+// posixRun is a run being written to its file. It is its own writer's sink.
+type posixRun struct {
+	blockWriter
+	p    *Posix
+	name string
+	f    *os.File
+	bw   *bufio.Writer
+}
+
+// put implements blockSink.
+func (r *posixRun) put(block []byte) error {
+	_, err := r.bw.Write(block)
+	return err
+}
+
+// seal implements blockSink: it flushes and closes the file, after which
+// OpenBlocks accepts the run.
+func (r *posixRun) seal() error {
+	r.p.mu.Lock()
+	delete(r.p.open, r.name)
+	r.p.mu.Unlock()
+	if err := r.bw.Flush(); err != nil {
+		_ = r.f.Close()
 		return err
 	}
-	seal := func() error {
-		p.mu.Lock()
-		delete(p.open, name)
-		p.mu.Unlock()
-		if err := bw.Flush(); err != nil {
-			_ = f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	return newBlockWriter(sink, seal), nil
+	return r.f.Close()
 }
 
 // OpenBlocks implements Backend. One sequential header scan validates

@@ -100,24 +100,28 @@ const blockTarget = 64 << 10
 // the flush.
 const blockHead = 4 + binary.MaxVarintLen64
 
-// blockWriter implements the shared run-writer framing over a byte sink:
+// blockSink is where a blockWriter's frames go: put receives each flushed
+// frame and must write or copy it before returning, since the writer reuses
+// its buffer for the next block; seal runs once, at Close. Each backend's
+// run embeds its blockWriter and is that writer's sink, so creating a run
+// allocates the run and nothing beside it.
+type blockSink interface {
+	put(block []byte) error
+	seal() error
+}
+
+// blockWriter implements the shared run-writer framing over a blockSink:
 // each flush emits one block of the form len:uint32le ++ AppendTuples(batch).
 // Append encodes a tuple into the open block at once, so the writer holds
-// bytes, never the caller's tuples. The writer reuses its buffer for the
-// next block, so sink must write or copy a block before it returns.
+// bytes, never the caller's tuples.
 type blockWriter struct {
-	sink   func(block []byte) error
-	seal   func() error
+	sink   blockSink
 	buf    []byte // the open block: blockHead bytes of room, then tuples
 	count  uint64 // tuples in the open block
 	pend   int    // Tuple.ByteSize sum of the open block, the flush measure
 	tuples int64
 	bytes  int64
 	closed bool
-}
-
-func newBlockWriter(sink func([]byte) error, seal func() error) *blockWriter {
-	return &blockWriter{sink: sink, seal: seal}
 }
 
 // Append implements RunWriter.
@@ -165,7 +169,7 @@ func (w *blockWriter) flush() error {
 	start := blockHead - 4 - k
 	copy(w.buf[start+4:], cnt[:k])
 	binary.LittleEndian.PutUint32(w.buf[start:], uint32(len(w.buf)-start-4))
-	err := w.sink(w.buf[start:])
+	err := w.sink.put(w.buf[start:])
 	w.bytes += int64(w.pend)
 	w.buf = w.buf[:blockHead]
 	w.count, w.pend = 0, 0
@@ -182,7 +186,7 @@ func (w *blockWriter) Close() error {
 	w.closed = true
 	relation.PutEncodeBuffer(w.buf)
 	w.buf = nil
-	if serr := w.seal(); err == nil {
+	if serr := w.sink.seal(); err == nil {
 		err = serr
 	}
 	return err

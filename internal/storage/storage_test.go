@@ -114,6 +114,49 @@ func TestOpenUnsealedFails(t *testing.T) {
 	}
 }
 
+// TestMemoryOpenBlocksWhileWriting opens a memory run while another
+// goroutine is still filling and sealing it: OpenBlocks must see the run
+// either unsealed or whole, reading its frames and seal flag under the lock
+// the writer takes (run with -race).
+func TestMemoryOpenBlocksWhileWriting(t *testing.T) {
+	m := NewMemory()
+	defer m.Close()
+	want := testTuples(2000)
+	w, err := m.Create("filling")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for _, tp := range want {
+			if err := w.Append(tp); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- w.Close()
+	}()
+	var r BlockReader
+	for r == nil {
+		if r, err = m.OpenBlocks("filling"); err != nil {
+			r = nil
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	got := decodeBlocks(t, r)
+	if len(got) != len(want) {
+		t.Fatalf("opened run holds %d of %d tuples", len(got), len(want))
+	}
+	for i, wt := range want {
+		if !tuplesIdentical(wt, got[i]) {
+			t.Fatalf("tuple %d: %v != %v", i, wt.Format(), got[i].Format())
+		}
+	}
+}
+
 func TestRemoveIdempotentAndMatching(t *testing.T) {
 	for name, b := range backends(t) {
 		t.Run(name, func(t *testing.T) {
