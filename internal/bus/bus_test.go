@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/simnet"
+	"repro/internal/testenv"
 	"repro/internal/vtime"
 )
 
@@ -449,7 +450,7 @@ func TestPublishRacesSubscribeAndCancel(t *testing.T) {
 // payload that boxes without allocating, two subscribers whose queues have
 // grown, nothing but the rings' amortised growth left to allocate.
 func TestPublishAllocsPerCall(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	b := testBus()

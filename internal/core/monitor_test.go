@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/engine"
+	"repro/internal/testenv"
 	"repro/internal/vtime"
 )
 
@@ -286,7 +287,7 @@ func TestMEDSmallMinEvents(t *testing.T) {
 // a group has fired and its average holds, an M1 or M2 event that does not
 // fire allocates nothing but the window's amortised slide.
 func TestMEDObserveAllocsPerEvent(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	b := testBus()

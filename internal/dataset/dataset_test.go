@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/relation"
+	"repro/internal/testenv"
 )
 
 func TestProteinSequencesShape(t *testing.T) {
@@ -159,7 +160,7 @@ func TestProteinInteractionsZipfSkew(t *testing.T) {
 const maxDemoAllocs = 100
 
 func TestDemoSizedAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	if got := testing.AllocsPerRun(3, func() { DemoSized(3000, 4700) }); got > maxDemoAllocs {

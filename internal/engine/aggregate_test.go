@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/storage"
+	"repro/internal/testenv"
 )
 
 // aggInput builds (k, v) tuples: key K{i%keys}, value i.
@@ -227,7 +228,7 @@ func TestHashAggregateEvictReplay(t *testing.T) {
 // no more objects (33) and no more bytes (5 330) than when the slabs grew by
 // append and the freeze copied every row.
 func TestHashAggregateAllocationCeiling(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("allocation counts are not the production build's under -race")
 	}
 	ctx := testCtx()

@@ -151,7 +151,7 @@ func newConsumer(exchange string, consumerIdx int, producers []Addr, stateful bo
 		streams:     make([]*streamState, len(producers)),
 		obsConsumed: obs.Default().Counter(obs.Label(obs.MExchangeTuplesConsumed, "exchange", exchange)),
 	}
-	for i := range c.streams {
+	for i := range c.streams { // not yet shared: no lock
 		c.streams[i] = &streamState{}
 	}
 	c.self.c = c
@@ -204,6 +204,7 @@ func (c *Consumer) pop(w *ConsumerWorker, dst *relation.Batch) (int, error) {
 			c.obsConsumed.Add(int64(n))
 			return n, nil
 		}
+		// gate.mu held: AddProducer grows c.Producers under it.
 		if c.closed || (c.eos == len(c.Producers) && c.queue.len() == 0 && !c.gate.paused) {
 			c.gate.mu.Unlock()
 			return 0, nil
@@ -273,7 +274,7 @@ type ackItem struct {
 // handler may park on the producer's flow barrier.
 func (c *Consumer) finishSpansLocked(spans []span, acks []ackItem) []ackItem {
 	for _, s := range spans {
-		st := c.streams[s.producer]
+		st := c.streams[s.producer] // gate.mu held
 		st.outstanding.finish(s.ord, int(s.n))
 		st.maxProcessed = max(st.maxProcessed, s.first+int64(s.n)-1)
 		c.gate.inflight -= int(s.n)
@@ -293,7 +294,7 @@ func (c *Consumer) ftAckableLocked(acks []ackItem) []ackItem {
 	if c.Stateful {
 		return acks
 	}
-	for p, st := range c.streams {
+	for p, st := range c.streams { // gate.mu held
 		if st.detached || st.maxProcessed <= st.lastAcked {
 			continue
 		}
@@ -391,7 +392,7 @@ func (c *Consumer) ackableLocked(acks []ackItem) []ackItem {
 		// ack outside a commit section.
 		return acks
 	}
-	for p, st := range c.streams {
+	for p, st := range c.streams { // gate.mu held
 		for st.pending.len() > 0 {
 			ck := *st.pending.front()
 			if st.outstanding.anyAtOrBelow(ck) {
@@ -458,25 +459,17 @@ func (c *Consumer) Close() error {
 // place. An unlogged buffer (msg.Slots set) is the consumer's from then on:
 // it releases the slots once it has popped the last tuple, or when it drops
 // the buffer (empty, refused, delivered after Close, or queued at Close).
-// A logged stream's buffer is, in process, the producer's recovery-log
-// slots. That is safe by the exchange's lifetime rule:
-//   - a sent buffer's slots are immutable;
-//   - a producer's slotStore rewinds or recycles a chunk only after every
-//     buffer in it was released: acknowledged at or below a checkpoint, or
-//     taken by a resend; a stateful log never recycles, since its replay
-//     takes tuples the consumer may still hold queued;
-//   - a consumer acknowledges a checkpoint only after every tuple at or
-//     below it was popped or discarded.
-//
-// So a consumer that reads only live, unpopped slots never reads a recycled
-// one. A queued replay reads msg.Tuples in place after Deliver has returned:
-// it came from a stateful log, so its slots are never recycled. A data
-// message must carry one bucket per tuple or none.
+// A logged stream's buffer is, in process, one of the producer's recovery
+// log; by the exchange buffer lifetime rule (DESIGN.md §5) a consumer that
+// reads only live, unpopped slots never reads a recycled one. A queued
+// replay reads msg.Tuples after Deliver has returned: it came from a
+// stateful log, whose buffers are never recycled. A data message must carry
+// one bucket per tuple or none.
 func (c *Consumer) Deliver(msg *transport.Message) error {
 	switch msg.Kind {
 	case transport.KindEOS:
 		c.gate.locked(func() {
-			if msg.ProducerIdx >= 0 && msg.ProducerIdx < len(c.streams) {
+			if msg.ProducerIdx >= 0 && msg.ProducerIdx < len(c.streams) { // gate.mu held
 				st := c.streams[msg.ProducerIdx]
 				if st.eosSeen {
 					return
@@ -501,12 +494,14 @@ func (c *Consumer) Deliver(msg *transport.Message) error {
 			c.gate.post(func() { target.InsertState(ts) })
 			return nil
 		}
+		var acks []ackItem
+		c.gate.mu.Lock()
+		// A live join's AddProducer grows c.streams under the same lock.
 		if msg.ProducerIdx < 0 || msg.ProducerIdx >= len(c.streams) {
+			c.gate.mu.Unlock()
 			msg.ReleaseSlots()
 			return fmt.Errorf("engine: bad producer index %d on exchange %s", msg.ProducerIdx, c.Exchange)
 		}
-		var acks []ackItem
-		c.gate.mu.Lock()
 		st := c.streams[msg.ProducerIdx]
 		slots := msg.Slots
 		msg.Slots = nil
@@ -562,7 +557,7 @@ func (c *Consumer) discardLocked(buckets []int32) map[int][]int64 {
 	report := make(map[int][]int64)
 	for ord := c.queue.q.base; ord < c.queue.q.next(); ord++ {
 		e := c.queue.q.at(ord)
-		st := c.streams[e.producer]
+		st := c.streams[e.producer] // gate.mu held
 		if st.detached {
 			// Tuples from a detached (dead) producer are never discarded:
 			// its recovery log is gone, so no resend could ever restore
@@ -583,7 +578,7 @@ func (c *Consumer) discardLocked(buckets []int32) map[int][]int64 {
 		}
 	}
 	for p, seqs := range report {
-		st := c.streams[p]
+		st := c.streams[p] // gate.mu held
 		st.discarded = append(slices.Clip(st.discarded), seqs...)
 		slices.Sort(st.discarded)
 	}
@@ -599,7 +594,7 @@ func (c *Consumer) discardLocked(buckets []int32) map[int][]int64 {
 func (c *Consumer) DetachProducer(producer int) error {
 	var err error
 	c.gate.locked(func() {
-		if producer < 0 || producer >= len(c.streams) {
+		if producer < 0 || producer >= len(c.streams) { // gate.mu held
 			err = fmt.Errorf("engine: detach of unknown producer %d on exchange %s", producer, c.Exchange)
 			return
 		}

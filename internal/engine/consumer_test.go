@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/relation"
 	"repro/internal/simnet"
+	"repro/internal/testenv"
 	"repro/internal/transport"
 	"repro/internal/vtime"
 )
@@ -274,7 +275,7 @@ func TestConsumerRejectsBucketCountMismatch(t *testing.T) {
 // the 28 bytes a copied tuple costs in slots (its header and its bucket).
 // The entry slices come to about 10 bytes per tuple of a 50-tuple buffer.
 func TestConsumerBacklogAllocatesNoSlots(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	const buffers, size = 4096, 50

@@ -51,12 +51,13 @@ type RuntimeConfig struct {
 	FT bool
 	// OnPeerDown is told when a flush discovers a dead peer (FT only).
 	OnPeerDown func(simnet.NodeID)
-	// Unlogged says nothing in the session can replay the instance's
-	// exchanges: no Responder, no failover. Its output producer keeps no
-	// recovery log and sends no checkpoints, so its consumers never ack,
-	// and it refuses the control operations a log serves. FT overrides
-	// it; the zero value keeps the logged protocol.
-	Unlogged bool
+	// Unlogged reports the exchanges nothing in the session can replay: no
+	// Responder recalls, evicts or replays on them and no failover reads
+	// their logs. Their producers keep no recovery log and send no
+	// checkpoints, so their consumers never ack, and the instance refuses
+	// the control operations a log serves on them. FT overrides it; nil
+	// logs every exchange.
+	Unlogged func(exchange string) bool
 }
 
 // FragmentRuntime hosts one fragment instance inside a query evaluation
@@ -73,8 +74,6 @@ type FragmentRuntime struct {
 	producer    *Producer
 	stateTarget StateTarget
 	service     string
-	// unlogged is RuntimeConfig.Unlogged unless FT forces logging.
-	unlogged bool
 
 	mu       sync.Mutex
 	err      error
@@ -99,7 +98,6 @@ func NewFragmentRuntime(cfg RuntimeConfig) (*FragmentRuntime, error) {
 		gate:         newFlowGate(),
 		consumers:    make(map[string]*Consumer),
 		service:      "frag/" + cfg.Fragment.InstanceID(cfg.Instance),
-		unlogged:     cfg.Unlogged && !cfg.FT,
 		obsProduced:  o.Counter(obs.Label(obs.MEngineTuplesProduced, "fragment", cfg.Fragment.ID)),
 		obsBatchSize: o.Histogram(obs.MEngineBatchSize, obs.DefBucketsSize),
 	}
@@ -131,7 +129,7 @@ func NewFragmentRuntime(cfg RuntimeConfig) (*FragmentRuntime, error) {
 			Node:             cfg.Node,
 			BufferTuples:     cfg.BufferTuples,
 			CheckpointEvery:  cfg.CheckpointEvery,
-			Unlogged:         r.unlogged,
+			Unlogged:         !r.logged(out.ID),
 		})
 		r.producer.Bind(cfg.Ctx)
 	} else if cfg.Sink == nil {
@@ -651,16 +649,21 @@ func (r *FragmentRuntime) handle(from simnet.NodeID, msg *transport.Message) {
 	}
 }
 
+// logged reports whether the session keeps a recovery log for exchange.
+func (r *FragmentRuntime) logged(exchange string) bool {
+	return r.cfg.FT || r.cfg.Unlogged == nil || !r.cfg.Unlogged(exchange)
+}
+
 // handleControl executes adaptivity control operations and replies to the
-// requester. An unlogged instance refuses every operation that recalls,
-// evicts or replays: without a recovery log, carrying one out would lose
+// requester. An operation that recalls, evicts or replays on an unlogged
+// exchange is refused: without a recovery log, carrying it out would lose
 // tuples or state.
 func (r *FragmentRuntime) handleControl(msg *transport.Message) {
 	ctrl := msg.Ctrl
 	reply := &transport.Ctrl{Op: ctrl.Op, RequestID: ctrl.RequestID, OK: true}
 	var err error
-	if r.unlogged && needsRecoveryLog(ctrl.Op) {
-		err = fmt.Errorf("%v on %s: %w", ctrl.Op, r.service, ErrUnlogged)
+	if ex := r.unloggedTarget(msg); ex != "" {
+		err = fmt.Errorf("%v of %s on %s: %w", ctrl.Op, ex, r.service, ErrUnlogged)
 	} else {
 		err = r.runControl(msg, reply)
 	}
@@ -677,17 +680,27 @@ func (r *FragmentRuntime) handleControl(msg *transport.Message) {
 }
 
 // ErrUnlogged is the reply error of a control operation that needs a
-// recovery log, sent to an instance of a session that keeps none.
-var ErrUnlogged = errors.New("engine: the instance keeps no recovery log")
+// recovery log, sent for an exchange the session keeps none for.
+var ErrUnlogged = errors.New("engine: the exchange keeps no recovery log")
 
-// needsRecoveryLog reports whether a control operation recalls, evicts or
-// replays tuples, which only a logged exchange can restore.
-func needsRecoveryLog(op transport.CtrlOp) bool {
-	switch op {
-	case transport.CtrlDiscard, transport.CtrlEvict, transport.CtrlReplay, transport.CtrlResend, transport.CtrlReplayLost:
-		return true
+// unloggedTarget returns an unlogged exchange the control operation would
+// recall, evict or replay tuples on, or "". Discard and evict act on the
+// instance's input queues, every one when msg names no exchange; replay,
+// resend and replay-lost on its output.
+func (r *FragmentRuntime) unloggedTarget(msg *transport.Message) string {
+	switch msg.Ctrl.Op {
+	case transport.CtrlDiscard, transport.CtrlEvict:
+		for ex := range r.consumers {
+			if (msg.Exchange == "" || msg.Exchange == ex) && !r.logged(ex) {
+				return ex
+			}
+		}
+	case transport.CtrlReplay, transport.CtrlResend, transport.CtrlReplayLost:
+		if r.producer != nil && r.producer.unlogged {
+			return r.producer.Exchange
+		}
 	}
-	return false
+	return ""
 }
 
 // runControl executes one control operation, filling in reply.

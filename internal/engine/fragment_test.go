@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -184,15 +185,23 @@ func TestRuntimeRunErrorPath(t *testing.T) {
 	}
 }
 
-// TestUnloggedControl: an instance of a session that keeps no recovery log
-// answers every control operation that recalls, evicts or replays with a
-// failed reply naming ErrUnlogged, never a silent success; a logged
-// instance carries the same operations out. Data for an exchange the
-// instance does not consume is refused and its buffer released.
+// TestUnloggedControl: an operation that recalls, evicts or replays on an
+// exchange the session keeps no recovery log for gets a failed reply naming
+// ErrUnlogged, never a silent success; on a logged exchange it is carried
+// out. Discard and evict act on the instance's input A, replay, resend and
+// replay-lost on its output O, so an instance whose output alone is
+// unlogged still recalls its logged input. FT logs every exchange. Data for
+// an exchange the instance does not consume is refused and its buffer
+// released.
 func TestUnloggedControl(t *testing.T) {
+	input := map[transport.CtrlOp]bool{transport.CtrlDiscard: true, transport.CtrlEvict: true,
+		transport.CtrlReplay: false, transport.CtrlResend: false, transport.CtrlReplayLost: false}
 	ops := []transport.CtrlOp{transport.CtrlDiscard, transport.CtrlEvict, transport.CtrlReplay,
 		transport.CtrlResend, transport.CtrlReplayLost}
-	for _, unlogged := range []bool{false, true} {
+	for _, tc := range []struct {
+		unlogged []string
+		ft       bool
+	}{{}, {unlogged: []string{"A", "O"}}, {unlogged: []string{"O"}}, {unlogged: []string{"A", "O"}, ft: true}} {
 		net, ctx := newExchangeContext()
 		tr := transport.NewInProc(net)
 		one := func(id string, out *physical.ExchangeSpec) *physical.FragmentSpec {
@@ -205,16 +214,25 @@ func TestUnloggedControl(t *testing.T) {
 			frag, one("T", nil)}}
 		var replies []*transport.Ctrl
 		tr.Register("n", "reply", func(_ simnet.NodeID, m *transport.Message) { replies = append(replies, m.Ctrl) })
-		rt, err := NewFragmentRuntime(RuntimeConfig{Plan: plan, Fragment: frag, Ctx: ctx, Tr: tr, Node: "n", Unlogged: unlogged})
+		cfg := RuntimeConfig{Plan: plan, Fragment: frag, Ctx: ctx, Tr: tr, Node: "n", FT: tc.ft}
+		if tc.unlogged != nil {
+			cfg.Unlogged = func(ex string) bool { return slices.Contains(tc.unlogged, ex) }
+		}
+		rt, err := NewFragmentRuntime(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, op := range ops {
 			rt.handleControl(&transport.Message{Kind: transport.KindControl, Exchange: "A", Ctrl: &transport.Ctrl{
 				Op: op, RequestID: uint64(i), ReplyTo: "n", ReplyService: "reply", Buckets: []int32{1}}})
+			ex := "O"
+			if input[op] {
+				ex = "A"
+			}
+			refuse := !tc.ft && slices.Contains(tc.unlogged, ex)
 			r := replies[len(replies)-1]
-			if ok := r.OK != unlogged && (r.OK || strings.Contains(r.Err, ErrUnlogged.Error())); !ok {
-				t.Errorf("unlogged %t: %v replied OK=%t %q", unlogged, op, r.OK, r.Err)
+			if ok := r.OK != refuse && (r.OK || strings.Contains(r.Err, ErrUnlogged.Error())); !ok {
+				t.Errorf("unlogged %v ft %t: %v replied OK=%t %q", tc.unlogged, tc.ft, op, r.OK, r.Err)
 			}
 		}
 		var released atomic.Int64

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -12,6 +13,12 @@ import (
 	"repro/internal/ws"
 )
 
+// demoStore is the demo store every testCtx shares. It is generated once,
+// so a benchmark that builds a context per iteration does not time table
+// generation; no test mutates it (tests that need another store replace
+// ctx.Store).
+var demoStore = sync.OnceValue(func() *dataset.Store { return dataset.DemoSized(50, 80) })
+
 // testCtx builds an ExecContext on a fresh unperturbed node with a fast
 // clock and the demo store/services.
 func testCtx() *ExecContext {
@@ -20,7 +27,7 @@ func testCtx() *ExecContext {
 		Clock:    clock,
 		Node:     simnet.NewNode("test"),
 		Meter:    vtime.NewMeter(clock),
-		Store:    dataset.DemoSized(50, 80),
+		Store:    demoStore(),
 		Services: ws.NewRegistry(ws.Entropy{}, ws.SequenceLength{}),
 		Costs:    DefaultCosts(),
 		Buckets:  64,

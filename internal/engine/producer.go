@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
+	"repro/internal/physical"
 	"repro/internal/qerr"
 	"repro/internal/relation"
 	"repro/internal/simnet"
@@ -191,8 +192,9 @@ type Producer struct {
 	holdback   bool
 	onPeerDown func(simnet.NodeID)
 
-	// unlogged sends each buffer in a pooled sendBuf drawn from bufs,
-	// which the consumer releases once it has popped it.
+	// bufs supplies every buffer the shards fill. unlogged hands each to
+	// its consumer, which releases it once it has popped it; otherwise the
+	// shard's recovery log keeps it until its tuples are released.
 	unlogged bool
 	bufs     *sendBufPool
 
@@ -259,11 +261,14 @@ func NewProducer(cfg ProducerConfig) *Producer {
 	if p.checkpointEvery <= 0 {
 		p.checkpointEvery = DefaultCheckpointEvery
 	}
-	if p.unlogged {
-		p.bufs = sendBufPoolFor(p.bufferTuples)
+	// A logged stream keeps each tuple's bucket where it routes by bucket,
+	// for recalls and replays; an unlogged one has no use for it.
+	p.bufs = sendBufPoolFor(p.bufferTuples)
+	if !p.unlogged && cfg.Policy != nil && cfg.Policy.Kind() == physical.PolicyHash {
+		p.bufs = bucketBufPoolFor(p.bufferTuples)
 	}
 	for i := range p.shards {
-		p.shards[i] = &producerShard{log: newRecoveryLog(p.Stateful)}
+		p.shards[i] = &producerShard{log: newRecoveryLog(p.bufs, p.Stateful)}
 	}
 	p.barrier.init()
 	return p
@@ -369,22 +374,19 @@ func (p *Producer) appendLocked(s *producerShard, t relation.Tuple, bucket int32
 // unlogged as the pooled buffer itself, and emits the M2 monitoring event.
 // Caller holds s.mu.
 func (p *Producer) flushShardLocked(consumer int, s *producerShard, replay bool) error {
-	if s.out == nil && !s.log.open {
+	b := s.out
+	if s.log.open {
+		b, s.log.open = s.log.openBuf().sendBuf, false
+	}
+	if b == nil {
 		return nil
 	}
 	msg := &s.msg
 	*msg = transport.Message{Kind: transport.KindData, Exchange: p.Exchange, ProducerIdx: p.Instance,
-		ConsumerIdx: consumer, Epoch: int(p.epoch.Load())}
-	if p.unlogged {
-		msg.StartSeq, msg.Tuples, msg.Slots = s.out.first, s.out.tuples, s.out
-		s.out = nil
-	} else {
-		b := s.log.openBuf()
-		s.log.open = false
-		msg.StartSeq, msg.Replay, msg.Tuples = b.first, replay, b.tuples()
-		if slices.ContainsFunc(b.buckets(), func(k int32) bool { return k >= 0 }) {
-			msg.Buckets = b.buckets()
-		}
+		ConsumerIdx: consumer, Epoch: int(p.epoch.Load()), StartSeq: b.first, Tuples: b.tuples,
+		Buckets: b.buckets, Replay: replay}
+	if s.out != nil {
+		msg.Slots, s.out = b, nil
 	}
 	if s.dead {
 		// The consumer instance is gone: the buffer is not sent (a logged
@@ -687,21 +689,11 @@ type logEntry struct {
 	seq      int64
 }
 
-// replayEntries moves the snapshotted entries in order as replay. An entry
-// no longer logged fails the call before anything more is routed, as in
-// Resend: routing a missing tuple would hand the new owner a nil tuple.
-// Call with the barrier held exclusively.
+// replayEntries moves the snapshotted entries in order as replay. Call with
+// the barrier held exclusively.
 func (p *Producer) replayEntries(pending []logEntry) (int, error) {
 	return p.reroute(len(pending), func(i int) (relation.Tuple, int32, error) {
-		e := pending[i]
-		src := p.shards[e.consumer]
-		src.mu.Lock()
-		t, bucket, ok := src.log.take(e.seq)
-		src.mu.Unlock()
-		if !ok {
-			return nil, 0, fmt.Errorf("engine: replay of unknown seq %d on %s/consumer %d", e.seq, p.Exchange, e.consumer)
-		}
-		return t, bucket, nil
+		return p.takeLogged(pending[i].consumer, pending[i].seq, "replay")
 	}, true, -1)
 }
 
@@ -710,18 +702,26 @@ func (p *Producer) replayEntries(pending []logEntry) (int, error) {
 func (p *Producer) Resend(fromConsumer int, seqs []int64) (int, error) {
 	p.barrier.lockExclusive()
 	defer p.barrier.unlockExclusive()
-	src := p.shards[fromConsumer]
 	sorted := slices.Clone(seqs)
 	slices.Sort(sorted)
 	return p.reroute(len(sorted), func(i int) (relation.Tuple, int32, error) {
-		src.mu.Lock()
-		t, bucket, ok := src.log.take(sorted[i])
-		src.mu.Unlock()
-		if !ok {
-			return nil, 0, fmt.Errorf("engine: resend of unknown seq %d on %s/consumer %d", sorted[i], p.Exchange, fromConsumer)
-		}
-		return t, bucket, nil
+		return p.takeLogged(fromConsumer, sorted[i], "resend")
 	}, false, -1)
+}
+
+// takeLogged removes the tuple logged under seq on consumer's stream for
+// the operation op. A sequence no longer logged fails the operation before
+// anything more is routed: routing a missing tuple would hand the new owner
+// a nil tuple.
+func (p *Producer) takeLogged(consumer int, seq int64, op string) (relation.Tuple, int32, error) {
+	s := p.shards[consumer]
+	s.mu.Lock()
+	t, bucket, ok := s.log.take(seq)
+	s.mu.Unlock()
+	if !ok {
+		return nil, 0, fmt.Errorf("engine: %s of unknown seq %d on %s/consumer %d", op, seq, p.Exchange, consumer)
+	}
+	return t, bucket, nil
 }
 
 // reroute is the one loop that moves logged tuples to new consumers: it
@@ -856,7 +856,7 @@ func (p *Producer) AddConsumer(addr Addr, w []float64) error {
 		return err
 	}
 	p.Consumers = append(p.Consumers, addr)
-	p.shards = append(p.shards, &producerShard{log: newRecoveryLog(p.Stateful)})
+	p.shards = append(p.shards, &producerShard{log: newRecoveryLog(p.bufs, p.Stateful)})
 	return nil
 }
 

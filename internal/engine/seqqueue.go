@@ -55,76 +55,12 @@ func (q *seqQueue[T]) popFront() {
 	}
 }
 
-// slotChunk stores the tuples, and their routing buckets, of consecutive
-// buffers: a buffer is a contiguous run of slots inside one chunk.
-type slotChunk struct {
-	tuples  []relation.Tuple
-	buckets []int32
-}
-
-// Fresh chunks start at seqChunk slots, since every stream pays for one,
-// and double up to maxSlotChunk while a backlog grows: B backlogged tuples
-// cost O(log B + B/maxSlotChunk) chunks, none ever copied.
-const seqChunk, maxSlotChunk = 64, 4096
-
-// slotStore hands out the slot runs of one recovery log. The chunk the
-// log's front leaves becomes the spare, or is rewound in place when the log
-// drained, so a steady stream allocates nothing. A run, once sent, is read
-// in place by its consumer (see Consumer.Deliver), so a chunk is rewound or
-// recycled only after every buffer in it was released.
-type slotStore struct {
-	tail, spare *slotChunk
-	used        int // slots of tail handed out
-	size        int // capacity of the last fresh chunk
-	// noRecycle leaves every chunk the log's front leaves to the garbage
-	// collector. A stateful log sets it: its tuples are released only by a
-	// replay, which takes them whether or not their consumer still holds
-	// them queued.
-	noRecycle bool
-}
-
 // slotPoison holds nil in production. A test that stores a tuple in it
-// makes drop, and a send buffer's release, fill released slots with that
-// tuple instead of clearing them, so a reader that outlives a slot's
-// lifetime sees the poison. It is atomic because acknowledgement
-// goroutines of earlier tests may still release.
+// makes a send buffer's release fill the released slots with that tuple
+// instead of clearing them, so a reader that outlives a slot's lifetime sees
+// the poison. It is atomic because acknowledgement goroutines of earlier
+// tests may still release.
 var slotPoison atomic.Pointer[relation.Tuple]
-
-// reserve returns n contiguous free slots.
-func (s *slotStore) reserve(n int) (*slotChunk, int) {
-	if s.tail == nil || s.used+n > len(s.tail.tuples) {
-		c := s.spare
-		if c != nil && len(c.tuples) >= n {
-			s.spare = nil
-		} else {
-			s.size = max(n, seqChunk, min(2*s.size, maxSlotChunk))
-			c = &slotChunk{tuples: make([]relation.Tuple, s.size), buckets: make([]int32, s.size)}
-		}
-		s.tail, s.used = c, 0
-	}
-	s.used += n
-	return s.tail, s.used - n
-}
-
-// drop retires chunk c once the log's front has moved from it to next (nil:
-// the log is empty).
-func (s *slotStore) drop(c, next *slotChunk) {
-	switch {
-	case c == next:
-	case s.noRecycle:
-		if c == s.tail {
-			s.tail = nil
-		}
-	case c == s.tail:
-		releaseSlots(c.tuples[:s.used])
-		s.used = 0
-	default:
-		releaseSlots(c.tuples)
-		if s.spare == nil || len(c.tuples) > len(s.spare.tuples) {
-			s.spare = c
-		}
-	}
-}
 
 // poisoned reports whether t is the tuple a test stored in slotPoison.
 func poisoned(t relation.Tuple) bool {
@@ -132,26 +68,18 @@ func poisoned(t relation.Tuple) bool {
 	return p != nil && len(t) > 0 && len(*p) > 0 && &t[0] == &(*p)[0]
 }
 
-// releaseSlots clears released slots, or poisons them under a test.
-func releaseSlots(ts []relation.Tuple) {
-	p := slotPoison.Load()
-	if p == nil {
-		clear(ts)
-		return
-	}
-	for i := range ts {
-		ts[i] = *p
-	}
-}
-
-// sendBuf is an unlogged stream's buffer: slots for one buffer's tuples,
-// filled by the producer, handed over with the data message as its Slots,
-// and released by whoever reads them last (see transport.Message.Slots).
+// sendBuf is the exchange's one buffer type: slots for one buffer's tuples,
+// and for their buckets where the stream routes by bucket, filled by the
+// producer and read in place by the consumer. Who releases it is fixed at
+// send: an unlogged stream's consumer (it travels as the message's Slots), a
+// logged stream's recovery log, a stateful log's nobody (DESIGN.md §5, the
+// exchange buffer lifetime rule).
 type sendBuf struct {
-	tuples []relation.Tuple
-	first  int64 // sequence of tuples[0]
-	pool   *sendBufPool
-	inPool bool
+	tuples  []relation.Tuple
+	buckets []int32 // one per tuple, or nil
+	first   int64   // sequence of tuples[0]
+	pool    *sendBufPool
+	inPool  bool
 }
 
 // Release implements transport.Releaser: it clears the slots, or poisons
@@ -162,9 +90,24 @@ func (b *sendBuf) Release() {
 		panic("engine: send buffer released twice")
 	}
 	b.inPool = true
-	releaseSlots(b.tuples)
-	b.tuples = b.tuples[:0]
+	if p := slotPoison.Load(); p != nil {
+		for i := range b.tuples {
+			b.tuples[i] = *p
+		}
+	} else {
+		clear(b.tuples)
+	}
+	b.tuples, b.buckets = b.tuples[:0], b.buckets[:0]
 	b.pool.p.Put(b)
+}
+
+// bucket returns tuple i's routing bucket, or -1 if the stream routes by
+// none.
+func (b *sendBuf) bucket(i int) int32 {
+	if len(b.buckets) == 0 {
+		return -1
+	}
+	return b.buckets[i]
 }
 
 // sendBufSlab is how many buffers a pool miss allocates at once: sync.Pool
@@ -172,21 +115,30 @@ func (b *sendBuf) Release() {
 // would cost an allocation per buffer.
 const sendBufSlab = 32
 
-// sendBufPool recycles the send buffers of one size, process-wide.
+// sendBufPool recycles the send buffers of one size, process-wide; buckets
+// says its buffers also hold a bucket slot per tuple.
 type sendBufPool struct {
-	size int
-	p    sync.Pool
+	size    int
+	buckets bool
+	p       sync.Pool
 }
 
-// sendBufPools maps a buffer size to its *sendBufPool.
-var sendBufPools sync.Map
+// sendBufPools and bucketBufPools map a buffer size to its *sendBufPool,
+// without and with bucket slots.
+var sendBufPools, bucketBufPools sync.Map
 
 // sendBufPoolFor returns the pool of size-slot send buffers.
-func sendBufPoolFor(size int) *sendBufPool {
-	if p, ok := sendBufPools.Load(size); ok {
+func sendBufPoolFor(size int) *sendBufPool { return poolOf(&sendBufPools, size, false) }
+
+// bucketBufPoolFor returns the pool of size-slot send buffers with bucket
+// slots.
+func bucketBufPoolFor(size int) *sendBufPool { return poolOf(&bucketBufPools, size, true) }
+
+func poolOf(m *sync.Map, size int, buckets bool) *sendBufPool {
+	if p, ok := m.Load(size); ok {
 		return p.(*sendBufPool)
 	}
-	p, _ := sendBufPools.LoadOrStore(size, &sendBufPool{size: size})
+	p, _ := m.LoadOrStore(size, &sendBufPool{size: size, buckets: buckets})
 	return p.(*sendBufPool)
 }
 
@@ -199,9 +151,16 @@ func (p *sendBufPool) get() *sendBuf {
 	}
 	bufs := make([]sendBuf, sendBufSlab)
 	slots := make([]relation.Tuple, sendBufSlab*p.size)
+	var buckets []int32
+	if p.buckets {
+		buckets = make([]int32, sendBufSlab*p.size)
+	}
 	for i := range bufs {
-		lo := i * p.size
-		bufs[i] = sendBuf{tuples: slots[lo : lo : lo+p.size], pool: p, inPool: i > 0}
+		lo, hi := i*p.size, (i+1)*p.size
+		bufs[i] = sendBuf{tuples: slots[lo:lo:hi], pool: p, inPool: i > 0}
+		if p.buckets {
+			bufs[i].buckets = buckets[lo:lo:hi]
+		}
 		if i > 0 {
 			p.p.Put(&bufs[i])
 		}
@@ -235,62 +194,52 @@ func (d *deadSet) kill(i int) bool {
 	return true
 }
 
-// bufRun is one buffer of one stream: n tuples from sequence first, in slots
-// [off, off+n) of c.
-type bufRun struct {
-	first int64
-	c     *slotChunk
-	off   int32
+// logBuf is one buffer of a recovery log: n tuples from sequence first.
+type logBuf struct {
+	*sendBuf
 	deadSet
 }
 
-func (b *bufRun) tuples() []relation.Tuple { return b.c.tuples[b.off : b.off+b.n] }
-func (b *bufRun) buckets() []int32         { return b.c.buckets[b.off : b.off+b.n] }
-
 // recoveryLog is one consumer stream's recovery log and sequence counter:
-// one bufRun per buffer from the oldest holding an unreleased tuple, the
+// one logBuf per buffer from the oldest holding an unreleased tuple, the
 // tail being the open buffer while one is being filled.
 type recoveryLog struct {
-	bufs  seqQueue[bufRun]
-	store slotStore
-	open  bool  // the tail is the open buffer
-	seq   int64 // next sequence to hand out; sequences start at 1
-	live  int   // tuples not yet released
+	bufs seqQueue[logBuf]
+	pool *sendBufPool // supplies the buffers, and takes them back unless keep
+	keep bool         // a stateful log: a replay takes tuples still queued
+	open bool         // the tail is the open buffer
+	seq  int64        // next sequence to hand out; sequences start at 1
+	live int          // tuples not yet released
 }
 
-// newRecoveryLog returns an empty log whose sequences start at 1; a
-// stateful exchange's log never recycles its slots.
-func newRecoveryLog(stateful bool) recoveryLog {
-	return recoveryLog{seq: 1, store: slotStore{noRecycle: stateful}}
+// newRecoveryLog returns an empty log whose sequences start at 1; a stateful
+// exchange's log never recycles its buffers.
+func newRecoveryLog(pool *sendBufPool, stateful bool) recoveryLog {
+	return recoveryLog{seq: 1, pool: pool, keep: stateful}
 }
 
 // openBuf returns the open buffer, or nil.
-func (l *recoveryLog) openBuf() *bufRun {
+func (l *recoveryLog) openBuf() *logBuf {
 	if !l.open {
 		return nil
 	}
 	return l.bufs.at(l.bufs.next() - 1)
 }
 
-// append logs a tuple into the open buffer under the stream's next sequence
-// and returns it.
+// append logs a tuple, and its bucket where the buffers hold one, into the
+// open buffer under the stream's next sequence and returns it.
 func (l *recoveryLog) append(t relation.Tuple, bucket int32) int64 {
-	b, s := l.openBuf(), &l.store
-	switch {
-	case b == nil:
-		c, off := s.reserve(1)
-		l.bufs.push(bufRun{first: l.seq, c: c, off: int32(off)})
+	if !l.open {
+		b := l.pool.get()
+		b.first = l.seq
+		l.bufs.push(logBuf{sendBuf: b})
 		l.open = true
-		b = l.openBuf()
-	case b.c == s.tail && s.used == int(b.off+b.n) && s.used < len(b.c.tuples):
-		s.used++ // grow in place
-	default: // the chunk is full: move the open buffer to a fresh run
-		c, off := s.reserve(int(b.n) + 1)
-		copy(c.tuples[off:], b.tuples())
-		copy(c.buckets[off:], b.buckets())
-		b.c, b.off = c, int32(off)
 	}
-	b.c.tuples[b.off+b.n], b.c.buckets[b.off+b.n] = t, bucket
+	b := l.openBuf()
+	b.tuples = append(b.tuples, t)
+	if l.pool.buckets {
+		b.buckets = append(b.buckets, bucket)
+	}
 	b.n++
 	b.live++
 	l.live++
@@ -306,8 +255,8 @@ func (l *recoveryLog) take(seq int64) (relation.Tuple, int32, bool) {
 		return nil, 0, false
 	}
 	l.live--
-	k := b.off + int32(seq-b.first)
-	t, bucket := b.c.tuples[k], b.c.buckets[k]
+	k := int(seq - b.first)
+	t, bucket := b.tuples[k], b.bucket(k)
 	l.trim()
 	return t, bucket, true
 }
@@ -341,16 +290,15 @@ func (l *recoveryLog) release(ck int64, keep []int64) {
 	l.trim()
 }
 
-// trim pops released buffers off the front.
+// trim pops released buffers off the front and gives each back to the pool,
+// unless the log keeps them.
 func (l *recoveryLog) trim() {
 	for l.bufs.len() > 0 && l.bufs.front().live == 0 && !(l.open && l.bufs.len() == 1) {
-		c := l.bufs.front().c
+		b := l.bufs.front().sendBuf
 		l.bufs.popFront()
-		var next *slotChunk
-		if l.bufs.len() > 0 {
-			next = l.bufs.front().c
+		if !l.keep {
+			b.Release()
 		}
-		l.store.drop(c, next)
 	}
 }
 
@@ -358,18 +306,18 @@ func (l *recoveryLog) trim() {
 func (l *recoveryLog) each(fn func(seq int64, t relation.Tuple, bucket int32)) {
 	for ord := l.bufs.base; ord < l.bufs.next(); ord++ {
 		b := l.bufs.at(ord)
-		for i, t := range b.tuples() {
+		for i, t := range b.tuples {
 			if !b.isDead(i) {
-				fn(b.first+int64(i), t, b.buckets()[i])
+				fn(b.first+int64(i), t, b.bucket(i))
 			}
 		}
 	}
 }
 
-// reset drops every tuple, leaving its slots to the garbage collector; the
+// reset drops every tuple, leaving its buffers to the garbage collector; the
 // sequence counter carries on.
 func (l *recoveryLog) reset() {
-	*l = recoveryLog{seq: l.seq, store: slotStore{noRecycle: l.store.noRecycle}}
+	*l = recoveryLog{seq: l.seq, pool: l.pool, keep: l.keep}
 }
 
 // winBuf is a received buffer: its first sequence and how many of its

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/relation"
+	"repro/internal/testenv"
 	"repro/internal/transport"
 )
 
@@ -22,12 +23,13 @@ import (
 // a stream delivers in sequence order.
 
 func TestSeqQueueRecyclesChunks(t *testing.T) {
+	const n = 197
 	q := seqQueue[int]{base: 7}
 	for round := 0; round < 5; round++ {
-		for i := 0; i < 3*seqChunk+5; i++ {
+		for i := 0; i < n; i++ {
 			q.push(round*10000 + i)
 		}
-		for i := 0; i < 3*seqChunk+5; i++ {
+		for i := 0; i < n; i++ {
 			if *q.at(q.base) != round*10000+i {
 				t.Fatalf("round %d: front = %d, want %d", round, *q.at(q.base), round*10000+i)
 			}
@@ -37,10 +39,10 @@ func TestSeqQueueRecyclesChunks(t *testing.T) {
 			t.Fatalf("round %d: drained queue holds %d entries", round, q.len())
 		}
 	}
-	if q.next() != 7+5*(3*seqChunk+5) {
-		t.Fatalf("next = %d after %d pushes from base 7", q.next(), 5*(3*seqChunk+5))
+	if q.next() != 7+5*n {
+		t.Fatalf("next = %d after %d pushes from base 7", q.next(), 5*n)
 	}
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	// A steady exchange stream (the consumer keeps up) allocates nothing:
@@ -65,8 +67,8 @@ func TestSeqQueueRecyclesChunks(t *testing.T) {
 			t.Fatalf("popped %d tuples, %v", n, err)
 		}
 	}
-	// Each run streams 500 buffers, several chunks' worth, so that even one
-	// allocation per chunk turned over would show.
+	// Each run streams 500 buffers, many slabs of send buffers' worth, so
+	// that even one allocation per slab turned over would show.
 	steps := func() {
 		for i := 0; i < 500; i++ {
 			step()
@@ -126,7 +128,7 @@ func (l *mapLog) sortedSeqs() []int64 {
 func TestRecoveryLogMatchesMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		log := recoveryLog{seq: 1}
+		log := newRecoveryLog(bucketBufPoolFor(16), false)
 		model := &mapLog{m: map[int64]modelEntry{}, next: 1}
 		id := 0
 		// The producer closes a buffer when it is full or flushed: here at
@@ -420,7 +422,7 @@ func TestConsumerWindowMatchesMapModel(t *testing.T) {
 			case r < 35: // a buffer arrives, perhaps after replay buffers consumed sequences
 				p := rng.Intn(producers)
 				if rng.Intn(5) == 0 {
-					nextSeq[p] += int64(1 + rng.Intn(3*seqChunk))
+					nextSeq[p] += int64(1 + rng.Intn(192))
 				}
 				n := rng.Intn(60) // zero: a checkpoint-only message
 				msg := &transport.Message{Kind: transport.KindData, Exchange: "EX", ProducerIdx: p, StartSeq: nextSeq[p]}

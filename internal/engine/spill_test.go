@@ -15,6 +15,7 @@ import (
 	"repro/internal/qerr"
 	"repro/internal/relation"
 	"repro/internal/storage"
+	"repro/internal/testenv"
 )
 
 // budgetedCtx is testCtx plus a memory budget and the spill backend.
@@ -260,7 +261,7 @@ const maxRepartitionAllocsPerSubRun = 5
 // TestRepartitionAllocsPerSubRun counts the allocations of one
 // repartition of a small (build run, probe run) pair.
 func TestRepartitionAllocsPerSubRun(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	spill := storage.NewMemory()

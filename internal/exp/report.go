@@ -39,21 +39,23 @@ Regenerate with: ` + "`go run ./cmd/dqp-experiments`" + ` or
 
 ## Intra-fragment parallelism (morsel worker pool)
 
-Every stateless fragment driver (scans, filters, projections and
-web-service calls feeding an exchange) can run as a pool of N workers
-pulling batch-sized morsels from a shared source; joins and aggregates
-run one driver per instance (` + "`dqp-experiments -parallel N`" + `, default
-serial; DESIGN.md §5f). Real wall-clock performance is measured by the
-repository's one benchmark, bench/ (` + "`make e2e`" + `, metrics and bounds in
-BENCHMARK.json), which drives six oracle-checked workloads through the
-production entry points. The pool's width is priced through the production
-driver by ` + "`go test ./internal/engine -run '^$' -bench FragmentParallel`" + `
-(widths 1, 2 and 4; reported, never gated).
-Every adaptivity result below is invariant to the worker count: a
-fragment's workers share its exchange producer, which routes each batch
-under one policy lock and counts routed tuples atomically, so routed-tuple
-counts stay exact under any parallelism, and so do the recovery logs that
-adaptive runs keep for R1 replay. A run without adaptivity keeps no log.
+A stateless fragment driver feeding an exchange (scans, filters,
+projections and web-service calls) can run as a pool of N workers pulling
+batch-sized morsels from a shared source (` + "`dqp-experiments -parallel N`" + `,
+default serial; DESIGN.md §5f). Joins, aggregates, sorts and the
+coordinator's result sink run one driver per instance, and so does every
+instance of a fault-tolerant (elastic) session, whose commit pairing of
+held outputs with processed-input acks assumes one puller. Real wall-clock
+performance is measured by the repository's one benchmark, bench/
+(` + "`make e2e`" + `, metrics and bounds in BENCHMARK.json), which drives six
+oracle-checked workloads through the production entry points. The pool's
+width is priced through the production driver by
+` + "`go test ./internal/engine -run '^$' -bench FragmentParallel`" + ` (widths 1, 2
+and 4; reported, never gated).
+Only an exchange that feeds an adaptable (partitioned) fragment keeps a
+recovery log, checkpoints and acknowledgements, because only those are
+recalled, evicted or replayed; the R1 log-management cost is charged where
+a log is kept. A run without adaptivity keeps no log.
 
 `)
 	for _, e := range experiments {

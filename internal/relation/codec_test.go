@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testenv"
 )
 
 func TestCodecRoundTrip(t *testing.T) {
@@ -229,7 +231,7 @@ func TestDecodeTupleIntoCorrupt(t *testing.T) {
 }
 
 func TestEncodeBufferPoolAllocatesNothing(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	if a := testing.AllocsPerRun(100, func() {

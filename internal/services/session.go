@@ -48,6 +48,9 @@ type QuerySession struct {
 	// elastic enables the recovery manager: failure detection, failover
 	// onto survivors, and live admission of joining evaluators.
 	elastic bool
+	// unlogged reports the exchanges no adaptation or failover of the
+	// session reads a recovery log of (see unloggedExchanges).
+	unlogged func(exchange string) bool
 
 	// ctx is canceled when the query is done — by deadline, by external
 	// cancellation, or by the first fragment failure (recorded as the
@@ -128,6 +131,11 @@ func newQuerySession(ctx context.Context, h *host, plan *physical.Plan, sql stri
 		mem:      storage.NewBudget(h.cfg.MemoryBudgetBytes),
 	}
 	s.rtCond = sync.NewCond(&s.rtMu)
+	var topos []core.FragmentTopology
+	if h.cfg.Adaptive {
+		topos = core.TopologyOf(plan, h.grid.Buckets)
+	}
+	s.unlogged = unloggedExchanges(topos)
 	// The host that owns the coordinator's machine coordinates: it alone
 	// collects results, adapts, and deploys to the machines it does not own.
 	coordinating := h.site(h.node) != nil
@@ -151,7 +159,7 @@ func newQuerySession(ctx context.Context, h *host, plan *physical.Plan, sql stri
 		s.diagnoser.SetClock(h.clock)
 		s.responder = core.NewResponder(sctx, h.bus, h.tr, h.node, h.cfg.Responder)
 		s.responder.SetClock(h.clock)
-		for _, topo := range core.TopologyOf(plan, h.grid.Buckets) {
+		for _, topo := range topos {
 			s.diagnoser.Register(topo)
 			if err := s.responder.Register(topo); err != nil {
 				s.Close()
@@ -234,11 +242,7 @@ func (s *QuerySession) newInstanceRuntime(frag *physical.FragmentSpec, idx int, 
 		Node:            node,
 		BufferTuples:    h.grid.BufferTuples,
 		CheckpointEvery: h.grid.CheckpointEvery,
-		// Only a session's Responder, or its failover (which requires
-		// Adaptive), reads the recovery logs; without them nothing can
-		// replay an exchange. An evaluator takes Adaptive from the
-		// manifest, so every instance of a query decides alike.
-		Unlogged: !h.cfg.Adaptive,
+		Unlogged:        s.unlogged,
 	}
 	if s.elastic {
 		// Recovery replays from the producer-side logs, so every
@@ -252,6 +256,28 @@ func (s *QuerySession) newInstanceRuntime(frag *physical.FragmentSpec, idx int, 
 	}
 	return engine.NewFragmentRuntime(cfg)
 }
+
+// unloggedExchanges returns the session's RuntimeConfig.Unlogged. Only the
+// Responder reads a recovery log outside failover (which forces every log,
+// see RuntimeConfig.FT), and it recalls, evicts and replays only on the
+// exchanges an adaptable fragment's topology lists as Inputs. So only those
+// are logged; topos are the plan's topologies, none without adaptivity. An
+// evaluator derives the same plan from the query text and takes Adaptive
+// from the manifest, so every instance of a query decides alike.
+func unloggedExchanges(topos []core.FragmentTopology) func(string) bool {
+	if len(topos) == 0 {
+		return everyExchange
+	}
+	replayed := make(map[string]bool)
+	for _, topo := range topos {
+		for _, in := range topo.Inputs {
+			replayed[in.Exchange] = true
+		}
+	}
+	return func(exchange string) bool { return !replayed[exchange] }
+}
+
+func everyExchange(string) bool { return true }
 
 // remoteNodes lists the machines of the plan the host does not own, ordered
 // so that consumers deploy before their producers: a producer that starts

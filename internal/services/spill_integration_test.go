@@ -3,6 +3,7 @@ package services
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -293,12 +294,14 @@ func TestParallelBudgetedAdaptiveRetrospective(t *testing.T) {
 
 // trafficCounter wraps a session's transport and counts what it sends: data
 // buffers, checkpoints (a data message closing an interval), acks, and EOS
-// per stream.
+// per stream. ckptsOn and acksOn count checkpoints and acks per exchange,
+// by its plan name without the query tag ("E1").
 type trafficCounter struct {
 	transport.Transport
 	mu                sync.Mutex
 	data, ckpts, acks int
 	eos               map[string]int
+	ckptsOn, acksOn   map[string]int
 }
 
 func (c *trafficCounter) Send(from, to simnet.NodeID, service string, msg *transport.Message) (float64, error) {
@@ -310,9 +313,11 @@ func (c *trafficCounter) Send(from, to simnet.NodeID, service string, msg *trans
 		}
 		if msg.Checkpoint > 0 {
 			c.ckpts++
+			c.ckptsOn[planExchange(msg.Exchange)]++
 		}
 	case transport.KindAck:
 		c.acks++
+		c.acksOn[planExchange(msg.Exchange)]++
 	case transport.KindEOS:
 		c.eos[fmt.Sprintf("%s/%d->%d", msg.Exchange, msg.ProducerIdx, msg.ConsumerIdx)]++
 	}
@@ -322,16 +327,40 @@ func (c *trafficCounter) Send(from, to simnet.NodeID, service string, msg *trans
 
 // countTraffic routes g's sessions through a fresh trafficCounter.
 func countTraffic(g *GDQS) *trafficCounter {
-	c := &trafficCounter{Transport: g.tr, eos: map[string]int{}}
+	c := &trafficCounter{Transport: g.tr, eos: map[string]int{}, ckptsOn: map[string]int{}, acksOn: map[string]int{}}
 	g.tr = c
 	return c
+}
+
+// planExchange strips the query tag off an exchange ID ("q7.E1" -> "E1").
+func planExchange(id string) string { return id[strings.LastIndexByte(id, '.')+1:] }
+
+// wantLoggedOnly fails t unless c saw checkpoints on every exchange in
+// logged, acks as well on those in acked (a stateful exchange's consumer
+// never acknowledges: its log is operator state), and neither on any
+// exchange in unlogged.
+func wantLoggedOnly(t *testing.T, query string, c *trafficCounter, logged, acked, unlogged []string) {
+	t.Helper()
+	for _, ex := range logged {
+		if c.ckptsOn[ex] == 0 || slices.Contains(acked, ex) && c.acksOn[ex] == 0 {
+			t.Errorf("%s: logged %s carried %d checkpoints, %d acks", query, ex, c.ckptsOn[ex], c.acksOn[ex])
+		}
+	}
+	for _, ex := range unlogged {
+		if c.ckptsOn[ex] != 0 || c.acksOn[ex] != 0 {
+			t.Errorf("%s: unlogged %s carried %d checkpoints, %d acks", query, ex, c.ckptsOn[ex], c.acksOn[ex])
+		}
+	}
 }
 
 // TestUnloggedSessionTraffic: a session without adaptivity keeps no recovery
 // log, so the join+aggregate query sends its data buffers and one EOS per
 // stream and nothing else: no checkpoint, no ack. Its rows match the
-// adaptive (logged) run at every width, budget and spill backend, and the
-// adaptive run still checkpoints and acknowledges.
+// adaptive run at every width, budget and spill backend. An adaptive session
+// logs, checkpoints and acknowledges only the exchanges an adaptable
+// fragment consumes: E1–E3 into the partitioned join and aggregate, not E4
+// from the aggregate to the coordinator's sort; in Q1, E1 into the
+// partitioned service call, not E2 from it to the coordinator.
 func TestUnloggedSessionTraffic(t *testing.T) {
 	const seqs, ints = 300, 900
 	cluster, _ := spillGrid(t, seqs, ints, 0, "")
@@ -349,6 +378,16 @@ func TestUnloggedSessionTraffic(t *testing.T) {
 	if len(want.Rows) == 0 || logged.ckpts == 0 || logged.acks == 0 {
 		t.Fatalf("adaptive run: %d rows, %d checkpoints, %d acks", len(want.Rows), logged.ckpts, logged.acks)
 	}
+	wantLoggedOnly(t, "join+aggregate", logged, []string{"E1", "E2", "E3"}, []string{"E2"}, []string{"E4"})
+	adaptiveQ1, err := NewGDQS(cluster, "coord", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loggedQ1 := countTraffic(adaptiveQ1)
+	if res, err := adaptiveQ1.Execute(context.Background(), q1); err != nil || len(res.Rows) != seqs {
+		t.Fatalf("adaptive Q1: %v", err)
+	}
+	wantLoggedOnly(t, "Q1", loggedQ1, []string{"E1"}, []string{"E1"}, []string{"E2"})
 	for _, width := range []int{1, 4} {
 		for _, budget := range []int64{0, 64 << 10} {
 			for _, backend := range []string{"memory", "posix"} {

@@ -1,6 +1,8 @@
 // Package testenv is for _test.go files only: it lets `make lowmem` run a
 // whole test suite under a forced per-query memory budget and worker-pool
-// width without the production constructors reading the environment.
+// width without the production constructors reading the environment, and
+// tells allocation ceilings whether the race detector instruments the
+// build (RaceEnabled).
 package testenv
 
 import (

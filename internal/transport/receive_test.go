@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/relation"
 	"repro/internal/simnet"
+	"repro/internal/testenv"
 )
 
 // rawFrame frames an encoded message for service as TCP.Send does: a 4-byte
@@ -167,7 +168,7 @@ const maxReceiveAllocsPerFrame = 0.5
 // and counts every allocation until the receiver's handler has seen them all;
 // the sending side allocates nothing (TestTCPSendAllocatesNothing).
 func TestTCPReceiveAllocsPerMessage(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	a, b := tcpPair(t)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/relation"
 	"repro/internal/simnet"
+	"repro/internal/testenv"
 )
 
 // tcpPair builds two connected TCP transports.
@@ -364,7 +365,7 @@ func TestTCPCloseIdempotent(t *testing.T) {
 // TestTCPSendAllocatesNothing sends acknowledgements to a connected loopback
 // peer that discards the bytes: framing and encoding reuse pooled buffers.
 func TestTCPSendAllocatesNothing(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

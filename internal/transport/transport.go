@@ -93,20 +93,11 @@ type Message struct {
 	// that sequence.
 	//
 	// The receiver keeps Tuples and Buckets without a copy. Over TCP they
-	// are decoded afresh for every message. In process, a logged stream's
-	// are the producer's recovery-log slots, and this lifetime rule makes
-	// that safe:
-	//   - a sent buffer's slots are immutable;
-	//   - a producer's slot store rewinds or recycles a chunk only after
-	//     every buffer in it was released: acknowledged at or below a
-	//     checkpoint, or taken by a resend; a stateful log never recycles,
-	//     since its replay takes tuples the consumer may still hold queued;
-	//   - a consumer acknowledges a checkpoint only after every tuple at or
-	//     below it was popped or discarded.
-	//
-	// So a consumer that reads only live, unpopped slots never reads a
-	// recycled one. An unlogged stream's Tuples live in a pooled buffer
-	// that Slots hands back (see ReleaseSlots).
+	// are decoded afresh for every message. In process they are the
+	// sender's buffer: an unlogged stream's comes with Slots, which the
+	// receiver hands back; a logged stream's stays in the producer's
+	// recovery log, which reuses it only once the receiver can no longer
+	// read it (DESIGN.md, the exchange buffer lifetime rule).
 	StartSeq   int64
 	Tuples     []relation.Tuple
 	Buckets    []int32
